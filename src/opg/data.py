@@ -1,16 +1,19 @@
-"""Dataset containers: per-grader feedback, datasets, and estimates."""
+"""Dataset containers: per-grader feedback, datasets, their compiled arrays, and estimates."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
+
+import numpy as np
 
 from .errors import ValidationError
 from .rankings import WeakRanking
 
-__all__ = ["GraderFeedback", "Dataset", "Estimate", "induced_ordinal"]
+__all__ = ["GraderFeedback", "Dataset", "FeedbackArrays", "Estimate", "induced_ordinal"]
 
 
 def induced_ordinal(grades: Mapping[str, float]) -> WeakRanking:
@@ -145,6 +148,93 @@ class Dataset:
 
     def has_full_cardinal(self) -> bool:
         return all(fb.cardinal is not None for fb in self.feedback)
+
+    @cached_property
+    def feedback_arrays(self) -> "FeedbackArrays":
+        """The ordinal feedback compiled to integer arrays, built on first use."""
+        return FeedbackArrays.build(self)
+
+
+@dataclass(frozen=True, eq=False)
+class FeedbackArrays:
+    """Every grader's ordinal feedback as read-only integer arrays.
+
+    Items are indices into the sorted ``Dataset.items``; graders are
+    positions in ``Dataset.feedback``. Grader g's entries are the slice
+    ``offsets[g]:offsets[g + 1]`` (a CSR layout), best tie group first and
+    lexicographic within a group, which is the order of
+    ``WeakRanking.ranks()``. Strict pairs run grader by grader and, within
+    a grader, over its entries i < j in row-major order.
+    """
+
+    graders: tuple[str, ...]
+    offsets: np.ndarray  # (G + 1,) CSR offsets into the entry arrays
+    item: np.ndarray  # (E,) item of each entry
+    rank: np.ndarray  # (E,) 1 + number of the grader's items in strictly better groups
+    winner: np.ndarray  # (P,) better item of each strict pair
+    loser: np.ndarray  # (P,) worse item of each strict pair
+    pair_grader: np.ndarray  # (P,) grader of each strict pair
+    coeff: np.ndarray  # (C, max items) distinct rows A_i = (tie groups of size >= i) - 1 for i <= |D_g|, else 0
+    grader_coeff: np.ndarray  # (G,) row of coeff of each grader
+    incident_offsets: np.ndarray  # (n + 1,) CSR offsets of each item's pairs
+    incident: np.ndarray  # (2P,) each item's pairs in pair order, as 2 * pair + (1 if it is the loser)
+
+    @classmethod
+    def build(cls, data: Dataset) -> "FeedbackArrays":
+        """Compile ``data``'s feedback; every grader must have ordinal feedback."""
+        rankings = []
+        for fb in data.feedback:
+            if fb.ordinal is None:
+                raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
+            rankings.append(fb.ordinal)
+        n, n_graders = len(data.items), len(rankings)
+        index = {d: i for i, d in enumerate(data.items)}
+        counts = np.fromiter((len(r) for r in rankings), dtype=np.intp, count=n_graders)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        n_entries = int(offsets[-1])
+        item = np.fromiter(
+            (index[d] for r in rankings for g in r.groups for d in g), dtype=np.int32, count=n_entries
+        )
+        del index
+        n_groups = np.fromiter((len(r.groups) for r in rankings), dtype=np.intp, count=n_graders)
+        sizes = np.fromiter((len(g) for r in rankings for g in r.groups), dtype=np.intp, count=int(n_groups.sum()))
+        group_grader = np.repeat(np.arange(n_graders), n_groups)
+        group_start = np.cumsum(sizes) - sizes
+        rank = np.repeat(group_start - offsets[group_grader] + 1, sizes).astype(np.int32)
+
+        mmax = int(counts.max()) if n_graders else 1
+        per_size = np.bincount(group_grader * mmax + sizes - 1, minlength=n_graders * mmax)
+        at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        coeff, grader_coeff = np.unique(at_least - (np.arange(mmax) < counts[:, None]), axis=0, return_inverse=True)
+        del n_groups, sizes, group_grader, group_start, per_size, at_least
+
+        # Every entry pairs with the entries after it in its grader's slice.
+        entry_grader = np.repeat(np.arange(n_graders), counts)
+        after = offsets[entry_grader + 1] - np.arange(n_entries) - 1
+        first = np.repeat(np.arange(n_entries), after)
+        block = np.cumsum(after) - after
+        second = first + 1 + np.arange(len(first)) - np.repeat(block, after)
+        del after, block
+        strict = rank[first] != rank[second]
+        first, second = first[strict], second[strict]
+        del strict
+        winner, loser = item[first], item[second]
+        pair_grader = entry_grader[first].astype(np.int32)
+        del first, second, entry_grader
+
+        ends = np.stack([winner, loser], axis=1).ravel()
+        incident = np.argsort(ends, kind="stable").astype(np.int32)
+        incident_offsets = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+        del ends
+
+        arrays = cls(
+            tuple(fb.grader for fb in data.feedback), offsets, item, rank, winner, loser, pair_grader,
+            coeff.astype(float), grader_coeff.astype(np.int32).ravel(), incident_offsets, incident,
+        )
+        for value in vars(arrays).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)

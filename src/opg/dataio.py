@@ -39,6 +39,8 @@ _CSV_HEADER = ["grader_id", "item_id", "score"]
 
 
 def _round12(x: float) -> float:
+    # Reported floats are fixed points of the 12-significant-digit writer,
+    # so serialize/deserialize round-trips exactly.
     return float(f"{x:.12g}")
 
 

@@ -1,26 +1,22 @@
 """Evaluation protocols: bootstrap, consistency, downsampling, lazy-grader studies.
 
 Every protocol derives per-repetition seeds from its base seed so results are
-reproducible. Repetitions run serially unless the ``OPG_THREADS`` environment
-variable asks for a thread pool; parallel runs produce identical numbers
-because each repetition is seeded independently and results are collected in
-submission order.
+reproducible.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .data import Dataset, GraderFeedback
+from .dataio import _round12
 from .errors import ValidationError
 from .estimators import ModelOptions, fit_model, model_uses_reliability, with_seed
 from .metrics import TargetSet, ek_error, strict_pair_count, tau_kt
@@ -41,18 +37,8 @@ __all__ = [
 
 
 def _map_reps(fn: Callable[[int], Any], reps: int) -> list[Any]:
-    """Run ``fn(rep)`` for each repetition, threaded when OPG_THREADS > 1."""
-    threads = int(os.environ.get("OPG_THREADS", "1") or "1")
-    if threads <= 1 or reps <= 1:
-        return [fn(rep) for rep in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
-def _round12(x: float) -> float:
-    # Reports are fixed points of the 12-significant-digit JSON writer,
-    # so serialize/deserialize round-trips exactly.
-    return float(f"{x:.12g}")
+    """Run ``fn(rep)`` for each repetition, in order."""
+    return [fn(rep) for rep in range(reps)]
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ReliabilityPrior
-from .data import Dataset, Estimate, GraderFeedback
+from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
 from .errors import ValidationError
 from .rankings import WeakRanking, break_ties
 
@@ -91,19 +91,6 @@ def mallows_normalizer(eta: float, k: int) -> float:
     return math.exp(mallows_log_normalizer(eta, k))
 
 
-def _cross_group_disagreements(center_rank: Mapping[str, int], fb: WeakRanking) -> int:
-    """Count cross-group pairs of ``fb`` that the center orders the other way."""
-    x = 0
-    groups = fb.groups
-    for i, better_group in enumerate(groups):
-        for worse_group in groups[i + 1:]:
-            for a in better_group:
-                for b in worse_group:
-                    if center_rank[a] > center_rank[b]:
-                        x += 1
-    return x
-
-
 def mallows_log_likelihood(center: WeakRanking, feedback: GraderFeedback, eta: float) -> float:
     """Log probability of a grader's (possibly tied) feedback given a center.
 
@@ -122,18 +109,32 @@ def mallows_log_likelihood(center: WeakRanking, feedback: GraderFeedback, eta: f
         raise ValidationError(f"center does not rank items: {sorted(missing)}")
     fb = feedback.ordinal
     center_rank = center.ranks()
-    x = _cross_group_disagreements(center_rank, fb)
+    fb_rank = fb.ranks()
+    x = sum(
+        1 for a in fb_rank for b in fb_rank if fb_rank[a] < fb_rank[b] and center_rank[a] > center_rank[b]
+    )
     log_num = -eta * x + sum(mallows_log_normalizer(eta, len(g)) for g in fb.groups)
     return log_num - mallows_log_normalizer(eta, len(fb))
 
 
-def _ordinal_feedback(data: Dataset) -> list[tuple[WeakRanking, float]]:
-    out = []
-    for fb in data.feedback:
-        if fb.ordinal is None:
-            raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
-        out.append((fb.grader, fb.ordinal))
-    return out
+def _grader_etas(arrays: FeedbackArrays, params: MallowsParams) -> np.ndarray:
+    """Reliability of each grader, in feedback order."""
+    return np.fromiter((params.eta_for(g) for g in arrays.graders), dtype=float, count=len(arrays.graders))
+
+
+def _compiled(data: Dataset) -> FeedbackArrays:
+    """The dataset's compiled feedback, refusing a dataset with nothing to rank."""
+    if not data.items:
+        raise ValidationError("dataset has no items")
+    if not data.feedback:
+        raise ValidationError("dataset has no feedback")
+    return data.feedback_arrays
+
+
+def _positions(ranking: WeakRanking, data: Dataset) -> np.ndarray:
+    """Position of each dataset item in the total order ``ranking``; -1 if absent."""
+    position = {d: i for i, d in enumerate(ranking.order())}
+    return np.fromiter((position.get(d, -1) for d in data.items), dtype=np.intp, count=len(data.items))
 
 
 def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRanking:
@@ -149,58 +150,31 @@ def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> We
     appended at the end (lexicographically) with a warning.
     """
     params = params or MallowsParams()
-    if not data.items:
-        raise ValidationError("dataset has no items")
-    if not data.feedback:
-        raise ValidationError("dataset has no feedback")
-    feedback = _ordinal_feedback(data)
-
-    graded: set[str] = set()
-    for _, fb in feedback:
-        graded.update(fb.items)
-    ungraded = sorted(set(data.items) - graded)
+    arrays = _compiled(data)
+    graded = np.bincount(arrays.item, minlength=len(data.items)) > 0
+    ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
     if ungraded:
         warnings.warn(f"items never graded by anyone are ranked last: {ungraded}", stacklevel=2)
 
-    grader_ranks: list[dict[str, int]] = []
-    etas: list[float] = []
-    by_item: dict[str, list[int]] = {d: [] for d in graded}
-    for gi, (grader, fb) in enumerate(feedback):
-        ranks = fb.ranks()
-        grader_ranks.append(ranks)
-        etas.append(params.eta_for(grader))
-        for d in ranks:
-            by_item[d].append(gi)
-
-    x = {d: 0.0 for d in graded}
-    for gi, ranks in enumerate(grader_ranks):
-        eta = etas[gi]
-        items = list(ranks)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                if ranks[a] < ranks[b]:
-                    x[b] += eta
-                    x[a] -= eta
-                elif ranks[a] > ranks[b]:
-                    x[a] += eta
-                    x[b] -= eta
-
-    active = set(graded)
-    order: list[str] = []
-    while active:
-        best = min(active, key=lambda d: (x[d], d))
-        order.append(best)
-        active.remove(best)
-        rank_best_by_grader = [(gi, grader_ranks[gi][best]) for gi in by_item[best]]
-        for gi, rank_best in rank_best_by_grader:
-            eta = etas[gi]
-            for d, rank_d in grader_ranks[gi].items():
-                if d not in active:
-                    continue
-                if rank_best < rank_d:
-                    x[d] -= eta
-                elif rank_best > rank_d:
-                    x[d] += eta
+    pair_eta = _grader_etas(arrays, params)[arrays.pair_grader]
+    # End 2p of pair p is its winner and end 2p + 1 its loser; picking an
+    # end's item changes x of the pair's other item by ``change``.
+    other = np.stack([arrays.loser, arrays.winner], axis=1).ravel()
+    change = np.stack([-pair_eta, pair_eta], axis=1).ravel()
+    del pair_eta
+    # So x starts as minus every change: each pair adds eta to its loser, then subtracts it from its winner.
+    x = np.bincount(other, weights=-change, minlength=len(data.items)).astype(float, copy=False)
+    x[~graded] = np.inf
+    other, change = other[arrays.incident], change[arrays.incident]
+    offsets = arrays.incident_offsets.tolist()
+    order = []
+    for _ in range(int(graded.sum())):
+        # Among equal x, argmin takes the lowest index: the lexicographically first id.
+        best = int(x.argmin())
+        order.append(data.items[best])
+        x[best] = np.inf
+        lo, hi = offsets[best], offsets[best + 1]
+        np.add.at(x, other[lo:hi], change[lo:hi])
     order.extend(ungraded)
     return WeakRanking.from_order(order)
 
@@ -213,52 +187,33 @@ def borda_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRan
     nobody form a final tie group (with a warning).
     """
     params = params or MallowsParams()
-    if not data.items:
-        raise ValidationError("dataset has no items")
-    if not data.feedback:
-        raise ValidationError("dataset has no feedback")
-    feedback = _ordinal_feedback(data)
-
-    weighted_sum: dict[str, float] = {}
-    weight: dict[str, float] = {}
-    for grader, fb in feedback:
-        eta = params.eta_for(grader)
-        for d, r in fb.ranks().items():
-            weighted_sum[d] = weighted_sum.get(d, 0.0) + eta * r
-            weight[d] = weight.get(d, 0.0) + eta
-    ungraded = sorted(set(data.items) - weighted_sum.keys())
+    arrays = _compiled(data)
+    n = len(data.items)
+    entry_eta = np.repeat(_grader_etas(arrays, params), np.diff(arrays.offsets))
+    weighted_sum = np.bincount(arrays.item, weights=entry_eta * arrays.rank, minlength=n)
+    weight = np.bincount(arrays.item, weights=entry_eta, minlength=n)
+    graded = np.bincount(arrays.item, minlength=n) > 0
+    ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
     if ungraded:
         warnings.warn(f"items never graded by anyone form the last tie group: {ungraded}", stacklevel=2)
 
-    averages = {d: weighted_sum[d] / weight[d] for d in weighted_sum}
-    ordered = sorted(averages, key=lambda d: (averages[d], d))
-    groups: list[list[str]] = []
-    for d in ordered:
-        if groups and averages[d] == averages[groups[-1][0]]:
-            groups[-1].append(d)
-        else:
-            groups.append([d])
+    candidates = np.flatnonzero(graded)
+    averages = weighted_sum[candidates] / weight[candidates]
+    ordered = np.argsort(averages, kind="stable")
+    averages = averages[ordered]
+    cuts = np.flatnonzero(averages[1:] != averages[:-1]) + 1
+    groups = [[data.items[i] for i in group] for group in np.split(candidates[ordered], cuts)]
     if ungraded:
-        groups.append(list(ungraded))
+        groups.append(ungraded)
     return WeakRanking(groups)
 
 
-def _preference_weights(data: Dataset, params: MallowsParams) -> tuple[list[str], np.ndarray]:
-    """Items and the matrix W[a, b] = total reliability preferring a over b."""
-    items = sorted(data.items)
-    index = {d: i for i, d in enumerate(items)}
-    w = np.zeros((len(items), len(items)))
-    for grader, fb in _ordinal_feedback(data):
-        eta = params.eta_for(grader)
-        ranks = fb.ranks()
-        members = list(ranks)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if ranks[a] < ranks[b]:
-                    w[index[a], index[b]] += eta
-                elif ranks[a] > ranks[b]:
-                    w[index[b], index[a]] += eta
-    return items, w
+def _slot_weights(data: Dataset, params: MallowsParams) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
+    arrays = data.feedback_arrays
+    keys, slot = np.unique(arrays.winner.astype(np.int64) * len(data.items) + arrays.loser, return_inverse=True)
+    pair_eta = _grader_etas(arrays, params)[arrays.pair_grader]
+    return keys, np.bincount(slot.ravel(), weights=pair_eta, minlength=len(keys))
 
 
 def weighted_kendall_cost(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> float:
@@ -266,14 +221,14 @@ def weighted_kendall_cost(ranking: WeakRanking, data: Dataset, params: MallowsPa
     params = params or MallowsParams()
     if not ranking.is_total:
         raise ValidationError("cost is defined for total orders only")
-    items, w = _preference_weights(data, params)
-    index = {d: i for i, d in enumerate(items)}
-    cost = 0.0
-    order = [index[d] for d in ranking.order() if d in index]
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            cost += w[b, a]
-    return float(cost)
+    keys, weights = _slot_weights(data, params)
+    winner, loser = np.divmod(keys, len(data.items))
+    position = _positions(ranking, data)
+    above, below = position[loser], position[winner]
+    violated = np.flatnonzero((below > above) & (above >= 0))
+    # Summed one at a time in the ranking's (upper, lower) pair order, which fixes the float rounding.
+    in_order = violated[np.lexsort((below[violated], above[violated]))]
+    return float(np.cumsum(weights[in_order])[-1]) if in_order.size else 0.0
 
 
 def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> WeakRanking:
@@ -289,18 +244,38 @@ def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParam
         raise ValidationError("local improvement requires a total order")
     if ranking.items != set(data.items):
         raise ValidationError("ranking must cover exactly the dataset's items")
-    items, w = _preference_weights(data, params)
-    index = {d: i for i, d in enumerate(items)}
-    order = list(ranking.order())
+    n = len(data.items)
+    keys, weights = _slot_weights(data, params)
+    # A sentinel key past the end, which weighs nothing.
+    keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
+
+    def weight(key: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(keys, key)
+        return np.where(keys[at] == key, weights[at], 0.0)
+
+    def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        return weight(lower * n + upper) > weight(upper * n + lower)
+
+    order = np.argsort(_positions(ranking, data))
     changed = True
     while changed:
         changed = False
-        for i in range(len(order) - 1):
-            a, b = order[i], order[i + 1]
-            if w[index[b], index[a]] > w[index[a], index[b]]:
-                order[i], order[i + 1] = b, a
+        # One sweep, with every neighbour pair tested up front: a swap moves
+        # the upper item down, and it keeps sinking while it loses to its
+        # next neighbour; the pairs below where it stops are as tested.
+        swaps = prefers_lower(order[:-1], order[1:])
+        resume = 0
+        for i in np.flatnonzero(swaps):
+            if i < resume:
+                continue
+            while True:
+                order[i], order[i + 1] = order[i + 1], order[i]
                 changed = True
-    return WeakRanking.from_order(order)
+                i += 1
+                if i == n - 1 or not prefers_lower(order[i:i + 1], order[i + 1:i + 2])[0]:
+                    break
+            resume = i + 1
+    return WeakRanking.from_order(data.items[i] for i in order)
 
 
 def fit_reliabilities(
@@ -318,38 +293,31 @@ def fit_reliabilities(
     The likelihood term reduces to -eta*X_g + sum_i A_i(g) * ln(1 - e^(-i*eta))
     where X_g counts cross-group pairs against the center and A_i(g) =
     (number of tie groups of size >= i) - 1 for i <= |D_g|; the normalizer
-    denominators cancel because group sizes sum to |D_g|.
+    denominators cancel because group sizes sum to |D_g|. Graders with equal
+    (X_g, A(g)) share one search.
     """
     prior = prior or ReliabilityPrior()
     if not center.is_total:
         raise ValidationError("center must be a total order")
-    feedback = _ordinal_feedback(data)
-    center_rank = center.ranks()
-
-    graders: list[str] = []
-    xs: list[float] = []
-    coeff_rows: list[np.ndarray] = []
-    mmax = max((len(fb) for _, fb in feedback), default=1)
-    for grader, fb in feedback:
-        missing = fb.items - center.items
-        if missing:
-            raise ValidationError(f"center does not rank items: {sorted(missing)}")
-        graders.append(grader)
-        xs.append(float(_cross_group_disagreements(center_rank, fb)))
-        sizes = np.array([len(g) for g in fb.groups])
-        m = len(fb)
-        a = np.zeros(mmax)
-        i = np.arange(1, m + 1)
-        a[:m] = (sizes[None, :] >= i[:, None]).sum(axis=1) - 1.0
-        coeff_rows.append(a)
-
+    arrays = data.feedback_arrays
     result = {g: prior.mode for g in data.graders}
-    if not graders:
+    if not arrays.graders:
         return result
 
-    x_vec = np.array(xs)
-    coeff = np.stack(coeff_rows)
-    irange = np.arange(1, mmax + 1, dtype=float)
+    position = _positions(center, data)
+    unranked = position[arrays.item] < 0
+    if unranked.any():
+        g = int(np.searchsorted(arrays.offsets, np.argmax(unranked), side="right")) - 1
+        entries = slice(arrays.offsets[g], arrays.offsets[g + 1])
+        missing = sorted(data.items[i] for i in arrays.item[entries][unranked[entries]])
+        raise ValidationError(f"center does not rank items: {missing}")
+    against = position[arrays.winner] > position[arrays.loser]
+    x_g = np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
+    n_coeff = len(arrays.coeff)
+    rows, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
+
+    x_vec, coeff = (rows // n_coeff).astype(float), arrays.coeff[rows % n_coeff]
+    irange = np.arange(1, coeff.shape[1] + 1, dtype=float)
     shape, scale = prior.shape, prior.scale
 
     def objective(z: np.ndarray) -> np.ndarray:
@@ -359,8 +327,8 @@ def fit_reliabilities(
         return (shape - 1.0) * np.log(eta) - eta / scale + ll
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.full(len(graders), -3.0)
-    hi = np.full(len(graders), 3.0)
+    lo = np.full(len(rows), -3.0)
+    hi = np.full(len(rows), 3.0)
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc = objective(c)
@@ -373,8 +341,8 @@ def fit_reliabilities(
         d = lo + invphi * (hi - lo)
         fc = objective(c)
         fd = objective(d)
-    eta_hat = np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)
-    for g, eta in zip(graders, eta_hat):
+    eta_hat = np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)[inverse]
+    for g, eta in zip(arrays.graders, eta_hat):
         result[g] = float(eta)
     return result
 

@@ -32,7 +32,7 @@ from scipy.special import expit, log_ndtr, ndtr
 from .config import ReliabilityPrior, ScorePrior, SgdConfig
 from .data import Dataset, Estimate, GraderFeedback
 from .errors import EnumerationCapError, ValidationError
-from .mallows import greedy_mle_ranking
+from .mallows import _check_eta, greedy_mle_ranking
 from .rankings import WeakRanking, break_ties, ranking_from_scores
 
 __all__ = [
@@ -49,11 +49,6 @@ __all__ = [
 SCORE_MODELS = ("bt", "thur", "pl", "mals")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _check_eta(eta: float) -> None:
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValidationError(f"eta must be finite and > 0, got {eta}")
 
 
 def bt_pair_probability(s_i: float, s_j: float, eta: float = 1.0) -> float:

@@ -1,9 +1,17 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
-from opg.data import Dataset, Estimate, GraderFeedback, induced_ordinal
+from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
+from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_cardinal_csv, write_ordinal_json
 from opg.errors import ValidationError
+from opg.estimators import fit_model
+from opg.mallows import fit_mallows
 from opg.rankings import WeakRanking
+
+from conftest import make_cardinal_dataset, make_ordinal_dataset
 
 
 class TestInducedOrdinal:
@@ -97,6 +105,84 @@ class TestDataset:
         )
         assert cardinal.has_full_cardinal()
         assert cardinal.has_full_ordinal()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts FeedbackArrays builds."""
+    calls = []
+    original = FeedbackArrays.build.__func__
+
+    def counting(cls, data):
+        calls.append(data)
+        return original(cls, data)
+
+    monkeypatch.setattr(FeedbackArrays, "build", classmethod(counting))
+    return calls
+
+
+class TestFeedbackArrays:
+    def test_layout(self):
+        data = make_ordinal_dataset(
+            {"g1": [["c"], ["a", "d"]], "g2": [["b"], ["a"], ["c"]]}, items=("a", "b", "c", "d", "e")
+        )
+        arrays = data.feedback_arrays
+        assert arrays.graders == ("g1", "g2")
+        assert arrays.offsets.tolist() == [0, 3, 6]
+        assert arrays.item.tolist() == [2, 0, 3, 1, 0, 2]
+        assert arrays.rank.tolist() == [1, 2, 2, 1, 2, 3]
+        pairs = list(zip(arrays.winner.tolist(), arrays.loser.tolist(), arrays.pair_grader.tolist()))
+        assert pairs == [(2, 0, 0), (2, 3, 0), (1, 0, 1), (1, 2, 1), (0, 2, 1)]
+        # A_i = (tie groups of size >= i) - 1 for i <= 3 items.
+        assert arrays.coeff.tolist() == [[1.0, 0.0, -1.0], [2.0, -1.0, -1.0]]
+        assert arrays.grader_coeff.tolist() == [0, 1]
+        # End 2p is pair p's winner, end 2p + 1 its loser.
+        assert arrays.incident_offsets.tolist() == [0, 3, 5, 9, 10, 10]
+        assert arrays.incident.tolist() == [1, 5, 8, 4, 6, 0, 2, 7, 9, 3]
+        with pytest.raises(ValueError):
+            arrays.item[0] = 1
+
+    def test_built_once_per_dataset(self, builds):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a", "c"]]})
+        assert data.feedback_arrays is data.feedback_arrays
+        assert len(builds) == 1
+
+    def test_one_reliability_fit_builds_once(self, builds):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["a", "c"]]})
+        fit_model("mal+g", data)
+        fit_model("mal+kg", data)
+        assert builds == [data]
+
+    def test_parsing_building_and_cardinal_fits_do_not_build(self, builds, tmp_path):
+        ordinal = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
+        cardinal = make_cardinal_dataset({"g1": {"a": 9.0, "b": 7.0}, "g2": {"a": 6.0, "b": 8.0}})
+        write_ordinal_json(ordinal, str(tmp_path / "o.json"))
+        write_cardinal_csv(cardinal, str(tmp_path / "c.csv"))
+        parsed = [parse_ordinal_json(str(tmp_path / "o.json")), parse_cardinal_csv(str(tmp_path / "c.csv"))]
+        parsed.append(Dataset.from_feedback(cardinal.feedback))
+        for model in ("scavg", "ncs", "ncs+g"):
+            fit_model(model, parsed[-1])
+        assert builds == []
+        assert all("feedback_arrays" not in vars(d) for d in parsed)
+
+    def test_replace_builds_its_own(self, builds):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
+        arrays = data.feedback_arrays
+        copy = dataclasses.replace(data)
+        assert copy == data
+        assert "feedback_arrays" not in vars(copy)
+        assert copy.feedback_arrays is not arrays
+        assert len(builds) == 2
+        assert np.array_equal(copy.feedback_arrays.winner, data.feedback_arrays.winner)
+
+    def test_mallows_fit_on_cardinal_only_grades_still_fails(self):
+        fb = (GraderFeedback(grader="g1", items=("a", "b"), cardinal={"a": 1.0, "b": 2.0}),)
+        data = Dataset.from_feedback(fb)
+        with pytest.raises(ValidationError, match="model 'mal' needs ordinal feedback from every grader"):
+            fit_model("mal", data)
+        with pytest.raises(ValidationError, match="grader 'g1' has no ordinal feedback"):
+            fit_mallows(data, with_reliability=True)
+        assert "feedback_arrays" not in vars(data)
 
 
 class TestEstimate:

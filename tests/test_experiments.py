@@ -78,12 +78,6 @@ class TestBootstrapEk:
         second = bootstrap_ek(data, "mal", target, reps=5, seed=4)
         assert first == second
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        data, target = synth_ordinal(n_graders=12, seed=2)
-        serial = bootstrap_ek(data, "mal", target, reps=8, seed=1)
-        monkeypatch.setenv("OPG_THREADS", "4")
-        assert bootstrap_ek(data, "mal", target, reps=8, seed=1) == serial
-
     def test_rejects_bad_reps(self):
         data, target = synth_ordinal(n_graders=12)
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ from conftest import make_ordinal_dataset, random_weak_ranking
 from opg.config import ReliabilityPrior
 from opg.data import Dataset, GraderFeedback
 from opg.errors import ValidationError
+from opg.experiments import _resample_graders
 from opg.mallows import (
     MallowsParams,
     borda_ranking,
@@ -20,6 +21,7 @@ from opg.mallows import (
     mallows_log_likelihood,
     mallows_log_normalizer,
     mallows_normalizer,
+    _slot_weights,
     weighted_kendall_cost,
 )
 from opg.rankings import WeakRanking
@@ -370,3 +372,126 @@ class TestFitMallows:
         b = fit_mallows(data, use_borda=True, with_reliability=True, seed=5)
         assert a.ranking == b.ranking
         assert a.reliabilities == b.reliabilities
+
+
+VARIANTS = [
+    {},
+    {"with_reliability": True},
+    {"use_borda": True},
+    {"use_borda": True, "with_reliability": True},
+    {"kemenize": True},
+    {"kemenize": True, "with_reliability": True},
+]
+
+
+def _random_dataset(rng, n_items=9, n_graders=8, min_items=2, max_items=6, extra_items=()):
+    """Random tied feedback over random subsets of unequal size."""
+    items = [f"x{i}" for i in range(n_items)]
+    rankings = {}
+    for g in range(n_graders):
+        m = int(rng.integers(min_items, max_items + 1))
+        subset = sorted(rng.choice(items, size=m, replace=False).tolist())
+        rankings[f"g{g}"] = random_weak_ranking(rng, subset)
+    return make_ordinal_dataset(rankings, items=tuple(items) + tuple(extra_items))
+
+
+def _learned_params(data):
+    """Non-integer reliabilities, as a reliability round would produce."""
+    center = oracles.dict_greedy_mle_ranking(data)
+    return MallowsParams(oracles.dict_fit_reliabilities(data, center))
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+class TestMatchesDictOracles:
+    """The compiled-array estimators give exactly the dict-loop answers."""
+
+    def _datasets(self, rng):
+        for trial in range(12):
+            data = _random_dataset(rng, min_items=1 + trial % 3, max_items=3 + trial % 5)
+            yield data, MallowsParams()
+            yield data, _learned_params(data)
+
+    def test_greedy(self, rng):
+        for data, params in self._datasets(rng):
+            assert greedy_mle_ranking(data, params) == oracles.dict_greedy_mle_ranking(data, params)
+
+    def test_borda(self, rng):
+        for data, params in self._datasets(rng):
+            assert borda_ranking(data, params) == oracles.dict_borda_ranking(data, params)
+
+    def test_pair_weights_match_dense_matrix(self, rng):
+        for data, params in self._datasets(rng):
+            items, dense = oracles.dict_preference_weights(data, params)
+            assert tuple(items) == data.items
+            keys, weights = _slot_weights(data, params)
+            sparse = np.zeros_like(dense)
+            sparse[np.divmod(keys, len(items))] = weights
+            assert np.array_equal(sparse, dense)
+
+    def test_kendall_cost_and_kemenization(self, rng):
+        for data, params in self._datasets(rng):
+            start = WeakRanking.from_order([data.items[i] for i in rng.permutation(len(data.items))])
+            assert weighted_kendall_cost(start, data, params) == oracles.dict_weighted_kendall_cost(
+                start, data, params
+            )
+            assert local_kemenization(start, data, params) == oracles.dict_local_kemenization(
+                start, data, params
+            )
+
+    def test_cross_group_counts(self, rng):
+        for data, _ in self._datasets(rng):
+            center = WeakRanking.from_order([data.items[i] for i in rng.permutation(len(data.items))])
+            arrays = data.feedback_arrays
+            position = np.array([center.rank_of(d) for d in data.items])
+            against = position[arrays.winner] > position[arrays.loser]
+            counts = np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
+            ranks = center.ranks()
+            expected = [oracles.dict_cross_group_disagreements(ranks, fb.ordinal) for fb in data.feedback]
+            assert counts.tolist() == expected
+
+    def test_reliabilities(self, rng):
+        for data, _ in self._datasets(rng):
+            center = WeakRanking.from_order([data.items[i] for i in rng.permutation(len(data.items))])
+            assert fit_reliabilities(data, center) == oracles.dict_fit_reliabilities(data, center)
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: "-".join(sorted(v)) or "plain")
+    def test_fit_mallows(self, variant, rng):
+        for trial in range(6):
+            data = _random_dataset(rng, n_items=10, n_graders=12, max_items=3 + trial)
+            assert fit_mallows(data, iterations=3, **variant) == oracles.dict_fit_mallows(
+                data, iterations=3, **variant
+            )
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: "-".join(sorted(v)) or "plain")
+    def test_fit_mallows_on_resampled_graders(self, variant, rng):
+        base = _random_dataset(rng, n_items=8, n_graders=6)
+        for _ in range(4):
+            data = _resample_graders(base, rng)
+            assert any("#" in g for g in data.graders)
+            assert fit_mallows(data, iterations=3, **variant) == oracles.dict_fit_mallows(
+                data, iterations=3, **variant
+            )
+
+    def test_feedback_without_strict_pairs(self):
+        data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["c"]], "g3": [["a", "b", "c"]]})
+        for variant in VARIANTS:
+            assert fit_mallows(data, iterations=2, **variant) == oracles.dict_fit_mallows(
+                data, iterations=2, **variant
+            )
+
+    def test_ungraded_items_still_warn(self, rng):
+        data = _random_dataset(rng, extra_items=("z0", "z1"))
+        params = _learned_params(data)
+        with pytest.warns(UserWarning, match=r"ranked last: \['z0', 'z1'\]"):
+            got = greedy_mle_ranking(data, params)
+        with pytest.warns(UserWarning):
+            assert got == oracles.dict_greedy_mle_ranking(data, params)
+        with pytest.warns(UserWarning, match=r"last tie group: \['z0', 'z1'\]"):
+            got = borda_ranking(data, params)
+        with pytest.warns(UserWarning):
+            assert got == oracles.dict_borda_ranking(data, params)
+        with pytest.warns(UserWarning):
+            for variant in VARIANTS:
+                assert fit_mallows(data, iterations=2, **variant) == oracles.dict_fit_mallows(
+                    data, iterations=2, **variant
+                )
