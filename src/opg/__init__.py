@@ -11,14 +11,7 @@ from .data import Dataset, Estimate, GraderFeedback, induced_ordinal
 from .errors import DataFormatError, EnumerationCapError, OpgError, ValidationError
 from .estimators import MODEL_NAMES, ModelOptions, fit_model
 from .metrics import TargetSet, cardinal_errors, ek_error, strict_pair_count, tau_kt
-from .rankings import (
-    PreferencePair,
-    WeakRanking,
-    break_ties,
-    extract_preferences,
-    kendall_tau_distance,
-    ranking_from_scores,
-)
+from .rankings import WeakRanking, break_ties, kendall_tau_distance, ranking_from_scores
 from .synth import (
     CardinalNormalGraders,
     MallowsGraders,
@@ -45,7 +38,6 @@ __all__ = [
     "ModelOptions",
     "NormalTruth",
     "OpgError",
-    "PreferencePair",
     "ReliabilityPrior",
     "ScorePrior",
     "SgdConfig",
@@ -57,7 +49,6 @@ __all__ = [
     "break_ties",
     "cardinal_errors",
     "ek_error",
-    "extract_preferences",
     "fit_model",
     "induced_ordinal",
     "kendall_tau_distance",

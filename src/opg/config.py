@@ -49,26 +49,19 @@ class ReliabilityPrior:
 class SgdConfig:
     """Stochastic gradient settings shared by the iterative fitters.
 
-    The learning rate decays as ``learning_rate / sqrt(epoch)`` when
-    ``decay`` is "inv-sqrt" ("constant" disables decay). An epoch visits
-    every grader once in a seeded shuffled order; fitting stops when the
-    relative objective change over an epoch drops below ``rel_tolerance``
-    or after ``max_epochs``. ``alternating_iterations`` is the number of
-    reliability/score rounds used by the "+g" variants.
+    An epoch visits every grader once in a seeded shuffled order, with step
+    size 0.1 / sqrt(epoch); fitting stops when the relative objective change
+    over an epoch drops below ``rel_tolerance`` or after ``max_epochs``.
+    ``alternating_iterations`` is the number of reliability/score rounds
+    used by the "+g" variants.
     """
 
-    learning_rate: float = 0.1
-    decay: str = "inv-sqrt"
     max_epochs: int = 500
     rel_tolerance: float = 1e-6
     seed: int = 0
     alternating_iterations: int = 10
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.decay not in ("inv-sqrt", "constant"):
-            raise ValidationError(f"decay must be 'inv-sqrt' or 'constant', got {self.decay!r}")
         if self.max_epochs < 1:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance >= 0):
@@ -77,9 +70,3 @@ class SgdConfig:
             raise ValidationError(
                 f"alternating_iterations must be >= 0, got {self.alternating_iterations}"
             )
-
-    def rate_at(self, epoch: int) -> float:
-        """Learning rate for a 1-based epoch index."""
-        if self.decay == "constant":
-            return self.learning_rate
-        return self.learning_rate / math.sqrt(epoch)

@@ -22,7 +22,6 @@ class ModelOptions:
     reliability_prior: ReliabilityPrior = field(default_factory=ReliabilityPrior)
     ncs: cardinal.NcsHyperparams = field(default_factory=cardinal.NcsHyperparams)
     tie_epsilon: float = 1e-9
-    enumeration_cap: int = 9
 
 
 # name -> (family, with_reliability, needs_cardinal)
@@ -105,6 +104,5 @@ def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> 
             score_prior=options.score_prior,
             reliability_prior=options.reliability_prior,
             tie_epsilon=options.tie_epsilon,
-            enumeration_cap=options.enumeration_cap,
         )
     return dataclasses.replace(est, metadata={**est.metadata, "model": name})

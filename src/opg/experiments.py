@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,11 +34,6 @@ __all__ = [
     "robustness_delta",
     "time_methods",
 ]
-
-
-def _map_reps(fn: Callable[[int], Any], reps: int) -> list[Any]:
-    """Run ``fn(rep)`` for each repetition, in order."""
-    return [fn(rep) for rep in range(reps)]
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -95,27 +90,6 @@ class ExperimentReport:
             out["runtimes"] = {k: list(v) for k, v in self.runtimes.items()}
         return out
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ExperimentReport":
-        curve = payload.get("curve")
-        runtimes = payload.get("runtimes")
-        return cls(
-            experiment=payload["experiment"],
-            method=payload["method"],
-            seed=payload["seed"],
-            params=dict(payload.get("params", {})),
-            ek_mean=payload.get("ek_mean"),
-            ek_std=payload.get("ek_std"),
-            curve=tuple(CurvePoint(p["level"], p["ek_mean"], p["ek_std"]) for p in curve)
-            if curve is not None
-            else None,
-            identification_rate=payload.get("identification_rate"),
-            deltas=tuple(payload["deltas"]) if payload.get("deltas") is not None else None,
-            runtimes={k: (v[0], v[1]) for k, v in runtimes.items()}
-            if runtimes is not None
-            else None,
-        )
-
 
 def _resample_graders(data: Dataset, rng: np.random.Generator) -> Dataset:
     """Bootstrap resample of graders; duplicate draws get '#k' suffixes."""
@@ -160,7 +134,7 @@ def bootstrap_ek(
         est = fit_model(method, resampled, with_seed(options, seed + rep))
         return ek_error(targets, est.ranking)
 
-    return _mean_std(_map_reps(one, reps))
+    return _mean_std([one(rep) for rep in range(reps)])
 
 
 def self_consistency(
@@ -199,7 +173,7 @@ def self_consistency(
             parts.append(break_ties(est.ranking, rng))
         return ek_error([parts[0]], parts[1])
 
-    return _mean_std(_map_reps(one, partitions))
+    return _mean_std([one(rep) for rep in range(partitions)])
 
 
 def _downsample(data: Dataset, axis: str, level: int, rng: np.random.Generator) -> Dataset:
@@ -269,7 +243,7 @@ def downsample_curve(
             est = fit_model(method, thinned, with_seed(options, rep_seed))
             return ek_error(targets, est.ranking)
 
-        mean, std = _mean_std(_map_reps(one, reps))
+        mean, std = _mean_std([one(rep) for rep in range(reps)])
         points.append(CurvePoint(level=int(level), ek_mean=mean, ek_std=std))
     return tuple(points)
 
@@ -320,7 +294,7 @@ def lazy_identification(
         flagged = set(order[:k])
         return len(flagged & trial.lazy_graders) / n_lazy
 
-    return _round12(float(np.mean(_map_reps(one, reps))))
+    return _round12(float(np.mean([one(rep) for rep in range(reps)])))
 
 
 def lazy_identification_heuristic(
@@ -360,7 +334,7 @@ def lazy_identification_heuristic(
         flagged = set(order[:k])
         return len(flagged & trial.lazy_graders) / n_lazy
 
-    return _round12(float(np.mean(_map_reps(one, reps))))
+    return _round12(float(np.mean([one(rep) for rep in range(reps)])))
 
 
 def robustness_delta(
@@ -398,7 +372,7 @@ def robustness_delta(
             est = fit_model(method, trial, with_seed(options, rep_seed))
             return ek_error(targets, est.ranking) - base_ek
 
-        deltas.append(_round12(float(np.mean(_map_reps(one, reps)))))
+        deltas.append(_round12(float(np.mean([one(rep) for rep in range(reps)]))))
     return tuple(deltas)
 
 

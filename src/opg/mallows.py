@@ -108,11 +108,9 @@ def mallows_log_likelihood(center: WeakRanking, feedback: GraderFeedback, eta: f
     if missing:
         raise ValidationError(f"center does not rank items: {sorted(missing)}")
     fb = feedback.ordinal
-    center_rank = center.ranks()
-    fb_rank = fb.ranks()
-    x = sum(
-        1 for a in fb_rank for b in fb_rank if fb_rank[a] < fb_rank[b] and center_rank[a] > center_rank[b]
-    )
+    arrays = Dataset.from_feedback([feedback]).feedback_arrays
+    center_rank = np.array([center.rank_of(d) for d in feedback.items])
+    x = int(np.count_nonzero(center_rank[arrays.winner] > center_rank[arrays.loser]))
     log_num = -eta * x + sum(mallows_log_normalizer(eta, len(g)) for g in fb.groups)
     return log_num - mallows_log_normalizer(eta, len(fb))
 

@@ -58,8 +58,8 @@ def tau_kt(target: WeakRanking, predicted: WeakRanking) -> float:
 
 def strict_pair_count(ranking: WeakRanking) -> int:
     """Number of strictly ordered pairs; the maximum attainable tau_kt."""
-    ranks = np.array(sorted(ranking.ranks().values()), dtype=np.int64)
-    return int(np.sum(ranks[:, None] < ranks[None, :]))
+    n = len(ranking)
+    return n * (n - 1) // 2 - sum(len(g) * (len(g) - 1) // 2 for g in ranking.groups)
 
 
 def ek_error(targets: TargetSet | Sequence[WeakRanking], predicted: WeakRanking) -> float:

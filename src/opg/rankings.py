@@ -7,43 +7,14 @@ so tied items share a rank and rank 1 is best.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import NamedTuple
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = [
-    "WeakRanking",
-    "PreferencePair",
-    "extract_preferences",
-    "kendall_tau_distance",
-    "score_weighted_kt_distance",
-    "ranking_from_scores",
-    "break_ties",
-    "consistent_total_orders",
-]
-
-
-class _PreferencePairBase(NamedTuple):
-    better: str
-    worse: str
-
-
-class PreferencePair(_PreferencePairBase):
-    """A strict pairwise preference: ``better`` is ranked above ``worse``."""
-
-    __slots__ = ()
-
-    def __new__(cls, better: str, worse: str):
-        if better == worse:
-            raise ValidationError(
-                f"preference pair must relate two distinct items, got {better!r} twice"
-            )
-        return super().__new__(cls, better, worse)
+__all__ = ["WeakRanking", "kendall_tau_distance", "ranking_from_scores", "break_ties"]
 
 
 class WeakRanking:
@@ -141,21 +112,6 @@ class WeakRanking:
         return f"WeakRanking({body})"
 
 
-def extract_preferences(ranking: WeakRanking) -> set[PreferencePair]:
-    """All strict pairwise preferences implied by a weak ranking.
-
-    Pairs are taken across tie groups only; tied items induce no preference.
-    """
-    pairs: set[PreferencePair] = set()
-    groups = ranking.groups
-    for i, better_group in enumerate(groups):
-        for worse_group in groups[i + 1:]:
-            for a in better_group:
-                for b in worse_group:
-                    pairs.add(PreferencePair(a, b))
-    return pairs
-
-
 def _require_same_items(r1: WeakRanking, r2: WeakRanking) -> None:
     if r1.items != r2.items:
         raise ValidationError("rankings must cover the same item set")
@@ -170,33 +126,6 @@ def kendall_tau_distance(r1: WeakRanking, r2: WeakRanking) -> int:
     seq = np.fromiter((pos2[x] for x in r1.order()), dtype=np.int64, count=len(r1))
     discordant = seq[:, None] > seq[None, :]
     return int(np.triu(discordant, k=1).sum())
-
-
-def score_weighted_kt_distance(
-    r1: WeakRanking, r2: WeakRanking, scores: Mapping[str, float]
-) -> float:
-    """Sum of score gaps over pairs that ``r2`` orders against ``r1``.
-
-    ``r1`` must be a total order consistent with ``scores`` (non-increasing
-    along the order), so every counted gap is non-negative.
-    """
-    if not (r1.is_total and r2.is_total):
-        raise ValidationError("score_weighted_kt_distance is defined for total orders only")
-    _require_same_items(r1, r2)
-    order1 = r1.order()
-    missing = [x for x in order1 if x not in scores]
-    if missing:
-        raise ValidationError(f"scores missing for items: {missing}")
-    svec = np.array([scores[x] for x in order1], dtype=float)
-    if not np.all(np.isfinite(svec)):
-        raise ValidationError("scores must be finite")
-    if np.any(np.diff(svec) > 0):
-        raise ValidationError("r1 must be sorted consistently with the scores")
-    pos2 = {item: i for i, item in enumerate(r2.order())}
-    seq = np.fromiter((pos2[x] for x in order1), dtype=np.int64, count=len(order1))
-    discordant = np.triu(seq[:, None] > seq[None, :], k=1)
-    gaps = svec[:, None] - svec[None, :]
-    return float((gaps * discordant).sum())
 
 
 def ranking_from_scores(
@@ -235,12 +164,3 @@ def break_ties(ranking: WeakRanking, rng: np.random.Generator) -> WeakRanking:
         perm = rng.permutation(len(g))
         groups.extend([[g[i]] for i in perm])
     return WeakRanking(groups)
-
-
-def consistent_total_orders(ranking: WeakRanking) -> Iterator[tuple[str, ...]]:
-    """All total orders obtained by permuting items within each tie group."""
-    per_group: Sequence[Iterable[tuple[str, ...]]] = [
-        itertools.permutations(g) for g in ranking.groups
-    ]
-    for combo in itertools.product(*per_group):
-        yield tuple(itertools.chain.from_iterable(combo))

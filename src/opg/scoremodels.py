@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,7 +33,7 @@ from .config import ReliabilityPrior, ScorePrior, SgdConfig
 from .data import Dataset, Estimate, GraderFeedback
 from .errors import EnumerationCapError, ValidationError
 from .mallows import _check_eta, greedy_mle_ranking
-from .rankings import WeakRanking, break_ties, ranking_from_scores
+from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
     "SCORE_MODELS",
@@ -49,6 +49,10 @@ __all__ = [
 SCORE_MODELS = ("bt", "thur", "pl", "mals")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Most items one grader may rank under the score-weighted permutation model,
+# whose likelihood enumerates every order of a grader's items.
+ENUMERATION_CAP = 9
 
 
 def bt_pair_probability(s_i: float, s_j: float, eta: float = 1.0) -> float:
@@ -100,7 +104,7 @@ def _perm_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Row r of the inversion matrix flags, for permutation r of (0..m-1), which
     pairs (i, j) with i < j appear inverted (i below j). Tables are cached;
-    m = 9 costs roughly 100 MB, hence the enumeration cap.
+    m = 9 costs roughly 100 MB, hence ``ENUMERATION_CAP``.
     """
     cached = _PERM_TABLES.get(m)
     if cached is not None:
@@ -297,34 +301,21 @@ def mals_log_likelihood(
     feedback: GraderFeedback,
     scores: Mapping[str, float],
     eta: float = 1.0,
-    enumeration_cap: int = 9,
 ) -> float:
     """Log probability of one grader's weak ranking given latent scores.
 
     Probability of a weak ranking is the sum of exp(-eta * weighted
     inversions against the score order) over its consistent total orders,
     normalized over all total orders of the grader's items. Exact; the
-    grader's item count must not exceed ``enumeration_cap``.
+    grader's item count must not exceed ``ENUMERATION_CAP``.
     """
     _check_eta(eta)
-    if feedback.ordinal is None:
-        raise ValidationError(f"grader {feedback.grader!r} has no ordinal feedback")
-    items = feedback.items
-    if len(items) > enumeration_cap:
-        raise EnumerationCapError(
-            f"grader {feedback.grader!r} graded {len(items)} items, above the exact-enumeration "
-            f"cap {enumeration_cap}; exclude this model or raise the cap"
-        )
-    missing = [x for x in items if x not in scores]
+    prep = _prepare("mals", Dataset.from_feedback([feedback]), np.random.default_rng(0))
+    missing = [x for x in prep.items if x not in scores]
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
-    index = {item: i for i, item in enumerate(items)}
-    term = _WeightedPermTerm(
-        global_idx=np.arange(len(items)),
-        groups_local=[np.array([index[x] for x in g]) for g in feedback.ordinal.groups],
-    )
-    svec = np.array([float(scores[x]) for x in items])
-    nll, _, _ = term.value_and_grads(svec, eta, need_s=False, need_eta=False)
+    svec = np.array([float(scores[x]) for x in prep.items])
+    nll, _, _ = prep.terms[0].value_and_grads(svec, eta, need_s=False, need_eta=False)
     return -nll
 
 
@@ -340,56 +331,72 @@ class _Prepared:
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
-def _prepare(model: str, data: Dataset, rng: np.random.Generator, enumeration_cap: int) -> _Prepared:
+def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
+    """Every grader's likelihood term, sliced from ``data.feedback_arrays``.
+
+    A term numbers its grader's items by their position in id order (the
+    order of ``GraderFeedback.items``); ``global_idx`` maps them to
+    ``data.items``. ``rng`` shuffles tie groups for the listwise model.
+    """
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
     if not data.feedback:
         raise ValidationError("dataset has no feedback")
-    items = tuple(sorted(data.items))
-    index = {item: i for i, item in enumerate(items)}
-    terms: list[Any] = []
-    graders: list[str] = []
+    fa = data.feedback_arrays
+    n, offsets = len(data.items), fa.offsets
+    counts = np.diff(offsets)
+    if model == "mals" and counts.max() > ENUMERATION_CAP:
+        g = int(np.argmax(counts > ENUMERATION_CAP))
+        raise EnumerationCapError(
+            f"grader {fa.graders[g]!r} graded {counts[g]} items, above the exact-enumeration "
+            f"cap {ENUMERATION_CAP}; exclude this model"
+        )
+    entry_grader = np.repeat(np.arange(len(counts)), counts)
+    bounds = np.arange(len(counts) + 1)
+    # Sorted (grader, item) keys: grader g's items in id order fill
+    # keys[offsets[g]:offsets[g + 1]], so a key's place there is its local index.
+    keys = np.sort(entry_grader * n + fa.item)
+    global_idx = keys - entry_grader * n
+    entry_pos = np.searchsorted(keys, entry_grader * n + fa.item)
+    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     metadata: dict[str, Any] = {}
-    for fb in data.feedback:
-        if fb.ordinal is None:
-            raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
-        graders.append(fb.grader)
-        member_index = {item: i for i, item in enumerate(fb.items)}
-        global_idx = np.array([index[x] for x in fb.items], dtype=np.int64)
-        ranking = fb.ordinal
-        if model in ("bt", "thur"):
-            wl: list[int] = []
-            ll: list[int] = []
-            groups = ranking.groups
-            for gi, better in enumerate(groups):
-                for worse in groups[gi + 1:]:
-                    for a in better:
-                        for b in worse:
-                            wl.append(member_index[a])
-                            ll.append(member_index[b])
-            terms.append(
-                _PairTerm(
-                    global_idx,
-                    np.array(wl, dtype=np.int64),
-                    np.array(ll, dtype=np.int64),
-                    probit=(model == "thur"),
-                )
-            )
-        elif model == "pl":
-            if not ranking.is_total:
-                ranking = break_ties(ranking, rng)
+    if model in ("bt", "thur"):
+        pair_grader = fa.pair_grader.astype(np.int64)
+        win = np.searchsorted(keys, pair_grader * n + fa.winner)
+        lose = np.searchsorted(keys, pair_grader * n + fa.loser)
+        rank_at = np.empty_like(fa.rank)
+        rank_at[entry_pos] = fa.rank
+        # The arrays list a grader's pairs row by row over its entries; the
+        # terms list them one pair of tie groups at a time.
+        order = np.lexsort((rank_at[lose], rank_at[win], pair_grader))
+        wl = (win - offsets[pair_grader])[order]
+        ll = (lose - offsets[pair_grader])[order]
+        pair_offsets = np.searchsorted(pair_grader, bounds).tolist()
+        terms: list[Any] = [
+            _PairTerm(global_idx[a:b], wl[c:d], ll[c:d], probit=(model == "thur"))
+            for (a, b), c, d in zip(spans, pair_offsets[:-1], pair_offsets[1:])
+        ]
+    else:
+        local = entry_pos - offsets[entry_grader]
+        # An entry opens a tie group where its rank is its 1-based place in its grader's slice.
+        run_start = np.flatnonzero(fa.rank == np.arange(len(local)) - offsets[entry_grader] + 1)
+        runs = list(zip(run_start.tolist(), run_start[1:].tolist() + [len(local)]))
+        run_offsets = np.searchsorted(entry_grader[run_start], bounds)
+        grader_runs = [runs[r0:r1] for r0, r1 in zip(run_offsets[:-1].tolist(), run_offsets[1:].tolist())]
+        if model == "pl":
+            tied = np.diff(run_offsets) < counts
+            for g in np.flatnonzero(tied).tolist():
+                for a, b in grader_runs[g]:
+                    local[a:b] = local[a:b][rng.permutation(b - a)]
+            if tied.any():
                 metadata["tie_break"] = "seeded"
-            order_local = np.array([member_index[x] for x in ranking.order()], dtype=np.int64)
-            terms.append(_ListTerm(global_idx, order_local))
+            terms = [_ListTerm(global_idx[a:b], local[a:b]) for a, b in spans]
         else:
-            if len(fb.items) > enumeration_cap:
-                raise EnumerationCapError(
-                    f"grader {fb.grader!r} graded {len(fb.items)} items, above the exact-enumeration "
-                    f"cap {enumeration_cap}; exclude this model or raise the cap"
-                )
-            groups_local = [np.array([member_index[x] for x in g], dtype=np.int64) for g in ranking.groups]
-            terms.append(_WeightedPermTerm(global_idx, groups_local))
-    return _Prepared(model=model, items=items, graders=tuple(graders), terms=terms, metadata=metadata)
+            terms = [
+                _WeightedPermTerm(global_idx[a:b], [local[c:d] for c, d in g_runs])
+                for (a, b), g_runs in zip(spans, grader_runs)
+            ]
+    return _Prepared(model=model, items=data.items, graders=fa.graders, terms=terms, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -429,7 +436,6 @@ def negative_log_posterior(
     score_prior: ScorePrior | None = None,
     reliability_prior: ReliabilityPrior | None = None,
     seed: int = 0,
-    enumeration_cap: int = 9,
 ) -> Objective:
     """Negative log-posterior of a score model, with analytic gradients.
 
@@ -439,7 +445,7 @@ def negative_log_posterior(
     """
     score_prior = score_prior or ScorePrior()
     rng = np.random.default_rng(seed)
-    prep = _prepare(model, data, rng, enumeration_cap)
+    prep = _prepare(model, data, rng)
     missing = [x for x in prep.items if x not in scores]
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
@@ -482,6 +488,25 @@ def negative_log_posterior(
 # --- stochastic gradient fitting --------------------------------------------
 
 
+def _run_epochs(
+    n_terms: int,
+    step: Callable[[int, float], None],
+    objective: Callable[[], float],
+    cfg: SgdConfig,
+    rng: np.random.Generator,
+) -> None:
+    """Seeded SGD epochs of ``step(term, lr)`` over every term, as ``SgdConfig`` describes."""
+    prev = objective()
+    for epoch in range(1, cfg.max_epochs + 1):
+        lr = 0.1 / math.sqrt(epoch)
+        for gi in rng.permutation(n_terms):
+            step(gi, lr)
+        current = objective()
+        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
+            break
+        prev = current
+
+
 def _sgd_scores(
     prep: _Prepared,
     s0: np.ndarray,
@@ -493,18 +518,17 @@ def _sgd_scores(
 ) -> np.ndarray:
     s = s0.copy()
     n_terms = len(prep.terms)
-    prev = _total_objective(prep, s, etas, score_prior, reliability_prior)
-    for epoch in range(1, cfg.max_epochs + 1):
-        lr = cfg.rate_at(epoch)
-        for gi in rng.permutation(n_terms):
-            term = prep.terms[gi]
-            _, gs, _ = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=False)
-            s -= lr * (s - score_prior.mean) / (score_prior.variance * n_terms)
-            s[term.global_idx] -= lr * gs
-        current = _total_objective(prep, s, etas, score_prior, reliability_prior)
-        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
-            break
-        prev = current
+
+    def step(gi: int, lr: float) -> None:
+        nonlocal s
+        term = prep.terms[gi]
+        _, gs, _ = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=False)
+        s -= lr * (s - score_prior.mean) / (score_prior.variance * n_terms)
+        s[term.global_idx] -= lr * gs
+
+    _run_epochs(
+        n_terms, step, lambda: _total_objective(prep, s, etas, score_prior, reliability_prior), cfg, rng
+    )
     return s
 
 
@@ -521,21 +545,18 @@ def _sgd_reliabilities(
     reliability_prior: ReliabilityPrior,
 ) -> np.ndarray:
     """Stochastic gradient on log(eta) per grader (positivity is structural)."""
-    z = np.log(etas0.copy())
-    n_terms = len(prep.terms)
+    z = np.log(etas0)
     shape, scale = reliability_prior.shape, reliability_prior.scale
-    prev = _total_objective(prep, s, np.exp(z), score_prior, reliability_prior)
-    for epoch in range(1, cfg.max_epochs + 1):
-        lr = cfg.rate_at(epoch)
-        for gi in rng.permutation(n_terms):
-            eta = math.exp(z[gi])
-            _, _, ge = prep.terms[gi].value_and_grads(s, eta, need_s=False, need_eta=True)
-            gz = eta * ge + eta / scale - (shape - 1.0)
-            z[gi] = min(max(z[gi] - lr * gz, -_LOG_ETA_BOUND), _LOG_ETA_BOUND)
-        current = _total_objective(prep, s, np.exp(z), score_prior, reliability_prior)
-        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
-            break
-        prev = current
+
+    def step(gi: int, lr: float) -> None:
+        eta = math.exp(z[gi])
+        _, _, ge = prep.terms[gi].value_and_grads(s, eta, need_s=False, need_eta=True)
+        gz = eta * ge + eta / scale - (shape - 1.0)
+        z[gi] = min(max(z[gi] - lr * gz, -_LOG_ETA_BOUND), _LOG_ETA_BOUND)
+
+    _run_epochs(
+        len(prep.terms), step, lambda: _total_objective(prep, s, np.exp(z), score_prior, reliability_prior), cfg, rng
+    )
     return np.exp(z)
 
 
@@ -563,7 +584,6 @@ def fit(
     score_prior: ScorePrior | None = None,
     reliability_prior: ReliabilityPrior | None = None,
     tie_epsilon: float = 1e-9,
-    enumeration_cap: int = 9,
 ) -> Estimate:
     """MAP-fit a score model, optionally alternating with reliability updates.
 
@@ -578,7 +598,7 @@ def fit(
     score_prior = score_prior or ScorePrior()
     rprior = reliability_prior or ReliabilityPrior()
     rng = np.random.default_rng(cfg.seed)
-    prep = _prepare(model, data, rng, enumeration_cap)
+    prep = _prepare(model, data, rng)
 
     s = _initial_scores(model, data, prep)
     etas = np.ones(len(prep.graders))

@@ -1,9 +1,10 @@
 """Slow, independent reference implementations used as test oracles.
 
 Everything here works on plain lists/tuples/dicts and enumerates by brute
-force, deliberately sharing no code with the package under test. The one
-exception is the last section: the package's earlier dict-loop Mallows
-estimators, kept as exact references for the compiled-array ones.
+force, deliberately sharing no code with the package under test. The
+exceptions are the last sections: helpers on the package's data types that
+only the tests need, and the package's earlier dict-loop estimators, kept as
+exact references for the compiled-array ones.
 """
 
 from __future__ import annotations
@@ -11,15 +12,27 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from opg.config import ReliabilityPrior
+from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
 from opg.data import Dataset, Estimate
-from opg.errors import ValidationError
+from opg.errors import EnumerationCapError, ValidationError
+from opg.experiments import CurvePoint, ExperimentReport
 from opg.mallows import MallowsParams
-from opg.rankings import WeakRanking, break_ties
+from opg.rankings import WeakRanking, break_ties, ranking_from_scores
+from opg.scoremodels import (
+    _LOG_ETA_BOUND,
+    SCORE_MODELS,
+    _initial_scores,
+    _ListTerm,
+    _PairTerm,
+    _Prepared,
+    _total_objective,
+    _WeightedPermTerm,
+)
 
 
 def inversions(order: list[str], reference: list[str]) -> int:
@@ -155,6 +168,100 @@ def tau_kt_brute(
 
 def finite_difference(fn, x0: float, h: float = 1e-5) -> float:
     return (fn(x0 + h) - fn(x0 - h)) / (2 * h)
+
+
+# ---------------------------------------------------------------------------
+# Helpers on the package's data types that only the tests use.
+
+
+class _PreferencePairBase(NamedTuple):
+    better: str
+    worse: str
+
+
+class PreferencePair(_PreferencePairBase):
+    """A strict pairwise preference: ``better`` is ranked above ``worse``."""
+
+    __slots__ = ()
+
+    def __new__(cls, better: str, worse: str):
+        if better == worse:
+            raise ValidationError(
+                f"preference pair must relate two distinct items, got {better!r} twice"
+            )
+        return super().__new__(cls, better, worse)
+
+
+def extract_preferences(ranking: WeakRanking) -> set[PreferencePair]:
+    """All strict pairwise preferences implied by a weak ranking.
+
+    Pairs are taken across tie groups only; tied items induce no preference.
+    """
+    pairs: set[PreferencePair] = set()
+    groups = ranking.groups
+    for i, better_group in enumerate(groups):
+        for worse_group in groups[i + 1:]:
+            for a in better_group:
+                for b in worse_group:
+                    pairs.add(PreferencePair(a, b))
+    return pairs
+
+
+def score_weighted_kt_distance(
+    r1: WeakRanking, r2: WeakRanking, scores: Mapping[str, float]
+) -> float:
+    """Sum of score gaps over pairs that ``r2`` orders against ``r1``.
+
+    ``r1`` must be a total order consistent with ``scores`` (non-increasing
+    along the order), so every counted gap is non-negative.
+    """
+    if not (r1.is_total and r2.is_total):
+        raise ValidationError("score_weighted_kt_distance is defined for total orders only")
+    if r1.items != r2.items:
+        raise ValidationError("rankings must cover the same item set")
+    order1 = r1.order()
+    missing = [x for x in order1 if x not in scores]
+    if missing:
+        raise ValidationError(f"scores missing for items: {missing}")
+    svec = np.array([scores[x] for x in order1], dtype=float)
+    if not np.all(np.isfinite(svec)):
+        raise ValidationError("scores must be finite")
+    if np.any(np.diff(svec) > 0):
+        raise ValidationError("r1 must be sorted consistently with the scores")
+    pos2 = {item: i for i, item in enumerate(r2.order())}
+    seq = np.fromiter((pos2[x] for x in order1), dtype=np.int64, count=len(order1))
+    discordant = np.triu(seq[:, None] > seq[None, :], k=1)
+    gaps = svec[:, None] - svec[None, :]
+    return float((gaps * discordant).sum())
+
+
+def consistent_total_orders(ranking: WeakRanking) -> Iterator[tuple[str, ...]]:
+    """All total orders obtained by permuting items within each tie group."""
+    per_group = [itertools.permutations(g) for g in ranking.groups]
+    for combo in itertools.product(*per_group):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def experiment_report_from_dict(payload: dict[str, Any]) -> ExperimentReport:
+    """Inverse of ``ExperimentReport.to_dict``."""
+    curve = payload.get("curve")
+    runtimes = payload.get("runtimes")
+    return ExperimentReport(
+        experiment=payload["experiment"],
+        method=payload["method"],
+        seed=payload["seed"],
+        params=dict(payload.get("params", {})),
+        ek_mean=payload.get("ek_mean"),
+        ek_std=payload.get("ek_std"),
+        curve=tuple(CurvePoint(p["level"], p["ek_mean"], p["ek_std"]) for p in curve)
+        if curve is not None
+        else None,
+        identification_rate=payload.get("identification_rate"),
+        deltas=tuple(payload["deltas"]) if payload.get("deltas") is not None else None,
+        runtimes={k: (v[0], v[1]) for k, v in runtimes.items()}
+        if runtimes is not None
+        else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +582,162 @@ def dict_fit_mallows(
             etas = dict_fit_reliabilities(data, total_center, prior)
             center = center_for(MallowsParams(etas))
     return Estimate(ranking=center, reliabilities=etas, metadata=metadata)
+
+
+# ---------------------------------------------------------------------------
+# The earlier dict-loop preparation and SGD loops of opg.scoremodels, kept
+# verbatim (renamed dict_*, the inverse-square-root step schedule written
+# inline) so the compiled-array preparation and the shared epoch driver can
+# be held to exactly equal answers.
+
+
+def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeration_cap: int = 9) -> _Prepared:
+    if model not in SCORE_MODELS:
+        raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
+    if not data.feedback:
+        raise ValidationError("dataset has no feedback")
+    items = tuple(sorted(data.items))
+    index = {item: i for i, item in enumerate(items)}
+    terms: list[Any] = []
+    graders: list[str] = []
+    metadata: dict[str, Any] = {}
+    for fb in data.feedback:
+        if fb.ordinal is None:
+            raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
+        graders.append(fb.grader)
+        member_index = {item: i for i, item in enumerate(fb.items)}
+        global_idx = np.array([index[x] for x in fb.items], dtype=np.int64)
+        ranking = fb.ordinal
+        if model in ("bt", "thur"):
+            wl: list[int] = []
+            ll: list[int] = []
+            groups = ranking.groups
+            for gi, better in enumerate(groups):
+                for worse in groups[gi + 1:]:
+                    for a in better:
+                        for b in worse:
+                            wl.append(member_index[a])
+                            ll.append(member_index[b])
+            terms.append(
+                _PairTerm(
+                    global_idx,
+                    np.array(wl, dtype=np.int64),
+                    np.array(ll, dtype=np.int64),
+                    probit=(model == "thur"),
+                )
+            )
+        elif model == "pl":
+            if not ranking.is_total:
+                ranking = break_ties(ranking, rng)
+                metadata["tie_break"] = "seeded"
+            order_local = np.array([member_index[x] for x in ranking.order()], dtype=np.int64)
+            terms.append(_ListTerm(global_idx, order_local))
+        else:
+            if len(fb.items) > enumeration_cap:
+                raise EnumerationCapError(
+                    f"grader {fb.grader!r} graded {len(fb.items)} items, above the exact-enumeration "
+                    f"cap {enumeration_cap}; exclude this model or raise the cap"
+                )
+            groups_local = [np.array([member_index[x] for x in g], dtype=np.int64) for g in ranking.groups]
+            terms.append(_WeightedPermTerm(global_idx, groups_local))
+    return _Prepared(model=model, items=items, graders=tuple(graders), terms=terms, metadata=metadata)
+
+
+def dict_sgd_scores(
+    prep: _Prepared,
+    s0: np.ndarray,
+    etas: np.ndarray,
+    cfg: SgdConfig,
+    rng: np.random.Generator,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior | None,
+) -> np.ndarray:
+    s = s0.copy()
+    n_terms = len(prep.terms)
+    prev = _total_objective(prep, s, etas, score_prior, reliability_prior)
+    for epoch in range(1, cfg.max_epochs + 1):
+        lr = 0.1 / math.sqrt(epoch)
+        for gi in rng.permutation(n_terms):
+            term = prep.terms[gi]
+            _, gs, _ = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=False)
+            s -= lr * (s - score_prior.mean) / (score_prior.variance * n_terms)
+            s[term.global_idx] -= lr * gs
+        current = _total_objective(prep, s, etas, score_prior, reliability_prior)
+        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
+            break
+        prev = current
+    return s
+
+
+def dict_sgd_reliabilities(
+    prep: _Prepared,
+    s: np.ndarray,
+    etas0: np.ndarray,
+    cfg: SgdConfig,
+    rng: np.random.Generator,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior,
+) -> np.ndarray:
+    """Stochastic gradient on log(eta) per grader (positivity is structural)."""
+    z = np.log(etas0.copy())
+    n_terms = len(prep.terms)
+    shape, scale = reliability_prior.shape, reliability_prior.scale
+    prev = _total_objective(prep, s, np.exp(z), score_prior, reliability_prior)
+    for epoch in range(1, cfg.max_epochs + 1):
+        lr = 0.1 / math.sqrt(epoch)
+        for gi in rng.permutation(n_terms):
+            eta = math.exp(z[gi])
+            _, _, ge = prep.terms[gi].value_and_grads(s, eta, need_s=False, need_eta=True)
+            gz = eta * ge + eta / scale - (shape - 1.0)
+            z[gi] = min(max(z[gi] - lr * gz, -_LOG_ETA_BOUND), _LOG_ETA_BOUND)
+        current = _total_objective(prep, s, np.exp(z), score_prior, reliability_prior)
+        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
+            break
+        prev = current
+    return np.exp(z)
+
+
+def dict_fit(
+    model: str,
+    data: Dataset,
+    cfg: SgdConfig | None = None,
+    *,
+    with_reliability: bool = False,
+    score_prior: ScorePrior | None = None,
+    reliability_prior: ReliabilityPrior | None = None,
+    tie_epsilon: float = 1e-9,
+    enumeration_cap: int = 9,
+) -> Estimate:
+    """MAP-fit a score model, optionally alternating with reliability updates.
+
+    The score step runs seeded per-grader stochastic gradient descent from
+    zero scores (the weighted permutation model starts from a scaled greedy
+    ranking instead). With ``with_reliability``, reliability and score steps
+    alternate for ``cfg.alternating_iterations`` rounds after an initial
+    score fit at eta = 1; reliabilities follow gradient steps on log(eta),
+    clamped to [1e-3, 1e3].
+    """
+    cfg = cfg or SgdConfig()
+    score_prior = score_prior or ScorePrior()
+    rprior = reliability_prior or ReliabilityPrior()
+    rng = np.random.default_rng(cfg.seed)
+    prep = dict_prepare(model, data, rng, enumeration_cap)
+
+    s = _initial_scores(model, data, prep)
+    etas = np.ones(len(prep.graders))
+    s = dict_sgd_scores(prep, s, etas, cfg, rng, score_prior, None)
+    reliabilities = None
+    if with_reliability:
+        for _ in range(cfg.alternating_iterations):
+            etas = dict_sgd_reliabilities(prep, s, etas, cfg, rng, score_prior, rprior)
+            s = dict_sgd_scores(prep, s, etas, cfg, rng, score_prior, rprior)
+        reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)}
+    scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
+    metadata = dict(prep.metadata)
+    metadata["model"] = model + ("+g" if with_reliability else "")
+    return Estimate(
+        ranking=ranking_from_scores(scores, tie_epsilon),
+        scores=scores,
+        reliabilities=reliabilities,
+        metadata=metadata,
+    )

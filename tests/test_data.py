@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
 from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
@@ -12,6 +14,8 @@ from opg.mallows import fit_mallows
 from opg.rankings import WeakRanking
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset
+from oracles import PreferencePair, extract_preferences
+from test_rankings import weak_rankings
 
 
 class TestInducedOrdinal:
@@ -142,6 +146,19 @@ class TestFeedbackArrays:
         with pytest.raises(ValueError):
             arrays.item[0] = 1
 
+    @given(st.lists(weak_rankings(), min_size=1, max_size=5))
+    def test_pairs_are_each_graders_strict_preferences(self, rankings):
+        data = Dataset.from_feedback(GraderFeedback.from_ordinal(f"g{i}", r) for i, r in enumerate(rankings))
+        arrays = data.feedback_arrays
+        for g, fb in enumerate(data.feedback):
+            mine = arrays.pair_grader == g
+            pairs = [
+                PreferencePair(data.items[w], data.items[l])
+                for w, l in zip(arrays.winner[mine].tolist(), arrays.loser[mine].tolist())
+            ]
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == extract_preferences(fb.ordinal)
+
     def test_built_once_per_dataset(self, builds):
         data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a", "c"]]})
         assert data.feedback_arrays is data.feedback_arrays
@@ -217,14 +234,7 @@ class TestConfigs:
 
     def test_sgd_config(self):
         cfg = SgdConfig()
-        assert cfg.learning_rate == 0.1
         assert cfg.max_epochs == 500
         assert cfg.alternating_iterations == 10
-        assert cfg.rate_at(1) == pytest.approx(0.1)
-        assert cfg.rate_at(4) == pytest.approx(0.05)
-        with pytest.raises(ValidationError):
-            SgdConfig(learning_rate=0.0)
         with pytest.raises(ValidationError):
             SgdConfig(max_epochs=0)
-        with pytest.raises(ValidationError):
-            SgdConfig(decay="bogus")

@@ -26,6 +26,7 @@ from opg.rankings import WeakRanking
 from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset
+from oracles import experiment_report_from_dict
 
 pytestmark = pytest.mark.filterwarnings("ignore:items never graded")
 
@@ -271,12 +272,12 @@ class TestExperimentReport:
             runtimes={"mal": (0.0125, 0.001), "mals": (1.5, 0.25)},
         )
         payload = json.loads(json.dumps(report.to_dict()))
-        assert ExperimentReport.from_dict(payload) == report
+        assert experiment_report_from_dict(payload) == report
 
     def test_minimal_round_trip(self):
         report = ExperimentReport(experiment="bootstrap", method="bt", seed=0)
         payload = json.loads(json.dumps(report.to_dict()))
-        restored = ExperimentReport.from_dict(payload)
+        restored = experiment_report_from_dict(payload)
         assert restored == report
         assert restored.curve is None
         assert restored.runtimes is None

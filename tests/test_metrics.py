@@ -8,6 +8,7 @@ from conftest import random_weak_ranking
 from opg.errors import ValidationError
 from opg.metrics import TargetSet, cardinal_errors, ek_error, strict_pair_count, tau_kt
 from opg.rankings import WeakRanking, kendall_tau_distance
+from test_rankings import weak_rankings
 
 
 class TestTauKt:
@@ -49,6 +50,18 @@ class TestTauKt:
         target = WeakRanking.from_order(["a", "b", "c", "d"])
         reversal = WeakRanking.from_order(["d", "c", "b", "a"])
         assert tau_kt(target, reversal) == strict_pair_count(target) == 6
+
+
+class TestStrictPairCount:
+    @given(weak_rankings(max_items=12))
+    def test_matches_rank_matrix(self, r):
+        ranks = np.array(sorted(r.ranks().values()))
+        assert strict_pair_count(r) == int(np.sum(ranks[:, None] < ranks[None, :]))
+
+    def test_all_tied_and_single_item(self):
+        assert strict_pair_count(WeakRanking([("a", "b", "c")])) == 0
+        assert strict_pair_count(WeakRanking([("a",)])) == 0
+        assert strict_pair_count(WeakRanking([("a", "b"), ("c",), ("d", "e")])) == 8
 
 
 class TestEkError:

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 import oracles
 from opg.errors import ValidationError
-from opg.rankings import (
+from opg.rankings import WeakRanking, break_ties, kendall_tau_distance, ranking_from_scores
+from oracles import (
     PreferencePair,
-    WeakRanking,
-    break_ties,
     consistent_total_orders,
     extract_preferences,
-    kendall_tau_distance,
-    ranking_from_scores,
     score_weighted_kt_distance,
 )
 

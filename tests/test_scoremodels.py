@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 from scipy.special import expit
 
+from opg import scoremodels
 from opg.config import SgdConfig
 from opg.errors import EnumerationCapError, ValidationError
+from opg.experiments import _resample_graders
 from opg.rankings import WeakRanking
 from opg.scoremodels import (
     SCORE_MODELS,
+    _prepare,
     bt_pair_probability,
     fit,
     mals_log_likelihood,
@@ -23,7 +26,8 @@ from opg.scoremodels import (
     thurstone_pair_probability,
 )
 
-from conftest import make_ordinal_dataset
+import oracles
+from conftest import make_cardinal_dataset, make_ordinal_dataset, random_weak_ranking
 from oracles import (
     consistent_with_weak,
     finite_difference,
@@ -250,9 +254,6 @@ class TestMalsLogLikelihood:
         scores = {x: 0.0 for x in items}
         with pytest.raises(EnumerationCapError, match="cap"):
             mals_log_likelihood(fb, scores, 1.0)
-        small = self._feedback([["a"], ["b"], ["c"], ["d"]])
-        with pytest.raises(EnumerationCapError):
-            mals_log_likelihood(small, {x: 0.0 for x in "abcd"}, 1.0, enumeration_cap=3)
 
     def test_rejects_bad_inputs(self):
         fb = self._feedback([["a"], ["b"]])
@@ -348,7 +349,7 @@ class TestFit:
     def test_bt_two_item_root_oracle(self):
         # MAP first-order condition with s_b = -s_a: s_a/9 = 1 - sigmoid(2 s_a).
         root = brentq(lambda t: t / 9.0 - (1.0 - expit(2.0 * t)), 0.0, 9.0, xtol=1e-12)
-        cfg = SgdConfig(learning_rate=0.2, decay="constant", max_epochs=4000, rel_tolerance=0.0)
+        cfg = SgdConfig(max_epochs=20000, rel_tolerance=0.0)
         est = fit("bt", make_ordinal_dataset({"g1": [["a"], ["b"]]}), cfg)
         assert est.scores["a"] == pytest.approx(root, abs=1e-3)
         assert est.scores["b"] == pytest.approx(-root, abs=1e-3)
@@ -444,3 +445,77 @@ class TestFit:
         with pytest.raises(EnumerationCapError):
             fit("mals", data)
         assert fit("bt", data).scores is not None
+
+
+def _tied_datasets(rng):
+    """Random tied rankings and cardinal-grade ties over unequal item subsets,
+    with an ungraded item, plus a bootstrap resample of each."""
+    items = [f"x{i}" for i in range(9)]
+
+    def subset():
+        return sorted(rng.choice(items[:-1], size=int(rng.integers(2, 8)), replace=False).tolist())
+
+    ordinal = make_ordinal_dataset(
+        {f"g{g}": random_weak_ranking(rng, subset()) for g in range(10)}, items=tuple(items)
+    )
+    cardinal = make_cardinal_dataset(
+        {f"g{g}": {x: float(rng.integers(0, 3)) for x in subset()} for g in range(10)}, items=tuple(items)
+    )
+    datasets = [ordinal, cardinal, _resample_graders(ordinal, rng), _resample_graders(cardinal, rng)]
+    assert all(any("#" in g for g in data.graders) for data in datasets[2:])
+    return datasets
+
+
+VARIANTS = [model + suffix for model in SCORE_MODELS for suffix in ("", "+g")]
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+class TestMatchesDictOracles:
+    """Terms built from the compiled feedback arrays and the shared epoch
+    driver give exactly the dict-loop answers."""
+
+    @pytest.mark.parametrize("model", SCORE_MODELS)
+    def test_terms(self, model, rng):
+        for trial in range(3):
+            for data in _tied_datasets(rng):
+                rng_new, rng_old = np.random.default_rng(trial), np.random.default_rng(trial)
+                got = _prepare(model, data, rng_new)
+                want = oracles.dict_prepare(model, data, rng_old)
+                assert (got.items, got.graders, got.metadata) == (want.items, want.graders, want.metadata)
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state
+                for a, b in zip(got.terms, want.terms, strict=True):
+                    assert type(a) is type(b)
+                    for slot in a.__slots__:
+                        u, v = getattr(a, slot), getattr(b, slot)
+                        if isinstance(u, np.ndarray):
+                            assert u.dtype == v.dtype and np.array_equal(u, v)
+                        elif isinstance(u, list):
+                            assert len(u) == len(v) and all(np.array_equal(x, y) for x, y in zip(u, v))
+                        else:
+                            assert u == v
+
+    def test_pairs_run_one_pair_of_tie_groups_at_a_time(self):
+        data = make_ordinal_dataset({"g1": [["a", "b"], ["c"], ["d"]]})
+        term = _prepare("bt", data, np.random.default_rng(0)).terms[0]
+        assert term.wl.tolist() == [0, 1, 0, 1, 2]
+        assert term.ll.tolist() == [2, 2, 3, 3, 3]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fit(self, variant, rng):
+        model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
+        cfg = SgdConfig(max_epochs=60, rel_tolerance=1e-5, alternating_iterations=3, seed=7)
+        for data in _tied_datasets(rng):
+            got = fit(model, data, cfg, with_reliability=with_rel)
+            assert got == oracles.dict_fit(model, data, cfg, with_reliability=with_rel)
+            assert (got.metadata.get("tie_break") == "seeded") == (model == "pl")
+
+    @pytest.mark.parametrize("model", SCORE_MODELS)
+    def test_negative_log_posterior(self, model, rng, monkeypatch):
+        for data in _tied_datasets(rng):
+            scores = dict(zip(data.items, rng.normal(0.0, 1.0, len(data.items)).tolist()))
+            rel = dict(zip(data.graders, np.exp(rng.normal(0.0, 0.5, len(data.graders))).tolist()))
+            got = [negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
+            monkeypatch.setattr(scoremodels, "_prepare", oracles.dict_prepare)
+            want = [negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
+            monkeypatch.undo()
+            assert got == want
