@@ -28,6 +28,11 @@ _EXPERIMENTS = (
     "time",
 )
 
+_ITERATIONS_HELP = (
+    "alternating reliability rounds of the +g models; bt+g and pl+g run at least "
+    "this many and go on until the reliabilities settle"
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opg", description="Ordinal peer grading toolkit")
@@ -39,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--format", choices=("ordinal", "cardinal"), default=None)
     est.add_argument("--output", default=None)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--iterations", type=int, default=10)
+    est.add_argument("--iterations", type=int, default=10, help=_ITERATIONS_HELP)
     est.add_argument("--tie-epsilon", type=float, default=1e-9)
     est.set_defaults(func=_cmd_estimate)
 
@@ -73,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--target", action="append", default=None)
     exp.add_argument("--reps", type=int, default=None)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--iterations", type=int, default=10)
+    exp.add_argument("--iterations", type=int, default=10, help=_ITERATIONS_HELP)
     exp.add_argument("--tie-epsilon", type=float, default=1e-9)
     exp.add_argument("--lazy-count", type=int, default=10)
     exp.add_argument("--axis", choices=("reviewers", "items_per_reviewer"), default=None)

@@ -53,7 +53,10 @@ class SgdConfig:
     size 0.1 / sqrt(epoch); fitting stops when the relative objective change
     over an epoch drops below ``rel_tolerance`` or after ``max_epochs``.
     ``alternating_iterations`` is the number of reliability/score rounds
-    used by the "+g" variants.
+    used by the "+g" variants. The full-batch ``bt`` and ``pl`` fits take
+    no SGD steps: of these fields only ``seed`` (which breaks ``pl``'s
+    ties) and ``alternating_iterations`` apply to them, the latter as the
+    least number of rounds (they go on until the reliabilities settle).
     """
 
     max_epochs: int = 500

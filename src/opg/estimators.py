@@ -65,6 +65,11 @@ def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> 
     Cardinal models (scavg, ncs*) require numeric grades from every grader;
     all other models consume the ordinal feedback (attached automatically
     when a dataset is built from grades).
+
+    ``options.sgd`` steers the stochastic gradient fits (thur, mals). bt
+    and pl are fitted full batch to the posterior mode: for them only
+    ``sgd.seed`` and ``sgd.alternating_iterations`` (a least number of
+    rounds) apply, and ``max_epochs``/``rel_tolerance`` are ignored.
     """
     if name not in _REGISTRY:
         raise ValidationError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,6 +276,32 @@ def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParam
     return WeakRanking.from_order(data.items[i] for i in order)
 
 
+def _golden_section_etas(objective: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
+    """Maximizers of ``size`` independent 1-D problems, as reliabilities in [1e-3, 1e3].
+
+    ``objective`` maps an array of ``size`` log10 reliabilities to the value
+    of each problem there. One golden-section search per problem runs on
+    [-3, 3] until every bracket is narrower than 1e-6; the result is 10 to
+    the bracket's midpoint.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo = np.full(size, -3.0)
+    hi = np.full(size, 3.0)
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc = objective(c)
+    fd = objective(d)
+    while float((hi - lo).max()) > 1e-6:
+        keep_left = fc > fd
+        hi = np.where(keep_left, d, hi)
+        lo = np.where(keep_left, lo, c)
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
+        fc = objective(c)
+        fd = objective(d)
+    return np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)
+
+
 def fit_reliabilities(
     data: Dataset,
     center: WeakRanking,
@@ -324,22 +350,7 @@ def fit_reliabilities(
         ll = -eta * x_vec + (coeff * log_terms).sum(axis=1)
         return (shape - 1.0) * np.log(eta) - eta / scale + ll
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.full(len(rows), -3.0)
-    hi = np.full(len(rows), 3.0)
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = objective(c)
-    fd = objective(d)
-    while float((hi - lo).max()) > 1e-6:
-        keep_left = fc > fd
-        hi = np.where(keep_left, d, hi)
-        lo = np.where(keep_left, lo, c)
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc = objective(c)
-        fd = objective(d)
-    eta_hat = np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)[inverse]
+    eta_hat = _golden_section_etas(objective, len(rows))[inverse]
     for g, eta in zip(arrays.graders, eta_hat):
         result[g] = float(eta)
     return result

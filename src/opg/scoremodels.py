@@ -14,14 +14,20 @@ eta) to a likelihood of the observed rankings:
   consistent total orders (exact enumeration, capped).
 
 All fits are MAP under an independent normal prior on scores and (for the
-"+g" variants) a gamma prior on reliabilities, optimized by per-grader
-stochastic gradient steps with alternating reliability/score rounds.
+"+g" variants) a gamma prior on reliabilities, with alternating
+reliability/score rounds. The logistic and listwise models are fitted full
+batch: their objective and its gradient are computed over every grader's
+feedback at once from ``Dataset.feedback_arrays``, the score step is L-BFGS
+and the reliability step is one golden-section search per grader. The probit
+and score-weighted permutation models take per-grader stochastic gradient
+steps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -30,9 +36,9 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
 from .config import ReliabilityPrior, ScorePrior, SgdConfig
-from .data import Dataset, Estimate, GraderFeedback
+from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
 from .errors import EnumerationCapError, ValidationError
-from .mallows import _check_eta, greedy_mle_ranking
+from .mallows import _check_eta, _golden_section_etas, greedy_mle_ranking
 from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
@@ -160,15 +166,14 @@ def _sorted_desc(svals: np.ndarray) -> np.ndarray:
 
 
 class _PairTerm:
-    """Strict pairwise preferences of one grader (logistic or probit link)."""
+    """Strict pairwise preferences of one grader under the probit link."""
 
-    __slots__ = ("global_idx", "wl", "ll", "probit")
+    __slots__ = ("global_idx", "wl", "ll")
 
-    def __init__(self, global_idx: np.ndarray, wl: np.ndarray, ll: np.ndarray, probit: bool):
+    def __init__(self, global_idx: np.ndarray, wl: np.ndarray, ll: np.ndarray):
         self.global_idx = global_idx
         self.wl = wl
         self.ll = ll
-        self.probit = probit
 
     def value_and_grads(
         self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
@@ -178,66 +183,20 @@ class _PairTerm:
             return 0.0, (np.zeros(m) if need_s else None), (0.0 if need_eta else None)
         s_local = s[self.global_idx]
         dz = s_local[self.wl] - s_local[self.ll]
-        if self.probit:
-            rt = math.sqrt(eta)
-            z = rt * dz
-            logphi = log_ndtr(z)
-            nll = -float(logphi.sum())
-            grad_s = None
-            grad_eta = None
-            if need_s or need_eta:
-                ratio = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logphi)
-                if need_s:
-                    grad_s = np.bincount(self.wl, weights=-rt * ratio, minlength=m) + np.bincount(
-                        self.ll, weights=rt * ratio, minlength=m
-                    )
-                if need_eta:
-                    grad_eta = -float((ratio * dz).sum()) / (2.0 * rt)
-            return nll, grad_s, grad_eta
-        z = eta * dz
-        nll = float(np.logaddexp(0.0, -z).sum())
+        rt = math.sqrt(eta)
+        z = rt * dz
+        logphi = log_ndtr(z)
+        nll = -float(logphi.sum())
         grad_s = None
         grad_eta = None
         if need_s or need_eta:
-            q = expit(-z)
+            ratio = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logphi)
             if need_s:
-                grad_s = np.bincount(self.wl, weights=-eta * q, minlength=m) + np.bincount(
-                    self.ll, weights=eta * q, minlength=m
+                grad_s = np.bincount(self.wl, weights=-rt * ratio, minlength=m) + np.bincount(
+                    self.ll, weights=rt * ratio, minlength=m
                 )
             if need_eta:
-                grad_eta = -float((dz * q).sum())
-        return nll, grad_s, grad_eta
-
-
-class _ListTerm:
-    """One grader's total order under the sequential-choice model."""
-
-    __slots__ = ("global_idx", "order_local")
-
-    def __init__(self, global_idx: np.ndarray, order_local: np.ndarray):
-        self.global_idx = global_idx
-        self.order_local = order_local
-
-    def value_and_grads(
-        self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
-    ) -> tuple[float, np.ndarray | None, float | None]:
-        m = len(self.global_idx)
-        s_ord = s[self.global_idx][self.order_local]
-        u = eta * s_ord
-        suffix_lse = np.logaddexp.accumulate(u[::-1])[::-1]
-        nll = float((suffix_lse - u).sum())
-        grad_s = None
-        grad_eta = None
-        if need_s or need_eta:
-            gu = np.zeros(m)
-            for i in range(m - 1):
-                gu[i:] += np.exp(u[i:] - suffix_lse[i])
-                gu[i] -= 1.0
-            if need_s:
-                grad_s = np.zeros(m)
-                grad_s[self.order_local] = eta * gu
-            if need_eta:
-                grad_eta = float(gu @ s_ord)
+                grad_eta = -float((ratio * dz).sum()) / (2.0 * rt)
         return nll, grad_s, grad_eta
 
 
@@ -297,6 +256,77 @@ class _WeightedPermTerm:
         return nll, grad_s, grad_eta
 
 
+# --- full-batch likelihoods: every grader's feedback at once ------------------
+
+
+class _PairBatch:
+    """Every grader's strict pairs under the logistic link.
+
+    ``evaluate`` returns each grader's negative log-likelihood, its gradient
+    with respect to the scores (summed over graders) and, when asked, with
+    respect to each grader's reliability.
+    """
+
+    def __init__(self, arrays: FeedbackArrays, n_items: int):
+        self.winner = arrays.winner.astype(np.intp)
+        self.loser = arrays.loser.astype(np.intp)
+        self.grader = arrays.pair_grader.astype(np.intp)
+        self.n_items = n_items
+        self.n_graders = len(arrays.graders)
+
+    def evaluate(
+        self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        dz = s[self.winner] - s[self.loser]
+        eta = etas[self.grader]
+        z = eta * dz
+        nll = np.bincount(self.grader, weights=np.logaddexp(0.0, -z), minlength=self.n_graders)
+        if not grads:
+            return nll, None, None
+        q = expit(-z)
+        w = eta * q
+        grad_s = np.bincount(self.loser, weights=w, minlength=self.n_items)
+        grad_s -= np.bincount(self.winner, weights=w, minlength=self.n_items)
+        grad_eta = -np.bincount(self.grader, weights=dz * q, minlength=self.n_graders) if need_eta else None
+        return nll, grad_s, grad_eta
+
+
+class _ListBatch:
+    """Every grader's total order under the sequential-choice model.
+
+    Graders that rank equally many items share a block: ``blocks`` holds
+    pairs (graders, items), where row r of ``items`` is grader
+    ``graders[r]``'s items, best first. ``evaluate`` is as for ``_PairBatch``.
+    """
+
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], n_items: int, n_graders: int):
+        self.blocks = blocks
+        self.n_items = n_items
+        self.n_graders = n_graders
+
+    def evaluate(
+        self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        nll = np.zeros(self.n_graders)
+        grad_s = np.zeros(self.n_items) if grads else None
+        grad_eta = np.zeros(self.n_graders) if grads and need_eta else None
+        for graders, items in self.blocks:
+            s_ord = s[items]
+            eta = etas[graders][:, None]
+            u = eta * s_ord
+            suffix_lse = np.logaddexp.accumulate(u[:, ::-1], axis=1)[:, ::-1]
+            nll[graders] = (suffix_lse - u).sum(axis=1)
+            if not grads:
+                continue
+            # d nll / d u_k = sum over choices i <= k of exp(u_k - suffix_lse_i), minus 1;
+            # the exponent is at most log(k + 1), so nothing overflows.
+            gu = np.exp(u + np.logaddexp.accumulate(-suffix_lse, axis=1)) - 1.0
+            grad_s += np.bincount(items.ravel(), weights=(eta * gu).ravel(), minlength=self.n_items)
+            if need_eta:
+                grad_eta[graders] = (gu * s_ord).sum(axis=1)
+        return nll, grad_s, grad_eta
+
+
 def mals_log_likelihood(
     feedback: GraderFeedback,
     scores: Mapping[str, float],
@@ -324,19 +354,54 @@ def mals_log_likelihood(
 
 @dataclass
 class _Prepared:
+    """A model's likelihood over a dataset: full batch (``batch``) for the
+    logistic and listwise models, else one term per grader (``terms``)."""
+
     model: str
     items: tuple[str, ...]
     graders: tuple[str, ...]
     terms: list[Any]
     metadata: dict[str, Any] = field(default_factory=dict)
+    batch: _PairBatch | _ListBatch | None = None
+
+
+def _run_starts(arrays: FeedbackArrays) -> np.ndarray:
+    """Entries that open a tie group: those whose rank is their 1-based place in their grader's slice."""
+    counts = np.diff(arrays.offsets)
+    entry_grader = np.repeat(np.arange(len(counts)), counts)
+    return np.flatnonzero(arrays.rank == np.arange(len(arrays.rank)) - arrays.offsets[entry_grader] + 1)
+
+
+def _list_batch(arrays: FeedbackArrays, n_items: int, rng: np.random.Generator) -> tuple[_ListBatch, bool]:
+    """The listwise batch, and whether any tie had to be broken.
+
+    A grader with a tie has every run of equal rank shuffled by ``rng``, one
+    ``rng.permutation`` per run in entry order, single-item runs included.
+    """
+    offsets, counts = arrays.offsets, np.diff(arrays.offsets)
+    order = arrays.item.astype(np.intp)
+    run_start = _run_starts(arrays)
+    run_grader = np.searchsorted(offsets, run_start, side="right") - 1
+    tied = np.bincount(run_grader, minlength=len(counts)) < counts
+    run_end = np.append(run_start[1:], len(order)).tolist()
+    for r in np.flatnonzero(tied[run_grader]).tolist():
+        a, b = int(run_start[r]), run_end[r]
+        order[a:b] = order[a:b][rng.permutation(b - a)]
+    blocks = []
+    for m in np.unique(counts).tolist():
+        graders = np.flatnonzero(counts == m)
+        blocks.append((graders, order[offsets[graders][:, None] + np.arange(m)]))
+    return _ListBatch(blocks, n_items, len(counts)), bool(tied.any())
 
 
 def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
-    """Every grader's likelihood term, sliced from ``data.feedback_arrays``.
+    """The model's likelihood over ``data``, built from ``data.feedback_arrays``.
 
-    A term numbers its grader's items by their position in id order (the
-    order of ``GraderFeedback.items``); ``global_idx`` maps them to
-    ``data.items``. ``rng`` shuffles tie groups for the listwise model.
+    The logistic and listwise models get one batch over every grader
+    (``rng`` breaks ties for the listwise one). The others get every
+    grader's term: a term numbers its grader's items by their position in id
+    order (the order of ``GraderFeedback.items``), and ``global_idx`` maps
+    them to ``data.items``.
     """
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
@@ -344,6 +409,11 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
         raise ValidationError("dataset has no feedback")
     fa = data.feedback_arrays
     n, offsets = len(data.items), fa.offsets
+    if model == "bt":
+        return _Prepared(model, data.items, fa.graders, [], batch=_PairBatch(fa, n))
+    if model == "pl":
+        batch, tied = _list_batch(fa, n, rng)
+        return _Prepared(model, data.items, fa.graders, [], {"tie_break": "seeded"} if tied else {}, batch)
     counts = np.diff(offsets)
     if model == "mals" and counts.max() > ENUMERATION_CAP:
         g = int(np.argmax(counts > ENUMERATION_CAP))
@@ -359,8 +429,7 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
     global_idx = keys - entry_grader * n
     entry_pos = np.searchsorted(keys, entry_grader * n + fa.item)
     spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    metadata: dict[str, Any] = {}
-    if model in ("bt", "thur"):
+    if model == "thur":
         pair_grader = fa.pair_grader.astype(np.int64)
         win = np.searchsorted(keys, pair_grader * n + fa.winner)
         lose = np.searchsorted(keys, pair_grader * n + fa.loser)
@@ -373,30 +442,19 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
         ll = (lose - offsets[pair_grader])[order]
         pair_offsets = np.searchsorted(pair_grader, bounds).tolist()
         terms: list[Any] = [
-            _PairTerm(global_idx[a:b], wl[c:d], ll[c:d], probit=(model == "thur"))
+            _PairTerm(global_idx[a:b], wl[c:d], ll[c:d])
             for (a, b), c, d in zip(spans, pair_offsets[:-1], pair_offsets[1:])
         ]
     else:
         local = entry_pos - offsets[entry_grader]
-        # An entry opens a tie group where its rank is its 1-based place in its grader's slice.
-        run_start = np.flatnonzero(fa.rank == np.arange(len(local)) - offsets[entry_grader] + 1)
+        run_start = _run_starts(fa)
         runs = list(zip(run_start.tolist(), run_start[1:].tolist() + [len(local)]))
         run_offsets = np.searchsorted(entry_grader[run_start], bounds)
-        grader_runs = [runs[r0:r1] for r0, r1 in zip(run_offsets[:-1].tolist(), run_offsets[1:].tolist())]
-        if model == "pl":
-            tied = np.diff(run_offsets) < counts
-            for g in np.flatnonzero(tied).tolist():
-                for a, b in grader_runs[g]:
-                    local[a:b] = local[a:b][rng.permutation(b - a)]
-            if tied.any():
-                metadata["tie_break"] = "seeded"
-            terms = [_ListTerm(global_idx[a:b], local[a:b]) for a, b in spans]
-        else:
-            terms = [
-                _WeightedPermTerm(global_idx[a:b], [local[c:d] for c, d in g_runs])
-                for (a, b), g_runs in zip(spans, grader_runs)
-            ]
-    return _Prepared(model=model, items=data.items, graders=fa.graders, terms=terms, metadata=metadata)
+        terms = [
+            _WeightedPermTerm(global_idx[a:b], [local[c:d] for c, d in runs[r0:r1]])
+            for (a, b), r0, r1 in zip(spans, run_offsets[:-1].tolist(), run_offsets[1:].tolist())
+        ]
+    return _Prepared(model=model, items=data.items, graders=fa.graders, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -467,6 +525,12 @@ def negative_log_posterior(
     grad_s = (s - score_prior.mean) / score_prior.variance
     value += float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
     grad_eta = np.zeros(len(prep.graders))
+    if prep.batch is not None:
+        nll, gs, ge = prep.batch.evaluate(s, etas, need_eta=with_rel)
+        value += float(nll.sum())
+        grad_s += gs
+        if with_rel:
+            grad_eta = ge
     for gi, term in enumerate(prep.terms):
         nll, gs, ge = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=with_rel)
         value += nll
@@ -483,6 +547,139 @@ def negative_log_posterior(
         score_gradient={item: float(grad_s[i]) for i, item in enumerate(prep.items)},
         reliability_gradient=reliability_gradient,
     )
+
+
+# --- full-batch fitting -----------------------------------------------------
+
+# L-BFGS settings: steps remembered, stopping tolerance on the largest
+# absolute gradient entry, and the iteration cap after which a fit is
+# reported as not converged.
+_LBFGS_MEMORY = 10
+_LBFGS_TOLERANCE = 1e-6
+_LBFGS_MAX_ITERATIONS = 1000
+
+# Alternating rounds of a "+g" fit stop once no reliability moves by more
+# than this in log(eta) (the golden-section search resolves log(eta) to about
+# 1.2e-6), or after this many rounds.
+_SETTLED_LOG_ETA = 1e-5
+_MAX_ROUNDS = 100
+
+
+def _lbfgs(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray
+) -> tuple[np.ndarray, int, float, bool]:
+    """Minimize a smooth, strictly convex ``fun`` (value and gradient) from ``x0``.
+
+    Limited-memory BFGS (Liu & Nocedal 1989): two-loop recursion over the
+    last ``_LBFGS_MEMORY`` steps and Armijo backtracking from the unit step.
+    Returns the point, the iterations taken, the largest absolute gradient
+    entry there, and whether that is at most ``_LBFGS_TOLERANCE``.
+    """
+    x = x0.copy()
+    f, g = fun(x)
+    history: list[tuple[np.ndarray, np.ndarray, float]] = []
+    for iteration in range(_LBFGS_MAX_ITERATIONS):
+        g_max = float(np.abs(g).max())
+        if g_max <= _LBFGS_TOLERANCE:
+            return x, iteration, g_max, True
+        # q becomes the inverse-Hessian estimate times g; the step is -q.
+        q = g.copy()
+        alphas = []
+        for dx, dg, rho in reversed(history):
+            alphas.append(rho * (dx @ q))
+            q -= alphas[-1] * dg
+        if history:
+            dx, dg, rho = history[-1]
+            q /= rho * (dg @ dg)
+        else:
+            q /= max(1.0, g_max)
+        for (dx, dg, rho), alpha in zip(history, reversed(alphas)):
+            q += (alpha - rho * (dg @ q)) * dx
+        slope = -float(g @ q)
+        step = 1.0
+        while True:
+            x_new = x - step * q
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            # Near the optimum the decrease can fall below the rounding error
+            # of f; then the step is judged by the slope at its end instead
+            # (the approximate Wolfe test of Hager & Zhang 2005).
+            if f_new <= f + 1e-12 * abs(f) and -float(g_new @ q) <= (2e-4 - 1.0) * slope:
+                break
+            step /= 2.0
+            if step < 1e-12:
+                return x, iteration, g_max, False
+        dx, dg = x_new - x, g_new - g
+        curvature = float(dx @ dg)
+        if curvature > 0.0:
+            history.append((dx, dg, 1.0 / curvature))
+            if len(history) > _LBFGS_MEMORY:
+                history.pop(0)
+        x, f, g = x_new, f_new, g_new
+    g_max = float(np.abs(g).max())
+    return x, _LBFGS_MAX_ITERATIONS, g_max, g_max <= _LBFGS_TOLERANCE
+
+
+def _batch_scores(
+    batch: _PairBatch | _ListBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
+) -> tuple[np.ndarray, int, float, bool]:
+    """MAP scores for fixed reliabilities, by ``_lbfgs`` over the whole batch."""
+    mean, variance = score_prior.mean, score_prior.variance
+
+    def fun(s: np.ndarray) -> tuple[float, np.ndarray]:
+        nll, grad, _ = batch.evaluate(s, etas)
+        d = s - mean
+        return float(nll.sum()) + float(d @ d) / (2.0 * variance), grad + d / variance
+
+    return _lbfgs(fun, s0)
+
+
+def _batch_reliabilities(
+    batch: _PairBatch | _ListBatch, s: np.ndarray, reliability_prior: ReliabilityPrior
+) -> np.ndarray:
+    """MAP reliability of every grader for fixed scores, one golden-section search each."""
+    shape, scale = reliability_prior.shape, reliability_prior.scale
+
+    def objective(z: np.ndarray) -> np.ndarray:
+        eta = 10.0**z
+        nll, _, _ = batch.evaluate(s, eta, grads=False)
+        return (shape - 1.0) * np.log(eta) - eta / scale - nll
+
+    return _golden_section_etas(objective, batch.n_graders)
+
+
+def _fit_batch(
+    batch: _PairBatch | _ListBatch,
+    rounds: int,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior | None,
+) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+    """Scores, reliabilities and the solver's report of a full-batch fit.
+
+    With a ``reliability_prior``, reliability and score steps alternate for
+    at least ``rounds`` rounds (one if ``rounds`` is 0) and then until a
+    round moves no log(eta) by more than ``_SETTLED_LOG_ETA``, for at most
+    ``max(rounds, _MAX_ROUNDS)`` rounds; a fit that stops unsettled is not
+    ``converged``.
+    """
+    etas = np.ones(batch.n_graders)
+    s, iterations, grad_norm, converged = _batch_scores(batch, np.zeros(batch.n_items), etas, score_prior)
+    if reliability_prior is None:
+        return s, etas, {"iterations": iterations, "grad_norm": grad_norm, "converged": converged}
+    changes: list[float] = []
+    while len(changes) < max(rounds, 1) or changes[-1] > _SETTLED_LOG_ETA:
+        if len(changes) == max(rounds, _MAX_ROUNDS):
+            converged = False
+            break
+        new_etas = _batch_reliabilities(batch, s, reliability_prior)
+        changes.append(float(np.abs(np.log(new_etas) - np.log(etas)).max()))
+        etas = new_etas
+        s, more, grad_norm, done = _batch_scores(batch, s, etas, score_prior)
+        iterations += more
+        converged = converged and done
+    report: dict[str, Any] = {"iterations": iterations, "grad_norm": grad_norm, "converged": converged}
+    return s, etas, {**report, "reliability_change": changes}
 
 
 # --- stochastic gradient fitting --------------------------------------------
@@ -565,7 +762,11 @@ def _initial_scores(model: str, data: Dataset, prep: _Prepared) -> np.ndarray:
         return np.zeros(len(prep.items))
     # Seed the weighted permutation model with a scaled-down version of the
     # greedy likelihood ranking: equally spaced scores in [-1, 1], times 0.1.
-    ranking = greedy_mle_ranking(data)
+    # The fit, not the seed, places ungraded items, so the seed's warning is
+    # not the user's.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="items never graded")
+        ranking = greedy_mle_ranking(data)
     n = len(prep.items)
     spaced = np.linspace(1.0, -1.0, n) * 0.1
     index = {item: i for i, item in enumerate(prep.items)}
@@ -587,30 +788,49 @@ def fit(
 ) -> Estimate:
     """MAP-fit a score model, optionally alternating with reliability updates.
 
-    The score step runs seeded per-grader stochastic gradient descent from
-    zero scores (the weighted permutation model starts from a scaled greedy
-    ranking instead). With ``with_reliability``, reliability and score steps
-    alternate for ``cfg.alternating_iterations`` rounds after an initial
-    score fit at eta = 1; reliabilities follow gradient steps on log(eta),
-    clamped to [1e-3, 1e3].
+    With ``with_reliability``, reliability and score steps alternate for
+    ``cfg.alternating_iterations`` rounds after a score fit at eta = 1;
+    reliabilities stay in [1e-3, 1e3]. Items nobody graded get the prior
+    mean, with a warning.
+
+    ``bt`` and ``pl`` are fitted full batch from zero scores: L-BFGS score
+    steps, and golden-section reliability steps on log10(eta). Their
+    ``+g`` rounds go on past ``cfg.alternating_iterations`` until no
+    log(eta) moves by more than 1e-5 (at most 100 rounds, or
+    ``alternating_iterations`` if that is more), and ``cfg.max_epochs``
+    and ``cfg.rel_tolerance`` do not apply. ``metadata`` records the
+    L-BFGS ``iterations`` of all score steps, the final ``grad_norm``
+    (largest absolute gradient entry), whether every score step
+    ``converged`` (and, for ``+g``, the rounds settled), and for ``+g`` the
+    largest change of log(eta) in each round (``reliability_change``).
+    ``thur`` and ``mals`` run seeded per-grader SGD as ``cfg`` sets out,
+    ``mals`` from a scaled greedy ranking.
     """
     cfg = cfg or SgdConfig()
     score_prior = score_prior or ScorePrior()
     rprior = reliability_prior or ReliabilityPrior()
     rng = np.random.default_rng(cfg.seed)
     prep = _prepare(model, data, rng)
+    graded = np.bincount(data.feedback_arrays.item, minlength=len(data.items)) > 0
+    if not graded.all():
+        ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
+        warnings.warn(f"items never graded by anyone get the prior mean: {ungraded}", stacklevel=2)
 
-    s = _initial_scores(model, data, prep)
-    etas = np.ones(len(prep.graders))
-    s = _sgd_scores(prep, s, etas, cfg, rng, score_prior, None)
-    reliabilities = None
-    if with_reliability:
-        for _ in range(cfg.alternating_iterations):
-            etas = _sgd_reliabilities(prep, s, etas, cfg, rng, score_prior, rprior)
-            s = _sgd_scores(prep, s, etas, cfg, rng, score_prior, rprior)
-        reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)}
-    scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
     metadata = dict(prep.metadata)
+    if prep.batch is not None:
+        rounds_prior = rprior if with_reliability else None
+        s, etas, report = _fit_batch(prep.batch, cfg.alternating_iterations, score_prior, rounds_prior)
+        metadata.update(report)
+    else:
+        s = _initial_scores(model, data, prep)
+        etas = np.ones(len(prep.graders))
+        s = _sgd_scores(prep, s, etas, cfg, rng, score_prior, None)
+        if with_reliability:
+            for _ in range(cfg.alternating_iterations):
+                etas = _sgd_reliabilities(prep, s, etas, cfg, rng, score_prior, rprior)
+                s = _sgd_scores(prep, s, etas, cfg, rng, score_prior, rprior)
+    reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)} if with_reliability else None
+    scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
     metadata["model"] = model + ("+g" if with_reliability else "")
     return Estimate(
         ranking=ranking_from_scores(scores, tie_epsilon),

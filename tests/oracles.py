@@ -16,6 +16,7 @@ from collections.abc import Iterator, Mapping
 from typing import Any, NamedTuple
 
 import numpy as np
+from scipy.special import expit
 
 from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
 from opg.data import Dataset, Estimate
@@ -27,7 +28,6 @@ from opg.scoremodels import (
     _LOG_ETA_BOUND,
     SCORE_MODELS,
     _initial_scores,
-    _ListTerm,
     _PairTerm,
     _Prepared,
     _total_objective,
@@ -588,7 +588,75 @@ def dict_fit_mallows(
 # The earlier dict-loop preparation and SGD loops of opg.scoremodels, kept
 # verbatim (renamed dict_*, the inverse-square-root step schedule written
 # inline) so the compiled-array preparation and the shared epoch driver can
-# be held to exactly equal answers.
+# be held to exactly equal answers, and the per-grader SGD fits of the
+# logistic and listwise models to the objective that the full-batch ones
+# must not exceed. The two per-grader terms those models had, which the
+# full-batch likelihoods replaced, come first.
+
+
+class _LogisticPairTerm:
+    """Strict pairwise preferences of one grader under the logistic link."""
+
+    __slots__ = ("global_idx", "wl", "ll")
+
+    def __init__(self, global_idx: np.ndarray, wl: np.ndarray, ll: np.ndarray):
+        self.global_idx = global_idx
+        self.wl = wl
+        self.ll = ll
+
+    def value_and_grads(
+        self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
+    ) -> tuple[float, np.ndarray | None, float | None]:
+        m = len(self.global_idx)
+        if len(self.wl) == 0:
+            return 0.0, (np.zeros(m) if need_s else None), (0.0 if need_eta else None)
+        s_local = s[self.global_idx]
+        dz = s_local[self.wl] - s_local[self.ll]
+        z = eta * dz
+        nll = float(np.logaddexp(0.0, -z).sum())
+        grad_s = None
+        grad_eta = None
+        if need_s or need_eta:
+            q = expit(-z)
+            if need_s:
+                grad_s = np.bincount(self.wl, weights=-eta * q, minlength=m) + np.bincount(
+                    self.ll, weights=eta * q, minlength=m
+                )
+            if need_eta:
+                grad_eta = -float((dz * q).sum())
+        return nll, grad_s, grad_eta
+
+
+class _ListTerm:
+    """One grader's total order under the sequential-choice model."""
+
+    __slots__ = ("global_idx", "order_local")
+
+    def __init__(self, global_idx: np.ndarray, order_local: np.ndarray):
+        self.global_idx = global_idx
+        self.order_local = order_local
+
+    def value_and_grads(
+        self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
+    ) -> tuple[float, np.ndarray | None, float | None]:
+        m = len(self.global_idx)
+        s_ord = s[self.global_idx][self.order_local]
+        u = eta * s_ord
+        suffix_lse = np.logaddexp.accumulate(u[::-1])[::-1]
+        nll = float((suffix_lse - u).sum())
+        grad_s = None
+        grad_eta = None
+        if need_s or need_eta:
+            gu = np.zeros(m)
+            for i in range(m - 1):
+                gu[i:] += np.exp(u[i:] - suffix_lse[i])
+                gu[i] -= 1.0
+            if need_s:
+                grad_s = np.zeros(m)
+                grad_s[self.order_local] = eta * gu
+            if need_eta:
+                grad_eta = float(gu @ s_ord)
+        return nll, grad_s, grad_eta
 
 
 def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeration_cap: int = 9) -> _Prepared:
@@ -618,14 +686,8 @@ def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeratio
                         for b in worse:
                             wl.append(member_index[a])
                             ll.append(member_index[b])
-            terms.append(
-                _PairTerm(
-                    global_idx,
-                    np.array(wl, dtype=np.int64),
-                    np.array(ll, dtype=np.int64),
-                    probit=(model == "thur"),
-                )
-            )
+            term = _PairTerm if model == "thur" else _LogisticPairTerm
+            terms.append(term(global_idx, np.array(wl, dtype=np.int64), np.array(ll, dtype=np.int64)))
         elif model == "pl":
             if not ranking.is_total:
                 ranking = break_ties(ranking, rng)

@@ -46,6 +46,13 @@ class TestTauKt:
             got = tau_kt(WeakRanking(tg), WeakRanking(pg))
             assert got == pytest.approx(oracles.tau_kt_brute(tg, pg))
 
+    @given(st.data())
+    def test_matches_brute_oracle_with_ties_on_both_sides(self, data):
+        n = data.draw(st.integers(1, 40))
+        target, predicted = (data.draw(weak_rankings(min_items=n, max_items=n)) for _ in range(2))
+        got = tau_kt(target, predicted)
+        assert got == oracles.tau_kt_brute([list(g) for g in target.groups], [list(g) for g in predicted.groups])
+
     def test_bounded_by_strict_pairs_iff_reversal(self):
         target = WeakRanking.from_order(["a", "b", "c", "d"])
         reversal = WeakRanking.from_order(["d", "c", "b", "a"])

@@ -1,17 +1,22 @@
-"""Tests for the score-based estimators and their shared SGD engine."""
+"""Tests for the score-based estimators, their full-batch solver and their shared SGD engine."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import expit
 
+import opg
 from opg import scoremodels
-from opg.config import SgdConfig
+from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import _resample_graders
 from opg.rankings import WeakRanking
@@ -349,10 +354,9 @@ class TestFit:
     def test_bt_two_item_root_oracle(self):
         # MAP first-order condition with s_b = -s_a: s_a/9 = 1 - sigmoid(2 s_a).
         root = brentq(lambda t: t / 9.0 - (1.0 - expit(2.0 * t)), 0.0, 9.0, xtol=1e-12)
-        cfg = SgdConfig(max_epochs=20000, rel_tolerance=0.0)
-        est = fit("bt", make_ordinal_dataset({"g1": [["a"], ["b"]]}), cfg)
-        assert est.scores["a"] == pytest.approx(root, abs=1e-3)
-        assert est.scores["b"] == pytest.approx(-root, abs=1e-3)
+        est = fit("bt", make_ordinal_dataset({"g1": [["a"], ["b"]]}))
+        assert est.scores["a"] == pytest.approx(root, abs=1e-6)
+        assert est.scores["b"] == pytest.approx(-root, abs=1e-6)
 
     @pytest.mark.parametrize("model", ("bt", "thur"))
     def test_reversal_closed_symmetry(self, model):
@@ -469,10 +473,34 @@ def _tied_datasets(rng):
 VARIANTS = [model + suffix for model in SCORE_MODELS for suffix in ("", "+g")]
 
 
+def _batch_feedback(batch):
+    """What a full-batch likelihood holds of each grader: its sorted (winner, loser)
+    pairs for ``bt``, its items best first for ``pl``."""
+    if isinstance(batch, scoremodels._PairBatch):
+        pairs = [[] for _ in range(batch.n_graders)]
+        for w, l, g in zip(batch.winner.tolist(), batch.loser.tolist(), batch.grader.tolist()):
+            pairs[g].append((w, l))
+        return [sorted(p) for p in pairs]
+    rows = [None] * batch.n_graders
+    for graders, items in batch.blocks:
+        for g, row in zip(graders.tolist(), items.tolist()):
+            rows[g] = row
+    return rows
+
+
+def _terms_feedback(terms):
+    """The same, from the per-grader terms the batch replaced."""
+    if isinstance(terms[0], oracles._LogisticPairTerm):
+        return [sorted(zip(t.global_idx[t.wl].tolist(), t.global_idx[t.ll].tolist())) for t in terms]
+    return [t.global_idx[t.order_local].tolist() for t in terms]
+
+
 @pytest.mark.filterwarnings("ignore:items never graded")
 class TestMatchesDictOracles:
     """Terms built from the compiled feedback arrays and the shared epoch
-    driver give exactly the dict-loop answers."""
+    loop give exactly the dict-loop answers; the full-batch likelihoods
+    hold the same feedback as the dict-loop terms, and their fits reach an
+    optimum no worse than the dict-loop SGD."""
 
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_terms(self, model, rng):
@@ -483,6 +511,10 @@ class TestMatchesDictOracles:
                 want = oracles.dict_prepare(model, data, rng_old)
                 assert (got.items, got.graders, got.metadata) == (want.items, want.graders, want.metadata)
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state
+                if got.batch is not None:
+                    assert got.terms == [] and model in ("bt", "pl")
+                    assert _batch_feedback(got.batch) == _terms_feedback(want.terms)
+                    continue
                 for a, b in zip(got.terms, want.terms, strict=True):
                     assert type(a) is type(b)
                     for slot in a.__slots__:
@@ -496,21 +528,32 @@ class TestMatchesDictOracles:
 
     def test_pairs_run_one_pair_of_tie_groups_at_a_time(self):
         data = make_ordinal_dataset({"g1": [["a", "b"], ["c"], ["d"]]})
-        term = _prepare("bt", data, np.random.default_rng(0)).terms[0]
+        term = _prepare("thur", data, np.random.default_rng(0)).terms[0]
         assert term.wl.tolist() == [0, 1, 0, 1, 2]
         assert term.ll.tolist() == [2, 2, 3, 3, 3]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_fit(self, variant, rng):
+        """``thur`` and ``mals`` give the SGD oracle's answer exactly; the
+        full-batch ``bt`` and ``pl`` reach a stationary point no worse than it."""
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
         cfg = SgdConfig(max_epochs=60, rel_tolerance=1e-5, alternating_iterations=3, seed=7)
         for data in _tied_datasets(rng):
             got = fit(model, data, cfg, with_reliability=with_rel)
-            assert got == oracles.dict_fit(model, data, cfg, with_reliability=with_rel)
+            want = oracles.dict_fit(model, data, cfg, with_reliability=with_rel)
             assert (got.metadata.get("tie_break") == "seeded") == (model == "pl")
+            if model in ("thur", "mals"):
+                assert got == want
+                continue
+            at_fit = negative_log_posterior(model, data, got.scores, got.reliabilities, seed=cfg.seed)
+            at_oracle = negative_log_posterior(model, data, want.scores, want.reliabilities, seed=cfg.seed)
+            assert max(abs(v) for v in at_fit.score_gradient.values()) <= 1e-5
+            assert at_fit.value <= at_oracle.value
 
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_negative_log_posterior(self, model, rng, monkeypatch):
+        """Equal to the per-grader terms' sum: exactly for the models still
+        built from terms, to rounding for the full-batch ones."""
         for data in _tied_datasets(rng):
             scores = dict(zip(data.items, rng.normal(0.0, 1.0, len(data.items)).tolist()))
             rel = dict(zip(data.graders, np.exp(rng.normal(0.0, 0.5, len(data.graders))).tolist()))
@@ -518,4 +561,122 @@ class TestMatchesDictOracles:
             monkeypatch.setattr(scoremodels, "_prepare", oracles.dict_prepare)
             want = [negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
             monkeypatch.undo()
-            assert got == want
+            if model in ("thur", "mals"):
+                assert got == want
+                continue
+            for a, b in zip(got, want):
+                assert a.value == pytest.approx(b.value, rel=1e-12)
+                for grads in ("score_gradient", "reliability_gradient"):
+                    u, v = getattr(a, grads), getattr(b, grads)
+                    assert (u is None) == (v is None)
+                    for key in v or ():
+                        assert u[key] == pytest.approx(v[key], rel=1e-12, abs=1e-12)
+
+
+def _reliability_objective(term, s, eta, prior):
+    """One grader's negative log-posterior in its reliability, from its own term alone."""
+    nll, _, _ = term.value_and_grads(s, eta, need_s=False, need_eta=False)
+    return nll + eta / prior.scale - (prior.shape - 1.0) * math.log(eta)
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+class TestFullBatch:
+    @pytest.mark.parametrize("model", ("bt", "pl"))
+    def test_reliabilities_match_a_scalar_search_per_grader(self, model, rng):
+        prior = ReliabilityPrior()
+        for data in _tied_datasets(rng):
+            batch = _prepare(model, data, np.random.default_rng(3)).batch
+            terms = oracles.dict_prepare(model, data, np.random.default_rng(3)).terms
+            for spread in (0.3, 1.0, 4.0):
+                s = rng.normal(0.0, spread, len(data.items))
+                etas = scoremodels._batch_reliabilities(batch, s, prior)
+                for term, eta in zip(terms, etas, strict=True):
+                    best = minimize_scalar(
+                        lambda z: _reliability_objective(term, s, 10.0**z, prior),
+                        bounds=(-3.0, 3.0), method="bounded", options={"xatol": 1e-9},
+                    )
+                    assert math.log10(eta) == pytest.approx(best.x, abs=1e-5)
+
+    @pytest.mark.parametrize("variant", ("bt", "bt+g", "pl", "pl+g"))
+    def test_metadata_reports_the_solver(self, variant, rng):
+        model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
+        cfg = SgdConfig(alternating_iterations=4, seed=2)
+        for data in _tied_datasets(rng):
+            est = fit(model, data, cfg, with_reliability=with_rel)
+            meta = est.metadata
+            assert meta["converged"] is True and meta["iterations"] > 0
+            obj = negative_log_posterior(model, data, est.scores, est.reliabilities, seed=cfg.seed)
+            assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), abs=1e-9)
+            assert meta["grad_norm"] <= 1e-6
+            if with_rel:
+                changes = meta["reliability_change"]
+                assert len(changes) >= 4 and min(changes) >= 0.0
+                assert changes[-1] <= scoremodels._SETTLED_LOG_ETA < max(changes[:-1])
+            else:
+                assert "reliability_change" not in meta
+            assert fit(model, data, cfg, with_reliability=with_rel) == est
+
+    def test_iteration_cap_is_reported(self, monkeypatch):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["c"], ["a"]]})
+        monkeypatch.setattr(scoremodels, "_LBFGS_MAX_ITERATIONS", 1)
+        meta = fit("bt", data).metadata
+        assert meta["iterations"] == 1 and meta["converged"] is False and meta["grad_norm"] > 1e-6
+
+    @pytest.mark.parametrize("model", ("bt", "pl"))
+    def test_round_cap_is_reported(self, model, rng, monkeypatch):
+        monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 2)
+        for data in _tied_datasets(rng):
+            meta = fit(model, data, SgdConfig(alternating_iterations=1), with_reliability=True).metadata
+            assert len(meta["reliability_change"]) == 2 and meta["reliability_change"][-1] > 1e-5
+            assert meta["converged"] is False and meta["grad_norm"] <= 1e-6
+            meta = fit(model, data, SgdConfig(alternating_iterations=3), with_reliability=True).metadata
+            assert len(meta["reliability_change"]) == 3 and meta["converged"] is False
+
+    @pytest.mark.parametrize("model", ("bt", "pl"))
+    def test_large_reliabilities_stay_finite(self, model, rng):
+        data = _tied_datasets(rng)[0]
+        batch = _prepare(model, data, np.random.default_rng(0)).batch
+        s = rng.normal(0.0, 10.0, len(data.items))
+        nll, grad_s, grad_eta = batch.evaluate(s, np.full(batch.n_graders, 1e3), need_eta=True)
+        assert np.isfinite(nll).all() and np.isfinite(grad_s).all() and np.isfinite(grad_eta).all()
+
+    def test_score_prior_mean_is_the_optimum_without_feedback_pairs(self):
+        data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["a"], ["b"]]}, items=("a", "b", "c"))
+        est = fit("bt", data, score_prior=ScorePrior(mean=2.0))
+        assert est.scores["c"] == pytest.approx(2.0, abs=1e-6)
+
+
+class TestUngradedItems:
+    @pytest.mark.parametrize("model", SCORE_MODELS)
+    def test_warns_once_that_they_get_the_prior_mean(self, model):
+        data = make_ordinal_dataset(
+            {"g1": [["a"], ["b"], ["c"]], "g2": [["a"], ["c"], ["b"]]}, items=("a", "b", "c", "z")
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = fit(model, data)
+        messages = [str(w.message) for w in caught]
+        assert messages == ["items never graded by anyone get the prior mean: ['z']"]
+        assert abs(est.scores["z"]) <= 0.1
+
+    def test_no_warning_when_every_item_is_graded(self):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in SCORE_MODELS:
+                fit(model, data)
+
+
+def test_fitting_does_not_import_scipy_optimize():
+    """``import scipy.optimize`` costs start-up time and memory that no fit needs."""
+    code = (
+        "import sys, opg\n"
+        "from opg.synth import MallowsGraders, SynthConfig, simulate\n"
+        "cfg = SynthConfig(n_items=10, n_graders=20, items_per_grader=4, grader_model=MallowsGraders(eta=1.0))\n"
+        "opg.fit_model('bt+g', simulate(cfg)[0])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(opg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
