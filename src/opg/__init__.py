@@ -6,7 +6,7 @@ learning how reliable each grader is along the way. See :data:`MODEL_NAMES`
 for the available methods and :func:`fit_model` for the entry point.
 """
 
-from .config import ReliabilityPrior, ScorePrior, SgdConfig
+from .config import ReliabilityPrior, ScorePrior
 from .data import Dataset, Estimate, GraderFeedback, induced_ordinal
 from .errors import DataFormatError, EnumerationCapError, OpgError, ValidationError
 from .estimators import MODEL_NAMES, ModelOptions, fit_model
@@ -40,7 +40,6 @@ __all__ = [
     "OpgError",
     "ReliabilityPrior",
     "ScorePrior",
-    "SgdConfig",
     "SynthConfig",
     "TargetSet",
     "ValidationError",

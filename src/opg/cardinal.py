@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SgdConfig
+from .config import ReliabilityPrior, _check_iterations
 from .data import Dataset, Estimate
 from .errors import ValidationError
 from .rankings import WeakRanking, ranking_from_scores
@@ -32,21 +32,18 @@ class NcsHyperparams:
     """Priors for the normal grading model.
 
     ``mu0`` is the score prior mean (None uses the grand mean of all
-    observed grades), ``gamma0`` the score prior precision, ``alpha0`` and
-    ``beta0`` the gamma prior shape/scale on reliabilities, and ``gamma1``
+    observed grades), ``gamma0`` the score prior precision and ``gamma1``
     the bias prior precision.
     """
 
     mu0: float | None = None
     gamma0: float = 0.1
-    alpha0: float = 10.0
-    beta0: float = 0.1
     gamma1: float = 1.0
 
     def __post_init__(self) -> None:
         if self.mu0 is not None and not math.isfinite(self.mu0):
             raise ValidationError("mu0 must be finite")
-        for name in ("gamma0", "alpha0", "beta0", "gamma1"):
+        for name in ("gamma0", "gamma1"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be finite and > 0, got {v}")
@@ -101,6 +98,8 @@ def ncs_negative_log_posterior(
     biases: Mapping[str, float],
     reliabilities: Mapping[str, float],
     hp: NcsHyperparams | None = None,
+    *,
+    reliability_prior: ReliabilityPrior | None = None,
 ) -> tuple[float, dict[str, float], dict[str, float], dict[str, float]]:
     """Joint negative log-posterior of the normal model, with gradients.
 
@@ -108,6 +107,7 @@ def ncs_negative_log_posterior(
     additive constants independent of all parameters are dropped.
     """
     hp = hp or NcsHyperparams()
+    prior = reliability_prior or ReliabilityPrior()
     items, graders, ii, gg, yy = _cardinal_observations(data)
     mu0 = float(np.mean(yy)) if hp.mu0 is None else hp.mu0
     s = np.array([float(scores[d]) for d in items])
@@ -120,14 +120,14 @@ def ncs_negative_log_posterior(
     value = (
         0.5 * hp.gamma0 * float(((s - mu0) ** 2).sum())
         + 0.5 * hp.gamma1 * float((b**2).sum())
-        + float((eta / hp.beta0 - (hp.alpha0 - 1.0) * np.log(eta)).sum())
+        + float((eta / prior.scale - (prior.shape - 1.0) * np.log(eta)).sum())
         - 0.5 * float((n_g * np.log(eta)).sum())
         + 0.5 * float((eta[gg] * r**2).sum())
     )
     grad_s = hp.gamma0 * (s - mu0) - np.bincount(ii, weights=eta[gg] * r, minlength=len(items))
     grad_b = hp.gamma1 * b - np.bincount(gg, weights=eta[gg] * r, minlength=len(graders))
     ssr = np.bincount(gg, weights=r**2, minlength=len(graders))
-    grad_eta = 1.0 / hp.beta0 - (hp.alpha0 - 1.0) / eta - 0.5 * n_g / eta + 0.5 * ssr
+    grad_eta = 1.0 / prior.scale - (prior.shape - 1.0) / eta - 0.5 * n_g / eta + 0.5 * ssr
     return (
         value,
         {d: float(grad_s[i]) for i, d in enumerate(items)},
@@ -139,9 +139,10 @@ def ncs_negative_log_posterior(
 def ncs_fit(
     data: Dataset,
     hp: NcsHyperparams | None = None,
-    cfg: SgdConfig | None = None,
     *,
+    iterations: int = 10,
     with_bias_and_reliability: bool = False,
+    reliability_prior: ReliabilityPrior | None = None,
     tie_epsilon: float = 1e-9,
 ) -> Estimate:
     """MAP scores under the normal grading model.
@@ -149,15 +150,17 @@ def ncs_fit(
     Plain variant: reliabilities fixed at 1, no bias; the posterior mode is
     the closed form (gamma0 * mu0 + sum of grades) / (gamma0 + count) per
     item. "+g" variant: exact coordinate updates of scores, biases, and
-    reliabilities for ``cfg.alternating_iterations`` rounds. Biases are
-    constrained to sum to zero; the bias step maximizes the conditional
-    posterior subject to that constraint, so each round is monotone in the
-    constrained joint posterior. Reliabilities are clamped to [1e-3, 1e3].
+    reliabilities for ``iterations`` rounds, under ``reliability_prior``.
+    Biases are constrained to sum to zero; the bias step maximizes the
+    conditional posterior subject to that constraint, so each round is
+    monotone in the constrained joint posterior. Reliabilities are clamped
+    to [1e-3, 1e3].
 
     Items nobody graded get the prior mean as score, with a warning.
     """
     hp = hp or NcsHyperparams()
-    cfg = cfg or SgdConfig()
+    prior = reliability_prior or ReliabilityPrior()
+    _check_iterations(iterations)
     items, graders, ii, gg, yy = _cardinal_observations(data)
     n, g_count = len(items), len(graders)
     mu0 = float(np.mean(yy)) if hp.mu0 is None else hp.mu0
@@ -174,7 +177,7 @@ def ncs_fit(
         b = np.zeros(g_count)
         eta = np.ones(g_count)
         n_g = np.bincount(gg, minlength=g_count).astype(float)
-        for _ in range(cfg.alternating_iterations):
+        for _ in range(iterations):
             # Scores: precision-weighted mean of prior and bias-corrected grades.
             w = np.bincount(ii, weights=eta[gg], minlength=n)
             wy = np.bincount(ii, weights=eta[gg] * (yy - b[gg]), minlength=n)
@@ -187,7 +190,7 @@ def ncs_fit(
             # Reliabilities: gamma-posterior mode from squared residuals.
             r = yy - s[ii] - b[gg]
             ssr = np.bincount(gg, weights=r**2, minlength=g_count)
-            eta = (hp.alpha0 - 1.0 + 0.5 * n_g) / (1.0 / hp.beta0 + 0.5 * ssr)
+            eta = (prior.shape - 1.0 + 0.5 * n_g) / (1.0 / prior.scale + 0.5 * ssr)
             eta = np.clip(eta, *_ETA_BOUNDS)
         reliabilities = {g: float(eta[i]) for i, g in enumerate(graders)}
         metadata = {"model": "ncs+g", "mu0": mu0, "biases": {g: float(b[i]) for i, g in enumerate(graders)}}

@@ -9,7 +9,6 @@ import sys
 from typing import Any
 
 from . import dataio, experiments
-from .config import SgdConfig
 from .data import Dataset
 from .errors import ValidationError
 from .estimators import MODEL_NAMES, ModelOptions, fit_model
@@ -90,10 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _options(args: argparse.Namespace) -> ModelOptions:
-    return ModelOptions(
-        sgd=SgdConfig(seed=args.seed, alternating_iterations=args.iterations),
-        tie_epsilon=args.tie_epsilon,
-    )
+    return ModelOptions(seed=args.seed, iterations=args.iterations, tie_epsilon=args.tie_epsilon)
 
 
 def _load_dataset(path: str, fmt: str | None) -> Dataset:

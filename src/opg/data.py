@@ -11,23 +11,14 @@ from typing import Any
 import numpy as np
 
 from .errors import ValidationError
-from .rankings import WeakRanking
+from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = ["GraderFeedback", "Dataset", "FeedbackArrays", "Estimate", "induced_ordinal"]
 
 
 def induced_ordinal(grades: Mapping[str, float]) -> WeakRanking:
     """Ordinal ranking induced by cardinal grades: descending, exact ties grouped."""
-    if not grades:
-        raise ValidationError("cannot induce an ordinal ranking from no grades")
-    ordered = sorted(grades, key=lambda x: (-grades[x], x))
-    groups: list[list[str]] = [[ordered[0]]]
-    for item in ordered[1:]:
-        if grades[item] == grades[groups[-1][0]]:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    return WeakRanking(groups)
+    return ranking_from_scores(grades, tie_epsilon=0.0)
 
 
 @dataclass(frozen=True)

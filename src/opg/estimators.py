@@ -6,22 +6,33 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from . import cardinal, mallows, scoremodels
-from .config import ReliabilityPrior, ScorePrior, SgdConfig
+from .config import ReliabilityPrior, ScorePrior, _check_iterations
 from .data import Dataset, Estimate
 from .errors import ValidationError
 
-__all__ = ["MODEL_NAMES", "ModelOptions", "fit_model", "model_uses_reliability", "with_seed"]
+__all__ = ["MODEL_NAMES", "ModelOptions", "fit_model", "model_uses_reliability"]
 
 
 @dataclass(frozen=True)
 class ModelOptions:
-    """Shared knobs for fitting; defaults match the documented priors."""
+    """Shared knobs for fitting; defaults match the documented priors.
 
-    sgd: SgdConfig = field(default_factory=SgdConfig)
+    ``seed`` seeds every random draw of a fit (tie breaks, SGD order) and
+    ``iterations`` is the number of alternating reliability rounds of the
+    "+g" models; both must be >= 0.
+    """
+
+    seed: int = 0
+    iterations: int = 10
     score_prior: ScorePrior = field(default_factory=ScorePrior)
     reliability_prior: ReliabilityPrior = field(default_factory=ReliabilityPrior)
     ncs: cardinal.NcsHyperparams = field(default_factory=cardinal.NcsHyperparams)
     tie_epsilon: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_iterations(self.iterations)
 
 
 # name -> (family, with_reliability, needs_cardinal)
@@ -54,22 +65,12 @@ def model_uses_reliability(name: str) -> bool:
     return _REGISTRY[name][1]
 
 
-def with_seed(options: ModelOptions, seed: int) -> ModelOptions:
-    """Copy of ``options`` with the fitting seed replaced."""
-    return dataclasses.replace(options, sgd=dataclasses.replace(options.sgd, seed=seed))
-
-
 def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> Estimate:
     """Fit the named model and return its estimate.
 
     Cardinal models (scavg, ncs*) require numeric grades from every grader;
     all other models consume the ordinal feedback (attached automatically
     when a dataset is built from grades).
-
-    ``options.sgd`` steers the stochastic gradient fits (thur, mals). bt
-    and pl are fitted full batch to the posterior mode: for them only
-    ``sgd.seed`` and ``sgd.alternating_iterations`` (a least number of
-    rounds) apply, and ``max_epochs``/``rel_tolerance`` are ignored.
     """
     if name not in _REGISTRY:
         raise ValidationError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
@@ -85,9 +86,10 @@ def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> 
     elif family == "ncs":
         est = cardinal.ncs_fit(
             data,
-            hp=options.ncs,
-            cfg=options.sgd,
+            options.ncs,
+            iterations=options.iterations,
             with_bias_and_reliability=with_rel,
+            reliability_prior=options.reliability_prior,
             tie_epsilon=options.tie_epsilon,
         )
     elif family in ("mal", "malbc", "mal+k"):
@@ -96,15 +98,16 @@ def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> 
             use_borda=family == "malbc",
             kemenize=family == "mal+k",
             with_reliability=with_rel,
-            iterations=options.sgd.alternating_iterations,
+            iterations=options.iterations,
             reliability_prior=options.reliability_prior,
-            seed=options.sgd.seed,
+            seed=options.seed,
         )
     else:
         est = scoremodels.fit(
             family,
             data,
-            cfg=options.sgd,
+            seed=options.seed,
+            iterations=options.iterations,
             with_reliability=with_rel,
             score_prior=options.score_prior,
             reliability_prior=options.reliability_prior,

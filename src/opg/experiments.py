@@ -9,17 +9,17 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .data import Dataset, GraderFeedback
+from .data import Dataset, Estimate, GraderFeedback
 from .dataio import _round12
 from .errors import ValidationError
-from .estimators import ModelOptions, fit_model, model_uses_reliability, with_seed
-from .metrics import TargetSet, ek_error, strict_pair_count, tau_kt
+from .estimators import ModelOptions, fit_model, model_uses_reliability
+from .metrics import TargetSet, _as_target_set, ek_error, strict_pair_count, tau_kt
 from .rankings import WeakRanking, break_ties
 from .synth import add_lazy_graders, strip_lazy
 
@@ -40,10 +40,6 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return _round12(float(arr.mean())), _round12(std)
-
-
-def _as_target_set(targets: TargetSet | Iterable[WeakRanking]) -> TargetSet:
-    return targets if isinstance(targets, TargetSet) else TargetSet(tuple(targets))
 
 
 @dataclass(frozen=True)
@@ -128,13 +124,12 @@ def bootstrap_ek(
     targets = _as_target_set(targets)
     options = options or ModelOptions()
 
-    def one(rep: int) -> float:
-        rng = np.random.default_rng(seed + rep)
-        resampled = _resample_graders(data, rng)
-        est = fit_model(method, resampled, with_seed(options, seed + rep))
-        return ek_error(targets, est.ranking)
-
-    return _mean_std([one(rep) for rep in range(reps)])
+    errors = []
+    for rep in range(reps):
+        resampled = _resample_graders(data, np.random.default_rng(seed + rep))
+        est = fit_model(method, resampled, dataclasses.replace(options, seed=seed + rep))
+        errors.append(ek_error(targets, est.ranking))
+    return _mean_std(errors)
 
 
 def self_consistency(
@@ -157,7 +152,8 @@ def self_consistency(
         raise ValidationError("self-consistency needs at least two graders")
     options = options or ModelOptions()
 
-    def one(rep: int) -> float:
+    errors = []
+    for rep in range(partitions):
         rng = np.random.default_rng(seed + rep)
         perm = rng.permutation(len(data.feedback))
         half = len(perm) // 2
@@ -169,11 +165,10 @@ def self_consistency(
                 graders=tuple(fb.grader for fb in fbs),
                 feedback=fbs,
             )
-            est = fit_model(method, sub, with_seed(options, seed + rep))
+            est = fit_model(method, sub, dataclasses.replace(options, seed=seed + rep))
             parts.append(break_ties(est.ranking, rng))
-        return ek_error([parts[0]], parts[1])
-
-    return _mean_std([one(rep) for rep in range(partitions)])
+        errors.append(ek_error([parts[0]], parts[1]))
+    return _mean_std(errors)
 
 
 def _downsample(data: Dataset, axis: str, level: int, rng: np.random.Generator) -> Dataset:
@@ -235,15 +230,12 @@ def downsample_curve(
     options = options or ModelOptions()
     points = []
     for li, level in enumerate(levels):
-
-        def one(rep: int, _level: int = int(level), _li: int = li) -> float:
-            rep_seed = seed + _li * reps + rep
-            rng = np.random.default_rng(rep_seed)
-            thinned = _downsample(data, axis, _level, rng)
-            est = fit_model(method, thinned, with_seed(options, rep_seed))
-            return ek_error(targets, est.ranking)
-
-        mean, std = _mean_std([one(rep) for rep in range(reps)])
+        errors = []
+        for rep_seed in range(seed + li * reps, seed + (li + 1) * reps):
+            thinned = _downsample(data, axis, int(level), np.random.default_rng(rep_seed))
+            est = fit_model(method, thinned, dataclasses.replace(options, seed=rep_seed))
+            errors.append(ek_error(targets, est.ranking))
+        mean, std = _mean_std(errors)
         points.append(CurvePoint(level=int(level), ek_mean=mean, ek_std=std))
     return tuple(points)
 
@@ -254,6 +246,34 @@ def _bottom_k(total_graders: int, bottom_k: int | None) -> int:
     if bottom_k < 1:
         raise ValidationError(f"bottom_k must be >= 1, got {bottom_k}")
     return bottom_k
+
+
+def _lazy_identification_rate(
+    data: Dataset,
+    method: str,
+    bottom_k: int | None,
+    reps: int,
+    seed: int,
+    options: ModelOptions | None,
+    resample: bool,
+    suspects: Callable[[Dataset, Estimate], list[str]],
+) -> float:
+    """Trials as :func:`lazy_identification` runs them; ``suspects`` orders a
+    trial's graders, most suspect first, from its estimate."""
+    if not data.lazy_graders:
+        raise ValidationError("dataset has no lazy graders labeled")
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    options = options or ModelOptions()
+    base = strip_lazy(data)
+    n_lazy = len(data.lazy_graders)
+    rates = []
+    for rep in range(reps):
+        trial = add_lazy_graders(base, n_lazy, seed=seed + rep) if resample else data
+        est = fit_model(method, trial, dataclasses.replace(options, seed=seed + rep))
+        flagged = set(suspects(trial, est)[: _bottom_k(len(trial.graders), bottom_k)])
+        rates.append(len(flagged & trial.lazy_graders) / n_lazy)
+    return _round12(float(np.mean(rates)))
 
 
 def lazy_identification(
@@ -274,27 +294,15 @@ def lazy_identification(
     graders land in the bottom ``bottom_k`` (default 12.5% of graders).
     Returns the mean recovered fraction over repetitions.
     """
-    if not data.lazy_graders:
-        raise ValidationError("dataset has no lazy graders labeled")
     if not model_uses_reliability(method):
         raise ValidationError(f"model {method!r} does not estimate reliabilities")
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    options = options or ModelOptions()
-    base = strip_lazy(data)
-    n_lazy = len(data.lazy_graders)
 
-    def one(rep: int) -> float:
-        trial = add_lazy_graders(base, n_lazy, seed=seed + rep) if resample else data
-        est = fit_model(method, trial, with_seed(options, seed + rep))
+    def least_reliable(trial: Dataset, est: Estimate) -> list[str]:
         if est.reliabilities is None:
             raise ValidationError(f"model {method!r} returned no reliabilities")
-        k = _bottom_k(len(trial.graders), bottom_k)
-        order = sorted(trial.graders, key=lambda g: (est.reliabilities.get(g, float("inf")), g))
-        flagged = set(order[:k])
-        return len(flagged & trial.lazy_graders) / n_lazy
+        return sorted(trial.graders, key=lambda g: (est.reliabilities.get(g, float("inf")), g))
 
-    return _round12(float(np.mean([one(rep) for rep in range(reps)])))
+    return _lazy_identification_rate(data, method, bottom_k, reps, seed, options, resample, least_reliable)
 
 
 def lazy_identification_heuristic(
@@ -313,28 +321,16 @@ def lazy_identification_heuristic(
     restricted to their items. Graders with the largest disagreement are
     flagged. Comparable to :func:`lazy_identification` on the same data.
     """
-    if not data.lazy_graders:
-        raise ValidationError("dataset has no lazy graders labeled")
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    options = options or ModelOptions()
-    base = strip_lazy(data)
-    n_lazy = len(data.lazy_graders)
 
-    def one(rep: int) -> float:
-        trial = add_lazy_graders(base, n_lazy, seed=seed + rep) if resample else data
-        est = fit_model(method, trial, with_seed(options, seed + rep))
+    def most_disagreeing(trial: Dataset, est: Estimate) -> list[str]:
         errors: dict[str, float] = {}
         for fb in trial.feedback:
             predicted = est.ranking.restrict(fb.items)
             pairs = strict_pair_count(predicted)
             errors[fb.grader] = tau_kt(predicted, fb.ordinal) / pairs if pairs else 0.0
-        k = _bottom_k(len(trial.graders), bottom_k)
-        order = sorted(trial.graders, key=lambda g: (-errors.get(g, 0.0), g))
-        flagged = set(order[:k])
-        return len(flagged & trial.lazy_graders) / n_lazy
+        return sorted(trial.graders, key=lambda g: (-errors.get(g, 0.0), g))
 
-    return _round12(float(np.mean([one(rep) for rep in range(reps)])))
+    return _lazy_identification_rate(data, method, bottom_k, reps, seed, options, resample, most_disagreeing)
 
 
 def robustness_delta(
@@ -365,14 +361,12 @@ def robustness_delta(
         if count == 0:
             deltas.append(0.0)
             continue
-
-        def one(rep: int, _count: int = int(count), _ci: int = ci) -> float:
-            rep_seed = seed + _ci * reps + rep
-            trial = add_lazy_graders(data, _count, seed=rep_seed)
-            est = fit_model(method, trial, with_seed(options, rep_seed))
-            return ek_error(targets, est.ranking) - base_ek
-
-        deltas.append(_round12(float(np.mean([one(rep) for rep in range(reps)]))))
+        shifts = []
+        for rep_seed in range(seed + ci * reps, seed + (ci + 1) * reps):
+            trial = add_lazy_graders(data, int(count), seed=rep_seed)
+            est = fit_model(method, trial, dataclasses.replace(options, seed=rep_seed))
+            shifts.append(ek_error(targets, est.ranking) - base_ek)
+        deltas.append(_round12(float(np.mean(shifts))))
     return tuple(deltas)
 
 
@@ -382,10 +376,7 @@ def time_methods(
     reps: int = 3,
     options: ModelOptions | None = None,
 ) -> dict[str, tuple[float, float]]:
-    """Wall-clock fit time per method: name -> (mean seconds, std).
-
-    Always runs serially so timings are not distorted by thread contention.
-    """
+    """Wall-clock fit time per method: name -> (mean seconds, std)."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     options = options or ModelOptions()

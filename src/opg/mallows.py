@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ReliabilityPrior
+from .config import ReliabilityPrior, _check_iterations
 from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
 from .errors import ValidationError
 from .rankings import WeakRanking, break_ties
@@ -376,6 +376,7 @@ def fit_mallows(
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
+    _check_iterations(iterations)
     prior = reliability_prior or ReliabilityPrior()
     rng = np.random.default_rng(seed)
     metadata: dict = {

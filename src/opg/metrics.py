@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +31,10 @@ class TargetSet:
     @property
     def items(self) -> frozenset[str]:
         return self.targets[0].items
+
+
+def _as_target_set(targets: TargetSet | Iterable[WeakRanking]) -> TargetSet:
+    return targets if isinstance(targets, TargetSet) else TargetSet(tuple(targets))
 
 
 def _rank_vectors(target: WeakRanking, predicted: WeakRanking) -> tuple[np.ndarray, np.ndarray]:
@@ -62,13 +66,13 @@ def strict_pair_count(ranking: WeakRanking) -> int:
     return n * (n - 1) // 2 - sum(len(g) * (len(g) - 1) // 2 for g in ranking.groups)
 
 
-def ek_error(targets: TargetSet | Sequence[WeakRanking], predicted: WeakRanking) -> float:
+def ek_error(targets: TargetSet | Iterable[WeakRanking], predicted: WeakRanking) -> float:
     """Mean normalized pairwise error against a set of targets, in percent.
 
     Each target contributes tau_kt / (its strict pair count); the mean is
     scaled to [0, 100]. A uniformly random total order scores about 50.
     """
-    tset = targets if isinstance(targets, TargetSet) else TargetSet(tuple(targets))
+    tset = _as_target_set(targets)
     total = 0.0
     for t in tset.targets:
         pairs = strict_pair_count(t)

@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
-from .config import ReliabilityPrior, ScorePrior, SgdConfig
+from .config import ReliabilityPrior, ScorePrior, _check_iterations
 from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
 from .errors import EnumerationCapError, ValidationError
 from .mallows import _check_eta, _golden_section_etas, greedy_mle_ranking
@@ -564,6 +564,11 @@ _LBFGS_MAX_ITERATIONS = 1000
 _SETTLED_LOG_ETA = 1e-5
 _MAX_ROUNDS = 100
 
+# An SGD run (thur, mals) stops once an epoch changes the objective by less
+# than this fraction, or after this many epochs.
+_REL_TOLERANCE = 1e-6
+_MAX_EPOCHS = 500
+
 
 def _lbfgs(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray
@@ -689,30 +694,30 @@ def _run_epochs(
     n_terms: int,
     step: Callable[[int, float], None],
     objective: Callable[[], float],
-    cfg: SgdConfig,
     rng: np.random.Generator,
-) -> None:
-    """Seeded SGD epochs of ``step(term, lr)`` over every term, as ``SgdConfig`` describes."""
+) -> tuple[int, bool]:
+    """Seeded SGD epochs of ``step(term, lr)`` over every term, with step size
+    0.1 / sqrt(epoch): the number of epochs run and whether the tolerance was met."""
     prev = objective()
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, _MAX_EPOCHS + 1):
         lr = 0.1 / math.sqrt(epoch)
         for gi in rng.permutation(n_terms):
             step(gi, lr)
         current = objective()
-        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
-            break
+        if abs(current - prev) / max(1.0, abs(prev)) < _REL_TOLERANCE:
+            return epoch, True
         prev = current
+    return _MAX_EPOCHS, False
 
 
 def _sgd_scores(
     prep: _Prepared,
     s0: np.ndarray,
     etas: np.ndarray,
-    cfg: SgdConfig,
     rng: np.random.Generator,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, bool]:
     s = s0.copy()
     n_terms = len(prep.terms)
 
@@ -723,10 +728,10 @@ def _sgd_scores(
         s -= lr * (s - score_prior.mean) / (score_prior.variance * n_terms)
         s[term.global_idx] -= lr * gs
 
-    _run_epochs(
-        n_terms, step, lambda: _total_objective(prep, s, etas, score_prior, reliability_prior), cfg, rng
+    epochs, converged = _run_epochs(
+        n_terms, step, lambda: _total_objective(prep, s, etas, score_prior, reliability_prior), rng
     )
-    return s
+    return s, epochs, converged
 
 
 _LOG_ETA_BOUND = 3.0 * math.log(10.0)
@@ -736,11 +741,10 @@ def _sgd_reliabilities(
     prep: _Prepared,
     s: np.ndarray,
     etas0: np.ndarray,
-    cfg: SgdConfig,
     rng: np.random.Generator,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, bool]:
     """Stochastic gradient on log(eta) per grader (positivity is structural)."""
     z = np.log(etas0)
     shape, scale = reliability_prior.shape, reliability_prior.scale
@@ -751,10 +755,10 @@ def _sgd_reliabilities(
         gz = eta * ge + eta / scale - (shape - 1.0)
         z[gi] = min(max(z[gi] - lr * gz, -_LOG_ETA_BOUND), _LOG_ETA_BOUND)
 
-    _run_epochs(
-        len(prep.terms), step, lambda: _total_objective(prep, s, np.exp(z), score_prior, reliability_prior), cfg, rng
+    epochs, converged = _run_epochs(
+        len(prep.terms), step, lambda: _total_objective(prep, s, np.exp(z), score_prior, reliability_prior), rng
     )
-    return np.exp(z)
+    return np.exp(z), epochs, converged
 
 
 def _initial_scores(model: str, data: Dataset, prep: _Prepared) -> np.ndarray:
@@ -776,11 +780,40 @@ def _initial_scores(model: str, data: Dataset, prep: _Prepared) -> np.ndarray:
     return s
 
 
+def _fit_sgd(
+    prep: _Prepared,
+    s0: np.ndarray,
+    rng: np.random.Generator,
+    rounds: int,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior | None,
+) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+    """Scores, reliabilities and the report of a per-grader SGD fit.
+
+    With a ``reliability_prior``, reliability and score steps alternate for
+    exactly ``rounds`` rounds.
+    """
+    etas = np.ones(len(prep.graders))
+    s, epochs, converged = _sgd_scores(prep, s0, etas, rng, score_prior, None)
+    if reliability_prior is None:
+        return s, etas, {"epochs": epochs, "converged": converged}
+    changes: list[float] = []
+    for _ in range(rounds):
+        new_etas, more, done = _sgd_reliabilities(prep, s, etas, rng, score_prior, reliability_prior)
+        changes.append(float(np.abs(np.log(new_etas) - np.log(etas)).max()))
+        etas = new_etas
+        s, more_s, done_s = _sgd_scores(prep, s, etas, rng, score_prior, reliability_prior)
+        epochs += more + more_s
+        converged = converged and done and done_s
+    return s, etas, {"epochs": epochs, "converged": converged, "reliability_change": changes}
+
+
 def fit(
     model: str,
     data: Dataset,
-    cfg: SgdConfig | None = None,
     *,
+    seed: int = 0,
+    iterations: int = 10,
     with_reliability: bool = False,
     score_prior: ScorePrior | None = None,
     reliability_prior: ReliabilityPrior | None = None,
@@ -789,52 +822,43 @@ def fit(
     """MAP-fit a score model, optionally alternating with reliability updates.
 
     With ``with_reliability``, reliability and score steps alternate for
-    ``cfg.alternating_iterations`` rounds after a score fit at eta = 1;
-    reliabilities stay in [1e-3, 1e3]. Items nobody graded get the prior
-    mean, with a warning.
+    ``iterations`` rounds after a score fit at eta = 1; reliabilities stay
+    in [1e-3, 1e3]. ``seed`` seeds every random draw. Items nobody graded
+    get the prior mean, with a warning. ``metadata`` of a ``+g`` fit
+    records the largest change of log(eta) in each round (``reliability_change``).
 
     ``bt`` and ``pl`` are fitted full batch from zero scores: L-BFGS score
     steps, and golden-section reliability steps on log10(eta). Their
-    ``+g`` rounds go on past ``cfg.alternating_iterations`` until no
-    log(eta) moves by more than 1e-5 (at most 100 rounds, or
-    ``alternating_iterations`` if that is more), and ``cfg.max_epochs``
-    and ``cfg.rel_tolerance`` do not apply. ``metadata`` records the
-    L-BFGS ``iterations`` of all score steps, the final ``grad_norm``
-    (largest absolute gradient entry), whether every score step
-    ``converged`` (and, for ``+g``, the rounds settled), and for ``+g`` the
-    largest change of log(eta) in each round (``reliability_change``).
-    ``thur`` and ``mals`` run seeded per-grader SGD as ``cfg`` sets out,
-    ``mals`` from a scaled greedy ranking.
+    ``+g`` rounds go on past ``iterations`` until no log(eta) moves by
+    more than 1e-5 (at most 100 rounds, or ``iterations`` if that is
+    more). ``metadata`` records the L-BFGS ``iterations`` of all score
+    steps, the final ``grad_norm`` (largest absolute gradient entry), and
+    whether every score step ``converged`` (and, for ``+g``, the rounds
+    settled). ``thur`` and ``mals`` run seeded per-grader SGD, ``mals``
+    from a scaled greedy ranking; ``metadata`` records the ``epochs`` of
+    all SGD runs and whether every run ``converged`` (met its tolerance
+    before its epoch cap).
     """
-    cfg = cfg or SgdConfig()
+    _check_iterations(iterations)
     score_prior = score_prior or ScorePrior()
-    rprior = reliability_prior or ReliabilityPrior()
-    rng = np.random.default_rng(cfg.seed)
+    rprior = (reliability_prior or ReliabilityPrior()) if with_reliability else None
+    rng = np.random.default_rng(seed)
     prep = _prepare(model, data, rng)
     graded = np.bincount(data.feedback_arrays.item, minlength=len(data.items)) > 0
     if not graded.all():
         ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
         warnings.warn(f"items never graded by anyone get the prior mean: {ungraded}", stacklevel=2)
 
-    metadata = dict(prep.metadata)
     if prep.batch is not None:
-        rounds_prior = rprior if with_reliability else None
-        s, etas, report = _fit_batch(prep.batch, cfg.alternating_iterations, score_prior, rounds_prior)
-        metadata.update(report)
+        s, etas, report = _fit_batch(prep.batch, iterations, score_prior, rprior)
     else:
-        s = _initial_scores(model, data, prep)
-        etas = np.ones(len(prep.graders))
-        s = _sgd_scores(prep, s, etas, cfg, rng, score_prior, None)
-        if with_reliability:
-            for _ in range(cfg.alternating_iterations):
-                etas = _sgd_reliabilities(prep, s, etas, cfg, rng, score_prior, rprior)
-                s = _sgd_scores(prep, s, etas, cfg, rng, score_prior, rprior)
+        s0 = _initial_scores(model, data, prep)
+        s, etas, report = _fit_sgd(prep, s0, rng, iterations, score_prior, rprior)
     reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)} if with_reliability else None
     scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
-    metadata["model"] = model + ("+g" if with_reliability else "")
     return Estimate(
         ranking=ranking_from_scores(scores, tie_epsilon),
         scores=scores,
         reliabilities=reliabilities,
-        metadata=metadata,
+        metadata={**prep.metadata, **report, "model": model + ("+g" if with_reliability else "")},
     )

@@ -18,7 +18,7 @@ from typing import Any, NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
+from opg.config import ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
@@ -709,7 +709,8 @@ def dict_sgd_scores(
     prep: _Prepared,
     s0: np.ndarray,
     etas: np.ndarray,
-    cfg: SgdConfig,
+    max_epochs: int,
+    rel_tolerance: float,
     rng: np.random.Generator,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
@@ -717,7 +718,7 @@ def dict_sgd_scores(
     s = s0.copy()
     n_terms = len(prep.terms)
     prev = _total_objective(prep, s, etas, score_prior, reliability_prior)
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         lr = 0.1 / math.sqrt(epoch)
         for gi in rng.permutation(n_terms):
             term = prep.terms[gi]
@@ -725,7 +726,7 @@ def dict_sgd_scores(
             s -= lr * (s - score_prior.mean) / (score_prior.variance * n_terms)
             s[term.global_idx] -= lr * gs
         current = _total_objective(prep, s, etas, score_prior, reliability_prior)
-        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
+        if abs(current - prev) / max(1.0, abs(prev)) < rel_tolerance:
             break
         prev = current
     return s
@@ -735,7 +736,8 @@ def dict_sgd_reliabilities(
     prep: _Prepared,
     s: np.ndarray,
     etas0: np.ndarray,
-    cfg: SgdConfig,
+    max_epochs: int,
+    rel_tolerance: float,
     rng: np.random.Generator,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior,
@@ -745,7 +747,7 @@ def dict_sgd_reliabilities(
     n_terms = len(prep.terms)
     shape, scale = reliability_prior.shape, reliability_prior.scale
     prev = _total_objective(prep, s, np.exp(z), score_prior, reliability_prior)
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         lr = 0.1 / math.sqrt(epoch)
         for gi in rng.permutation(n_terms):
             eta = math.exp(z[gi])
@@ -753,7 +755,7 @@ def dict_sgd_reliabilities(
             gz = eta * ge + eta / scale - (shape - 1.0)
             z[gi] = min(max(z[gi] - lr * gz, -_LOG_ETA_BOUND), _LOG_ETA_BOUND)
         current = _total_objective(prep, s, np.exp(z), score_prior, reliability_prior)
-        if abs(current - prev) / max(1.0, abs(prev)) < cfg.rel_tolerance:
+        if abs(current - prev) / max(1.0, abs(prev)) < rel_tolerance:
             break
         prev = current
     return np.exp(z)
@@ -762,8 +764,11 @@ def dict_sgd_reliabilities(
 def dict_fit(
     model: str,
     data: Dataset,
-    cfg: SgdConfig | None = None,
     *,
+    seed: int = 0,
+    iterations: int = 10,
+    max_epochs: int = 500,
+    rel_tolerance: float = 1e-6,
     with_reliability: bool = False,
     score_prior: ScorePrior | None = None,
     reliability_prior: ReliabilityPrior | None = None,
@@ -775,24 +780,23 @@ def dict_fit(
     The score step runs seeded per-grader stochastic gradient descent from
     zero scores (the weighted permutation model starts from a scaled greedy
     ranking instead). With ``with_reliability``, reliability and score steps
-    alternate for ``cfg.alternating_iterations`` rounds after an initial
+    alternate for ``iterations`` rounds after an initial
     score fit at eta = 1; reliabilities follow gradient steps on log(eta),
     clamped to [1e-3, 1e3].
     """
-    cfg = cfg or SgdConfig()
     score_prior = score_prior or ScorePrior()
     rprior = reliability_prior or ReliabilityPrior()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     prep = dict_prepare(model, data, rng, enumeration_cap)
 
     s = _initial_scores(model, data, prep)
     etas = np.ones(len(prep.graders))
-    s = dict_sgd_scores(prep, s, etas, cfg, rng, score_prior, None)
+    s = dict_sgd_scores(prep, s, etas, max_epochs, rel_tolerance, rng, score_prior, None)
     reliabilities = None
     if with_reliability:
-        for _ in range(cfg.alternating_iterations):
-            etas = dict_sgd_reliabilities(prep, s, etas, cfg, rng, score_prior, rprior)
-            s = dict_sgd_scores(prep, s, etas, cfg, rng, score_prior, rprior)
+        for _ in range(iterations):
+            etas = dict_sgd_reliabilities(prep, s, etas, max_epochs, rel_tolerance, rng, score_prior, rprior)
+            s = dict_sgd_scores(prep, s, etas, max_epochs, rel_tolerance, rng, score_prior, rprior)
         reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)}
     scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
     metadata = dict(prep.metadata)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opg.cardinal import NcsHyperparams, ncs_fit, ncs_negative_log_posterior, scavg
-from opg.config import SgdConfig
+from opg.config import ReliabilityPrior
 from opg.data import Dataset
 from opg.errors import ValidationError
 
@@ -98,8 +98,9 @@ class TestNcsG:
             "A": {"x": 6.0, "y": 8.0},
             "B": {"x": 6.0, "y": 8.0},
         })
-        hp = NcsHyperparams(mu0=0.0, gamma0=1e-12, alpha0=10.0, beta0=1e9, gamma1=1.0)
-        est = ncs_fit(data, hp, with_bias_and_reliability=True)
+        hp = NcsHyperparams(mu0=0.0, gamma0=1e-12, gamma1=1.0)
+        prior = ReliabilityPrior(shape=10.0, scale=1e9)
+        est = ncs_fit(data, hp, with_bias_and_reliability=True, reliability_prior=prior)
         assert est.reliabilities == {"A": 1e3, "B": 1e3}
         assert est.scores["x"] == pytest.approx(6.0, abs=1e-9)
         assert est.scores["y"] == pytest.approx(8.0, abs=1e-9)
@@ -135,8 +136,7 @@ class TestNcsG:
         hp = NcsHyperparams()
         values = []
         for rounds in range(1, 7):
-            est = ncs_fit(data, hp, SgdConfig(alternating_iterations=rounds),
-                          with_bias_and_reliability=True)
+            est = ncs_fit(data, hp, iterations=rounds, with_bias_and_reliability=True)
             value, _, _, _ = ncs_negative_log_posterior(
                 data, est.scores, est.metadata["biases"], est.reliabilities, hp
             )
@@ -180,6 +180,23 @@ class TestNcsG:
             check(gb, b, lambda p: (s, p, eta))
             check(ge, eta, lambda p: (s, b, p))
 
+    def test_reliability_prior_enters_the_objective(self):
+        data = make_cardinal_dataset({"g1": {"a": 5.0, "b": 7.0}, "g2": {"a": 6.0}})
+        s, b, eta = {"a": 5.5, "b": 6.5}, {"g1": 0.2, "g2": -0.2}, {"g1": 0.7, "g2": 2.5}
+        base, _, _, ge = ncs_negative_log_posterior(data, s, b, eta)
+        prior = ReliabilityPrior(shape=4.0, scale=0.5)
+        value, _, _, ge_prior = ncs_negative_log_posterior(data, s, b, eta, reliability_prior=prior)
+        default = ReliabilityPrior()
+
+        def log_prior(p, e):
+            return (p.shape - 1.0) * math.log(e) - e / p.scale
+
+        shift = sum(log_prior(default, e) - log_prior(prior, e) for e in eta.values())
+        assert value == pytest.approx(base + shift, rel=1e-12)
+        for g, e in eta.items():
+            move = (1.0 / prior.scale - 3.0 / e) - (1.0 / default.scale - 9.0 / e)
+            assert ge_prior[g] == pytest.approx(ge[g] + move, rel=1e-12)
+
     def test_rejects_nonpositive_reliability(self):
         data = make_cardinal_dataset({"g1": {"a": 5.0}})
         with pytest.raises(ValidationError):
@@ -191,15 +208,10 @@ class TestNcsHyperparams:
         with pytest.raises(ValidationError):
             NcsHyperparams(gamma0=0.0)
         with pytest.raises(ValidationError):
-            NcsHyperparams(alpha0=-1.0)
-        with pytest.raises(ValidationError):
-            NcsHyperparams(beta0=0.0)
-        with pytest.raises(ValidationError):
             NcsHyperparams(gamma1=-2.0)
 
     def test_defaults(self):
         hp = NcsHyperparams()
         assert hp.mu0 is None
         assert hp.gamma0 == 0.1
-        assert (hp.alpha0, hp.beta0) == (10.0, 0.1)
         assert hp.gamma1 == 1.0

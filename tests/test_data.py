@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
+from opg.config import ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
 from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_cardinal_csv, write_ordinal_json
 from opg.errors import ValidationError
@@ -30,6 +31,13 @@ class TestInducedOrdinal:
     def test_exact_equality_only(self):
         r = induced_ordinal({"a": 8.0, "b": 8.0 + 1e-12})
         assert r == WeakRanking([("b",), ("a",)])
+
+    @pytest.mark.parametrize("grades", ({}, {"a": 1.0, "b": math.nan}, {"a": math.inf}))
+    def test_rejects_empty_and_non_finite_grades(self, grades):
+        with pytest.raises(ValidationError):
+            induced_ordinal(grades)
+        with pytest.raises(ValidationError):
+            GraderFeedback.from_cardinal("g1", grades)
 
 
 class TestGraderFeedback:
@@ -231,10 +239,5 @@ class TestConfigs:
         assert prior.mode == pytest.approx(0.9)
         with pytest.raises(ValidationError):
             ReliabilityPrior(shape=0.0)
-
-    def test_sgd_config(self):
-        cfg = SgdConfig()
-        assert cfg.max_epochs == 500
-        assert cfg.alternating_iterations == 10
         with pytest.raises(ValidationError):
-            SgdConfig(max_epochs=0)
+            ReliabilityPrior(scale=0.0)

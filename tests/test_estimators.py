@@ -1,0 +1,134 @@
+"""Tests for the model registry: options reach every fitter, and bad options are rejected."""
+
+import dataclasses
+
+import pytest
+
+from opg import cardinal, mallows, scoremodels
+from opg.cli import main
+from opg.config import ReliabilityPrior
+from opg.dataio import write_ordinal_json
+from opg.errors import ValidationError
+from opg.estimators import MODEL_NAMES, ModelOptions, fit_model
+
+from conftest import make_cardinal_dataset, make_ordinal_dataset
+
+# Every field differs from its default.
+OPTIONS = ModelOptions(
+    seed=5,
+    iterations=3,
+    reliability_prior=ReliabilityPrior(shape=4.0, scale=0.5),
+    tie_epsilon=0.05,
+)
+
+# name -> (family, learns reliabilities)
+FAMILIES = {
+    name: ("mal+k", True) if name == "mal+kg" else (name.removesuffix("+g"), name.endswith("+g"))
+    for name in MODEL_NAMES
+}
+
+
+def _direct_fit(name, data, options):
+    """The family fitter of ``name`` called with ``options``' values."""
+    family, with_rel = FAMILIES[name]
+    if family == "scavg":
+        return cardinal.scavg(data, tie_epsilon=options.tie_epsilon)
+    if family == "ncs":
+        return cardinal.ncs_fit(
+            data,
+            options.ncs,
+            iterations=options.iterations,
+            with_bias_and_reliability=with_rel,
+            reliability_prior=options.reliability_prior,
+            tie_epsilon=options.tie_epsilon,
+        )
+    if family in ("mal", "malbc", "mal+k"):
+        return mallows.fit_mallows(
+            data,
+            use_borda=family == "malbc",
+            kemenize=family == "mal+k",
+            with_reliability=with_rel,
+            iterations=options.iterations,
+            reliability_prior=options.reliability_prior,
+            seed=options.seed,
+        )
+    return scoremodels.fit(
+        family,
+        data,
+        seed=options.seed,
+        iterations=options.iterations,
+        with_reliability=with_rel,
+        score_prior=options.score_prior,
+        reliability_prior=options.reliability_prior,
+        tie_epsilon=options.tie_epsilon,
+    )
+
+
+@pytest.fixture
+def graded(rng):
+    """Coarse grades, so ties and near-ties are common; the induced rankings
+    serve the ordinal models."""
+    items = [f"x{i}" for i in range(8)]
+    return make_cardinal_dataset(
+        {
+            f"g{g}": {x: float(rng.integers(0, 4)) for x in rng.choice(items, size=5, replace=False).tolist()}
+            for g in range(12)
+        }
+    )
+
+
+class TestFitModelPassesEveryOption:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_the_family_fitter(self, name, graded):
+        got = fit_model(name, graded, OPTIONS)
+        want = _direct_fit(name, graded, OPTIONS)
+        assert got == dataclasses.replace(want, metadata={**want.metadata, "model": name})
+
+    def test_each_option_moves_the_models_that_use_it(self, graded):
+        """Guards the test above: equality with the direct call only catches a
+        dropped field where that field moves the estimate."""
+        with_rel = [n for n in MODEL_NAMES if FAMILIES[n][1]]
+        expected = {
+            "seed": ["mals", "mals+g", "thur", "thur+g", "pl", "pl+g"],
+            # bt+g and pl+g go on until their reliabilities settle, so 3 or
+            # 10 least rounds end at the same fit here.
+            "iterations": [n for n in with_rel if n not in ("bt+g", "pl+g")],
+            "reliability_prior": with_rel,
+            "tie_epsilon": [n for n in MODEL_NAMES if FAMILIES[n][0] not in ("mal", "malbc", "mal+k")],
+        }
+        fits = {n: _direct_fit(n, graded, OPTIONS) for n in MODEL_NAMES}
+        for field, names in expected.items():
+            reset = dataclasses.replace(OPTIONS, **{field: getattr(ModelOptions(), field)})
+            moved = [n for n in MODEL_NAMES if _direct_fit(n, graded, reset) != fits[n]]
+            assert moved == names, field
+
+
+class TestNegativeIterations:
+    def test_model_options(self):
+        with pytest.raises(ValidationError):
+            ModelOptions(iterations=-1)
+        with pytest.raises(ValidationError):
+            ModelOptions(seed=-1)
+        assert ModelOptions(seed=0, iterations=0).iterations == 0
+
+    @pytest.mark.parametrize("model", scoremodels.SCORE_MODELS)
+    def test_score_models(self, model):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
+        with pytest.raises(ValidationError):
+            scoremodels.fit(model, data, iterations=-1, with_reliability=True)
+
+    def test_mallows(self):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
+        with pytest.raises(ValidationError):
+            mallows.fit_mallows(data, iterations=-1, with_reliability=True)
+
+    def test_ncs(self):
+        data = make_cardinal_dataset({"g1": {"a": 5.0, "b": 7.0}})
+        with pytest.raises(ValidationError):
+            cardinal.ncs_fit(data, iterations=-1, with_bias_and_reliability=True)
+
+    def test_cli_exits_one(self, tmp_path, capsys):
+        path = str(tmp_path / "data.json")
+        write_ordinal_json(make_ordinal_dataset({"g1": [["a"], ["b"]]}), path)
+        assert main(["estimate", "--model", "mal+g", "--input", path, "--iterations", "-1"]) == 1
+        assert "iterations must be >= 0" in capsys.readouterr().err

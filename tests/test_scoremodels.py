@@ -16,7 +16,7 @@ from scipy.special import expit
 
 import opg
 from opg import scoremodels
-from opg.config import ReliabilityPrior, ScorePrior, SgdConfig
+from opg.config import ReliabilityPrior, ScorePrior
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import _resample_graders
 from opg.rankings import WeakRanking
@@ -380,7 +380,7 @@ class TestFit:
             assert max(abs(v) for v in obj.score_gradient.values()) <= 1e-12
 
     @pytest.mark.parametrize("model", ("bt", "thur", "pl"))
-    def test_convex_objective_multistart(self, model, rng):
+    def test_convex_objective_multistart(self, model, rng, monkeypatch):
         data = make_ordinal_dataset({
             "g1": [["a"], ["b"], ["c"]],
             "g2": [["b", "d"], ["a"]],
@@ -404,8 +404,9 @@ class TestFit:
         for _, x in solutions[1:]:
             assert np.abs(x - reference).max() <= 1e-3
 
-        cfg = SgdConfig(rel_tolerance=1e-9, max_epochs=2000, seed=3)
-        est = fit(model, data, cfg)
+        monkeypatch.setattr(scoremodels, "_REL_TOLERANCE", 1e-9)
+        monkeypatch.setattr(scoremodels, "_MAX_EPOCHS", 2000)
+        est = fit(model, data, seed=3)
         sgd = np.array([est.scores[i] for i in items])
         assert np.abs(sgd - reference).max() <= 5e-3
 
@@ -429,9 +430,8 @@ class TestFit:
 
     def test_deterministic_for_fixed_seed(self):
         data = make_ordinal_dataset({"g1": [["a", "b"], ["c"]], "g2": [["c"], ["b"], ["a"]]})
-        cfg = SgdConfig(seed=17)
-        first = fit("pl", data, cfg, with_reliability=True)
-        second = fit("pl", data, cfg, with_reliability=True)
+        first = fit("pl", data, seed=17, with_reliability=True)
+        second = fit("pl", data, seed=17, with_reliability=True)
         assert first.scores == second.scores
         assert first.reliabilities == second.reliabilities
 
@@ -533,20 +533,24 @@ class TestMatchesDictOracles:
         assert term.ll.tolist() == [2, 2, 3, 3, 3]
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_fit(self, variant, rng):
+    def test_fit(self, variant, rng, monkeypatch):
         """``thur`` and ``mals`` give the SGD oracle's answer exactly; the
         full-batch ``bt`` and ``pl`` reach a stationary point no worse than it."""
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
-        cfg = SgdConfig(max_epochs=60, rel_tolerance=1e-5, alternating_iterations=3, seed=7)
+        monkeypatch.setattr(scoremodels, "_MAX_EPOCHS", 60)
+        monkeypatch.setattr(scoremodels, "_REL_TOLERANCE", 1e-5)
         for data in _tied_datasets(rng):
-            got = fit(model, data, cfg, with_reliability=with_rel)
-            want = oracles.dict_fit(model, data, cfg, with_reliability=with_rel)
+            got = fit(model, data, seed=7, iterations=3, with_reliability=with_rel)
+            want = oracles.dict_fit(
+                model, data, seed=7, iterations=3, max_epochs=60, rel_tolerance=1e-5, with_reliability=with_rel
+            )
             assert (got.metadata.get("tie_break") == "seeded") == (model == "pl")
+            assert want.metadata.items() <= got.metadata.items()
             if model in ("thur", "mals"):
-                assert got == want
+                assert (got.ranking, got.scores, got.reliabilities) == (want.ranking, want.scores, want.reliabilities)
                 continue
-            at_fit = negative_log_posterior(model, data, got.scores, got.reliabilities, seed=cfg.seed)
-            at_oracle = negative_log_posterior(model, data, want.scores, want.reliabilities, seed=cfg.seed)
+            at_fit = negative_log_posterior(model, data, got.scores, got.reliabilities, seed=7)
+            at_oracle = negative_log_posterior(model, data, want.scores, want.reliabilities, seed=7)
             assert max(abs(v) for v in at_fit.score_gradient.values()) <= 1e-5
             assert at_fit.value <= at_oracle.value
 
@@ -600,12 +604,11 @@ class TestFullBatch:
     @pytest.mark.parametrize("variant", ("bt", "bt+g", "pl", "pl+g"))
     def test_metadata_reports_the_solver(self, variant, rng):
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
-        cfg = SgdConfig(alternating_iterations=4, seed=2)
         for data in _tied_datasets(rng):
-            est = fit(model, data, cfg, with_reliability=with_rel)
+            est = fit(model, data, seed=2, iterations=4, with_reliability=with_rel)
             meta = est.metadata
             assert meta["converged"] is True and meta["iterations"] > 0
-            obj = negative_log_posterior(model, data, est.scores, est.reliabilities, seed=cfg.seed)
+            obj = negative_log_posterior(model, data, est.scores, est.reliabilities, seed=2)
             assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), abs=1e-9)
             assert meta["grad_norm"] <= 1e-6
             if with_rel:
@@ -614,7 +617,7 @@ class TestFullBatch:
                 assert changes[-1] <= scoremodels._SETTLED_LOG_ETA < max(changes[:-1])
             else:
                 assert "reliability_change" not in meta
-            assert fit(model, data, cfg, with_reliability=with_rel) == est
+            assert fit(model, data, seed=2, iterations=4, with_reliability=with_rel) == est
 
     def test_iteration_cap_is_reported(self, monkeypatch):
         data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["c"], ["a"]]})
@@ -626,10 +629,10 @@ class TestFullBatch:
     def test_round_cap_is_reported(self, model, rng, monkeypatch):
         monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 2)
         for data in _tied_datasets(rng):
-            meta = fit(model, data, SgdConfig(alternating_iterations=1), with_reliability=True).metadata
+            meta = fit(model, data, iterations=1, with_reliability=True).metadata
             assert len(meta["reliability_change"]) == 2 and meta["reliability_change"][-1] > 1e-5
             assert meta["converged"] is False and meta["grad_norm"] <= 1e-6
-            meta = fit(model, data, SgdConfig(alternating_iterations=3), with_reliability=True).metadata
+            meta = fit(model, data, iterations=3, with_reliability=True).metadata
             assert len(meta["reliability_change"]) == 3 and meta["converged"] is False
 
     @pytest.mark.parametrize("model", ("bt", "pl"))
@@ -644,6 +647,34 @@ class TestFullBatch:
         data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["a"], ["b"]]}, items=("a", "b", "c"))
         est = fit("bt", data, score_prior=ScorePrior(mean=2.0))
         assert est.scores["c"] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+class TestSgdReport:
+    @pytest.mark.parametrize("model", ("thur", "mals"))
+    def test_epochs_and_convergence(self, model, rng, monkeypatch):
+        data = _tied_datasets(rng)[0]
+        meta = fit(model, data, seed=1).metadata
+        assert 1 <= meta["epochs"] < scoremodels._MAX_EPOCHS and meta["converged"] is True
+        assert "reliability_change" not in meta
+        monkeypatch.setattr(scoremodels, "_REL_TOLERANCE", 0.0)
+        monkeypatch.setattr(scoremodels, "_MAX_EPOCHS", 3)
+        meta = fit(model, data, seed=1).metadata
+        assert (meta["epochs"], meta["converged"]) == (3, False)
+        meta = fit(model, data, seed=1, iterations=2, with_reliability=True).metadata
+        # One score run, then a reliability run and a score run per round.
+        assert (meta["epochs"], meta["converged"]) == (3 * 5, False)
+
+    @pytest.mark.parametrize("model", ("thur", "mals"))
+    def test_reliability_change_per_round(self, model, rng):
+        data = _tied_datasets(rng)[0]
+        none, one, two = (fit(model, data, seed=4, iterations=k, with_reliability=True) for k in (0, 1, 2))
+        assert none.metadata["reliability_change"] == [] and set(none.reliabilities.values()) == {1.0}
+        first, second = two.metadata["reliability_change"]
+        assert one.metadata["reliability_change"] == [first]
+        assert first == pytest.approx(max(abs(math.log(e)) for e in one.reliabilities.values()), rel=1e-12)
+        moves = [abs(math.log(two.reliabilities[g]) - math.log(e)) for g, e in one.reliabilities.items()]
+        assert second == pytest.approx(max(moves), rel=1e-12)
 
 
 class TestUngradedItems:
