@@ -21,6 +21,7 @@ from .config import ReliabilityPrior, _check_iterations
 from .data import Dataset, Estimate
 from .errors import ValidationError
 from .rankings import WeakRanking, ranking_from_scores
+from .scoremodels import _SETTLED_LOG_ETA
 
 __all__ = ["NcsHyperparams", "scavg", "ncs_fit", "ncs_negative_log_posterior"]
 
@@ -154,7 +155,10 @@ def ncs_fit(
     Biases are constrained to sum to zero; the bias step maximizes the
     conditional posterior subject to that constraint, so each round is
     monotone in the constrained joint posterior. Reliabilities are clamped
-    to [1e-3, 1e3].
+    to [1e-3, 1e3]. ``metadata`` of a "+g" fit records the largest change
+    of log(eta) in each round (``reliability_change``) and whether the last
+    one is at most 1e-5 (``converged``); the rounds run are ``iterations``
+    either way.
 
     Items nobody graded get the prior mean as score, with a warning.
     """
@@ -177,6 +181,7 @@ def ncs_fit(
         b = np.zeros(g_count)
         eta = np.ones(g_count)
         n_g = np.bincount(gg, minlength=g_count).astype(float)
+        changes: list[float] = []
         for _ in range(iterations):
             # Scores: precision-weighted mean of prior and bias-corrected grades.
             w = np.bincount(ii, weights=eta[gg], minlength=n)
@@ -190,10 +195,18 @@ def ncs_fit(
             # Reliabilities: gamma-posterior mode from squared residuals.
             r = yy - s[ii] - b[gg]
             ssr = np.bincount(gg, weights=r**2, minlength=g_count)
-            eta = (prior.shape - 1.0 + 0.5 * n_g) / (1.0 / prior.scale + 0.5 * ssr)
-            eta = np.clip(eta, *_ETA_BOUNDS)
+            new_eta = (prior.shape - 1.0 + 0.5 * n_g) / (1.0 / prior.scale + 0.5 * ssr)
+            new_eta = np.clip(new_eta, *_ETA_BOUNDS)
+            changes.append(float(np.abs(np.log(new_eta) - np.log(eta)).max()))
+            eta = new_eta
         reliabilities = {g: float(eta[i]) for i, g in enumerate(graders)}
-        metadata = {"model": "ncs+g", "mu0": mu0, "biases": {g: float(b[i]) for i, g in enumerate(graders)}}
+        metadata = {
+            "model": "ncs+g",
+            "mu0": mu0,
+            "biases": {g: float(b[i]) for i, g in enumerate(graders)},
+            "reliability_change": changes,
+            "converged": bool(changes) and changes[-1] <= _SETTLED_LOG_ETA,
+        }
     scores = {items[i]: float(s[i]) for i in range(n)}
     return Estimate(
         ranking=ranking_from_scores(scores, tie_epsilon),

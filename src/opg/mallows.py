@@ -21,13 +21,14 @@ import math
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import ReliabilityPrior, _check_iterations
 from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
 from .errors import ValidationError
-from .rankings import WeakRanking, break_ties
+from .rankings import WeakRanking
 
 __all__ = [
     "MallowsParams",
@@ -115,8 +116,9 @@ def mallows_log_likelihood(center: WeakRanking, feedback: GraderFeedback, eta: f
     return log_num - mallows_log_normalizer(eta, len(fb))
 
 
-def _grader_etas(arrays: FeedbackArrays, params: MallowsParams) -> np.ndarray:
+def _grader_etas(arrays: FeedbackArrays, params: MallowsParams | None) -> np.ndarray:
     """Reliability of each grader, in feedback order."""
+    params = params or MallowsParams()
     return np.fromiter((params.eta_for(g) for g in arrays.graders), dtype=float, count=len(arrays.graders))
 
 
@@ -135,6 +137,135 @@ def _positions(ranking: WeakRanking, data: Dataset) -> np.ndarray:
     return np.fromiter((position.get(d, -1) for d in data.items), dtype=np.intp, count=len(data.items))
 
 
+def _pair_slots(arrays: FeedbackArrays, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct pair keys winner * n + loser, and the key of each pair."""
+    keys, slot = np.unique(arrays.winner.astype(np.int64) * n + arrays.loser, return_inverse=True)
+    return keys, slot.ravel()
+
+
+def _slot_weights(data: Dataset, params: MallowsParams | None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
+    arrays = data.feedback_arrays
+    keys, slot = _pair_slots(arrays, len(data.items))
+    pair_eta = _grader_etas(arrays, params)[arrays.pair_grader]
+    return keys, np.bincount(slot, weights=pair_eta, minlength=len(keys))
+
+
+def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -> WeakRanking:
+    """The ranking of item indices ``order``, best first, with a new tie group at each of ``cuts``."""
+    return WeakRanking([items[i] for i in group] for group in np.split(order, cuts))
+
+
+class _Centers:
+    """One dataset's center rankings under changing reliabilities, on item indices.
+
+    Each method takes one reliability per grader, in feedback order. The
+    pair keys that local improvement looks up are built once, on first use.
+    """
+
+    def __init__(self, data: Dataset):
+        self.items = data.items
+        self.arrays = arrays = _compiled(data)
+        graded = np.bincount(arrays.item, minlength=len(data.items)) > 0
+        self.graded = np.flatnonzero(graded)
+        self.ungraded = np.flatnonzero(~graded)
+
+    def warn_ungraded(self, borda: bool) -> None:
+        """Warn, on behalf of the caller's caller, about items nobody graded."""
+        if self.ungraded.size:
+            names = [self.items[i] for i in self.ungraded]
+            where = "form the last tie group" if borda else "are ranked last"
+            warnings.warn(f"items never graded by anyone {where}: {names}", stacklevel=3)
+
+    def greedy(self, etas: np.ndarray) -> np.ndarray:
+        """The order ``greedy_mle_ranking`` describes, ungraded items last by index."""
+        arrays = self.arrays
+        pair_eta = etas[arrays.pair_grader]
+        # End 2p of pair p is its winner and end 2p + 1 its loser; picking an
+        # end's item changes x of the pair's other item by ``change``.
+        other = np.stack([arrays.loser, arrays.winner], axis=1).ravel()
+        change = np.stack([-pair_eta, pair_eta], axis=1).ravel()
+        del pair_eta
+        # So x starts as minus every change: each pair adds eta to its loser, then subtracts it from its winner.
+        x = np.bincount(other, weights=-change, minlength=len(self.items)).astype(float, copy=False)
+        x[self.ungraded] = np.inf
+        other, change = other[arrays.incident], change[arrays.incident]
+        offsets = arrays.incident_offsets.tolist()
+        order = np.empty(len(self.items), dtype=np.intp)
+        for k in range(len(self.graded)):
+            # Among equal x, argmin takes the lowest index: the lexicographically first id.
+            best = int(x.argmin())
+            order[k] = best
+            x[best] = np.inf
+            lo, hi = offsets[best], offsets[best + 1]
+            np.add.at(x, other[lo:hi], change[lo:hi])
+        order[len(self.graded):] = self.ungraded
+        return order
+
+    def borda(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ranking ``borda_ranking`` describes, as ``_weak_ranking``'s order and cuts.
+
+        Within a tie group items stay in index order, which is the order of
+        the group in a ``WeakRanking``.
+        """
+        arrays, n = self.arrays, len(self.items)
+        entry_eta = np.repeat(etas, np.diff(arrays.offsets))
+        weighted_sum = np.bincount(arrays.item, weights=entry_eta * arrays.rank, minlength=n)
+        weight = np.bincount(arrays.item, weights=entry_eta, minlength=n)
+        candidates = self.graded
+        averages = weighted_sum[candidates] / weight[candidates]
+        ordered = np.argsort(averages, kind="stable")
+        averages = averages[ordered]
+        cuts = np.flatnonzero(averages[1:] != averages[:-1]) + 1
+        if self.ungraded.size:
+            cuts = np.append(cuts, len(candidates))
+        return np.concatenate((candidates[ordered], self.ungraded)), cuts
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        return _pair_slots(self.arrays, len(self.items))
+
+    def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
+        """``order`` after the adjacent swaps ``local_kemenization`` describes."""
+        keys, slot = self._slots
+        weights = np.bincount(slot, weights=etas[self.arrays.pair_grader], minlength=len(keys))
+        return _kemenize(order, keys, weights, len(self.items))
+
+
+def _kemenize(order: np.ndarray, keys: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """``order`` after the adjacent swaps ``local_kemenization`` describes, given ``_slot_weights``."""
+    # A sentinel key past the end, which weighs nothing.
+    keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
+
+    def weight(key: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(keys, key)
+        return np.where(keys[at] == key, weights[at], 0.0)
+
+    def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        return weight(lower * n + upper) > weight(upper * n + lower)
+
+    order = order.copy()
+    changed = True
+    while changed:
+        changed = False
+        # One sweep, with every neighbour pair tested up front: a swap moves
+        # the upper item down, and it keeps sinking while it loses to its
+        # next neighbour; the pairs below where it stops are as tested.
+        swaps = prefers_lower(order[:-1], order[1:])
+        resume = 0
+        for i in np.flatnonzero(swaps):
+            if i < resume:
+                continue
+            while True:
+                order[i], order[i + 1] = order[i + 1], order[i]
+                changed = True
+                i += 1
+                if i == n - 1 or not prefers_lower(order[i:i + 1], order[i + 1:i + 2])[0]:
+                    break
+            resume = i + 1
+    return order
+
+
 def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRanking:
     """Total order that greedily maximizes the reliability-weighted likelihood.
 
@@ -147,34 +278,10 @@ def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> We
     broken by lexicographic item id. Items never graded by anyone are
     appended at the end (lexicographically) with a warning.
     """
-    params = params or MallowsParams()
-    arrays = _compiled(data)
-    graded = np.bincount(arrays.item, minlength=len(data.items)) > 0
-    ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
-    if ungraded:
-        warnings.warn(f"items never graded by anyone are ranked last: {ungraded}", stacklevel=2)
-
-    pair_eta = _grader_etas(arrays, params)[arrays.pair_grader]
-    # End 2p of pair p is its winner and end 2p + 1 its loser; picking an
-    # end's item changes x of the pair's other item by ``change``.
-    other = np.stack([arrays.loser, arrays.winner], axis=1).ravel()
-    change = np.stack([-pair_eta, pair_eta], axis=1).ravel()
-    del pair_eta
-    # So x starts as minus every change: each pair adds eta to its loser, then subtracts it from its winner.
-    x = np.bincount(other, weights=-change, minlength=len(data.items)).astype(float, copy=False)
-    x[~graded] = np.inf
-    other, change = other[arrays.incident], change[arrays.incident]
-    offsets = arrays.incident_offsets.tolist()
-    order = []
-    for _ in range(int(graded.sum())):
-        # Among equal x, argmin takes the lowest index: the lexicographically first id.
-        best = int(x.argmin())
-        order.append(data.items[best])
-        x[best] = np.inf
-        lo, hi = offsets[best], offsets[best + 1]
-        np.add.at(x, other[lo:hi], change[lo:hi])
-    order.extend(ungraded)
-    return WeakRanking.from_order(order)
+    centers = _Centers(data)
+    centers.warn_ungraded(borda=False)
+    order = centers.greedy(_grader_etas(centers.arrays, params))
+    return WeakRanking.from_order(data.items[i] for i in order)
 
 
 def borda_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRanking:
@@ -184,39 +291,13 @@ def borda_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRan
     the grader's reliability; equal averages form tie groups. Items graded by
     nobody form a final tie group (with a warning).
     """
-    params = params or MallowsParams()
-    arrays = _compiled(data)
-    n = len(data.items)
-    entry_eta = np.repeat(_grader_etas(arrays, params), np.diff(arrays.offsets))
-    weighted_sum = np.bincount(arrays.item, weights=entry_eta * arrays.rank, minlength=n)
-    weight = np.bincount(arrays.item, weights=entry_eta, minlength=n)
-    graded = np.bincount(arrays.item, minlength=n) > 0
-    ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
-    if ungraded:
-        warnings.warn(f"items never graded by anyone form the last tie group: {ungraded}", stacklevel=2)
-
-    candidates = np.flatnonzero(graded)
-    averages = weighted_sum[candidates] / weight[candidates]
-    ordered = np.argsort(averages, kind="stable")
-    averages = averages[ordered]
-    cuts = np.flatnonzero(averages[1:] != averages[:-1]) + 1
-    groups = [[data.items[i] for i in group] for group in np.split(candidates[ordered], cuts)]
-    if ungraded:
-        groups.append(ungraded)
-    return WeakRanking(groups)
-
-
-def _slot_weights(data: Dataset, params: MallowsParams) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
-    arrays = data.feedback_arrays
-    keys, slot = np.unique(arrays.winner.astype(np.int64) * len(data.items) + arrays.loser, return_inverse=True)
-    pair_eta = _grader_etas(arrays, params)[arrays.pair_grader]
-    return keys, np.bincount(slot.ravel(), weights=pair_eta, minlength=len(keys))
+    centers = _Centers(data)
+    centers.warn_ungraded(borda=True)
+    return _weak_ranking(data.items, *centers.borda(_grader_etas(centers.arrays, params)))
 
 
 def weighted_kendall_cost(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> float:
     """Total reliability-weighted count of feedback pairs ordered against ``ranking``."""
-    params = params or MallowsParams()
     if not ranking.is_total:
         raise ValidationError("cost is defined for total orders only")
     keys, weights = _slot_weights(data, params)
@@ -237,42 +318,12 @@ def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParam
     weight preferring b over a exceeds the weight preferring a over b.
     Each pair can flip at most once, so the sweep terminates.
     """
-    params = params or MallowsParams()
     if not ranking.is_total:
         raise ValidationError("local improvement requires a total order")
     if ranking.items != set(data.items):
         raise ValidationError("ranking must cover exactly the dataset's items")
-    n = len(data.items)
     keys, weights = _slot_weights(data, params)
-    # A sentinel key past the end, which weighs nothing.
-    keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
-
-    def weight(key: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(keys, key)
-        return np.where(keys[at] == key, weights[at], 0.0)
-
-    def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        return weight(lower * n + upper) > weight(upper * n + lower)
-
-    order = np.argsort(_positions(ranking, data))
-    changed = True
-    while changed:
-        changed = False
-        # One sweep, with every neighbour pair tested up front: a swap moves
-        # the upper item down, and it keeps sinking while it loses to its
-        # next neighbour; the pairs below where it stops are as tested.
-        swaps = prefers_lower(order[:-1], order[1:])
-        resume = 0
-        for i in np.flatnonzero(swaps):
-            if i < resume:
-                continue
-            while True:
-                order[i], order[i + 1] = order[i + 1], order[i]
-                changed = True
-                i += 1
-                if i == n - 1 or not prefers_lower(order[i:i + 1], order[i + 1:i + 2])[0]:
-                    break
-            resume = i + 1
+    order = _kemenize(np.argsort(_positions(ranking, data)), keys, weights, len(data.items))
     return WeakRanking.from_order(data.items[i] for i in order)
 
 
@@ -300,6 +351,45 @@ def _golden_section_etas(objective: Callable[[np.ndarray], np.ndarray], size: in
         fc = objective(c)
         fd = objective(d)
     return np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)
+
+
+class _ReliabilitySolver:
+    """Per-grader MAP reliabilities against total-order centers, each distinct problem solved once.
+
+    A grader's problem is fixed by its key X_g * C + r_g, where X_g counts
+    its pairs ordered against the center, r_g is its row of ``coeff`` and C
+    the number of rows (see ``fit_reliabilities``). The solver remembers
+    the reliability of every key it has solved and searches only new keys.
+    Every search's bracket shrinks by the same factor whatever else is in
+    the batch, so a remembered reliability is the one a fresh search gives.
+    """
+
+    def __init__(self, arrays: FeedbackArrays, prior: ReliabilityPrior):
+        self.arrays = arrays
+        self.prior = prior
+        self.known: dict[int, float] = {}
+
+    def __call__(self, position: np.ndarray) -> np.ndarray:
+        """Reliability of each grader, in feedback order, given each item's position in the center."""
+        arrays, known = self.arrays, self.known
+        against = position[arrays.winner] > position[arrays.loser]
+        x_g = np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
+        n_coeff = len(arrays.coeff)
+        rows, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
+        new = rows[[key not in known for key in rows.tolist()]]
+        if new.size:
+            x_vec, coeff = (new // n_coeff).astype(float), arrays.coeff[new % n_coeff]
+            irange = np.arange(1, coeff.shape[1] + 1, dtype=float)
+            shape, scale = self.prior.shape, self.prior.scale
+
+            def objective(z: np.ndarray) -> np.ndarray:
+                eta = 10.0**z
+                log_terms = np.log(-np.expm1(-eta[:, None] * irange[None, :]))
+                ll = -eta * x_vec + (coeff * log_terms).sum(axis=1)
+                return (shape - 1.0) * np.log(eta) - eta / scale + ll
+
+            known.update(zip(new.tolist(), _golden_section_etas(objective, len(new)).tolist()))
+        return np.array([known[key] for key in rows.tolist()])[inverse.ravel()]
 
 
 def fit_reliabilities(
@@ -335,25 +425,21 @@ def fit_reliabilities(
         entries = slice(arrays.offsets[g], arrays.offsets[g + 1])
         missing = sorted(data.items[i] for i in arrays.item[entries][unranked[entries]])
         raise ValidationError(f"center does not rank items: {missing}")
-    against = position[arrays.winner] > position[arrays.loser]
-    x_g = np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
-    n_coeff = len(arrays.coeff)
-    rows, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
-
-    x_vec, coeff = (rows // n_coeff).astype(float), arrays.coeff[rows % n_coeff]
-    irange = np.arange(1, coeff.shape[1] + 1, dtype=float)
-    shape, scale = prior.shape, prior.scale
-
-    def objective(z: np.ndarray) -> np.ndarray:
-        eta = 10.0**z
-        log_terms = np.log(-np.expm1(-eta[:, None] * irange[None, :]))
-        ll = -eta * x_vec + (coeff * log_terms).sum(axis=1)
-        return (shape - 1.0) * np.log(eta) - eta / scale + ll
-
-    eta_hat = _golden_section_etas(objective, len(rows))[inverse]
-    for g, eta in zip(arrays.graders, eta_hat):
-        result[g] = float(eta)
+    result.update(zip(arrays.graders, _ReliabilitySolver(arrays, prior)(position).tolist()))
     return result
+
+
+def _break_ties(order: np.ndarray, cuts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``break_ties`` on ``_weak_ranking``'s order and cuts: the same draws in the same order.
+
+    A one-item group is left alone, as ``rng.permutation(1)`` draws nothing.
+    """
+    total = order.copy()
+    bounds = [0, *cuts.tolist(), len(order)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo > 1:
+            total[lo:hi] = order[lo:hi][rng.permutation(hi - lo)]
+    return total
 
 
 def fit_mallows(
@@ -371,36 +457,62 @@ def fit_mallows(
     The center is the greedy likelihood ranking (or the weighted-average-rank
     ranking when ``use_borda``), optionally polished by local adjacent-swap
     improvement (``kemenize``, greedy center only). With ``with_reliability``
-    the center and per-grader reliabilities are re-estimated alternately for
-    ``iterations`` rounds, starting from all reliabilities equal to 1.
+    the center and per-grader reliabilities are re-estimated alternately,
+    starting from all reliabilities equal to 1: each round fits the
+    reliabilities against the center, its ties broken by ``seed``, and
+    builds a new center from them. The rounds stop after ``iterations``, or
+    as soon as the new center is the total order the round fitted against;
+    every later round would repeat that round, so the answer is the one all
+    ``iterations`` rounds give. ``metadata`` records the ``rounds`` run and
+    whether the center repeated (``converged``).
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
     _check_iterations(iterations)
-    prior = reliability_prior or ReliabilityPrior()
-    rng = np.random.default_rng(seed)
     metadata: dict = {
         "family": "borda" if use_borda else "greedy",
         "kemenized": kemenize,
     }
-
-    def center_for(params: MallowsParams) -> WeakRanking:
+    if not with_reliability:
         if use_borda:
-            return borda_ranking(data, params)
-        ranking = greedy_mle_ranking(data, params)
-        if kemenize:
-            ranking = local_kemenization(ranking, data, params)
-        return ranking
+            return Estimate(ranking=borda_ranking(data), metadata=metadata)
+        center = greedy_mle_ranking(data)
+        return Estimate(ranking=local_kemenization(center, data) if kemenize else center, metadata=metadata)
 
-    center = center_for(MallowsParams())
-    etas: dict[str, float] | None = None
-    if with_reliability:
-        metadata["reliability_iterations"] = iterations
-        for _ in range(iterations):
-            total_center = center
-            if not total_center.is_total:
-                total_center = break_ties(center, rng)
-                metadata["tie_break"] = "seeded"
-            etas = fit_reliabilities(data, total_center, prior)
-            center = center_for(MallowsParams(etas))
-    return Estimate(ranking=center, reliabilities=etas, metadata=metadata)
+    prior = reliability_prior or ReliabilityPrior()
+    rng = np.random.default_rng(seed)
+    centers = _Centers(data)
+    centers.warn_ungraded(use_borda)
+    solve = _ReliabilitySolver(centers.arrays, prior)
+    n = len(data.items)
+    # The cuts of a total order: every item is a group of its own.
+    singletons = np.arange(1, n)
+
+    def center_for(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if use_borda:
+            return centers.borda(etas)
+        order = centers.greedy(etas)
+        return (centers.kemenize(order, etas) if kemenize else order), singletons
+
+    etas = np.ones(len(centers.arrays.graders))
+    order, cuts = center_for(etas)
+    metadata["reliability_iterations"] = iterations
+    rounds, converged = 0, False
+    while rounds < iterations and not converged:
+        total = order
+        if len(cuts) < n - 1:
+            total = _break_ties(order, cuts, rng)
+            metadata["tie_break"] = "seeded"
+        position = np.empty(n, dtype=np.intp)
+        position[total] = np.arange(n)
+        etas = solve(position)
+        order, cuts = center_for(etas)
+        rounds += 1
+        converged = len(cuts) == n - 1 and np.array_equal(order, total)
+
+    reliabilities = None
+    if rounds:
+        reliabilities = {g: prior.mode for g in data.graders}
+        reliabilities.update(zip(centers.arrays.graders, etas.tolist()))
+    metadata.update(rounds=rounds, converged=converged)
+    return Estimate(ranking=_weak_ranking(data.items, order, cuts), reliabilities=reliabilities, metadata=metadata)

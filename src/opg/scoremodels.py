@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr
+from scipy.special import expit, log_ndtr
 
 from .config import ReliabilityPrior, ScorePrior, _check_iterations
-from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
+from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
 from .mallows import _check_eta, _golden_section_etas, greedy_mle_ranking
 from .rankings import WeakRanking, ranking_from_scores
@@ -44,10 +44,7 @@ from .rankings import WeakRanking, ranking_from_scores
 __all__ = [
     "SCORE_MODELS",
     "Objective",
-    "bt_pair_probability",
-    "thurstone_pair_probability",
     "pl_ranking_log_probability",
-    "mals_log_likelihood",
     "negative_log_posterior",
     "fit",
 ]
@@ -59,22 +56,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Most items one grader may rank under the score-weighted permutation model,
 # whose likelihood enumerates every order of a grader's items.
 ENUMERATION_CAP = 9
-
-
-def bt_pair_probability(s_i: float, s_j: float, eta: float = 1.0) -> float:
-    """Logistic probability that the item scored ``s_i`` beats the one scored ``s_j``."""
-    _check_eta(eta)
-    return float(expit(eta * (s_i - s_j)))
-
-
-def thurstone_pair_probability(s_i: float, s_j: float, eta: float = 1.0) -> float:
-    """Probit probability that the item scored ``s_i`` beats the one scored ``s_j``.
-
-    Each item's observed value is normal with variance 1/2 around its score
-    (variance 1 for the difference), scaled by the grader reliability.
-    """
-    _check_eta(eta)
-    return float(ndtr(math.sqrt(eta) * (s_i - s_j)))
 
 
 def pl_ranking_log_probability(
@@ -325,28 +306,6 @@ class _ListBatch:
             if need_eta:
                 grad_eta[graders] = (gu * s_ord).sum(axis=1)
         return nll, grad_s, grad_eta
-
-
-def mals_log_likelihood(
-    feedback: GraderFeedback,
-    scores: Mapping[str, float],
-    eta: float = 1.0,
-) -> float:
-    """Log probability of one grader's weak ranking given latent scores.
-
-    Probability of a weak ranking is the sum of exp(-eta * weighted
-    inversions against the score order) over its consistent total orders,
-    normalized over all total orders of the grader's items. Exact; the
-    grader's item count must not exceed ``ENUMERATION_CAP``.
-    """
-    _check_eta(eta)
-    prep = _prepare("mals", Dataset.from_feedback([feedback]), np.random.default_rng(0))
-    missing = [x for x in prep.items if x not in scores]
-    if missing:
-        raise ValidationError(f"scores missing for items: {missing}")
-    svec = np.array([float(scores[x]) for x in prep.items])
-    nll, _, _ = prep.terms[0].value_and_grads(svec, eta, need_s=False, need_eta=False)
-    return -nll
 
 
 # --- model preparation and objective ----------------------------------------
@@ -669,9 +628,9 @@ def _fit_batch(
     ``converged``.
     """
     etas = np.ones(batch.n_graders)
-    s, iterations, grad_norm, converged = _batch_scores(batch, np.zeros(batch.n_items), etas, score_prior)
+    s, lbfgs_iterations, grad_norm, converged = _batch_scores(batch, np.zeros(batch.n_items), etas, score_prior)
     if reliability_prior is None:
-        return s, etas, {"iterations": iterations, "grad_norm": grad_norm, "converged": converged}
+        return s, etas, {"lbfgs_iterations": lbfgs_iterations, "grad_norm": grad_norm, "converged": converged}
     changes: list[float] = []
     while len(changes) < max(rounds, 1) or changes[-1] > _SETTLED_LOG_ETA:
         if len(changes) == max(rounds, _MAX_ROUNDS):
@@ -681,9 +640,9 @@ def _fit_batch(
         changes.append(float(np.abs(np.log(new_etas) - np.log(etas)).max()))
         etas = new_etas
         s, more, grad_norm, done = _batch_scores(batch, s, etas, score_prior)
-        iterations += more
+        lbfgs_iterations += more
         converged = converged and done
-    report: dict[str, Any] = {"iterations": iterations, "grad_norm": grad_norm, "converged": converged}
+    report: dict[str, Any] = {"lbfgs_iterations": lbfgs_iterations, "grad_norm": grad_norm, "converged": converged}
     return s, etas, {**report, "reliability_change": changes}
 
 
@@ -831,7 +790,7 @@ def fit(
     steps, and golden-section reliability steps on log10(eta). Their
     ``+g`` rounds go on past ``iterations`` until no log(eta) moves by
     more than 1e-5 (at most 100 rounds, or ``iterations`` if that is
-    more). ``metadata`` records the L-BFGS ``iterations`` of all score
+    more). ``metadata`` records the ``lbfgs_iterations`` of all score
     steps, the final ``grad_norm`` (largest absolute gradient entry), and
     whether every score step ``converged`` (and, for ``+g``, the rounds
     settled). ``thur`` and ``mals`` run seeded per-grader SGD, ``mals``

@@ -16,19 +16,20 @@ from collections.abc import Iterator, Mapping
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 from opg.config import ReliabilityPrior, ScorePrior
-from opg.data import Dataset, Estimate
+from opg.data import Dataset, Estimate, GraderFeedback
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
-from opg.mallows import MallowsParams
+from opg.mallows import MallowsParams, _check_eta
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
 from opg.scoremodels import (
     _LOG_ETA_BOUND,
     SCORE_MODELS,
     _initial_scores,
     _PairTerm,
+    _prepare,
     _Prepared,
     _total_objective,
     _WeightedPermTerm,
@@ -172,6 +173,44 @@ def finite_difference(fn, x0: float, h: float = 1e-5) -> float:
 
 # ---------------------------------------------------------------------------
 # Helpers on the package's data types that only the tests use.
+
+
+def bt_pair_probability(s_i: float, s_j: float, eta: float = 1.0) -> float:
+    """Logistic probability that the item scored ``s_i`` beats the one scored ``s_j``."""
+    _check_eta(eta)
+    return float(expit(eta * (s_i - s_j)))
+
+
+def thurstone_pair_probability(s_i: float, s_j: float, eta: float = 1.0) -> float:
+    """Probit probability that the item scored ``s_i`` beats the one scored ``s_j``.
+
+    Each item's observed value is normal with variance 1/2 around its score
+    (variance 1 for the difference), scaled by the grader reliability.
+    """
+    _check_eta(eta)
+    return float(ndtr(math.sqrt(eta) * (s_i - s_j)))
+
+
+def mals_log_likelihood(
+    feedback: GraderFeedback,
+    scores: Mapping[str, float],
+    eta: float = 1.0,
+) -> float:
+    """Log probability of one grader's weak ranking given latent scores.
+
+    Probability of a weak ranking is the sum of exp(-eta * weighted
+    inversions against the score order) over its consistent total orders,
+    normalized over all total orders of the grader's items. Exact; the
+    grader's item count must not exceed ``ENUMERATION_CAP``.
+    """
+    _check_eta(eta)
+    prep = _prepare("mals", Dataset.from_feedback([feedback]), np.random.default_rng(0))
+    missing = [x for x in prep.items if x not in scores]
+    if missing:
+        raise ValidationError(f"scores missing for items: {missing}")
+    svec = np.array([float(scores[x]) for x in prep.items])
+    nll, _, _ = prep.terms[0].value_and_grads(svec, eta, need_s=False, need_eta=False)
+    return -nll
 
 
 class _PreferencePairBase(NamedTuple):

@@ -144,6 +144,25 @@ class TestNcsG:
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
 
+    def test_rounds_report_reliability_change_and_convergence(self, rng):
+        grades = {
+            f"g{i}": {f"x{j}": float(rng.uniform(1.0, 10.0)) for j in rng.choice(7, 4, replace=False)}
+            for i in range(5)
+        }
+        data = make_cardinal_dataset(grades)
+        none = ncs_fit(data, iterations=0, with_bias_and_reliability=True)
+        assert none.metadata["reliability_change"] == [] and none.metadata["converged"] is False
+        one = ncs_fit(data, iterations=1, with_bias_and_reliability=True)
+        # The first round starts from eta = 1.
+        first = max(abs(math.log(eta)) for eta in one.reliabilities.values())
+        assert one.metadata["reliability_change"] == [pytest.approx(first, rel=1e-12)]
+        many = ncs_fit(data, iterations=60, with_bias_and_reliability=True)
+        changes = many.metadata["reliability_change"]
+        assert len(changes) == 60 and changes[0] == one.metadata["reliability_change"][0]
+        assert changes[-1] <= 1e-5 and many.metadata["converged"] is True
+        short = ncs_fit(data, iterations=2, with_bias_and_reliability=True)
+        assert short.metadata["reliability_change"][-1] > 1e-5 and short.metadata["converged"] is False
+
     def test_wild_grader_hits_lower_clamp(self):
         grades = {f"g{i}": {"x": 5.0, "y": 6.0} for i in range(4)}
         grades["wild"] = {"x": 500.0, "y": -500.0}

@@ -13,6 +13,9 @@ from opg.errors import ValidationError
 from opg.experiments import _resample_graders
 from opg.mallows import (
     MallowsParams,
+    _break_ties,
+    _ReliabilitySolver,
+    _weak_ranking,
     borda_ranking,
     fit_mallows,
     fit_reliabilities,
@@ -24,7 +27,8 @@ from opg.mallows import (
     _slot_weights,
     weighted_kendall_cost,
 )
-from opg.rankings import WeakRanking
+from opg.rankings import WeakRanking, break_ties
+from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
 
 
 class TestNormalizer:
@@ -401,6 +405,90 @@ def _learned_params(data):
     return MallowsParams(oracles.dict_fit_reliabilities(data, center))
 
 
+RELIABILITY_VARIANTS = [variant for variant in VARIANTS if variant.get("with_reliability")]
+
+
+def _seeded_classes():
+    """Small simulated classes, with strict (permutation-noise) and tied (cardinal) feedback."""
+    for seed in range(3):
+        for graders in (MallowsGraders(1.0), CardinalNormalGraders(1.0, 0.5)):
+            cfg = SynthConfig(n_items=20, n_graders=60, items_per_grader=5, grader_model=graders, seed=seed)
+            yield simulate(cfg)[0]
+
+
+class TestStoppingAtTheFixedPoint:
+    @pytest.mark.parametrize("variant", RELIABILITY_VARIANTS, ids=lambda v: "-".join(sorted(v)))
+    def test_stopping_where_the_center_repeats_changes_no_answer(self, variant):
+        for data in _seeded_classes():
+            full = fit_mallows(data, iterations=10, **variant)
+            rounds = full.metadata["rounds"]
+            assert full.metadata["converged"] is True and rounds < 10
+            for iterations in (rounds, rounds + 1):
+                est = fit_mallows(data, iterations=iterations, **variant)
+                assert est.ranking == full.ranking
+                assert est.reliabilities == full.reliabilities
+                assert est.metadata["rounds"] == rounds and est.metadata["converged"] is True
+
+    @pytest.mark.parametrize("variant", RELIABILITY_VARIANTS, ids=lambda v: "-".join(sorted(v)))
+    def test_a_fit_cut_off_before_it_settles_is_not_converged(self, variant):
+        cut = 0
+        for data in _seeded_classes():
+            rounds = fit_mallows(data, **variant).metadata["rounds"]
+            if rounds > 1:
+                est = fit_mallows(data, iterations=rounds - 1, **variant)
+                assert est.metadata["converged"] is False and est.metadata["rounds"] == rounds - 1
+                cut += 1
+        assert cut > 0
+        none = fit_mallows(next(_seeded_classes()), iterations=0, **variant)
+        assert none.reliabilities is None
+        assert none.metadata["rounds"] == 0 and none.metadata["converged"] is False
+
+    def test_one_solver_matches_fresh_searches_on_every_center(self, rng):
+        for trial in range(4):
+            data = _random_dataset(rng, n_items=6, n_graders=10, max_items=3 + trial)
+            arrays = data.feedback_arrays
+            solve = _ReliabilitySolver(arrays, ReliabilityPrior())
+            for _ in range(15):
+                position = rng.permutation(len(data.items))
+                center = WeakRanking.from_order([data.items[i] for i in np.argsort(position)])
+                expected = oracles.dict_fit_reliabilities(data, center)
+                assert dict(zip(arrays.graders, solve(position).tolist())) == expected
+            # Few items per grader leave few distinct problems, so most were remembered, not searched.
+            assert len(solve.known) < 15 * len(arrays.graders)
+
+    def test_ties_are_broken_with_the_draws_of_break_ties(self, rng):
+        items = tuple(f"x{i}" for i in range(9))
+        index = {d: i for i, d in enumerate(items)}
+        for seed in range(20):
+            ranking = WeakRanking(random_weak_ranking(rng, list(items)))
+            order = np.array([index[d] for g in ranking.groups for d in g])
+            cuts = np.cumsum([len(g) for g in ranking.groups])[:-1]
+            assert _weak_ranking(items, order, cuts) == ranking
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            broken = _weak_ranking(items, _break_ties(order, cuts, ours), np.arange(1, len(items)))
+            assert broken == break_ties(ranking, theirs)
+            assert ours.random() == theirs.random()
+
+
+def _assert_matches_dict_fit(data, iterations, variant):
+    """``fit_mallows`` equals the dict-loop fit, which runs every round and has no stopping report."""
+    got = fit_mallows(data, iterations=iterations, **variant)
+    expected = oracles.dict_fit_mallows(data, iterations=iterations, **variant)
+    assert got.ranking == expected.ranking
+    assert got.scores is expected.scores is None
+    assert got.reliabilities == expected.reliabilities
+    assert {key: got.metadata[key] for key in expected.metadata} == expected.metadata
+    if not variant.get("with_reliability"):
+        assert got.metadata.keys() == expected.metadata.keys()
+        return
+    assert got.metadata.keys() - expected.metadata.keys() == {"rounds", "converged"}
+    rounds, converged = got.metadata["rounds"], got.metadata["converged"]
+    assert 1 <= rounds <= iterations and converged in (True, False)
+    # A fit stops early only on a repeated center, which is a total order.
+    assert converged or rounds == iterations
+    assert got.ranking.is_total or not converged
+
+
 @pytest.mark.filterwarnings("ignore:items never graded")
 class TestMatchesDictOracles:
     """The compiled-array estimators give exactly the dict-loop answers."""
@@ -458,9 +546,7 @@ class TestMatchesDictOracles:
     def test_fit_mallows(self, variant, rng):
         for trial in range(6):
             data = _random_dataset(rng, n_items=10, n_graders=12, max_items=3 + trial)
-            assert fit_mallows(data, iterations=3, **variant) == oracles.dict_fit_mallows(
-                data, iterations=3, **variant
-            )
+            _assert_matches_dict_fit(data, 3, variant)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: "-".join(sorted(v)) or "plain")
     def test_fit_mallows_on_resampled_graders(self, variant, rng):
@@ -468,16 +554,12 @@ class TestMatchesDictOracles:
         for _ in range(4):
             data = _resample_graders(base, rng)
             assert any("#" in g for g in data.graders)
-            assert fit_mallows(data, iterations=3, **variant) == oracles.dict_fit_mallows(
-                data, iterations=3, **variant
-            )
+            _assert_matches_dict_fit(data, 3, variant)
 
     def test_feedback_without_strict_pairs(self):
         data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["c"]], "g3": [["a", "b", "c"]]})
         for variant in VARIANTS:
-            assert fit_mallows(data, iterations=2, **variant) == oracles.dict_fit_mallows(
-                data, iterations=2, **variant
-            )
+            _assert_matches_dict_fit(data, 2, variant)
 
     def test_ungraded_items_still_warn(self, rng):
         data = _random_dataset(rng, extra_items=("z0", "z1"))
@@ -492,6 +574,4 @@ class TestMatchesDictOracles:
             assert got == oracles.dict_borda_ranking(data, params)
         with pytest.warns(UserWarning):
             for variant in VARIANTS:
-                assert fit_mallows(data, iterations=2, **variant) == oracles.dict_fit_mallows(
-                    data, iterations=2, **variant
-                )
+                _assert_matches_dict_fit(data, 2, variant)

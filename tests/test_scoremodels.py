@@ -23,21 +23,21 @@ from opg.rankings import WeakRanking
 from opg.scoremodels import (
     SCORE_MODELS,
     _prepare,
-    bt_pair_probability,
     fit,
-    mals_log_likelihood,
     negative_log_posterior,
     pl_ranking_log_probability,
-    thurstone_pair_probability,
 )
 
 import oracles
 from conftest import make_cardinal_dataset, make_ordinal_dataset, random_weak_ranking
 from oracles import (
+    bt_pair_probability,
     consistent_with_weak,
     finite_difference,
     mals_likelihood_brute,
+    mals_log_likelihood,
     pl_probability_brute,
+    thurstone_pair_probability,
 )
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -607,7 +607,7 @@ class TestFullBatch:
         for data in _tied_datasets(rng):
             est = fit(model, data, seed=2, iterations=4, with_reliability=with_rel)
             meta = est.metadata
-            assert meta["converged"] is True and meta["iterations"] > 0
+            assert meta["converged"] is True and meta["lbfgs_iterations"] > 0
             obj = negative_log_posterior(model, data, est.scores, est.reliabilities, seed=2)
             assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), abs=1e-9)
             assert meta["grad_norm"] <= 1e-6
@@ -623,7 +623,7 @@ class TestFullBatch:
         data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["c"], ["a"]]})
         monkeypatch.setattr(scoremodels, "_LBFGS_MAX_ITERATIONS", 1)
         meta = fit("bt", data).metadata
-        assert meta["iterations"] == 1 and meta["converged"] is False and meta["grad_norm"] > 1e-6
+        assert meta["lbfgs_iterations"] == 1 and meta["converged"] is False and meta["grad_norm"] > 1e-6
 
     @pytest.mark.parametrize("model", ("bt", "pl"))
     def test_round_cap_is_reported(self, model, rng, monkeypatch):
