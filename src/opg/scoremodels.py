@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from .config import ReliabilityPrior, ScorePrior, _check_iterations
 from .data import Dataset, Estimate, FeedbackArrays
@@ -147,14 +146,19 @@ def _sorted_desc(svals: np.ndarray) -> np.ndarray:
 
 
 class _PairTerm:
-    """Strict pairwise preferences of one grader under the probit link."""
+    """Strict pairwise preferences of one grader under the probit link.
 
-    __slots__ = ("global_idx", "wl", "ll")
+    ``log_ndtr`` is ``scipy.special.log_ndtr``, imported by ``_prepare`` so
+    that no other model pays for loading ``scipy.special``.
+    """
 
-    def __init__(self, global_idx: np.ndarray, wl: np.ndarray, ll: np.ndarray):
+    __slots__ = ("global_idx", "wl", "ll", "log_ndtr")
+
+    def __init__(self, global_idx: np.ndarray, wl: np.ndarray, ll: np.ndarray, log_ndtr: Callable):
         self.global_idx = global_idx
         self.wl = wl
         self.ll = ll
+        self.log_ndtr = log_ndtr
 
     def value_and_grads(
         self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
@@ -166,7 +170,7 @@ class _PairTerm:
         dz = s_local[self.wl] - s_local[self.ll]
         rt = math.sqrt(eta)
         z = rt * dz
-        logphi = log_ndtr(z)
+        logphi = self.log_ndtr(z)
         nll = -float(logphi.sum())
         grad_s = None
         grad_eta = None
@@ -261,10 +265,12 @@ class _PairBatch:
         dz = s[self.winner] - s[self.loser]
         eta = etas[self.grader]
         z = eta * dz
-        nll = np.bincount(self.grader, weights=np.logaddexp(0.0, -z), minlength=self.n_graders)
+        log_term = np.logaddexp(0.0, -z)
+        nll = np.bincount(self.grader, weights=log_term, minlength=self.n_graders)
         if not grads:
             return nll, None, None
-        q = expit(-z)
+        # 1 - exp(-log(1 + exp(-z))) = expit(-z), from the term the nll already has.
+        q = -np.expm1(-log_term)
         w = eta * q
         grad_s = np.bincount(self.loser, weights=w, minlength=self.n_items)
         grad_s -= np.bincount(self.winner, weights=w, minlength=self.n_items)
@@ -389,6 +395,8 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
     entry_pos = np.searchsorted(keys, entry_grader * n + fa.item)
     spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     if model == "thur":
+        from scipy.special import log_ndtr
+
         pair_grader = fa.pair_grader.astype(np.int64)
         win = np.searchsorted(keys, pair_grader * n + fa.winner)
         lose = np.searchsorted(keys, pair_grader * n + fa.loser)
@@ -401,7 +409,7 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
         ll = (lose - offsets[pair_grader])[order]
         pair_offsets = np.searchsorted(pair_grader, bounds).tolist()
         terms: list[Any] = [
-            _PairTerm(global_idx[a:b], wl[c:d], ll[c:d])
+            _PairTerm(global_idx[a:b], wl[c:d], ll[c:d], log_ndtr)
             for (a, b), c, d in zip(spans, pair_offsets[:-1], pair_offsets[1:])
         ]
     else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,26 +108,24 @@ def _pad_ids(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(count)]
 
 
-def _balanced_assignment(
-    items: Sequence[str], graders: Sequence[str], per_grader: int, rng: np.random.Generator
-) -> dict[str, tuple[str, ...]]:
-    """Each grader gets ``per_grader`` distinct items; item loads differ by <= 1.
+def _balanced_assignment(n: int, n_graders: int, per_grader: int, rng: np.random.Generator) -> np.ndarray:
+    """Row g: the ``per_grader`` distinct item indices of grader g, ascending.
 
-    Graders pick the currently least-assigned items, with seeded random
-    priorities breaking count ties, which keeps the load spread at most one.
+    Each grader in turn takes the currently least-assigned items, count ties
+    broken by seeded random priorities: one ``rng.permutation(n)`` per
+    grader. The key ``count * n + priority`` is unique, so the chosen set is
+    exactly the ``per_grader`` smallest keys.
     """
-    n = len(items)
     if not 1 <= per_grader <= n:
         raise ValidationError(f"per_grader must be in [1, {n}], got {per_grader}")
     counts = np.zeros(n, dtype=np.int64)
-    assignment: dict[str, tuple[str, ...]] = {}
-    for grader in graders:
-        priority = rng.permutation(n)
-        order = np.lexsort((priority, counts))
-        chosen = np.sort(order[:per_grader])
+    assigned = np.empty((n_graders, per_grader), dtype=np.intp)
+    for g in range(n_graders):
+        key = counts * n + rng.permutation(n)
+        chosen = np.sort(np.argpartition(key, per_grader - 1)[:per_grader])
         counts[chosen] += 1
-        assignment[grader] = tuple(items[i] for i in chosen)
-    return assignment
+        assigned[g] = chosen
+    return assigned
 
 
 def assign_reviewers(cfg: SynthConfig) -> dict[str, tuple[str, ...]]:
@@ -135,7 +133,35 @@ def assign_reviewers(cfg: SynthConfig) -> dict[str, tuple[str, ...]]:
     rng = np.random.default_rng(cfg.seed)
     items = _pad_ids("item", cfg.n_items)
     graders = _pad_ids("grader", cfg.n_graders)
-    return _balanced_assignment(items, graders, cfg.items_per_grader, rng)
+    assigned = _balanced_assignment(cfg.n_items, cfg.n_graders, cfg.items_per_grader, rng)
+    return {grader: tuple(items[i] for i in row) for grader, row in zip(graders, assigned.tolist())}
+
+
+def _mallows_orders(references: list[list], eta: float, u: np.ndarray) -> list[list]:
+    """Permutation-noise samples of each row of ``references`` by repeated insertion.
+
+    Row g lists grader g's items in truth order, best first, and ``u[g]``
+    holds one uniform per item. Item i (1-based) lands j positions above the
+    bottom of the i slots with probability proportional to exp(-eta * j).
+    Its slot is what ``rng.choice(i, p=p)`` returns for the uniform
+    ``u[g, i - 1]``: that call draws one ``random()`` and searches the
+    normalised cumulative ``p``. So rows of ``rng.random`` give the same
+    samples as one ``choice`` call per item.
+    """
+    slots = np.empty(u.shape, dtype=np.intp)
+    for i in range(1, u.shape[1] + 1):
+        below = (i - 1) - np.arange(i)  # items ending up below each insertion slot
+        w = np.exp(-eta * below)
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        slots[:, i - 1] = cdf.searchsorted(u[:, i - 1], side="right")
+    orders = []
+    for reference, row in zip(references, slots.tolist()):
+        order: list = []
+        for item, pos in zip(reference, row):
+            order.insert(pos, item)
+        orders.append(order)
+    return orders
 
 
 def sample_mallows_feedback(
@@ -150,6 +176,7 @@ def sample_mallows_feedback(
     landing j positions above the bottom with probability proportional to
     exp(-eta * j). The result is an exact sample with probability
     proportional to exp(-eta * inversions against the truth restriction).
+    Draws exactly one ``random()`` per item of ``subset``, in truth order.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValidationError(f"eta must be finite and > 0, got {eta}")
@@ -160,14 +187,9 @@ def sample_mallows_feedback(
     missing = subset_set - truth.items
     if missing:
         raise ValidationError(f"truth does not rank items: {sorted(missing)}")
-    reference = [x for x in truth.order() if x in subset_set]
-    result: list[str] = []
-    for i, item in enumerate(reference, start=1):
-        below = (i - 1) - np.arange(i)  # items ending up below each insertion slot
-        w = np.exp(-eta * below)
-        pos = int(rng.choice(i, p=w / w.sum()))
-        result.insert(pos, item)
-    return WeakRanking.from_order(result)
+    reference = sorted(subset_set, key=truth.rank_of)
+    (order,) = _mallows_orders([reference], eta, rng.random((1, len(reference))))
+    return WeakRanking.from_order(order)
 
 
 def _to_scale(raw: np.ndarray) -> np.ndarray:
@@ -187,6 +209,14 @@ def simulate(cfg: SynthConfig) -> tuple[Dataset, Estimate]:
     scale with the induced ordinal ranking attached; permutation-noise
     graders produce ordinal feedback only. ``n_lazy`` lazy graders whose
     grades carry no signal are appended last.
+
+    The draws from the ``cfg.seed`` generator come in a fixed order, which
+    keeps every seeded dataset the same: the truth scores; one assignment
+    permutation per grader; then either one uniform per grader and item
+    (grader-major, each grader's items in truth order) for permutation-noise
+    graders, or one bias per grader followed by one noise draw per grader
+    and item (grader-major, items in id order) for cardinal graders. Lazy
+    graders draw from a generator seeded ``cfg.seed + 1``.
     """
     rng = np.random.default_rng(cfg.seed)
     items = _pad_ids("item", cfg.n_items)
@@ -198,32 +228,26 @@ def simulate(cfg: SynthConfig) -> tuple[Dataset, Estimate]:
         scores=truth_scores,
         metadata={"truth": True, "seed": cfg.seed},
     )
-    assignment = _balanced_assignment(items, graders, cfg.items_per_grader, rng)
+    assigned = _balanced_assignment(cfg.n_items, cfg.n_graders, cfg.items_per_grader, rng)
 
     feedback: list[GraderFeedback] = []
     if isinstance(cfg.grader_model, MallowsGraders):
-        for grader in graders:
-            ranking = sample_mallows_feedback(truth.ranking, assignment[grader], cfg.grader_model.eta, rng)
+        if not truth.ranking.is_total:
+            raise ValidationError("truth must be a total order")
+        rank = truth.ranking.ranks()
+        position = np.array([rank[x] for x in items])
+        references = np.take_along_axis(assigned, np.argsort(position[assigned], axis=1), axis=1)
+        orders = _mallows_orders(references.tolist(), cfg.grader_model.eta, rng.random(assigned.shape))
+        for grader, order in zip(graders, orders):
+            ranking = WeakRanking.from_order([items[i] for i in order])
             feedback.append(GraderFeedback.from_ordinal(grader, ranking))
     else:
         noise_std = 1.0 / math.sqrt(cfg.grader_model.eta)
         biases = rng.normal(0.0, cfg.grader_model.bias_std, cfg.n_graders)
-        raw_rows = []
-        for gi, grader in enumerate(graders):
-            subset = assignment[grader]
-            raw = (
-                np.array([truth_scores[d] for d in subset])
-                + biases[gi]
-                + rng.normal(0.0, noise_std, len(subset))
-            )
-            raw_rows.append(raw)
-        flat = _to_scale(np.concatenate(raw_rows))
-        pos = 0
-        for gi, grader in enumerate(graders):
-            subset = assignment[grader]
-            grades = {d: float(flat[pos + k]) for k, d in enumerate(subset)}
-            pos += len(subset)
-            feedback.append(GraderFeedback.from_cardinal(grader, grades))
+        raw = truth_vals[assigned] + biases[:, None] + rng.normal(0.0, noise_std, assigned.shape)
+        grades = _to_scale(raw.ravel()).reshape(assigned.shape)
+        for grader, row, values in zip(graders, assigned.tolist(), grades.tolist()):
+            feedback.append(GraderFeedback.from_cardinal(grader, {items[i]: v for i, v in zip(row, values)}))
 
     data = Dataset(items=tuple(items), graders=tuple(graders), feedback=tuple(feedback))
     if cfg.n_lazy:
@@ -245,7 +269,9 @@ def add_lazy_graders(
     existing grades (statistically indistinguishable marginally), so their
     induced rankings carry no information about the items. The new graders
     are labeled in ``lazy_graders`` and assigned items by the balanced
-    scheme with the prevailing per-grader item count.
+    scheme with the prevailing per-grader item count. The ``seed``
+    generator draws one assignment permutation per lazy grader, then one
+    grade per lazy grader and item (grader-major, items in id order).
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -270,12 +296,11 @@ def add_lazy_graders(
         if candidate not in taken:
             names.append(candidate)
         k += 1
-    items = list(data.items)
-    assignment = _balanced_assignment(items, names, per_grader, rng)
+    assigned = _balanced_assignment(len(data.items), n, per_grader, rng)
+    draws = rng.normal(mean, std, assigned.shape)
     new_feedback = list(data.feedback)
-    for grader in names:
-        subset = assignment[grader]
-        grades = {d: float(v) for d, v in zip(subset, rng.normal(mean, std, len(subset)))}
+    for grader, row, values in zip(names, assigned.tolist(), draws.tolist()):
+        grades = {data.items[i]: v for i, v in zip(row, values)}
         new_feedback.append(GraderFeedback.from_cardinal(grader, grades))
     new_feedback.sort(key=lambda fb: fb.grader)
     return Dataset(

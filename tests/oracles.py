@@ -3,8 +3,9 @@
 Everything here works on plain lists/tuples/dicts and enumerates by brute
 force, deliberately sharing no code with the package under test. The
 exceptions are the last sections: helpers on the package's data types that
-only the tests need, and the package's earlier dict-loop estimators, kept as
-exact references for the compiled-array ones.
+only the tests need, the package's earlier dict-loop estimators, kept as
+exact references for the compiled-array ones, and its earlier per-grader
+synthetic-data loops, kept as exact references for the array ones.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections.abc import Iterator, Mapping
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit, log_ndtr, ndtr
 
 from opg.config import ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, GraderFeedback
@@ -34,6 +35,7 @@ from opg.scoremodels import (
     _total_objective,
     _WeightedPermTerm,
 )
+from opg.synth import MallowsGraders, SynthConfig, _pad_ids, _prevailing_items_per_grader, _to_scale
 
 
 def inversions(order: list[str], reference: list[str]) -> int:
@@ -725,8 +727,11 @@ def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeratio
                         for b in worse:
                             wl.append(member_index[a])
                             ll.append(member_index[b])
-            term = _PairTerm if model == "thur" else _LogisticPairTerm
-            terms.append(term(global_idx, np.array(wl, dtype=np.int64), np.array(ll, dtype=np.int64)))
+            wl_arr, ll_arr = np.array(wl, dtype=np.int64), np.array(ll, dtype=np.int64)
+            if model == "thur":
+                terms.append(_PairTerm(global_idx, wl_arr, ll_arr, log_ndtr))
+            else:
+                terms.append(_LogisticPairTerm(global_idx, wl_arr, ll_arr))
         elif model == "pl":
             if not ranking.is_total:
                 ranking = break_ties(ranking, rng)
@@ -845,4 +850,126 @@ def dict_fit(
         scores=scores,
         reliabilities=reliabilities,
         metadata=metadata,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The earlier per-grader set-up loops of opg.synth, kept verbatim (renamed
+# *_oracle): a full ``lexsort`` per grader for the assignment, one
+# ``rng.choice`` per inserted item for the permutation-noise graders and one
+# normal draw per grader for the cardinal and lazy graders. ``simulate`` must
+# reproduce them draw for draw, so every seeded dataset stays the same.
+
+
+def balanced_assignment_oracle(
+    items: list[str], graders: list[str], per_grader: int, rng: np.random.Generator
+) -> dict[str, tuple[str, ...]]:
+    n = len(items)
+    if not 1 <= per_grader <= n:
+        raise ValidationError(f"per_grader must be in [1, {n}], got {per_grader}")
+    counts = np.zeros(n, dtype=np.int64)
+    assignment: dict[str, tuple[str, ...]] = {}
+    for grader in graders:
+        priority = rng.permutation(n)
+        order = np.lexsort((priority, counts))
+        chosen = np.sort(order[:per_grader])
+        counts[chosen] += 1
+        assignment[grader] = tuple(items[i] for i in chosen)
+    return assignment
+
+
+def sample_mallows_feedback_oracle(
+    truth: WeakRanking, subset: list[str], eta: float, seed: int | np.random.Generator = 0
+) -> WeakRanking:
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValidationError(f"eta must be finite and > 0, got {eta}")
+    if not truth.is_total:
+        raise ValidationError("truth must be a total order")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    subset_set = set(subset)
+    missing = subset_set - truth.items
+    if missing:
+        raise ValidationError(f"truth does not rank items: {sorted(missing)}")
+    reference = [x for x in truth.order() if x in subset_set]
+    result: list[str] = []
+    for i, item in enumerate(reference, start=1):
+        below = (i - 1) - np.arange(i)  # items ending up below each insertion slot
+        w = np.exp(-eta * below)
+        pos = int(rng.choice(i, p=w / w.sum()))
+        result.insert(pos, item)
+    return WeakRanking.from_order(result)
+
+
+def simulate_oracle(cfg: SynthConfig) -> tuple[Dataset, Estimate]:
+    rng = np.random.default_rng(cfg.seed)
+    items = _pad_ids("item", cfg.n_items)
+    graders = _pad_ids("grader", cfg.n_graders)
+    truth_vals = rng.normal(cfg.truth.mean, math.sqrt(cfg.truth.var), cfg.n_items)
+    truth_scores = {items[i]: float(truth_vals[i]) for i in range(cfg.n_items)}
+    truth = Estimate(
+        ranking=ranking_from_scores(truth_scores, tie_epsilon=0.0),
+        scores=truth_scores,
+        metadata={"truth": True, "seed": cfg.seed},
+    )
+    assignment = balanced_assignment_oracle(items, graders, cfg.items_per_grader, rng)
+
+    feedback: list[GraderFeedback] = []
+    if isinstance(cfg.grader_model, MallowsGraders):
+        for grader in graders:
+            ranking = sample_mallows_feedback_oracle(truth.ranking, assignment[grader], cfg.grader_model.eta, rng)
+            feedback.append(GraderFeedback.from_ordinal(grader, ranking))
+    else:
+        noise_std = 1.0 / math.sqrt(cfg.grader_model.eta)
+        biases = rng.normal(0.0, cfg.grader_model.bias_std, cfg.n_graders)
+        raw_rows = []
+        for gi, grader in enumerate(graders):
+            subset = assignment[grader]
+            raw = (
+                np.array([truth_scores[d] for d in subset])
+                + biases[gi]
+                + rng.normal(0.0, noise_std, len(subset))
+            )
+            raw_rows.append(raw)
+        flat = _to_scale(np.concatenate(raw_rows))
+        pos = 0
+        for gi, grader in enumerate(graders):
+            subset = assignment[grader]
+            grades = {d: float(flat[pos + k]) for k, d in enumerate(subset)}
+            pos += len(subset)
+            feedback.append(GraderFeedback.from_cardinal(grader, grades))
+
+    data = Dataset(items=tuple(items), graders=tuple(graders), feedback=tuple(feedback))
+    if cfg.n_lazy:
+        data = add_lazy_graders_oracle(data, cfg.n_lazy, seed=cfg.seed + 1)
+    return data, truth
+
+
+def add_lazy_graders_oracle(data: Dataset, n: int, seed: int = 0) -> Dataset:
+    rng = np.random.default_rng(seed)
+    existing = [g for fb in data.feedback if fb.cardinal for g in fb.cardinal.values()]
+    grades_arr = np.array(existing)
+    mean, std = float(grades_arr.mean()), float(grades_arr.std())
+    per_grader = min(_prevailing_items_per_grader(data), len(data.items))
+
+    taken = set(data.graders)
+    names: list[str] = []
+    k = 0
+    while len(names) < n:
+        candidate = f"lazy{k:03d}"
+        if candidate not in taken:
+            names.append(candidate)
+        k += 1
+    items = list(data.items)
+    assignment = balanced_assignment_oracle(items, names, per_grader, rng)
+    new_feedback = list(data.feedback)
+    for grader in names:
+        subset = assignment[grader]
+        grades = {d: float(v) for d, v in zip(subset, rng.normal(mean, std, len(subset)))}
+        new_feedback.append(GraderFeedback.from_cardinal(grader, grades))
+    new_feedback.sort(key=lambda fb: fb.grader)
+    return Dataset(
+        items=data.items,
+        graders=tuple(sorted(set(data.graders) | set(names))),
+        feedback=tuple(new_feedback),
+        lazy_graders=data.lazy_graders | set(names),
     )

@@ -711,3 +711,35 @@ def test_fitting_does_not_import_scipy_optimize():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_fitting_without_thurstone_does_not_import_scipy_special():
+    """Only ``thur`` needs ``scipy.special``, whose import costs start-up time and memory."""
+    code = (
+        "import sys, opg\n"
+        "from opg.synth import CardinalNormalGraders, SynthConfig, simulate\n"
+        "graders = CardinalNormalGraders(1.0, 0.5)\n"
+        "data = simulate(SynthConfig(n_items=10, n_graders=20, items_per_grader=4, grader_model=graders))[0]\n"
+        "for model in opg.MODEL_NAMES:\n"
+        "    if not model.startswith('thur'):\n"
+        "        opg.fit_model(model, data)\n"
+        "print('scipy.special' in sys.modules)\n"
+        "print(len(opg.fit_model('thur', data).scores))\n"
+    )
+    src = os.path.dirname(os.path.dirname(opg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["False", "10"]
+
+
+def test_logistic_batch_tail_probability_equals_expit():
+    """``_PairBatch`` takes expit(-z) from the log term of its nll: equal to 1e-15, and warning-free."""
+    data = make_ordinal_dataset({"g1": [["a"], ["b"]]})
+    batch = _prepare("bt", data, np.random.default_rng(0)).batch
+    for z in (-800.0, -40.0, -5.0, 0.0, 5.0, 40.0, 800.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, grad_s, _ = batch.evaluate(np.array([z, 0.0]), np.ones(1))
+        # One pair, a above b, at eta 1: the loser's gradient entry is exactly q.
+        q, expected = grad_s[1], expit(-z)
+        assert abs(q - expected) <= 1e-15 * abs(expected), z

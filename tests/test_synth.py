@@ -25,7 +25,7 @@ from opg.synth import (
 )
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset
-from oracles import inversions
+from oracles import inversions, sample_mallows_feedback_oracle, simulate_oracle
 
 
 class TestSynthConfig:
@@ -169,6 +169,17 @@ class TestSampleMallowsFeedback:
         second = sample_mallows_feedback(self.truth, subset, 0.5, seed=42)
         assert first == second
 
+    def test_matches_per_item_choice_loop_draw_for_draw(self):
+        for seed in range(50):
+            pick = np.random.default_rng(seed)
+            subset = [f"t{i}" for i in sorted(pick.choice(8, int(pick.integers(1, 9)), replace=False))]
+            eta = float(pick.choice([0.05, 0.3, 1.0, 2.0, 7.0]))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                expected = sample_mallows_feedback_oracle(self.truth, subset, eta, theirs)
+                assert sample_mallows_feedback(self.truth, subset, eta, ours) == expected
+            assert ours.random() == theirs.random()
+
 
 class TestSimulate:
     def test_ordinal_dataset_shape(self):
@@ -236,6 +247,40 @@ class TestSimulate:
         first = json.dumps(dataset_to_dict(simulate(cfg)[0]), sort_keys=True)
         second = json.dumps(dataset_to_dict(simulate(cfg)[0]), sort_keys=True)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(40, 150, 7, MallowsGraders(0.3), seed=1),
+            SynthConfig(40, 150, 7, MallowsGraders(1.0), seed=2),
+            SynthConfig(120, 300, 6, MallowsGraders(2.0), seed=3),
+            SynthConfig(9, 6, 9, MallowsGraders(1.0), seed=4),
+            SynthConfig(1, 3, 1, MallowsGraders(1.0), seed=5),
+            SynthConfig(40, 150, 7, CardinalNormalGraders(1.0, 0.5), seed=6),
+            SynthConfig(6, 5, 6, CardinalNormalGraders(2.0, 0.3), seed=7),
+            SynthConfig(25, 40, 5, CardinalNormalGraders(1.0, 0.5), n_lazy=8, seed=8),
+            SynthConfig(1, 2, 1, CardinalNormalGraders(1.0, 0.5), n_lazy=2, seed=9),
+        ],
+        ids=["mallows-0.3", "mallows-1", "mallows-2", "all-items", "one-item",
+             "cardinal", "cardinal-all-items", "lazy", "lazy-one-item"],
+    )
+    def test_matches_per_grader_loop_oracle(self, cfg):
+        def fingerprint(data, truth):
+            return (
+                data.items,
+                data.graders,
+                sorted(data.lazy_graders),
+                [
+                    (fb.grader, fb.items, fb.ordinal.groups,
+                     None if fb.cardinal is None else [(d, v.hex()) for d, v in fb.cardinal.items()])
+                    for fb in data.feedback
+                ],
+                truth.ranking.groups,
+                [(d, v.hex()) for d, v in truth.scores.items()],
+                truth.metadata,
+            )
+
+        assert fingerprint(*simulate(cfg)) == fingerprint(*simulate_oracle(cfg))
 
     def test_id_padding(self):
         cfg = SynthConfig(n_items=4, n_graders=4, items_per_grader=2, seed=0)
