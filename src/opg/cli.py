@@ -28,8 +28,8 @@ _EXPERIMENTS = (
 )
 
 _ITERATIONS_HELP = (
-    "alternating reliability rounds of the +g models; bt+g and pl+g run at least "
-    "this many and go on until the reliabilities settle"
+    "alternating reliability rounds of the +g models; bt+g, pl+g and mals+g run at "
+    "least this many and go on until the reliabilities settle"
 )
 
 

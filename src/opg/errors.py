@@ -14,4 +14,5 @@ class DataFormatError(ValidationError):
 
 
 class EnumerationCapError(ValidationError):
-    """A grader's item set is too large for exact enumeration."""
+    """A grader ranked more items than the score-weighted permutation model's
+    exact likelihood allows: its subset recursion costs O(2^m * m) per grader."""

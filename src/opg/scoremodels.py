@@ -10,22 +10,22 @@ eta) to a likelihood of the observed rankings:
   at or below it, P proportional to exp(eta * s),
 * score-weighted permutation model: probability proportional to
   exp(-eta * weighted inversion count), where each inverted pair costs the
-  score gap between its items; tie groups are handled by summing over all
-  consistent total orders (exact enumeration, capped).
+  score gap between its items; a tie group stands for every total order
+  consistent with it. The likelihood is a ratio of two permanents, each
+  computed by a recursion over subsets of the grader's items (capped).
 
 All fits are MAP under an independent normal prior on scores and (for the
 "+g" variants) a gamma prior on reliabilities, with alternating
-reliability/score rounds. The logistic and listwise models are fitted full
-batch: their objective and its gradient are computed over every grader's
-feedback at once from ``Dataset.feedback_arrays``, the score step is L-BFGS
-and the reliability step is one golden-section search per grader. The probit
-and score-weighted permutation models take per-grader stochastic gradient
-steps.
+reliability/score rounds. The logistic, listwise and score-weighted
+permutation models are fitted full batch: their objective and its gradient
+are computed over every grader's feedback at once from
+``Dataset.feedback_arrays``, the score step is L-BFGS and the reliability
+step is one golden-section search per grader. The probit model takes
+per-grader stochastic gradient steps.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections.abc import Callable, Mapping, Sequence
@@ -37,7 +37,7 @@ import numpy as np
 from .config import ReliabilityPrior, ScorePrior, _check_iterations
 from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
-from .mallows import _check_eta, _golden_section_etas, greedy_mle_ranking
+from .mallows import _check_eta, _golden_section_etas
 from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
@@ -52,8 +52,10 @@ SCORE_MODELS = ("bt", "thur", "pl", "mals")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Most items one grader may rank under the score-weighted permutation model,
-# whose likelihood enumerates every order of a grader's items.
+# Most items one grader may rank under the score-weighted permutation model.
+# Its likelihood recurses over the 2^m subsets of a grader's m items, and a
+# layer of that recursion holds up to about m * 2^(m-1) / 2 values per grader
+# for all graders of a block at once, so the cap bounds time and memory.
 ENUMERATION_CAP = 9
 
 
@@ -78,68 +80,6 @@ def pl_ranking_log_probability(
     u = eta * np.array([scores[x] for x in seq], dtype=float)
     suffix_lse = np.logaddexp.accumulate(u[::-1])[::-1]
     return float((u - suffix_lse).sum())
-
-
-# --- exact enumeration over permutations, cached per item count -------------
-
-_PERM_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _perm_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inversion matrix over pairs, pair row index, pair col index) for m items.
-
-    Row r of the inversion matrix flags, for permutation r of (0..m-1), which
-    pairs (i, j) with i < j appear inverted (i below j). Tables are cached;
-    m = 9 costs roughly 100 MB, hence ``ENUMERATION_CAP``.
-    """
-    cached = _PERM_TABLES.get(m)
-    if cached is not None:
-        return cached
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    pos = np.argsort(perms, axis=1)
-    pi, pj = np.triu_indices(m, k=1)
-    inv = (pos[:, pi] > pos[:, pj]).astype(np.float64)
-    _PERM_TABLES[m] = (inv, pi, pj)
-    return _PERM_TABLES[m]
-
-
-def _orders_logsumexp(
-    svec: np.ndarray, eta: float, need_s: bool, need_eta: bool
-) -> tuple[float, np.ndarray | None, float | None]:
-    """log sum over all orders of exp(-eta * weighted inversions), with grads.
-
-    ``svec`` holds the scores sorted descending (the reference order); an
-    inverted pair costs its score gap. Returns the log-sum, its gradient with
-    respect to ``svec``, and its eta derivative.
-    """
-    m = len(svec)
-    if m <= 1:
-        return 0.0, (np.zeros(m) if need_s else None), (0.0 if need_eta else None)
-    inv, pi, pj = _perm_tables(m)
-    gaps = svec[pi] - svec[pj]
-    d = inv @ gaps
-    a = -eta * d
-    amax = float(a.max())
-    w = np.exp(a - amax)
-    total = float(w.sum())
-    logz = amax + math.log(total)
-    grad_s = None
-    grad_eta = None
-    if need_s or need_eta:
-        p = w / total
-        if need_s:
-            dgap = -eta * (p @ inv)
-            grad_s = np.bincount(pi, weights=dgap, minlength=m) - np.bincount(
-                pj, weights=dgap, minlength=m
-            )
-        if need_eta:
-            grad_eta = -float(p @ d)
-    return logz, grad_s, grad_eta
-
-
-def _sorted_desc(svals: np.ndarray) -> np.ndarray:
-    """Indices sorting scores descending, equal scores by index (deterministic)."""
-    return np.lexsort((np.arange(len(svals)), -svals))
 
 
 # --- per-grader likelihood terms --------------------------------------------
@@ -182,62 +122,6 @@ class _PairTerm:
                 )
             if need_eta:
                 grad_eta = -float((ratio * dz).sum()) / (2.0 * rt)
-        return nll, grad_s, grad_eta
-
-
-class _WeightedPermTerm:
-    """One grader's weak ranking under the score-weighted permutation model."""
-
-    __slots__ = ("global_idx", "groups_local")
-
-    def __init__(self, global_idx: np.ndarray, groups_local: list[np.ndarray]):
-        self.global_idx = global_idx
-        self.groups_local = groups_local
-
-    def value_and_grads(
-        self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
-    ) -> tuple[float, np.ndarray | None, float | None]:
-        m = len(self.global_idx)
-        s_local = s[self.global_idx]
-        grad_s = np.zeros(m) if need_s else None
-        grad_eta = 0.0 if need_eta else None
-
-        # Denominator: all total orders of the grader's items.
-        perm = _sorted_desc(s_local)
-        logz_den, g_sorted, de = _orders_logsumexp(s_local[perm], eta, need_s, need_eta)
-        nll = logz_den
-        if need_s:
-            grad_s[perm] += g_sorted
-        if need_eta:
-            grad_eta += de
-
-        # Numerator: cross-group pairs are fixed by the tie groups; a pair
-        # scored against the group order costs its gap in every consistent
-        # order. Within-group arrangements enumerate freely per group.
-        x = 0.0
-        for gi, better in enumerate(self.groups_local):
-            for worse in self.groups_local[gi + 1:]:
-                v = s_local[worse][:, None] - s_local[better][None, :]
-                pos = v > 0.0
-                if pos.any():
-                    x += float(v[pos].sum())
-                    if need_s:
-                        np.add.at(grad_s, worse, eta * pos.sum(axis=1).astype(float))
-                        np.add.at(grad_s, better, -eta * pos.sum(axis=0).astype(float))
-        nll += eta * x
-        if need_eta:
-            grad_eta += x
-        for group in self.groups_local:
-            if len(group) < 2:
-                continue
-            gvals = s_local[group]
-            gperm = _sorted_desc(gvals)
-            logz_g, gg, de_g = _orders_logsumexp(gvals[gperm], eta, need_s, need_eta)
-            nll -= logz_g
-            if need_s:
-                np.subtract.at(grad_s, group[gperm], gg)
-            if need_eta:
-                grad_eta -= de_g
         return nll, grad_s, grad_eta
 
 
@@ -314,20 +198,153 @@ class _ListBatch:
         return nll, grad_s, grad_eta
 
 
+def _subset_layers(m: int) -> list[tuple[np.ndarray, ...]]:
+    """Gather tables of the subsets of m items, one entry per size r = 0..m.
+
+    Layer r lists its subsets by increasing bitmask. Its entry is (members,
+    down, outside, up, spread): column i of ``members`` (``outside``) holds
+    the items in (not in) subset i, ascending, and ``down`` (``up``) the
+    index in layer r - 1 (r + 1) of the subset with that item removed
+    (added). ``spread`` is the 0/1 matrix whose product with a value per
+    entry of ``members`` sums those values by item.
+    """
+    masks = np.arange(1 << m)
+    bits = (masks[:, None] >> np.arange(m)) & 1 == 1
+    size = bits.sum(axis=1)
+    layer_of = [masks[size == r] for r in range(m + 1)]
+    index = np.empty(1 << m, dtype=np.intp)
+    for layer in layer_of:
+        index[layer] = np.arange(len(layer))
+    tables = []
+    for r, layer in enumerate(layer_of):
+        members = np.nonzero(bits[layer])[1].reshape(len(layer), r).T
+        outside = np.nonzero(~bits[layer])[1].reshape(len(layer), m - r).T
+        spread = (members.ravel() == np.arange(m)[:, None]).astype(float)
+        tables.append((members, index[layer ^ (1 << members)], outside, index[layer | (1 << outside)], spread))
+    return tables
+
+
+# Log weight of a subset that may not fill the first positions of an order:
+# finite, unlike -inf, so that shifting by a maximum never meets
+# (-inf) - (-inf), yet any weight built on it comes out exactly 0 in exp.
+_DROPPED = -1e300
+
+
+def _logsumexp(t: np.ndarray) -> np.ndarray:
+    """log of the sum of exp(t) over the first axis, shifted by its maximum."""
+    top = t.max(axis=0)
+    return top + np.log(np.exp(t - top).sum(axis=0))
+
+
+def _log_permanent(
+    u: np.ndarray, layers: list[tuple[np.ndarray, ...]], log_masks: list[np.ndarray], grads: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """log per(A) of A[x, k] = exp(u[x] * w[k]), w[k] = (m + 1 - 2k) / 2 for
+    positions k = 1..m, for each column of ``u``.
+
+    The recursion per(S) = sum over x in S of per(S - x) * A[x, |S|] runs up
+    the subset ``layers``; ``log_masks[r]`` (0 or ``_DROPPED`` per subset
+    and column) drops the subsets of size r that may not fill the first r
+    positions. With ``grads`` it also returns E[w at x's position], the
+    gradient of log per(A) with respect to u, from a backward pass that
+    sums each subset's completions down the layers.
+    """
+    m, n_cols = u.shape
+    w = (m + 1 - 2 * np.arange(1, m + 1)) / 2.0
+    forward = [np.zeros((1, n_cols))]
+    for r in range(1, m + 1):
+        members, down = layers[r][:2]
+        forward.append(_logsumexp(forward[-1][down] + u[members] * w[r - 1]) + log_masks[r])
+    logz = forward[m][0]
+    if not grads:
+        return logz, None
+    expected = np.zeros((m, n_cols))
+    back = np.zeros((1, n_cols))
+    for r in range(m, 0, -1):
+        members, down, _, _, spread = layers[r]
+        # P(x at position r) sums, over the subsets S of size r holding x,
+        # the orders that fill S with x last and then complete S.
+        log_p = forward[r - 1][down] + u[members] * w[r - 1] + (back - logz)
+        expected += w[r - 1] * (spread @ np.exp(log_p).reshape(-1, n_cols))
+        _, _, outside, up, _ = layers[r - 1]
+        back = _logsumexp(back[up] + u[outside] * w[r - 1]) + log_masks[r - 1]
+    return logz, expected
+
+
+class _PermBatch:
+    """Every grader's weak ranking under the score-weighted permutation model.
+
+    Up to a constant shared by every order, an order of a grader's m items
+    costs the sum over positions k = 1..m of s_k * (2k - m - 1) / 2, where
+    s_k is the score of the item at position k. So the grader's likelihood
+    is per(A over the orders its tie groups allow) / per(A), with
+    A[x, k] = exp(-eta * s_x * (2k - m - 1) / 2), and ``_log_permanent``
+    gives each permanent in O(2^m m) (the bound of Ryser 1963). Graders
+    that rank equally many items share a block: ``blocks`` holds (graders,
+    items, layers, log_masks), where column c of ``items`` is grader
+    ``graders[c]``'s items, best first, and ``layers`` are the block's
+    ``_subset_layers``. The block's G graders are recursed over twice in
+    one call, as 2G columns: column c for the normaliser of grader c, and
+    column G + c for its numerator, where ``log_masks[r]`` is 0 if a subset
+    of r of its items may fill the first r positions (no item in it is
+    ranked strictly below one outside it) and ``_DROPPED`` if not; the
+    first G columns of every mask are 0. ``evaluate`` is as for
+    ``_PairBatch``.
+    """
+
+    def __init__(self, arrays: FeedbackArrays, n_items: int):
+        counts = np.diff(arrays.offsets)
+        self.blocks = []
+        for m in np.unique(counts).tolist():
+            graders = np.flatnonzero(counts == m)
+            entries = arrays.offsets[graders] + np.arange(m)[:, None]
+            ranks = arrays.rank[entries]
+            layers = _subset_layers(m)
+            log_masks = []
+            for members, _, outside, _, _ in layers:
+                fits = ranks[members].max(axis=0, initial=0) <= ranks[outside].min(axis=0, initial=m)
+                log_masks.append(np.hstack((np.zeros(fits.shape), np.where(fits, 0.0, _DROPPED))))
+            self.blocks.append((graders, arrays.item[entries].astype(np.intp), layers, log_masks))
+        self.n_items = n_items
+        self.n_graders = len(counts)
+
+    def evaluate(
+        self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        nll = np.zeros(self.n_graders)
+        grad_s = np.zeros(self.n_items) if grads else None
+        grad_eta = np.zeros(self.n_graders) if grads and need_eta else None
+        for graders, items, layers, log_masks in self.blocks:
+            s_items = s[items]
+            eta = etas[graders]
+            u = eta * s_items
+            logz, expected = _log_permanent(np.hstack((u, u)), layers, log_masks, grads)
+            g = len(graders)
+            nll[graders] = logz[:g] - logz[g:]
+            if not grads:
+                continue
+            gu = expected[:, :g] - expected[:, g:]
+            grad_s += np.bincount(items.ravel(), weights=(eta * gu).ravel(), minlength=self.n_items)
+            if need_eta:
+                grad_eta[graders] = (gu * s_items).sum(axis=0)
+        return nll, grad_s, grad_eta
+
+
 # --- model preparation and objective ----------------------------------------
 
 
 @dataclass
 class _Prepared:
     """A model's likelihood over a dataset: full batch (``batch``) for the
-    logistic and listwise models, else one term per grader (``terms``)."""
+    logistic, listwise and score-weighted permutation models, else one term
+    per grader (``terms``)."""
 
     model: str
     items: tuple[str, ...]
     graders: tuple[str, ...]
     terms: list[Any]
     metadata: dict[str, Any] = field(default_factory=dict)
-    batch: _PairBatch | _ListBatch | None = None
+    batch: _PairBatch | _ListBatch | _PermBatch | None = None
 
 
 def _run_starts(arrays: FeedbackArrays) -> np.ndarray:
@@ -362,11 +379,11 @@ def _list_batch(arrays: FeedbackArrays, n_items: int, rng: np.random.Generator) 
 def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
     """The model's likelihood over ``data``, built from ``data.feedback_arrays``.
 
-    The logistic and listwise models get one batch over every grader
-    (``rng`` breaks ties for the listwise one). The others get every
-    grader's term: a term numbers its grader's items by their position in id
-    order (the order of ``GraderFeedback.items``), and ``global_idx`` maps
-    them to ``data.items``.
+    The logistic, listwise and score-weighted permutation models get one
+    batch over every grader (``rng`` breaks ties for the listwise one). The
+    probit model gets every grader's term: a term numbers its grader's items
+    by their position in id order (the order of ``GraderFeedback.items``),
+    and ``global_idx`` maps them to ``data.items``.
     """
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
@@ -380,47 +397,38 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
         batch, tied = _list_batch(fa, n, rng)
         return _Prepared(model, data.items, fa.graders, [], {"tie_break": "seeded"} if tied else {}, batch)
     counts = np.diff(offsets)
-    if model == "mals" and counts.max() > ENUMERATION_CAP:
-        g = int(np.argmax(counts > ENUMERATION_CAP))
-        raise EnumerationCapError(
-            f"grader {fa.graders[g]!r} graded {counts[g]} items, above the exact-enumeration "
-            f"cap {ENUMERATION_CAP}; exclude this model"
-        )
+    if model == "mals":
+        if counts.max() > ENUMERATION_CAP:
+            g = int(np.argmax(counts > ENUMERATION_CAP))
+            raise EnumerationCapError(
+                f"grader {fa.graders[g]!r} graded {counts[g]} items, above the cap {ENUMERATION_CAP} "
+                f"of the subset recursion; exclude this model"
+            )
+        return _Prepared(model, data.items, fa.graders, [], batch=_PermBatch(fa, n))
+    from scipy.special import log_ndtr
+
     entry_grader = np.repeat(np.arange(len(counts)), counts)
-    bounds = np.arange(len(counts) + 1)
     # Sorted (grader, item) keys: grader g's items in id order fill
     # keys[offsets[g]:offsets[g + 1]], so a key's place there is its local index.
     keys = np.sort(entry_grader * n + fa.item)
     global_idx = keys - entry_grader * n
     entry_pos = np.searchsorted(keys, entry_grader * n + fa.item)
-    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    if model == "thur":
-        from scipy.special import log_ndtr
-
-        pair_grader = fa.pair_grader.astype(np.int64)
-        win = np.searchsorted(keys, pair_grader * n + fa.winner)
-        lose = np.searchsorted(keys, pair_grader * n + fa.loser)
-        rank_at = np.empty_like(fa.rank)
-        rank_at[entry_pos] = fa.rank
-        # The arrays list a grader's pairs row by row over its entries; the
-        # terms list them one pair of tie groups at a time.
-        order = np.lexsort((rank_at[lose], rank_at[win], pair_grader))
-        wl = (win - offsets[pair_grader])[order]
-        ll = (lose - offsets[pair_grader])[order]
-        pair_offsets = np.searchsorted(pair_grader, bounds).tolist()
-        terms: list[Any] = [
-            _PairTerm(global_idx[a:b], wl[c:d], ll[c:d], log_ndtr)
-            for (a, b), c, d in zip(spans, pair_offsets[:-1], pair_offsets[1:])
-        ]
-    else:
-        local = entry_pos - offsets[entry_grader]
-        run_start = _run_starts(fa)
-        runs = list(zip(run_start.tolist(), run_start[1:].tolist() + [len(local)]))
-        run_offsets = np.searchsorted(entry_grader[run_start], bounds)
-        terms = [
-            _WeightedPermTerm(global_idx[a:b], [local[c:d] for c, d in runs[r0:r1]])
-            for (a, b), r0, r1 in zip(spans, run_offsets[:-1].tolist(), run_offsets[1:].tolist())
-        ]
+    pair_grader = fa.pair_grader.astype(np.int64)
+    win = np.searchsorted(keys, pair_grader * n + fa.winner)
+    lose = np.searchsorted(keys, pair_grader * n + fa.loser)
+    rank_at = np.empty_like(fa.rank)
+    rank_at[entry_pos] = fa.rank
+    # The arrays list a grader's pairs row by row over its entries; the
+    # terms list them one pair of tie groups at a time.
+    order = np.lexsort((rank_at[lose], rank_at[win], pair_grader))
+    wl = (win - offsets[pair_grader])[order]
+    ll = (lose - offsets[pair_grader])[order]
+    spans = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    pair_offsets = np.searchsorted(pair_grader, np.arange(len(counts) + 1)).tolist()
+    terms: list[Any] = [
+        _PairTerm(global_idx[a:b], wl[c:d], ll[c:d], log_ndtr)
+        for (a, b), c, d in zip(spans, pair_offsets[:-1], pair_offsets[1:])
+    ]
     return _Prepared(model=model, items=data.items, graders=fa.graders, terms=terms)
 
 
@@ -531,8 +539,8 @@ _LBFGS_MAX_ITERATIONS = 1000
 _SETTLED_LOG_ETA = 1e-5
 _MAX_ROUNDS = 100
 
-# An SGD run (thur, mals) stops once an epoch changes the objective by less
-# than this fraction, or after this many epochs.
+# An SGD run (thur) stops once an epoch changes the objective by less than
+# this fraction, or after this many epochs.
 _REL_TOLERANCE = 1e-6
 _MAX_EPOCHS = 500
 
@@ -540,10 +548,12 @@ _MAX_EPOCHS = 500
 def _lbfgs(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Minimize a smooth, strictly convex ``fun`` (value and gradient) from ``x0``.
+    """Minimize a smooth ``fun`` (value and gradient) from ``x0``.
 
     Limited-memory BFGS (Liu & Nocedal 1989): two-loop recursion over the
-    last ``_LBFGS_MEMORY`` steps and Armijo backtracking from the unit step.
+    last ``_LBFGS_MEMORY`` steps and Armijo backtracking from the unit step;
+    a step of non-positive curvature is not remembered, so ``fun`` need not
+    be convex (a tied ``mals`` likelihood is a difference of log-sum-exps).
     Returns the point, the iterations taken, the largest absolute gradient
     entry there, and whether that is at most ``_LBFGS_TOLERANCE``.
     """
@@ -594,7 +604,7 @@ def _lbfgs(
 
 
 def _batch_scores(
-    batch: _PairBatch | _ListBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
+    batch: _PairBatch | _ListBatch | _PermBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
 ) -> tuple[np.ndarray, int, float, bool]:
     """MAP scores for fixed reliabilities, by ``_lbfgs`` over the whole batch."""
     mean, variance = score_prior.mean, score_prior.variance
@@ -608,7 +618,7 @@ def _batch_scores(
 
 
 def _batch_reliabilities(
-    batch: _PairBatch | _ListBatch, s: np.ndarray, reliability_prior: ReliabilityPrior
+    batch: _PairBatch | _ListBatch | _PermBatch, s: np.ndarray, reliability_prior: ReliabilityPrior
 ) -> np.ndarray:
     """MAP reliability of every grader for fixed scores, one golden-section search each."""
     shape, scale = reliability_prior.shape, reliability_prior.scale
@@ -622,7 +632,7 @@ def _batch_reliabilities(
 
 
 def _fit_batch(
-    batch: _PairBatch | _ListBatch,
+    batch: _PairBatch | _ListBatch | _PermBatch,
     rounds: int,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
@@ -662,9 +672,9 @@ def _run_epochs(
     step: Callable[[int, float], None],
     objective: Callable[[], float],
     rng: np.random.Generator,
-) -> tuple[int, bool]:
+) -> int:
     """Seeded SGD epochs of ``step(term, lr)`` over every term, with step size
-    0.1 / sqrt(epoch): the number of epochs run and whether the tolerance was met."""
+    0.1 / sqrt(epoch): the number of epochs run."""
     prev = objective()
     for epoch in range(1, _MAX_EPOCHS + 1):
         lr = 0.1 / math.sqrt(epoch)
@@ -672,9 +682,9 @@ def _run_epochs(
             step(gi, lr)
         current = objective()
         if abs(current - prev) / max(1.0, abs(prev)) < _REL_TOLERANCE:
-            return epoch, True
+            return epoch
         prev = current
-    return _MAX_EPOCHS, False
+    return _MAX_EPOCHS
 
 
 def _sgd_scores(
@@ -684,7 +694,7 @@ def _sgd_scores(
     rng: np.random.Generator,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int]:
     s = s0.copy()
     n_terms = len(prep.terms)
 
@@ -695,10 +705,8 @@ def _sgd_scores(
         s -= lr * (s - score_prior.mean) / (score_prior.variance * n_terms)
         s[term.global_idx] -= lr * gs
 
-    epochs, converged = _run_epochs(
-        n_terms, step, lambda: _total_objective(prep, s, etas, score_prior, reliability_prior), rng
-    )
-    return s, epochs, converged
+    epochs = _run_epochs(n_terms, step, lambda: _total_objective(prep, s, etas, score_prior, reliability_prior), rng)
+    return s, epochs
 
 
 _LOG_ETA_BOUND = 3.0 * math.log(10.0)
@@ -711,7 +719,7 @@ def _sgd_reliabilities(
     rng: np.random.Generator,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int]:
     """Stochastic gradient on log(eta) per grader (positivity is structural)."""
     z = np.log(etas0)
     shape, scale = reliability_prior.shape, reliability_prior.scale
@@ -722,57 +730,41 @@ def _sgd_reliabilities(
         gz = eta * ge + eta / scale - (shape - 1.0)
         z[gi] = min(max(z[gi] - lr * gz, -_LOG_ETA_BOUND), _LOG_ETA_BOUND)
 
-    epochs, converged = _run_epochs(
+    epochs = _run_epochs(
         len(prep.terms), step, lambda: _total_objective(prep, s, np.exp(z), score_prior, reliability_prior), rng
     )
-    return np.exp(z), epochs, converged
-
-
-def _initial_scores(model: str, data: Dataset, prep: _Prepared) -> np.ndarray:
-    if model != "mals":
-        return np.zeros(len(prep.items))
-    # Seed the weighted permutation model with a scaled-down version of the
-    # greedy likelihood ranking: equally spaced scores in [-1, 1], times 0.1.
-    # The fit, not the seed, places ungraded items, so the seed's warning is
-    # not the user's.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="items never graded")
-        ranking = greedy_mle_ranking(data)
-    n = len(prep.items)
-    spaced = np.linspace(1.0, -1.0, n) * 0.1
-    index = {item: i for i, item in enumerate(prep.items)}
-    s = np.zeros(n)
-    for pos, item in enumerate(ranking.order()):
-        s[index[item]] = spaced[pos]
-    return s
+    return np.exp(z), epochs
 
 
 def _fit_sgd(
     prep: _Prepared,
-    s0: np.ndarray,
     rng: np.random.Generator,
     rounds: int,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Scores, reliabilities and the report of a per-grader SGD fit.
+    """Scores, reliabilities and the report of a per-grader SGD fit from zero scores.
 
     With a ``reliability_prior``, reliability and score steps alternate for
-    exactly ``rounds`` rounds.
+    exactly ``rounds`` rounds. The fit has ``converged`` when its largest
+    absolute score-gradient entry (``grad_norm``) is at most ``_LBFGS_TOLERANCE``.
     """
     etas = np.ones(len(prep.graders))
-    s, epochs, converged = _sgd_scores(prep, s0, etas, rng, score_prior, None)
-    if reliability_prior is None:
-        return s, etas, {"epochs": epochs, "converged": converged}
+    s, epochs = _sgd_scores(prep, np.zeros(len(prep.items)), etas, rng, score_prior, None)
     changes: list[float] = []
-    for _ in range(rounds):
-        new_etas, more, done = _sgd_reliabilities(prep, s, etas, rng, score_prior, reliability_prior)
+    for _ in range(rounds if reliability_prior is not None else 0):
+        new_etas, more = _sgd_reliabilities(prep, s, etas, rng, score_prior, reliability_prior)
         changes.append(float(np.abs(np.log(new_etas) - np.log(etas)).max()))
         etas = new_etas
-        s, more_s, done_s = _sgd_scores(prep, s, etas, rng, score_prior, reliability_prior)
+        s, more_s = _sgd_scores(prep, s, etas, rng, score_prior, reliability_prior)
         epochs += more + more_s
-        converged = converged and done and done_s
-    return s, etas, {"epochs": epochs, "converged": converged, "reliability_change": changes}
+    grad = (s - score_prior.mean) / score_prior.variance
+    for gi, term in enumerate(prep.terms):
+        _, gs, _ = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=False)
+        grad[term.global_idx] += gs
+    grad_norm = float(np.abs(grad).max())
+    report: dict[str, Any] = {"epochs": epochs, "grad_norm": grad_norm, "converged": grad_norm <= _LBFGS_TOLERANCE}
+    return s, etas, report if reliability_prior is None else {**report, "reliability_change": changes}
 
 
 def fit(
@@ -790,21 +782,22 @@ def fit(
 
     With ``with_reliability``, reliability and score steps alternate for
     ``iterations`` rounds after a score fit at eta = 1; reliabilities stay
-    in [1e-3, 1e3]. ``seed`` seeds every random draw. Items nobody graded
-    get the prior mean, with a warning. ``metadata`` of a ``+g`` fit
-    records the largest change of log(eta) in each round (``reliability_change``).
+    in [1e-3, 1e3]. Items nobody graded get the prior mean, with a warning.
+    Every fit starts from zero scores, and its ``metadata`` records the
+    final ``grad_norm`` (largest absolute entry of the score gradient of
+    the negative log-posterior) and, for ``+g``, the largest change of
+    log(eta) in each round (``reliability_change``).
 
-    ``bt`` and ``pl`` are fitted full batch from zero scores: L-BFGS score
-    steps, and golden-section reliability steps on log10(eta). Their
-    ``+g`` rounds go on past ``iterations`` until no log(eta) moves by
-    more than 1e-5 (at most 100 rounds, or ``iterations`` if that is
-    more). ``metadata`` records the ``lbfgs_iterations`` of all score
-    steps, the final ``grad_norm`` (largest absolute gradient entry), and
-    whether every score step ``converged`` (and, for ``+g``, the rounds
-    settled). ``thur`` and ``mals`` run seeded per-grader SGD, ``mals``
-    from a scaled greedy ranking; ``metadata`` records the ``epochs`` of
-    all SGD runs and whether every run ``converged`` (met its tolerance
-    before its epoch cap).
+    ``bt``, ``pl`` and ``mals`` are fitted full batch: L-BFGS score steps,
+    and golden-section reliability steps on log10(eta). Their ``+g`` rounds
+    go on past ``iterations`` until no log(eta) moves by more than 1e-5 (at
+    most 100 rounds, or ``iterations`` if that is more). ``metadata``
+    records the ``lbfgs_iterations`` of all score steps and whether every
+    score step ``converged`` (and, for ``+g``, the rounds settled).
+    ``thur`` runs per-grader SGD and records the ``epochs`` of all SGD
+    runs; it has ``converged`` when ``grad_norm`` is at most 1e-6. ``seed``
+    seeds ``thur``'s SGD and the tie-breaking of ``pl``; it does not affect
+    ``bt`` or ``mals``.
     """
     _check_iterations(iterations)
     score_prior = score_prior or ScorePrior()
@@ -819,8 +812,7 @@ def fit(
     if prep.batch is not None:
         s, etas, report = _fit_batch(prep.batch, iterations, score_prior, rprior)
     else:
-        s0 = _initial_scores(model, data, prep)
-        s, etas, report = _fit_sgd(prep, s0, rng, iterations, score_prior, rprior)
+        s, etas, report = _fit_sgd(prep, rng, iterations, score_prior, rprior)
     reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)} if with_reliability else None
     scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
     return Estimate(

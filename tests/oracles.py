@@ -23,17 +23,15 @@ from opg.config import ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, GraderFeedback
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
-from opg.mallows import MallowsParams, _check_eta
+from opg.mallows import MallowsParams, _check_eta, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
 from opg.scoremodels import (
     _LOG_ETA_BOUND,
     SCORE_MODELS,
-    _initial_scores,
     _PairTerm,
     _prepare,
     _Prepared,
     _total_objective,
-    _WeightedPermTerm,
 )
 from opg.synth import MallowsGraders, SynthConfig, _pad_ids, _prevailing_items_per_grader, _to_scale
 
@@ -211,8 +209,8 @@ def mals_log_likelihood(
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
     svec = np.array([float(scores[x]) for x in prep.items])
-    nll, _, _ = prep.terms[0].value_and_grads(svec, eta, need_s=False, need_eta=False)
-    return -nll
+    nll, _, _ = prep.batch.evaluate(svec, np.array([eta]), grads=False)
+    return -float(nll[0])
 
 
 class _PreferencePairBase(NamedTuple):
@@ -630,9 +628,10 @@ def dict_fit_mallows(
 # verbatim (renamed dict_*, the inverse-square-root step schedule written
 # inline) so the compiled-array preparation and the shared epoch driver can
 # be held to exactly equal answers, and the per-grader SGD fits of the
-# logistic and listwise models to the objective that the full-batch ones
-# must not exceed. The two per-grader terms those models had, which the
-# full-batch likelihoods replaced, come first.
+# logistic, listwise and score-weighted permutation models to the objective
+# that the full-batch ones must not exceed. The per-grader terms those
+# models had, which the full-batch likelihoods replaced, come first; the
+# permutation model's term enumerates every order of a grader's items.
 
 
 class _LogisticPairTerm:
@@ -699,6 +698,141 @@ class _ListTerm:
                 grad_eta = float(gu @ s_ord)
         return nll, grad_s, grad_eta
 
+
+_PERM_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _perm_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inversion matrix over pairs, pair row index, pair col index) for m items.
+
+    Row r of the inversion matrix flags, for permutation r of (0..m-1), which
+    pairs (i, j) with i < j appear inverted (i below j). Tables up to m = 8
+    are cached; m = 9 costs roughly 100 MB and is rebuilt on every call.
+    """
+    cached = _PERM_TABLES.get(m)
+    if cached is not None:
+        return cached
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    pos = np.argsort(perms, axis=1).astype(np.int8)
+    pi, pj = np.triu_indices(m, k=1)
+    inv = (pos[:, pi] > pos[:, pj]).astype(np.float64)
+    if m < 9:
+        _PERM_TABLES[m] = (inv, pi, pj)
+    return inv, pi, pj
+
+
+def _orders_logsumexp(
+    svec: np.ndarray, eta: float, need_s: bool, need_eta: bool
+) -> tuple[float, np.ndarray | None, float | None]:
+    """log sum over all orders of exp(-eta * weighted inversions), with grads.
+
+    ``svec`` holds the scores sorted descending (the reference order); an
+    inverted pair costs its score gap. Returns the log-sum, its gradient with
+    respect to ``svec``, and its eta derivative.
+    """
+    m = len(svec)
+    if m <= 1:
+        return 0.0, (np.zeros(m) if need_s else None), (0.0 if need_eta else None)
+    inv, pi, pj = _perm_tables(m)
+    gaps = svec[pi] - svec[pj]
+    d = inv @ gaps
+    a = -eta * d
+    amax = float(a.max())
+    w = np.exp(a - amax)
+    total = float(w.sum())
+    logz = amax + math.log(total)
+    grad_s = None
+    grad_eta = None
+    if need_s or need_eta:
+        p = w / total
+        if need_s:
+            dgap = -eta * (p @ inv)
+            grad_s = np.bincount(pi, weights=dgap, minlength=m) - np.bincount(
+                pj, weights=dgap, minlength=m
+            )
+        if need_eta:
+            grad_eta = -float(p @ d)
+    return logz, grad_s, grad_eta
+
+
+def _sorted_desc(svals: np.ndarray) -> np.ndarray:
+    """Indices sorting scores descending, equal scores by index (deterministic)."""
+    return np.lexsort((np.arange(len(svals)), -svals))
+
+
+class _WeightedPermTerm:
+    """One grader's weak ranking under the score-weighted permutation model."""
+
+    __slots__ = ("global_idx", "groups_local")
+
+    def __init__(self, global_idx: np.ndarray, groups_local: list[np.ndarray]):
+        self.global_idx = global_idx
+        self.groups_local = groups_local
+
+    def value_and_grads(
+        self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
+    ) -> tuple[float, np.ndarray | None, float | None]:
+        m = len(self.global_idx)
+        s_local = s[self.global_idx]
+        grad_s = np.zeros(m) if need_s else None
+        grad_eta = 0.0 if need_eta else None
+
+        # Denominator: all total orders of the grader's items.
+        perm = _sorted_desc(s_local)
+        logz_den, g_sorted, de = _orders_logsumexp(s_local[perm], eta, need_s, need_eta)
+        nll = logz_den
+        if need_s:
+            grad_s[perm] += g_sorted
+        if need_eta:
+            grad_eta += de
+
+        # Numerator: cross-group pairs are fixed by the tie groups; a pair
+        # scored against the group order costs its gap in every consistent
+        # order. Within-group arrangements enumerate freely per group.
+        x = 0.0
+        for gi, better in enumerate(self.groups_local):
+            for worse in self.groups_local[gi + 1:]:
+                v = s_local[worse][:, None] - s_local[better][None, :]
+                pos = v > 0.0
+                if pos.any():
+                    x += float(v[pos].sum())
+                    if need_s:
+                        np.add.at(grad_s, worse, eta * pos.sum(axis=1).astype(float))
+                        np.add.at(grad_s, better, -eta * pos.sum(axis=0).astype(float))
+        nll += eta * x
+        if need_eta:
+            grad_eta += x
+        for group in self.groups_local:
+            if len(group) < 2:
+                continue
+            gvals = s_local[group]
+            gperm = _sorted_desc(gvals)
+            logz_g, gg, de_g = _orders_logsumexp(gvals[gperm], eta, need_s, need_eta)
+            nll -= logz_g
+            if need_s:
+                np.subtract.at(grad_s, group[gperm], gg)
+            if need_eta:
+                grad_eta -= de_g
+        return nll, grad_s, grad_eta
+
+
+def _initial_scores(model: str, data: Dataset, prep: _Prepared) -> np.ndarray:
+    if model != "mals":
+        return np.zeros(len(prep.items))
+    # Seed the weighted permutation model with a scaled-down version of the
+    # greedy likelihood ranking: equally spaced scores in [-1, 1], times 0.1.
+    # The fit, not the seed, places ungraded items, so the seed's warning is
+    # not the user's.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="items never graded")
+        ranking = greedy_mle_ranking(data)
+    n = len(prep.items)
+    spaced = np.linspace(1.0, -1.0, n) * 0.1
+    index = {item: i for i, item in enumerate(prep.items)}
+    s = np.zeros(n)
+    for pos, item in enumerate(ranking.order()):
+        s[index[item]] = spaced[pos]
+    return s
 
 def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeration_cap: int = 9) -> _Prepared:
     if model not in SCORE_MODELS:
