@@ -17,7 +17,7 @@ __all__ = ["MODEL_NAMES", "ModelOptions", "fit_model", "model_uses_reliability"]
 class ModelOptions:
     """Shared knobs for fitting; defaults match the documented priors.
 
-    ``seed`` seeds every random draw of a fit (tie breaks, SGD order) and
+    ``seed`` seeds every random draw of a fit (tie breaks, SVRG order) and
     ``iterations`` is the number of alternating reliability rounds of the
     "+g" models; both must be >= 0.
     """

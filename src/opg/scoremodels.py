@@ -16,12 +16,12 @@ eta) to a likelihood of the observed rankings:
 
 All fits are MAP under an independent normal prior on scores and (for the
 "+g" variants) a gamma prior on reliabilities, with alternating
-reliability/score rounds. The logistic, listwise and score-weighted
-permutation models are fitted full batch: their objective and its gradient
-are computed over every grader's feedback at once from
-``Dataset.feedback_arrays``, the score step is L-BFGS and the reliability
-step is one golden-section search per grader. The probit model takes
-per-grader stochastic gradient steps.
+reliability/score rounds. Every model's objective and its gradient are
+computed over every grader's feedback at once from
+``Dataset.feedback_arrays``, and the reliability step is one golden-section
+search per grader. The score step is L-BFGS for the logistic, listwise and
+score-weighted permutation models; the probit model takes per-grader
+variance-reduced gradient steps (SVRG).
 """
 
 from __future__ import annotations
@@ -82,83 +82,79 @@ def pl_ranking_log_probability(
     return float((u - suffix_lse).sum())
 
 
-# --- per-grader likelihood terms --------------------------------------------
-
-
-class _PairTerm:
-    """Strict pairwise preferences of one grader under the probit link.
-
-    ``log_ndtr`` is ``scipy.special.log_ndtr``, imported by ``_prepare`` so
-    that no other model pays for loading ``scipy.special``.
-    """
-
-    __slots__ = ("global_idx", "wl", "ll", "log_ndtr")
-
-    def __init__(self, global_idx: np.ndarray, wl: np.ndarray, ll: np.ndarray, log_ndtr: Callable):
-        self.global_idx = global_idx
-        self.wl = wl
-        self.ll = ll
-        self.log_ndtr = log_ndtr
-
-    def value_and_grads(
-        self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
-    ) -> tuple[float, np.ndarray | None, float | None]:
-        m = len(self.global_idx)
-        if len(self.wl) == 0:
-            return 0.0, (np.zeros(m) if need_s else None), (0.0 if need_eta else None)
-        s_local = s[self.global_idx]
-        dz = s_local[self.wl] - s_local[self.ll]
-        rt = math.sqrt(eta)
-        z = rt * dz
-        logphi = self.log_ndtr(z)
-        nll = -float(logphi.sum())
-        grad_s = None
-        grad_eta = None
-        if need_s or need_eta:
-            ratio = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logphi)
-            if need_s:
-                grad_s = np.bincount(self.wl, weights=-rt * ratio, minlength=m) + np.bincount(
-                    self.ll, weights=rt * ratio, minlength=m
-                )
-            if need_eta:
-                grad_eta = -float((ratio * dz).sum()) / (2.0 * rt)
-        return nll, grad_s, grad_eta
-
-
 # --- full-batch likelihoods: every grader's feedback at once ------------------
 
 
 class _PairBatch:
-    """Every grader's strict pairs under the logistic link.
+    """Every grader's strict pairs under the logistic link or, with ``probit``,
+    the probit link.
 
-    ``evaluate`` returns each grader's negative log-likelihood, its gradient
-    with respect to the scores (summed over graders) and, when asked, with
-    respect to each grader's reliability.
+    A pair's probability is sigma(z) or Phi(z) at z = scale * (s_winner -
+    s_loser), where the grader's link ``scale`` is eta or sqrt(eta).
+    Grader g's pairs are ``pair_offsets[g]:pair_offsets[g + 1]`` and it
+    ranked ``counts[g]`` items. ``evaluate`` returns each grader's negative
+    log-likelihood, its gradient with respect to the scores (summed over
+    graders) and, when asked, with respect to each grader's reliability.
+    Only a probit batch imports ``scipy.special``, so that no other model
+    pays for loading it.
     """
 
-    def __init__(self, arrays: FeedbackArrays, n_items: int):
+    def __init__(self, arrays: FeedbackArrays, n_items: int, probit: bool = False):
         self.winner = arrays.winner.astype(np.intp)
         self.loser = arrays.loser.astype(np.intp)
         self.grader = arrays.pair_grader.astype(np.intp)
         self.n_items = n_items
         self.n_graders = len(arrays.graders)
+        self.pair_offsets = np.searchsorted(self.grader, np.arange(self.n_graders + 1)).tolist()
+        self.counts = np.diff(arrays.offsets)
+        self.probit = probit
+        if probit:
+            from scipy.special import log_ndtr
+
+            self._log_ndtr = log_ndtr
+
+    def scale(self, etas: np.ndarray) -> np.ndarray:
+        return np.sqrt(etas) if self.probit else etas
+
+    def _terms(self, z: np.ndarray, grads: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each pair's -log P(winner above loser) at ``z`` and, with ``grads``,
+        q = minus its derivative in z."""
+        if self.probit:
+            log_term = -self._log_ndtr(z)
+            # phi(z) / Phi(z), from the log Phi the nll already has.
+            return log_term, (np.exp(log_term - 0.5 * z * z - _LOG_SQRT_2PI) if grads else None)
+        log_term = np.logaddexp(0.0, -z)
+        # 1 - exp(-log(1 + exp(-z))) = expit(-z), from the term the nll already has.
+        return log_term, (-np.expm1(-log_term) if grads else None)
+
+    def slopes(self, s: np.ndarray, scale: np.ndarray | float, pairs: slice = slice(None)) -> np.ndarray:
+        """Minus the derivative of each pair's -log P in s_winner - s_loser, for
+        the ``pairs`` given, at their link ``scale``."""
+        dz = s[self.winner[pairs]] - s[self.loser[pairs]]
+        return scale * self._terms(scale * dz, True)[1]
+
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """The score gradient of pair slopes ``w`` (one per pair)."""
+        grad_s = np.bincount(self.loser, weights=w, minlength=self.n_items)
+        grad_s -= np.bincount(self.winner, weights=w, minlength=self.n_items)
+        return grad_s
 
     def evaluate(
         self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         dz = s[self.winner] - s[self.loser]
-        eta = etas[self.grader]
-        z = eta * dz
-        log_term = np.logaddexp(0.0, -z)
+        scale = self.scale(etas)[self.grader]
+        log_term, q = self._terms(scale * dz, grads)
         nll = np.bincount(self.grader, weights=log_term, minlength=self.n_graders)
         if not grads:
             return nll, None, None
-        # 1 - exp(-log(1 + exp(-z))) = expit(-z), from the term the nll already has.
-        q = -np.expm1(-log_term)
-        w = eta * q
-        grad_s = np.bincount(self.loser, weights=w, minlength=self.n_items)
-        grad_s -= np.bincount(self.winner, weights=w, minlength=self.n_items)
-        grad_eta = -np.bincount(self.grader, weights=dz * q, minlength=self.n_graders) if need_eta else None
+        grad_s = self.scatter(scale * q)
+        grad_eta = None
+        if need_eta:
+            # d scale / d eta is 1 for the logistic link, 1 / (2 sqrt(eta)) for the probit one.
+            grad_eta = -np.bincount(self.grader, weights=dz * q, minlength=self.n_graders)
+            if self.probit:
+                grad_eta /= 2.0 * np.sqrt(etas)
         return nll, grad_s, grad_eta
 
 
@@ -335,16 +331,13 @@ class _PermBatch:
 
 @dataclass
 class _Prepared:
-    """A model's likelihood over a dataset: full batch (``batch``) for the
-    logistic, listwise and score-weighted permutation models, else one term
-    per grader (``terms``)."""
+    """A model's likelihood over a dataset, one ``batch`` over every grader."""
 
     model: str
     items: tuple[str, ...]
     graders: tuple[str, ...]
-    terms: list[Any]
+    batch: _PairBatch | _ListBatch | _PermBatch
     metadata: dict[str, Any] = field(default_factory=dict)
-    batch: _PairBatch | _ListBatch | _PermBatch | None = None
 
 
 def _run_starts(arrays: FeedbackArrays) -> np.ndarray:
@@ -377,59 +370,27 @@ def _list_batch(arrays: FeedbackArrays, n_items: int, rng: np.random.Generator) 
 
 
 def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
-    """The model's likelihood over ``data``, built from ``data.feedback_arrays``.
-
-    The logistic, listwise and score-weighted permutation models get one
-    batch over every grader (``rng`` breaks ties for the listwise one). The
-    probit model gets every grader's term: a term numbers its grader's items
-    by their position in id order (the order of ``GraderFeedback.items``),
-    and ``global_idx`` maps them to ``data.items``.
-    """
+    """The model's likelihood over ``data``, one batch over every grader built
+    from ``data.feedback_arrays`` (``rng`` breaks ties for the listwise one)."""
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
     if not data.feedback:
         raise ValidationError("dataset has no feedback")
     fa = data.feedback_arrays
-    n, offsets = len(data.items), fa.offsets
-    if model == "bt":
-        return _Prepared(model, data.items, fa.graders, [], batch=_PairBatch(fa, n))
+    n = len(data.items)
+    if model in ("bt", "thur"):
+        return _Prepared(model, data.items, fa.graders, _PairBatch(fa, n, probit=model == "thur"))
     if model == "pl":
         batch, tied = _list_batch(fa, n, rng)
-        return _Prepared(model, data.items, fa.graders, [], {"tie_break": "seeded"} if tied else {}, batch)
-    counts = np.diff(offsets)
-    if model == "mals":
-        if counts.max() > ENUMERATION_CAP:
-            g = int(np.argmax(counts > ENUMERATION_CAP))
-            raise EnumerationCapError(
-                f"grader {fa.graders[g]!r} graded {counts[g]} items, above the cap {ENUMERATION_CAP} "
-                f"of the subset recursion; exclude this model"
-            )
-        return _Prepared(model, data.items, fa.graders, [], batch=_PermBatch(fa, n))
-    from scipy.special import log_ndtr
-
-    entry_grader = np.repeat(np.arange(len(counts)), counts)
-    # Sorted (grader, item) keys: grader g's items in id order fill
-    # keys[offsets[g]:offsets[g + 1]], so a key's place there is its local index.
-    keys = np.sort(entry_grader * n + fa.item)
-    global_idx = keys - entry_grader * n
-    entry_pos = np.searchsorted(keys, entry_grader * n + fa.item)
-    pair_grader = fa.pair_grader.astype(np.int64)
-    win = np.searchsorted(keys, pair_grader * n + fa.winner)
-    lose = np.searchsorted(keys, pair_grader * n + fa.loser)
-    rank_at = np.empty_like(fa.rank)
-    rank_at[entry_pos] = fa.rank
-    # The arrays list a grader's pairs row by row over its entries; the
-    # terms list them one pair of tie groups at a time.
-    order = np.lexsort((rank_at[lose], rank_at[win], pair_grader))
-    wl = (win - offsets[pair_grader])[order]
-    ll = (lose - offsets[pair_grader])[order]
-    spans = zip(offsets[:-1].tolist(), offsets[1:].tolist())
-    pair_offsets = np.searchsorted(pair_grader, np.arange(len(counts) + 1)).tolist()
-    terms: list[Any] = [
-        _PairTerm(global_idx[a:b], wl[c:d], ll[c:d], log_ndtr)
-        for (a, b), c, d in zip(spans, pair_offsets[:-1], pair_offsets[1:])
-    ]
-    return _Prepared(model=model, items=data.items, graders=fa.graders, terms=terms)
+        return _Prepared(model, data.items, fa.graders, batch, {"tie_break": "seeded"} if tied else {})
+    counts = np.diff(fa.offsets)
+    if counts.max() > ENUMERATION_CAP:
+        g = int(np.argmax(counts > ENUMERATION_CAP))
+        raise EnumerationCapError(
+            f"grader {fa.graders[g]!r} graded {counts[g]} items, above the cap {ENUMERATION_CAP} "
+            f"of the subset recursion; exclude this model"
+        )
+    return _Prepared(model, data.items, fa.graders, _PermBatch(fa, n))
 
 
 @dataclass(frozen=True)
@@ -439,25 +400,6 @@ class Objective:
     value: float
     score_gradient: dict[str, float]
     reliability_gradient: dict[str, float] | None = None
-
-
-def _total_objective(
-    prep: _Prepared,
-    s: np.ndarray,
-    etas: np.ndarray,
-    score_prior: ScorePrior,
-    reliability_prior: ReliabilityPrior | None,
-) -> float:
-    total = 0.0
-    for gi, term in enumerate(prep.terms):
-        nll, _, _ = term.value_and_grads(s, float(etas[gi]), need_s=False, need_eta=False)
-        total += nll
-    total += float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
-    if reliability_prior is not None:
-        total += float(
-            (etas / reliability_prior.scale - (reliability_prior.shape - 1.0) * np.log(etas)).sum()
-        )
-    return total
 
 
 def negative_log_posterior(
@@ -496,22 +438,10 @@ def negative_log_posterior(
         etas = np.ones(len(prep.graders))
         rprior = None
 
-    value = 0.0
-    grad_s = (s - score_prior.mean) / score_prior.variance
-    value += float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
-    grad_eta = np.zeros(len(prep.graders))
-    if prep.batch is not None:
-        nll, gs, ge = prep.batch.evaluate(s, etas, need_eta=with_rel)
-        value += float(nll.sum())
-        grad_s += gs
-        if with_rel:
-            grad_eta = ge
-    for gi, term in enumerate(prep.terms):
-        nll, gs, ge = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=with_rel)
-        value += nll
-        grad_s[term.global_idx] += gs
-        if with_rel:
-            grad_eta[gi] = ge
+    value = float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
+    nll, grad_s, grad_eta = prep.batch.evaluate(s, etas, need_eta=with_rel)
+    value += float(nll.sum())
+    grad_s += (s - score_prior.mean) / score_prior.variance
     reliability_gradient = None
     if with_rel:
         value += float((etas / rprior.scale - (rprior.shape - 1.0) * np.log(etas)).sum())
@@ -526,23 +456,19 @@ def negative_log_posterior(
 
 # --- full-batch fitting -----------------------------------------------------
 
-# L-BFGS settings: steps remembered, stopping tolerance on the largest
-# absolute gradient entry, and the iteration cap after which a fit is
-# reported as not converged.
+# Steps an L-BFGS score step remembers; the stopping tolerance of every
+# score step on the largest absolute gradient entry; and the cap on L-BFGS
+# iterations or SVRG epochs after which a score step is reported as not
+# converged.
 _LBFGS_MEMORY = 10
-_LBFGS_TOLERANCE = 1e-6
-_LBFGS_MAX_ITERATIONS = 1000
+_GRAD_TOLERANCE = 1e-6
+_MAX_STEPS = 1000
 
 # Alternating rounds of a "+g" fit stop once no reliability moves by more
 # than this in log(eta) (the golden-section search resolves log(eta) to about
 # 1.2e-6), or after this many rounds.
 _SETTLED_LOG_ETA = 1e-5
 _MAX_ROUNDS = 100
-
-# An SGD run (thur) stops once an epoch changes the objective by less than
-# this fraction, or after this many epochs.
-_REL_TOLERANCE = 1e-6
-_MAX_EPOCHS = 500
 
 
 def _lbfgs(
@@ -555,14 +481,14 @@ def _lbfgs(
     a step of non-positive curvature is not remembered, so ``fun`` need not
     be convex (a tied ``mals`` likelihood is a difference of log-sum-exps).
     Returns the point, the iterations taken, the largest absolute gradient
-    entry there, and whether that is at most ``_LBFGS_TOLERANCE``.
+    entry there, and whether that is at most ``_GRAD_TOLERANCE``.
     """
     x = x0.copy()
     f, g = fun(x)
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for iteration in range(_LBFGS_MAX_ITERATIONS):
+    for iteration in range(_MAX_STEPS):
         g_max = float(np.abs(g).max())
-        if g_max <= _LBFGS_TOLERANCE:
+        if g_max <= _GRAD_TOLERANCE:
             return x, iteration, g_max, True
         # q becomes the inverse-Hessian estimate times g; the step is -q.
         q = g.copy()
@@ -600,10 +526,10 @@ def _lbfgs(
                 history.pop(0)
         x, f, g = x_new, f_new, g_new
     g_max = float(np.abs(g).max())
-    return x, _LBFGS_MAX_ITERATIONS, g_max, g_max <= _LBFGS_TOLERANCE
+    return x, _MAX_STEPS, g_max, g_max <= _GRAD_TOLERANCE
 
 
-def _batch_scores(
+def _lbfgs_scores(
     batch: _PairBatch | _ListBatch | _PermBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
 ) -> tuple[np.ndarray, int, float, bool]:
     """MAP scores for fixed reliabilities, by ``_lbfgs`` over the whole batch."""
@@ -615,6 +541,46 @@ def _batch_scores(
         return float(nll.sum()) + float(d @ d) / (2.0 * variance), grad + d / variance
 
     return _lbfgs(fun, s0)
+
+
+def _svrg_scores(
+    batch: _PairBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
+) -> tuple[np.ndarray, int, float, bool]:
+    """MAP scores for fixed reliabilities, by per-grader SVRG (Johnson &
+    Zhang 2013); returns as ``_lbfgs`` does, counting epochs.
+
+    Grader g's share h_g of the objective F is its pairs' negative
+    log-likelihood plus 1/G of the prior. An epoch takes the gradient of F
+    at a snapshot s~, then steps s -= lr * (grad h_g(s) - grad h_g(s~) +
+    grad F(s~) / G) once per grader, in a seeded random order. The fit
+    stops at the first snapshot whose largest absolute gradient entry is at
+    most ``_GRAD_TOLERANCE``. -log Phi has curvature at most 1 and the pair
+    Laplacian of m items has eigenvalues at most m, so L = max over g of
+    eta_g * m_g + 1 / (variance * G) bounds the curvature of every h_g, and
+    lr = 1 / (4 L).
+    """
+    mean, variance, n_graders = score_prior.mean, score_prior.variance, batch.n_graders
+    share = 1.0 / (variance * n_graders)
+    lr = 0.25 / (float((etas * batch.counts).max()) + share)
+    scale = batch.scale(etas)
+    pair_scale = scale[batch.grader]
+    bounds = batch.pair_offsets
+    s, epoch = s0.copy(), 0
+    while True:
+        snapshot_slopes = batch.slopes(s, pair_scale)
+        grad = batch.scatter(snapshot_slopes) + (s - mean) / variance
+        g_max = float(np.abs(grad).max())
+        if g_max <= _GRAD_TOLERANCE or epoch == _MAX_STEPS:
+            return s, epoch, g_max, g_max <= _GRAD_TOLERANCE
+        snapshot, drift = s.copy(), grad / n_graders
+        for g in rng.permutation(n_graders).tolist():
+            pairs = slice(bounds[g], bounds[g + 1])
+            w = batch.slopes(s, scale[g], pairs) - snapshot_slopes[pairs]
+            step = (s - snapshot) * share + drift
+            np.add.at(step, batch.loser[pairs], w)
+            np.subtract.at(step, batch.winner[pairs], w)
+            s -= lr * step
+        epoch += 1
 
 
 def _batch_reliabilities(
@@ -636,19 +602,30 @@ def _fit_batch(
     rounds: int,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Scores, reliabilities and the solver's report of a full-batch fit.
+    """Scores, reliabilities and the solver's report of a fit from the prior mean.
 
-    With a ``reliability_prior``, reliability and score steps alternate for
-    at least ``rounds`` rounds (one if ``rounds`` is 0) and then until a
-    round moves no log(eta) by more than ``_SETTLED_LOG_ETA``, for at most
-    ``max(rounds, _MAX_ROUNDS)`` rounds; a fit that stops unsettled is not
-    ``converged``.
+    The score step is ``_svrg_scores`` for a probit batch, which reports its
+    ``svrg_epochs``, and ``_lbfgs_scores`` for every other batch, which
+    reports its ``lbfgs_iterations``. With a ``reliability_prior``,
+    reliability and score steps alternate for at least ``rounds`` rounds
+    (one if ``rounds`` is 0) and then until a round moves no log(eta) by
+    more than ``_SETTLED_LOG_ETA``, for at most ``max(rounds, _MAX_ROUNDS)``
+    rounds; a fit that stops unsettled is not ``converged``.
     """
+    probit = isinstance(batch, _PairBatch) and batch.probit
+    steps_key = "svrg_epochs" if probit else "lbfgs_iterations"
+
+    def score_step(s: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, int, float, bool]:
+        if probit:
+            return _svrg_scores(batch, s, etas, score_prior, rng)
+        return _lbfgs_scores(batch, s, etas, score_prior)
+
     etas = np.ones(batch.n_graders)
-    s, lbfgs_iterations, grad_norm, converged = _batch_scores(batch, np.zeros(batch.n_items), etas, score_prior)
+    s, steps, grad_norm, converged = score_step(np.full(batch.n_items, score_prior.mean), etas)
     if reliability_prior is None:
-        return s, etas, {"lbfgs_iterations": lbfgs_iterations, "grad_norm": grad_norm, "converged": converged}
+        return s, etas, {steps_key: steps, "grad_norm": grad_norm, "converged": converged}
     changes: list[float] = []
     while len(changes) < max(rounds, 1) or changes[-1] > _SETTLED_LOG_ETA:
         if len(changes) == max(rounds, _MAX_ROUNDS):
@@ -657,114 +634,11 @@ def _fit_batch(
         new_etas = _batch_reliabilities(batch, s, reliability_prior)
         changes.append(float(np.abs(np.log(new_etas) - np.log(etas)).max()))
         etas = new_etas
-        s, more, grad_norm, done = _batch_scores(batch, s, etas, score_prior)
-        lbfgs_iterations += more
+        s, more, grad_norm, done = score_step(s, etas)
+        steps += more
         converged = converged and done
-    report: dict[str, Any] = {"lbfgs_iterations": lbfgs_iterations, "grad_norm": grad_norm, "converged": converged}
+    report: dict[str, Any] = {steps_key: steps, "grad_norm": grad_norm, "converged": converged}
     return s, etas, {**report, "reliability_change": changes}
-
-
-# --- stochastic gradient fitting --------------------------------------------
-
-
-def _run_epochs(
-    n_terms: int,
-    step: Callable[[int, float], None],
-    objective: Callable[[], float],
-    rng: np.random.Generator,
-) -> int:
-    """Seeded SGD epochs of ``step(term, lr)`` over every term, with step size
-    0.1 / sqrt(epoch): the number of epochs run."""
-    prev = objective()
-    for epoch in range(1, _MAX_EPOCHS + 1):
-        lr = 0.1 / math.sqrt(epoch)
-        for gi in rng.permutation(n_terms):
-            step(gi, lr)
-        current = objective()
-        if abs(current - prev) / max(1.0, abs(prev)) < _REL_TOLERANCE:
-            return epoch
-        prev = current
-    return _MAX_EPOCHS
-
-
-def _sgd_scores(
-    prep: _Prepared,
-    s0: np.ndarray,
-    etas: np.ndarray,
-    rng: np.random.Generator,
-    score_prior: ScorePrior,
-    reliability_prior: ReliabilityPrior | None,
-) -> tuple[np.ndarray, int]:
-    s = s0.copy()
-    n_terms = len(prep.terms)
-
-    def step(gi: int, lr: float) -> None:
-        nonlocal s
-        term = prep.terms[gi]
-        _, gs, _ = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=False)
-        s -= lr * (s - score_prior.mean) / (score_prior.variance * n_terms)
-        s[term.global_idx] -= lr * gs
-
-    epochs = _run_epochs(n_terms, step, lambda: _total_objective(prep, s, etas, score_prior, reliability_prior), rng)
-    return s, epochs
-
-
-_LOG_ETA_BOUND = 3.0 * math.log(10.0)
-
-
-def _sgd_reliabilities(
-    prep: _Prepared,
-    s: np.ndarray,
-    etas0: np.ndarray,
-    rng: np.random.Generator,
-    score_prior: ScorePrior,
-    reliability_prior: ReliabilityPrior,
-) -> tuple[np.ndarray, int]:
-    """Stochastic gradient on log(eta) per grader (positivity is structural)."""
-    z = np.log(etas0)
-    shape, scale = reliability_prior.shape, reliability_prior.scale
-
-    def step(gi: int, lr: float) -> None:
-        eta = math.exp(z[gi])
-        _, _, ge = prep.terms[gi].value_and_grads(s, eta, need_s=False, need_eta=True)
-        gz = eta * ge + eta / scale - (shape - 1.0)
-        z[gi] = min(max(z[gi] - lr * gz, -_LOG_ETA_BOUND), _LOG_ETA_BOUND)
-
-    epochs = _run_epochs(
-        len(prep.terms), step, lambda: _total_objective(prep, s, np.exp(z), score_prior, reliability_prior), rng
-    )
-    return np.exp(z), epochs
-
-
-def _fit_sgd(
-    prep: _Prepared,
-    rng: np.random.Generator,
-    rounds: int,
-    score_prior: ScorePrior,
-    reliability_prior: ReliabilityPrior | None,
-) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Scores, reliabilities and the report of a per-grader SGD fit from zero scores.
-
-    With a ``reliability_prior``, reliability and score steps alternate for
-    exactly ``rounds`` rounds. The fit has ``converged`` when its largest
-    absolute score-gradient entry (``grad_norm``) is at most ``_LBFGS_TOLERANCE``.
-    """
-    etas = np.ones(len(prep.graders))
-    s, epochs = _sgd_scores(prep, np.zeros(len(prep.items)), etas, rng, score_prior, None)
-    changes: list[float] = []
-    for _ in range(rounds if reliability_prior is not None else 0):
-        new_etas, more = _sgd_reliabilities(prep, s, etas, rng, score_prior, reliability_prior)
-        changes.append(float(np.abs(np.log(new_etas) - np.log(etas)).max()))
-        etas = new_etas
-        s, more_s = _sgd_scores(prep, s, etas, rng, score_prior, reliability_prior)
-        epochs += more + more_s
-    grad = (s - score_prior.mean) / score_prior.variance
-    for gi, term in enumerate(prep.terms):
-        _, gs, _ = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=False)
-        grad[term.global_idx] += gs
-    grad_norm = float(np.abs(grad).max())
-    report: dict[str, Any] = {"epochs": epochs, "grad_norm": grad_norm, "converged": grad_norm <= _LBFGS_TOLERANCE}
-    return s, etas, report if reliability_prior is None else {**report, "reliability_change": changes}
 
 
 def fit(
@@ -783,21 +657,21 @@ def fit(
     With ``with_reliability``, reliability and score steps alternate for
     ``iterations`` rounds after a score fit at eta = 1; reliabilities stay
     in [1e-3, 1e3]. Items nobody graded get the prior mean, with a warning.
-    Every fit starts from zero scores, and its ``metadata`` records the
+    Every fit starts from the prior mean, and its ``metadata`` records the
     final ``grad_norm`` (largest absolute entry of the score gradient of
     the negative log-posterior) and, for ``+g``, the largest change of
     log(eta) in each round (``reliability_change``).
 
-    ``bt``, ``pl`` and ``mals`` are fitted full batch: L-BFGS score steps,
-    and golden-section reliability steps on log10(eta). Their ``+g`` rounds
-    go on past ``iterations`` until no log(eta) moves by more than 1e-5 (at
-    most 100 rounds, or ``iterations`` if that is more). ``metadata``
-    records the ``lbfgs_iterations`` of all score steps and whether every
-    score step ``converged`` (and, for ``+g``, the rounds settled).
-    ``thur`` runs per-grader SGD and records the ``epochs`` of all SGD
-    runs; it has ``converged`` when ``grad_norm`` is at most 1e-6. ``seed``
-    seeds ``thur``'s SGD and the tie-breaking of ``pl``; it does not affect
-    ``bt`` or ``mals``.
+    Reliability steps are golden-section searches on log10(eta), one per
+    grader, and ``+g`` rounds go on past ``iterations`` until no log(eta)
+    moves by more than 1e-5 (at most 100 rounds, or ``iterations`` if that
+    is more). The score steps of ``bt``, ``pl`` and ``mals`` are L-BFGS, and
+    ``metadata`` records their ``lbfgs_iterations``; those of ``thur`` are
+    per-grader SVRG epochs, recorded as ``svrg_epochs``. A fit has
+    ``converged`` when every score step ended with a largest gradient entry
+    of at most 1e-6 (and, for ``+g``, the rounds settled). ``seed`` orders
+    ``thur``'s SVRG steps and seeds the tie-breaking of ``pl``; it does not
+    affect ``bt`` or ``mals``.
     """
     _check_iterations(iterations)
     score_prior = score_prior or ScorePrior()
@@ -809,10 +683,7 @@ def fit(
         ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
         warnings.warn(f"items never graded by anyone get the prior mean: {ungraded}", stacklevel=2)
 
-    if prep.batch is not None:
-        s, etas, report = _fit_batch(prep.batch, iterations, score_prior, rprior)
-    else:
-        s, etas, report = _fit_sgd(prep, rng, iterations, score_prior, rprior)
+    s, etas, report = _fit_batch(prep.batch, iterations, score_prior, rprior, rng)
     reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)} if with_reliability else None
     scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
     return Estimate(

@@ -14,6 +14,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -25,14 +26,7 @@ from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
 from opg.mallows import MallowsParams, _check_eta, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
-from opg.scoremodels import (
-    _LOG_ETA_BOUND,
-    SCORE_MODELS,
-    _PairTerm,
-    _prepare,
-    _Prepared,
-    _total_objective,
-)
+from opg.scoremodels import SCORE_MODELS, Objective, _prepare
 from opg.synth import MallowsGraders, SynthConfig, _pad_ids, _prevailing_items_per_grader, _to_scale
 
 
@@ -624,14 +618,50 @@ def dict_fit_mallows(
 
 
 # ---------------------------------------------------------------------------
-# The earlier dict-loop preparation and SGD loops of opg.scoremodels, kept
-# verbatim (renamed dict_*, the inverse-square-root step schedule written
-# inline) so the compiled-array preparation and the shared epoch driver can
-# be held to exactly equal answers, and the per-grader SGD fits of the
-# logistic, listwise and score-weighted permutation models to the objective
-# that the full-batch ones must not exceed. The per-grader terms those
-# models had, which the full-batch likelihoods replaced, come first; the
-# permutation model's term enumerates every order of a grader's items.
+# The earlier dict-loop preparation, per-grader objective and SGD loops of
+# opg.scoremodels, kept verbatim (renamed dict_*, the inverse-square-root
+# step schedule written inline): the full-batch likelihoods must hold the
+# same feedback as the per-grader terms and sum to the same objective, and
+# every fit must reach an objective no worse than the per-grader SGD. The
+# per-grader terms, which the full-batch likelihoods replaced, come first;
+# the permutation model's term enumerates every order of a grader's items.
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+class _PairTerm:
+    """Strict pairwise preferences of one grader under the probit link."""
+
+    __slots__ = ("global_idx", "wl", "ll")
+
+    def __init__(self, global_idx: np.ndarray, wl: np.ndarray, ll: np.ndarray):
+        self.global_idx = global_idx
+        self.wl = wl
+        self.ll = ll
+
+    def value_and_grads(
+        self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
+    ) -> tuple[float, np.ndarray | None, float | None]:
+        m = len(self.global_idx)
+        if len(self.wl) == 0:
+            return 0.0, (np.zeros(m) if need_s else None), (0.0 if need_eta else None)
+        s_local = s[self.global_idx]
+        dz = s_local[self.wl] - s_local[self.ll]
+        rt = math.sqrt(eta)
+        z = rt * dz
+        logphi = log_ndtr(z)
+        nll = -float(logphi.sum())
+        grad_s = None
+        grad_eta = None
+        if need_s or need_eta:
+            ratio = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logphi)
+            if need_s:
+                grad_s = np.bincount(self.wl, weights=-rt * ratio, minlength=m) + np.bincount(
+                    self.ll, weights=rt * ratio, minlength=m
+                )
+            if need_eta:
+                grad_eta = -float((ratio * dz).sum()) / (2.0 * rt)
+        return nll, grad_s, grad_eta
 
 
 class _LogisticPairTerm:
@@ -816,7 +846,37 @@ class _WeightedPermTerm:
         return nll, grad_s, grad_eta
 
 
-def _initial_scores(model: str, data: Dataset, prep: _Prepared) -> np.ndarray:
+@dataclass
+class _TermsPrepared:
+    """A model's likelihood over a dataset as one term per grader."""
+
+    model: str
+    items: tuple[str, ...]
+    graders: tuple[str, ...]
+    terms: list[Any]
+    metadata: dict[str, Any] = field(default_factory=dict)
+
+
+def _total_objective(
+    prep: _TermsPrepared,
+    s: np.ndarray,
+    etas: np.ndarray,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior | None,
+) -> float:
+    total = 0.0
+    for gi, term in enumerate(prep.terms):
+        nll, _, _ = term.value_and_grads(s, float(etas[gi]), need_s=False, need_eta=False)
+        total += nll
+    total += float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
+    if reliability_prior is not None:
+        total += float(
+            (etas / reliability_prior.scale - (reliability_prior.shape - 1.0) * np.log(etas)).sum()
+        )
+    return total
+
+
+def _initial_scores(model: str, data: Dataset, prep: _TermsPrepared) -> np.ndarray:
     if model != "mals":
         return np.zeros(len(prep.items))
     # Seed the weighted permutation model with a scaled-down version of the
@@ -834,7 +894,8 @@ def _initial_scores(model: str, data: Dataset, prep: _Prepared) -> np.ndarray:
         s[index[item]] = spaced[pos]
     return s
 
-def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeration_cap: int = 9) -> _Prepared:
+
+def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeration_cap: int = 9) -> _TermsPrepared:
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
     if not data.feedback:
@@ -863,7 +924,7 @@ def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeratio
                             ll.append(member_index[b])
             wl_arr, ll_arr = np.array(wl, dtype=np.int64), np.array(ll, dtype=np.int64)
             if model == "thur":
-                terms.append(_PairTerm(global_idx, wl_arr, ll_arr, log_ndtr))
+                terms.append(_PairTerm(global_idx, wl_arr, ll_arr))
             else:
                 terms.append(_LogisticPairTerm(global_idx, wl_arr, ll_arr))
         elif model == "pl":
@@ -880,11 +941,49 @@ def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeratio
                 )
             groups_local = [np.array([member_index[x] for x in g], dtype=np.int64) for g in ranking.groups]
             terms.append(_WeightedPermTerm(global_idx, groups_local))
-    return _Prepared(model=model, items=items, graders=tuple(graders), terms=terms, metadata=metadata)
+    return _TermsPrepared(model=model, items=items, graders=tuple(graders), terms=terms, metadata=metadata)
+
+
+def dict_negative_log_posterior(
+    model: str,
+    data: Dataset,
+    scores: Mapping[str, float],
+    reliabilities: Mapping[str, float] | None = None,
+    *,
+    score_prior: ScorePrior | None = None,
+    reliability_prior: ReliabilityPrior | None = None,
+    seed: int = 0,
+) -> Objective:
+    """``opg.scoremodels.negative_log_posterior`` as a sum over per-grader terms."""
+    score_prior = score_prior or ScorePrior()
+    prep = dict_prepare(model, data, np.random.default_rng(seed))
+    s = np.array([float(scores[x]) for x in prep.items])
+    with_rel = reliabilities is not None
+    etas = np.array([float(reliabilities[g]) for g in prep.graders]) if with_rel else np.ones(len(prep.graders))
+    value = float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
+    grad_s = (s - score_prior.mean) / score_prior.variance
+    grad_eta = np.zeros(len(prep.graders))
+    for gi, term in enumerate(prep.terms):
+        nll, gs, ge = term.value_and_grads(s, float(etas[gi]), need_s=True, need_eta=with_rel)
+        value += nll
+        grad_s[term.global_idx] += gs
+        if with_rel:
+            grad_eta[gi] = ge
+    reliability_gradient = None
+    if with_rel:
+        rprior = reliability_prior or ReliabilityPrior()
+        value += float((etas / rprior.scale - (rprior.shape - 1.0) * np.log(etas)).sum())
+        grad_eta += 1.0 / rprior.scale - (rprior.shape - 1.0) / etas
+        reliability_gradient = {g: float(grad_eta[i]) for i, g in enumerate(prep.graders)}
+    return Objective(
+        value=value,
+        score_gradient={item: float(grad_s[i]) for i, item in enumerate(prep.items)},
+        reliability_gradient=reliability_gradient,
+    )
 
 
 def dict_sgd_scores(
-    prep: _Prepared,
+    prep: _TermsPrepared,
     s0: np.ndarray,
     etas: np.ndarray,
     max_epochs: int,
@@ -910,8 +1009,12 @@ def dict_sgd_scores(
     return s
 
 
+# The SGD reliability steps clamp log(eta) to [-this, this]: eta in [1e-3, 1e3].
+_LOG_ETA_BOUND = 3.0 * math.log(10.0)
+
+
 def dict_sgd_reliabilities(
-    prep: _Prepared,
+    prep: _TermsPrepared,
     s: np.ndarray,
     etas0: np.ndarray,
     max_epochs: int,

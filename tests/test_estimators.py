@@ -90,9 +90,9 @@ class TestFitModelPassesEveryOption:
         with_rel = [n for n in MODEL_NAMES if FAMILIES[n][1]]
         expected = {
             "seed": ["thur", "thur+g", "pl", "pl+g"],
-            # bt+g, pl+g and mals+g go on until their reliabilities settle,
-            # so 3 or 10 least rounds end at the same fit here.
-            "iterations": [n for n in with_rel if n not in ("bt+g", "pl+g", "mals+g")],
+            # The score models' +g fits go on until their reliabilities
+            # settle, so 3 or 10 least rounds end at the same fit here.
+            "iterations": [n for n in with_rel if n not in ("bt+g", "thur+g", "pl+g", "mals+g")],
             "reliability_prior": with_rel,
             "tie_epsilon": [n for n in MODEL_NAMES if FAMILIES[n][0] not in ("mal", "malbc", "mal+k")],
         }

@@ -1,4 +1,4 @@
-"""Tests for the score-based estimators, their full-batch solver and the SGD engine of ``thur``."""
+"""Tests for the score-based estimators and their solvers: L-BFGS, and per-grader SVRG for ``thur``."""
 
 import itertools
 import math
@@ -27,6 +27,7 @@ from opg.scoremodels import (
     negative_log_posterior,
     pl_ranking_log_probability,
 )
+from opg.synth import MallowsGraders, SynthConfig, simulate
 
 import oracles
 from conftest import make_cardinal_dataset, make_ordinal_dataset, random_weak_ranking
@@ -379,7 +380,7 @@ class TestFit:
         assert max(abs(v) for v in obj.score_gradient.values()) <= 1e-12
 
     @pytest.mark.parametrize("model", ("bt", "thur", "pl"))
-    def test_convex_objective_multistart(self, model, rng, monkeypatch):
+    def test_convex_objective_multistart(self, model, rng):
         data = make_ordinal_dataset({
             "g1": [["a"], ["b"], ["c"]],
             "g2": [["b", "d"], ["a"]],
@@ -403,11 +404,9 @@ class TestFit:
         for _, x in solutions[1:]:
             assert np.abs(x - reference).max() <= 1e-3
 
-        monkeypatch.setattr(scoremodels, "_REL_TOLERANCE", 1e-9)
-        monkeypatch.setattr(scoremodels, "_MAX_EPOCHS", 2000)
         est = fit(model, data, seed=3)
-        sgd = np.array([est.scores[i] for i in items])
-        assert np.abs(sgd - reference).max() <= 5e-3
+        fitted = np.array([est.scores[i] for i in items])
+        assert np.abs(fitted - reference).max() <= 5e-3
 
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_reliability_monotonicity(self, model):
@@ -474,8 +473,8 @@ VARIANTS = [model + suffix for model in SCORE_MODELS for suffix in ("", "+g")]
 
 def _batch_feedback(batch):
     """What a full-batch likelihood holds of each grader: its sorted (winner, loser)
-    pairs for ``bt``, its items best first for ``pl``, its tie groups (sorted
-    items, best group first) for ``mals``."""
+    pairs for ``bt`` and ``thur``, its items best first for ``pl``, its tie
+    groups (sorted items, best group first) for ``mals``."""
     if isinstance(batch, scoremodels._PairBatch):
         pairs = [[] for _ in range(batch.n_graders)]
         for w, l, g in zip(batch.winner.tolist(), batch.loser.tolist(), batch.grader.tolist()):
@@ -504,7 +503,7 @@ def _batch_feedback(batch):
 
 def _terms_feedback(terms):
     """The same, from the per-grader terms the batch replaced."""
-    if isinstance(terms[0], oracles._LogisticPairTerm):
+    if isinstance(terms[0], (oracles._LogisticPairTerm, oracles._PairTerm)):
         return [sorted(zip(t.global_idx[t.wl].tolist(), t.global_idx[t.ll].tolist())) for t in terms]
     if isinstance(terms[0], oracles._WeightedPermTerm):
         return [[sorted(t.global_idx[g].tolist()) for g in t.groups_local] for t in terms]
@@ -513,10 +512,9 @@ def _terms_feedback(terms):
 
 @pytest.mark.filterwarnings("ignore:items never graded")
 class TestMatchesDictOracles:
-    """``thur``'s terms built from the compiled feedback arrays and the
-    epoch loop give exactly the dict-loop answers; the full-batch
-    likelihoods hold the same feedback as the dict-loop terms, and their
-    fits reach an optimum no worse than the dict-loop SGD."""
+    """The full-batch likelihoods hold the same feedback as the dict-loop
+    terms and sum to the same objective, and their fits reach an optimum no
+    worse than the dict-loop SGD."""
 
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_terms(self, model, rng):
@@ -527,20 +525,7 @@ class TestMatchesDictOracles:
                 want = oracles.dict_prepare(model, data, rng_old)
                 assert (got.items, got.graders, got.metadata) == (want.items, want.graders, want.metadata)
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state
-                if got.batch is not None:
-                    assert got.terms == [] and model in ("bt", "pl", "mals")
-                    assert _batch_feedback(got.batch) == _terms_feedback(want.terms)
-                    continue
-                for a, b in zip(got.terms, want.terms, strict=True):
-                    assert type(a) is type(b)
-                    for slot in a.__slots__:
-                        u, v = getattr(a, slot), getattr(b, slot)
-                        if isinstance(u, np.ndarray):
-                            assert u.dtype == v.dtype and np.array_equal(u, v)
-                        elif isinstance(u, list):
-                            assert len(u) == len(v) and all(np.array_equal(x, y) for x, y in zip(u, v))
-                        else:
-                            assert u == v
+                assert _batch_feedback(got.batch) == _terms_feedback(want.terms)
 
     def test_permutation_batch_matches_the_enumeration(self, rng):
         """Every grader's value, and the score and reliability gradients, equal
@@ -569,19 +554,10 @@ class TestMatchesDictOracles:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
             assert grad_s[-1] == 0.0
 
-    def test_pairs_run_one_pair_of_tie_groups_at_a_time(self):
-        data = make_ordinal_dataset({"g1": [["a", "b"], ["c"], ["d"]]})
-        term = _prepare("thur", data, np.random.default_rng(0)).terms[0]
-        assert term.wl.tolist() == [0, 1, 0, 1, 2]
-        assert term.ll.tolist() == [2, 2, 3, 3, 3]
-
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_fit(self, variant, rng, monkeypatch):
-        """``thur`` gives the SGD oracle's answer exactly; the full-batch
-        ``bt``, ``pl`` and ``mals`` reach a stationary point no worse than it."""
+    def test_fit(self, variant, rng):
+        """Every fit reaches a stationary point no worse than the SGD oracle's."""
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
-        monkeypatch.setattr(scoremodels, "_MAX_EPOCHS", 60)
-        monkeypatch.setattr(scoremodels, "_REL_TOLERANCE", 1e-5)
         for data in _tied_datasets(rng):
             got = fit(model, data, seed=7, iterations=3, with_reliability=with_rel)
             want = oracles.dict_fit(
@@ -589,28 +565,19 @@ class TestMatchesDictOracles:
             )
             assert (got.metadata.get("tie_break") == "seeded") == (model == "pl")
             assert want.metadata.items() <= got.metadata.items()
-            if model == "thur":
-                assert (got.ranking, got.scores, got.reliabilities) == (want.ranking, want.scores, want.reliabilities)
-                continue
             at_fit = negative_log_posterior(model, data, got.scores, got.reliabilities, seed=7)
             at_oracle = negative_log_posterior(model, data, want.scores, want.reliabilities, seed=7)
             assert max(abs(v) for v in at_fit.score_gradient.values()) <= 1e-5
             assert at_fit.value <= at_oracle.value
 
     @pytest.mark.parametrize("model", SCORE_MODELS)
-    def test_negative_log_posterior(self, model, rng, monkeypatch):
-        """Equal to the per-grader terms' sum: exactly for ``thur``, still
-        built from terms, to rounding for the full-batch models."""
+    def test_negative_log_posterior(self, model, rng):
+        """Equal, to rounding, to the sum over the per-grader terms."""
         for data in _tied_datasets(rng):
             scores = dict(zip(data.items, rng.normal(0.0, 1.0, len(data.items)).tolist()))
             rel = dict(zip(data.graders, np.exp(rng.normal(0.0, 0.5, len(data.graders))).tolist()))
             got = [negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
-            monkeypatch.setattr(scoremodels, "_prepare", oracles.dict_prepare)
-            want = [negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
-            monkeypatch.undo()
-            if model == "thur":
-                assert got == want
-                continue
+            want = [oracles.dict_negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
             for a, b in zip(got, want):
                 assert a.value == pytest.approx(b.value, rel=1e-12)
                 for grads in ("score_gradient", "reliability_gradient"):
@@ -628,7 +595,7 @@ def _reliability_objective(term, s, eta, prior):
 
 @pytest.mark.filterwarnings("ignore:items never graded")
 class TestFullBatch:
-    @pytest.mark.parametrize("model", ("bt", "pl", "mals"))
+    @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_reliabilities_match_a_scalar_search_per_grader(self, model, rng):
         prior = ReliabilityPrior()
         for data in _tied_datasets(rng):
@@ -644,13 +611,14 @@ class TestFullBatch:
                     )
                     assert math.log10(eta) == pytest.approx(best.x, abs=1e-5)
 
-    @pytest.mark.parametrize("variant", ("bt", "bt+g", "pl", "pl+g", "mals", "mals+g"))
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_metadata_reports_the_solver(self, variant, rng):
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
+        steps, other = ("svrg_epochs", "lbfgs_iterations") if model == "thur" else ("lbfgs_iterations", "svrg_epochs")
         for data in _tied_datasets(rng):
             est = fit(model, data, seed=2, iterations=4, with_reliability=with_rel)
             meta = est.metadata
-            assert meta["converged"] is True and meta["lbfgs_iterations"] > 0
+            assert meta["converged"] is True and meta[steps] > 0 and other not in meta
             obj = negative_log_posterior(model, data, est.scores, est.reliabilities, seed=2)
             assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), abs=1e-9)
             assert meta["grad_norm"] <= 1e-6
@@ -664,11 +632,39 @@ class TestFullBatch:
 
     def test_iteration_cap_is_reported(self, monkeypatch):
         data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["c"], ["a"]]})
-        monkeypatch.setattr(scoremodels, "_LBFGS_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(scoremodels, "_MAX_STEPS", 1)
         meta = fit("bt", data).metadata
         assert meta["lbfgs_iterations"] == 1 and meta["converged"] is False and meta["grad_norm"] > 1e-6
 
-    @pytest.mark.parametrize("model", ("bt", "pl", "mals"))
+    def test_epoch_cap_is_reported(self, monkeypatch):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["c"], ["a"]]})
+        monkeypatch.setattr(scoremodels, "_MAX_STEPS", 1)
+        est = fit("thur", data)
+        meta = est.metadata
+        assert meta["svrg_epochs"] == 1 and meta["converged"] is False and meta["grad_norm"] > 1e-6
+        obj = negative_log_posterior("thur", data, est.scores)
+        assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), rel=1e-9)
+
+    def test_a_stationary_fit_is_converged(self):
+        data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["c"]]})
+        meta = fit("thur", data).metadata
+        assert (meta["svrg_epochs"], meta["grad_norm"], meta["converged"]) == (0, 0.0, True)
+
+    @pytest.mark.parametrize("model", SCORE_MODELS)
+    def test_reliability_change_per_round(self, model, rng, monkeypatch):
+        """Round k's entry is the largest move of log(eta) from round k - 1 (eta = 1 before the first)."""
+        data = _tied_datasets(rng)[0]
+        monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 1)
+        one = fit(model, data, seed=4, iterations=1, with_reliability=True)
+        monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 2)
+        two = fit(model, data, seed=4, iterations=1, with_reliability=True)
+        first, second = two.metadata["reliability_change"]
+        assert one.metadata["reliability_change"] == [first]
+        assert first == pytest.approx(max(abs(math.log(e)) for e in one.reliabilities.values()), rel=1e-12)
+        moves = [abs(math.log(two.reliabilities[g]) - math.log(e)) for g, e in one.reliabilities.items()]
+        assert second == pytest.approx(max(moves), rel=1e-12)
+
+    @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_round_cap_is_reported(self, model, rng, monkeypatch):
         monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 2)
         for data in _tied_datasets(rng):
@@ -678,7 +674,7 @@ class TestFullBatch:
             meta = fit(model, data, iterations=3, with_reliability=True).metadata
             assert len(meta["reliability_change"]) == 3 and meta["converged"] is False
 
-    @pytest.mark.parametrize("model", ("bt", "pl", "mals"))
+    @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_large_reliabilities_stay_finite(self, model, rng):
         data = _tied_datasets(rng)[0]
         batch = _prepare(model, data, np.random.default_rng(0)).batch
@@ -686,50 +682,21 @@ class TestFullBatch:
         nll, grad_s, grad_eta = batch.evaluate(s, np.full(batch.n_graders, 1e3), need_eta=True)
         assert np.isfinite(nll).all() and np.isfinite(grad_s).all() and np.isfinite(grad_eta).all()
 
+    def test_thurstone_fit_at_paper_scale_is_stationary(self):
+        """40 items, 150 graders, 7 items each: the fit reaches the MAP it reports."""
+        cfg = SynthConfig(n_items=40, n_graders=150, items_per_grader=7, grader_model=MallowsGraders(eta=1.0), seed=0)
+        data = simulate(cfg)[0]
+        est = fit("thur", data)
+        meta = est.metadata
+        assert meta["converged"] is True and meta["grad_norm"] <= 1e-6
+        obj = negative_log_posterior("thur", data, est.scores)
+        assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), abs=1e-12)
+
     def test_score_prior_mean_is_the_optimum_without_feedback_pairs(self):
         data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["a"], ["b"]]}, items=("a", "b", "c"))
-        est = fit("bt", data, score_prior=ScorePrior(mean=2.0))
-        assert est.scores["c"] == pytest.approx(2.0, abs=1e-6)
-
-
-@pytest.mark.filterwarnings("ignore:items never graded")
-class TestSgdReport:
-    @pytest.mark.parametrize("model", ("thur",))
-    def test_epochs_and_convergence(self, model, rng, monkeypatch):
-        """``converged`` means the largest score-gradient entry, ``grad_norm``, is at most 1e-6."""
-        for data in _tied_datasets(rng)[:2]:
-            for with_rel in (False, True):
-                est = fit(model, data, seed=1, iterations=2, with_reliability=with_rel)
-                meta = est.metadata
-                obj = negative_log_posterior(model, data, est.scores, est.reliabilities)
-                assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), abs=1e-12)
-                assert meta["converged"] is (meta["grad_norm"] <= 1e-6)
-                assert 1 <= meta["epochs"] and ("reliability_change" in meta) is with_rel
-        data = _tied_datasets(rng)[0]
-        assert fit(model, data, seed=1).metadata["epochs"] < scoremodels._MAX_EPOCHS
-        monkeypatch.setattr(scoremodels, "_REL_TOLERANCE", 0.0)
-        monkeypatch.setattr(scoremodels, "_MAX_EPOCHS", 3)
-        meta = fit(model, data, seed=1).metadata
-        assert (meta["epochs"], meta["converged"]) == (3, False) and meta["grad_norm"] > 1e-6
-        meta = fit(model, data, seed=1, iterations=2, with_reliability=True).metadata
-        # One score run, then a reliability run and a score run per round.
-        assert (meta["epochs"], meta["converged"]) == (3 * 5, False)
-
-    def test_a_stationary_fit_is_converged(self):
-        data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["c"]]})
-        meta = fit("thur", data).metadata
-        assert (meta["grad_norm"], meta["converged"]) == (0.0, True)
-
-    @pytest.mark.parametrize("model", ("thur",))
-    def test_reliability_change_per_round(self, model, rng):
-        data = _tied_datasets(rng)[0]
-        none, one, two = (fit(model, data, seed=4, iterations=k, with_reliability=True) for k in (0, 1, 2))
-        assert none.metadata["reliability_change"] == [] and set(none.reliabilities.values()) == {1.0}
-        first, second = two.metadata["reliability_change"]
-        assert one.metadata["reliability_change"] == [first]
-        assert first == pytest.approx(max(abs(math.log(e)) for e in one.reliabilities.values()), rel=1e-12)
-        moves = [abs(math.log(two.reliabilities[g]) - math.log(e)) for g, e in one.reliabilities.items()]
-        assert second == pytest.approx(max(moves), rel=1e-12)
+        for model in SCORE_MODELS:
+            est = fit(model, data, score_prior=ScorePrior(mean=2.0))
+            assert est.scores["c"] == pytest.approx(2.0, abs=1e-6) and est.metadata["converged"] is True
 
 
 class TestUngradedItems:
