@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -327,30 +327,52 @@ def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParam
     return WeakRanking.from_order(data.items[i] for i in order)
 
 
-def _golden_section_etas(objective: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
-    """Maximizers of ``size`` independent 1-D problems, as reliabilities in [1e-3, 1e3].
+# Reliabilities are clamped to these bounds; a Newton step on ln(eta) this short ends a search, and is taken.
+_ETA_BOUNDS = (1e-3, 1e3)
+_NEWTON_STEP = 1e-9
 
-    ``objective`` maps an array of ``size`` log10 reliabilities to the value
-    of each problem there. One golden-section search per problem runs on
-    [-3, 3] until every bracket is narrower than 1e-6; the result is 10 to
-    the bracket's midpoint.
+
+def _reliability_slopes(u: np.ndarray, x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior):
+    """G = df/du = shape - 1 - eta*(X + 1/scale) + sum_i A_i*t_i*r_i and G' = dG/du =
+    G - (shape - 1) - sum_i A_i*t_i^2*r_i*(1 + r_i) of the problems of ``_newton_etas``
+    at u = ln(eta), where t_i = i*eta and r_i = 1/(e^t_i - 1), 0 where e^-t_i underflows."""
+    eta = np.exp(u)
+    t = eta[:, None] * np.arange(1, coeff.shape[1] + 1)
+    r = np.exp(-t) / -np.expm1(-t)
+    tr = coeff * t * r
+    linear = eta * (x + 1.0 / prior.scale)
+    return prior.shape - 1.0 - linear + tr.sum(axis=1), (tr * (1.0 - t * (1.0 + r))).sum(axis=1) - linear
+
+
+def _newton_etas(x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior) -> np.ndarray:
+    """For each X = ``x[k]``, A = ``coeff[k]``, the maximizer in [1e-3, 1e3] of
+    f(eta) = (shape-1)*ln(eta) - eta/scale - eta*X + sum_i A_i*ln(1 - e^(-i*eta)).
+
+    f is concave (its likelihood term is minus the log of a q-multinomial
+    coefficient, a partition function in -eta), so G = df/d ln(eta) changes
+    sign once: G at the bounds clamps the optima at or beyond them, and
+    without pairs or ties (X = 0, A = 0) f peaks at the prior mode. Every
+    other problem runs safeguarded Newton on G in ln(eta) from eta = 1
+    (Brent 1973), bisecting its bracket where a step would leave it, and
+    stops on its own, so its answer does not depend on the batch.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.full(size, -3.0)
-    hi = np.full(size, 3.0)
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = objective(c)
-    fd = objective(d)
-    while float((hi - lo).max()) > 1e-6:
-        keep_left = fc > fd
-        hi = np.where(keep_left, d, hi)
-        lo = np.where(keep_left, lo, c)
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc = objective(c)
-        fd = objective(d)
-    return np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)
+    low, high = (math.log(b) for b in _ETA_BOUNDS)
+    n = len(x)
+    ends, _ = _reliability_slopes(np.repeat([low, high], n), np.tile(x, 2), np.tile(coeff, (2, 1)), prior)
+    result = np.where(ends[:n] <= 0.0, *_ETA_BOUNDS)
+    free = (x == 0) & ~coeff.any(axis=1)
+    result[free] = prior.mode
+    active = np.flatnonzero((ends[:n] > 0.0) & (ends[n:] < 0.0) & ~free)
+    lo, hi, u = np.full(active.size, low), np.full(active.size, high), np.zeros(active.size)
+    while active.size:
+        g, dg = _reliability_slopes(u, x[active], coeff[active], prior)
+        lo, hi, newton = np.where(g > 0.0, u, lo), np.where(g < 0.0, u, hi), u - g / dg
+        converged = (g == 0.0) | ((dg < 0.0) & (np.abs(g) <= -_NEWTON_STEP * dg))
+        u = np.where(converged | (dg < 0.0) & (newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
+        done = converged | (hi - lo <= _NEWTON_STEP)
+        result[active[done]] = np.exp(u[done])
+        active, lo, hi, u = active[~done], lo[~done], hi[~done], u[~done]
+    return np.clip(result, *_ETA_BOUNDS)
 
 
 class _ReliabilitySolver:
@@ -359,9 +381,8 @@ class _ReliabilitySolver:
     A grader's problem is fixed by its key X_g * C + r_g, where X_g counts
     its pairs ordered against the center, r_g is its row of ``coeff`` and C
     the number of rows (see ``fit_reliabilities``). The solver remembers
-    the reliability of every key it has solved and searches only new keys.
-    Every search's bracket shrinks by the same factor whatever else is in
-    the batch, so a remembered reliability is the one a fresh search gives.
+    the reliability of every key it has solved and solves only new keys;
+    ``_newton_etas`` gives a remembered key the reliability a fresh solve gives.
     """
 
     def __init__(self, arrays: FeedbackArrays, prior: ReliabilityPrior):
@@ -378,17 +399,8 @@ class _ReliabilitySolver:
         rows, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
         new = rows[[key not in known for key in rows.tolist()]]
         if new.size:
-            x_vec, coeff = (new // n_coeff).astype(float), arrays.coeff[new % n_coeff]
-            irange = np.arange(1, coeff.shape[1] + 1, dtype=float)
-            shape, scale = self.prior.shape, self.prior.scale
-
-            def objective(z: np.ndarray) -> np.ndarray:
-                eta = 10.0**z
-                log_terms = np.log(-np.expm1(-eta[:, None] * irange[None, :]))
-                ll = -eta * x_vec + (coeff * log_terms).sum(axis=1)
-                return (shape - 1.0) * np.log(eta) - eta / scale + ll
-
-            known.update(zip(new.tolist(), _golden_section_etas(objective, len(new)).tolist()))
+            etas = _newton_etas((new // n_coeff).astype(float), arrays.coeff[new % n_coeff], self.prior)
+            known.update(zip(new.tolist(), etas.tolist()))
         return np.array([known[key] for key in rows.tolist()])[inverse.ravel()]
 
 
@@ -400,15 +412,15 @@ def fit_reliabilities(
     """Per-grader MAP reliabilities given a fixed total-order center.
 
     Maximizes (shape-1)*ln(eta) - eta/scale + log-likelihood of the grader's
-    feedback for each grader independently, by golden-section search on
-    log10(eta) over [-3, 3] (tolerance 1e-6); the result is clamped to
-    [1e-3, 1e3]. Graders without feedback get the prior mode.
+    feedback for each grader independently over [1e-3, 1e3], by safeguarded
+    Newton on ln(eta) until a step is at most 1e-9; optima at or beyond a
+    bound are clamped to it. Graders without feedback get the prior mode.
 
     The likelihood term reduces to -eta*X_g + sum_i A_i(g) * ln(1 - e^(-i*eta))
     where X_g counts cross-group pairs against the center and A_i(g) =
     (number of tie groups of size >= i) - 1 for i <= |D_g|; the normalizer
     denominators cancel because group sizes sum to |D_g|. Graders with equal
-    (X_g, A(g)) share one search.
+    (X_g, A(g)) share one solve.
     """
     prior = prior or ReliabilityPrior()
     if not center.is_total:
@@ -463,8 +475,10 @@ def fit_mallows(
     builds a new center from them. The rounds stop after ``iterations``, or
     as soon as the new center is the total order the round fitted against;
     every later round would repeat that round, so the answer is the one all
-    ``iterations`` rounds give. ``metadata`` records the ``rounds`` run and
-    whether the center repeated (``converged``).
+    ``iterations`` rounds give. ``metadata`` records the ``rounds`` run,
+    whether the center repeated (``converged``) and the largest change of
+    log(eta) in each round, the first against all ones
+    (``reliability_change``).
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
@@ -497,22 +511,22 @@ def fit_mallows(
     etas = np.ones(len(centers.arrays.graders))
     order, cuts = center_for(etas)
     metadata["reliability_iterations"] = iterations
-    rounds, converged = 0, False
-    while rounds < iterations and not converged:
+    changes, converged = [], False
+    while len(changes) < iterations and not converged:
         total = order
         if len(cuts) < n - 1:
             total = _break_ties(order, cuts, rng)
             metadata["tie_break"] = "seeded"
         position = np.empty(n, dtype=np.intp)
         position[total] = np.arange(n)
-        etas = solve(position)
+        etas, last = solve(position), etas
+        changes.append(float(np.abs(np.log(etas) - np.log(last)).max()))
         order, cuts = center_for(etas)
-        rounds += 1
         converged = len(cuts) == n - 1 and np.array_equal(order, total)
 
     reliabilities = None
-    if rounds:
+    if changes:
         reliabilities = {g: prior.mode for g in data.graders}
         reliabilities.update(zip(centers.arrays.graders, etas.tolist()))
-    metadata.update(rounds=rounds, converged=converged)
+    metadata.update(rounds=len(changes), converged=converged, reliability_change=changes)
     return Estimate(ranking=_weak_ranking(data.items, order, cuts), reliabilities=reliabilities, metadata=metadata)

@@ -18,10 +18,10 @@ All fits are MAP under an independent normal prior on scores and (for the
 "+g" variants) a gamma prior on reliabilities, with alternating
 reliability/score rounds. Every model's objective and its gradient are
 computed over every grader's feedback at once from
-``Dataset.feedback_arrays``, and the reliability step is one golden-section
-search per grader. The score step is L-BFGS for the logistic, listwise and
-score-weighted permutation models; the probit model takes per-grader
-variance-reduced gradient steps (SVRG).
+``Dataset.feedback_arrays``; the reliability step is one golden-section
+search per grader, which needs no derivative. The score step is L-BFGS
+for the logistic, listwise and score-weighted permutation models; the
+probit model takes per-grader variance-reduced gradient steps (SVRG).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .config import ReliabilityPrior, ScorePrior, _check_iterations
 from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
-from .mallows import _check_eta, _golden_section_etas
+from .mallows import _check_eta
 from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
@@ -123,9 +123,10 @@ class _PairBatch:
             log_term = -self._log_ndtr(z)
             # phi(z) / Phi(z), from the log Phi the nll already has.
             return log_term, (np.exp(log_term - 0.5 * z * z - _LOG_SQRT_2PI) if grads else None)
-        log_term = np.logaddexp(0.0, -z)
-        # 1 - exp(-log(1 + exp(-z))) = expit(-z), from the term the nll already has.
-        return log_term, (-np.expm1(-log_term) if grads else None)
+        # log(1 + exp(-z)) and expit(-z), both from e = exp(-|z|), which never overflows.
+        e = np.exp(-np.abs(z))
+        log_term = np.maximum(-z, 0.0) + np.log1p(e)
+        return log_term, (np.where(z >= 0.0, e, 1.0) / (1.0 + e) if grads else None)
 
     def slopes(self, s: np.ndarray, scale: np.ndarray | float, pairs: slice = slice(None)) -> np.ndarray:
         """Minus the derivative of each pair's -log P in s_winner - s_loser, for
@@ -465,8 +466,8 @@ _GRAD_TOLERANCE = 1e-6
 _MAX_STEPS = 1000
 
 # Alternating rounds of a "+g" fit stop once no reliability moves by more
-# than this in log(eta) (the golden-section search resolves log(eta) to about
-# 1.2e-6), or after this many rounds.
+# than this in log(eta) (the golden-section search brackets log10(eta) to
+# 7.6e-7, so it resolves log(eta) to about 8.8e-7), or after this many rounds.
 _SETTLED_LOG_ETA = 1e-5
 _MAX_ROUNDS = 100
 
@@ -583,6 +584,31 @@ def _svrg_scores(
         epoch += 1
 
 
+def _golden_section_etas(objective: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
+    """Maximizers of ``size`` independent 1-D problems, as reliabilities in [1e-3, 1e3].
+
+    ``objective`` maps an array of ``size`` log10 reliabilities to the value
+    of each problem there. One golden-section search per problem runs on
+    [-3, 3] until every bracket is narrower than 1e-6, each step keeping one
+    interior point and evaluating one new one; the result is 10 to the
+    bracket's midpoint.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.full(size, -3.0), np.full(size, 3.0)
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    while float((hi - lo).max()) > 1e-6:
+        # [lo, d] keeps c as its upper interior point, [c, hi] keeps d as its lower one.
+        left = fc > fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        f_new = objective(new)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    return np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)
+
+
 def _batch_reliabilities(
     batch: _PairBatch | _ListBatch | _PermBatch, s: np.ndarray, reliability_prior: ReliabilityPrior
 ) -> np.ndarray:
@@ -663,15 +689,15 @@ def fit(
     log(eta) in each round (``reliability_change``).
 
     Reliability steps are golden-section searches on log10(eta), one per
-    grader, and ``+g`` rounds go on past ``iterations`` until no log(eta)
-    moves by more than 1e-5 (at most 100 rounds, or ``iterations`` if that
-    is more). The score steps of ``bt``, ``pl`` and ``mals`` are L-BFGS, and
-    ``metadata`` records their ``lbfgs_iterations``; those of ``thur`` are
-    per-grader SVRG epochs, recorded as ``svrg_epochs``. A fit has
-    ``converged`` when every score step ended with a largest gradient entry
-    of at most 1e-6 (and, for ``+g``, the rounds settled). ``seed`` orders
-    ``thur``'s SVRG steps and seeds the tie-breaking of ``pl``; it does not
-    affect ``bt`` or ``mals``.
+    grader, of 35 likelihood evaluations each, and ``+g`` rounds go on past
+    ``iterations`` until no log(eta) moves by more than 1e-5 (at most 100
+    rounds, or ``iterations`` if that is more). The score steps of ``bt``,
+    ``pl`` and ``mals`` are L-BFGS, and ``metadata`` records their
+    ``lbfgs_iterations``; those of ``thur`` are per-grader SVRG epochs,
+    recorded as ``svrg_epochs``. A fit has ``converged`` when every score
+    step ended with a largest gradient entry of at most 1e-6 (and, for
+    ``+g``, the rounds settled). ``seed`` orders ``thur``'s SVRG steps and
+    seeds the tie-breaking of ``pl``; it does not affect ``bt`` or ``mals``.
     """
     _check_iterations(iterations)
     score_prior = score_prior or ScorePrior()

@@ -24,7 +24,7 @@ from opg.config import ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, GraderFeedback
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
-from opg.mallows import MallowsParams, _check_eta, greedy_mle_ranking
+from opg.mallows import MallowsParams, _check_eta, _newton_etas, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
 from opg.scoremodels import SCORE_MODELS, Objective, _prepare
 from opg.synth import MallowsGraders, SynthConfig, _pad_ids, _prevailing_items_per_grader, _to_scale
@@ -492,24 +492,15 @@ def dict_local_kemenization(ranking: WeakRanking, data: Dataset, params: Mallows
     return WeakRanking.from_order(order)
 
 
-def dict_fit_reliabilities(
-    data: Dataset,
-    center: WeakRanking,
-    prior: ReliabilityPrior | None = None,
-) -> dict[str, float]:
-    """Per-grader MAP reliabilities given a fixed total-order center.
+def dict_reliability_problems(
+    data: Dataset, center: WeakRanking
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Each grader's reliability problem against a total-order center, by dict loops.
 
-    Maximizes (shape-1)*ln(eta) - eta/scale + log-likelihood of the grader's
-    feedback for each grader independently, by golden-section search on
-    log10(eta) over [-3, 3] (tolerance 1e-6); the result is clamped to
-    [1e-3, 1e3]. Graders without feedback get the prior mode.
-
-    The likelihood term reduces to -eta*X_g + sum_i A_i(g) * ln(1 - e^(-i*eta))
-    where X_g counts cross-group pairs against the center and A_i(g) =
-    (number of tie groups of size >= i) - 1 for i <= |D_g|; the normalizer
-    denominators cancel because group sizes sum to |D_g|.
+    Returns the graders with ordinal feedback, X_g (cross-group pairs
+    against the center) and the rows A_i(g) = (number of tie groups of size
+    >= i) - 1 for i <= |D_g|, zero-padded to the most items any grader has.
     """
-    prior = prior or ReliabilityPrior()
     if not center.is_total:
         raise ValidationError("center must be a total order")
     feedback = dict_ordinal_feedback(data)
@@ -531,14 +522,53 @@ def dict_fit_reliabilities(
         i = np.arange(1, m + 1)
         a[:m] = (sizes[None, :] >= i[:, None]).sum(axis=1) - 1.0
         coeff_rows.append(a)
+    return graders, np.array(xs), np.array(coeff_rows)
 
+
+def dict_fit_reliabilities(
+    data: Dataset,
+    center: WeakRanking,
+    prior: ReliabilityPrior | None = None,
+) -> dict[str, float]:
+    """Per-grader MAP reliabilities given a fixed total-order center.
+
+    The problems are assembled by ``dict_reliability_problems`` and solved,
+    every grader's on its own, by the package's 1-D solver
+    ``opg.mallows._newton_etas``. Graders without feedback get the prior
+    mode.
+    """
+    prior = prior or ReliabilityPrior()
+    graders, x_vec, coeff = dict_reliability_problems(data, center)
+    result = {g: prior.mode for g in data.graders}
+    if graders:
+        result.update(zip(graders, _newton_etas(x_vec, coeff, prior).tolist()))
+    return result
+
+
+def golden_fit_reliabilities(
+    data: Dataset,
+    center: WeakRanking,
+    prior: ReliabilityPrior | None = None,
+) -> dict[str, float]:
+    """``dict_fit_reliabilities`` by the earlier golden-section search, a baseline.
+
+    Maximizes (shape-1)*ln(eta) - eta/scale + log-likelihood of the grader's
+    feedback for each grader independently, by golden-section search on
+    log10(eta) over [-3, 3] (tolerance 1e-6, both interior points evaluated
+    afresh every step); the result is clamped to [1e-3, 1e3].
+
+    The likelihood term reduces to -eta*X_g + sum_i A_i(g) * ln(1 - e^(-i*eta))
+    where X_g counts cross-group pairs against the center and A_i(g) =
+    (number of tie groups of size >= i) - 1 for i <= |D_g|; the normalizer
+    denominators cancel because group sizes sum to |D_g|.
+    """
+    prior = prior or ReliabilityPrior()
+    graders, x_vec, coeff = dict_reliability_problems(data, center)
     result = {g: prior.mode for g in data.graders}
     if not graders:
         return result
 
-    x_vec = np.array(xs)
-    coeff = np.stack(coeff_rows)
-    irange = np.arange(1, mmax + 1, dtype=float)
+    irange = np.arange(1, coeff.shape[1] + 1, dtype=float)
     shape, scale = prior.shape, prior.scale
 
     def objective(z: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import oracles
 from conftest import make_ordinal_dataset, random_weak_ranking
+from opg import mallows
 from opg.config import ReliabilityPrior
 from opg.data import Dataset, GraderFeedback
 from opg.errors import ValidationError
@@ -14,6 +16,7 @@ from opg.experiments import _resample_graders
 from opg.mallows import (
     MallowsParams,
     _break_ties,
+    _newton_etas,
     _ReliabilitySolver,
     _weak_ranking,
     borda_ranking,
@@ -470,6 +473,107 @@ class TestStoppingAtTheFixedPoint:
             assert ours.random() == theirs.random()
 
 
+def _reliability_objective(x, a, eta, prior):
+    """f(eta) of one grader's reliability problem, term by term."""
+    ll = -eta * x + sum(a_i * math.log(-math.expm1(-i * eta)) for i, a_i in enumerate(a, 1))
+    return (prior.shape - 1.0) * math.log(eta) - eta / prior.scale + ll
+
+
+def _reliability_classes():
+    """Seeded 40 x 150 classes of 5, 7 and 9 items per grader, strict and tied,
+    each with two random total orders and the greedy ranking as centers."""
+    for m in (5, 7, 9):
+        for graders in (MallowsGraders(1.0), CardinalNormalGraders(1.0, 0.5)):
+            cfg = SynthConfig(n_items=40, n_graders=150, items_per_grader=m, grader_model=graders, seed=m)
+            data = simulate(cfg)[0]
+            rng = np.random.default_rng(m)
+            centers = [WeakRanking.from_order(rng.permutation(data.items).tolist()) for _ in range(2)]
+            yield data, centers + [greedy_mle_ranking(data)]
+
+
+class TestNewtonReliabilities:
+    """The Mallows reliability step solves each grader's 1-D MAP problem to the optimum."""
+
+    def test_optimum_matches_a_bounded_scalar_search(self, monkeypatch):
+        prior = ReliabilityPrior()
+        calls = []
+        slopes = mallows._reliability_slopes
+        monkeypatch.setattr(mallows, "_reliability_slopes", lambda *args: calls.append(1) or slopes(*args))
+        interior = 0
+        for data, centers in _reliability_classes():
+            for center in centers:
+                calls.clear()
+                got = fit_reliabilities(data, center, prior)
+                # Both bounds, then every Newton step of the slowest problem: a fall-back to bisection needs ~40.
+                assert 2 <= len(calls) <= 10
+                golden = oracles.golden_fit_reliabilities(data, center, prior)
+                graders, xs, coeff = oracles.dict_reliability_problems(data, center)
+                solved = {}
+                for grader, x, a in zip(graders, xs.tolist(), coeff.tolist()):
+                    if (x, tuple(a)) not in solved:
+                        solved[x, tuple(a)] = minimize_scalar(
+                            lambda z: -_reliability_objective(x, a, 10.0**z, prior),
+                            bounds=(-3.0, 3.0), method="bounded", options={"xatol": 1e-10},
+                        ).x
+                    eta = got[grader]
+                    assert abs(math.log10(eta) - solved[x, tuple(a)]) <= 1e-7
+                    assert _reliability_objective(x, a, eta, prior) >= _reliability_objective(x, a, golden[grader], prior)
+                    if 1e-3 < eta < 1e3:
+                        interior += 1
+                        g, _ = slopes(np.log([eta]), np.array([x]), np.array([a]), prior)
+                        assert abs(g[0]) <= 1e-9 * (1.0 + x)
+        assert interior > 0
+
+    def test_slopes_match_finite_differences(self, rng):
+        prior = ReliabilityPrior(shape=3.0, scale=0.5)
+        h = 1e-5
+        for data, centers in _reliability_classes():
+            _, xs, coeff = oracles.dict_reliability_problems(data, centers[0])
+            for k in rng.choice(len(xs), size=5, replace=False):
+                x, a = xs[k], coeff[k]
+                u = rng.uniform(math.log(1e-2), math.log(1e2), size=3)
+                g, dg = mallows._reliability_slopes(u, np.full(3, x), np.tile(a, (3, 1)), prior)
+                for j in range(3):
+                    f_up = _reliability_objective(x, a, math.exp(u[j] + h), prior)
+                    f_down = _reliability_objective(x, a, math.exp(u[j] - h), prior)
+                    assert g[j] == pytest.approx((f_up - f_down) / (2 * h), rel=1e-6, abs=1e-6)
+                    ends = np.array([u[j] + h, u[j] - h])
+                    g_ends, _ = mallows._reliability_slopes(ends, np.full(2, x), np.tile(a, (2, 1)), prior)
+                    assert dg[j] == pytest.approx((g_ends[0] - g_ends[1]) / (2 * h), rel=1e-6, abs=1e-6)
+
+    def test_optima_beyond_the_bounds_are_clamped_exactly(self):
+        strict = np.array([[6.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0]])
+        # Every pair of seven items against the center, under a prior without a pull away from 0.
+        assert _newton_etas(np.array([21.0]), strict, ReliabilityPrior(shape=1.0, scale=0.1)).tolist() == [1e-3]
+        # No pair against the center, under a prior whose mode is 2000.
+        assert _newton_etas(np.array([0.0]), strict, ReliabilityPrior(shape=2001.0, scale=1.0)).tolist() == [1e3]
+
+    def test_graders_without_pairs_or_ties_get_the_prior_mode(self):
+        data = make_ordinal_dataset(
+            {"all-tied": [["a", "b", "c"]], "one-item": [["d"]], "strict": [["a"], ["b"], ["c"], ["d"]]}
+        )
+        center = WeakRanking.from_order(["b", "a", "d", "c"])
+        for prior in (ReliabilityPrior(), ReliabilityPrior(shape=3.0, scale=0.7), ReliabilityPrior(shape=1.0)):
+            etas = fit_reliabilities(data, center, prior)
+            assert etas["all-tied"] == etas["one-item"] == max(prior.mode, 1e-3)
+            assert etas["strict"] != prior.mode
+
+    @pytest.mark.parametrize("variant", RELIABILITY_VARIANTS, ids=lambda v: "-".join(sorted(v)))
+    def test_reliability_change_per_round(self, variant):
+        for data in _seeded_classes():
+            full = fit_mallows(data, iterations=3, **variant)
+            changes = full.metadata["reliability_change"]
+            assert len(changes) == full.metadata["rounds"] and min(changes) >= 0.0
+            # The first round is measured against all reliabilities at 1.
+            previous = np.zeros(len(data.graders))
+            for rounds in range(1, len(changes) + 1):
+                est = fit_mallows(data, iterations=rounds, **variant)
+                log_etas = np.log([est.reliabilities[g] for g in data.graders])
+                assert est.metadata["reliability_change"] == changes[:rounds]
+                assert changes[rounds - 1] == float(np.abs(log_etas - previous).max())
+                previous = log_etas
+
+
 def _assert_matches_dict_fit(data, iterations, variant):
     """``fit_mallows`` equals the dict-loop fit, which runs every round and has no stopping report."""
     got = fit_mallows(data, iterations=iterations, **variant)
@@ -481,7 +585,7 @@ def _assert_matches_dict_fit(data, iterations, variant):
     if not variant.get("with_reliability"):
         assert got.metadata.keys() == expected.metadata.keys()
         return
-    assert got.metadata.keys() - expected.metadata.keys() == {"rounds", "converged"}
+    assert got.metadata.keys() - expected.metadata.keys() == {"rounds", "converged", "reliability_change"}
     rounds, converged = got.metadata["rounds"], got.metadata["converged"]
     assert 1 <= rounds <= iterations and converged in (True, False)
     # A fit stops early only on a repeated center, which is a total order.

@@ -791,3 +791,17 @@ def test_logistic_batch_tail_probability_equals_expit():
         # One pair, a above b, at eta 1: the loser's gradient entry is exactly q.
         q, expected = grad_s[1], expit(-z)
         assert abs(q - expected) <= 1e-15 * abs(expected), z
+
+
+def test_golden_section_evaluates_one_new_point_per_step():
+    """Each step keeps one interior point: 2 + 33 evaluations bracket [-3, 3] to under 1e-6."""
+    target = np.linspace(-2.9, 2.9, 50)
+    calls = []
+
+    def objective(z):
+        calls.append(z.copy())
+        return -((z - target) ** 2)
+
+    etas = scoremodels._golden_section_etas(objective, len(target))
+    assert len(calls) == 35
+    assert np.abs(np.log10(etas) - target).max() <= 3.9e-7
