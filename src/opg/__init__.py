@@ -11,7 +11,7 @@ from .data import Dataset, Estimate, GraderFeedback, induced_ordinal
 from .errors import DataFormatError, EnumerationCapError, OpgError, ValidationError
 from .estimators import MODEL_NAMES, ModelOptions, fit_model
 from .metrics import TargetSet, cardinal_errors, ek_error, strict_pair_count, tau_kt
-from .rankings import WeakRanking, break_ties, kendall_tau_distance, ranking_from_scores
+from .rankings import WeakRanking, break_ties, ranking_from_scores
 from .synth import (
     CardinalNormalGraders,
     MallowsGraders,
@@ -50,7 +50,6 @@ __all__ = [
     "ek_error",
     "fit_model",
     "induced_ordinal",
-    "kendall_tau_distance",
     "ranking_from_scores",
     "sample_mallows_feedback",
     "simulate",

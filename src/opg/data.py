@@ -131,9 +131,6 @@ class Dataset:
             lazy_graders=frozenset(lazy_graders),
         )
 
-    def feedback_map(self) -> dict[str, GraderFeedback]:
-        return {fb.grader: fb for fb in self.feedback}
-
     def has_full_ordinal(self) -> bool:
         return all(fb.ordinal is not None for fb in self.feedback)
 

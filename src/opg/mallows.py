@@ -54,15 +54,11 @@ class MallowsParams:
         if self.reliabilities is not None:
             for grader, eta in self.reliabilities.items():
                 if not (math.isfinite(eta) and eta > 0):
-                    raise ValidationError(
-                        f"reliability of {grader!r} must be finite and > 0, got {eta}"
-                    )
+                    raise ValidationError(f"reliability of {grader!r} must be finite and > 0, got {eta}")
             object.__setattr__(self, "reliabilities", dict(self.reliabilities))
 
     def eta_for(self, grader: str) -> float:
-        if self.reliabilities is None:
-            return 1.0
-        return self.reliabilities.get(grader, 1.0)
+        return 1.0 if self.reliabilities is None else self.reliabilities.get(grader, 1.0)
 
 
 def _check_eta(eta: float) -> None:
@@ -110,8 +106,7 @@ def mallows_log_likelihood(center: WeakRanking, feedback: GraderFeedback, eta: f
         raise ValidationError(f"center does not rank items: {sorted(missing)}")
     fb = feedback.ordinal
     arrays = Dataset.from_feedback([feedback]).feedback_arrays
-    center_rank = np.array([center.rank_of(d) for d in feedback.items])
-    x = int(np.count_nonzero(center_rank[arrays.winner] > center_rank[arrays.loser]))
+    x = int(_against(arrays, np.array([center.rank_of(d) for d in feedback.items]))[0])
     log_num = -eta * x + sum(mallows_log_normalizer(eta, len(g)) for g in fb.groups)
     return log_num - mallows_log_normalizer(eta, len(fb))
 
@@ -153,7 +148,20 @@ def _slot_weights(data: Dataset, params: MallowsParams | None) -> tuple[np.ndarr
 
 def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -> WeakRanking:
     """The ranking of item indices ``order``, best first, with a new tie group at each of ``cuts``."""
+    if len(cuts) == len(order) - 1:
+        return WeakRanking.from_order([items[i] for i in order])
     return WeakRanking([items[i] for i in group] for group in np.split(order, cuts))
+
+
+def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
+    """X_g of each grader, in feedback order: its pairs ordered against the center at ``position``."""
+    against = position[arrays.winner] > position[arrays.loser]
+    return np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
+
+
+def _cost(etas: np.ndarray, x_g: np.ndarray) -> float:
+    """sum_g eta_g * X_g, summed exactly, so equal counts cost the same in any order of summation."""
+    return math.fsum((etas * x_g).tolist())
 
 
 class _Centers:
@@ -230,6 +238,10 @@ class _Centers:
         keys, slot = self._slots
         weights = np.bincount(slot, weights=etas[self.arrays.pair_grader], minlength=len(keys))
         return _kemenize(order, keys, weights, len(self.items))
+
+    def cost(self, order: np.ndarray, etas: np.ndarray) -> float:
+        """``_cost`` of the total order ``order``: its feedback pairs against it, weighted by reliability."""
+        return _cost(etas, _against(self.arrays, np.argsort(order)))
 
 
 def _kemenize(order: np.ndarray, keys: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -382,7 +394,8 @@ class _ReliabilitySolver:
     its pairs ordered against the center, r_g is its row of ``coeff`` and C
     the number of rows (see ``fit_reliabilities``). The solver remembers
     the reliability of every key it has solved and solves only new keys;
-    ``_newton_etas`` gives a remembered key the reliability a fresh solve gives.
+    ``_newton_etas`` gives a remembered key the reliability a fresh solve gives;
+    ``x_g`` holds the X_g of the last call.
     """
 
     def __init__(self, arrays: FeedbackArrays, prior: ReliabilityPrior):
@@ -393,8 +406,7 @@ class _ReliabilitySolver:
     def __call__(self, position: np.ndarray) -> np.ndarray:
         """Reliability of each grader, in feedback order, given each item's position in the center."""
         arrays, known = self.arrays, self.known
-        against = position[arrays.winner] > position[arrays.loser]
-        x_g = np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
+        self.x_g = x_g = _against(arrays, position)
         n_coeff = len(arrays.coeff)
         rows, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
         new = rows[[key not in known for key in rows.tolist()]]
@@ -470,15 +482,17 @@ def fit_mallows(
     ranking when ``use_borda``), optionally polished by local adjacent-swap
     improvement (``kemenize``, greedy center only). With ``with_reliability``
     the center and per-grader reliabilities are re-estimated alternately,
-    starting from all reliabilities equal to 1: each round fits the
-    reliabilities against the center, its ties broken by ``seed``, and
-    builds a new center from them. The rounds stop after ``iterations``, or
-    as soon as the new center is the total order the round fitted against;
-    every later round would repeat that round, so the answer is the one all
-    ``iterations`` rounds give. ``metadata`` records the ``rounds`` run,
-    whether the center repeated (``converged``) and the largest change of
-    log(eta) in each round, the first against all ones
-    (``reliability_change``).
+    starting from all reliabilities equal to 1. Each round fits the
+    reliabilities exactly against the center, its ties broken by ``seed``.
+    Given them, the center enters the joint posterior only through its cost
+    sum_g eta_g * X_g, so the round then takes the center they give (ties
+    broken by the next draws) only if it costs less, or with ``kemenize``
+    the old center after local improvement; the first round that finds no
+    cheaper center keeps the old one and ends the fit. ``metadata`` records
+    the ``rounds`` run (at most ``iterations``), whether the last found no
+    cheaper center (``converged``), the cost of the center each round kept
+    (``center_cost``) and the largest change of log(eta) in each round, the
+    first against all ones (``reliability_change``).
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
@@ -498,9 +512,8 @@ def fit_mallows(
     centers = _Centers(data)
     centers.warn_ungraded(use_borda)
     solve = _ReliabilitySolver(centers.arrays, prior)
-    n = len(data.items)
     # The cuts of a total order: every item is a group of its own.
-    singletons = np.arange(1, n)
+    singletons = np.arange(1, len(data.items))
 
     def center_for(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if use_borda:
@@ -508,25 +521,37 @@ def fit_mallows(
         order = centers.greedy(etas)
         return (centers.kemenize(order, etas) if kemenize else order), singletons
 
+    def drawn(order: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        if len(cuts) == len(singletons):
+            return order
+        metadata["tie_break"] = "seeded"
+        return _break_ties(order, cuts, rng)
+
     etas = np.ones(len(centers.arrays.graders))
     order, cuts = center_for(etas)
     metadata["reliability_iterations"] = iterations
-    changes, converged = [], False
+    changes, costs, converged = [], [], False
+    total = drawn(order, cuts) if iterations else order
     while len(changes) < iterations and not converged:
-        total = order
-        if len(cuts) < n - 1:
-            total = _break_ties(order, cuts, rng)
-            metadata["tie_break"] = "seeded"
-        position = np.empty(n, dtype=np.intp)
-        position[total] = np.arange(n)
-        etas, last = solve(position), etas
+        etas, last = solve(np.argsort(total)), etas
         changes.append(float(np.abs(np.log(etas) - np.log(last)).max()))
+        cost = _cost(etas, solve.x_g)
         order, cuts = center_for(etas)
-        converged = len(cuts) == n - 1 and np.array_equal(order, total)
+        candidate = drawn(order, cuts)
+        new_cost = centers.cost(candidate, etas)
+        # Every swap local improvement makes lowers the cost, so the old center polished is a fallback.
+        if kemenize and not new_cost < cost:
+            order = candidate = centers.kemenize(total, etas)
+            new_cost = centers.cost(candidate, etas)
+        converged = not new_cost < cost
+        total, cost = (total, cost) if converged else (candidate, new_cost)
+        costs.append(cost)
+    if converged:
+        order, cuts = total, singletons
 
     reliabilities = None
     if changes:
         reliabilities = {g: prior.mode for g in data.graders}
         reliabilities.update(zip(centers.arrays.graders, etas.tolist()))
-    metadata.update(rounds=len(changes), converged=converged, reliability_change=changes)
+    metadata.update(rounds=len(changes), converged=converged, center_cost=costs, reliability_change=changes)
     return Estimate(ranking=_weak_ranking(data.items, order, cuts), reliabilities=reliabilities, metadata=metadata)

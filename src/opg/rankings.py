@@ -1,4 +1,4 @@
-"""Weak rankings (orderings with ties) and distances between them.
+"""Weak rankings (orderings with ties).
 
 A weak ranking is an ordered sequence of tie groups, best group first.
 The rank of an item is 1 + the number of items in strictly better groups,
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["WeakRanking", "kendall_tau_distance", "ranking_from_scores", "break_ties"]
+__all__ = ["WeakRanking", "ranking_from_scores", "break_ties"]
 
 
 class WeakRanking:
@@ -28,33 +28,34 @@ class WeakRanking:
 
     def __init__(self, groups: Iterable[Iterable[str]]):
         canon: list[tuple[str, ...]] = []
-        seen: set[str] = set()
+        rank: dict[str, int] = {}
         for group in groups:
             g = tuple(sorted(group))
             if not g:
                 raise ValidationError("tie groups must be non-empty")
+            # 1 + the number of items in better groups, all of them ranked by now.
+            first = len(rank) + 1
             for item in g:
                 if not isinstance(item, str) or not item:
                     raise ValidationError(f"item ids must be non-empty strings, got {item!r}")
-                if item in seen:
+                if item in rank:
                     raise ValidationError(f"item {item!r} appears in more than one tie group")
-                seen.add(item)
+                rank[item] = first
             canon.append(g)
         if not canon:
             raise ValidationError("a ranking must contain at least one tie group")
-        self._groups = tuple(canon)
-        rank: dict[str, int] = {}
-        n_better = 0
-        for g in self._groups:
-            for item in g:
-                rank[item] = n_better + 1
-            n_better += len(g)
-        self._rank = rank
+        self._groups, self._rank = tuple(canon), rank
 
     @classmethod
     def from_order(cls, order: Iterable[str]) -> "WeakRanking":
         """Build a total order (all groups singletons), best first."""
-        return cls([item] for item in order)
+        items = tuple(order)
+        if not (set(map(type, items)) == {str} and all(items) and len(set(items)) == len(items)):
+            # The constructor takes str subclasses, and raises the error of anything else.
+            return cls([item] for item in items)
+        ranking = cls.__new__(cls)
+        ranking._groups, ranking._rank = tuple(zip(items)), dict(zip(items, range(1, len(items) + 1)))
+        return ranking
 
     @property
     def groups(self) -> tuple[tuple[str, ...], ...]:
@@ -66,7 +67,7 @@ class WeakRanking:
 
     @property
     def is_total(self) -> bool:
-        return all(len(g) == 1 for g in self._groups)
+        return len(self._groups) == len(self._rank)
 
     def __len__(self) -> int:
         return len(self._rank)
@@ -112,25 +113,7 @@ class WeakRanking:
         return f"WeakRanking({body})"
 
 
-def _require_same_items(r1: WeakRanking, r2: WeakRanking) -> None:
-    if r1.items != r2.items:
-        raise ValidationError("rankings must cover the same item set")
-
-
-def kendall_tau_distance(r1: WeakRanking, r2: WeakRanking) -> int:
-    """Number of discordant pairs between two total orders over the same items."""
-    if not (r1.is_total and r2.is_total):
-        raise ValidationError("kendall_tau_distance is defined for total orders only")
-    _require_same_items(r1, r2)
-    pos2 = {item: i for i, item in enumerate(r2.order())}
-    seq = np.fromiter((pos2[x] for x in r1.order()), dtype=np.int64, count=len(r1))
-    discordant = seq[:, None] > seq[None, :]
-    return int(np.triu(discordant, k=1).sum())
-
-
-def ranking_from_scores(
-    scores: Mapping[str, float], tie_epsilon: float = 1e-9
-) -> WeakRanking:
+def ranking_from_scores(scores: Mapping[str, float], tie_epsilon: float = 1e-9) -> WeakRanking:
     """Rank items by descending score, merging near-ties into tie groups.
 
     Items whose scores differ by at most ``tie_epsilon`` are merged, applied
@@ -146,21 +129,14 @@ def ranking_from_scores(
             raise ValidationError(f"score for {item!r} is not finite: {s}")
     ordered = sorted(scores, key=lambda x: (-scores[x], x))
     groups: list[list[str]] = [[ordered[0]]]
-    prev = scores[ordered[0]]
-    for item in ordered[1:]:
-        s = scores[item]
-        if prev - s <= tie_epsilon:
+    for prev, item in zip(ordered, ordered[1:]):
+        if scores[prev] - scores[item] <= tie_epsilon:
             groups[-1].append(item)
         else:
             groups.append([item])
-        prev = s
     return WeakRanking(groups)
 
 
 def break_ties(ranking: WeakRanking, rng: np.random.Generator) -> WeakRanking:
-    """Total order obtained by shuffling each tie group with ``rng``."""
-    groups: list[list[str]] = []
-    for g in ranking.groups:
-        perm = rng.permutation(len(g))
-        groups.extend([[g[i]] for i in perm])
-    return WeakRanking(groups)
+    """Total order obtained by shuffling each tie group with ``rng``, best group first."""
+    return WeakRanking.from_order([g[i] for g in ranking.groups for i in rng.permutation(len(g))])

@@ -240,6 +240,23 @@ def extract_preferences(ranking: WeakRanking) -> set[PreferencePair]:
     return pairs
 
 
+def kendall_tau_distance(r1: WeakRanking, r2: WeakRanking) -> int:
+    """Number of discordant pairs between two total orders over the same items."""
+    if not (r1.is_total and r2.is_total):
+        raise ValidationError("kendall_tau_distance is defined for total orders only")
+    if r1.items != r2.items:
+        raise ValidationError("rankings must cover the same item set")
+    pos2 = {item: i for i, item in enumerate(r2.order())}
+    seq = np.fromiter((pos2[x] for x in r1.order()), dtype=np.int64, count=len(r1))
+    discordant = seq[:, None] > seq[None, :]
+    return int(np.triu(discordant, k=1).sum())
+
+
+def feedback_map(data: Dataset) -> dict[str, GraderFeedback]:
+    """Each grader's feedback, by grader id."""
+    return {fb.grader: fb for fb in data.feedback}
+
+
 def score_weighted_kt_distance(
     r1: WeakRanking, r2: WeakRanking, scores: Mapping[str, float]
 ) -> float:
@@ -598,6 +615,15 @@ def golden_fit_reliabilities(
     return result
 
 
+def dict_center_cost(center: WeakRanking, data: Dataset, params: MallowsParams) -> float:
+    """sum_g eta_g * X_g of a total-order center, summed exactly by ``math.fsum``."""
+    center_rank = center.ranks()
+    return math.fsum(
+        params.eta_for(grader) * dict_cross_group_disagreements(center_rank, fb)
+        for grader, fb in dict_ordinal_feedback(data)
+    )
+
+
 def dict_fit_mallows(
     data: Dataset,
     *,
@@ -614,7 +640,11 @@ def dict_fit_mallows(
     ranking when ``use_borda``), optionally polished by local adjacent-swap
     improvement (``kemenize``, greedy center only). With ``with_reliability``
     the center and per-grader reliabilities are re-estimated alternately for
-    ``iterations`` rounds, starting from all reliabilities equal to 1.
+    ``iterations`` rounds, starting from all reliabilities equal to 1. A
+    round takes its new center (ties broken by the next draws) only if it
+    costs less than the old one under the round's reliabilities; with
+    ``kemenize`` it falls back to the old center after local improvement.
+    A round that finds no cheaper center keeps the old one and ends the fit.
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
@@ -633,17 +663,35 @@ def dict_fit_mallows(
             ranking = dict_local_kemenization(ranking, data, params)
         return ranking
 
+    def drawn(center: WeakRanking) -> WeakRanking:
+        if center.is_total:
+            return center
+        metadata["tie_break"] = "seeded"
+        return break_ties(center, rng)
+
     center = center_for(MallowsParams())
     etas: dict[str, float] | None = None
     if with_reliability:
         metadata["reliability_iterations"] = iterations
+        costs: list[float] = []
+        total_center = drawn(center) if iterations else center
         for _ in range(iterations):
-            total_center = center
-            if not total_center.is_total:
-                total_center = break_ties(center, rng)
-                metadata["tie_break"] = "seeded"
             etas = dict_fit_reliabilities(data, total_center, prior)
-            center = center_for(MallowsParams(etas))
+            params = MallowsParams(etas)
+            cost = dict_center_cost(total_center, data, params)
+            center = center_for(params)
+            candidate = drawn(center)
+            new_cost = dict_center_cost(candidate, data, params)
+            if kemenize and not new_cost < cost:
+                center = candidate = dict_local_kemenization(total_center, data, params)
+                new_cost = dict_center_cost(candidate, data, params)
+            if not new_cost < cost:
+                center = total_center
+                costs.append(cost)
+                break
+            total_center = candidate
+            costs.append(new_cost)
+        metadata["center_cost"] = costs
     return Estimate(ranking=center, reliabilities=etas, metadata=metadata)
 
 

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -12,11 +15,14 @@ from opg import mallows
 from opg.config import ReliabilityPrior
 from opg.data import Dataset, GraderFeedback
 from opg.errors import ValidationError
+from opg.estimators import fit_model
 from opg.experiments import _resample_graders
+from opg.metrics import TargetSet, ek_error
 from opg.mallows import (
     MallowsParams,
     _break_ties,
     _newton_etas,
+    _positions,
     _ReliabilitySolver,
     _weak_ranking,
     borda_ranking,
@@ -679,3 +685,85 @@ class TestMatchesDictOracles:
         with pytest.warns(UserWarning):
             for variant in VARIANTS:
                 _assert_matches_dict_fit(data, 2, variant)
+
+
+def _cost(arrays, position, etas):
+    """sum_g eta_g * X_g of the center at ``position``, summed pair by pair."""
+    against = position[arrays.winner] > position[arrays.loser]
+    return float(etas[arrays.pair_grader][against].sum())
+
+
+def _load_benchmark_workloads():
+    """The benchmark's workload definitions, loaded from its source file without running it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMonotoneAscent:
+    """A ``+g`` round takes a new center only if it costs less under the round's reliabilities."""
+
+    @pytest.mark.parametrize("variant", RELIABILITY_VARIANTS, ids=lambda v: "-".join(sorted(v)))
+    def test_every_accepted_center_costs_strictly_less(self, variant, rng, monkeypatch):
+        calls = []
+        solve = _ReliabilitySolver.__call__
+
+        def spy(self, position):
+            etas = solve(self, position)
+            calls.append((position.copy(), etas))
+            return etas
+
+        monkeypatch.setattr(_ReliabilitySolver, "__call__", spy)
+        classes = [_random_dataset(rng, n_items=10, n_graders=12, max_items=3 + t) for t in range(6)]
+        accepted = 0
+        for data in classes + list(_seeded_classes()):
+            calls.clear()
+            est = fit_mallows(data, **variant)
+            arrays, costs = data.feedback_arrays, est.metadata["center_cost"]
+            rounds, converged = est.metadata["rounds"], est.metadata["converged"]
+            assert len(calls) == len(costs) == rounds
+            for k, (start, etas) in enumerate(calls):
+                if converged and k == rounds - 1:
+                    # The last round found no cheaper center and kept the one it fitted against.
+                    assert costs[k] == pytest.approx(_cost(arrays, start, etas), rel=1e-12, abs=0.0)
+                    assert _positions(est.ranking, data).tolist() == start.tolist()
+                    continue
+                # The next round fits against the center this round took.
+                if k + 1 < rounds:
+                    taken = calls[k + 1][0]
+                elif est.ranking.is_total:
+                    taken = _positions(est.ranking, data)
+                else:
+                    continue
+                assert costs[k] == pytest.approx(_cost(arrays, taken, etas), rel=1e-12, abs=0.0)
+                assert costs[k] < _cost(arrays, start, etas)
+                accepted += 1
+        assert accepted > 0
+
+    def test_the_guarded_fits_recover_the_truth_as_well_as_the_plain_ones(self):
+        for n in (40, 200, 1000):
+            errors = {m: [] for m in ("mal", "mal+g", "mal+k", "mal+kg")}
+            for seed in range(5):
+                cfg = SynthConfig(n_items=n, n_graders=3 * n, items_per_grader=7, grader_model=MallowsGraders(1.0), seed=seed)
+                data, truth = simulate(cfg)
+                target = TargetSet((truth.ranking,))
+                for model in errors:
+                    errors[model].append(ek_error(target, fit_model(model, data).ranking))
+            mean = {model: float(np.mean(e)) for model, e in errors.items()}
+            assert mean["mal+g"] <= mean["mal"] + 0.25, (n, mean)
+            assert mean["mal+kg"] <= mean["mal+k"] + 0.25, (n, mean)
+
+    def test_every_benchmark_large_classroom_converges(self):
+        workloads = _load_benchmark_workloads()
+        large = workloads.WORKLOADS["large"]
+        # 24 s is the benchmark's run length, which sets how many classrooms a run holds.
+        for index in range(large.classrooms(24)):
+            seed = workloads.classroom_seed("large", 4242, index)
+            cfg = SynthConfig(large.n_items, large.n_graders, large.per_grader, MallowsGraders(1.0), seed=seed)
+            data = simulate(cfg)[0]
+            for model in ("mal+g", "mal+kg"):
+                est = fit_model(model, data)
+                assert est.metadata["converged"] is True, (index, model, est.metadata["rounds"])

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import oracles
 from opg.errors import ValidationError
-from opg.rankings import WeakRanking, break_ties, kendall_tau_distance, ranking_from_scores
+from opg.rankings import WeakRanking, break_ties, ranking_from_scores
 from oracles import (
     PreferencePair,
     consistent_total_orders,
     extract_preferences,
+    kendall_tau_distance,
     score_weighted_kt_distance,
 )
 
@@ -62,6 +63,24 @@ class TestWeakRanking:
         assert WeakRanking.from_order(["c", "a"]).order() == ("c", "a")
         with pytest.raises(ValidationError):
             WeakRanking([("a", "b")]).order()
+
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=6))
+    def test_from_order_matches_the_constructor(self, order):
+        general = [[item] for item in order]
+        if order and len(set(order)) == len(order):
+            built = WeakRanking.from_order(order)
+            expected = WeakRanking(general)
+            assert built == expected and built.ranks() == expected.ranks() and built.is_total
+            return
+        with pytest.raises(ValidationError) as expected_error:
+            WeakRanking(general)
+        with pytest.raises(ValidationError, match=str(expected_error.value)):
+            WeakRanking.from_order(iter(order))
+
+    @pytest.mark.parametrize("order", [["a", ""], ["a", 3], [None], ["a", "b", "a"], []])
+    def test_from_order_keeps_every_check(self, order):
+        with pytest.raises(ValidationError):
+            WeakRanking.from_order(order)
 
     def test_preference_pair_distinct(self):
         assert PreferencePair("a", "b").better == "a"

@@ -25,7 +25,7 @@ from opg.synth import (
 )
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset
-from oracles import inversions, sample_mallows_feedback_oracle, simulate_oracle
+from oracles import feedback_map, inversions, sample_mallows_feedback_oracle, simulate_oracle
 
 
 class TestSynthConfig:
@@ -363,5 +363,5 @@ class TestAddLazyGraders:
         stripped = strip_lazy(grown)
         assert stripped.graders == data.graders
         assert stripped.lazy_graders == frozenset()
-        assert stripped.feedback_map().keys() == data.feedback_map().keys()
+        assert feedback_map(stripped).keys() == feedback_map(data).keys()
         assert strip_lazy(data) is data
