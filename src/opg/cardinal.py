@@ -21,11 +21,12 @@ from .config import ReliabilityPrior, _check_iterations
 from .data import Dataset, Estimate
 from .errors import ValidationError
 from .rankings import WeakRanking, ranking_from_scores
-from .scoremodels import _SETTLED_LOG_ETA
 
 __all__ = ["NcsHyperparams", "scavg", "ncs_fit", "ncs_negative_log_posterior"]
 
 _ETA_BOUNDS = (1e-3, 1e3)
+# A "+g" fit has converged once its last round moved no log(eta) by more than this.
+_SETTLED_LOG_ETA = 1e-5
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ _EXPERIMENTS = (
 )
 
 _ITERATIONS_HELP = (
-    "alternating reliability rounds of the +g models; bt+g, pl+g and mals+g run at "
-    "least this many and go on until the reliabilities settle; mal+g, malbc+g and "
-    "mal+kg run at most this many and stop, converged, at the first round whose "
-    "ranking step finds no descent"
+    "alternating reliability rounds of mal+g, malbc+g, mal+kg and ncs+g; ncs+g runs "
+    "exactly this many; mal+g, malbc+g and mal+kg run at most this many and stop, "
+    "converged, at the first round whose ranking step finds no descent; bt+g, "
+    "thur+g, pl+g and mals+g have no rounds"
 )
 
 

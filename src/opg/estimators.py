@@ -17,9 +17,10 @@ __all__ = ["MODEL_NAMES", "ModelOptions", "fit_model", "model_uses_reliability"]
 class ModelOptions:
     """Shared knobs for fitting; defaults match the documented priors.
 
-    ``seed`` seeds every random draw of a fit (tie breaks, SVRG order) and
-    ``iterations`` is the number of alternating reliability rounds of the
-    "+g" models; both must be >= 0.
+    ``seed`` seeds every random draw of a fit (tie breaks, plain ``thur``'s
+    SVRG order). ``iterations`` bounds the alternating rounds of
+    ``mal+g``, ``malbc+g``, ``mal+kg`` and ``ncs+g``; the score models'
+    "+g" fits have no rounds. Both must be >= 0.
     """
 
     seed: int = 0
@@ -107,7 +108,6 @@ def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> 
             family,
             data,
             seed=options.seed,
-            iterations=options.iterations,
             with_reliability=with_rel,
             score_prior=options.score_prior,
             reliability_prior=options.reliability_prior,

@@ -15,17 +15,18 @@ eta) to a likelihood of the observed rankings:
   computed by a recursion over subsets of the grader's items (capped).
 
 All fits are MAP under an independent normal prior on scores and (for the
-"+g" variants) a gamma prior on reliabilities, with alternating
-reliability/score rounds. Every model's objective and its gradient are
-computed over every grader's feedback at once from
-``Dataset.feedback_arrays``; the reliability step is one golden-section
-search per grader, which needs no derivative. The score step is L-BFGS
-for the logistic, listwise and score-weighted permutation models; the
-probit model takes per-grader variance-reduced gradient steps (SVRG).
+"+g" variants) a gamma prior on reliabilities. Every model's objective and
+its gradients are computed over every grader's feedback at once from
+``Dataset.feedback_arrays``. A plain fit of the logistic, listwise and
+score-weighted permutation models runs L-BFGS on the scores; the plain
+probit model takes per-grader variance-reduced gradient steps (SVRG). Every
+"+g" fit is one L-BFGS run over the scores and the log reliabilities
+together, with each reliability kept in [1e-3, 1e3].
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Callable, Mapping, Sequence
@@ -34,10 +35,10 @@ from typing import Any
 
 import numpy as np
 
-from .config import ReliabilityPrior, ScorePrior, _check_iterations
+from .config import ReliabilityPrior, ScorePrior
 from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
-from .mallows import _check_eta
+from .mallows import _ETA_BOUNDS, _check_eta
 from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
@@ -457,23 +458,32 @@ def negative_log_posterior(
 
 # --- full-batch fitting -----------------------------------------------------
 
-# Steps an L-BFGS score step remembers; the stopping tolerance of every
-# score step on the largest absolute gradient entry; and the cap on L-BFGS
-# iterations or SVRG epochs after which a score step is reported as not
-# converged.
+# Steps an L-BFGS fit remembers; the stopping tolerance of every fit on the
+# largest absolute (projected) gradient entry; and the cap on L-BFGS
+# iterations or SVRG epochs after which a fit is reported as not converged.
 _LBFGS_MEMORY = 10
 _GRAD_TOLERANCE = 1e-6
 _MAX_STEPS = 1000
 
-# Alternating rounds of a "+g" fit stop once no reliability moves by more
-# than this in log(eta) (the golden-section search brackets log10(eta) to
-# 7.6e-7, so it resolves log(eta) to about 8.8e-7), or after this many rounds.
-_SETTLED_LOG_ETA = 1e-5
-_MAX_ROUNDS = 100
+
+def _restricted(
+    history: list[tuple[np.ndarray, np.ndarray, float]], free: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The remembered L-BFGS steps with every entry outside ``free`` zeroed,
+    keeping those of positive curvature on the ``free`` coordinates."""
+    pairs = []
+    for dx, dg, _ in history:
+        dx, dg = dx * free, dg * free
+        curvature = float(dx @ dg)
+        if curvature > 0.0:
+            pairs.append((dx, dg, 1.0 / curvature))
+    return pairs
 
 
 def _lbfgs(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, int, float, bool]:
     """Minimize a smooth ``fun`` (value and gradient) from ``x0``.
 
@@ -481,33 +491,46 @@ def _lbfgs(
     last ``_LBFGS_MEMORY`` steps and Armijo backtracking from the unit step;
     a step of non-positive curvature is not remembered, so ``fun`` need not
     be convex (a tied ``mals`` likelihood is a difference of log-sum-exps).
-    Returns the point, the iterations taken, the largest absolute gradient
-    entry there, and whether that is at most ``_GRAD_TOLERANCE``.
+    With ``bounds`` (lower, upper), every trial point is clipped into that
+    box, and a coordinate at a bound whose gradient points out of the box
+    is held there: its gradient entry is zeroed (the projected gradient)
+    and the step is taken from the remembered steps restricted to the other
+    coordinates, the active-set idea of L-BFGS-B (Byrd, Lu, Nocedal & Zhu
+    1995). Returns the point, the iterations taken, the largest absolute
+    entry of the projected gradient there, and whether that is at most
+    ``_GRAD_TOLERANCE``.
     """
     x = x0.copy()
     f, g = fun(x)
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for iteration in range(_MAX_STEPS):
-        g_max = float(np.abs(g).max())
-        if g_max <= _GRAD_TOLERANCE:
-            return x, iteration, g_max, True
-        # q becomes the inverse-Hessian estimate times g; the step is -q.
-        q = g.copy()
+    for iteration in itertools.count():
+        pg, pairs = g, history
+        if bounds is not None:
+            held = ((x <= bounds[0]) & (g > 0.0)) | ((x >= bounds[1]) & (g < 0.0))
+            if held.any():
+                pg, pairs = np.where(held, 0.0, g), _restricted(history, ~held)
+        g_max = float(np.abs(pg).max())
+        if g_max <= _GRAD_TOLERANCE or iteration == _MAX_STEPS:
+            return x, iteration, g_max, g_max <= _GRAD_TOLERANCE
+        # q becomes the inverse-Hessian estimate times pg; the step is -q.
+        q = pg.copy()
         alphas = []
-        for dx, dg, rho in reversed(history):
+        for dx, dg, rho in reversed(pairs):
             alphas.append(rho * (dx @ q))
             q -= alphas[-1] * dg
-        if history:
-            dx, dg, rho = history[-1]
+        if pairs:
+            dx, dg, rho = pairs[-1]
             q /= rho * (dg @ dg)
         else:
             q /= max(1.0, g_max)
-        for (dx, dg, rho), alpha in zip(history, reversed(alphas)):
+        for (dx, dg, rho), alpha in zip(pairs, reversed(alphas)):
             q += (alpha - rho * (dg @ q)) * dx
         slope = -float(g @ q)
         step = 1.0
         while True:
             x_new = x - step * q
+            if bounds is not None:
+                x_new = np.clip(x_new, *bounds)
             f_new, g_new = fun(x_new)
             if f_new <= f + 1e-4 * step * slope:
                 break
@@ -526,8 +549,6 @@ def _lbfgs(
             if len(history) > _LBFGS_MEMORY:
                 history.pop(0)
         x, f, g = x_new, f_new, g_new
-    g_max = float(np.abs(g).max())
-    return x, _MAX_STEPS, g_max, g_max <= _GRAD_TOLERANCE
 
 
 def _lbfgs_scores(
@@ -584,87 +605,66 @@ def _svrg_scores(
         epoch += 1
 
 
-def _golden_section_etas(objective: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
-    """Maximizers of ``size`` independent 1-D problems, as reliabilities in [1e-3, 1e3].
+def _lbfgs_joint(
+    batch: _PairBatch | _ListBatch | _PermBatch,
+    s0: np.ndarray,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior,
+) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
+    """MAP scores and reliabilities together, by one bounded ``_lbfgs`` run
+    over x = (s, u), from u = 0, where u = ln(eta) stays in [ln 1e-3, ln 1e3].
 
-    ``objective`` maps an array of ``size`` log10 reliabilities to the value
-    of each problem there. One golden-section search per problem runs on
-    [-3, 3] until every bracket is narrower than 1e-6, each step keeping one
-    interior point and evaluating one new one; the result is 10 to the
-    bracket's midpoint.
+    Its value is the negative log-posterior, and its u-gradient is
+    eta * d nll / d eta + eta / scale - (shape - 1). Returns the scores, the
+    reliabilities and the rest of ``_lbfgs``'s report.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = np.full(size, -3.0), np.full(size, 3.0)
-    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while float((hi - lo).max()) > 1e-6:
-        # [lo, d] keeps c as its upper interior point, [c, hi] keeps d as its lower one.
-        left = fc > fd
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        new = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
-        f_new = objective(new)
-        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
-        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
-    return np.clip(10.0 ** ((lo + hi) / 2.0), 1e-3, 1e3)
-
-
-def _batch_reliabilities(
-    batch: _PairBatch | _ListBatch | _PermBatch, s: np.ndarray, reliability_prior: ReliabilityPrior
-) -> np.ndarray:
-    """MAP reliability of every grader for fixed scores, one golden-section search each."""
+    n, mean, variance = batch.n_items, score_prior.mean, score_prior.variance
     shape, scale = reliability_prior.shape, reliability_prior.scale
+    low, high = np.log(_ETA_BOUNDS)
 
-    def objective(z: np.ndarray) -> np.ndarray:
-        eta = 10.0**z
-        nll, _, _ = batch.evaluate(s, eta, grads=False)
-        return (shape - 1.0) * np.log(eta) - eta / scale - nll
+    def reliabilities(u: np.ndarray) -> np.ndarray:
+        # exp(ln 1e-3) is not exactly 1e-3, so a u on a bound maps onto that bound's eta.
+        return np.where(u <= low, _ETA_BOUNDS[0], np.where(u >= high, _ETA_BOUNDS[1], np.exp(u)))
 
-    return _golden_section_etas(objective, batch.n_graders)
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        s, u = x[:n], x[n:]
+        etas = reliabilities(u)
+        nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=True)
+        d = s - mean
+        value = float(nll.sum()) + float(d @ d) / (2.0 * variance)
+        value += float((etas / scale - (shape - 1.0) * u).sum())
+        return value, np.concatenate((grad_s + d / variance, etas * (grad_eta + 1.0 / scale) - (shape - 1.0)))
+
+    unbounded, u0 = np.full(n, np.inf), np.zeros(batch.n_graders)
+    bounds = (np.concatenate((-unbounded, u0 + low)), np.concatenate((unbounded, u0 + high)))
+    x, steps, grad_norm, converged = _lbfgs(fun, np.concatenate((s0, u0)), bounds)
+    return x[:n], reliabilities(x[n:]), steps, grad_norm, converged
 
 
 def _fit_batch(
     batch: _PairBatch | _ListBatch | _PermBatch,
-    rounds: int,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Scores, reliabilities and the solver's report of a fit from the prior mean.
 
-    The score step is ``_svrg_scores`` for a probit batch, which reports its
-    ``svrg_epochs``, and ``_lbfgs_scores`` for every other batch, which
-    reports its ``lbfgs_iterations``. With a ``reliability_prior``,
-    reliability and score steps alternate for at least ``rounds`` rounds
-    (one if ``rounds`` is 0) and then until a round moves no log(eta) by
-    more than ``_SETTLED_LOG_ETA``, for at most ``max(rounds, _MAX_ROUNDS)``
-    rounds; a fit that stops unsettled is not ``converged``.
+    Without a ``reliability_prior`` every eta is 1, and the scores come from
+    ``_svrg_scores`` for a probit batch, which reports its ``svrg_epochs``,
+    and from ``_lbfgs_scores`` for every other batch. With one, scores and
+    reliabilities come from ``_lbfgs_joint``. An L-BFGS fit reports its
+    ``lbfgs_iterations``.
     """
-    probit = isinstance(batch, _PairBatch) and batch.probit
-    steps_key = "svrg_epochs" if probit else "lbfgs_iterations"
-
-    def score_step(s: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, int, float, bool]:
-        if probit:
-            return _svrg_scores(batch, s, etas, score_prior, rng)
-        return _lbfgs_scores(batch, s, etas, score_prior)
-
+    s0 = np.full(batch.n_items, score_prior.mean)
     etas = np.ones(batch.n_graders)
-    s, steps, grad_norm, converged = score_step(np.full(batch.n_items, score_prior.mean), etas)
-    if reliability_prior is None:
-        return s, etas, {steps_key: steps, "grad_norm": grad_norm, "converged": converged}
-    changes: list[float] = []
-    while len(changes) < max(rounds, 1) or changes[-1] > _SETTLED_LOG_ETA:
-        if len(changes) == max(rounds, _MAX_ROUNDS):
-            converged = False
-            break
-        new_etas = _batch_reliabilities(batch, s, reliability_prior)
-        changes.append(float(np.abs(np.log(new_etas) - np.log(etas)).max()))
-        etas = new_etas
-        s, more, grad_norm, done = score_step(s, etas)
-        steps += more
-        converged = converged and done
-    report: dict[str, Any] = {steps_key: steps, "grad_norm": grad_norm, "converged": converged}
-    return s, etas, {**report, "reliability_change": changes}
+    if reliability_prior is not None:
+        s, etas, steps, grad_norm, converged = _lbfgs_joint(batch, s0, score_prior, reliability_prior)
+    elif isinstance(batch, _PairBatch) and batch.probit:
+        s, steps, grad_norm, converged = _svrg_scores(batch, s0, etas, score_prior, rng)
+        return s, etas, {"svrg_epochs": steps, "grad_norm": grad_norm, "converged": converged}
+    else:
+        s, steps, grad_norm, converged = _lbfgs_scores(batch, s0, etas, score_prior)
+    return s, etas, {"lbfgs_iterations": steps, "grad_norm": grad_norm, "converged": converged}
 
 
 def fit(
@@ -672,34 +672,28 @@ def fit(
     data: Dataset,
     *,
     seed: int = 0,
-    iterations: int = 10,
     with_reliability: bool = False,
     score_prior: ScorePrior | None = None,
     reliability_prior: ReliabilityPrior | None = None,
     tie_epsilon: float = 1e-9,
 ) -> Estimate:
-    """MAP-fit a score model, optionally alternating with reliability updates.
+    """MAP-fit a score model, with per-grader reliabilities if ``with_reliability``.
 
-    With ``with_reliability``, reliability and score steps alternate for
-    ``iterations`` rounds after a score fit at eta = 1; reliabilities stay
-    in [1e-3, 1e3]. Items nobody graded get the prior mean, with a warning.
-    Every fit starts from the prior mean, and its ``metadata`` records the
-    final ``grad_norm`` (largest absolute entry of the score gradient of
-    the negative log-posterior) and, for ``+g``, the largest change of
-    log(eta) in each round (``reliability_change``).
-
-    Reliability steps are golden-section searches on log10(eta), one per
-    grader, of 35 likelihood evaluations each, and ``+g`` rounds go on past
-    ``iterations`` until no log(eta) moves by more than 1e-5 (at most 100
-    rounds, or ``iterations`` if that is more). The score steps of ``bt``,
-    ``pl`` and ``mals`` are L-BFGS, and ``metadata`` records their
-    ``lbfgs_iterations``; those of ``thur`` are per-grader SVRG epochs,
-    recorded as ``svrg_epochs``. A fit has ``converged`` when every score
-    step ended with a largest gradient entry of at most 1e-6 (and, for
-    ``+g``, the rounds settled). ``seed`` orders ``thur``'s SVRG steps and
-    seeds the tie-breaking of ``pl``; it does not affect ``bt`` or ``mals``.
+    Every fit starts from the prior mean (and, for ``+g``, from eta = 1).
+    Items nobody graded get the prior mean, with a warning. The plain
+    ``bt``, ``pl`` and ``mals`` fits run L-BFGS on the scores, and
+    ``thur``'s per-grader SVRG epochs; ``metadata`` records the
+    ``lbfgs_iterations`` or ``svrg_epochs`` taken. A ``+g`` fit of any of
+    the four is one L-BFGS run over the scores and log(eta) together, each
+    reliability kept in [1e-3, 1e3], and records its ``lbfgs_iterations``.
+    ``metadata`` also records ``grad_norm``: the largest absolute entry of
+    the gradient of the negative log-posterior at the returned fit, with
+    respect to the scores and, for ``+g``, log(eta), leaving out a log(eta)
+    held at a bound by a gradient pointing out of it. A fit has
+    ``converged`` when that is at most 1e-6. ``seed`` orders plain
+    ``thur``'s SVRG steps and seeds the tie-breaking of ``pl`` and
+    ``pl+g``; it does not affect ``bt``, ``mals`` or ``thur+g``.
     """
-    _check_iterations(iterations)
     score_prior = score_prior or ScorePrior()
     rprior = (reliability_prior or ReliabilityPrior()) if with_reliability else None
     rng = np.random.default_rng(seed)
@@ -709,7 +703,7 @@ def fit(
         ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
         warnings.warn(f"items never graded by anyone get the prior mean: {ungraded}", stacklevel=2)
 
-    s, etas, report = _fit_batch(prep.batch, iterations, score_prior, rprior, rng)
+    s, etas, report = _fit_batch(prep.batch, score_prior, rprior, rng)
     reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)} if with_reliability else None
     scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
     return Estimate(

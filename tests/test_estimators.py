@@ -56,7 +56,6 @@ def _direct_fit(name, data, options):
         family,
         data,
         seed=options.seed,
-        iterations=options.iterations,
         with_reliability=with_rel,
         score_prior=options.score_prior,
         reliability_prior=options.reliability_prior,
@@ -89,9 +88,8 @@ class TestFitModelPassesEveryOption:
         dropped field where that field moves the estimate."""
         with_rel = [n for n in MODEL_NAMES if FAMILIES[n][1]]
         expected = {
-            "seed": ["thur", "thur+g", "pl", "pl+g"],
-            # The score models' +g fits go on until their reliabilities
-            # settle, so 3 or 10 least rounds end at the same fit here.
+            "seed": ["thur", "pl", "pl+g"],
+            # The score models' +g fits are one joint L-BFGS run, with no rounds.
             "iterations": [n for n in with_rel if n not in ("bt+g", "thur+g", "pl+g", "mals+g")],
             "reliability_prior": with_rel,
             "tie_epsilon": [n for n in MODEL_NAMES if FAMILIES[n][0] not in ("mal", "malbc", "mal+k")],
@@ -110,12 +108,6 @@ class TestNegativeIterations:
         with pytest.raises(ValidationError):
             ModelOptions(seed=-1)
         assert ModelOptions(seed=0, iterations=0).iterations == 0
-
-    @pytest.mark.parametrize("model", scoremodels.SCORE_MODELS)
-    def test_score_models(self, model):
-        data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
-        with pytest.raises(ValidationError):
-            scoremodels.fit(model, data, iterations=-1, with_reliability=True)
 
     def test_mallows(self):
         data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})

@@ -559,7 +559,7 @@ class TestMatchesDictOracles:
         """Every fit reaches a stationary point no worse than the SGD oracle's."""
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
         for data in _tied_datasets(rng):
-            got = fit(model, data, seed=7, iterations=3, with_reliability=with_rel)
+            got = fit(model, data, seed=7, with_reliability=with_rel)
             want = oracles.dict_fit(
                 model, data, seed=7, iterations=3, max_epochs=60, rel_tolerance=1e-5, with_reliability=with_rel
             )
@@ -593,48 +593,57 @@ def _reliability_objective(term, s, eta, prior):
     return nll + eta / prior.scale - (prior.shape - 1.0) * math.log(eta)
 
 
+def _projected_gradient(model, data, est, seed, prior=None):
+    """The largest absolute entry of the gradient of the negative log-posterior
+    at ``est``, in the scores and, for a "+g" fit, in log(eta), leaving out a
+    log(eta) at a bound whose gradient points out of [1e-3, 1e3]."""
+    obj = negative_log_posterior(model, data, est.scores, est.reliabilities, reliability_prior=prior, seed=seed)
+    largest = max(abs(v) for v in obj.score_gradient.values())
+    for g, eta in (est.reliabilities or {}).items():
+        grad_u = eta * obj.reliability_gradient[g]
+        if not ((eta == 1e-3 and grad_u > 0.0) or (eta == 1e3 and grad_u < 0.0)):
+            largest = max(largest, abs(grad_u))
+    return largest
+
+
+PRIORS = {"default": ReliabilityPrior(), "shape1": ReliabilityPrior(shape=1.0)}
+
+
 @pytest.mark.filterwarnings("ignore:items never graded")
 class TestFullBatch:
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_reliabilities_match_a_scalar_search_per_grader(self, model, rng):
-        prior = ReliabilityPrior()
-        for data in _tied_datasets(rng):
-            batch = _prepare(model, data, np.random.default_rng(3)).batch
-            terms = oracles.dict_prepare(model, data, np.random.default_rng(3)).terms
-            for spread in (0.3, 1.0, 4.0):
-                s = rng.normal(0.0, spread, len(data.items))
-                etas = scoremodels._batch_reliabilities(batch, s, prior)
-                for term, eta in zip(terms, etas, strict=True):
-                    best = minimize_scalar(
-                        lambda z: _reliability_objective(term, s, 10.0**z, prior),
-                        bounds=(-3.0, 3.0), method="bounded", options={"xatol": 1e-9},
-                    )
-                    assert math.log10(eta) == pytest.approx(best.x, abs=1e-5)
+        """Each fitted eta is its grader's bounded scalar optimum at the fit's own scores."""
+        for data, prior in itertools.product(_tied_datasets(rng), PRIORS.values()):
+            est = fit(model, data, seed=3, with_reliability=True, reliability_prior=prior)
+            prep = oracles.dict_prepare(model, data, np.random.default_rng(3))
+            s = np.array([est.scores[x] for x in prep.items])
+            for term, g in zip(prep.terms, prep.graders, strict=True):
+                best = minimize_scalar(
+                    lambda z: _reliability_objective(term, s, 10.0**z, prior),
+                    bounds=(-3.0, 3.0), method="bounded", options={"xatol": 1e-9},
+                )
+                assert math.log10(est.reliabilities[g]) == pytest.approx(best.x, abs=1e-5)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_metadata_reports_the_solver(self, variant, rng):
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
-        steps, other = ("svrg_epochs", "lbfgs_iterations") if model == "thur" else ("lbfgs_iterations", "svrg_epochs")
+        steps, other = ("svrg_epochs", "lbfgs_iterations") if variant == "thur" else ("lbfgs_iterations", "svrg_epochs")
         for data in _tied_datasets(rng):
-            est = fit(model, data, seed=2, iterations=4, with_reliability=with_rel)
+            est = fit(model, data, seed=2, with_reliability=with_rel)
             meta = est.metadata
             assert meta["converged"] is True and meta[steps] > 0 and other not in meta
-            obj = negative_log_posterior(model, data, est.scores, est.reliabilities, seed=2)
-            assert meta["grad_norm"] == pytest.approx(max(abs(v) for v in obj.score_gradient.values()), abs=1e-9)
+            assert "reliability_change" not in meta
+            assert meta["grad_norm"] == pytest.approx(_projected_gradient(model, data, est, 2), abs=1e-9)
             assert meta["grad_norm"] <= 1e-6
-            if with_rel:
-                changes = meta["reliability_change"]
-                assert len(changes) >= 4 and min(changes) >= 0.0
-                assert changes[-1] <= scoremodels._SETTLED_LOG_ETA < max(changes[:-1])
-            else:
-                assert "reliability_change" not in meta
-            assert fit(model, data, seed=2, iterations=4, with_reliability=with_rel) == est
+            assert fit(model, data, seed=2, with_reliability=with_rel) == est
 
     def test_iteration_cap_is_reported(self, monkeypatch):
         data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["c"], ["a"]]})
         monkeypatch.setattr(scoremodels, "_MAX_STEPS", 1)
-        meta = fit("bt", data).metadata
-        assert meta["lbfgs_iterations"] == 1 and meta["converged"] is False and meta["grad_norm"] > 1e-6
+        for with_rel in (False, True):
+            meta = fit("bt", data, with_reliability=with_rel).metadata
+            assert meta["lbfgs_iterations"] == 1 and meta["converged"] is False and meta["grad_norm"] > 1e-6
 
     def test_epoch_cap_is_reported(self, monkeypatch):
         data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["c"], ["a"]]})
@@ -649,30 +658,6 @@ class TestFullBatch:
         data = make_ordinal_dataset({"g1": [["a", "b"]], "g2": [["c"]]})
         meta = fit("thur", data).metadata
         assert (meta["svrg_epochs"], meta["grad_norm"], meta["converged"]) == (0, 0.0, True)
-
-    @pytest.mark.parametrize("model", SCORE_MODELS)
-    def test_reliability_change_per_round(self, model, rng, monkeypatch):
-        """Round k's entry is the largest move of log(eta) from round k - 1 (eta = 1 before the first)."""
-        data = _tied_datasets(rng)[0]
-        monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 1)
-        one = fit(model, data, seed=4, iterations=1, with_reliability=True)
-        monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 2)
-        two = fit(model, data, seed=4, iterations=1, with_reliability=True)
-        first, second = two.metadata["reliability_change"]
-        assert one.metadata["reliability_change"] == [first]
-        assert first == pytest.approx(max(abs(math.log(e)) for e in one.reliabilities.values()), rel=1e-12)
-        moves = [abs(math.log(two.reliabilities[g]) - math.log(e)) for g, e in one.reliabilities.items()]
-        assert second == pytest.approx(max(moves), rel=1e-12)
-
-    @pytest.mark.parametrize("model", SCORE_MODELS)
-    def test_round_cap_is_reported(self, model, rng, monkeypatch):
-        monkeypatch.setattr(scoremodels, "_MAX_ROUNDS", 2)
-        for data in _tied_datasets(rng):
-            meta = fit(model, data, iterations=1, with_reliability=True).metadata
-            assert len(meta["reliability_change"]) == 2 and meta["reliability_change"][-1] > 1e-5
-            assert meta["converged"] is False and meta["grad_norm"] <= 1e-6
-            meta = fit(model, data, iterations=3, with_reliability=True).metadata
-            assert len(meta["reliability_change"]) == 3 and meta["converged"] is False
 
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_large_reliabilities_stay_finite(self, model, rng):
@@ -697,6 +682,82 @@ class TestFullBatch:
         for model in SCORE_MODELS:
             est = fit(model, data, score_prior=ScorePrior(mean=2.0))
             assert est.scores["c"] == pytest.approx(2.0, abs=1e-6) and est.metadata["converged"] is True
+
+
+def _joint_objective(model, data, prior, seed):
+    """The +g negative log-posterior over x = (s, ln eta) with its gradient,
+    written out here from the batch likelihood and the two priors."""
+    batch = _prepare(model, data, np.random.default_rng(seed)).batch
+    n, score_prior = len(data.items), ScorePrior()
+
+    def fun(x):
+        s, u = x[:n], x[n:]
+        eta = np.exp(u)
+        nll, grad_s, grad_eta = batch.evaluate(s, eta, need_eta=True)
+        d = s - score_prior.mean
+        value = nll.sum() + d @ d / (2.0 * score_prior.variance) + (eta / prior.scale - (prior.shape - 1.0) * u).sum()
+        grad_u = eta * (grad_eta + 1.0 / prior.scale) - (prior.shape - 1.0)
+        return value, np.concatenate((grad_s + d / score_prior.variance, grad_u))
+
+    return fun
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+class TestJointFit:
+    """A "+g" fit is one bounded L-BFGS run over (s, ln eta)."""
+
+    @pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS)
+    @pytest.mark.parametrize("model", SCORE_MODELS)
+    def test_reaches_the_bounded_optimum(self, model, prior, rng):
+        """No worse than scipy's L-BFGS-B on the same bounded problem, and stationary.
+
+        Under the default prior scipy starts where the fit does, at the prior
+        mean and eta = 1, and both reach the same optimum. Under shape 1 the
+        posterior has several local modes (a grader may be trusted or held at
+        eta = 1e-3), and the two solvers need not pick the same one; there
+        scipy starts at the fit, so the check is that it finds no descent.
+        """
+        on_bound = 0
+        for data in _tied_datasets(rng):
+            est = fit(model, data, seed=3, with_reliability=True, reliability_prior=prior)
+            fun = _joint_objective(model, data, prior, 3)
+            graders = _prepare(model, data, np.random.default_rng(3)).graders
+            n = len(data.items)
+            x = np.array([est.scores[i] for i in data.items] + [math.log(est.reliabilities[g]) for g in graders])
+            best = minimize(
+                fun, x if prior.shape == 1.0 else np.zeros_like(x), jac=True, method="L-BFGS-B",
+                bounds=[(None, None)] * n + [(math.log(1e-3), math.log(1e3))] * len(graders),
+                options={"maxiter": 20000, "maxfun": 40000, "ftol": 1e-15, "gtol": 1e-10},
+            )
+            value = fun(x)[0]
+            assert value <= best.fun + 1e-9 * abs(value)
+            assert _projected_gradient(model, data, est, 3, prior) <= 1e-6
+            assert est.metadata["converged"] is True and est.metadata["grad_norm"] <= 1e-6
+            on_bound += sum(eta == 1e-3 for eta in est.reliabilities.values())
+        assert (on_bound > 0) == (prior.shape == 1.0)
+
+    def test_an_improper_prior_claims_no_convergence_it_has_not_reached(self, rng):
+        """Under shape 1 and scale 1e4 the prior barely resists a growing eta,
+        and a likelihood that depends on s only through eta * s (or
+        sqrt(eta) * s) is nearly flat along (s / c, c * eta), so the fit is
+        badly conditioned and may end at the step cap. It stays finite and in
+        bounds, and is ``converged`` exactly when its projected gradient,
+        computed apart from the fit, is at most 1e-6."""
+        prior = ReliabilityPrior(shape=1.0, scale=1e4)
+        data = _tied_datasets(rng)[0]
+        flags = []
+        for model in SCORE_MODELS:
+            est = fit(model, data, with_reliability=True, reliability_prior=prior)
+            meta = est.metadata
+            assert all(math.isfinite(v) for v in est.scores.values())
+            assert all(1e-3 <= eta <= 1e3 for eta in est.reliabilities.values())
+            stationary = _projected_gradient(model, data, est, 0, prior)
+            assert meta["grad_norm"] == pytest.approx(stationary, rel=1e-6)
+            assert meta["converged"] is (meta["grad_norm"] <= 1e-6)
+            if not meta["converged"]:
+                assert meta["lbfgs_iterations"] == scoremodels._MAX_STEPS
+            flags.append(meta["converged"])
+        assert False in flags
 
 
 class TestUngradedItems:
@@ -791,17 +852,3 @@ def test_logistic_batch_tail_probability_equals_expit():
         # One pair, a above b, at eta 1: the loser's gradient entry is exactly q.
         q, expected = grad_s[1], expit(-z)
         assert abs(q - expected) <= 1e-15 * abs(expected), z
-
-
-def test_golden_section_evaluates_one_new_point_per_step():
-    """Each step keeps one interior point: 2 + 33 evaluations bracket [-3, 3] to under 1e-6."""
-    target = np.linspace(-2.9, 2.9, 50)
-    calls = []
-
-    def objective(z):
-        calls.append(z.copy())
-        return -((z - target) ** 2)
-
-    etas = scoremodels._golden_section_etas(objective, len(target))
-    assert len(calls) == 35
-    assert np.abs(np.log10(etas) - target).max() <= 3.9e-7
