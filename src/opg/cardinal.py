@@ -52,25 +52,13 @@ class NcsHyperparams:
 
 
 def _cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """(items, graders, item_idx, grader_idx, grades) for all observations."""
+    """(items, graders, item_idx, grader_idx, grades) for all observations, read from
+    ``data.cardinal_arrays``: grader by grader in feedback order, each grader's items sorted."""
     if not data.feedback:
         raise ValidationError("dataset has no feedback")
-    items = sorted(data.items)
-    item_index = {d: i for i, d in enumerate(items)}
-    graders: list[str] = []
-    ii: list[int] = []
-    gg: list[int] = []
-    yy: list[float] = []
-    for fb in data.feedback:
-        if fb.cardinal is None:
-            raise ValidationError(f"grader {fb.grader!r} has no cardinal feedback")
-        gi = len(graders)
-        graders.append(fb.grader)
-        for d in fb.items:
-            ii.append(item_index[d])
-            gg.append(gi)
-            yy.append(float(fb.cardinal[d]))
-    return items, graders, np.array(ii), np.array(gg), np.array(yy)
+    offsets, ii, yy = data.cardinal_arrays
+    gg = np.repeat(np.arange(len(data.feedback)), np.diff(offsets))
+    return list(data.items), [fb.grader for fb in data.feedback], ii, gg, yy
 
 
 def scavg(data: Dataset, tie_epsilon: float = 1e-9) -> Estimate:

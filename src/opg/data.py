@@ -39,17 +39,18 @@ class GraderFeedback:
         if not isinstance(self.grader, str) or not self.grader:
             raise ValidationError(f"grader id must be a non-empty string, got {self.grader!r}")
         items = tuple(sorted(self.items))
+        item_set = frozenset(items)
         if not items:
             raise ValidationError(f"grader {self.grader!r} has no items")
-        if len(set(items)) != len(items):
+        if len(item_set) != len(items):
             raise ValidationError(f"grader {self.grader!r} lists duplicate items")
         object.__setattr__(self, "items", items)
         if self.ordinal is None and self.cardinal is None:
             raise ValidationError(f"grader {self.grader!r} has neither ordinal nor cardinal feedback")
-        if self.ordinal is not None and self.ordinal.items != frozenset(items):
+        if self.ordinal is not None and self.ordinal.items != item_set:
             raise ValidationError(f"ordinal feedback of grader {self.grader!r} does not cover its items")
         if self.cardinal is not None:
-            if set(self.cardinal) != set(items):
+            if self.cardinal.keys() != item_set:
                 raise ValidationError(f"cardinal feedback of grader {self.grader!r} does not cover its items")
             for item, grade in self.cardinal.items():
                 if not math.isfinite(grade):
@@ -60,14 +61,20 @@ class GraderFeedback:
 
     @classmethod
     def from_ordinal(cls, grader: str, ranking: WeakRanking) -> "GraderFeedback":
-        return cls(grader=grader, items=tuple(sorted(ranking.items)), ordinal=ranking)
+        return cls(grader=grader, items=tuple(ranking.items), ordinal=ranking)
+
+    def _renamed(self, grader: str) -> "GraderFeedback":
+        """This record under another grader id, copied without repeating the checks it passed."""
+        copy = object.__new__(GraderFeedback)
+        copy.__dict__.update(self.__dict__, grader=grader)
+        return copy
 
     @classmethod
     def from_cardinal(cls, grader: str, grades: Mapping[str, float]) -> "GraderFeedback":
         """Cardinal feedback with the induced ordinal ranking attached."""
         return cls(
             grader=grader,
-            items=tuple(sorted(grades)),
+            items=tuple(grades),
             ordinal=induced_ordinal(grades),
             cardinal=dict(grades),
         )
@@ -81,6 +88,7 @@ class Dataset:
     graders: tuple[str, ...]
     feedback: tuple[GraderFeedback, ...]
     lazy_graders: frozenset[str] = frozenset()
+    _source = None  # (parent, rows) of a grader subset marked by ``_gathered_from``; not a field
 
     def __post_init__(self) -> None:
         items = tuple(sorted(self.items))
@@ -137,15 +145,56 @@ class Dataset:
     def has_full_cardinal(self) -> bool:
         return all(fb.cardinal is not None for fb in self.feedback)
 
+    def _gathered_from(self, parent: "Dataset", rows: np.ndarray) -> "Dataset":
+        """Mark this dataset as ``parent``'s graders at feedback positions ``rows``, in order."""
+        object.__setattr__(self, "_source", (parent, rows))
+        return self
+
     @cached_property
     def feedback_arrays(self) -> "FeedbackArrays":
-        """The ordinal feedback compiled to integer arrays, built on first use."""
+        """The ordinal feedback compiled to integer arrays on first use (gathered for a subset)."""
+        if self._source is not None and self._source[0].has_full_ordinal():
+            return self._source[0].feedback_arrays.take(self._source[1], tuple(fb.grader for fb in self.feedback))
         return FeedbackArrays.build(self)
+
+    @cached_property
+    def cardinal_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offsets, item, grade): every grader's grades as read-only CSR arrays, on first use
+        and gathered like ``feedback_arrays``. Grader g's grades are the slice
+        ``offsets[g]:offsets[g + 1]``, over its sorted ``items``, as indices into ``items``."""
+        if self._source is not None and self._source[0].has_full_cardinal():
+            offsets, item, grade = self._source[0].cardinal_arrays
+            offsets, entries = _csr_take(offsets, self._source[1])
+            return _read_only(offsets, item[entries], grade[entries])
+        for fb in self.feedback:
+            if fb.cardinal is None:
+                raise ValidationError(f"grader {fb.grader!r} has no cardinal feedback")
+        index = {d: i for i, d in enumerate(self.items)}
+        offsets = np.cumsum([0] + [len(fb.items) for fb in self.feedback])
+        item = np.array([index[d] for fb in self.feedback for d in fb.items], dtype=np.intp)
+        grade = np.array([fb.cardinal[d] for fb in self.feedback for d in fb.items], dtype=float)
+        return _read_only(offsets, item, grade)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets of the rows ``rows`` of a layout, and the old index of each of their entries."""
+    counts = offsets[rows + 1] - offsets[rows]
+    taken = np.concatenate(([0], np.cumsum(counts)))
+    return taken, np.repeat(offsets[rows] - taken[:-1], counts) + np.arange(taken[-1])
 
 
 @dataclass(frozen=True, eq=False)
 class FeedbackArrays:
     """Every grader's ordinal feedback as read-only integer arrays.
+
+    ``build`` compiles a dataset's feedback; ``take`` gathers a grader
+    subset's arrays from compiled ones, as each protocol resample does.
 
     Items are indices into the sorted ``Dataset.items``; graders are
     positions in ``Dataset.feedback``. Grader g's entries are the slice
@@ -166,6 +215,15 @@ class FeedbackArrays:
     grader_coeff: np.ndarray  # (G,) row of coeff of each grader
     incident_offsets: np.ndarray  # (n + 1,) CSR offsets of each item's pairs
     incident: np.ndarray  # (2P,) each item's pairs in pair order, as 2 * pair + (1 if it is the loser)
+
+    @classmethod
+    def _assemble(cls, graders, offsets, item, rank, winner, loser, pair_grader, coeff, grader_coeff, n):
+        """The arrays, read-only, with each item's incident pairs derived from the pairs."""
+        ends = np.stack([winner, loser], axis=1).ravel()
+        incident_offsets = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+        incident = np.argsort(ends, kind="stable").astype(np.int32)
+        arrays = (offsets, item, rank, winner, loser, pair_grader, coeff, grader_coeff, incident_offsets, incident)
+        return cls(graders, *_read_only(*arrays))
 
     @classmethod
     def build(cls, data: Dataset) -> "FeedbackArrays":
@@ -210,19 +268,24 @@ class FeedbackArrays:
         pair_grader = entry_grader[first].astype(np.int32)
         del first, second, entry_grader
 
-        ends = np.stack([winner, loser], axis=1).ravel()
-        incident = np.argsort(ends, kind="stable").astype(np.int32)
-        incident_offsets = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
-        del ends
-
-        arrays = cls(
+        return cls._assemble(
             tuple(fb.grader for fb in data.feedback), offsets, item, rank, winner, loser, pair_grader,
-            coeff.astype(float), grader_coeff.astype(np.int32).ravel(), incident_offsets, incident,
+            coeff.astype(float), grader_coeff.astype(np.int32).ravel(), n,
         )
-        for value in vars(arrays).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        return arrays
+
+    def take(self, rows: np.ndarray, graders: tuple[str, ...]) -> "FeedbackArrays":
+        """The arrays of the graders at positions ``rows``, in that order, named ``graders``: equal,
+        array for array, to ``build`` on their feedback. Unused ``coeff`` rows go, and the rest lose
+        the columns past the widest grader, zero in every kept row, so their order stays."""
+        offsets, entries = _csr_take(self.offsets, rows)
+        pair_offsets, pairs = _csr_take(np.searchsorted(self.pair_grader, np.arange(len(self.graders) + 1)), rows)
+        used, grader_coeff = np.unique(self.grader_coeff[rows], return_inverse=True)
+        return self._assemble(
+            graders, offsets, self.item[entries], self.rank[entries], self.winner[pairs], self.loser[pairs],
+            np.repeat(np.arange(len(rows), dtype=np.int32), np.diff(pair_offsets)),
+            self.coeff[used, : int(np.diff(offsets).max()) if len(rows) else 1],
+            grader_coeff.astype(np.int32).ravel(), len(self.incident_offsets) - 1,
+        )
 
 
 @dataclass(frozen=True)

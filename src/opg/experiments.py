@@ -87,27 +87,28 @@ class ExperimentReport:
         return out
 
 
+def _select_graders(data: Dataset, rows: Sequence[int], names: Sequence[str] | None = None) -> Dataset:
+    """The graders at feedback positions ``rows`` of ``data``, in that order, renamed to ``names``
+    if given. Lazy labels follow their graders; compiled arrays are gathered from ``data``'s."""
+    rows = np.asarray(rows, dtype=np.intp)
+    originals = [data.feedback[r] for r in rows.tolist()]
+    names = names or [fb.grader for fb in originals]
+    feedback = tuple(fb if fb.grader == name else fb._renamed(name) for fb, name in zip(originals, names))
+    lazy = frozenset(name for fb, name in zip(originals, names) if fb.grader in data.lazy_graders)
+    return Dataset(data.items, tuple(names), feedback, lazy)._gathered_from(data, rows)
+
+
 def _resample_graders(data: Dataset, rng: np.random.Generator) -> Dataset:
     """Bootstrap resample of graders; duplicate draws get '#k' suffixes."""
     n = len(data.feedback)
-    idx = rng.integers(0, n, n)
     seen: Counter[str] = Counter()
-    new_feedback: list[GraderFeedback] = []
-    lazy: set[str] = set()
-    for i in idx:
-        fb = data.feedback[int(i)]
-        seen[fb.grader] += 1
-        name = fb.grader if seen[fb.grader] == 1 else f"{fb.grader}#{seen[fb.grader]}"
-        new_feedback.append(dataclasses.replace(fb, grader=name))
-        if fb.grader in data.lazy_graders:
-            lazy.add(name)
-    new_feedback.sort(key=lambda fb: fb.grader)
-    return Dataset(
-        items=data.items,
-        graders=tuple(sorted(fb.grader for fb in new_feedback)),
-        feedback=tuple(new_feedback),
-        lazy_graders=frozenset(lazy),
-    )
+    drawn = []
+    for i in rng.integers(0, n, n).tolist():
+        grader = data.feedback[i].grader
+        seen[grader] += 1
+        drawn.append((grader if seen[grader] == 1 else f"{grader}#{seen[grader]}", i))
+    drawn.sort()
+    return _select_graders(data, [i for _, i in drawn], [name for name, _ in drawn])
 
 
 def bootstrap_ek(
@@ -159,12 +160,7 @@ def self_consistency(
         half = len(perm) // 2
         parts = []
         for sel in (perm[:half], perm[half:]):
-            fbs = tuple(data.feedback[i] for i in sorted(sel))
-            sub = Dataset(
-                items=data.items,
-                graders=tuple(fb.grader for fb in fbs),
-                feedback=fbs,
-            )
+            sub = _select_graders(data, np.sort(sel))
             est = fit_model(method, sub, dataclasses.replace(options, seed=seed + rep))
             parts.append(break_ties(est.ranking, rng))
         errors.append(ek_error([parts[0]], parts[1]))
@@ -177,14 +173,7 @@ def _downsample(data: Dataset, axis: str, level: int, rng: np.random.Generator) 
             raise ValidationError(
                 f"level must be in [1, {len(data.feedback)}] for axis 'reviewers', got {level}"
             )
-        sel = sorted(rng.choice(len(data.feedback), size=level, replace=False))
-        fbs = tuple(data.feedback[i] for i in sel)
-        return Dataset(
-            items=data.items,
-            graders=tuple(fb.grader for fb in fbs),
-            feedback=fbs,
-            lazy_graders=frozenset(fb.grader for fb in fbs if fb.grader in data.lazy_graders),
-        )
+        return _select_graders(data, np.sort(rng.choice(len(data.feedback), size=level, replace=False)))
     if axis == "items_per_reviewer":
         if level < 1:
             raise ValidationError(f"level must be >= 1, got {level}")

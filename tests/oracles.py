@@ -4,15 +4,19 @@ Everything here works on plain lists/tuples/dicts and enumerates by brute
 force, deliberately sharing no code with the package under test. The
 exceptions are the last sections: helpers on the package's data types that
 only the tests need, the package's earlier dict-loop estimators, kept as
-exact references for the compiled-array ones, and its earlier per-grader
-synthetic-data loops, kept as exact references for the array ones.
+exact references for the compiled-array ones, its earlier per-grader
+synthetic-data loops, kept as exact references for the array ones, and its
+earlier grader resampling and cardinal walk, kept as exact references for
+the gathered arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import warnings
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -1288,3 +1292,51 @@ def add_lazy_graders_oracle(data: Dataset, n: int, seed: int = 0) -> Dataset:
         feedback=tuple(new_feedback),
         lazy_graders=data.lazy_graders | set(names),
     )
+
+
+# --- The package's earlier dataset rebuilds, kept as exact references for the gathered arrays ---
+
+
+def resample_graders_oracle(data: Dataset, rng: np.random.Generator) -> Dataset:
+    """Bootstrap resample of graders; duplicate draws get '#k' suffixes."""
+    n = len(data.feedback)
+    idx = rng.integers(0, n, n)
+    seen: Counter[str] = Counter()
+    new_feedback: list[GraderFeedback] = []
+    lazy: set[str] = set()
+    for i in idx:
+        fb = data.feedback[int(i)]
+        seen[fb.grader] += 1
+        name = fb.grader if seen[fb.grader] == 1 else f"{fb.grader}#{seen[fb.grader]}"
+        new_feedback.append(dataclasses.replace(fb, grader=name))
+        if fb.grader in data.lazy_graders:
+            lazy.add(name)
+    new_feedback.sort(key=lambda fb: fb.grader)
+    return Dataset(
+        items=data.items,
+        graders=tuple(sorted(fb.grader for fb in new_feedback)),
+        feedback=tuple(new_feedback),
+        lazy_graders=frozenset(lazy),
+    )
+
+
+def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """(items, graders, item_idx, grader_idx, grades) for all observations."""
+    if not data.feedback:
+        raise ValidationError("dataset has no feedback")
+    items = sorted(data.items)
+    item_index = {d: i for i, d in enumerate(items)}
+    graders: list[str] = []
+    ii: list[int] = []
+    gg: list[int] = []
+    yy: list[float] = []
+    for fb in data.feedback:
+        if fb.cardinal is None:
+            raise ValidationError(f"grader {fb.grader!r} has no cardinal feedback")
+        gi = len(graders)
+        graders.append(fb.grader)
+        for d in fb.items:
+            ii.append(item_index[d])
+            gg.append(gi)
+            yy.append(float(fb.cardinal[d]))
+    return items, graders, np.array(ii), np.array(gg), np.array(yy)

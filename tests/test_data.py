@@ -1,21 +1,25 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from opg import experiments
+from opg.cardinal import _cardinal_observations
 from opg.config import ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
 from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_cardinal_csv, write_ordinal_json
 from opg.errors import ValidationError
 from opg.estimators import fit_model
+from opg.experiments import bootstrap_ek, downsample_curve, self_consistency
 from opg.mallows import fit_mallows
 from opg.rankings import WeakRanking
 
-from conftest import make_cardinal_dataset, make_ordinal_dataset
-from oracles import PreferencePair, extract_preferences
+from conftest import make_cardinal_dataset, make_ordinal_dataset, make_tied_csv_dataset
+from oracles import PreferencePair, dict_cardinal_observations, extract_preferences
 from test_rankings import weak_rankings
 
 
@@ -75,6 +79,32 @@ class TestGraderFeedback:
     def test_empty_grader_id(self):
         with pytest.raises(ValidationError):
             GraderFeedback.from_cardinal("", {"a": 1.0})
+
+    def test_from_ordinal_sorts_the_items(self):
+        fb = GraderFeedback.from_ordinal("g", WeakRanking([("c",), ("b", "a")]))
+        assert fb.items == ("a", "b", "c")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(grader="", items=("a",), cardinal={"a": 1.0}), "grader id must be a non-empty string, got ''"),
+            (dict(grader="g", items=(), cardinal={}), "grader 'g' has no items"),
+            (dict(grader="g", items=("a", "a"), cardinal={"a": 1.0}), "grader 'g' lists duplicate items"),
+            (dict(grader="g", items=("a",)), "grader 'g' has neither ordinal nor cardinal feedback"),
+            (
+                dict(grader="g", items=("a", "b"), ordinal=WeakRanking([("a",)])),
+                "ordinal feedback of grader 'g' does not cover its items",
+            ),
+            (
+                dict(grader="g", items=("a", "b"), cardinal={"a": 1.0, "c": 2.0}),
+                "cardinal feedback of grader 'g' does not cover its items",
+            ),
+            (dict(grader="g", items=("a",), cardinal={"a": math.nan}), "grade of grader 'g' for item 'a' is not finite: nan"),
+        ],
+    )
+    def test_each_check_keeps_its_message(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            GraderFeedback(**kwargs)
 
 
 class TestDataset:
@@ -208,6 +238,92 @@ class TestFeedbackArrays:
         with pytest.raises(ValidationError, match="grader 'g1' has no ordinal feedback"):
             fit_mallows(data, with_reliability=True)
         assert "feedback_arrays" not in vars(data)
+
+
+def assert_same_arrays(got: FeedbackArrays, want: FeedbackArrays) -> None:
+    """Equal field for field; arrays also in dtype, shape and read-only flag."""
+    for f in dataclasses.fields(FeedbackArrays):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.fixture
+def protocol_subsets(tmp_path, monkeypatch):
+    """The tied dataset and the grader subsets that a bootstrap, a consistency run and
+    a reviewer-downsampling curve draw from it; a cardinal model touches no ordinal arrays."""
+    data = make_tied_csv_dataset(tmp_path, np.random.default_rng(2))
+    subsets = []
+    select = experiments._select_graders
+
+    def recording(*args):
+        subsets.append(select(*args))
+        return subsets[-1]
+
+    monkeypatch.setattr(experiments, "_select_graders", recording)
+    targets = [WeakRanking.from_order(data.items)]
+    with pytest.warns(UserWarning, match="never graded"):
+        bootstrap_ek(data, "scavg", targets, reps=12, seed=0)
+        self_consistency(data, "scavg", partitions=6, seed=0)
+        downsample_curve(data, "scavg", "reviewers", (1, 5, 11, 16), targets, reps=3, seed=0)
+    assert len(subsets) == 12 + 12 + 12
+    assert all("feedback_arrays" not in vars(d) for d in [data, *subsets])
+    return data, subsets
+
+
+class TestGatheredSubsets:
+    def test_take_equals_build(self, protocol_subsets):
+        data, subsets = protocol_subsets
+        parent = data.feedback_arrays
+        for sub in subsets:
+            assert_same_arrays(sub.feedback_arrays, FeedbackArrays.build(sub))
+        # Duplicate draws, subsets narrower than the widest grader and with fewer coeff rows all occur.
+        assert any(any("#" in g for g in sub.graders) for sub in subsets)
+        assert any(sub.feedback_arrays.coeff.shape[1] < parent.coeff.shape[1] for sub in subsets)
+        assert any(len(sub.feedback_arrays.coeff) < len(parent.coeff) for sub in subsets)
+        assert any(sub.lazy_graders for sub in subsets)
+
+    def test_cardinal_observations_equal_the_dict_walk(self, protocol_subsets):
+        data, subsets = protocol_subsets
+        for d in [data, *subsets]:
+            got, want = _cardinal_observations(d), dict_cardinal_observations(d)
+            assert got[:2] == want[:2]
+            for a, b in zip(got[2:], want[2:]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert all(not a.flags.writeable for a in d.cardinal_arrays)
+
+    def test_a_subset_of_a_mixed_dataset_compiles_its_own(self):
+        ordinal = make_ordinal_dataset({"g1": [["a"], ["b", "c"]], "g2": [["c"], ["a"]]}).feedback
+        grades_only = GraderFeedback(grader="g3", items=("a", "b"), cardinal={"a": 1.0, "b": 2.0})
+        data = Dataset.from_feedback([*ordinal, grades_only])
+        sub = experiments._select_graders(data, [1, 0])
+        assert_same_arrays(sub.feedback_arrays, FeedbackArrays.build(dataclasses.replace(sub)))
+        assert "feedback_arrays" not in vars(data)
+        with pytest.raises(ValidationError, match="grader 'g2' has no cardinal feedback"):
+            _cardinal_observations(sub)
+        assert _cardinal_observations(experiments._select_graders(data, [2]))[2].tolist() == [0, 1]
+
+    def test_bootstrap_on_built_arrays_builds_none(self, builds, tmp_path):
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(3))
+        data.feedback_arrays
+        builds.clear()
+        with pytest.warns(UserWarning, match="never graded"):
+            bootstrap_ek(data, "malbc", [WeakRanking.from_order(data.items)], reps=5)
+        assert builds == []
+        assert "cardinal_arrays" not in vars(data)
+
+    def test_cardinal_bootstrap_gathers_no_ordinal_arrays(self, builds, tmp_path, monkeypatch):
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(3))
+        takes = []
+        take = FeedbackArrays.take
+        monkeypatch.setattr(FeedbackArrays, "take", lambda *args: takes.append(args) or take(*args))
+        with pytest.warns(UserWarning, match="never graded"):
+            bootstrap_ek(data, "scavg", [WeakRanking.from_order(data.items)], reps=5)
+        assert builds == [] and takes == []
+        assert "feedback_arrays" not in vars(data) and "cardinal_arrays" in vars(data)
 
 
 class TestEstimate:

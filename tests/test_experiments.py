@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from opg.data import Dataset
+from opg import experiments
+from opg.data import Dataset, GraderFeedback
 from opg.errors import ValidationError
 from opg.estimators import MODEL_NAMES, fit_model
 from opg.experiments import (
     CurvePoint,
+    _resample_graders,
     ExperimentReport,
     bootstrap_ek,
     downsample_curve,
@@ -25,8 +27,8 @@ from opg.metrics import TargetSet, ek_error
 from opg.rankings import WeakRanking
 from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
 
-from conftest import make_cardinal_dataset, make_ordinal_dataset
-from oracles import experiment_report_from_dict
+from conftest import make_cardinal_dataset, make_ordinal_dataset, make_tied_csv_dataset
+from oracles import experiment_report_from_dict, resample_graders_oracle
 
 pytestmark = pytest.mark.filterwarnings("ignore:items never graded")
 
@@ -83,6 +85,43 @@ class TestBootstrapEk:
         data, target = synth_ordinal(n_graders=12)
         with pytest.raises(ValidationError):
             bootstrap_ek(data, "mal", target, reps=0)
+
+
+class TestGraderSubsets:
+    def test_resample_matches_the_replace_oracle(self, tmp_path):
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(1))
+        resamples = []
+        for seed in range(50):
+            got = _resample_graders(data, np.random.default_rng(seed))
+            want = resample_graders_oracle(data, np.random.default_rng(seed))
+            assert (got.items, got.graders, got.lazy_graders) == (want.items, want.graders, want.lazy_graders)
+            assert len(got.feedback) == len(want.feedback)
+            for a, b in zip(got.feedback, want.feedback):
+                for f in dataclasses.fields(GraderFeedback):
+                    assert getattr(a, f.name) == getattr(b, f.name)
+            assert got == want
+            resamples.append(got)
+        assert any("#" in g for d in resamples for g in d.lazy_graders)
+
+    @pytest.mark.parametrize("method", ["scavg", "ncs+g", "malbc", "mal+g", "bt"])
+    def test_protocols_match_datasets_built_afresh(self, method, tmp_path, monkeypatch):
+        """Gathered arrays give the numbers of subsets rebuilt and compiled from their feedback."""
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(5))
+        targets = TargetSet((WeakRanking.from_order(data.items),))
+
+        def protocols():
+            return (
+                bootstrap_ek(data, method, targets, reps=4, seed=2),
+                self_consistency(data, method, partitions=3, seed=2),
+                downsample_curve(data, method, "reviewers", (4, 12), targets, reps=2, seed=2),
+            )
+
+        gathered = protocols()
+        assert ("cardinal_arrays" if method in ("scavg", "ncs+g") else "feedback_arrays") in vars(data)
+        select = experiments._select_graders
+        monkeypatch.setattr(experiments, "_resample_graders", resample_graders_oracle)
+        monkeypatch.setattr(experiments, "_select_graders", lambda *args: dataclasses.replace(select(*args)))
+        assert protocols() == gathered
 
 
 class TestSelfConsistency:
