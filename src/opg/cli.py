@@ -94,12 +94,13 @@ def _options(args: argparse.Namespace) -> ModelOptions:
     return ModelOptions(seed=args.seed, iterations=args.iterations, tie_epsilon=args.tie_epsilon)
 
 
-def _load_dataset(path: str, fmt: str | None) -> Dataset:
+def _load_dataset(path: str, fmt: str | None) -> tuple[Dataset, str]:
+    """The dataset at ``path`` and the format it was read as; without ``fmt``, a ``.csv`` is cardinal."""
     if fmt is None:
         fmt = "cardinal" if path.lower().endswith(".csv") else "ordinal"
     if fmt == "cardinal":
-        return dataio.parse_cardinal_csv(path)
-    return dataio.parse_ordinal_json(path)
+        return dataio.parse_cardinal_csv(path), fmt
+    return dataio.parse_ordinal_json(path), fmt
 
 
 def _emit(payload: dict[str, Any], output: str | None) -> None:
@@ -110,14 +111,14 @@ def _emit(payload: dict[str, Any], output: str | None) -> None:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    data = _load_dataset(args.input, args.format)
+    data, fmt = _load_dataset(args.input, args.format)
     options = _options(args)
     est = fit_model(args.model, data, options)
     config = {
         "command": "estimate",
         "model": args.model,
         "input": args.input,
-        "format": args.format or ("cardinal" if args.input.lower().endswith(".csv") else "ordinal"),
+        "format": fmt,
         "seed": args.seed,
         "iterations": args.iterations,
         "tie_epsilon": args.tie_epsilon,
@@ -218,7 +219,7 @@ def _parse_levels(text: str | None) -> list[int]:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    data = _load_dataset(args.input, args.format)
+    data, _ = _load_dataset(args.input, args.format)
     options = _options(args)
     targets: TargetSet | None = None
     if args.target:

@@ -47,6 +47,10 @@ class ReliabilityPrior:
         return (self.shape - 1.0) * self.scale
 
 
+# Every "+g" fit keeps each reliability within these bounds.
+_ETA_BOUNDS = (1e-3, 1e3)
+
+
 def _check_iterations(iterations: int) -> None:
     """Reject a negative number of alternating reliability rounds."""
     if iterations < 0:

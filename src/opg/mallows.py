@@ -13,6 +13,11 @@ where X counts cross-group pairs ordered against the center and Z is the
 normalizer below. Within one tie group every relative arrangement occurs
 exactly once, which reproduces the normalizer product; cross-group pairs
 are fixed by the tie groups, contributing the constant X.
+
+Every estimator here runs on one set of array cores, ``_Centers``, over the
+dataset's compiled feedback: the public helpers build one for their dataset
+and reliabilities, and ``fit_mallows`` builds one per fit, whose first
+center at reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ReliabilityPrior, _check_iterations
+from .config import _ETA_BOUNDS, ReliabilityPrior, _check_iterations
 from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
 from .errors import ValidationError
 from .rankings import WeakRanking
@@ -111,39 +116,10 @@ def mallows_log_likelihood(center: WeakRanking, feedback: GraderFeedback, eta: f
     return log_num - mallows_log_normalizer(eta, len(fb))
 
 
-def _grader_etas(arrays: FeedbackArrays, params: MallowsParams | None) -> np.ndarray:
-    """Reliability of each grader, in feedback order."""
-    params = params or MallowsParams()
-    return np.fromiter((params.eta_for(g) for g in arrays.graders), dtype=float, count=len(arrays.graders))
-
-
-def _compiled(data: Dataset) -> FeedbackArrays:
-    """The dataset's compiled feedback, refusing a dataset with nothing to rank."""
-    if not data.items:
-        raise ValidationError("dataset has no items")
-    if not data.feedback:
-        raise ValidationError("dataset has no feedback")
-    return data.feedback_arrays
-
-
 def _positions(ranking: WeakRanking, data: Dataset) -> np.ndarray:
     """Position of each dataset item in the total order ``ranking``; -1 if absent."""
     position = {d: i for i, d in enumerate(ranking.order())}
     return np.fromiter((position.get(d, -1) for d in data.items), dtype=np.intp, count=len(data.items))
-
-
-def _pair_slots(arrays: FeedbackArrays, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct pair keys winner * n + loser, and the key of each pair."""
-    keys, slot = np.unique(arrays.winner.astype(np.int64) * n + arrays.loser, return_inverse=True)
-    return keys, slot.ravel()
-
-
-def _slot_weights(data: Dataset, params: MallowsParams | None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
-    arrays = data.feedback_arrays
-    keys, slot = _pair_slots(arrays, len(data.items))
-    pair_eta = _grader_etas(arrays, params)[arrays.pair_grader]
-    return keys, np.bincount(slot, weights=pair_eta, minlength=len(keys))
 
 
 def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -> WeakRanking:
@@ -169,17 +145,30 @@ class _Centers:
 
     Each method takes one reliability per grader, in feedback order. The
     pair keys that local improvement looks up are built once, on first use.
+    A dataset without feedback has no pairs; the estimators, which rank
+    from feedback, refuse it in ``check_feedback``.
     """
 
     def __init__(self, data: Dataset):
         self.items = data.items
-        self.arrays = arrays = _compiled(data)
+        self.arrays = arrays = data.feedback_arrays
         graded = np.bincount(arrays.item, minlength=len(data.items)) > 0
         self.graded = np.flatnonzero(graded)
         self.ungraded = np.flatnonzero(~graded)
 
-    def warn_ungraded(self, borda: bool) -> None:
-        """Warn, on behalf of the caller's caller, about items nobody graded."""
+    def etas(self, params: MallowsParams | None) -> np.ndarray:
+        """Each grader's reliability under ``params``, in feedback order; all 1 without them."""
+        graders = self.arrays.graders
+        if params is None:
+            return np.ones(len(graders))
+        return np.fromiter((params.eta_for(g) for g in graders), dtype=float, count=len(graders))
+
+    def check_feedback(self, borda: bool) -> None:
+        """Refuse a dataset with nothing to rank; warn, on behalf of the caller's caller, about items nobody graded."""
+        if not self.items:
+            raise ValidationError("dataset has no items")
+        if not self.arrays.graders:
+            raise ValidationError("dataset has no feedback")
         if self.ungraded.size:
             names = [self.items[i] for i in self.ungraded]
             where = "form the last tie group" if borda else "are ranked last"
@@ -231,51 +220,53 @@ class _Centers:
 
     @cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        return _pair_slots(self.arrays, len(self.items))
+        key = self.arrays.winner.astype(np.int64) * len(self.items) + self.arrays.loser
+        keys, slot = np.unique(key, return_inverse=True)
+        return keys, slot.ravel()
+
+    def pair_weights(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
+        keys, slot = self._slots
+        return keys, np.bincount(slot, weights=etas[self.arrays.pair_grader], minlength=len(keys))
 
     def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
         """``order`` after the adjacent swaps ``local_kemenization`` describes."""
-        keys, slot = self._slots
-        weights = np.bincount(slot, weights=etas[self.arrays.pair_grader], minlength=len(keys))
-        return _kemenize(order, keys, weights, len(self.items))
+        n = len(self.items)
+        keys, weights = self.pair_weights(etas)
+        # A sentinel key past the end, which weighs nothing.
+        keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
+
+        def weight(key: np.ndarray) -> np.ndarray:
+            at = np.searchsorted(keys, key)
+            return np.where(keys[at] == key, weights[at], 0.0)
+
+        def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+            return weight(lower * n + upper) > weight(upper * n + lower)
+
+        order = order.copy()
+        changed = True
+        while changed:
+            changed = False
+            # One sweep, with every neighbour pair tested up front: a swap moves
+            # the upper item down, and it keeps sinking while it loses to its
+            # next neighbour; the pairs below where it stops are as tested.
+            swaps = prefers_lower(order[:-1], order[1:])
+            resume = 0
+            for i in np.flatnonzero(swaps):
+                if i < resume:
+                    continue
+                while True:
+                    order[i], order[i + 1] = order[i + 1], order[i]
+                    changed = True
+                    i += 1
+                    if i == n - 1 or not prefers_lower(order[i:i + 1], order[i + 1:i + 2])[0]:
+                        break
+                resume = i + 1
+        return order
 
     def cost(self, order: np.ndarray, etas: np.ndarray) -> float:
         """``_cost`` of the total order ``order``: its feedback pairs against it, weighted by reliability."""
         return _cost(etas, _against(self.arrays, np.argsort(order)))
-
-
-def _kemenize(order: np.ndarray, keys: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """``order`` after the adjacent swaps ``local_kemenization`` describes, given ``_slot_weights``."""
-    # A sentinel key past the end, which weighs nothing.
-    keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
-
-    def weight(key: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(keys, key)
-        return np.where(keys[at] == key, weights[at], 0.0)
-
-    def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        return weight(lower * n + upper) > weight(upper * n + lower)
-
-    order = order.copy()
-    changed = True
-    while changed:
-        changed = False
-        # One sweep, with every neighbour pair tested up front: a swap moves
-        # the upper item down, and it keeps sinking while it loses to its
-        # next neighbour; the pairs below where it stops are as tested.
-        swaps = prefers_lower(order[:-1], order[1:])
-        resume = 0
-        for i in np.flatnonzero(swaps):
-            if i < resume:
-                continue
-            while True:
-                order[i], order[i + 1] = order[i + 1], order[i]
-                changed = True
-                i += 1
-                if i == n - 1 or not prefers_lower(order[i:i + 1], order[i + 1:i + 2])[0]:
-                    break
-            resume = i + 1
-    return order
 
 
 def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRanking:
@@ -291,8 +282,8 @@ def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> We
     appended at the end (lexicographically) with a warning.
     """
     centers = _Centers(data)
-    centers.warn_ungraded(borda=False)
-    order = centers.greedy(_grader_etas(centers.arrays, params))
+    centers.check_feedback(borda=False)
+    order = centers.greedy(centers.etas(params))
     return WeakRanking.from_order(data.items[i] for i in order)
 
 
@@ -304,15 +295,16 @@ def borda_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRan
     nobody form a final tie group (with a warning).
     """
     centers = _Centers(data)
-    centers.warn_ungraded(borda=True)
-    return _weak_ranking(data.items, *centers.borda(_grader_etas(centers.arrays, params)))
+    centers.check_feedback(borda=True)
+    return _weak_ranking(data.items, *centers.borda(centers.etas(params)))
 
 
 def weighted_kendall_cost(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> float:
     """Total reliability-weighted count of feedback pairs ordered against ``ranking``."""
     if not ranking.is_total:
         raise ValidationError("cost is defined for total orders only")
-    keys, weights = _slot_weights(data, params)
+    centers = _Centers(data)
+    keys, weights = centers.pair_weights(centers.etas(params))
     winner, loser = np.divmod(keys, len(data.items))
     position = _positions(ranking, data)
     above, below = position[loser], position[winner]
@@ -334,13 +326,12 @@ def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParam
         raise ValidationError("local improvement requires a total order")
     if ranking.items != set(data.items):
         raise ValidationError("ranking must cover exactly the dataset's items")
-    keys, weights = _slot_weights(data, params)
-    order = _kemenize(np.argsort(_positions(ranking, data)), keys, weights, len(data.items))
+    centers = _Centers(data)
+    order = centers.kemenize(np.argsort(_positions(ranking, data)), centers.etas(params))
     return WeakRanking.from_order(data.items[i] for i in order)
 
 
-# Reliabilities are clamped to these bounds; a Newton step on ln(eta) this short ends a search, and is taken.
-_ETA_BOUNDS = (1e-3, 1e3)
+# A Newton step on ln(eta) this short ends a search, and is taken.
 _NEWTON_STEP = 1e-9
 
 
@@ -480,19 +471,20 @@ def fit_mallows(
 
     The center is the greedy likelihood ranking (or the weighted-average-rank
     ranking when ``use_borda``), optionally polished by local adjacent-swap
-    improvement (``kemenize``, greedy center only). With ``with_reliability``
-    the center and per-grader reliabilities are re-estimated alternately,
-    starting from all reliabilities equal to 1. Each round fits the
-    reliabilities exactly against the center, its ties broken by ``seed``.
-    Given them, the center enters the joint posterior only through its cost
-    sum_g eta_g * X_g, so the round then takes the center they give (ties
-    broken by the next draws) only if it costs less, or with ``kemenize``
-    the old center after local improvement; the first round that finds no
-    cheaper center keeps the old one and ends the fit. ``metadata`` records
-    the ``rounds`` run (at most ``iterations``), whether the last found no
-    cheaper center (``converged``), the cost of the center each round kept
-    (``center_cost``) and the largest change of log(eta) in each round, the
-    first against all ones (``reliability_change``).
+    improvement (``kemenize``, greedy center only), all at reliabilities equal
+    to 1. A plain fit returns it, with the ``family`` and ``kemenized`` it
+    used as ``metadata``. With ``with_reliability`` that center starts rounds
+    that re-estimate the center and per-grader reliabilities alternately. Each
+    round fits the reliabilities exactly against the center, its ties broken
+    by ``seed``. Given them, the center enters the joint posterior only
+    through its cost sum_g eta_g * X_g, so the round then takes the center
+    they give (ties broken by the next draws) only if it costs less, or with
+    ``kemenize`` the old center after local improvement; the first round that
+    finds no cheaper center keeps the old one and ends the fit. ``metadata``
+    records the ``rounds`` run (at most ``iterations``), whether the last
+    found no cheaper center (``converged``), the cost of the center each round
+    kept (``center_cost``) and the largest change of log(eta) in each round,
+    the first against all ones (``reliability_change``).
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
@@ -501,17 +493,8 @@ def fit_mallows(
         "family": "borda" if use_borda else "greedy",
         "kemenized": kemenize,
     }
-    if not with_reliability:
-        if use_borda:
-            return Estimate(ranking=borda_ranking(data), metadata=metadata)
-        center = greedy_mle_ranking(data)
-        return Estimate(ranking=local_kemenization(center, data) if kemenize else center, metadata=metadata)
-
-    prior = reliability_prior or ReliabilityPrior()
-    rng = np.random.default_rng(seed)
     centers = _Centers(data)
-    centers.warn_ungraded(use_borda)
-    solve = _ReliabilitySolver(centers.arrays, prior)
+    centers.check_feedback(use_borda)
     # The cuts of a total order: every item is a group of its own.
     singletons = np.arange(1, len(data.items))
 
@@ -521,14 +504,21 @@ def fit_mallows(
         order = centers.greedy(etas)
         return (centers.kemenize(order, etas) if kemenize else order), singletons
 
+    etas = np.ones(len(centers.arrays.graders))
+    order, cuts = center_for(etas)
+    if not with_reliability:
+        return Estimate(ranking=_weak_ranking(data.items, order, cuts), metadata=metadata)
+
+    prior = reliability_prior or ReliabilityPrior()
+    rng = np.random.default_rng(seed)
+    solve = _ReliabilitySolver(centers.arrays, prior)
+
     def drawn(order: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         if len(cuts) == len(singletons):
             return order
         metadata["tie_break"] = "seeded"
         return _break_ties(order, cuts, rng)
 
-    etas = np.ones(len(centers.arrays.graders))
-    order, cuts = center_for(etas)
     metadata["reliability_iterations"] = iterations
     changes, costs, converged = [], [], False
     total = drawn(order, cuts) if iterations else order

@@ -30,15 +30,15 @@ import itertools
 import math
 import warnings
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .config import ReliabilityPrior, ScorePrior
+from .config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
 from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
-from .mallows import _ETA_BOUNDS, _check_eta
+from .mallows import _check_eta
 from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
@@ -331,17 +331,6 @@ class _PermBatch:
 # --- model preparation and objective ----------------------------------------
 
 
-@dataclass
-class _Prepared:
-    """A model's likelihood over a dataset, one ``batch`` over every grader."""
-
-    model: str
-    items: tuple[str, ...]
-    graders: tuple[str, ...]
-    batch: _PairBatch | _ListBatch | _PermBatch
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-
 def _run_starts(arrays: FeedbackArrays) -> np.ndarray:
     """Entries that open a tie group: those whose rank is their 1-based place in their grader's slice."""
     counts = np.diff(arrays.offsets)
@@ -371,9 +360,12 @@ def _list_batch(arrays: FeedbackArrays, n_items: int, rng: np.random.Generator) 
     return _ListBatch(blocks, n_items, len(counts)), bool(tied.any())
 
 
-def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
+def _prepare(
+    model: str, data: Dataset, rng: np.random.Generator
+) -> tuple[_PairBatch | _ListBatch | _PermBatch, dict[str, Any]]:
     """The model's likelihood over ``data``, one batch over every grader built
-    from ``data.feedback_arrays`` (``rng`` breaks ties for the listwise one)."""
+    from ``data.feedback_arrays`` (``rng`` breaks ties for the listwise one),
+    and the metadata its fit reports."""
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
     if not data.feedback:
@@ -381,10 +373,10 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
     fa = data.feedback_arrays
     n = len(data.items)
     if model in ("bt", "thur"):
-        return _Prepared(model, data.items, fa.graders, _PairBatch(fa, n, probit=model == "thur"))
+        return _PairBatch(fa, n, probit=model == "thur"), {}
     if model == "pl":
         batch, tied = _list_batch(fa, n, rng)
-        return _Prepared(model, data.items, fa.graders, batch, {"tie_break": "seeded"} if tied else {})
+        return batch, {"tie_break": "seeded"} if tied else {}
     counts = np.diff(fa.offsets)
     if counts.max() > ENUMERATION_CAP:
         g = int(np.argmax(counts > ENUMERATION_CAP))
@@ -392,7 +384,7 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> _Prepared:
             f"grader {fa.graders[g]!r} graded {counts[g]} items, above the cap {ENUMERATION_CAP} "
             f"of the subset recursion; exclude this model"
         )
-    return _Prepared(model, data.items, fa.graders, _PermBatch(fa, n))
+    return _PermBatch(fa, n), {}
 
 
 @dataclass(frozen=True)
@@ -422,36 +414,37 @@ def negative_log_posterior(
     """
     score_prior = score_prior or ScorePrior()
     rng = np.random.default_rng(seed)
-    prep = _prepare(model, data, rng)
-    missing = [x for x in prep.items if x not in scores]
+    batch, _ = _prepare(model, data, rng)
+    items, graders = data.items, data.feedback_arrays.graders
+    missing = [x for x in items if x not in scores]
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
-    s = np.array([float(scores[x]) for x in prep.items])
+    s = np.array([float(scores[x]) for x in items])
     with_rel = reliabilities is not None
     if with_rel:
-        absent = [g for g in prep.graders if g not in reliabilities]
+        absent = [g for g in graders if g not in reliabilities]
         if absent:
             raise ValidationError(f"reliabilities missing for graders: {absent}")
-        etas = np.array([float(reliabilities[g]) for g in prep.graders])
+        etas = np.array([float(reliabilities[g]) for g in graders])
         if not (np.all(np.isfinite(etas)) and np.all(etas > 0)):
             raise ValidationError("reliabilities must be finite and > 0")
         rprior = reliability_prior or ReliabilityPrior()
     else:
-        etas = np.ones(len(prep.graders))
+        etas = np.ones(len(graders))
         rprior = None
 
     value = float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
-    nll, grad_s, grad_eta = prep.batch.evaluate(s, etas, need_eta=with_rel)
+    nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=with_rel)
     value += float(nll.sum())
     grad_s += (s - score_prior.mean) / score_prior.variance
     reliability_gradient = None
     if with_rel:
         value += float((etas / rprior.scale - (rprior.shape - 1.0) * np.log(etas)).sum())
         grad_eta += 1.0 / rprior.scale - (rprior.shape - 1.0) / etas
-        reliability_gradient = {g: float(grad_eta[i]) for i, g in enumerate(prep.graders)}
+        reliability_gradient = {g: float(grad_eta[i]) for i, g in enumerate(graders)}
     return Objective(
         value=value,
-        score_gradient={item: float(grad_s[i]) for i, item in enumerate(prep.items)},
+        score_gradient={item: float(grad_s[i]) for i, item in enumerate(items)},
         reliability_gradient=reliability_gradient,
     )
 
@@ -697,18 +690,19 @@ def fit(
     score_prior = score_prior or ScorePrior()
     rprior = (reliability_prior or ReliabilityPrior()) if with_reliability else None
     rng = np.random.default_rng(seed)
-    prep = _prepare(model, data, rng)
+    batch, metadata = _prepare(model, data, rng)
     graded = np.bincount(data.feedback_arrays.item, minlength=len(data.items)) > 0
     if not graded.all():
         ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
         warnings.warn(f"items never graded by anyone get the prior mean: {ungraded}", stacklevel=2)
 
-    s, etas, report = _fit_batch(prep.batch, score_prior, rprior, rng)
-    reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)} if with_reliability else None
-    scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
+    s, etas, report = _fit_batch(batch, score_prior, rprior, rng)
+    graders = data.feedback_arrays.graders
+    reliabilities = {g: float(etas[i]) for i, g in enumerate(graders)} if with_reliability else None
+    scores = {item: float(s[i]) for i, item in enumerate(data.items)}
     return Estimate(
         ranking=ranking_from_scores(scores, tie_epsilon),
         scores=scores,
         reliabilities=reliabilities,
-        metadata={**prep.metadata, **report, "model": model + ("+g" if with_reliability else "")},
+        metadata={**metadata, **report, "model": model + ("+g" if with_reliability else "")},
     )

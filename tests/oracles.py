@@ -202,12 +202,13 @@ def mals_log_likelihood(
     grader's item count must not exceed ``ENUMERATION_CAP``.
     """
     _check_eta(eta)
-    prep = _prepare("mals", Dataset.from_feedback([feedback]), np.random.default_rng(0))
-    missing = [x for x in prep.items if x not in scores]
+    data = Dataset.from_feedback([feedback])
+    batch, _ = _prepare("mals", data, np.random.default_rng(0))
+    missing = [x for x in data.items if x not in scores]
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
-    svec = np.array([float(scores[x]) for x in prep.items])
-    nll, _, _ = prep.batch.evaluate(svec, np.array([eta]), grads=False)
+    svec = np.array([float(scores[x]) for x in data.items])
+    nll, _, _ = batch.evaluate(svec, np.array([eta]), grads=False)
     return -float(nll[0])
 
 

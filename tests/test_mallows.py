@@ -21,6 +21,7 @@ from opg.metrics import TargetSet, ek_error
 from opg.mallows import (
     MallowsParams,
     _break_ties,
+    _Centers,
     _newton_etas,
     _positions,
     _ReliabilitySolver,
@@ -33,7 +34,6 @@ from opg.mallows import (
     mallows_log_likelihood,
     mallows_log_normalizer,
     mallows_normalizer,
-    _slot_weights,
     weighted_kendall_cost,
 )
 from opg.rankings import WeakRanking, break_ties
@@ -425,6 +425,52 @@ def _seeded_classes():
             yield simulate(cfg)[0]
 
 
+PLAIN_VARIANTS = [variant for variant in VARIANTS if not variant.get("with_reliability")]
+
+
+class TestOnePath:
+    """Every fit and public helper runs on ``_Centers``; a plain fit is a ``+g`` fit's first center."""
+
+    def test_helpers_on_a_dataset_without_feedback(self):
+        data = Dataset(items=("a", "b", "c"), graders=("g1",), feedback=())
+        ranking = WeakRanking.from_order(["b", "a", "c"])
+        for params in (None, MallowsParams(), MallowsParams({"g1": 2.0})):
+            assert local_kemenization(ranking, data, params) == ranking
+            assert weighted_kendall_cost(ranking, data, params) == 0.0
+        for estimator in (greedy_mle_ranking, borda_ranking, fit_mallows):
+            with pytest.raises(ValidationError, match="^dataset has no feedback$"):
+                estimator(data)
+
+    @pytest.mark.parametrize("variant", PLAIN_VARIANTS, ids=lambda v: "-".join(sorted(v)) or "plain")
+    def test_a_plain_fit_builds_one_core_and_reads_no_reliabilities(self, variant, rng, monkeypatch):
+        calls = {"eta_for": 0, "centers": 0}
+        eta_for, init = MallowsParams.eta_for, _Centers.__init__
+
+        def counted_eta_for(self, grader):
+            calls["eta_for"] += 1
+            return eta_for(self, grader)
+
+        def counted_init(self, data):
+            calls["centers"] += 1
+            init(self, data)
+
+        data = _random_dataset(rng, extra_items=("z",))
+        with pytest.warns(UserWarning, match="never graded"):
+            center = borda_ranking(data) if variant.get("use_borda") else greedy_mle_ranking(data)
+        want = local_kemenization(center, data) if variant.get("kemenize") else center
+        monkeypatch.setattr(MallowsParams, "eta_for", counted_eta_for)
+        monkeypatch.setattr(_Centers, "__init__", counted_init)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = fit_mallows(data, **variant)
+        where = "form the last tie group" if variant.get("use_borda") else "are ranked last"
+        assert [str(w.message) for w in caught] == [f"items never graded by anyone {where}: ['z']"]
+        assert calls == {"eta_for": 0, "centers": 1}
+        assert est.ranking == want and est.reliabilities is None
+        family = "borda" if variant.get("use_borda") else "greedy"
+        assert est.metadata == {"family": family, "kemenized": bool(variant.get("kemenize"))}
+
+
 class TestStoppingAtTheFixedPoint:
     @pytest.mark.parametrize("variant", RELIABILITY_VARIANTS, ids=lambda v: "-".join(sorted(v)))
     def test_stopping_where_the_center_repeats_changes_no_answer(self, variant):
@@ -621,7 +667,8 @@ class TestMatchesDictOracles:
         for data, params in self._datasets(rng):
             items, dense = oracles.dict_preference_weights(data, params)
             assert tuple(items) == data.items
-            keys, weights = _slot_weights(data, params)
+            centers = _Centers(data)
+            keys, weights = centers.pair_weights(centers.etas(params))
             sparse = np.zeros_like(dense)
             sparse[np.divmod(keys, len(items))] = weights
             assert np.array_equal(sparse, dense)

@@ -521,11 +521,11 @@ class TestMatchesDictOracles:
         for trial in range(3):
             for data in _tied_datasets(rng):
                 rng_new, rng_old = np.random.default_rng(trial), np.random.default_rng(trial)
-                got = _prepare(model, data, rng_new)
+                batch, metadata = _prepare(model, data, rng_new)
                 want = oracles.dict_prepare(model, data, rng_old)
-                assert (got.items, got.graders, got.metadata) == (want.items, want.graders, want.metadata)
+                assert metadata == want.metadata
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state
-                assert _batch_feedback(got.batch) == _terms_feedback(want.terms)
+                assert _batch_feedback(batch) == _terms_feedback(want.terms)
 
     def test_permutation_batch_matches_the_enumeration(self, rng):
         """Every grader's value, and the score and reliability gradients, equal
@@ -539,7 +539,7 @@ class TestMatchesDictOracles:
         rankings["tied"] = [items[:6]]
         data = make_ordinal_dataset(rankings, items=tuple(items))
         for data in (data, _resample_graders(data, rng)):
-            batch = _prepare("mals", data, rng).batch
+            batch = _prepare("mals", data, rng)[0]
             terms = oracles.dict_prepare("mals", data, rng).terms
             s = rng.normal(0.0, 1.5, len(items))
             etas = np.exp(rng.normal(0.0, 1.0, len(terms)))
@@ -662,7 +662,7 @@ class TestFullBatch:
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_large_reliabilities_stay_finite(self, model, rng):
         data = _tied_datasets(rng)[0]
-        batch = _prepare(model, data, np.random.default_rng(0)).batch
+        batch = _prepare(model, data, np.random.default_rng(0))[0]
         s = rng.normal(0.0, 10.0, len(data.items))
         nll, grad_s, grad_eta = batch.evaluate(s, np.full(batch.n_graders, 1e3), need_eta=True)
         assert np.isfinite(nll).all() and np.isfinite(grad_s).all() and np.isfinite(grad_eta).all()
@@ -687,7 +687,7 @@ class TestFullBatch:
 def _joint_objective(model, data, prior, seed):
     """The +g negative log-posterior over x = (s, ln eta) with its gradient,
     written out here from the batch likelihood and the two priors."""
-    batch = _prepare(model, data, np.random.default_rng(seed)).batch
+    batch = _prepare(model, data, np.random.default_rng(seed))[0]
     n, score_prior = len(data.items), ScorePrior()
 
     def fun(x):
@@ -721,7 +721,7 @@ class TestJointFit:
         for data in _tied_datasets(rng):
             est = fit(model, data, seed=3, with_reliability=True, reliability_prior=prior)
             fun = _joint_objective(model, data, prior, 3)
-            graders = _prepare(model, data, np.random.default_rng(3)).graders
+            graders = data.feedback_arrays.graders
             n = len(data.items)
             x = np.array([est.scores[i] for i in data.items] + [math.log(est.reliabilities[g]) for g in graders])
             best = minimize(
@@ -844,7 +844,7 @@ def test_fitting_mals_at_the_item_cap_stays_in_bounded_memory():
 def test_logistic_batch_tail_probability_equals_expit():
     """``_PairBatch`` takes expit(-z) from the log term of its nll: equal to 1e-15, and warning-free."""
     data = make_ordinal_dataset({"g1": [["a"], ["b"]]})
-    batch = _prepare("bt", data, np.random.default_rng(0)).batch
+    batch = _prepare("bt", data, np.random.default_rng(0))[0]
     for z in (-800.0, -40.0, -5.0, 0.0, 5.0, 40.0, 800.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
