@@ -56,8 +56,10 @@ def tau_kt(target: WeakRanking, predicted: WeakRanking) -> float:
     rt, rp = _rank_vectors(target, predicted)
     strict = rt[:, None] < rt[None, :]
     inverted = rp[:, None] > rp[None, :]
+    inverted &= strict
     tied = rp[:, None] == rp[None, :]
-    return float(np.sum(strict & inverted) + 0.5 * np.sum(strict & tied))
+    tied &= strict
+    return float(np.count_nonzero(inverted) + 0.5 * np.count_nonzero(tied))
 
 
 def strict_pair_count(ranking: WeakRanking) -> int:

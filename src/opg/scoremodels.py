@@ -96,8 +96,13 @@ class _PairBatch:
     ranked ``counts[g]`` items. ``evaluate`` returns each grader's negative
     log-likelihood, its gradient with respect to the scores (summed over
     graders) and, when asked, with respect to each grader's reliability.
-    Only a probit batch imports ``scipy.special``, so that no other model
-    pays for loading it.
+    It computes in ``work``, arrays of one entry per pair that the batch
+    allocates once, so that no evaluation maps in fresh pages for
+    pair-sized temporaries; the arrays it returns are fresh. Its gathers
+    are ``take`` with ``mode="clip"``, since with the default mode ``take``
+    writes through a temporary; every index is in range. Only a probit
+    batch imports ``scipy.special``, so that no other model pays for
+    loading it.
     """
 
     def __init__(self, arrays: FeedbackArrays, n_items: int, probit: bool = False):
@@ -113,27 +118,70 @@ class _PairBatch:
             from scipy.special import log_ndtr
 
             self._log_ndtr = log_ndtr
+        # The score gaps, the link scales, z, the log terms, q, exp(-|z|) and a
+        # scratch array: seven arrays rather than one, so that at paper scale
+        # each is small enough for malloc to reuse rather than map afresh.
+        self.work = tuple(np.empty(len(self.winner)) for _ in range(7))
 
     def scale(self, etas: np.ndarray) -> np.ndarray:
         return np.sqrt(etas) if self.probit else etas
 
-    def _terms(self, z: np.ndarray, grads: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def _terms(
+        self,
+        z: np.ndarray,
+        grads: bool,
+        log_term: np.ndarray | None = None,
+        q: np.ndarray | None = None,
+        e: np.ndarray | None = None,
+        tmp: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Each pair's -log P(winner above loser) at ``z`` and, with ``grads``,
-        q = minus its derivative in z."""
+        q = minus its derivative in z, written into ``log_term`` and ``q``,
+        with ``e`` and ``tmp`` as scratch (fresh arrays where they are None)."""
         if self.probit:
-            log_term = -self._log_ndtr(z)
+            log_term = np.negative(self._log_ndtr(z, out=log_term), out=log_term)
+            if not grads:
+                return log_term, None
             # phi(z) / Phi(z), from the log Phi the nll already has.
-            return log_term, (np.exp(log_term - 0.5 * z * z - _LOG_SQRT_2PI) if grads else None)
-        # log(1 + exp(-z)) and expit(-z), both from e = exp(-|z|), which never overflows.
-        e = np.exp(-np.abs(z))
-        log_term = np.maximum(-z, 0.0) + np.log1p(e)
-        return log_term, (np.where(z >= 0.0, e, 1.0) / (1.0 + e) if grads else None)
+            q = np.multiply(0.5, z, out=q)
+            q *= z
+            np.subtract(log_term, q, out=q)
+            q -= _LOG_SQRT_2PI
+            return log_term, np.exp(q, out=q)
+        # log(1 + exp(-z)) and expit(-z), both from e = exp(-|z|), which never
+        # overflows: expit(-z) = exp(min(-z, 0)) / (1 + e), which is e / (1 + e)
+        # where z >= 0 and 1 / (1 + e) where not.
+        e = np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        log_term = np.negative(z, out=log_term)
+        if grads:
+            q = np.minimum(log_term, 0.0, out=q)
+        np.maximum(log_term, 0.0, out=log_term)
+        np.add(log_term, np.log1p(e, out=tmp), out=log_term)
+        if not grads:
+            return log_term, None
+        return log_term, np.divide(np.exp(q, out=q), np.add(1.0, e, out=tmp), out=q)
 
     def slopes(self, s: np.ndarray, scale: np.ndarray | float, pairs: slice = slice(None)) -> np.ndarray:
         """Minus the derivative of each pair's -log P in s_winner - s_loser, for
         the ``pairs`` given, at their link ``scale``."""
         dz = s[self.winner[pairs]] - s[self.loser[pairs]]
         return scale * self._terms(scale * dz, True)[1]
+
+    def all_slopes(self, s: np.ndarray, pair_scale: np.ndarray) -> np.ndarray:
+        """``slopes`` of every pair at its scale in ``pair_scale``, computed in
+        ``work``, so they hold until its next use."""
+        q = self._all_terms(s, pair_scale, True)[2]
+        return np.multiply(pair_scale, q, out=self.work[0])
+
+    def _all_terms(
+        self, s: np.ndarray, pair_scale: np.ndarray, grads: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Every pair's score gap and ``_terms`` at its scale in ``pair_scale``, in ``work``."""
+        dz, _, z, log_term, q, e, tmp = self.work
+        np.subtract(s.take(self.winner, out=dz, mode="clip"), s.take(self.loser, out=tmp, mode="clip"), out=dz)
+        return (dz, *self._terms(np.multiply(pair_scale, dz, out=z), grads, log_term, q, e, tmp))
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
         """The score gradient of pair slopes ``w`` (one per pair)."""
@@ -144,17 +192,16 @@ class _PairBatch:
     def evaluate(
         self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        dz = s[self.winner] - s[self.loser]
-        scale = self.scale(etas)[self.grader]
-        log_term, q = self._terms(scale * dz, grads)
+        scale, tmp = self.work[1], self.work[6]
+        dz, log_term, q = self._all_terms(s, self.scale(etas).take(self.grader, out=scale, mode="clip"), grads)
         nll = np.bincount(self.grader, weights=log_term, minlength=self.n_graders)
         if not grads:
             return nll, None, None
-        grad_s = self.scatter(scale * q)
+        grad_s = self.scatter(np.multiply(scale, q, out=tmp))
         grad_eta = None
         if need_eta:
             # d scale / d eta is 1 for the logistic link, 1 / (2 sqrt(eta)) for the probit one.
-            grad_eta = -np.bincount(self.grader, weights=dz * q, minlength=self.n_graders)
+            grad_eta = -np.bincount(self.grader, weights=np.multiply(dz, q, out=tmp), minlength=self.n_graders)
             if self.probit:
                 grad_eta /= 2.0 * np.sqrt(etas)
         return nll, grad_s, grad_eta
@@ -228,14 +275,49 @@ def _subset_layers(m: int) -> list[tuple[np.ndarray, ...]]:
 _DROPPED = -1e300
 
 
-def _logsumexp(t: np.ndarray) -> np.ndarray:
-    """log of the sum of exp(t) over the first axis, shifted by its maximum."""
-    top = t.max(axis=0)
-    return top + np.log(np.exp(t - top).sum(axis=0))
+def _logsumexp(t: np.ndarray, top: np.ndarray, total: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log of the sum of exp(t) over the first axis, shifted by its maximum,
+    into ``out``; ``t`` is overwritten, and ``top`` and ``total`` are scratch."""
+    t.max(axis=0, out=top)
+    np.subtract(t, top, out=t)
+    np.exp(t, out=t)
+    return np.add(top, np.log(t.sum(axis=0, out=total), out=total), out=out)
+
+
+def _views(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of the given shapes, each from the start of one new array just large enough for all."""
+    region = np.empty(max(math.prod(shape) for shape in shapes))
+    return [region[: math.prod(shape)].reshape(shape) for shape in shapes]
+
+
+class _PermanentWork:
+    """The arrays ``_log_permanent`` computes in, for the subset ``layers`` of
+    m items and ``n_cols`` columns, allocated once.
+
+    ``forward[r]`` holds the forward pass's layer r. ``back[r]``, ``top[r]``
+    and ``total[r]`` are layer-r views of one array each, and ``down[r]``
+    and ``up[r]`` are the gathered terms of layer r when it is reached from
+    layer r - 1 and from layer r + 1: two views (gathered, weighted) of the
+    same two arrays. ``expected`` and ``spread`` are (m, n_cols).
+    """
+
+    def __init__(self, layers: list[tuple[np.ndarray, ...]], n_cols: int):
+        m, sizes = len(layers) - 1, [members.shape[1] for members, *_ in layers]
+        self.forward = [np.empty((size, n_cols)) for size in sizes]
+        self.back, self.top, self.total = (_views([(size, n_cols) for size in sizes]) for _ in range(3))
+        shapes = [(r, size, n_cols) for r, size in enumerate(sizes)]
+        shapes += [(m - r, size, n_cols) for r, size in enumerate(sizes)]
+        terms = list(zip(_views(shapes), _views(shapes)))
+        self.down, self.up = terms[: m + 1], terms[m + 1 :]
+        self.expected, self.spread = np.empty((2, m, n_cols))
 
 
 def _log_permanent(
-    u: np.ndarray, layers: list[tuple[np.ndarray, ...]], log_masks: list[np.ndarray], grads: bool
+    u: np.ndarray,
+    layers: list[tuple[np.ndarray, ...]],
+    log_masks: list[np.ndarray],
+    grads: bool,
+    work: _PermanentWork,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """log per(A) of A[x, k] = exp(u[x] * w[k]), w[k] = (m + 1 - 2k) / 2 for
     positions k = 1..m, for each column of ``u``.
@@ -245,27 +327,43 @@ def _log_permanent(
     and column) drops the subsets of size r that may not fill the first r
     positions. With ``grads`` it also returns E[w at x's position], the
     gradient of log per(A) with respect to u, from a backward pass that
-    sums each subset's completions down the layers.
+    sums each subset's completions down the layers. Both results are views
+    of ``work``.
     """
     m, n_cols = u.shape
     w = (m + 1 - 2 * np.arange(1, m + 1)) / 2.0
-    forward = [np.zeros((1, n_cols))]
+    forward, back, top, total = work.forward, work.back, work.top, work.total
+    forward[0].fill(0.0)
     for r in range(1, m + 1):
         members, down = layers[r][:2]
-        forward.append(_logsumexp(forward[-1][down] + u[members] * w[r - 1]) + log_masks[r])
+        gathered, weighted = work.down[r]
+        forward[r - 1].take(down, axis=0, out=gathered, mode="clip")
+        np.multiply(u.take(members, axis=0, out=weighted, mode="clip"), w[r - 1], out=weighted)
+        _logsumexp(np.add(gathered, weighted, out=gathered), top[r], total[r], forward[r])
+        np.add(forward[r], log_masks[r], out=forward[r])
     logz = forward[m][0]
     if not grads:
         return logz, None
-    expected = np.zeros((m, n_cols))
-    back = np.zeros((1, n_cols))
+    expected, spread_sum = work.expected, work.spread
+    expected.fill(0.0)
+    back[m].fill(0.0)
     for r in range(m, 0, -1):
         members, down, _, _, spread = layers[r]
         # P(x at position r) sums, over the subsets S of size r holding x,
         # the orders that fill S with x last and then complete S.
-        log_p = forward[r - 1][down] + u[members] * w[r - 1] + (back - logz)
-        expected += w[r - 1] * (spread @ np.exp(log_p).reshape(-1, n_cols))
+        log_p, weighted = work.down[r]
+        forward[r - 1].take(down, axis=0, out=log_p, mode="clip")
+        np.multiply(u.take(members, axis=0, out=weighted, mode="clip"), w[r - 1], out=weighted)
+        np.add(log_p, weighted, out=log_p)
+        np.add(log_p, np.subtract(back[r], logz, out=total[r]), out=log_p)
+        np.matmul(spread, np.exp(log_p, out=log_p).reshape(-1, n_cols), out=spread_sum)
+        expected += np.multiply(w[r - 1], spread_sum, out=spread_sum)
         _, _, outside, up, _ = layers[r - 1]
-        back = _logsumexp(back[up] + u[outside] * w[r - 1]) + log_masks[r - 1]
+        gathered, weighted = work.up[r - 1]
+        back[r].take(up, axis=0, out=gathered, mode="clip")
+        np.multiply(u.take(outside, axis=0, out=weighted, mode="clip"), w[r - 1], out=weighted)
+        _logsumexp(np.add(gathered, weighted, out=gathered), top[r - 1], total[r - 1], back[r - 1])
+        np.add(back[r - 1], log_masks[r - 1], out=back[r - 1])
     return logz, expected
 
 
@@ -287,12 +385,14 @@ class _PermBatch:
     of r of its items may fill the first r positions (no item in it is
     ranked strictly below one outside it) and ``_DROPPED`` if not; the
     first G columns of every mask are 0. ``evaluate`` is as for
-    ``_PairBatch``.
+    ``_PairBatch``; ``work`` holds each block's arrays, allocated once: its
+    items' scores, two more arrays of that shape, the 2G columns of ``u``
+    and its ``_PermanentWork``.
     """
 
     def __init__(self, arrays: FeedbackArrays, n_items: int):
         counts = np.diff(arrays.offsets)
-        self.blocks = []
+        self.blocks, self.work = [], []
         for m in np.unique(counts).tolist():
             graders = np.flatnonzero(counts == m)
             entries = arrays.offsets[graders] + np.arange(m)[:, None]
@@ -303,6 +403,8 @@ class _PermBatch:
                 fits = ranks[members].max(axis=0, initial=0) <= ranks[outside].min(axis=0, initial=m)
                 log_masks.append(np.hstack((np.zeros(fits.shape), np.where(fits, 0.0, _DROPPED))))
             self.blocks.append((graders, arrays.item[entries].astype(np.intp), layers, log_masks))
+            g = len(graders)
+            self.work.append((*np.empty((3, m, g)), np.empty((m, 2 * g)), _PermanentWork(layers, 2 * g)))
         self.n_items = n_items
         self.n_graders = len(counts)
 
@@ -312,19 +414,23 @@ class _PermBatch:
         nll = np.zeros(self.n_graders)
         grad_s = np.zeros(self.n_items) if grads else None
         grad_eta = np.zeros(self.n_graders) if grads and need_eta else None
-        for graders, items, layers, log_masks in self.blocks:
-            s_items = s[items]
-            eta = etas[graders]
-            u = eta * s_items
-            logz, expected = _log_permanent(np.hstack((u, u)), layers, log_masks, grads)
+        for (graders, items, layers, log_masks), (s_items, gu, weights, u, work) in zip(self.blocks, self.work):
             g = len(graders)
+            s.take(items, out=s_items, mode="clip")
+            eta = etas[graders]
+            # u is eta * s_items twice over, side by side: two products, as numpy
+            # would copy one half into the other through a temporary.
+            np.multiply(eta, s_items, out=u[:, :g])
+            np.multiply(eta, s_items, out=u[:, g:])
+            logz, expected = _log_permanent(u, layers, log_masks, grads, work)
             nll[graders] = logz[:g] - logz[g:]
             if not grads:
                 continue
-            gu = expected[:, :g] - expected[:, g:]
-            grad_s += np.bincount(items.ravel(), weights=(eta * gu).ravel(), minlength=self.n_items)
+            np.subtract(expected[:, :g], expected[:, g:], out=gu)
+            weighted = np.multiply(eta, gu, out=weights).ravel()
+            grad_s += np.bincount(items.ravel(), weights=weighted, minlength=self.n_items)
             if need_eta:
-                grad_eta[graders] = (gu * s_items).sum(axis=0)
+                grad_eta[graders] = np.multiply(gu, s_items, out=weights).sum(axis=0)
         return nll, grad_s, grad_eta
 
 
@@ -582,7 +688,7 @@ def _svrg_scores(
     bounds = batch.pair_offsets
     s, epoch = s0.copy(), 0
     while True:
-        snapshot_slopes = batch.slopes(s, pair_scale)
+        snapshot_slopes = batch.all_slopes(s, pair_scale)
         grad = batch.scatter(snapshot_slopes) + (s - mean) / variance
         g_max = float(np.abs(grad).max())
         if g_max <= _GRAD_TOLERANCE or epoch == _MAX_STEPS:

@@ -5,9 +5,10 @@ force, deliberately sharing no code with the package under test. The
 exceptions are the last sections: helpers on the package's data types that
 only the tests need, the package's earlier dict-loop estimators, kept as
 exact references for the compiled-array ones, its earlier per-grader
-synthetic-data loops, kept as exact references for the array ones, and its
+synthetic-data loops, kept as exact references for the array ones, its
 earlier grader resampling and cardinal walk, kept as exact references for
-the gathered arrays.
+the gathered arrays, and its full-batch likelihood kernels as they were
+before they computed in work arrays, kept as bit-exact references.
 """
 
 from __future__ import annotations
@@ -1341,3 +1342,86 @@ def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.
             gg.append(gi)
             yy.append(float(fb.cardinal[d]))
     return items, graders, np.array(ii), np.array(gg), np.array(yy)
+
+
+# --- full-batch likelihood kernels, allocating every temporary ----------------
+
+
+def pair_batch_evaluate(
+    batch: Any, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``_PairBatch.evaluate`` of either link, each step a fresh array."""
+    dz = s[batch.winner] - s[batch.loser]
+    scale = (np.sqrt(etas) if batch.probit else etas)[batch.grader]
+    z = scale * dz
+    if batch.probit:
+        log_term = -log_ndtr(z)
+        q = np.exp(log_term - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)) if grads else None
+    else:
+        e = np.exp(-np.abs(z))
+        log_term = np.maximum(-z, 0.0) + np.log1p(e)
+        q = np.where(z >= 0.0, e, 1.0) / (1.0 + e) if grads else None
+    nll = np.bincount(batch.grader, weights=log_term, minlength=batch.n_graders)
+    if not grads:
+        return nll, None, None
+    w = scale * q
+    grad_s = np.bincount(batch.loser, weights=w, minlength=batch.n_items)
+    grad_s -= np.bincount(batch.winner, weights=w, minlength=batch.n_items)
+    grad_eta = None
+    if need_eta:
+        grad_eta = -np.bincount(batch.grader, weights=dz * q, minlength=batch.n_graders)
+        if batch.probit:
+            grad_eta /= 2.0 * np.sqrt(etas)
+    return nll, grad_s, grad_eta
+
+
+def _logsumexp(t: np.ndarray) -> np.ndarray:
+    top = t.max(axis=0)
+    return top + np.log(np.exp(t - top).sum(axis=0))
+
+
+def log_permanent(
+    u: np.ndarray, layers: list[tuple[np.ndarray, ...]], log_masks: list[np.ndarray], grads: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_log_permanent``: the subset recursion with fresh layers and terms."""
+    m, n_cols = u.shape
+    w = (m + 1 - 2 * np.arange(1, m + 1)) / 2.0
+    forward = [np.zeros((1, n_cols))]
+    for r in range(1, m + 1):
+        members, down = layers[r][:2]
+        forward.append(_logsumexp(forward[-1][down] + u[members] * w[r - 1]) + log_masks[r])
+    logz = forward[m][0]
+    if not grads:
+        return logz, None
+    expected = np.zeros((m, n_cols))
+    back = np.zeros((1, n_cols))
+    for r in range(m, 0, -1):
+        members, down, _, _, spread = layers[r]
+        log_p = forward[r - 1][down] + u[members] * w[r - 1] + (back - logz)
+        expected += w[r - 1] * (spread @ np.exp(log_p).reshape(-1, n_cols))
+        _, _, outside, up, _ = layers[r - 1]
+        back = _logsumexp(back[up] + u[outside] * w[r - 1]) + log_masks[r - 1]
+    return logz, expected
+
+
+def perm_batch_evaluate(
+    batch: Any, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``_PermBatch.evaluate`` over ``log_permanent``."""
+    nll = np.zeros(batch.n_graders)
+    grad_s = np.zeros(batch.n_items) if grads else None
+    grad_eta = np.zeros(batch.n_graders) if grads and need_eta else None
+    for graders, items, layers, log_masks in batch.blocks:
+        s_items = s[items]
+        eta = etas[graders]
+        u = eta * s_items
+        logz, expected = log_permanent(np.hstack((u, u)), layers, log_masks, grads)
+        g = len(graders)
+        nll[graders] = logz[:g] - logz[g:]
+        if not grads:
+            continue
+        gu = expected[:, :g] - expected[:, g:]
+        grad_s += np.bincount(items.ravel(), weights=(eta * gu).ravel(), minlength=batch.n_items)
+        if need_eta:
+            grad_eta[graders] = (gu * s_items).sum(axis=0)
+    return nll, grad_s, grad_eta
