@@ -18,7 +18,6 @@ from .synth import (
     NormalTruth,
     SynthConfig,
     add_lazy_graders,
-    sample_mallows_feedback,
     simulate,
     strip_lazy,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "fit_model",
     "induced_ordinal",
     "ranking_from_scores",
-    "sample_mallows_feedback",
     "simulate",
     "strict_pair_count",
     "strip_lazy",

@@ -65,26 +65,8 @@ class ExperimentReport:
     runtimes: dict[str, tuple[float, float]] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "experiment": self.experiment,
-            "method": self.method,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
-        if self.ek_mean is not None:
-            out["ek_mean"] = self.ek_mean
-            out["ek_std"] = self.ek_std
-        if self.curve is not None:
-            out["curve"] = [
-                {"level": p.level, "ek_mean": p.ek_mean, "ek_std": p.ek_std} for p in self.curve
-            ]
-        if self.identification_rate is not None:
-            out["identification_rate"] = self.identification_rate
-        if self.deltas is not None:
-            out["deltas"] = list(self.deltas)
-        if self.runtimes is not None:
-            out["runtimes"] = {k: list(v) for k, v in self.runtimes.items()}
-        return out
+        """Every field that is not None, with the curve points as dicts."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
 
 def _select_graders(data: Dataset, rows: Sequence[int], names: Sequence[str] | None = None) -> Dataset:

@@ -21,7 +21,10 @@ its gradients are computed over every grader's feedback at once from
 score-weighted permutation models runs L-BFGS on the scores; the plain
 probit model takes per-grader variance-reduced gradient steps (SVRG). Every
 "+g" fit is one L-BFGS run over the scores and the log reliabilities
-together, with each reliability kept in [1e-3, 1e3].
+together, with each reliability kept in [1e-3, 1e3]. The negative
+log-posterior is written once, in ``_posterior``: ``negative_log_posterior``
+is exactly the objective every L-BFGS fit minimises, over s for a plain fit
+and over (s, ln eta) for "+g".
 """
 
 from __future__ import annotations
@@ -493,6 +496,33 @@ def _prepare(
     return _PermBatch(fa, n), {}
 
 
+def _posterior(
+    batch: _PairBatch | _ListBatch | _PermBatch,
+    s: np.ndarray,
+    etas: np.ndarray,
+    log_etas: np.ndarray | None,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior | None,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The negative log-posterior at scores ``s`` and reliabilities ``etas``,
+    its score gradient and, with a ``reliability_prior``, its eta-gradient.
+
+    Without a ``reliability_prior`` the reliabilities are held fixed and
+    only the score prior is added. With one, each eta adds its gamma prior
+    eta / scale - (shape - 1) * ``log_etas``, and the eta-gradient returned
+    leaves out the -(shape - 1) / eta of that log term: a fit over ln(eta)
+    multiplies the rest by eta and subtracts shape - 1 instead.
+    """
+    nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=reliability_prior is not None)
+    d = s - score_prior.mean
+    value = float(nll.sum()) + float(d @ d) / (2.0 * score_prior.variance)
+    if reliability_prior is not None:
+        shape, scale = reliability_prior.shape, reliability_prior.scale
+        value += float((etas / scale - (shape - 1.0) * log_etas).sum())
+        grad_eta += 1.0 / scale
+    return value, grad_s + d / score_prior.variance, grad_eta
+
+
 @dataclass(frozen=True)
 class Objective:
     """Negative log-posterior value with gradients at one parameter point."""
@@ -516,7 +546,8 @@ def negative_log_posterior(
 
     With ``reliabilities`` omitted every grader has eta = 1 and the
     reliability prior and gradient are excluded. Additive constants are
-    dropped throughout.
+    dropped throughout. Its value is the objective that every L-BFGS fit
+    minimises, computed by the same ``_posterior``.
     """
     score_prior = score_prior or ScorePrior()
     rng = np.random.default_rng(seed)
@@ -526,27 +557,20 @@ def negative_log_posterior(
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
     s = np.array([float(scores[x]) for x in items])
-    with_rel = reliabilities is not None
-    if with_rel:
+    if reliabilities is None:
+        etas, log_etas, rprior = np.ones(len(graders)), None, None
+    else:
         absent = [g for g in graders if g not in reliabilities]
         if absent:
             raise ValidationError(f"reliabilities missing for graders: {absent}")
         etas = np.array([float(reliabilities[g]) for g in graders])
         if not (np.all(np.isfinite(etas)) and np.all(etas > 0)):
             raise ValidationError("reliabilities must be finite and > 0")
-        rprior = reliability_prior or ReliabilityPrior()
-    else:
-        etas = np.ones(len(graders))
-        rprior = None
-
-    value = float(((s - score_prior.mean) ** 2).sum()) / (2.0 * score_prior.variance)
-    nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=with_rel)
-    value += float(nll.sum())
-    grad_s += (s - score_prior.mean) / score_prior.variance
+        log_etas, rprior = np.log(etas), reliability_prior or ReliabilityPrior()
+    value, grad_s, grad_eta = _posterior(batch, s, etas, log_etas, score_prior, rprior)
     reliability_gradient = None
-    if with_rel:
-        value += float((etas / rprior.scale - (rprior.shape - 1.0) * np.log(etas)).sum())
-        grad_eta += 1.0 / rprior.scale - (rprior.shape - 1.0) / etas
+    if rprior is not None:
+        grad_eta -= (rprior.shape - 1.0) / etas
         reliability_gradient = {g: float(grad_eta[i]) for i, g in enumerate(graders)}
     return Objective(
         value=value,
@@ -650,20 +674,6 @@ def _lbfgs(
         x, f, g = x_new, f_new, g_new
 
 
-def _lbfgs_scores(
-    batch: _PairBatch | _ListBatch | _PermBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
-) -> tuple[np.ndarray, int, float, bool]:
-    """MAP scores for fixed reliabilities, by ``_lbfgs`` over the whole batch."""
-    mean, variance = score_prior.mean, score_prior.variance
-
-    def fun(s: np.ndarray) -> tuple[float, np.ndarray]:
-        nll, grad, _ = batch.evaluate(s, etas)
-        d = s - mean
-        return float(nll.sum()) + float(d @ d) / (2.0 * variance), grad + d / variance
-
-    return _lbfgs(fun, s0)
-
-
 def _svrg_scores(
     batch: _PairBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, float, bool]:
@@ -704,42 +714,6 @@ def _svrg_scores(
         epoch += 1
 
 
-def _lbfgs_joint(
-    batch: _PairBatch | _ListBatch | _PermBatch,
-    s0: np.ndarray,
-    score_prior: ScorePrior,
-    reliability_prior: ReliabilityPrior,
-) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
-    """MAP scores and reliabilities together, by one bounded ``_lbfgs`` run
-    over x = (s, u), from u = 0, where u = ln(eta) stays in [ln 1e-3, ln 1e3].
-
-    Its value is the negative log-posterior, and its u-gradient is
-    eta * d nll / d eta + eta / scale - (shape - 1). Returns the scores, the
-    reliabilities and the rest of ``_lbfgs``'s report.
-    """
-    n, mean, variance = batch.n_items, score_prior.mean, score_prior.variance
-    shape, scale = reliability_prior.shape, reliability_prior.scale
-    low, high = np.log(_ETA_BOUNDS)
-
-    def reliabilities(u: np.ndarray) -> np.ndarray:
-        # exp(ln 1e-3) is not exactly 1e-3, so a u on a bound maps onto that bound's eta.
-        return np.where(u <= low, _ETA_BOUNDS[0], np.where(u >= high, _ETA_BOUNDS[1], np.exp(u)))
-
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        s, u = x[:n], x[n:]
-        etas = reliabilities(u)
-        nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=True)
-        d = s - mean
-        value = float(nll.sum()) + float(d @ d) / (2.0 * variance)
-        value += float((etas / scale - (shape - 1.0) * u).sum())
-        return value, np.concatenate((grad_s + d / variance, etas * (grad_eta + 1.0 / scale) - (shape - 1.0)))
-
-    unbounded, u0 = np.full(n, np.inf), np.zeros(batch.n_graders)
-    bounds = (np.concatenate((-unbounded, u0 + low)), np.concatenate((unbounded, u0 + high)))
-    x, steps, grad_norm, converged = _lbfgs(fun, np.concatenate((s0, u0)), bounds)
-    return x[:n], reliabilities(x[n:]), steps, grad_norm, converged
-
-
 def _fit_batch(
     batch: _PairBatch | _ListBatch | _PermBatch,
     score_prior: ScorePrior,
@@ -748,21 +722,40 @@ def _fit_batch(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Scores, reliabilities and the solver's report of a fit from the prior mean.
 
-    Without a ``reliability_prior`` every eta is 1, and the scores come from
-    ``_svrg_scores`` for a probit batch, which reports its ``svrg_epochs``,
-    and from ``_lbfgs_scores`` for every other batch. With one, scores and
-    reliabilities come from ``_lbfgs_joint``. An L-BFGS fit reports its
+    Without a ``reliability_prior`` every eta is 1. A probit batch then takes
+    ``_svrg_scores`` and reports its ``svrg_epochs``; every other batch runs
+    ``_lbfgs`` on ``_posterior`` over the scores. With one, ``_lbfgs`` runs on
+    ``_posterior`` over x = (s, u) from u = 0, where u = ln(eta) is bounded to
+    [ln 1e-3, ln 1e3] and its gradient is eta times ``_posterior``'s
+    eta-gradient, minus shape - 1. An L-BFGS fit reports its
     ``lbfgs_iterations``.
     """
-    s0 = np.full(batch.n_items, score_prior.mean)
-    etas = np.ones(batch.n_graders)
-    if reliability_prior is not None:
-        s, etas, steps, grad_norm, converged = _lbfgs_joint(batch, s0, score_prior, reliability_prior)
-    elif isinstance(batch, _PairBatch) and batch.probit:
-        s, steps, grad_norm, converged = _svrg_scores(batch, s0, etas, score_prior, rng)
-        return s, etas, {"svrg_epochs": steps, "grad_norm": grad_norm, "converged": converged}
+    n = batch.n_items
+    s0 = np.full(n, score_prior.mean)
+    if reliability_prior is None:
+        etas = np.ones(batch.n_graders)
+        if isinstance(batch, _PairBatch) and batch.probit:
+            s, steps, grad_norm, converged = _svrg_scores(batch, s0, etas, score_prior, rng)
+            return s, etas, {"svrg_epochs": steps, "grad_norm": grad_norm, "converged": converged}
+        s, steps, grad_norm, converged = _lbfgs(
+            lambda x: _posterior(batch, x, etas, None, score_prior, None)[:2], s0
+        )
     else:
-        s, steps, grad_norm, converged = _lbfgs_scores(batch, s0, etas, score_prior)
+        shape, (low, high) = reliability_prior.shape, np.log(_ETA_BOUNDS)
+
+        def reliabilities(u: np.ndarray) -> np.ndarray:
+            # exp(ln 1e-3) is not exactly 1e-3, so a u on a bound maps onto that bound's eta.
+            return np.where(u <= low, _ETA_BOUNDS[0], np.where(u >= high, _ETA_BOUNDS[1], np.exp(u)))
+
+        def joint(x: np.ndarray) -> tuple[float, np.ndarray]:
+            etas = reliabilities(x[n:])
+            value, grad_s, grad_eta = _posterior(batch, x[:n], etas, x[n:], score_prior, reliability_prior)
+            return value, np.concatenate((grad_s, etas * grad_eta - (shape - 1.0)))
+
+        unbounded, u0 = np.full(n, np.inf), np.zeros(batch.n_graders)
+        bounds = (np.concatenate((-unbounded, u0 + low)), np.concatenate((unbounded, u0 + high)))
+        x, steps, grad_norm, converged = _lbfgs(joint, np.concatenate((s0, u0)), bounds)
+        s, etas = x[:n], reliabilities(x[n:])
     return s, etas, {"lbfgs_iterations": steps, "grad_norm": grad_norm, "converged": converged}
 
 

@@ -8,7 +8,8 @@ exact references for the compiled-array ones, its earlier per-grader
 synthetic-data loops, kept as exact references for the array ones, its
 earlier grader resampling and cardinal walk, kept as exact references for
 the gathered arrays, and its full-batch likelihood kernels as they were
-before they computed in work arrays, kept as bit-exact references.
+before they computed in work arrays, and its L-BFGS fits as they were
+before they shared one objective, kept as bit-exact references.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from typing import Any, NamedTuple
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
-from opg.config import ReliabilityPrior, ScorePrior
+from opg.config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, GraderFeedback
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
 from opg.mallows import MallowsParams, _check_eta, _newton_etas, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
-from opg.scoremodels import SCORE_MODELS, Objective, _prepare
+from opg.scoremodels import SCORE_MODELS, Objective, _lbfgs, _ListBatch, _PairBatch, _PermBatch, _prepare
 from opg.synth import MallowsGraders, SynthConfig, _pad_ids, _prevailing_items_per_grader, _to_scale
 
 
@@ -1425,3 +1426,56 @@ def perm_batch_evaluate(
         if need_eta:
             grad_eta[graders] = (gu * s_items).sum(axis=0)
     return nll, grad_s, grad_eta
+
+
+# --- the score models' L-BFGS fits, each writing out its own objective ------
+
+
+def lbfgs_scores(
+    batch: _PairBatch | _ListBatch | _PermBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
+) -> tuple[np.ndarray, int, float, bool]:
+    """MAP scores for fixed reliabilities, by ``_lbfgs`` over the whole batch."""
+    mean, variance = score_prior.mean, score_prior.variance
+
+    def fun(s: np.ndarray) -> tuple[float, np.ndarray]:
+        nll, grad, _ = batch.evaluate(s, etas)
+        d = s - mean
+        return float(nll.sum()) + float(d @ d) / (2.0 * variance), grad + d / variance
+
+    return _lbfgs(fun, s0)
+
+
+def lbfgs_joint(
+    batch: _PairBatch | _ListBatch | _PermBatch,
+    s0: np.ndarray,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior,
+) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
+    """MAP scores and reliabilities together, by one bounded ``_lbfgs`` run
+    over x = (s, u), from u = 0, where u = ln(eta) stays in [ln 1e-3, ln 1e3].
+
+    Its value is the negative log-posterior, and its u-gradient is
+    eta * d nll / d eta + eta / scale - (shape - 1). Returns the scores, the
+    reliabilities and the rest of ``_lbfgs``'s report.
+    """
+    n, mean, variance = batch.n_items, score_prior.mean, score_prior.variance
+    shape, scale = reliability_prior.shape, reliability_prior.scale
+    low, high = np.log(_ETA_BOUNDS)
+
+    def reliabilities(u: np.ndarray) -> np.ndarray:
+        # exp(ln 1e-3) is not exactly 1e-3, so a u on a bound maps onto that bound's eta.
+        return np.where(u <= low, _ETA_BOUNDS[0], np.where(u >= high, _ETA_BOUNDS[1], np.exp(u)))
+
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        s, u = x[:n], x[n:]
+        etas = reliabilities(u)
+        nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=True)
+        d = s - mean
+        value = float(nll.sum()) + float(d @ d) / (2.0 * variance)
+        value += float((etas / scale - (shape - 1.0) * u).sum())
+        return value, np.concatenate((grad_s + d / variance, etas * (grad_eta + 1.0 / scale) - (shape - 1.0)))
+
+    unbounded, u0 = np.full(n, np.inf), np.zeros(batch.n_graders)
+    bounds = (np.concatenate((-unbounded, u0 + low)), np.concatenate((unbounded, u0 + high)))
+    x, steps, grad_norm, converged = _lbfgs(fun, np.concatenate((s0, u0)), bounds)
+    return x[:n], reliabilities(x[n:]), steps, grad_norm, converged

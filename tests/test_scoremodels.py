@@ -27,7 +27,7 @@ from opg.scoremodels import (
     negative_log_posterior,
     pl_ranking_log_probability,
 )
-from opg.synth import MallowsGraders, SynthConfig, simulate
+from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
 
 import oracles
 from conftest import make_cardinal_dataset, make_ordinal_dataset, random_weak_ranking
@@ -758,6 +758,39 @@ class TestJointFit:
                 assert meta["lbfgs_iterations"] == scoremodels._MAX_STEPS
             flags.append(meta["converged"])
         assert False in flags
+
+
+def _strict_classes():
+    """40 x 150 x 7 classes of strict rankings: one of Mallows graders and one of
+    cardinal graders, whose continuous grades have no ties."""
+    return [
+        simulate(SynthConfig(n_items=40, n_graders=150, items_per_grader=7, grader_model=model, seed=0))[0]
+        for model in (MallowsGraders(eta=1.0), CardinalNormalGraders())
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+class TestOneObjective:
+    """Every L-BFGS fit runs on ``_posterior``, and gives bit-identical answers
+    to the fits that wrote out their own objective (``oracles.lbfgs_scores``
+    and ``oracles.lbfgs_joint``)."""
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "thur"])
+    def test_fit_batch_equals_the_solver_oracles(self, variant, rng):
+        model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
+        score_prior = ScorePrior()
+        for data in _tied_datasets(rng) + _strict_classes():
+            batch = _prepare(model, data, np.random.default_rng(0))[0]
+            s0 = np.full(batch.n_items, score_prior.mean)
+            for prior in PRIORS.values() if with_rel else (None,):
+                if prior is None:
+                    etas = np.ones(batch.n_graders)
+                    s, *report = oracles.lbfgs_scores(batch, s0, etas, score_prior)
+                else:
+                    s, etas, *report = oracles.lbfgs_joint(batch, s0, score_prior, prior)
+                got_s, got_etas, meta = scoremodels._fit_batch(batch, score_prior, prior, np.random.default_rng(0))
+                assert np.array_equal(got_s, s) and np.array_equal(got_etas, etas)
+                assert (meta["lbfgs_iterations"], meta["grad_norm"], meta["converged"]) == tuple(report)
 
 
 class TestUngradedItems:
