@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from typing import Any
 
@@ -105,7 +104,7 @@ def _load_dataset(path: str, fmt: str | None) -> tuple[Dataset, str]:
 
 def _emit(payload: dict[str, Any], output: str | None) -> None:
     if output is None:
-        print(json.dumps(dataio._jsonable(payload), indent=2, sort_keys=True))
+        print(dataio._json_text(payload))
     else:
         dataio.write_json(payload, output)
 

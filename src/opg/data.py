@@ -61,7 +61,14 @@ class GraderFeedback:
 
     @classmethod
     def from_ordinal(cls, grader: str, ranking: WeakRanking) -> "GraderFeedback":
-        return cls(grader=grader, items=tuple(ranking.items), ordinal=ranking)
+        """Ordinal feedback; a ``WeakRanking`` already holds unique items, so only the id is checked."""
+        if not isinstance(grader, str) or not grader:
+            raise ValidationError(f"grader id must be a non-empty string, got {grader!r}")
+        fb = object.__new__(cls)
+        # Set as the dataclass sets them, so the fields stay inline and the record gets no ``__dict__``.
+        for name, value in zip(cls.__dataclass_fields__, (grader, tuple(sorted(ranking.items)), ranking, None)):
+            object.__setattr__(fb, name, value)
+        return fb
 
     def _renamed(self, grader: str) -> "GraderFeedback":
         """This record under another grader id, copied without repeating the checks it passed."""

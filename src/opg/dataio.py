@@ -2,11 +2,15 @@
 
 All writers are atomic (temp file + rename) and deterministic: keys are
 sorted, floats carry 12 significant digits, and no timestamps are embedded.
+Every JSON file and the CLI's printed JSON come from one writer, which builds
+the text in one pass and lays it out exactly as
+``json.dumps(..., indent=2, sort_keys=True)`` would.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -41,24 +45,47 @@ _CSV_HEADER = ["grader_id", "item_id", "score"]
 def _round12(x: float) -> float:
     # Reported floats are fixed points of the 12-significant-digit writer,
     # so serialize/deserialize round-trips exactly.
-    return float(f"{x:.12g}")
+    return float("%.12g" % x)
 
 
-def _jsonable(obj: Any) -> Any:
-    """Plain JSON types with floats rounded to 12 significant digits."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (np.floating, float)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(obj)]
-    return obj
+_quote = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(x: float) -> str:
+    """``x`` rounded to 12 significant digits, as ``json`` writes a float."""
+    text = float.__repr__(_round12(x))
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _json_text(obj: Any, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` in one pass from the indent ``newline``, floats by ``_number``."""
+    inner = newline + "  "
+    if not isinstance(obj, (list, tuple)):  # tested first: a ranking is a list of tie-group lists
+        if isinstance(obj, str):
+            return _quote(obj)
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (float, np.floating)):
+            return _number(float(obj))
+        if isinstance(obj, (int, np.integer)):
+            return int.__repr__(int(obj))
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            obj = {str(k): v for k, v in obj.items()}
+            flat = all(type(v) is float for v in obj.values())
+            body = [f"{_quote(k)}: {_number(obj[k]) if flat else _json_text(obj[k], inner)}" for k in sorted(obj)]
+            return "{" + inner + ("," + inner).join(body) + newline + "}"
+        if not isinstance(obj, (set, frozenset)):
+            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        obj = sorted(obj)
+    if not obj:
+        return "[]"
+    body = [_quote(v) for v in obj] if all(type(v) is str for v in obj) else [_json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(body) + newline + "]"
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -75,8 +102,7 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(payload: Any, path: str) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    _atomic_write_text(path, text)
+    _atomic_write_text(path, _json_text(payload) + "\n")
 
 
 def parse_cardinal_csv(path: str) -> Dataset:
@@ -175,6 +201,13 @@ def dataset_to_dict(data: Dataset, config: dict[str, Any] | None = None) -> dict
     return out
 
 
+def _ranking(groups: Any) -> WeakRanking:
+    """A parsed JSON ranking; one-item groups take ``from_order``, which raises the constructor's errors."""
+    if type(groups) is list and all(type(g) is list and len(g) == 1 for g in groups):
+        return WeakRanking.from_order([g[0] for g in groups])
+    return WeakRanking(tuple(tuple(g) for g in groups))
+
+
 def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
     if not isinstance(payload, dict):
         raise DataFormatError(f"{source}: expected a JSON object at top level")
@@ -200,7 +233,7 @@ def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
         ):
             raise DataFormatError(f"{source}: grader {gid}: 'ranking' must be a list of lists")
         try:
-            ranking = WeakRanking(tuple(tuple(g) for g in ranking_payload))
+            ranking = _ranking(ranking_payload)
         except ValidationError as exc:
             raise DataFormatError(f"{source}: grader {gid}: {exc}")
         unknown = ranking.items - roster
@@ -226,16 +259,18 @@ def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
     lazy_payload = payload.get("lazy_graders", [])
     if not isinstance(lazy_payload, list) or not all(isinstance(g, str) for g in lazy_payload):
         raise DataFormatError(f"{source}: 'lazy_graders' must be a list of grader ids")
-    feedback.sort(key=lambda fb: fb.grader)
     try:
-        return Dataset(
-            items=tuple(items),
-            graders=tuple(sorted(fb.grader for fb in feedback)),
-            feedback=tuple(feedback),
-            lazy_graders=frozenset(lazy_payload),
-        )
+        return Dataset.from_feedback(feedback, items=items, lazy_graders=lazy_payload)
     except ValidationError as exc:
         raise DataFormatError(f"{source}: {exc}")
+
+
+def _load_json(path: str) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: invalid JSON: {exc}")
 
 
 def parse_ordinal_json(path: str) -> Dataset:
@@ -245,12 +280,15 @@ def parse_ordinal_json(path: str) -> Dataset:
     group], ..., [worst group]]}]}`` with optional per-grader ``grades`` and
     a top-level ``lazy_graders`` list.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}")
-    return dataset_from_dict(payload, source=path)
+    # No cycles form here: collecting midway would only age the JSON the parse drops, so collect once, at the end.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return dataset_from_dict(_load_json(path), source=path)
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect(0)
 
 
 def write_ordinal_json(data: Dataset, path: str, config: dict[str, Any] | None = None) -> None:
@@ -299,15 +337,11 @@ def write_estimate(est: Estimate, path: str, config: dict[str, Any] | None = Non
 
 
 def read_estimate(path: str) -> Estimate:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}")
+    payload = _load_json(path)
     if not isinstance(payload, dict) or "ranking" not in payload:
         raise DataFormatError(f"{path}: expected an object with a 'ranking' key")
     try:
-        ranking = WeakRanking(tuple(tuple(g) for g in payload["ranking"]))
+        ranking = _ranking(payload["ranking"])
         scores = payload.get("scores")
         reliabilities = payload.get("reliabilities")
         return Estimate(

@@ -9,13 +9,15 @@ synthetic-data loops, kept as exact references for the array ones, its
 earlier grader resampling and cardinal walk, kept as exact references for
 the gathered arrays, and its full-batch likelihood kernels as they were
 before they computed in work arrays, and its L-BFGS fits as they were
-before they shared one objective, kept as bit-exact references.
+before they shared one objective, kept as bit-exact references, and its
+two-pass JSON writer, kept as the byte reference for the one-pass one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import warnings
 from collections import Counter
@@ -1479,3 +1481,28 @@ def lbfgs_joint(
     bounds = (np.concatenate((-unbounded, u0 + low)), np.concatenate((unbounded, u0 + high)))
     x, steps, grad_norm, converged = _lbfgs(fun, np.concatenate((s0, u0)), bounds)
     return x[:n], reliabilities(x[n:]), steps, grad_norm, converged
+
+
+# --- the JSON writer as it was before it wrote in one pass -------------------
+
+
+def jsonable(obj: Any) -> Any:
+    """Plain JSON types with floats rounded to 12 significant digits."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (np.floating, float)):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [jsonable(v) for v in sorted(obj)]
+    return obj
+
+
+def json_text(payload: Any) -> str:
+    """The bytes every JSON writer of the package must emit for ``payload``."""
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"

@@ -61,6 +61,15 @@ class TestEstimate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ranking"][0] == ["a"]
 
+    @pytest.mark.parametrize("model", ["mal", "bt+g"])
+    def test_stdout_and_output_file_are_the_same_bytes(self, ordinal_path, tmp_path, capsysbinary, model):
+        out = str(tmp_path / "est.json")
+        base = ["estimate", "--model", model, "--input", ordinal_path]
+        assert main(base) == 0
+        printed = capsysbinary.readouterr().out
+        assert main(base + ["--output", out]) == 0
+        assert printed == open(out, "rb").read()
+
     def test_cardinal_csv_autodetected(self, csv_path, tmp_path):
         out = str(tmp_path / "est.json")
         code = main(["estimate", "--model", "ncs", "--input", csv_path, "--output", out])

@@ -84,6 +84,18 @@ class TestGraderFeedback:
         fb = GraderFeedback.from_ordinal("g", WeakRanking([("c",), ("b", "a")]))
         assert fb.items == ("a", "b", "c")
 
+    @given(weak_rankings())
+    def test_from_ordinal_equals_the_checked_constructor(self, ranking):
+        fb = GraderFeedback.from_ordinal("g", ranking)
+        assert fb == GraderFeedback(grader="g", items=tuple(ranking.items), ordinal=ranking)
+        assert fb.cardinal is None and fb.ordinal is ranking
+
+    @pytest.mark.parametrize("grader", ["", 5, None])
+    def test_from_ordinal_checks_the_grader_id(self, grader):
+        message = f"grader id must be a non-empty string, got {grader!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            GraderFeedback.from_ordinal(grader, WeakRanking([("a",)]))
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
