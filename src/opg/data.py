@@ -60,21 +60,23 @@ class GraderFeedback:
             object.__setattr__(self, "cardinal", dict(self.cardinal))
 
     @classmethod
+    def _unchecked(cls, grader: str, items: tuple[str, ...], ordinal, cardinal) -> "GraderFeedback":
+        """A record of checked fields, set as the dataclass sets them: inline, with no ``__dict__``."""
+        fb = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, (grader, items, ordinal, cardinal)):
+            object.__setattr__(fb, name, value)
+        return fb
+
+    @classmethod
     def from_ordinal(cls, grader: str, ranking: WeakRanking) -> "GraderFeedback":
         """Ordinal feedback; a ``WeakRanking`` already holds unique items, so only the id is checked."""
         if not isinstance(grader, str) or not grader:
             raise ValidationError(f"grader id must be a non-empty string, got {grader!r}")
-        fb = object.__new__(cls)
-        # Set as the dataclass sets them, so the fields stay inline and the record gets no ``__dict__``.
-        for name, value in zip(cls.__dataclass_fields__, (grader, tuple(sorted(ranking.items)), ranking, None)):
-            object.__setattr__(fb, name, value)
-        return fb
+        return cls._unchecked(grader, tuple(sorted(ranking.items)), ranking, None)
 
     def _renamed(self, grader: str) -> "GraderFeedback":
         """This record under another grader id, copied without repeating the checks it passed."""
-        copy = object.__new__(GraderFeedback)
-        copy.__dict__.update(self.__dict__, grader=grader)
-        return copy
+        return self._unchecked(grader, self.items, self.ordinal, self.cardinal)
 
     @classmethod
     def from_cardinal(cls, grader: str, grades: Mapping[str, float]) -> "GraderFeedback":

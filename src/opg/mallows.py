@@ -378,33 +378,18 @@ def _newton_etas(x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior) -> n
     return np.clip(result, *_ETA_BOUNDS)
 
 
-class _ReliabilitySolver:
-    """Per-grader MAP reliabilities against total-order centers, each distinct problem solved once.
+def _reliabilities(arrays: FeedbackArrays, position: np.ndarray, prior: ReliabilityPrior):
+    """Each grader's MAP reliability against the center at ``position``, in feedback order, and its X_g.
 
-    A grader's problem is fixed by its key X_g * C + r_g, where X_g counts
-    its pairs ordered against the center, r_g is its row of ``coeff`` and C
-    the number of rows (see ``fit_reliabilities``). The solver remembers
-    the reliability of every key it has solved and solves only new keys;
-    ``_newton_etas`` gives a remembered key the reliability a fresh solve gives;
-    ``x_g`` holds the X_g of the last call.
+    A grader's problem is fixed by its key X_g * C + r_g, where r_g is its row
+    of ``coeff`` and C the number of rows (see ``fit_reliabilities``); each
+    distinct key is solved once.
     """
-
-    def __init__(self, arrays: FeedbackArrays, prior: ReliabilityPrior):
-        self.arrays = arrays
-        self.prior = prior
-        self.known: dict[int, float] = {}
-
-    def __call__(self, position: np.ndarray) -> np.ndarray:
-        """Reliability of each grader, in feedback order, given each item's position in the center."""
-        arrays, known = self.arrays, self.known
-        self.x_g = x_g = _against(arrays, position)
-        n_coeff = len(arrays.coeff)
-        rows, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
-        new = rows[[key not in known for key in rows.tolist()]]
-        if new.size:
-            etas = _newton_etas((new // n_coeff).astype(float), arrays.coeff[new % n_coeff], self.prior)
-            known.update(zip(new.tolist(), etas.tolist()))
-        return np.array([known[key] for key in rows.tolist()])[inverse.ravel()]
+    x_g = _against(arrays, position)
+    n_coeff = len(arrays.coeff)
+    keys, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
+    etas = _newton_etas((keys // n_coeff).astype(float), arrays.coeff[keys % n_coeff], prior)
+    return etas[inverse.ravel()], x_g
 
 
 def fit_reliabilities(
@@ -440,20 +425,20 @@ def fit_reliabilities(
         entries = slice(arrays.offsets[g], arrays.offsets[g + 1])
         missing = sorted(data.items[i] for i in arrays.item[entries][unranked[entries]])
         raise ValidationError(f"center does not rank items: {missing}")
-    result.update(zip(arrays.graders, _ReliabilitySolver(arrays, prior)(position).tolist()))
+    result.update(zip(arrays.graders, _reliabilities(arrays, position, prior)[0].tolist()))
     return result
 
 
 def _break_ties(order: np.ndarray, cuts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """``break_ties`` on ``_weak_ranking``'s order and cuts: the same draws in the same order.
 
-    A one-item group is left alone, as ``rng.permutation(1)`` draws nothing.
+    Only groups of two or more items are shuffled, as ``rng.permutation(1)`` draws nothing.
     """
     total = order.copy()
-    bounds = [0, *cuts.tolist(), len(order)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo > 1:
-            total[lo:hi] = order[lo:hi][rng.permutation(hi - lo)]
+    bounds = np.concatenate(([0], cuts, [len(order)]))
+    tied = np.flatnonzero(np.diff(bounds) > 1)
+    for lo, hi in zip(bounds[tied].tolist(), bounds[tied + 1].tolist()):
+        total[lo:hi] = order[lo:hi][rng.permutation(hi - lo)]
     return total
 
 
@@ -511,7 +496,6 @@ def fit_mallows(
 
     prior = reliability_prior or ReliabilityPrior()
     rng = np.random.default_rng(seed)
-    solve = _ReliabilitySolver(centers.arrays, prior)
 
     def drawn(order: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         if len(cuts) == len(singletons):
@@ -523,9 +507,10 @@ def fit_mallows(
     changes, costs, converged = [], [], False
     total = drawn(order, cuts) if iterations else order
     while len(changes) < iterations and not converged:
-        etas, last = solve(np.argsort(total)), etas
+        last = etas
+        etas, x_g = _reliabilities(centers.arrays, np.argsort(total), prior)
         changes.append(float(np.abs(np.log(etas) - np.log(last)).max()))
-        cost = _cost(etas, solve.x_g)
+        cost = _cost(etas, x_g)
         order, cuts = center_for(etas)
         candidate = drawn(order, cuts)
         new_cost = centers.cost(candidate, etas)

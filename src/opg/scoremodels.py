@@ -41,7 +41,7 @@ import numpy as np
 from .config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
 from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
-from .mallows import _check_eta
+from .mallows import _break_ties, _check_eta
 from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
@@ -440,33 +440,22 @@ class _PermBatch:
 # --- model preparation and objective ----------------------------------------
 
 
-def _run_starts(arrays: FeedbackArrays) -> np.ndarray:
-    """Entries that open a tie group: those whose rank is their 1-based place in their grader's slice."""
-    counts = np.diff(arrays.offsets)
-    entry_grader = np.repeat(np.arange(len(counts)), counts)
-    return np.flatnonzero(arrays.rank == np.arange(len(arrays.rank)) - arrays.offsets[entry_grader] + 1)
-
-
 def _list_batch(arrays: FeedbackArrays, n_items: int, rng: np.random.Generator) -> tuple[_ListBatch, bool]:
     """The listwise batch, and whether any tie had to be broken.
 
-    A grader with a tie has every run of equal rank shuffled by ``rng``, one
-    ``rng.permutation`` per run in entry order, single-item runs included.
+    Every tie group is shuffled by ``rng`` with the draws of ``mallows._break_ties``:
+    one ``rng.permutation`` per group of two or more items, in entry order.
     """
     offsets, counts = arrays.offsets, np.diff(arrays.offsets)
-    order = arrays.item.astype(np.intp)
-    run_start = _run_starts(arrays)
-    run_grader = np.searchsorted(offsets, run_start, side="right") - 1
-    tied = np.bincount(run_grader, minlength=len(counts)) < counts
-    run_end = np.append(run_start[1:], len(order)).tolist()
-    for r in np.flatnonzero(tied[run_grader]).tolist():
-        a, b = int(run_start[r]), run_end[r]
-        order[a:b] = order[a:b][rng.permutation(b - a)]
+    # An entry opens a tie group when its rank is its 1-based place in its grader's slice.
+    place = np.arange(len(arrays.rank)) - np.repeat(offsets[:-1], counts) + 1
+    starts = np.flatnonzero(arrays.rank == place)
+    order = _break_ties(arrays.item.astype(np.intp), starts[1:], rng)
     blocks = []
     for m in np.unique(counts).tolist():
         graders = np.flatnonzero(counts == m)
         blocks.append((graders, order[offsets[graders][:, None] + np.arange(m)]))
-    return _ListBatch(blocks, n_items, len(counts)), bool(tied.any())
+    return _ListBatch(blocks, n_items, len(counts)), len(starts) < len(order)
 
 
 def _prepare(

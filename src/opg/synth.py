@@ -260,18 +260,17 @@ def _prevailing_items_per_grader(data: Dataset) -> int:
     return sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
 
-def add_lazy_graders(
-    data: Dataset, n: int, seed: int = 0, items_per_grader: int | None = None
-) -> Dataset:
+def add_lazy_graders(data: Dataset, n: int, seed: int = 0) -> Dataset:
     """Append ``n`` lazy graders whose grades are noise.
 
     Lazy grades are drawn i.i.d. normal with the mean and variance of the
     existing grades (statistically indistinguishable marginally), so their
     induced rankings carry no information about the items. The new graders
     are labeled in ``lazy_graders`` and assigned items by the balanced
-    scheme with the prevailing per-grader item count. The ``seed``
-    generator draws one assignment permutation per lazy grader, then one
-    grade per lazy grader and item (grader-major, items in id order).
+    scheme. Each gets the item count most existing graders have (the
+    smaller count on a tie, and at most every item). The ``seed`` generator
+    draws one assignment permutation per lazy grader, then one grade per
+    lazy grader and item (grader-major, items in id order).
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -285,8 +284,7 @@ def add_lazy_graders(
     rng = np.random.default_rng(seed)
     grades_arr = np.array(existing)
     mean, std = float(grades_arr.mean()), float(grades_arr.std())
-    per_grader = items_per_grader or _prevailing_items_per_grader(data)
-    per_grader = min(per_grader, len(data.items))
+    per_grader = min(_prevailing_items_per_grader(data), len(data.items))
 
     taken = set(data.graders)
     names: list[str] = []

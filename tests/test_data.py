@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import re
 
@@ -89,6 +90,23 @@ class TestGraderFeedback:
         fb = GraderFeedback.from_ordinal("g", ranking)
         assert fb == GraderFeedback(grader="g", items=tuple(ranking.items), ordinal=ranking)
         assert fb.cardinal is None and fb.ordinal is ranking
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            GraderFeedback.from_ordinal("g", WeakRanking([("b",), ("a", "c")])),
+            GraderFeedback.from_cardinal("g", {"a": 2.0, "b": 1.0, "c": 2.0}),
+        ],
+        ids=["ordinal", "cardinal"],
+    )
+    def test_renamed_keeps_both_records_without_a_dict(self, record):
+        def field_dicts(fb):
+            return [r for r in gc.get_referents(fb) if isinstance(r, dict) and "grader" in r]
+
+        copy = record._renamed("h")
+        assert copy.grader == "h"
+        assert (copy.items, copy.ordinal, copy.cardinal) == (record.items, record.ordinal, record.cardinal)
+        assert field_dicts(record) == [] and field_dicts(copy) == []
 
     @pytest.mark.parametrize("grader", ["", 5, None])
     def test_from_ordinal_checks_the_grader_id(self, grader):

@@ -24,7 +24,6 @@ from opg.mallows import (
     _Centers,
     _newton_etas,
     _positions,
-    _ReliabilitySolver,
     _weak_ranking,
     borda_ranking,
     fit_mallows,
@@ -502,14 +501,12 @@ class TestStoppingAtTheFixedPoint:
         for trial in range(4):
             data = _random_dataset(rng, n_items=6, n_graders=10, max_items=3 + trial)
             arrays = data.feedback_arrays
-            solve = _ReliabilitySolver(arrays, ReliabilityPrior())
             for _ in range(15):
                 position = rng.permutation(len(data.items))
                 center = WeakRanking.from_order([data.items[i] for i in np.argsort(position)])
                 expected = oracles.dict_fit_reliabilities(data, center)
-                assert dict(zip(arrays.graders, solve(position).tolist())) == expected
-            # Few items per grader leave few distinct problems, so most were remembered, not searched.
-            assert len(solve.known) < 15 * len(arrays.graders)
+                etas, _ = mallows._reliabilities(arrays, position, ReliabilityPrior())
+                assert dict(zip(arrays.graders, etas.tolist())) == expected
 
     def test_ties_are_broken_with_the_draws_of_break_ties(self, rng):
         items = tuple(f"x{i}" for i in range(9))
@@ -756,14 +753,14 @@ class TestMonotoneAscent:
     @pytest.mark.parametrize("variant", RELIABILITY_VARIANTS, ids=lambda v: "-".join(sorted(v)))
     def test_every_accepted_center_costs_strictly_less(self, variant, rng, monkeypatch):
         calls = []
-        solve = _ReliabilitySolver.__call__
+        solve = mallows._reliabilities
 
-        def spy(self, position):
-            etas = solve(self, position)
+        def spy(arrays, position, prior):
+            etas, x_g = solve(arrays, position, prior)
             calls.append((position.copy(), etas))
-            return etas
+            return etas, x_g
 
-        monkeypatch.setattr(_ReliabilitySolver, "__call__", spy)
+        monkeypatch.setattr(mallows, "_reliabilities", spy)
         classes = [_random_dataset(rng, n_items=10, n_graders=12, max_items=3 + t) for t in range(6)]
         accepted = 0
         for data in classes + list(_seeded_classes()):
