@@ -202,8 +202,11 @@ def dataset_to_dict(data: Dataset, config: dict[str, Any] | None = None) -> dict
 
 
 def _ranking(groups: Any) -> WeakRanking:
-    """A parsed JSON ranking; one-item groups take ``from_order``, which raises the constructor's errors."""
-    if type(groups) is list and all(type(g) is list and len(g) == 1 for g in groups):
+    """A parsed JSON ranking, a list of tie-group lists; one-item groups take
+    ``from_order``, which raises the constructor's errors."""
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        raise ValidationError("'ranking' must be a list of lists")
+    if all(len(g) == 1 for g in groups):
         return WeakRanking.from_order([g[0] for g in groups])
     return WeakRanking(tuple(tuple(g) for g in groups))
 
@@ -214,9 +217,6 @@ def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
     items = payload.get("items")
     if not isinstance(items, list) or not all(isinstance(d, str) for d in items):
         raise DataFormatError(f"{source}: 'items' must be a list of id strings")
-    if len(set(items)) != len(items):
-        raise DataFormatError(f"{source}: duplicate ids in 'items'")
-    roster = set(items)
     graders_payload = payload.get("graders")
     if not isinstance(graders_payload, list):
         raise DataFormatError(f"{source}: 'graders' must be a list")
@@ -227,18 +227,10 @@ def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
         gid = entry["id"]
         if not isinstance(gid, str) or not gid:
             raise DataFormatError(f"{source}: grader id must be a non-empty string")
-        ranking_payload = entry["ranking"]
-        if not isinstance(ranking_payload, list) or not all(
-            isinstance(g, list) for g in ranking_payload
-        ):
-            raise DataFormatError(f"{source}: grader {gid}: 'ranking' must be a list of lists")
         try:
-            ranking = _ranking(ranking_payload)
+            ranking = _ranking(entry["ranking"])
         except ValidationError as exc:
             raise DataFormatError(f"{source}: grader {gid}: {exc}")
-        unknown = ranking.items - roster
-        if unknown:
-            raise DataFormatError(f"{source}: grader {gid}: unknown item ids {sorted(unknown)}")
         grades_payload = entry.get("grades")
         if grades_payload is not None:
             if not isinstance(grades_payload, dict):
@@ -340,17 +332,15 @@ def read_estimate(path: str) -> Estimate:
     payload = _load_json(path)
     if not isinstance(payload, dict) or "ranking" not in payload:
         raise DataFormatError(f"{path}: expected an object with a 'ranking' key")
+    maps = {key: payload.get(key) for key in ("scores", "reliabilities")}
+    for key, value in maps.items():
+        if value is not None and not isinstance(value, dict):
+            raise DataFormatError(f"{path}: {key!r} must be an object")
     try:
-        ranking = _ranking(payload["ranking"])
-        scores = payload.get("scores")
-        reliabilities = payload.get("reliabilities")
         return Estimate(
-            ranking=ranking,
-            scores={str(k): float(v) for k, v in scores.items()} if scores else None,
-            reliabilities=(
-                {str(k): float(v) for k, v in reliabilities.items()} if reliabilities else None
-            ),
+            ranking=_ranking(payload["ranking"]),
             metadata=dict(payload.get("metadata", {})),
+            **{key: {str(k): float(v) for k, v in value.items()} if value else None for key, value in maps.items()},
         )
     except (TypeError, ValueError, ValidationError) as exc:
         raise DataFormatError(f"{path}: {exc}")

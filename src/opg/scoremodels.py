@@ -17,9 +17,12 @@ eta) to a likelihood of the observed rankings:
 All fits are MAP under an independent normal prior on scores and (for the
 "+g" variants) a gamma prior on reliabilities. Every model's objective and
 its gradients are computed over every grader's feedback at once from
-``Dataset.feedback_arrays``. A plain fit of the logistic, listwise and
-score-weighted permutation models runs L-BFGS on the scores; the plain
-probit model takes per-grader variance-reduced gradient steps (SVRG). Every
+``Dataset.feedback_arrays``: the two pairwise models share one batch of
+strict pairs, and the listwise and permutation models one blocked loop over
+the graders that rank equally many items, each supplying only its per-block
+kernel. A plain fit of the logistic, listwise and score-weighted
+permutation models runs L-BFGS on the scores; the plain probit model takes
+per-grader variance-reduced gradient steps (SVRG). Every
 "+g" fit is one L-BFGS run over the scores and the log reliabilities
 together, with each reliability kept in [1e-3, 1e3]. The negative
 log-posterior is written once, in ``_posterior``: ``negative_log_posterior``
@@ -132,19 +135,16 @@ class _PairBatch:
     def _terms(
         self,
         z: np.ndarray,
-        grads: bool,
         log_term: np.ndarray | None = None,
         q: np.ndarray | None = None,
         e: np.ndarray | None = None,
         tmp: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Each pair's -log P(winner above loser) at ``z`` and, with ``grads``,
-        q = minus its derivative in z, written into ``log_term`` and ``q``,
-        with ``e`` and ``tmp`` as scratch (fresh arrays where they are None)."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each pair's -log P(winner above loser) at ``z`` and q = minus its
+        derivative in z, written into ``log_term`` and ``q``, with ``e`` and
+        ``tmp`` as scratch (fresh arrays where they are None)."""
         if self.probit:
             log_term = np.negative(self._log_ndtr(z, out=log_term), out=log_term)
-            if not grads:
-                return log_term, None
             # phi(z) / Phi(z), from the log Phi the nll already has.
             q = np.multiply(0.5, z, out=q)
             q *= z
@@ -158,33 +158,28 @@ class _PairBatch:
         np.negative(e, out=e)
         np.exp(e, out=e)
         log_term = np.negative(z, out=log_term)
-        if grads:
-            q = np.minimum(log_term, 0.0, out=q)
+        q = np.minimum(log_term, 0.0, out=q)
         np.maximum(log_term, 0.0, out=log_term)
         np.add(log_term, np.log1p(e, out=tmp), out=log_term)
-        if not grads:
-            return log_term, None
         return log_term, np.divide(np.exp(q, out=q), np.add(1.0, e, out=tmp), out=q)
 
     def slopes(self, s: np.ndarray, scale: np.ndarray | float, pairs: slice = slice(None)) -> np.ndarray:
         """Minus the derivative of each pair's -log P in s_winner - s_loser, for
         the ``pairs`` given, at their link ``scale``."""
         dz = s[self.winner[pairs]] - s[self.loser[pairs]]
-        return scale * self._terms(scale * dz, True)[1]
+        return scale * self._terms(scale * dz)[1]
 
     def all_slopes(self, s: np.ndarray, pair_scale: np.ndarray) -> np.ndarray:
         """``slopes`` of every pair at its scale in ``pair_scale``, computed in
         ``work``, so they hold until its next use."""
-        q = self._all_terms(s, pair_scale, True)[2]
+        q = self._all_terms(s, pair_scale)[2]
         return np.multiply(pair_scale, q, out=self.work[0])
 
-    def _all_terms(
-        self, s: np.ndarray, pair_scale: np.ndarray, grads: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def _all_terms(self, s: np.ndarray, pair_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every pair's score gap and ``_terms`` at its scale in ``pair_scale``, in ``work``."""
         dz, _, z, log_term, q, e, tmp = self.work
         np.subtract(s.take(self.winner, out=dz, mode="clip"), s.take(self.loser, out=tmp, mode="clip"), out=dz)
-        return (dz, *self._terms(np.multiply(pair_scale, dz, out=z), grads, log_term, q, e, tmp))
+        return (dz, *self._terms(np.multiply(pair_scale, dz, out=z), log_term, q, e, tmp))
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
         """The score gradient of pair slopes ``w`` (one per pair)."""
@@ -193,13 +188,11 @@ class _PairBatch:
         return grad_s
 
     def evaluate(
-        self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        self, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         scale, tmp = self.work[1], self.work[6]
-        dz, log_term, q = self._all_terms(s, self.scale(etas).take(self.grader, out=scale, mode="clip"), grads)
+        dz, log_term, q = self._all_terms(s, self.scale(etas).take(self.grader, out=scale, mode="clip"))
         nll = np.bincount(self.grader, weights=log_term, minlength=self.n_graders)
-        if not grads:
-            return nll, None, None
         grad_s = self.scatter(np.multiply(scale, q, out=tmp))
         grad_eta = None
         if need_eta:
@@ -210,40 +203,83 @@ class _PairBatch:
         return nll, grad_s, grad_eta
 
 
-class _ListBatch:
-    """Every grader's total order under the sequential-choice model.
+class _BlockBatch:
+    """Every grader's ranking under a listwise model, in one block per ranking length m.
 
-    Graders that rank equally many items share a block: ``blocks`` holds
-    pairs (graders, items), where row r of ``items`` is grader
-    ``graders[r]``'s items, best first. ``evaluate`` is as for ``_PairBatch``.
+    A block in ``blocks`` is (graders, items, *the subclass's ``_tables``),
+    where column c of the (m, G) ``items`` is grader ``graders[c]``'s items,
+    best first in ``order`` (by default the feedback's entry order). ``work``
+    holds each block's arrays, allocated once: its items' scores, one more
+    array of that shape and the subclass's ``_work``. ``_kernel`` gives each
+    grader's negative log-likelihood and its gradient gu in u = eta * (its
+    items' scores); ``evaluate`` is as for ``_PairBatch``.
     """
 
-    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], n_items: int, n_graders: int):
-        self.blocks = blocks
+    def __init__(self, arrays: FeedbackArrays, n_items: int, order: np.ndarray | None = None):
+        order = arrays.item.astype(np.intp) if order is None else order
+        counts = np.diff(arrays.offsets)
+        self.blocks, self.work = [], []
+        for m in np.unique(counts).tolist():
+            graders = np.flatnonzero(counts == m)
+            entries = arrays.offsets[graders] + np.arange(m)[:, None]
+            block = (graders, order[entries], *self._tables(m, arrays.rank[entries]))
+            self.blocks.append(block)
+            self.work.append((*np.empty((2, m, len(graders))), *self._work(block)))
         self.n_items = n_items
-        self.n_graders = n_graders
+        self.n_graders = len(counts)
+
+    def _tables(self, m: int, ranks: np.ndarray) -> tuple:
+        return ()
 
     def evaluate(
-        self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        self, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         nll = np.zeros(self.n_graders)
-        grad_s = np.zeros(self.n_items) if grads else None
-        grad_eta = np.zeros(self.n_graders) if grads and need_eta else None
-        for graders, items in self.blocks:
-            s_ord = s[items]
-            eta = etas[graders][:, None]
-            u = eta * s_ord
-            suffix_lse = np.logaddexp.accumulate(u[:, ::-1], axis=1)[:, ::-1]
-            nll[graders] = (suffix_lse - u).sum(axis=1)
-            if not grads:
-                continue
-            # d nll / d u_k = sum over choices i <= k of exp(u_k - suffix_lse_i), minus 1;
-            # the exponent is at most log(k + 1), so nothing overflows.
-            gu = np.exp(u + np.logaddexp.accumulate(-suffix_lse, axis=1)) - 1.0
-            grad_s += np.bincount(items.ravel(), weights=(eta * gu).ravel(), minlength=self.n_items)
+        grad_s = np.zeros(self.n_items)
+        grad_eta = np.zeros(self.n_graders) if need_eta else None
+        for block, (s_items, weights, *work) in zip(self.blocks, self.work):
+            graders, items = block[:2]
+            s.take(items, out=s_items, mode="clip")
+            eta = etas[graders]
+            nll[graders], gu = self._kernel(block, eta, s_items, *work)
+            weighted = np.multiply(eta, gu, out=weights).ravel()
+            grad_s += np.bincount(items.ravel(), weights=weighted, minlength=self.n_items)
             if need_eta:
-                grad_eta[graders] = (gu * s_ord).sum(axis=1)
+                grad_eta[graders] = np.multiply(gu, s_items, out=weights).sum(axis=0)
         return nll, grad_s, grad_eta
+
+
+class _ListBatch(_BlockBatch):
+    """Every grader's total order under the sequential-choice model.
+
+    Each tie group is shuffled by ``rng`` with the draws of
+    ``mallows._break_ties``: one ``rng.permutation`` per group of two or more
+    items, in entry order. ``tied`` is whether any tie had to be broken. The
+    kernel computes in u, its suffix log-sum-exps and gu.
+    """
+
+    def __init__(self, arrays: FeedbackArrays, n_items: int, rng: np.random.Generator):
+        # An entry opens a tie group when its rank is its 1-based place in its grader's slice.
+        place = np.arange(len(arrays.rank)) - np.repeat(arrays.offsets[:-1], np.diff(arrays.offsets)) + 1
+        starts = np.flatnonzero(arrays.rank == place)
+        super().__init__(arrays, n_items, _break_ties(arrays.item.astype(np.intp), starts[1:], rng))
+        self.tied = len(starts) < len(place)
+
+    def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
+        return tuple(np.empty((3, *block[1].shape)))
+
+    def _kernel(
+        self, block: tuple, eta: np.ndarray, s_items: np.ndarray, u: np.ndarray, lse: np.ndarray, gu: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        np.multiply(eta, s_items, out=u)
+        np.logaddexp.accumulate(u[::-1], axis=0, out=lse[::-1])
+        nll = np.subtract(lse, u, out=gu).sum(axis=0)
+        # d nll / d u_k = sum over choices i <= k of exp(u_k - lse_i), minus 1;
+        # the exponent is at most log(k + 1), so nothing overflows.
+        np.logaddexp.accumulate(np.negative(lse, out=lse), axis=0, out=gu)
+        np.exp(np.add(u, gu, out=gu), out=gu)
+        gu -= 1.0
+        return nll, gu
 
 
 def _subset_layers(m: int) -> list[tuple[np.ndarray, ...]]:
@@ -316,22 +352,17 @@ class _PermanentWork:
 
 
 def _log_permanent(
-    u: np.ndarray,
-    layers: list[tuple[np.ndarray, ...]],
-    log_masks: list[np.ndarray],
-    grads: bool,
-    work: _PermanentWork,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    u: np.ndarray, layers: list[tuple[np.ndarray, ...]], log_masks: list[np.ndarray], work: _PermanentWork
+) -> tuple[np.ndarray, np.ndarray]:
     """log per(A) of A[x, k] = exp(u[x] * w[k]), w[k] = (m + 1 - 2k) / 2 for
     positions k = 1..m, for each column of ``u``.
 
     The recursion per(S) = sum over x in S of per(S - x) * A[x, |S|] runs up
     the subset ``layers``; ``log_masks[r]`` (0 or ``_DROPPED`` per subset
     and column) drops the subsets of size r that may not fill the first r
-    positions. With ``grads`` it also returns E[w at x's position], the
-    gradient of log per(A) with respect to u, from a backward pass that
-    sums each subset's completions down the layers. Both results are views
-    of ``work``.
+    positions. It also returns E[w at x's position], the gradient of log
+    per(A) with respect to u, from a backward pass that sums each subset's
+    completions down the layers. Both results are views of ``work``.
     """
     m, n_cols = u.shape
     w = (m + 1 - 2 * np.arange(1, m + 1)) / 2.0
@@ -345,8 +376,6 @@ def _log_permanent(
         _logsumexp(np.add(gathered, weighted, out=gathered), top[r], total[r], forward[r])
         np.add(forward[r], log_masks[r], out=forward[r])
     logz = forward[m][0]
-    if not grads:
-        return logz, None
     expected, spread_sum = work.expected, work.spread
     expected.fill(0.0)
     back[m].fill(0.0)
@@ -370,7 +399,7 @@ def _log_permanent(
     return logz, expected
 
 
-class _PermBatch:
+class _PermBatch(_BlockBatch):
     """Every grader's weak ranking under the score-weighted permutation model.
 
     Up to a constant shared by every order, an order of a grader's m items
@@ -378,89 +407,46 @@ class _PermBatch:
     s_k is the score of the item at position k. So the grader's likelihood
     is per(A over the orders its tie groups allow) / per(A), with
     A[x, k] = exp(-eta * s_x * (2k - m - 1) / 2), and ``_log_permanent``
-    gives each permanent in O(2^m m) (the bound of Ryser 1963). Graders
-    that rank equally many items share a block: ``blocks`` holds (graders,
-    items, layers, log_masks), where column c of ``items`` is grader
-    ``graders[c]``'s items, best first, and ``layers`` are the block's
-    ``_subset_layers``. The block's G graders are recursed over twice in
-    one call, as 2G columns: column c for the normaliser of grader c, and
-    column G + c for its numerator, where ``log_masks[r]`` is 0 if a subset
-    of r of its items may fill the first r positions (no item in it is
-    ranked strictly below one outside it) and ``_DROPPED`` if not; the
-    first G columns of every mask are 0. ``evaluate`` is as for
-    ``_PairBatch``; ``work`` holds each block's arrays, allocated once: its
-    items' scores, two more arrays of that shape, the 2G columns of ``u``
-    and its ``_PermanentWork``.
+    gives each permanent in O(2^m m) (the bound of Ryser 1963). A block is
+    (graders, items, layers, log_masks), where ``layers`` are its
+    ``_subset_layers``. Its G graders are recursed over twice in one call,
+    as 2G columns: column c for the normaliser of grader c, and column G + c
+    for its numerator, where ``log_masks[r]`` is 0 if a subset of r of its
+    items may fill the first r positions (no item in it is ranked strictly
+    below one outside it) and ``_DROPPED`` if not; the first G columns of
+    every mask are 0. The kernel computes in gu, the 2G columns of u and a
+    ``_PermanentWork``.
     """
 
-    def __init__(self, arrays: FeedbackArrays, n_items: int):
-        counts = np.diff(arrays.offsets)
-        self.blocks, self.work = [], []
-        for m in np.unique(counts).tolist():
-            graders = np.flatnonzero(counts == m)
-            entries = arrays.offsets[graders] + np.arange(m)[:, None]
-            ranks = arrays.rank[entries]
-            layers = _subset_layers(m)
-            log_masks = []
-            for members, _, outside, _, _ in layers:
-                fits = ranks[members].max(axis=0, initial=0) <= ranks[outside].min(axis=0, initial=m)
-                log_masks.append(np.hstack((np.zeros(fits.shape), np.where(fits, 0.0, _DROPPED))))
-            self.blocks.append((graders, arrays.item[entries].astype(np.intp), layers, log_masks))
-            g = len(graders)
-            self.work.append((*np.empty((3, m, g)), np.empty((m, 2 * g)), _PermanentWork(layers, 2 * g)))
-        self.n_items = n_items
-        self.n_graders = len(counts)
+    def _tables(self, m: int, ranks: np.ndarray) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
+        layers, log_masks = _subset_layers(m), []
+        for members, _, outside, _, _ in layers:
+            fits = ranks[members].max(axis=0, initial=0) <= ranks[outside].min(axis=0, initial=m)
+            log_masks.append(np.hstack((np.zeros(fits.shape), np.where(fits, 0.0, _DROPPED))))
+        return layers, log_masks
 
-    def evaluate(
-        self, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        nll = np.zeros(self.n_graders)
-        grad_s = np.zeros(self.n_items) if grads else None
-        grad_eta = np.zeros(self.n_graders) if grads and need_eta else None
-        for (graders, items, layers, log_masks), (s_items, gu, weights, u, work) in zip(self.blocks, self.work):
-            g = len(graders)
-            s.take(items, out=s_items, mode="clip")
-            eta = etas[graders]
-            # u is eta * s_items twice over, side by side: two products, as numpy
-            # would copy one half into the other through a temporary.
-            np.multiply(eta, s_items, out=u[:, :g])
-            np.multiply(eta, s_items, out=u[:, g:])
-            logz, expected = _log_permanent(u, layers, log_masks, grads, work)
-            nll[graders] = logz[:g] - logz[g:]
-            if not grads:
-                continue
-            np.subtract(expected[:, :g], expected[:, g:], out=gu)
-            weighted = np.multiply(eta, gu, out=weights).ravel()
-            grad_s += np.bincount(items.ravel(), weights=weighted, minlength=self.n_items)
-            if need_eta:
-                grad_eta[graders] = np.multiply(gu, s_items, out=weights).sum(axis=0)
-        return nll, grad_s, grad_eta
+    def _work(self, block: tuple) -> tuple[np.ndarray, np.ndarray, _PermanentWork]:
+        m, g = block[1].shape
+        return np.empty((m, g)), np.empty((m, 2 * g)), _PermanentWork(block[2], 2 * g)
+
+    def _kernel(
+        self, block: tuple, eta: np.ndarray, s_items: np.ndarray, gu: np.ndarray, u: np.ndarray, work: _PermanentWork
+    ) -> tuple[np.ndarray, np.ndarray]:
+        g = len(eta)
+        # u is eta * s_items twice over, side by side: two products, as numpy
+        # would copy one half into the other through a temporary.
+        np.multiply(eta, s_items, out=u[:, :g])
+        np.multiply(eta, s_items, out=u[:, g:])
+        logz, expected = _log_permanent(u, *block[2:], work)
+        return logz[:g] - logz[g:], np.subtract(expected[:, :g], expected[:, g:], out=gu)
 
 
 # --- model preparation and objective ----------------------------------------
 
 
-def _list_batch(arrays: FeedbackArrays, n_items: int, rng: np.random.Generator) -> tuple[_ListBatch, bool]:
-    """The listwise batch, and whether any tie had to be broken.
-
-    Every tie group is shuffled by ``rng`` with the draws of ``mallows._break_ties``:
-    one ``rng.permutation`` per group of two or more items, in entry order.
-    """
-    offsets, counts = arrays.offsets, np.diff(arrays.offsets)
-    # An entry opens a tie group when its rank is its 1-based place in its grader's slice.
-    place = np.arange(len(arrays.rank)) - np.repeat(offsets[:-1], counts) + 1
-    starts = np.flatnonzero(arrays.rank == place)
-    order = _break_ties(arrays.item.astype(np.intp), starts[1:], rng)
-    blocks = []
-    for m in np.unique(counts).tolist():
-        graders = np.flatnonzero(counts == m)
-        blocks.append((graders, order[offsets[graders][:, None] + np.arange(m)]))
-    return _ListBatch(blocks, n_items, len(counts)), len(starts) < len(order)
-
-
 def _prepare(
     model: str, data: Dataset, rng: np.random.Generator
-) -> tuple[_PairBatch | _ListBatch | _PermBatch, dict[str, Any]]:
+) -> tuple[_PairBatch | _BlockBatch, dict[str, Any]]:
     """The model's likelihood over ``data``, one batch over every grader built
     from ``data.feedback_arrays`` (``rng`` breaks ties for the listwise one),
     and the metadata its fit reports."""
@@ -473,8 +459,8 @@ def _prepare(
     if model in ("bt", "thur"):
         return _PairBatch(fa, n, probit=model == "thur"), {}
     if model == "pl":
-        batch, tied = _list_batch(fa, n, rng)
-        return batch, {"tie_break": "seeded"} if tied else {}
+        batch = _ListBatch(fa, n, rng)
+        return batch, {"tie_break": "seeded"} if batch.tied else {}
     counts = np.diff(fa.offsets)
     if counts.max() > ENUMERATION_CAP:
         g = int(np.argmax(counts > ENUMERATION_CAP))
@@ -486,7 +472,7 @@ def _prepare(
 
 
 def _posterior(
-    batch: _PairBatch | _ListBatch | _PermBatch,
+    batch: _PairBatch | _BlockBatch,
     s: np.ndarray,
     etas: np.ndarray,
     log_etas: np.ndarray | None,
@@ -704,7 +690,7 @@ def _svrg_scores(
 
 
 def _fit_batch(
-    batch: _PairBatch | _ListBatch | _PermBatch,
+    batch: _PairBatch | _BlockBatch,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
     rng: np.random.Generator,

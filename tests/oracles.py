@@ -8,7 +8,8 @@ exact references for the compiled-array ones, its earlier per-grader
 synthetic-data loops, kept as exact references for the array ones, its
 earlier grader resampling and cardinal walk, kept as exact references for
 the gathered arrays, and its full-batch likelihood kernels as they were
-before they computed in work arrays, and its L-BFGS fits as they were
+before they computed in work arrays (and the listwise one in its old row
+layout), and its L-BFGS fits as they were
 before they shared one objective, kept as bit-exact references, and its
 two-pass JSON writer, kept as the byte reference for the one-pass one.
 """
@@ -212,7 +213,7 @@ def mals_log_likelihood(
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
     svec = np.array([float(scores[x]) for x in data.items])
-    nll, _, _ = batch.evaluate(svec, np.array([eta]), grads=False)
+    nll, _, _ = batch.evaluate(svec, np.array([eta]))
     return -float(nll[0])
 
 
@@ -1405,6 +1406,28 @@ def log_permanent(
         _, _, outside, up, _ = layers[r - 1]
         back = _logsumexp(back[up] + u[outside] * w[r - 1]) + log_masks[r - 1]
     return logz, expected
+
+
+def list_batch_evaluate(
+    batch: Any, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``_ListBatch.evaluate`` in the row layout it had before it shared the
+    blocked loop: row r of a block is grader ``graders[r]``'s items, best first."""
+    nll = np.zeros(batch.n_graders)
+    grad_s = np.zeros(batch.n_items)
+    grad_eta = np.zeros(batch.n_graders) if need_eta else None
+    for graders, items in batch.blocks:
+        items = items.T
+        s_ord = s[items]
+        eta = etas[graders][:, None]
+        u = eta * s_ord
+        suffix_lse = np.logaddexp.accumulate(u[:, ::-1], axis=1)[:, ::-1]
+        nll[graders] = (suffix_lse - u).sum(axis=1)
+        gu = np.exp(u + np.logaddexp.accumulate(-suffix_lse, axis=1)) - 1.0
+        grad_s += np.bincount(items.ravel(), weights=(eta * gu).ravel(), minlength=batch.n_items)
+        if need_eta:
+            grad_eta[graders] = (gu * s_ord).sum(axis=1)
+    return nll, grad_s, grad_eta
 
 
 def perm_batch_evaluate(

@@ -1,6 +1,7 @@
 """Tests for file formats: cardinal CSV, ordinal JSON, estimate JSON."""
 
 import json
+import re
 
 import pytest
 
@@ -158,6 +159,12 @@ class TestOrdinalJson:
         payload = {"items": ["a"], "graders": [{"id": "g1", "ranking": [["a"], ["zz"]]}]}
         path = write_text(tmp_path / "d.json", json.dumps(payload))
         with pytest.raises(DataFormatError, match="unknown item"):
+            parse_ordinal_json(path)
+
+    def test_duplicate_roster_ids_name_the_file(self, tmp_path):
+        payload = {"items": ["a", "b", "a"], "graders": [{"id": "g1", "ranking": [["a"], ["b"]]}]}
+        path = write_text(tmp_path / "d.json", json.dumps(payload))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(path)}: .*duplicate"):
             parse_ordinal_json(path)
 
     def test_empty_group_is_error(self, tmp_path):

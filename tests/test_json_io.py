@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opg.cli import main
 from opg.dataio import _json_text, dataset_from_dict, parse_ordinal_json, read_estimate, write_json
 from opg.errors import DataFormatError
 from opg.rankings import WeakRanking
@@ -118,13 +119,22 @@ class TestSingletonRankingsKeepTheConstructorsErrors:
         message = f"{data_path}: grader g1: 'ranking' must be a list of lists"
         with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             parse_ordinal_json(str(data_path))
-        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{est_path}: ')}'int' object is not iterable$"):
+        message = f"{est_path}: 'ranking' must be a list of lists"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             read_estimate(str(est_path))
 
-    def test_a_string_group_is_read_as_its_characters(self, tmp_path):
-        path = tmp_path / "e.json"
-        path.write_text(json.dumps({"ranking": [["c"], "ab"]}), encoding="utf-8")
-        assert read_estimate(str(path)).ranking == WeakRanking([("c",), ("a", "b")])
+    @pytest.mark.parametrize("ranking", ["ab", [["c"], "ab"]], ids=["ranking", "group"])
+    def test_strings_are_refused(self, tmp_path, ranking):
+        """Both readers take a ranking only as a list of lists, never a string's characters."""
+        data_path, est_path = tmp_path / "d.json", tmp_path / "e.json"
+        data_path.write_text(json.dumps(_dataset_payload(ranking)), encoding="utf-8")
+        est_path.write_text(json.dumps({"ranking": ranking}), encoding="utf-8")
+        message = f"{data_path}: grader g1: 'ranking' must be a list of lists"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            parse_ordinal_json(str(data_path))
+        message = f"{est_path}: 'ranking' must be a list of lists"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            read_estimate(str(est_path))
 
     def test_str_subclass_ids_are_kept_as_the_constructor_keeps_them(self):
         data = dataset_from_dict(_dataset_payload([[_Str("b")], ["a"]]))
@@ -139,6 +149,24 @@ class TestSingletonRankingsKeepTheConstructorsErrors:
         assert fb.ordinal == WeakRanking([("b",), ("a",)])
         assert fb.ordinal.ranks() == {"b": 1, "a": 2}
         assert fb.items == ("a", "b")
+
+
+class TestEstimateFields:
+    @pytest.mark.parametrize("key, value", [("scores", [1, 2]), ("reliabilities", "xy"), ("scores", 3.0)])
+    def test_scores_and_reliabilities_must_be_objects(self, tmp_path, key, value):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"ranking": [["a"], ["b"]], key: value}), encoding="utf-8")
+        message = f"{path}: {key!r} must be an object"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            read_estimate(str(path))
+
+    def test_evaluate_exits_one_on_them(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"ranking": [["a"], ["b"]]}), encoding="utf-8")
+        bad.write_text(json.dumps({"ranking": [["a"], ["b"]], "scores": [1, 2]}), encoding="utf-8")
+        assert main(["evaluate", "--input", str(bad), "--target", str(good)]) == 1
+        assert main(["evaluate", "--input", str(good), "--target", str(bad)]) == 1
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestParseLeavesTheCollectorAsItFoundIt:

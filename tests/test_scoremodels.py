@@ -496,7 +496,7 @@ def _batch_feedback(batch):
                 rows[g] = [sorted(x for x in rank if rank[x] == r) for r in sorted(set(rank.values()))]
         return rows
     for graders, items in batch.blocks:
-        for g, row in zip(graders.tolist(), items.tolist()):
+        for g, row in zip(graders.tolist(), items.T.tolist()):
             rows[g] = row
     return rows
 
