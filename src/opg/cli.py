@@ -136,27 +136,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     ek = ek_error(targets, predicted.ranking)
     result: dict[str, Any] = {
         "e_k": ek,
-        "config": {
-            "command": "evaluate",
-            "input": args.input,
-            "targets": list(args.target),
-        },
+        "config": {"command": "evaluate", "input": args.input, "targets": list(args.target)},
     }
-    print(f"E_K: {dataio._round12(ek)!r}")
     if predicted.scores is not None:
-        maes, rmses = [], []
-        for t in target_estimates:
-            if t.scores is not None and set(t.scores) == set(predicted.scores):
-                mae, rmse = cardinal_errors(predicted.scores, t.scores)
-                maes.append(mae)
-                rmses.append(rmse)
-        if maes:
-            mae = sum(maes) / len(maes)
-            rmse = sum(rmses) / len(rmses)
-            result["mae"] = mae
-            result["rmse"] = rmse
-            print(f"MAE: {dataio._round12(mae)!r}")
-            print(f"RMSE: {dataio._round12(rmse)!r}")
+        same = [t.scores for t in target_estimates if t.scores is not None and set(t.scores) == set(predicted.scores)]
+        errors = [cardinal_errors(predicted.scores, scores) for scores in same]
+        if errors:
+            result["mae"] = sum(mae for mae, _ in errors) / len(errors)
+            result["rmse"] = sum(rmse for _, rmse in errors) / len(errors)
+    # Every figure is computed first, so that a failing one prints and writes nothing.
+    print(f"E_K: {dataio._round12(ek)!r}")
+    for key in ("mae", "rmse"):
+        if key in result:
+            print(f"{key.upper()}: {dataio._round12(result[key])!r}")
     if args.output:
         dataio.write_json(result, args.output)
     return 0

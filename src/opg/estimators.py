@@ -9,6 +9,7 @@ from . import cardinal, mallows, scoremodels
 from .config import ReliabilityPrior, ScorePrior, _check_iterations
 from .data import Dataset, Estimate
 from .errors import ValidationError
+from .rankings import _check_tie_epsilon
 
 __all__ = ["MODEL_NAMES", "ModelOptions", "fit_model", "model_uses_reliability"]
 
@@ -20,7 +21,8 @@ class ModelOptions:
     ``seed`` seeds every random draw of a fit (tie breaks, plain ``thur``'s
     SVRG order). ``iterations`` bounds the alternating rounds of
     ``mal+g``, ``malbc+g``, ``mal+kg`` and ``ncs+g``; the score models'
-    "+g" fits have no rounds. Both must be >= 0.
+    "+g" fits have no rounds. Both must be >= 0. ``tie_epsilon`` must be
+    finite and >= 0.
     """
 
     seed: int = 0
@@ -34,6 +36,7 @@ class ModelOptions:
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         _check_iterations(self.iterations)
+        _check_tie_epsilon(self.tie_epsilon)
 
 
 # name -> (family, with_reliability, needs_cardinal)

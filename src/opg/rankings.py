@@ -113,6 +113,11 @@ class WeakRanking:
         return f"WeakRanking({body})"
 
 
+def _check_tie_epsilon(tie_epsilon: float) -> None:
+    if not (tie_epsilon >= 0.0 and math.isfinite(tie_epsilon)):
+        raise ValidationError(f"tie_epsilon must be finite and >= 0, got {tie_epsilon}")
+
+
 def ranking_from_scores(scores: Mapping[str, float], tie_epsilon: float = 1e-9) -> WeakRanking:
     """Rank items by descending score, merging near-ties into tie groups.
 
@@ -122,8 +127,7 @@ def ranking_from_scores(scores: Mapping[str, float], tie_epsilon: float = 1e-9) 
     """
     if not scores:
         raise ValidationError("scores must be non-empty")
-    if not (tie_epsilon >= 0.0 and math.isfinite(tie_epsilon)):
-        raise ValidationError(f"tie_epsilon must be finite and >= 0, got {tie_epsilon}")
+    _check_tie_epsilon(tie_epsilon)
     for item, s in scores.items():
         if not math.isfinite(s):
             raise ValidationError(f"score for {item!r} is not finite: {s}")

@@ -17,13 +17,13 @@ eta) to a likelihood of the observed rankings:
 All fits are MAP under an independent normal prior on scores and (for the
 "+g" variants) a gamma prior on reliabilities. Every model's objective and
 its gradients are computed over every grader's feedback at once from
-``Dataset.feedback_arrays``: the two pairwise models share one batch of
-strict pairs, and the listwise and permutation models one blocked loop over
-the graders that rank equally many items, each supplying only its per-block
-kernel. A plain fit of the logistic, listwise and score-weighted
-permutation models runs L-BFGS on the scores; the plain probit model takes
-per-grader variance-reduced gradient steps (SVRG). Every
-"+g" fit is one L-BFGS run over the scores and the log reliabilities
+``Dataset.feedback_arrays``, in one blocked loop over the graders that rank
+equally many items, each model supplying only its per-block kernel (the
+pairwise ones over a block's position pairs, with tied pairs masked out).
+A plain fit of the logistic, listwise and score-weighted permutation models
+runs L-BFGS on the scores; the plain probit model takes per-grader
+variance-reduced gradient steps (SVRG), each on its grader's block column.
+Every "+g" fit is one L-BFGS run over the scores and the log reliabilities
 together, with each reliability kept in [1e-3, 1e3]. The negative
 log-posterior is written once, in ``_posterior``: ``negative_log_posterior``
 is exactly the objective every L-BFGS fit minimises, over s for a plain fit
@@ -92,57 +92,96 @@ def pl_ranking_log_probability(
 # --- full-batch likelihoods: every grader's feedback at once ------------------
 
 
-class _PairBatch:
-    """Every grader's strict pairs under the logistic link or, with ``probit``,
-    the probit link.
+class _BlockBatch:
+    """Every grader's ranking, in one block per ranking length m.
 
-    A pair's probability is sigma(z) or Phi(z) at z = scale * (s_winner -
-    s_loser), where the grader's link ``scale`` is eta or sqrt(eta).
-    Grader g's pairs are ``pair_offsets[g]:pair_offsets[g + 1]`` and it
-    ranked ``counts[g]`` items. ``evaluate`` returns each grader's negative
-    log-likelihood, its gradient with respect to the scores (summed over
-    graders) and, when asked, with respect to each grader's reliability.
-    It computes in ``work``, arrays of one entry per pair that the batch
-    allocates once, so that no evaluation maps in fresh pages for
-    pair-sized temporaries; the arrays it returns are fresh. Its gathers
-    are ``take`` with ``mode="clip"``, since with the default mode ``take``
-    writes through a temporary; every index is in range. Only a probit
-    batch imports ``scipy.special``, so that no other model pays for
-    loading it.
+    A block in ``blocks`` is (graders, items, *the subclass's ``_tables``),
+    where column c of the (m, G) ``items`` is grader ``graders[c]``'s items,
+    best first in ``order`` (by default the feedback's entry order).
+    ``_kernel`` gives each grader's negative log-likelihood and its gradient
+    gu in u = scale * (its items' scores), where the link ``scale`` is eta,
+    or sqrt(eta) for a ``probit`` batch. ``evaluate`` returns each grader's
+    negative log-likelihood, its gradient in the scores (summed over
+    graders) and, when asked, in each grader's reliability. It computes in
+    ``work``, each block's arrays, allocated once: its items' scores, one
+    more array of that shape (where an evaluation without the eta-gradient
+    leaves scale * gu) and the subclass's ``_work``; what it returns is
+    fresh. Its gathers are ``take`` with ``mode="clip"``, since with the
+    default mode ``take`` writes through a temporary.
     """
 
-    def __init__(self, arrays: FeedbackArrays, n_items: int, probit: bool = False):
-        self.winner = arrays.winner.astype(np.intp)
-        self.loser = arrays.loser.astype(np.intp)
-        self.grader = arrays.pair_grader.astype(np.intp)
-        self.n_items = n_items
-        self.n_graders = len(arrays.graders)
-        self.pair_offsets = np.searchsorted(self.grader, np.arange(self.n_graders + 1)).tolist()
-        self.counts = np.diff(arrays.offsets)
-        self.probit = probit
-        if probit:
-            from scipy.special import log_ndtr
+    probit = False
 
-            self._log_ndtr = log_ndtr
-        # The score gaps, the link scales, z, the log terms, q, exp(-|z|) and a
-        # scratch array: seven arrays rather than one, so that at paper scale
-        # each is small enough for malloc to reuse rather than map afresh.
-        self.work = tuple(np.empty(len(self.winner)) for _ in range(7))
+    def __init__(self, arrays: FeedbackArrays, n_items: int, order: np.ndarray | None = None):
+        order = arrays.item.astype(np.intp) if order is None else order
+        counts = np.diff(arrays.offsets)
+        self.blocks, self.work = [], []
+        for m in np.unique(counts).tolist():
+            graders = np.flatnonzero(counts == m)
+            entries = arrays.offsets[graders] + np.arange(m)[:, None]
+            block = (graders, order[entries], *self._tables(m, arrays.rank[entries]))
+            self.blocks.append(block)
+            self.work.append((*np.empty((2, m, len(graders))), *self._work(block)))
+        self.n_items = n_items
+        self.n_graders = len(counts)
+
+    def _tables(self, m: int, ranks: np.ndarray) -> tuple:
+        return ()
 
     def scale(self, etas: np.ndarray) -> np.ndarray:
         return np.sqrt(etas) if self.probit else etas
 
+    def evaluate(
+        self, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        nll = np.zeros(self.n_graders)
+        grad_s = np.zeros(self.n_items)
+        grad_eta = np.zeros(self.n_graders) if need_eta else None
+        scales = self.scale(etas)
+        for block, (s_items, weights, *work) in zip(self.blocks, self.work):
+            graders, items = block[:2]
+            s.take(items, out=s_items, mode="clip")
+            scale = scales[graders]
+            nll[graders], gu = self._kernel(block, scale, s_items, *work)
+            weighted = np.multiply(scale, gu, out=weights).ravel()
+            grad_s += np.bincount(items.ravel(), weights=weighted, minlength=self.n_items)
+            if need_eta:
+                grad_eta[graders] = np.multiply(gu, s_items, out=weights).sum(axis=0)
+        if need_eta and self.probit:
+            # d scale / d eta is 1 / (2 sqrt(eta)) for the probit link, 1 for the others.
+            grad_eta /= 2.0 * scales
+        return nll, grad_s, grad_eta
+
+
+class _PairwiseBatch(_BlockBatch):
+    """Every grader's strict pairs under the logistic link.
+
+    A block is (graders, items, first, second, mask, incidence): its
+    m(m-1)/2 position pairs i < j are ``first[p]``, ``second[p]``, and since
+    entries are best first, i wins every strict pair; column c of the
+    (pairs, G) ``mask`` is 1 at grader c's strict pairs and 0 at its tied
+    ones, which express no preference. A pair's probability is sigma(z) at
+    z = scale * (s_i - s_j). The kernel sums each pair's q back onto its two
+    positions with the ``incidence`` product, -1 at i and +1 at j, and
+    computes in z, the log terms, q, exp(-|z|), a scratch array and gu.
+    ``column_slopes`` gives one grader's score gradient at its items.
+    """
+
+    def _tables(self, m: int, ranks: np.ndarray) -> tuple[np.ndarray, ...]:
+        first, second = np.triu_indices(m, 1)
+        positions = np.arange(m)[:, None]
+        incidence = (positions == second).astype(float) - (positions == first)
+        return first, second, (ranks[first] < ranks[second]).astype(float), incidence
+
+    def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
+        return (*np.empty((5, *block[4].shape)), np.empty(block[1].shape))
+
     def _terms(
-        self,
-        z: np.ndarray,
-        log_term: np.ndarray | None = None,
-        q: np.ndarray | None = None,
-        e: np.ndarray | None = None,
-        tmp: np.ndarray | None = None,
+        self, z: np.ndarray, log_term: np.ndarray, q: np.ndarray, e: np.ndarray, tmp: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each pair's -log P(winner above loser) at ``z`` and q = minus its
         derivative in z, written into ``log_term`` and ``q``, with ``e`` and
-        ``tmp`` as scratch (fresh arrays where they are None)."""
+        ``tmp`` as scratch."""
         if self.probit:
             log_term = np.negative(self._log_ndtr(z, out=log_term), out=log_term)
             # phi(z) / Phi(z), from the log Phi the nll already has.
@@ -163,90 +202,51 @@ class _PairBatch:
         np.add(log_term, np.log1p(e, out=tmp), out=log_term)
         return log_term, np.divide(np.exp(q, out=q), np.add(1.0, e, out=tmp), out=q)
 
-    def slopes(self, s: np.ndarray, scale: np.ndarray | float, pairs: slice = slice(None)) -> np.ndarray:
-        """Minus the derivative of each pair's -log P in s_winner - s_loser, for
-        the ``pairs`` given, at their link ``scale``."""
-        dz = s[self.winner[pairs]] - s[self.loser[pairs]]
-        return scale * self._terms(scale * dz)[1]
+    def _kernel(
+        self, block: tuple, scale: np.ndarray | float, s_items: np.ndarray, *work: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        first, second, mask, incidence = block[2:]
+        z, log_term, q, e, tmp, gu = work
+        s_items.take(first, axis=0, out=z, mode="clip")
+        z -= s_items.take(second, axis=0, out=tmp, mode="clip")
+        z *= scale
+        log_term, q = self._terms(z, log_term, q, e, tmp)
+        log_term *= mask
+        q *= mask
+        return log_term.sum(axis=0), np.matmul(incidence, q, out=gu)
 
-    def all_slopes(self, s: np.ndarray, pair_scale: np.ndarray) -> np.ndarray:
-        """``slopes`` of every pair at its scale in ``pair_scale``, computed in
-        ``work``, so they hold until its next use."""
-        q = self._all_terms(s, pair_scale)[2]
-        return np.multiply(pair_scale, q, out=self.work[0])
+    def columns(self) -> list[tuple[int, int, np.ndarray, tuple, tuple[np.ndarray, ...]]]:
+        """Each grader's (block, column, items, column block, work): its items,
+        best first, its block's tables with only its own column of the mask,
+        and one column's work arrays, which ``column_slopes`` computes in."""
+        columns = [None] * self.n_graders
+        for b, (graders, items, first, second, mask, incidence) in enumerate(self.blocks):
+            work = (np.empty((len(items), 1)), *np.empty((5, len(first), 1)), np.empty((len(items), 1)))
+            for c, g in enumerate(graders.tolist()):
+                block = (None, None, first, second, np.ascontiguousarray(mask[:, c : c + 1]), incidence)
+                columns[g] = (b, c, np.ascontiguousarray(items[:, c]), block, work)
+        return columns
 
-    def _all_terms(self, s: np.ndarray, pair_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every pair's score gap and ``_terms`` at its scale in ``pair_scale``, in ``work``."""
-        dz, _, z, log_term, q, e, tmp = self.work
-        np.subtract(s.take(self.winner, out=dz, mode="clip"), s.take(self.loser, out=tmp, mode="clip"), out=dz)
-        return (dz, *self._terms(np.multiply(pair_scale, dz, out=z), log_term, q, e, tmp))
-
-    def scatter(self, w: np.ndarray) -> np.ndarray:
-        """The score gradient of pair slopes ``w`` (one per pair)."""
-        grad_s = np.bincount(self.loser, weights=w, minlength=self.n_items)
-        grad_s -= np.bincount(self.winner, weights=w, minlength=self.n_items)
-        return grad_s
-
-    def evaluate(
-        self, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        scale, tmp = self.work[1], self.work[6]
-        dz, log_term, q = self._all_terms(s, self.scale(etas).take(self.grader, out=scale, mode="clip"))
-        nll = np.bincount(self.grader, weights=log_term, minlength=self.n_graders)
-        grad_s = self.scatter(np.multiply(scale, q, out=tmp))
-        grad_eta = None
-        if need_eta:
-            # d scale / d eta is 1 for the logistic link, 1 / (2 sqrt(eta)) for the probit one.
-            grad_eta = -np.bincount(self.grader, weights=np.multiply(dz, q, out=tmp), minlength=self.n_graders)
-            if self.probit:
-                grad_eta /= 2.0 * np.sqrt(etas)
-        return nll, grad_s, grad_eta
+    def column_slopes(self, column: tuple, s: np.ndarray, scale: float) -> np.ndarray:
+        """One grader's scale * gu at scores ``s``, from its entry of
+        ``columns``: its score gradient at its items, as ``evaluate`` finds it."""
+        _, _, items, block, (s_items, *work) = column
+        s.take(items, out=s_items[:, 0], mode="clip")
+        return scale * self._kernel(block, scale, s_items, *work)[1][:, 0]
 
 
-class _BlockBatch:
-    """Every grader's ranking under a listwise model, in one block per ranking length m.
+class _ProbitBatch(_PairwiseBatch):
+    """``_PairwiseBatch`` under the probit link: P = Phi(z) at z = sqrt(eta) *
+    (s_i - s_j). Only it imports ``scipy.special``, so that no other model
+    pays for loading it."""
 
-    A block in ``blocks`` is (graders, items, *the subclass's ``_tables``),
-    where column c of the (m, G) ``items`` is grader ``graders[c]``'s items,
-    best first in ``order`` (by default the feedback's entry order). ``work``
-    holds each block's arrays, allocated once: its items' scores, one more
-    array of that shape and the subclass's ``_work``. ``_kernel`` gives each
-    grader's negative log-likelihood and its gradient gu in u = eta * (its
-    items' scores); ``evaluate`` is as for ``_PairBatch``.
-    """
+    probit = True
 
-    def __init__(self, arrays: FeedbackArrays, n_items: int, order: np.ndarray | None = None):
-        order = arrays.item.astype(np.intp) if order is None else order
-        counts = np.diff(arrays.offsets)
-        self.blocks, self.work = [], []
-        for m in np.unique(counts).tolist():
-            graders = np.flatnonzero(counts == m)
-            entries = arrays.offsets[graders] + np.arange(m)[:, None]
-            block = (graders, order[entries], *self._tables(m, arrays.rank[entries]))
-            self.blocks.append(block)
-            self.work.append((*np.empty((2, m, len(graders))), *self._work(block)))
-        self.n_items = n_items
-        self.n_graders = len(counts)
+    def __init__(self, arrays: FeedbackArrays, n_items: int):
+        from scipy.special import log_ndtr
 
-    def _tables(self, m: int, ranks: np.ndarray) -> tuple:
-        return ()
-
-    def evaluate(
-        self, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        nll = np.zeros(self.n_graders)
-        grad_s = np.zeros(self.n_items)
-        grad_eta = np.zeros(self.n_graders) if need_eta else None
-        for block, (s_items, weights, *work) in zip(self.blocks, self.work):
-            graders, items = block[:2]
-            s.take(items, out=s_items, mode="clip")
-            eta = etas[graders]
-            nll[graders], gu = self._kernel(block, eta, s_items, *work)
-            weighted = np.multiply(eta, gu, out=weights).ravel()
-            grad_s += np.bincount(items.ravel(), weights=weighted, minlength=self.n_items)
-            if need_eta:
-                grad_eta[graders] = np.multiply(gu, s_items, out=weights).sum(axis=0)
-        return nll, grad_s, grad_eta
+        self._log_ndtr = log_ndtr
+        super().__init__(arrays, n_items)
 
 
 class _ListBatch(_BlockBatch):
@@ -444,9 +444,7 @@ class _PermBatch(_BlockBatch):
 # --- model preparation and objective ----------------------------------------
 
 
-def _prepare(
-    model: str, data: Dataset, rng: np.random.Generator
-) -> tuple[_PairBatch | _BlockBatch, dict[str, Any]]:
+def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> tuple[_BlockBatch, dict[str, Any]]:
     """The model's likelihood over ``data``, one batch over every grader built
     from ``data.feedback_arrays`` (``rng`` breaks ties for the listwise one),
     and the metadata its fit reports."""
@@ -457,7 +455,7 @@ def _prepare(
     fa = data.feedback_arrays
     n = len(data.items)
     if model in ("bt", "thur"):
-        return _PairBatch(fa, n, probit=model == "thur"), {}
+        return (_ProbitBatch if model == "thur" else _PairwiseBatch)(fa, n), {}
     if model == "pl":
         batch = _ListBatch(fa, n, rng)
         return batch, {"tie_break": "seeded"} if batch.tied else {}
@@ -472,7 +470,7 @@ def _prepare(
 
 
 def _posterior(
-    batch: _PairBatch | _BlockBatch,
+    batch: _BlockBatch,
     s: np.ndarray,
     etas: np.ndarray,
     log_etas: np.ndarray | None,
@@ -650,7 +648,7 @@ def _lbfgs(
 
 
 def _svrg_scores(
-    batch: _PairBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
+    batch: _PairwiseBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, float, bool]:
     """MAP scores for fixed reliabilities, by per-grader SVRG (Johnson &
     Zhang 2013); returns as ``_lbfgs`` does, counting epochs.
@@ -658,39 +656,39 @@ def _svrg_scores(
     Grader g's share h_g of the objective F is its pairs' negative
     log-likelihood plus 1/G of the prior. An epoch takes the gradient of F
     at a snapshot s~, then steps s -= lr * (grad h_g(s) - grad h_g(s~) +
-    grad F(s~) / G) once per grader, in a seeded random order. The fit
-    stops at the first snapshot whose largest absolute gradient entry is at
-    most ``_GRAD_TOLERANCE``. -log Phi has curvature at most 1 and the pair
-    Laplacian of m items has eigenvalues at most m, so L = max over g of
-    eta_g * m_g + 1 / (variance * G) bounds the curvature of every h_g, and
-    lr = 1 / (4 L).
+    grad F(s~) / G) once per grader, in a seeded random order, where the
+    likelihood's part of grad h_g is g's block column, added at its m
+    distinct items. The fit stops at the first snapshot whose largest
+    absolute gradient entry is at most ``_GRAD_TOLERANCE``. -log Phi has
+    curvature at most 1 and the pair Laplacian of m items has eigenvalues
+    at most m, so L = max over g of eta_g * m_g + 1 / (variance * G) bounds
+    the curvature of every h_g, and lr = 1 / (4 L).
     """
     mean, variance, n_graders = score_prior.mean, score_prior.variance, batch.n_graders
     share = 1.0 / (variance * n_graders)
-    lr = 0.25 / (float((etas * batch.counts).max()) + share)
+    lr = 0.25 / (max(float(etas[graders].max()) * len(items) for graders, items, *_ in batch.blocks) + share)
     scale = batch.scale(etas)
-    pair_scale = scale[batch.grader]
-    bounds = batch.pair_offsets
+    columns = batch.columns()
     s, epoch = s0.copy(), 0
     while True:
-        snapshot_slopes = batch.all_slopes(s, pair_scale)
-        grad = batch.scatter(snapshot_slopes) + (s - mean) / variance
+        grad = batch.evaluate(s, etas)[1] + (s - mean) / variance
         g_max = float(np.abs(grad).max())
         if g_max <= _GRAD_TOLERANCE or epoch == _MAX_STEPS:
             return s, epoch, g_max, g_max <= _GRAD_TOLERANCE
+        # Each block's scale * gu at the snapshot, which ``evaluate`` left in its work arrays.
+        snapshot_slopes = [weights.copy() for _, weights, *_ in batch.work]
         snapshot, drift = s.copy(), grad / n_graders
         for g in rng.permutation(n_graders).tolist():
-            pairs = slice(bounds[g], bounds[g + 1])
-            w = batch.slopes(s, scale[g], pairs) - snapshot_slopes[pairs]
+            b, c, items = columns[g][:3]
+            w = batch.column_slopes(columns[g], s, scale[g]) - snapshot_slopes[b][:, c]
             step = (s - snapshot) * share + drift
-            np.add.at(step, batch.loser[pairs], w)
-            np.subtract.at(step, batch.winner[pairs], w)
+            step[items] += w
             s -= lr * step
         epoch += 1
 
 
 def _fit_batch(
-    batch: _PairBatch | _BlockBatch,
+    batch: _BlockBatch,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
     rng: np.random.Generator,
@@ -709,7 +707,7 @@ def _fit_batch(
     s0 = np.full(n, score_prior.mean)
     if reliability_prior is None:
         etas = np.ones(batch.n_graders)
-        if isinstance(batch, _PairBatch) and batch.probit:
+        if batch.probit:
             s, steps, grad_norm, converged = _svrg_scores(batch, s0, etas, score_prior, rng)
             return s, etas, {"svrg_epochs": steps, "grad_norm": grad_norm, "converged": converged}
         s, steps, grad_norm, converged = _lbfgs(

@@ -10,7 +10,9 @@ earlier grader resampling and cardinal walk, kept as exact references for
 the gathered arrays, and its full-batch likelihood kernels as they were
 before they computed in work arrays (and the listwise one in its old row
 layout), and its L-BFGS fits as they were
-before they shared one objective, kept as bit-exact references, and its
+before they shared one objective, kept as bit-exact references, its pair
+layout and per-grader SVRG as they were before the pairwise models moved
+onto the blocked likelihood, and its
 two-pass JSON writer, kept as the byte reference for the one-pass one.
 """
 
@@ -30,12 +32,21 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
 from opg.config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
-from opg.data import Dataset, Estimate, GraderFeedback
+from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
 from opg.mallows import MallowsParams, _check_eta, _newton_etas, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
-from opg.scoremodels import SCORE_MODELS, Objective, _lbfgs, _ListBatch, _PairBatch, _PermBatch, _prepare
+from opg.scoremodels import (
+    _GRAD_TOLERANCE,
+    _LOG_SQRT_2PI,
+    _MAX_STEPS,
+    SCORE_MODELS,
+    Objective,
+    _BlockBatch,
+    _lbfgs,
+    _prepare,
+)
 from opg.synth import MallowsGraders, SynthConfig, _pad_ids, _prevailing_items_per_grader, _to_scale
 
 
@@ -1352,30 +1363,63 @@ def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.
 
 
 def pair_batch_evaluate(
-    batch: Any, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
+    data: Dataset, probit: bool, s: np.ndarray, etas: np.ndarray, grads: bool = True, need_eta: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """``_PairBatch.evaluate`` of either link, each step a fresh array."""
-    dz = s[batch.winner] - s[batch.loser]
-    scale = (np.sqrt(etas) if batch.probit else etas)[batch.grader]
+    """``PairBatch.evaluate`` of either link over ``data.feedback_arrays``'s
+    strict pairs, each step a fresh array."""
+    fa = data.feedback_arrays
+    winner, loser, grader = (a.astype(np.intp) for a in (fa.winner, fa.loser, fa.pair_grader))
+    n_items, n_graders = len(data.items), len(fa.graders)
+    dz = s[winner] - s[loser]
+    scale = (np.sqrt(etas) if probit else etas)[grader]
     z = scale * dz
-    if batch.probit:
+    if probit:
         log_term = -log_ndtr(z)
         q = np.exp(log_term - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)) if grads else None
     else:
         e = np.exp(-np.abs(z))
         log_term = np.maximum(-z, 0.0) + np.log1p(e)
         q = np.where(z >= 0.0, e, 1.0) / (1.0 + e) if grads else None
-    nll = np.bincount(batch.grader, weights=log_term, minlength=batch.n_graders)
+    nll = np.bincount(grader, weights=log_term, minlength=n_graders)
     if not grads:
         return nll, None, None
     w = scale * q
-    grad_s = np.bincount(batch.loser, weights=w, minlength=batch.n_items)
-    grad_s -= np.bincount(batch.winner, weights=w, minlength=batch.n_items)
+    grad_s = np.bincount(loser, weights=w, minlength=n_items)
+    grad_s -= np.bincount(winner, weights=w, minlength=n_items)
     grad_eta = None
     if need_eta:
-        grad_eta = -np.bincount(batch.grader, weights=dz * q, minlength=batch.n_graders)
-        if batch.probit:
+        grad_eta = -np.bincount(grader, weights=dz * q, minlength=n_graders)
+        if probit:
             grad_eta /= 2.0 * np.sqrt(etas)
+    return nll, grad_s, grad_eta
+
+
+def pair_block_evaluate(
+    batch: Any, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``_PairwiseBatch.evaluate`` of either link over its blocks, each step a fresh array."""
+    nll = np.zeros(batch.n_graders)
+    grad_s = np.zeros(batch.n_items)
+    grad_eta = np.zeros(batch.n_graders) if need_eta else None
+    scales = np.sqrt(etas) if batch.probit else etas
+    for graders, items, first, second, mask, incidence in batch.blocks:
+        s_items = s[items]
+        scale = scales[graders]
+        z = (s_items[first] - s_items[second]) * scale
+        if batch.probit:
+            log_term = -log_ndtr(z)
+            q = np.exp(log_term - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi))
+        else:
+            e = np.exp(-np.abs(z))
+            log_term = np.maximum(-z, 0.0) + np.log1p(e)
+            q = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+        nll[graders] = (log_term * mask).sum(axis=0)
+        gu = incidence @ (q * mask)
+        grad_s += np.bincount(items.ravel(), weights=(scale * gu).ravel(), minlength=batch.n_items)
+        if need_eta:
+            grad_eta[graders] = (gu * s_items).sum(axis=0)
+    if need_eta and batch.probit:
+        grad_eta /= 2.0 * scales
     return nll, grad_s, grad_eta
 
 
@@ -1457,7 +1501,7 @@ def perm_batch_evaluate(
 
 
 def lbfgs_scores(
-    batch: _PairBatch | _ListBatch | _PermBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
+    batch: _BlockBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior
 ) -> tuple[np.ndarray, int, float, bool]:
     """MAP scores for fixed reliabilities, by ``_lbfgs`` over the whole batch."""
     mean, variance = score_prior.mean, score_prior.variance
@@ -1471,7 +1515,7 @@ def lbfgs_scores(
 
 
 def lbfgs_joint(
-    batch: _PairBatch | _ListBatch | _PermBatch,
+    batch: _BlockBatch,
     s0: np.ndarray,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior,
@@ -1504,6 +1548,162 @@ def lbfgs_joint(
     bounds = (np.concatenate((-unbounded, u0 + low)), np.concatenate((unbounded, u0 + high)))
     x, steps, grad_norm, converged = _lbfgs(fun, np.concatenate((s0, u0)), bounds)
     return x[:n], reliabilities(x[n:]), steps, grad_norm, converged
+
+
+# --- the pair layout, before the pairwise models shared the blocked likelihood --
+
+
+class PairBatch:
+    """``scoremodels._PairBatch`` as it was before the pairwise models moved
+    onto the blocked likelihood, verbatim: every grader's strict pairs under
+    the logistic link or, with ``probit``, the probit link.
+
+    A pair's probability is sigma(z) or Phi(z) at z = scale * (s_winner -
+    s_loser), where the grader's link ``scale`` is eta or sqrt(eta).
+    Grader g's pairs are ``pair_offsets[g]:pair_offsets[g + 1]`` and it
+    ranked ``counts[g]`` items. ``evaluate`` returns each grader's negative
+    log-likelihood, its gradient with respect to the scores (summed over
+    graders) and, when asked, with respect to each grader's reliability.
+    It computes in ``work``, arrays of one entry per pair that the batch
+    allocates once, so that no evaluation maps in fresh pages for
+    pair-sized temporaries; the arrays it returns are fresh. Its gathers
+    are ``take`` with ``mode="clip"``, since with the default mode ``take``
+    writes through a temporary; every index is in range. Only a probit
+    batch imports ``scipy.special``, so that no other model pays for
+    loading it.
+    """
+
+    def __init__(self, arrays: FeedbackArrays, n_items: int, probit: bool = False):
+        self.winner = arrays.winner.astype(np.intp)
+        self.loser = arrays.loser.astype(np.intp)
+        self.grader = arrays.pair_grader.astype(np.intp)
+        self.n_items = n_items
+        self.n_graders = len(arrays.graders)
+        self.pair_offsets = np.searchsorted(self.grader, np.arange(self.n_graders + 1)).tolist()
+        self.counts = np.diff(arrays.offsets)
+        self.probit = probit
+        if probit:
+            from scipy.special import log_ndtr
+
+            self._log_ndtr = log_ndtr
+        # The score gaps, the link scales, z, the log terms, q, exp(-|z|) and a
+        # scratch array: seven arrays rather than one, so that at paper scale
+        # each is small enough for malloc to reuse rather than map afresh.
+        self.work = tuple(np.empty(len(self.winner)) for _ in range(7))
+
+    def scale(self, etas: np.ndarray) -> np.ndarray:
+        return np.sqrt(etas) if self.probit else etas
+
+    def _terms(
+        self,
+        z: np.ndarray,
+        log_term: np.ndarray | None = None,
+        q: np.ndarray | None = None,
+        e: np.ndarray | None = None,
+        tmp: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each pair's -log P(winner above loser) at ``z`` and q = minus its
+        derivative in z, written into ``log_term`` and ``q``, with ``e`` and
+        ``tmp`` as scratch (fresh arrays where they are None)."""
+        if self.probit:
+            log_term = np.negative(self._log_ndtr(z, out=log_term), out=log_term)
+            # phi(z) / Phi(z), from the log Phi the nll already has.
+            q = np.multiply(0.5, z, out=q)
+            q *= z
+            np.subtract(log_term, q, out=q)
+            q -= _LOG_SQRT_2PI
+            return log_term, np.exp(q, out=q)
+        # log(1 + exp(-z)) and expit(-z), both from e = exp(-|z|), which never
+        # overflows: expit(-z) = exp(min(-z, 0)) / (1 + e), which is e / (1 + e)
+        # where z >= 0 and 1 / (1 + e) where not.
+        e = np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        log_term = np.negative(z, out=log_term)
+        q = np.minimum(log_term, 0.0, out=q)
+        np.maximum(log_term, 0.0, out=log_term)
+        np.add(log_term, np.log1p(e, out=tmp), out=log_term)
+        return log_term, np.divide(np.exp(q, out=q), np.add(1.0, e, out=tmp), out=q)
+
+    def slopes(self, s: np.ndarray, scale: np.ndarray | float, pairs: slice = slice(None)) -> np.ndarray:
+        """Minus the derivative of each pair's -log P in s_winner - s_loser, for
+        the ``pairs`` given, at their link ``scale``."""
+        dz = s[self.winner[pairs]] - s[self.loser[pairs]]
+        return scale * self._terms(scale * dz)[1]
+
+    def all_slopes(self, s: np.ndarray, pair_scale: np.ndarray) -> np.ndarray:
+        """``slopes`` of every pair at its scale in ``pair_scale``, computed in
+        ``work``, so they hold until its next use."""
+        q = self._all_terms(s, pair_scale)[2]
+        return np.multiply(pair_scale, q, out=self.work[0])
+
+    def _all_terms(self, s: np.ndarray, pair_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair's score gap and ``_terms`` at its scale in ``pair_scale``, in ``work``."""
+        dz, _, z, log_term, q, e, tmp = self.work
+        np.subtract(s.take(self.winner, out=dz, mode="clip"), s.take(self.loser, out=tmp, mode="clip"), out=dz)
+        return (dz, *self._terms(np.multiply(pair_scale, dz, out=z), log_term, q, e, tmp))
+
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """The score gradient of pair slopes ``w`` (one per pair)."""
+        grad_s = np.bincount(self.loser, weights=w, minlength=self.n_items)
+        grad_s -= np.bincount(self.winner, weights=w, minlength=self.n_items)
+        return grad_s
+
+    def evaluate(
+        self, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        scale, tmp = self.work[1], self.work[6]
+        dz, log_term, q = self._all_terms(s, self.scale(etas).take(self.grader, out=scale, mode="clip"))
+        nll = np.bincount(self.grader, weights=log_term, minlength=self.n_graders)
+        grad_s = self.scatter(np.multiply(scale, q, out=tmp))
+        grad_eta = None
+        if need_eta:
+            # d scale / d eta is 1 for the logistic link, 1 / (2 sqrt(eta)) for the probit one.
+            grad_eta = -np.bincount(self.grader, weights=np.multiply(dz, q, out=tmp), minlength=self.n_graders)
+            if self.probit:
+                grad_eta /= 2.0 * np.sqrt(etas)
+        return nll, grad_s, grad_eta
+
+
+def svrg_scores(
+    batch: PairBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
+) -> tuple[np.ndarray, int, float, bool]:
+    """``scoremodels._svrg_scores`` on the pair layout, verbatim: MAP scores
+    for fixed reliabilities, by per-grader SVRG (Johnson & Zhang 2013);
+    returns as ``_lbfgs`` does, counting epochs.
+
+    Grader g's share h_g of the objective F is its pairs' negative
+    log-likelihood plus 1/G of the prior. An epoch takes the gradient of F
+    at a snapshot s~, then steps s -= lr * (grad h_g(s) - grad h_g(s~) +
+    grad F(s~) / G) once per grader, in a seeded random order. The fit
+    stops at the first snapshot whose largest absolute gradient entry is at
+    most ``_GRAD_TOLERANCE``. -log Phi has curvature at most 1 and the pair
+    Laplacian of m items has eigenvalues at most m, so L = max over g of
+    eta_g * m_g + 1 / (variance * G) bounds the curvature of every h_g, and
+    lr = 1 / (4 L).
+    """
+    mean, variance, n_graders = score_prior.mean, score_prior.variance, batch.n_graders
+    share = 1.0 / (variance * n_graders)
+    lr = 0.25 / (float((etas * batch.counts).max()) + share)
+    scale = batch.scale(etas)
+    pair_scale = scale[batch.grader]
+    bounds = batch.pair_offsets
+    s, epoch = s0.copy(), 0
+    while True:
+        snapshot_slopes = batch.all_slopes(s, pair_scale)
+        grad = batch.scatter(snapshot_slopes) + (s - mean) / variance
+        g_max = float(np.abs(grad).max())
+        if g_max <= _GRAD_TOLERANCE or epoch == _MAX_STEPS:
+            return s, epoch, g_max, g_max <= _GRAD_TOLERANCE
+        snapshot, drift = s.copy(), grad / n_graders
+        for g in rng.permutation(n_graders).tolist():
+            pairs = slice(bounds[g], bounds[g + 1])
+            w = batch.slopes(s, scale[g], pairs) - snapshot_slopes[pairs]
+            step = (s - snapshot) * share + drift
+            np.add.at(step, batch.loser[pairs], w)
+            np.subtract.at(step, batch.winner[pairs], w)
+            s -= lr * step
+        epoch += 1
 
 
 # --- the JSON writer as it was before it wrote in one pass -------------------

@@ -158,6 +158,17 @@ class TestEvaluate:
         assert report["e_k"] == 0.0
         assert report["mae"] == pytest.approx(mae, rel=1e-11)
 
+    def test_a_failing_figure_leaves_stdout_and_output_empty(self, tmp_path, capsys):
+        """E_K is computable, but MAE needs two items; nothing is printed or written."""
+        path, out = tmp_path / "pred.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"ranking": [["a"], ["b"]], "scores": {"a": 1}}), encoding="utf-8")
+        code = main(["evaluate", "--input", str(path), "--target", str(path), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "cardinal errors need at least two items" in captured.err
+        assert not out.exists()
+
     def test_missing_target_file_exits_one(self, tmp_path):
         est = Estimate(ranking=WeakRanking.from_order(["a", "b"]))
         path = str(tmp_path / "est.json")

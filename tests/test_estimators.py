@@ -109,6 +109,14 @@ class TestNegativeIterations:
             ModelOptions(seed=-1)
         assert ModelOptions(seed=0, iterations=0).iterations == 0
 
+    @pytest.mark.parametrize("tie_epsilon", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+    def test_model_options_refuse_a_bad_tie_epsilon(self, tie_epsilon):
+        with pytest.raises(ValidationError, match="tie_epsilon must be finite and >= 0"):
+            ModelOptions(tie_epsilon=tie_epsilon)
+
+    def test_model_options_take_a_zero_tie_epsilon(self):
+        assert ModelOptions(tie_epsilon=0.0).tie_epsilon == 0.0
+
     def test_mallows(self):
         data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
         with pytest.raises(ValidationError):
@@ -124,3 +132,13 @@ class TestNegativeIterations:
         write_ordinal_json(make_ordinal_dataset({"g1": [["a"], ["b"]]}), path)
         assert main(["estimate", "--model", "mal+g", "--input", path, "--iterations", "-1"]) == 1
         assert "iterations must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["mal", "bt"])
+    @pytest.mark.parametrize("tie_epsilon", ["-1", "nan"])
+    def test_cli_refuses_a_bad_tie_epsilon_before_it_fits(self, tmp_path, capsys, model, tie_epsilon):
+        path, out = str(tmp_path / "data.json"), tmp_path / "est.json"
+        write_ordinal_json(make_ordinal_dataset({"g1": [["a"], ["b"]]}), path)
+        args = ["estimate", "--model", model, "--input", path, "--output", str(out), "--tie-epsilon", tie_epsilon]
+        assert main(args) == 1
+        assert not out.exists()
+        assert "tie_epsilon must be finite and >= 0" in capsys.readouterr().err

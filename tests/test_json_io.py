@@ -160,6 +160,14 @@ class TestEstimateFields:
         with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             read_estimate(str(path))
 
+    @pytest.mark.parametrize("value", [[["model", "bt"]], "bt", 3, None])
+    def test_metadata_must_be_an_object(self, tmp_path, value):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"ranking": [["a"], ["b"]], "metadata": value}), encoding="utf-8")
+        message = f"{path}: 'metadata' must be an object"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            read_estimate(str(path))
+
     def test_evaluate_exits_one_on_them(self, tmp_path, capsys):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps({"ranking": [["a"], ["b"]]}), encoding="utf-8")

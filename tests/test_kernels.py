@@ -1,8 +1,9 @@
 """The full-batch likelihood kernels compute in per-batch work arrays: they give
 bit-identical results to the allocating kernels kept in ``oracles`` (the
-listwise one agrees with its row-layout reference to rounding), what they
-return does not alias their work arrays, and a repeat evaluation allocates
-less than one pair-sized (or block-sized) array."""
+listwise one agrees with its row-layout reference, and the pairwise ones with
+their pair-layout reference, to rounding), what they return does not alias
+their work arrays, and a repeat evaluation allocates less than one
+block-sized array."""
 
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ import pytest
 
 import opg
 from opg import scoremodels
+from opg.config import ScorePrior
 from opg.scoremodels import _prepare
 from opg.synth import MallowsGraders, SynthConfig, simulate
 
@@ -57,7 +59,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("model", ["bt", "thur", "mals"])
     def test_evaluate_equals_the_allocating_kernel(self, model, rng):
         """nll, grad_s and grad_eta, with and without reliability gradients."""
-        reference = oracles.perm_batch_evaluate if model == "mals" else oracles.pair_batch_evaluate
+        reference = oracles.perm_batch_evaluate if model == "mals" else oracles.pair_block_evaluate
         for data in _tied_and_strict(rng) + [_class(60, 150, seed=3)]:
             batch = _prepare(model, data, rng)[0]
             for s, etas in _points(rng, batch.n_items, batch.n_graders):
@@ -73,8 +75,13 @@ class TestBitIdentity:
             batch = _prepare(model, data, rng)[0]
             for z in (-800.0, -40.0, 0.0, 40.0, 800.0):
                 s, etas = np.array([z, 0.0, -z]), np.ones(1)
-                want = oracles.pair_batch_evaluate(batch, s, etas, need_eta=True)
-                assert _same(batch.evaluate(s, etas, need_eta=True), want)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = batch.evaluate(s, etas, need_eta=True)
+                assert _same(got, oracles.pair_block_evaluate(batch, s, etas, need_eta=True))
+                want = oracles.pair_batch_evaluate(data, model == "thur", s, etas, need_eta=True)
+                for a, b in zip(got, want, strict=True):
+                    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
     def test_log_permanent_equals_the_allocating_recursion(self, rng):
         """Over each block's own subset layers and masks, for random u."""
@@ -84,17 +91,6 @@ class TestBitIdentity:
                 u = rng.normal(0.0, spread, (len(items), 2 * len(graders)))
                 got = scoremodels._log_permanent(u, layers, log_masks, work)
                 assert _same(got, oracles.log_permanent(u, layers, log_masks, True))
-
-    def test_snapshot_slopes_in_the_work_arrays_equal_fresh_ones(self, rng):
-        data = _class(40, 150)
-        batch = _prepare("thur", data, rng)[0]
-        for s, etas in _points(rng, batch.n_items, batch.n_graders):
-            pair_scale = batch.scale(etas)[batch.grader]
-            fresh = batch.slopes(s, pair_scale)
-            assert np.array_equal(batch.all_slopes(s, pair_scale), fresh)
-            for g in (0, 7, batch.n_graders - 1):
-                pairs = slice(batch.pair_offsets[g], batch.pair_offsets[g + 1])
-                assert np.array_equal(batch.slopes(s, batch.scale(etas)[g], pairs), fresh[pairs])
 
     @pytest.mark.parametrize("model", ["bt", "thur", "mals"])
     def test_results_survive_the_next_evaluation(self, model, rng):
@@ -125,6 +121,60 @@ def test_listwise_evaluate_matches_the_row_layout_kernel(rng):
                     assert (a is None and b is None) or np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.filterwarnings("ignore:items never graded")
+@pytest.mark.parametrize("model", ["bt", "thur"])
+def test_pairwise_evaluate_matches_the_pair_layout(model, rng):
+    """The blocked pairwise kernels sum each item's pairs in another order
+    than the pair layout they replaced, so the two agree to rounding."""
+    for data in _tied_and_strict(rng) + [_class(60, 150, seed=3)]:
+        batch = _prepare(model, data, rng)[0]
+        for s, etas in _points(rng, batch.n_items, batch.n_graders):
+            for need_eta in (False, True):
+                got = batch.evaluate(s, etas, need_eta=need_eta)
+                want = oracles.pair_batch_evaluate(data, model == "thur", s, etas, need_eta=need_eta)
+                for a, b in zip(got, want, strict=True):
+                    assert (a is None and b is None) or np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+def test_svrg_column_equals_its_column_of_a_full_evaluation(rng):
+    """``column_slopes`` of each grader equals the scale * gu that
+    ``evaluate`` leaves in its block's work arrays, to rounding: both sum
+    the same pair terms in the incidence product, but BLAS orders a
+    matrix-vector product's sums differently from a matrix product's."""
+    for data in _tied_and_strict(rng)[:1] + [_class(40, 150)]:
+        batch = _prepare("thur", data, rng)[0]
+        columns = batch.columns()
+        for s, etas in _points(rng, batch.n_items, batch.n_graders):
+            batch.evaluate(s, etas)
+            full = [weights.copy() for _, weights, *_ in batch.work]
+            scale = batch.scale(etas)
+            for g, column in enumerate(columns):
+                b, c, items = column[:3]
+                assert np.array_equal(items, batch.blocks[b][1][:, c])
+                want = full[b][:, c]
+                atol = 1e-15 * np.abs(want).max()
+                assert np.allclose(batch.column_slopes(column, s, scale[g]), want, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+def test_plain_thur_on_block_columns_follows_the_pair_layout_svrg(rng):
+    """The same draws, step size, step order and stopping rule as the SVRG on
+    the pair layout: on a class, a tied ordinal dataset and a cardinal one
+    with ties, the same epochs and scores within 1e-12."""
+    prior = ScorePrior()
+    for data in [_class(40, 150)] + _tied_and_strict(rng):
+        batch = _prepare("thur", data, rng)[0]
+        pairs = oracles.PairBatch(data.feedback_arrays, batch.n_items, probit=True)
+        s0, etas = np.full(batch.n_items, prior.mean), np.ones(batch.n_graders)
+        s, epochs, _, converged = scoremodels._svrg_scores(batch, s0, etas, prior, np.random.default_rng(7))
+        want, want_epochs, _, want_converged = oracles.svrg_scores(pairs, s0, etas, prior, np.random.default_rng(7))
+        assert (epochs, converged) == (want_epochs, want_converged) and epochs > 1
+        assert np.abs(s - want).max() <= 1e-12
+        meta = opg.fit_model("thur", data).metadata
+        assert meta["svrg_epochs"] == oracles.svrg_scores(pairs, s0, etas, prior, np.random.default_rng(0))[1]
+
+
 def _peak(call):
     """Peak traced allocation of ``call()``, after one untraced warm-up call."""
     call()
@@ -141,15 +191,13 @@ class TestAllocations:
 
     @pytest.mark.parametrize("model", ["bt", "thur"])
     def test_pair_batch(self, model, rng):
+        """Below one float array of a block's pairs for each of its G graders."""
         data = _class(200, 600)
         batch = _prepare(model, data, rng)[0]
-        n_pairs = len(batch.winner)
+        (graders, _, first, *_), = batch.blocks
         s, etas = rng.normal(0.0, 1.0, batch.n_items), np.exp(rng.normal(0.0, 0.5, batch.n_graders))
         for need_eta in (False, True):
-            assert _peak(lambda: batch.evaluate(s, etas, need_eta=need_eta)) < 8 * n_pairs
-        if model == "thur":
-            pair_scale = batch.scale(etas)[batch.grader]
-            assert _peak(lambda: batch.all_slopes(s, pair_scale)) < 8 * n_pairs
+            assert _peak(lambda: batch.evaluate(s, etas, need_eta=need_eta)) < 8 * len(first) * len(graders)
 
     def test_permutation_block(self, rng):
         """Below one float array of a block's 2G columns of its m items. Numpy's
@@ -164,8 +212,9 @@ class TestAllocations:
 
     def test_no_module_level_array_after_fits(self):
         data = _class(40, 150)
-        for model in ("bt", "thur", "bt+g", "thur+g"):
-            opg.fit_model(model, data)
+        for model in scoremodels.SCORE_MODELS:
+            for variant in (model, model + "+g"):
+                opg.fit_model(variant, data)
 
         def holds_array(v):
             if isinstance(v, dict):

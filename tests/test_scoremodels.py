@@ -475,12 +475,13 @@ def _batch_feedback(batch):
     """What a full-batch likelihood holds of each grader: its sorted (winner, loser)
     pairs for ``bt`` and ``thur``, its items best first for ``pl``, its tie
     groups (sorted items, best group first) for ``mals``."""
-    if isinstance(batch, scoremodels._PairBatch):
-        pairs = [[] for _ in range(batch.n_graders)]
-        for w, l, g in zip(batch.winner.tolist(), batch.loser.tolist(), batch.grader.tolist()):
-            pairs[g].append((w, l))
-        return [sorted(p) for p in pairs]
     rows = [None] * batch.n_graders
+    if isinstance(batch, scoremodels._PairwiseBatch):
+        for graders, items, first, second, mask, _ in batch.blocks:
+            for c, g in enumerate(graders.tolist()):
+                strict = mask[:, c] == 1.0
+                rows[g] = sorted(zip(items[first[strict], c].tolist(), items[second[strict], c].tolist()))
+        return rows
     if isinstance(batch, scoremodels._PermBatch):
         for graders, items, layers, log_masks in batch.blocks:
             # The first half of the columns is the normaliser's, and drops nothing.
