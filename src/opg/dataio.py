@@ -333,9 +333,11 @@ def read_estimate(path: str) -> Estimate:
     if not isinstance(payload, dict) or "ranking" not in payload:
         raise DataFormatError(f"{path}: expected an object with a 'ranking' key")
     maps = {key: payload.get(key) for key in ("scores", "reliabilities")}
-    for key, value in {**maps, "metadata": payload.get("metadata", {})}.items():
-        if (value is not None or key == "metadata") and not isinstance(value, dict):
+    for key, value in maps.items():
+        if value is not None and not isinstance(value, dict):
             raise DataFormatError(f"{path}: {key!r} must be an object")
+    if not isinstance(payload.get("metadata", {}), dict):
+        raise DataFormatError(f"{path}: 'metadata' must be an object")
     try:
         return Estimate(
             ranking=_ranking(payload["ranking"]),

@@ -18,12 +18,11 @@ All fits are MAP under an independent normal prior on scores and (for the
 "+g" variants) a gamma prior on reliabilities. Every model's objective and
 its gradients are computed over every grader's feedback at once from
 ``Dataset.feedback_arrays``, in one blocked loop over the graders that rank
-equally many items, each model supplying only its per-block kernel (the
-pairwise ones over a block's position pairs, with tied pairs masked out).
-A plain fit of the logistic, listwise and score-weighted permutation models
-runs L-BFGS on the scores; the plain probit model takes per-grader
-variance-reduced gradient steps (SVRG), each on its grader's block column.
-Every "+g" fit is one L-BFGS run over the scores and the log reliabilities
+equally many items, each model supplying only its per-block kernel. A plain
+fit of the logistic, listwise and score-weighted permutation models runs
+L-BFGS on the scores; the plain probit model takes per-grader SVRG
+(variance-reduced gradient) steps, each on its grader's block column. Every
+"+g" fit is one L-BFGS run over the scores and the log reliabilities
 together, with each reliability kept in [1e-3, 1e3]. The negative
 log-posterior is written once, in ``_posterior``: ``negative_log_posterior``
 is exactly the objective every L-BFGS fit minimises, over s for a plain fit
@@ -99,18 +98,16 @@ class _BlockBatch:
     where column c of the (m, G) ``items`` is grader ``graders[c]``'s items,
     best first in ``order`` (by default the feedback's entry order).
     ``_kernel`` gives each grader's negative log-likelihood and its gradient
-    gu in u = scale * (its items' scores), where the link ``scale`` is eta,
-    or sqrt(eta) for a ``probit`` batch. ``evaluate`` returns each grader's
-    negative log-likelihood, its gradient in the scores (summed over
-    graders) and, when asked, in each grader's reliability. It computes in
-    ``work``, each block's arrays, allocated once: its items' scores, one
-    more array of that shape (where an evaluation without the eta-gradient
-    leaves scale * gu) and the subclass's ``_work``; what it returns is
-    fresh. Its gathers are ``take`` with ``mode="clip"``, since with the
-    default mode ``take`` writes through a temporary.
+    gu in u = scale * (its items' scores); the link ``scale`` is eta unless
+    a subclass overrides it and ``_eta_gradient``. ``evaluate`` returns each
+    grader's negative log-likelihood and its gradients in the scores
+    (summed over graders) and, when asked, in the reliabilities. It
+    computes in ``work``, each block's arrays, allocated once: its items'
+    scores, one more array of that shape (where an evaluation without the
+    eta-gradient leaves scale * gu) and the subclass's ``_work``; what it
+    returns is fresh. Its gathers are ``take`` with ``mode="clip"``, since
+    with the default mode ``take`` writes through a temporary.
     """
-
-    probit = False
 
     def __init__(self, arrays: FeedbackArrays, n_items: int, order: np.ndarray | None = None):
         order = arrays.item.astype(np.intp) if order is None else order
@@ -129,13 +126,15 @@ class _BlockBatch:
         return ()
 
     def scale(self, etas: np.ndarray) -> np.ndarray:
-        return np.sqrt(etas) if self.probit else etas
+        return etas
+
+    def _eta_gradient(self, grad_scale: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        return grad_scale
 
     def evaluate(
         self, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        nll = np.zeros(self.n_graders)
-        grad_s = np.zeros(self.n_items)
+        nll, grad_s = np.zeros(self.n_graders), np.zeros(self.n_items)
         grad_eta = np.zeros(self.n_graders) if need_eta else None
         scales = self.scale(etas)
         for block, (s_items, weights, *work) in zip(self.blocks, self.work):
@@ -147,34 +146,35 @@ class _BlockBatch:
             grad_s += np.bincount(items.ravel(), weights=weighted, minlength=self.n_items)
             if need_eta:
                 grad_eta[graders] = np.multiply(gu, s_items, out=weights).sum(axis=0)
-        if need_eta and self.probit:
-            # d scale / d eta is 1 / (2 sqrt(eta)) for the probit link, 1 for the others.
-            grad_eta /= 2.0 * scales
-        return nll, grad_s, grad_eta
+        return nll, grad_s, self._eta_gradient(grad_eta, scales) if need_eta else None
 
 
 class _PairwiseBatch(_BlockBatch):
     """Every grader's strict pairs under the logistic link.
 
-    A block is (graders, items, first, second, mask, incidence): its
-    m(m-1)/2 position pairs i < j are ``first[p]``, ``second[p]``, and since
+    A block is (graders, items, first, second, mask, ends, signs): its
+    m(m-1)/2 position pairs i < j are ``first[p]``, ``second[p]``, and as
     entries are best first, i wins every strict pair; column c of the
-    (pairs, G) ``mask`` is 1 at grader c's strict pairs and 0 at its tied
-    ones, which express no preference. A pair's probability is sigma(z) at
-    z = scale * (s_i - s_j). The kernel sums each pair's q back onto its two
-    positions with the ``incidence`` product, -1 at i and +1 at j, and
-    computes in z, the log terms, q, exp(-|z|), a scratch array and gu.
-    ``column_slopes`` gives one grader's score gradient at its items.
+    (pairs, G) ``mask`` is 0 at grader c's tied pairs, which express no
+    preference, and 1 at the others. A pair's probability is sigma(z) at
+    z = scale * (s_i - s_j). Row k of the (m, m - 1) ``ends`` lists the
+    pairs holding position k, and ``signs[k, t, c]`` is -1 where k is pair
+    ``ends[k, t]``'s i, +1 where it is its j and 0 where grader c tied it,
+    so gu at k sums row k of q times ``signs``: tables and work grow with
+    the pairs. The kernel computes in z, the log terms, q, exp(-|z|), a
+    scratch array, the signed q and gu.
     """
 
     def _tables(self, m: int, ranks: np.ndarray) -> tuple[np.ndarray, ...]:
         first, second = np.triu_indices(m, 1)
-        positions = np.arange(m)[:, None]
-        incidence = (positions == second).astype(float) - (positions == first)
-        return first, second, (ranks[first] < ranks[second]).astype(float), incidence
+        mask = (ranks[first] < ranks[second]).astype(float)
+        # Each position's pairs: as i, then as j, each in order of the other end.
+        ends = np.argsort(np.concatenate((first, second)), kind="stable").reshape(m, m - 1) % len(first)
+        signs = np.where(first[ends] == np.arange(m)[:, None], -1.0, 1.0)[:, :, None] * mask[ends]
+        return first, second, mask, ends, signs
 
     def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
-        return (*np.empty((5, *block[4].shape)), np.empty(block[1].shape))
+        return (*np.empty((5, *block[4].shape)), np.empty(block[6].shape), np.empty(block[1].shape))
 
     def _terms(
         self, z: np.ndarray, log_term: np.ndarray, q: np.ndarray, e: np.ndarray, tmp: np.ndarray
@@ -182,14 +182,6 @@ class _PairwiseBatch(_BlockBatch):
         """Each pair's -log P(winner above loser) at ``z`` and q = minus its
         derivative in z, written into ``log_term`` and ``q``, with ``e`` and
         ``tmp`` as scratch."""
-        if self.probit:
-            log_term = np.negative(self._log_ndtr(z, out=log_term), out=log_term)
-            # phi(z) / Phi(z), from the log Phi the nll already has.
-            q = np.multiply(0.5, z, out=q)
-            q *= z
-            np.subtract(log_term, q, out=q)
-            q -= _LOG_SQRT_2PI
-            return log_term, np.exp(q, out=q)
         # log(1 + exp(-z)) and expit(-z), both from e = exp(-|z|), which never
         # overflows: expit(-z) = exp(min(-z, 0)) / (1 + e), which is e / (1 + e)
         # where z >= 0 and 1 / (1 + e) where not.
@@ -202,37 +194,37 @@ class _PairwiseBatch(_BlockBatch):
         np.add(log_term, np.log1p(e, out=tmp), out=log_term)
         return log_term, np.divide(np.exp(q, out=q), np.add(1.0, e, out=tmp), out=q)
 
-    def _kernel(
-        self, block: tuple, scale: np.ndarray | float, s_items: np.ndarray, *work: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        first, second, mask, incidence = block[2:]
-        z, log_term, q, e, tmp, gu = work
+    def _gradient(self, block: tuple, scale: np.ndarray | float, s_items: np.ndarray, work: tuple) -> np.ndarray:
+        """gu, leaving each pair's log term, unmasked, in ``work``."""
+        first, second, _, ends, signs = block[2:]
+        z, log_term, q, e, tmp, signed, gu = work
         s_items.take(first, axis=0, out=z, mode="clip")
-        z -= s_items.take(second, axis=0, out=tmp, mode="clip")
-        z *= scale
-        log_term, q = self._terms(z, log_term, q, e, tmp)
-        log_term *= mask
-        q *= mask
-        return log_term.sum(axis=0), np.matmul(incidence, q, out=gu)
+        np.subtract(z, s_items.take(second, axis=0, out=tmp, mode="clip"), out=z)
+        np.multiply(z, scale, out=z)
+        q = self._terms(z, log_term, q, e, tmp)[1]
+        np.multiply(q.take(ends, axis=0, out=signed, mode="clip"), signs, out=signed)
+        return np.add.reduce(signed, axis=1, out=gu)
 
-    def columns(self) -> list[tuple[int, int, np.ndarray, tuple, tuple[np.ndarray, ...]]]:
-        """Each grader's (block, column, items, column block, work): its items,
-        best first, its block's tables with only its own column of the mask,
-        and one column's work arrays, which ``column_slopes`` computes in."""
+    def _kernel(
+        self, block: tuple, scale: np.ndarray, s_items: np.ndarray, *work: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        gu = self._gradient(block, scale, s_items, work)
+        log_term = np.multiply(work[1], block[4], out=work[1])
+        return log_term.sum(axis=0), gu
+
+    def columns(self) -> list[tuple[np.ndarray, tuple, tuple[np.ndarray, ...], np.ndarray]]:
+        """Each grader's (items, column block, work, snapshot) for its SVRG
+        steps: its items; its block's tables with each pair's items for its
+        positions and only its column of ``signs``, so that ``_gradient`` at
+        the scores gives its gu; one column's work arrays; and its column of
+        the scale * gu that ``evaluate`` without the eta-gradient leaves."""
         columns = [None] * self.n_graders
-        for b, (graders, items, first, second, mask, incidence) in enumerate(self.blocks):
-            work = (np.empty((len(items), 1)), *np.empty((5, len(first), 1)), np.empty((len(items), 1)))
-            for c, g in enumerate(graders.tolist()):
-                block = (None, None, first, second, np.ascontiguousarray(mask[:, c : c + 1]), incidence)
-                columns[g] = (b, c, np.ascontiguousarray(items[:, c]), block, work)
+        for (graders, items, first, second, _, ends, signs), (_, weights, *_) in zip(self.blocks, self.work):
+            work = (*np.empty((5, len(first))), np.empty(ends.shape), np.empty(len(items)))
+            tables = map(np.ascontiguousarray, (items.T, items[first].T, items[second].T, np.moveaxis(signs, 2, 0)))
+            for g, own, winners, losers, own_signs, snapshot in zip(graders.tolist(), *tables, weights.T):
+                columns[g] = (own, (None, None, winners, losers, None, ends, own_signs), work, snapshot)
         return columns
-
-    def column_slopes(self, column: tuple, s: np.ndarray, scale: float) -> np.ndarray:
-        """One grader's scale * gu at scores ``s``, from its entry of
-        ``columns``: its score gradient at its items, as ``evaluate`` finds it."""
-        _, _, items, block, (s_items, *work) = column
-        s.take(items, out=s_items[:, 0], mode="clip")
-        return scale * self._kernel(block, scale, s_items, *work)[1][:, 0]
 
 
 class _ProbitBatch(_PairwiseBatch):
@@ -240,13 +232,28 @@ class _ProbitBatch(_PairwiseBatch):
     (s_i - s_j). Only it imports ``scipy.special``, so that no other model
     pays for loading it."""
 
-    probit = True
-
     def __init__(self, arrays: FeedbackArrays, n_items: int):
         from scipy.special import log_ndtr
 
         self._log_ndtr = log_ndtr
         super().__init__(arrays, n_items)
+
+    def scale(self, etas: np.ndarray) -> np.ndarray:
+        return np.sqrt(etas)
+
+    def _eta_gradient(self, grad_scale: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        return np.divide(grad_scale, 2.0 * scales, out=grad_scale)  # d scale / d eta = 1 / (2 sqrt(eta))
+
+    def _terms(
+        self, z: np.ndarray, log_term: np.ndarray, q: np.ndarray, e: np.ndarray, tmp: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        log_term = np.negative(self._log_ndtr(z, out=log_term), out=log_term)
+        # phi(z) / Phi(z), from the log Phi the nll already has.
+        q = np.multiply(0.5, z, out=q)
+        q *= z
+        np.subtract(log_term, q, out=q)
+        q -= _LOG_SQRT_2PI
+        return log_term, np.exp(q, out=q)
 
 
 class _ListBatch(_BlockBatch):
@@ -648,39 +655,37 @@ def _lbfgs(
 
 
 def _svrg_scores(
-    batch: _PairwiseBatch, s0: np.ndarray, etas: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
+    batch: _PairwiseBatch, s0: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, float, bool]:
-    """MAP scores for fixed reliabilities, by per-grader SVRG (Johnson &
+    """MAP scores with every reliability 1, by per-grader SVRG (Johnson &
     Zhang 2013); returns as ``_lbfgs`` does, counting epochs.
 
     Grader g's share h_g of the objective F is its pairs' negative
     log-likelihood plus 1/G of the prior. An epoch takes the gradient of F
     at a snapshot s~, then steps s -= lr * (grad h_g(s) - grad h_g(s~) +
-    grad F(s~) / G) once per grader, in a seeded random order, where the
-    likelihood's part of grad h_g is g's block column, added at its m
-    distinct items. The fit stops at the first snapshot whose largest
-    absolute gradient entry is at most ``_GRAD_TOLERANCE``. -log Phi has
-    curvature at most 1 and the pair Laplacian of m items has eigenvalues
-    at most m, so L = max over g of eta_g * m_g + 1 / (variance * G) bounds
-    the curvature of every h_g, and lr = 1 / (4 L).
+    grad F(s~) / G) once per grader, in a seeded random order, taking the
+    likelihood's part on g's block column. The fit stops at the first
+    snapshot whose largest absolute gradient entry is at most
+    ``_GRAD_TOLERANCE``. -log Phi has curvature at most 1 and the pair
+    Laplacian of m items has eigenvalues at most m, so L = max over g of
+    m_g + 1 / (variance * G) bounds the curvature of every h_g, and
+    lr = 1 / (4 L).
     """
     mean, variance, n_graders = score_prior.mean, score_prior.variance, batch.n_graders
     share = 1.0 / (variance * n_graders)
-    lr = 0.25 / (max(float(etas[graders].max()) * len(items) for graders, items, *_ in batch.blocks) + share)
-    scale = batch.scale(etas)
-    columns = batch.columns()
+    lr = 0.25 / (max(len(items) for _, items, *_ in batch.blocks) + share)
+    etas, columns = np.ones(n_graders), batch.columns()
     s, epoch = s0.copy(), 0
     while True:
+        # Also leaves each grader's gu at the snapshot in its column of ``columns``.
         grad = batch.evaluate(s, etas)[1] + (s - mean) / variance
         g_max = float(np.abs(grad).max())
         if g_max <= _GRAD_TOLERANCE or epoch == _MAX_STEPS:
             return s, epoch, g_max, g_max <= _GRAD_TOLERANCE
-        # Each block's scale * gu at the snapshot, which ``evaluate`` left in its work arrays.
-        snapshot_slopes = [weights.copy() for _, weights, *_ in batch.work]
         snapshot, drift = s.copy(), grad / n_graders
         for g in rng.permutation(n_graders).tolist():
-            b, c, items = columns[g][:3]
-            w = batch.column_slopes(columns[g], s, scale[g]) - snapshot_slopes[b][:, c]
+            items, block, work, snapshot_slopes = columns[g]
+            w = batch._gradient(block, 1.0, s, work) - snapshot_slopes
             step = (s - snapshot) * share + drift
             step[items] += w
             s -= lr * step
@@ -688,10 +693,7 @@ def _svrg_scores(
 
 
 def _fit_batch(
-    batch: _BlockBatch,
-    score_prior: ScorePrior,
-    reliability_prior: ReliabilityPrior | None,
-    rng: np.random.Generator,
+    batch: _BlockBatch, score_prior: ScorePrior, reliability_prior: ReliabilityPrior | None, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Scores, reliabilities and the solver's report of a fit from the prior mean.
 
@@ -707,12 +709,10 @@ def _fit_batch(
     s0 = np.full(n, score_prior.mean)
     if reliability_prior is None:
         etas = np.ones(batch.n_graders)
-        if batch.probit:
-            s, steps, grad_norm, converged = _svrg_scores(batch, s0, etas, score_prior, rng)
+        if isinstance(batch, _ProbitBatch):
+            s, steps, grad_norm, converged = _svrg_scores(batch, s0, score_prior, rng)
             return s, etas, {"svrg_epochs": steps, "grad_norm": grad_norm, "converged": converged}
-        s, steps, grad_norm, converged = _lbfgs(
-            lambda x: _posterior(batch, x, etas, None, score_prior, None)[:2], s0
-        )
+        s, steps, grad_norm, converged = _lbfgs(lambda x: _posterior(batch, x, etas, None, score_prior, None)[:2], s0)
     else:
         shape, (low, high) = reliability_prior.shape, np.log(_ETA_BOUNDS)
 

@@ -44,6 +44,7 @@ from opg.scoremodels import (
     SCORE_MODELS,
     Objective,
     _BlockBatch,
+    _ProbitBatch,
     _lbfgs,
     _prepare,
 )
@@ -1401,12 +1402,13 @@ def pair_block_evaluate(
     nll = np.zeros(batch.n_graders)
     grad_s = np.zeros(batch.n_items)
     grad_eta = np.zeros(batch.n_graders) if need_eta else None
-    scales = np.sqrt(etas) if batch.probit else etas
-    for graders, items, first, second, mask, incidence in batch.blocks:
+    probit = isinstance(batch, _ProbitBatch)
+    scales = np.sqrt(etas) if probit else etas
+    for graders, items, first, second, mask, ends, signs in batch.blocks:
         s_items = s[items]
         scale = scales[graders]
         z = (s_items[first] - s_items[second]) * scale
-        if batch.probit:
+        if probit:
             log_term = -log_ndtr(z)
             q = np.exp(log_term - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi))
         else:
@@ -1414,11 +1416,11 @@ def pair_block_evaluate(
             log_term = np.maximum(-z, 0.0) + np.log1p(e)
             q = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
         nll[graders] = (log_term * mask).sum(axis=0)
-        gu = incidence @ (q * mask)
+        gu = (q[ends] * signs).sum(axis=1)
         grad_s += np.bincount(items.ravel(), weights=(scale * gu).ravel(), minlength=batch.n_items)
         if need_eta:
             grad_eta[graders] = (gu * s_items).sum(axis=0)
-    if need_eta and batch.probit:
+    if need_eta and probit:
         grad_eta /= 2.0 * scales
     return nll, grad_s, grad_eta
 

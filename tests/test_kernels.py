@@ -138,23 +138,25 @@ def test_pairwise_evaluate_matches_the_pair_layout(model, rng):
 
 @pytest.mark.filterwarnings("ignore:items never graded")
 def test_svrg_column_equals_its_column_of_a_full_evaluation(rng):
-    """``column_slopes`` of each grader equals the scale * gu that
-    ``evaluate`` leaves in its block's work arrays, to rounding: both sum
-    the same pair terms in the incidence product, but BLAS orders a
-    matrix-vector product's sums differently from a matrix product's."""
+    """A grader's SVRG step gradient, scale * ``_gradient`` of its entry of
+    ``columns`` at the scores, equals the scale * gu that ``evaluate``
+    leaves in that entry's snapshot, to rounding: both sum the same signed
+    pair terms, but numpy sums a column's row of them pairwise and a
+    block's across its columns in order."""
     for data in _tied_and_strict(rng)[:1] + [_class(40, 150)]:
         batch = _prepare("thur", data, rng)[0]
         columns = batch.columns()
         for s, etas in _points(rng, batch.n_items, batch.n_graders):
             batch.evaluate(s, etas)
-            full = [weights.copy() for _, weights, *_ in batch.work]
             scale = batch.scale(etas)
-            for g, column in enumerate(columns):
-                b, c, items = column[:3]
-                assert np.array_equal(items, batch.blocks[b][1][:, c])
-                want = full[b][:, c]
-                atol = 1e-15 * np.abs(want).max()
-                assert np.allclose(batch.column_slopes(column, s, scale[g]), want, rtol=1e-12, atol=atol)
+            for (graders, items, *_), (_, weights, *_) in zip(batch.blocks, batch.work, strict=True):
+                for c, g in enumerate(graders.tolist()):
+                    own, block, work, snapshot = columns[g]
+                    assert np.array_equal(own, items[:, c]) and np.shares_memory(snapshot, weights)
+                    want = weights[:, c]
+                    assert np.array_equal(snapshot, want)
+                    got = scale[g] * batch._gradient(block, scale[g], s, work)
+                    assert np.allclose(got, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
 
 @pytest.mark.filterwarnings("ignore:items never graded")
@@ -167,7 +169,7 @@ def test_plain_thur_on_block_columns_follows_the_pair_layout_svrg(rng):
         batch = _prepare("thur", data, rng)[0]
         pairs = oracles.PairBatch(data.feedback_arrays, batch.n_items, probit=True)
         s0, etas = np.full(batch.n_items, prior.mean), np.ones(batch.n_graders)
-        s, epochs, _, converged = scoremodels._svrg_scores(batch, s0, etas, prior, np.random.default_rng(7))
+        s, epochs, _, converged = scoremodels._svrg_scores(batch, s0, prior, np.random.default_rng(7))
         want, want_epochs, _, want_converged = oracles.svrg_scores(pairs, s0, etas, prior, np.random.default_rng(7))
         assert (epochs, converged) == (want_epochs, want_converged) and epochs > 1
         assert np.abs(s - want).max() <= 1e-12
@@ -198,6 +200,33 @@ class TestAllocations:
         s, etas = rng.normal(0.0, 1.0, batch.n_items), np.exp(rng.normal(0.0, 0.5, batch.n_graders))
         for need_eta in (False, True):
             assert _peak(lambda: batch.evaluate(s, etas, need_eta=need_eta)) < 8 * len(first) * len(graders)
+
+    @pytest.mark.parametrize("model", ["bt", "thur"])
+    def test_graders_of_a_few_hundred_items(self, model, rng):
+        """Two graders who rank 300 items, one with ties: building the batch
+        and evaluating it take less than 24 float arrays of their pairs, where
+        one (m, pairs) matrix of a block would take m = 300; the evaluation
+        agrees with the pair layout and a grader's column with it."""
+        items = [f"x{i:03d}" for i in range(300)]
+        rankings = {"strict": [[x] for x in rng.permutation(items).tolist()], "tied": random_weak_ranking(rng, items)}
+        data = make_ordinal_dataset(rankings, items=tuple(items))
+        data.feedback_arrays  # cached on the dataset before the trace
+        s, etas = rng.normal(0.0, 1.0, len(items)), np.exp(rng.normal(0.0, 0.5, 2))
+
+        def build_and_evaluate():
+            batch = _prepare(model, data, rng)[0]
+            return batch, batch.evaluate(s, etas, need_eta=True)
+
+        assert _peak(build_and_evaluate) < 24 * 8 * (300 * 299 // 2) * 2
+        batch, got = build_and_evaluate()
+        want = oracles.pair_batch_evaluate(data, model == "thur", s, etas, need_eta=True)
+        for a, b in zip(got, want, strict=True):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        columns, scale = batch.columns(), batch.scale(etas)
+        batch.evaluate(s, etas)
+        for g, (_, block, work, snapshot) in enumerate(columns):
+            got = scale[g] * batch._gradient(block, scale[g], s, work)
+            assert np.allclose(got, snapshot, rtol=1e-12, atol=1e-12 * np.abs(snapshot).max())
 
     def test_permutation_block(self, rng):
         """Below one float array of a block's 2G columns of its m items. Numpy's

@@ -477,7 +477,7 @@ def _batch_feedback(batch):
     groups (sorted items, best group first) for ``mals``."""
     rows = [None] * batch.n_graders
     if isinstance(batch, scoremodels._PairwiseBatch):
-        for graders, items, first, second, mask, _ in batch.blocks:
+        for graders, items, first, second, mask, *_ in batch.blocks:
             for c, g in enumerate(graders.tolist()):
                 strict = mask[:, c] == 1.0
                 rows[g] = sorted(zip(items[first[strict], c].tolist(), items[second[strict], c].tolist()))
