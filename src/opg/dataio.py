@@ -16,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -204,9 +205,9 @@ def dataset_to_dict(data: Dataset, config: dict[str, Any] | None = None) -> dict
 def _ranking(groups: Any) -> WeakRanking:
     """A parsed JSON ranking, a list of tie-group lists; one-item groups take
     ``from_order``, which raises the constructor's errors."""
-    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+    if not isinstance(groups, list) or not all(map(isinstance, groups, repeat(list))):
         raise ValidationError("'ranking' must be a list of lists")
-    if all(len(g) == 1 for g in groups):
+    if set(map(len, groups)) <= {1}:
         return WeakRanking.from_order([g[0] for g in groups])
     return WeakRanking(tuple(tuple(g) for g in groups))
 

@@ -15,9 +15,10 @@ exactly once, which reproduces the normalizer product; cross-group pairs
 are fixed by the tie groups, contributing the constant X.
 
 Every estimator here runs on one set of array cores, ``_Centers``, over the
-dataset's compiled feedback: the public helpers build one for their dataset
-and reliabilities, and ``fit_mallows`` builds one per fit, whose first
-center at reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
+dataset's compiled feedback and its strict pairs (``FeedbackArrays.pairs``,
+listed once per dataset): the public helpers build one for their dataset and
+reliabilities, and ``fit_mallows`` builds one per fit, whose first center at
+reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -
 
 def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
     """X_g of each grader, in feedback order: its pairs ordered against the center at ``position``."""
-    against = position[arrays.winner] > position[arrays.loser]
-    return np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
+    against = position[arrays.pairs.winner] > position[arrays.pairs.loser]
+    return np.bincount(arrays.pairs.grader[against], minlength=len(arrays.graders))
 
 
 def _cost(etas: np.ndarray, x_g: np.ndarray) -> float:
@@ -143,18 +144,17 @@ def _cost(etas: np.ndarray, x_g: np.ndarray) -> float:
 class _Centers:
     """One dataset's center rankings under changing reliabilities, on item indices.
 
-    Each method takes one reliability per grader, in feedback order. The
-    pair keys that local improvement looks up are built once, on first use.
-    A dataset without feedback has no pairs; the estimators, which rank
-    from feedback, refuse it in ``check_feedback``.
+    Each method takes one reliability per grader, in feedback order, and
+    reads the strict pairs from ``FeedbackArrays.pairs``; local improvement
+    keys them once per fit, on first use. A dataset without feedback has no
+    pairs; the estimators, which rank from feedback, refuse it in ``check_feedback``.
     """
 
     def __init__(self, data: Dataset):
         self.items = data.items
         self.arrays = arrays = data.feedback_arrays
         graded = np.bincount(arrays.item, minlength=len(data.items)) > 0
-        self.graded = np.flatnonzero(graded)
-        self.ungraded = np.flatnonzero(~graded)
+        self.graded, self.ungraded = np.flatnonzero(graded), np.flatnonzero(~graded)
 
     def etas(self, params: MallowsParams | None) -> np.ndarray:
         """Each grader's reliability under ``params``, in feedback order; all 1 without them."""
@@ -176,18 +176,18 @@ class _Centers:
 
     def greedy(self, etas: np.ndarray) -> np.ndarray:
         """The order ``greedy_mle_ranking`` describes, ungraded items last by index."""
-        arrays = self.arrays
-        pair_eta = etas[arrays.pair_grader]
+        pairs = self.arrays.pairs
+        pair_eta = etas[pairs.grader]
         # End 2p of pair p is its winner and end 2p + 1 its loser; picking an
         # end's item changes x of the pair's other item by ``change``.
-        other = np.stack([arrays.loser, arrays.winner], axis=1).ravel()
+        other = np.stack([pairs.loser, pairs.winner], axis=1).ravel()
         change = np.stack([-pair_eta, pair_eta], axis=1).ravel()
         del pair_eta
         # So x starts as minus every change: each pair adds eta to its loser, then subtracts it from its winner.
         x = np.bincount(other, weights=-change, minlength=len(self.items)).astype(float, copy=False)
         x[self.ungraded] = np.inf
-        other, change = other[arrays.incident], change[arrays.incident]
-        offsets = arrays.incident_offsets.tolist()
+        other, change = other[pairs.incident], change[pairs.incident]
+        offsets = pairs.incident_offsets.tolist()
         order = np.empty(len(self.items), dtype=np.intp)
         for k in range(len(self.graded)):
             # Among equal x, argmin takes the lowest index: the lexicographically first id.
@@ -220,14 +220,14 @@ class _Centers:
 
     @cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        key = self.arrays.winner.astype(np.int64) * len(self.items) + self.arrays.loser
+        key = self.arrays.pairs.winner.astype(np.int64) * len(self.items) + self.arrays.pairs.loser
         keys, slot = np.unique(key, return_inverse=True)
         return keys, slot.ravel()
 
     def pair_weights(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
         keys, slot = self._slots
-        return keys, np.bincount(slot, weights=etas[self.arrays.pair_grader], minlength=len(keys))
+        return keys, np.bincount(slot, weights=etas[self.arrays.pairs.grader], minlength=len(keys))
 
     def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
         """``order`` after the adjacent swaps ``local_kemenization`` describes."""

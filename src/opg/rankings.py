@@ -50,7 +50,7 @@ class WeakRanking:
     def from_order(cls, order: Iterable[str]) -> "WeakRanking":
         """Build a total order (all groups singletons), best first."""
         items = tuple(order)
-        if not (set(map(type, items)) == {str} and all(items) and len(set(items)) == len(items)):
+        if not (set(map(type, items)) == {str} and "" not in items and len(set(items)) == len(items)):
             # The constructor takes str subclasses, and raises the error of anything else.
             return cls([item] for item in items)
         ranking = cls.__new__(cls)

@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
-from .data import Dataset, Estimate, FeedbackArrays
+from .data import Dataset, Estimate, FeedbackArrays, _strict_pairs
 from .errors import EnumerationCapError, ValidationError
 from .mallows import _break_ties, _check_eta
 from .rankings import WeakRanking, ranking_from_scores
@@ -111,16 +111,12 @@ class _BlockBatch:
 
     def __init__(self, arrays: FeedbackArrays, n_items: int, order: np.ndarray | None = None):
         order = arrays.item.astype(np.intp) if order is None else order
-        counts = np.diff(arrays.offsets)
         self.blocks, self.work = [], []
-        for m in np.unique(counts).tolist():
-            graders = np.flatnonzero(counts == m)
-            entries = arrays.offsets[graders] + np.arange(m)[:, None]
-            block = (graders, order[entries], *self._tables(m, arrays.rank[entries]))
+        for graders, entries in arrays.blocks():
+            block = (graders, order[entries], *self._tables(len(entries), arrays.rank[entries]))
             self.blocks.append(block)
-            self.work.append((*np.empty((2, m, len(graders))), *self._work(block)))
-        self.n_items = n_items
-        self.n_graders = len(counts)
+            self.work.append((*np.empty((2, *entries.shape)), *self._work(block)))
+        self.n_items, self.n_graders = n_items, len(arrays.graders)
 
     def _tables(self, m: int, ranks: np.ndarray) -> tuple:
         return ()
@@ -153,25 +149,24 @@ class _PairwiseBatch(_BlockBatch):
     """Every grader's strict pairs under the logistic link.
 
     A block is (graders, items, first, second, mask, ends, signs): its
-    m(m-1)/2 position pairs i < j are ``first[p]``, ``second[p]``, and as
-    entries are best first, i wins every strict pair; column c of the
-    (pairs, G) ``mask`` is 0 at grader c's tied pairs, which express no
-    preference, and 1 at the others. A pair's probability is sigma(z) at
-    z = scale * (s_i - s_j). Row k of the (m, m - 1) ``ends`` lists the
-    pairs holding position k, and ``signs[k, t, c]`` is -1 where k is pair
-    ``ends[k, t]``'s i, +1 where it is its j and 0 where grader c tied it,
-    so gu at k sums row k of q times ``signs``: tables and work grow with
-    the pairs. The kernel computes in z, the log terms, q, exp(-|z|), a
-    scratch array, the signed q and gu.
+    m(m-1)/2 position pairs i < j as ``data._strict_pairs`` lists them for
+    the Mallows estimators too, ``first[p]`` and ``second[p]``, and its
+    (pairs, G) ``mask``, 1 at each grader's strict pairs, which i wins, and
+    0 at its tied ones, which express no preference. A pair's probability
+    is sigma(z) at z = scale * (s_i - s_j). Row k of the (m, m - 1) ``ends``
+    lists the pairs holding position k, and ``signs[k, t, c]`` is -1 where
+    k is pair ``ends[k, t]``'s i, +1 where it is its j and 0 where grader c
+    tied it, so gu at k sums row k of q times ``signs``: tables and work
+    grow with the pairs. The kernel computes in z, the log terms, q,
+    exp(-|z|), a scratch array, the signed q and gu.
     """
 
     def _tables(self, m: int, ranks: np.ndarray) -> tuple[np.ndarray, ...]:
-        first, second = np.triu_indices(m, 1)
-        mask = (ranks[first] < ranks[second]).astype(float)
+        first, second, strict = _strict_pairs(ranks)
         # Each position's pairs: as i, then as j, each in order of the other end.
         ends = np.argsort(np.concatenate((first, second)), kind="stable").reshape(m, m - 1) % len(first)
-        signs = np.where(first[ends] == np.arange(m)[:, None], -1.0, 1.0)[:, :, None] * mask[ends]
-        return first, second, mask, ends, signs
+        signs = np.where(first[ends] == np.arange(m)[:, None], -1.0, 1.0)[:, :, None] * strict[ends]
+        return first, second, strict.astype(float), ends, signs
 
     def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
         return (*np.empty((5, *block[4].shape)), np.empty(block[6].shape), np.empty(block[1].shape))

@@ -1338,6 +1338,36 @@ def resample_graders_oracle(data: Dataset, rng: np.random.Generator) -> Dataset:
     )
 
 
+def flat_strict_pairs(arrays: FeedbackArrays) -> tuple[np.ndarray, ...]:
+    """(winner, loser, grader, incident_offsets, incident), read-only: the strict pairs as
+    ``FeedbackArrays.build`` enumerated them over the flat entries, and their incident lists as
+    ``FeedbackArrays._assemble`` derived them, before the pairs were listed from the blocks."""
+    offsets, item, rank, n = arrays.offsets, arrays.item, arrays.rank, arrays.n_items
+    n_graders, n_entries, counts = len(arrays.graders), len(item), np.diff(offsets)
+
+    # Every entry pairs with the entries after it in its grader's slice.
+    entry_grader = np.repeat(np.arange(n_graders), counts)
+    after = offsets[entry_grader + 1] - np.arange(n_entries) - 1
+    first = np.repeat(np.arange(n_entries), after)
+    block = np.cumsum(after) - after
+    second = first + 1 + np.arange(len(first)) - np.repeat(block, after)
+    del after, block
+    strict = rank[first] != rank[second]
+    first, second = first[strict], second[strict]
+    del strict
+    winner, loser = item[first], item[second]
+    pair_grader = entry_grader[first].astype(np.int32)
+    del first, second, entry_grader
+
+    ends = np.stack([winner, loser], axis=1).ravel()
+    incident_offsets = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+    incident = np.argsort(ends, kind="stable").astype(np.int32)
+    pairs = (winner, loser, pair_grader, incident_offsets, incident)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
     """(items, graders, item_idx, grader_idx, grades) for all observations."""
     if not data.feedback:
@@ -1369,7 +1399,7 @@ def pair_batch_evaluate(
     """``PairBatch.evaluate`` of either link over ``data.feedback_arrays``'s
     strict pairs, each step a fresh array."""
     fa = data.feedback_arrays
-    winner, loser, grader = (a.astype(np.intp) for a in (fa.winner, fa.loser, fa.pair_grader))
+    winner, loser, grader = (a.astype(np.intp) for a in (fa.pairs.winner, fa.pairs.loser, fa.pairs.grader))
     n_items, n_graders = len(data.items), len(fa.graders)
     dz = s[winner] - s[loser]
     scale = (np.sqrt(etas) if probit else etas)[grader]
@@ -1576,9 +1606,9 @@ class PairBatch:
     """
 
     def __init__(self, arrays: FeedbackArrays, n_items: int, probit: bool = False):
-        self.winner = arrays.winner.astype(np.intp)
-        self.loser = arrays.loser.astype(np.intp)
-        self.grader = arrays.pair_grader.astype(np.intp)
+        self.winner = arrays.pairs.winner.astype(np.intp)
+        self.loser = arrays.pairs.loser.astype(np.intp)
+        self.grader = arrays.pairs.grader.astype(np.intp)
         self.n_items = n_items
         self.n_graders = len(arrays.graders)
         self.pair_offsets = np.searchsorted(self.grader, np.arange(self.n_graders + 1)).tolist()

@@ -6,12 +6,13 @@ import subprocess
 
 import pytest
 
+from opg.cardinal import scavg
 from opg.cli import main
-from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_estimate, write_ordinal_json
+from opg.dataio import parse_cardinal_csv, parse_ordinal_json, read_estimate, write_estimate, write_ordinal_json
 from opg.data import Estimate
 from opg.rankings import WeakRanking
 
-from conftest import make_ordinal_dataset
+from conftest import make_cardinal_dataset, make_ordinal_dataset
 
 
 @pytest.fixture
@@ -157,6 +158,21 @@ class TestEvaluate:
         report = json.loads(open(out_file, encoding="utf-8").read())
         assert report["e_k"] == 0.0
         assert report["mae"] == pytest.approx(mae, rel=1e-11)
+
+    def test_scores_of_graded_items_only_read_back_and_evaluate(self, tmp_path, capsys):
+        """``scavg`` gives no score to an item nobody graded, so its file's scores cover part of the ranking."""
+        data = make_cardinal_dataset({"g1": {"a": 9.0, "b": 4.0}, "g2": {"a": 7.0, "b": 5.0}}, items=("a", "b", "c"))
+        with pytest.warns(UserWarning, match="never graded"):
+            est = scavg(data)
+        assert est.scores == {"a": 8.0, "b": 4.5}
+        assert est.ranking.items == {"a", "b", "c"}
+        path, out = str(tmp_path / "scavg.json"), str(tmp_path / "report.json")
+        write_estimate(est, path)
+        assert read_estimate(path).scores == est.scores
+        assert main(["evaluate", "--input", path, "--target", path, "--output", out]) == 0
+        assert capsys.readouterr().out.splitlines() == ["E_K: 0.0", "MAE: 0.0", "RMSE: 0.0"]
+        report = json.loads(open(out, encoding="utf-8").read())
+        assert (report["e_k"], report["mae"]) == (0.0, 0.0)
 
     def test_a_failing_figure_leaves_stdout_and_output_empty(self, tmp_path, capsys):
         """E_K is computable, but MAE needs two items; nothing is printed or written."""

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from opg import experiments
 from opg.cardinal import _cardinal_observations
 from opg.config import ReliabilityPrior, ScorePrior
-from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
+from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, StrictPairs, induced_ordinal
 from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_cardinal_csv, write_ordinal_json
 from opg.errors import ValidationError
 from opg.estimators import fit_model
@@ -20,7 +21,7 @@ from opg.mallows import fit_mallows
 from opg.rankings import WeakRanking
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset, make_tied_csv_dataset
-from oracles import PreferencePair, dict_cardinal_observations, extract_preferences
+from oracles import PreferencePair, dict_cardinal_observations, extract_preferences, flat_strict_pairs
 from test_rankings import weak_rankings
 
 
@@ -180,6 +181,22 @@ class TestDataset:
 
 
 @pytest.fixture
+def derivations(monkeypatch):
+    """Counts derivations of ``FeedbackArrays.pairs``, by the arrays they were derived from."""
+    calls = []
+    original = FeedbackArrays.pairs.func
+
+    def counting(arrays):
+        calls.append(arrays)
+        return original(arrays)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(FeedbackArrays, "pairs")
+    monkeypatch.setattr(FeedbackArrays, "pairs", counted)
+    return calls
+
+
+@pytest.fixture
 def builds(monkeypatch):
     """Counts FeedbackArrays builds."""
     calls = []
@@ -203,14 +220,14 @@ class TestFeedbackArrays:
         assert arrays.offsets.tolist() == [0, 3, 6]
         assert arrays.item.tolist() == [2, 0, 3, 1, 0, 2]
         assert arrays.rank.tolist() == [1, 2, 2, 1, 2, 3]
-        pairs = list(zip(arrays.winner.tolist(), arrays.loser.tolist(), arrays.pair_grader.tolist()))
+        pairs = list(zip(arrays.pairs.winner.tolist(), arrays.pairs.loser.tolist(), arrays.pairs.grader.tolist()))
         assert pairs == [(2, 0, 0), (2, 3, 0), (1, 0, 1), (1, 2, 1), (0, 2, 1)]
         # A_i = (tie groups of size >= i) - 1 for i <= 3 items.
         assert arrays.coeff.tolist() == [[1.0, 0.0, -1.0], [2.0, -1.0, -1.0]]
         assert arrays.grader_coeff.tolist() == [0, 1]
         # End 2p is pair p's winner, end 2p + 1 its loser.
-        assert arrays.incident_offsets.tolist() == [0, 3, 5, 9, 10, 10]
-        assert arrays.incident.tolist() == [1, 5, 8, 4, 6, 0, 2, 7, 9, 3]
+        assert arrays.pairs.incident_offsets.tolist() == [0, 3, 5, 9, 10, 10]
+        assert arrays.pairs.incident.tolist() == [1, 5, 8, 4, 6, 0, 2, 7, 9, 3]
         with pytest.raises(ValueError):
             arrays.item[0] = 1
 
@@ -219,10 +236,10 @@ class TestFeedbackArrays:
         data = Dataset.from_feedback(GraderFeedback.from_ordinal(f"g{i}", r) for i, r in enumerate(rankings))
         arrays = data.feedback_arrays
         for g, fb in enumerate(data.feedback):
-            mine = arrays.pair_grader == g
+            mine = arrays.pairs.grader == g
             pairs = [
                 PreferencePair(data.items[w], data.items[l])
-                for w, l in zip(arrays.winner[mine].tolist(), arrays.loser[mine].tolist())
+                for w, l in zip(arrays.pairs.winner[mine].tolist(), arrays.pairs.loser[mine].tolist())
             ]
             assert len(pairs) == len(set(pairs))
             assert set(pairs) == extract_preferences(fb.ordinal)
@@ -237,6 +254,24 @@ class TestFeedbackArrays:
         fit_model("mal+g", data)
         fit_model("mal+kg", data)
         assert builds == [data]
+
+    def test_score_fits_do_not_derive_pairs(self, derivations):
+        data = make_ordinal_dataset(
+            {"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["a", "c"]], "g3": [["c"], ["a"]], "g4": [["a", "b"], ["c"]]}
+        )
+        for model in ("bt", "thur", "pl", "mals"):
+            fit_model(model, data)
+            fit_model(model + "+g", data)
+        bootstrap_ek(data, "bt", [WeakRanking.from_order(data.items)], reps=4, seed=0)
+        assert "feedback_arrays" in vars(data)
+        assert derivations == []
+
+    def test_mallows_fits_derive_pairs_once(self, derivations):
+        data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]], "g2": [["b"], ["a", "c"]]})
+        fit_model("mal", data)
+        fit_model("mal+g", data)
+        fit_model("mal+kg", data)
+        assert derivations == [data.feedback_arrays]
 
     def test_parsing_building_and_cardinal_fits_do_not_build(self, builds, tmp_path):
         ordinal = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
@@ -258,7 +293,7 @@ class TestFeedbackArrays:
         assert "feedback_arrays" not in vars(copy)
         assert copy.feedback_arrays is not arrays
         assert len(builds) == 2
-        assert np.array_equal(copy.feedback_arrays.winner, data.feedback_arrays.winner)
+        assert np.array_equal(copy.feedback_arrays.pairs.winner, data.feedback_arrays.pairs.winner)
 
     def test_mallows_fit_on_cardinal_only_grades_still_fails(self):
         fb = (GraderFeedback(grader="g1", items=("a", "b"), cardinal={"a": 1.0, "b": 2.0}),)
@@ -271,7 +306,7 @@ class TestFeedbackArrays:
 
 
 def assert_same_arrays(got: FeedbackArrays, want: FeedbackArrays) -> None:
-    """Equal field for field; arrays also in dtype, shape and read-only flag."""
+    """Equal field for field, and in their strict pairs; arrays also in dtype, shape and read-only flag."""
     for f in dataclasses.fields(FeedbackArrays):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
@@ -279,6 +314,46 @@ def assert_same_arrays(got: FeedbackArrays, want: FeedbackArrays) -> None:
             assert np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
+    assert_same_pairs(got.pairs, want.pairs)
+
+
+def assert_same_pairs(got: tuple[np.ndarray, ...], want: tuple[np.ndarray, ...]) -> None:
+    """Equal array for array, in dtype, shape and values, and all read-only."""
+    assert len(got) == len(want) == len(StrictPairs._fields)
+    for name, a, b in zip(StrictPairs._fields, got, want):
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
+        assert np.array_equal(a, b), name
+
+
+class TestStrictPairs:
+    """The pairs listed from the blocks equal the flat enumeration they replaced."""
+
+    @given(
+        st.lists(weak_rankings(max_items=6), min_size=1, max_size=8),
+        st.integers(0, 3),
+    )
+    def test_equal_the_flat_enumeration(self, rankings, extra_items):
+        feedback = [GraderFeedback.from_ordinal(f"g{i}", r) for i, r in enumerate(rankings)]
+        roster = {d for r in rankings for d in r.items} | {f"z{i}" for i in range(extra_items)}
+        arrays = Dataset.from_feedback(feedback, items=roster).feedback_arrays
+        assert_same_pairs(arrays.pairs, flat_strict_pairs(arrays))
+        assert arrays.pairs is arrays.pairs
+
+    def test_mixed_lengths_ties_and_single_items(self):
+        data = make_ordinal_dataset(
+            {"g1": [["c"]], "g2": [["b"], ["a", "d"], ["c"]], "g3": [["a", "b"]], "g4": [["d"], ["c"]], "g5": [["b"]]},
+            items=("a", "b", "c", "d", "e"),
+        )
+        arrays = data.feedback_arrays
+        assert_same_pairs(arrays.pairs, flat_strict_pairs(arrays))
+        assert arrays.pairs.grader.tolist() == [1, 1, 1, 1, 1, 3]
+
+    def test_graders_of_one_item_give_no_pairs(self):
+        data = make_ordinal_dataset({"g1": [["a"]], "g2": [["b"]], "g3": [["a"]]}, items=("a", "b", "c"))
+        pairs = data.feedback_arrays.pairs
+        assert_same_pairs(pairs, flat_strict_pairs(data.feedback_arrays))
+        assert len(pairs.winner) == len(pairs.incident) == 0
+        assert pairs.incident_offsets.tolist() == [0, 0, 0, 0]
 
 
 @pytest.fixture

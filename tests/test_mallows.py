@@ -685,8 +685,8 @@ class TestMatchesDictOracles:
             center = WeakRanking.from_order([data.items[i] for i in rng.permutation(len(data.items))])
             arrays = data.feedback_arrays
             position = np.array([center.rank_of(d) for d in data.items])
-            against = position[arrays.winner] > position[arrays.loser]
-            counts = np.bincount(arrays.pair_grader[against], minlength=len(arrays.graders))
+            against = position[arrays.pairs.winner] > position[arrays.pairs.loser]
+            counts = np.bincount(arrays.pairs.grader[against], minlength=len(arrays.graders))
             ranks = center.ranks()
             expected = [oracles.dict_cross_group_disagreements(ranks, fb.ordinal) for fb in data.feedback]
             assert counts.tolist() == expected
@@ -733,8 +733,8 @@ class TestMatchesDictOracles:
 
 def _cost(arrays, position, etas):
     """sum_g eta_g * X_g of the center at ``position``, summed pair by pair."""
-    against = position[arrays.winner] > position[arrays.loser]
-    return float(etas[arrays.pair_grader][against].sum())
+    against = position[arrays.pairs.winner] > position[arrays.pairs.loser]
+    return float(etas[arrays.pairs.grader][against].sum())
 
 
 def _load_benchmark_workloads():
