@@ -16,36 +16,36 @@ from .synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
 
 __all__ = ["main"]
 
-_EXPERIMENTS = (
-    "bootstrap",
-    "self_consistency",
-    "downsample",
-    "lazy_identification",
-    "lazy_heuristic",
-    "robustness",
-    "time",
-)
-
-_ITERATIONS_HELP = (
-    "alternating reliability rounds of mal+g, malbc+g, mal+kg and ncs+g; ncs+g runs "
-    "exactly this many; mal+g, malbc+g and mal+kg run at most this many and stop, "
-    "converged, at the first round whose ranking step finds no descent; bt+g, "
-    "thur+g, pl+g and mals+g have no rounds"
-)
+# Each protocol and its repetitions when --reps is not given.
+_EXPERIMENTS = {
+    "bootstrap": 1000,
+    "self_consistency": 20,
+    "downsample": 20,
+    "lazy_identification": 50,
+    "lazy_heuristic": 50,
+    "robustness": 20,
+    "time": 3,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opg", description="Ordinal peer grading toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--input", required=True)
+    fitting.add_argument("--format", choices=("ordinal", "cardinal"), default=None)
+    fitting.add_argument("--seed", type=int, default=0)
+    fitting.add_argument("--iterations", type=int, default=10, help=(
+        "alternating reliability rounds of mal+g, malbc+g, mal+kg and ncs+g; ncs+g runs "
+        "exactly this many; mal+g, malbc+g and mal+kg run at most this many and stop, "
+        "converged, at the first round whose ranking step finds no descent; bt+g, "
+        "thur+g, pl+g and mals+g have no rounds"
+    ))
+    fitting.add_argument("--tie-epsilon", type=float, default=1e-9)
+    fitting.add_argument("--output", default=None)
 
-    est = sub.add_parser("estimate", help="fit a model and write its estimate")
+    est = sub.add_parser("estimate", parents=[fitting], help="fit a model and write its estimate")
     est.add_argument("--model", required=True, choices=MODEL_NAMES)
-    est.add_argument("--input", required=True)
-    est.add_argument("--format", choices=("ordinal", "cardinal"), default=None)
-    est.add_argument("--output", default=None)
-    est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--iterations", type=int, default=10, help=_ITERATIONS_HELP)
-    est.add_argument("--tie-epsilon", type=float, default=1e-9)
     est.set_defaults(func=_cmd_estimate)
 
     ev = sub.add_parser("evaluate", help="score a predicted ranking against targets")
@@ -70,21 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--truth-output", default=None)
     sim.set_defaults(func=_cmd_simulate)
 
-    exp = sub.add_parser("experiment", help="run an evaluation protocol")
+    exp = sub.add_parser("experiment", parents=[fitting], help="run an evaluation protocol")
     exp.add_argument("--name", required=True, choices=_EXPERIMENTS)
     exp.add_argument("--model", required=True, help="model name (comma-separated for 'time')")
-    exp.add_argument("--input", required=True)
-    exp.add_argument("--format", choices=("ordinal", "cardinal"), default=None)
     exp.add_argument("--target", action="append", default=None)
-    exp.add_argument("--reps", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--iterations", type=int, default=10, help=_ITERATIONS_HELP)
-    exp.add_argument("--tie-epsilon", type=float, default=1e-9)
+    exp.add_argument("--reps", type=int, help=f"repetitions, at least 1; default by --name: {_EXPERIMENTS}")
     exp.add_argument("--lazy-count", type=int, default=10)
     exp.add_argument("--axis", choices=("reviewers", "items_per_reviewer"), default=None)
     exp.add_argument("--levels", default=None, help="comma-separated level values")
     exp.add_argument("--bottom-k", type=int, default=None)
-    exp.add_argument("--output", default=None)
     exp.set_defaults(func=_cmd_experiment)
     return parser
 
@@ -222,34 +216,29 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return targets
 
     name, model, seed = args.name, args.model, args.seed
-    report_kwargs: dict[str, Any] = {}
+    reps = _EXPERIMENTS[name] if args.reps is None else args.reps
     params: dict[str, Any] = {
         "input": args.input,
         "iterations": args.iterations,
         "tie_epsilon": args.tie_epsilon,
+        "partitions" if name == "self_consistency" else "reps": reps,
     }
     if name == "bootstrap":
-        reps = args.reps or 1000
         mean, std = experiments.bootstrap_ek(data, model, need_targets(), reps, seed, options)
-        report_kwargs = {"ek_mean": mean, "ek_std": std}
-        params["reps"] = reps
+        report_kwargs: dict[str, Any] = {"ek_mean": mean, "ek_std": std}
     elif name == "self_consistency":
-        reps = args.reps or 20
         mean, std = experiments.self_consistency(data, model, reps, seed, options)
         report_kwargs = {"ek_mean": mean, "ek_std": std}
-        params["partitions"] = reps
     elif name == "downsample":
         if args.axis is None:
             raise ValidationError("experiment 'downsample' requires --axis")
-        reps = args.reps or 20
         levels = _parse_levels(args.levels)
         curve = experiments.downsample_curve(
             data, model, args.axis, levels, need_targets(), reps, seed, options
         )
         report_kwargs = {"curve": curve}
-        params.update({"axis": args.axis, "levels": levels, "reps": reps})
+        params.update({"axis": args.axis, "levels": levels})
     elif name in ("lazy_identification", "lazy_heuristic"):
-        reps = args.reps or 50
         fn = (
             experiments.lazy_identification
             if name == "lazy_identification"
@@ -257,20 +246,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
         rate = fn(data, model, args.bottom_k, reps, seed, options)
         report_kwargs = {"identification_rate": rate}
-        params.update({"reps": reps, "bottom_k": args.bottom_k})
+        params["bottom_k"] = args.bottom_k
     elif name == "robustness":
-        reps = args.reps or 20
         deltas = experiments.robustness_delta(
             data, model, [args.lazy_count], need_targets(), reps, seed, options
         )
         report_kwargs = {"deltas": deltas}
-        params.update({"lazy_counts": [args.lazy_count], "reps": reps})
+        params["lazy_counts"] = [args.lazy_count]
     else:  # time
-        reps = args.reps or 3
         methods = [m for m in model.split(",") if m]
         runtimes = experiments.time_methods(data, methods, reps, options)
         report_kwargs = {"runtimes": runtimes}
-        params["reps"] = reps
     report = experiments.ExperimentReport(
         experiment=name, method=model, seed=seed, params=params, **report_kwargs
     )

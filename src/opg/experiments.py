@@ -1,7 +1,11 @@
 """Evaluation protocols: bootstrap, consistency, downsampling, lazy-grader studies.
 
-Every protocol derives per-repetition seeds from its base seed so results are
-reproducible.
+Repetition k of a protocol builds its trial dataset from seed s_k and fits it
+with seed s_k, so results are reproducible. s_k = seed + k in ``bootstrap_ek``
+(a grader resample), ``self_consistency`` (two halves, whose ties the same
+generator breaks) and the lazy identification protocols (fresh lazy graders);
+s_k = seed + i * reps + k at the i-th level of ``downsample_curve`` and the
+i-th count of ``robustness_delta`` (whose baseline fit keeps the given seed).
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,6 +38,21 @@ __all__ = [
     "robustness_delta",
     "time_methods",
 ]
+
+
+def _check_reps(reps: int, name: str = "reps") -> None:
+    if reps < 1:
+        raise ValidationError(f"{name} must be >= 1, got {reps}")
+
+
+def _fits(
+    method: str, options: ModelOptions | None, first: int, reps: int, trial: Callable[[int], Dataset]
+) -> Iterator[tuple[Dataset, Estimate]]:
+    """For s = first, ..., first + reps - 1: the trial dataset ``trial(s)`` and ``method``'s fit to it with seed s."""
+    options = options or ModelOptions()
+    for seed in range(first, first + reps):
+        dataset = trial(seed)
+        yield dataset, fit_model(method, dataset, dataclasses.replace(options, seed=seed))
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -102,17 +121,10 @@ def bootstrap_ek(
     options: ModelOptions | None = None,
 ) -> tuple[float, float]:
     """Mean and std of the ranking error over grader bootstrap resamples."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    _check_reps(reps)
     targets = _as_target_set(targets)
-    options = options or ModelOptions()
-
-    errors = []
-    for rep in range(reps):
-        resampled = _resample_graders(data, np.random.default_rng(seed + rep))
-        est = fit_model(method, resampled, dataclasses.replace(options, seed=seed + rep))
-        errors.append(ek_error(targets, est.ranking))
-    return _mean_std(errors)
+    fits = _fits(method, options, seed, reps, lambda s: _resample_graders(data, np.random.default_rng(s)))
+    return _mean_std([ek_error(targets, est.ranking) for _, est in fits])
 
 
 def self_consistency(
@@ -129,12 +141,12 @@ def self_consistency(
     and the two rankings are compared (ties broken with the partition seed).
     Low values mean the method extracts a stable ordering from half the data.
     """
-    if partitions < 1:
-        raise ValidationError(f"partitions must be >= 1, got {partitions}")
+    _check_reps(partitions, "partitions")
     if len(data.feedback) < 2:
         raise ValidationError("self-consistency needs at least two graders")
     options = options or ModelOptions()
 
+    # Not a ``_fits`` loop: one generator draws the partition and then breaks both halves' ties.
     errors = []
     for rep in range(partitions):
         rng = np.random.default_rng(seed + rep)
@@ -193,21 +205,17 @@ def downsample_curve(
     options: ModelOptions | None = None,
 ) -> tuple[CurvePoint, ...]:
     """Ranking error as data is thinned along ``axis`` at each level."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    _check_reps(reps)
     if not levels:
         raise ValidationError("levels must be non-empty")
     targets = _as_target_set(targets)
-    options = options or ModelOptions()
     points = []
-    for li, level in enumerate(levels):
-        errors = []
-        for rep_seed in range(seed + li * reps, seed + (li + 1) * reps):
-            thinned = _downsample(data, axis, int(level), np.random.default_rng(rep_seed))
-            est = fit_model(method, thinned, dataclasses.replace(options, seed=rep_seed))
-            errors.append(ek_error(targets, est.ranking))
-        mean, std = _mean_std(errors)
-        points.append(CurvePoint(level=int(level), ek_mean=mean, ek_std=std))
+    for li, level in enumerate(map(int, levels)):
+        fits = _fits(
+            method, options, seed + li * reps, reps, lambda s: _downsample(data, axis, level, np.random.default_rng(s))
+        )
+        mean, std = _mean_std([ek_error(targets, est.ranking) for _, est in fits])
+        points.append(CurvePoint(level=level, ek_mean=mean, ek_std=std))
     return tuple(points)
 
 
@@ -233,15 +241,12 @@ def _lazy_identification_rate(
     trial's graders, most suspect first, from its estimate."""
     if not data.lazy_graders:
         raise ValidationError("dataset has no lazy graders labeled")
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    options = options or ModelOptions()
+    _check_reps(reps)
     base = strip_lazy(data)
     n_lazy = len(data.lazy_graders)
+    trials = (lambda s: add_lazy_graders(base, n_lazy, seed=s)) if resample else (lambda s: data)
     rates = []
-    for rep in range(reps):
-        trial = add_lazy_graders(base, n_lazy, seed=seed + rep) if resample else data
-        est = fit_model(method, trial, dataclasses.replace(options, seed=seed + rep))
+    for trial, est in _fits(method, options, seed, reps, trials):
         flagged = set(suspects(trial, est)[: _bottom_k(len(trial.graders), bottom_k)])
         rates.append(len(flagged & trial.lazy_graders) / n_lazy)
     return _round12(float(np.mean(rates)))
@@ -319,25 +324,19 @@ def robustness_delta(
     lazy graders is compared against the error on ``data`` alone; returns
     the signed mean difference per count (positive means lazy graders hurt).
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    _check_reps(reps)
     if not lazy_counts or any(c < 0 for c in lazy_counts):
         raise ValidationError("lazy_counts must be non-empty non-negative integers")
     targets = _as_target_set(targets)
-    options = options or ModelOptions()
     base_est = fit_model(method, data, options)
     base_ek = ek_error(targets, base_est.ranking)
     deltas = []
-    for ci, count in enumerate(lazy_counts):
+    for ci, count in enumerate(map(int, lazy_counts)):
         if count == 0:
             deltas.append(0.0)
             continue
-        shifts = []
-        for rep_seed in range(seed + ci * reps, seed + (ci + 1) * reps):
-            trial = add_lazy_graders(data, int(count), seed=rep_seed)
-            est = fit_model(method, trial, dataclasses.replace(options, seed=rep_seed))
-            shifts.append(ek_error(targets, est.ranking) - base_ek)
-        deltas.append(_round12(float(np.mean(shifts))))
+        fits = _fits(method, options, seed + ci * reps, reps, lambda s: add_lazy_graders(data, count, seed=s))
+        deltas.append(_round12(float(np.mean([ek_error(targets, est.ranking) - base_ek for _, est in fits]))))
     return tuple(deltas)
 
 
@@ -348,9 +347,7 @@ def time_methods(
     options: ModelOptions | None = None,
 ) -> dict[str, tuple[float, float]]:
     """Wall-clock fit time per method: name -> (mean seconds, std)."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    options = options or ModelOptions()
+    _check_reps(reps)
     out: dict[str, tuple[float, float]] = {}
     for method in methods:
         times = []

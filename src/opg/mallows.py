@@ -365,17 +365,16 @@ def _newton_etas(x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior) -> n
     result = np.where(ends[:n] <= 0.0, *_ETA_BOUNDS)
     free = (x == 0) & ~coeff.any(axis=1)
     result[free] = prior.mode
-    active = np.flatnonzero((ends[:n] > 0.0) & (ends[n:] < 0.0) & ~free)
-    lo, hi, u = np.full(active.size, low), np.full(active.size, high), np.zeros(active.size)
-    while active.size:
-        g, dg = _reliability_slopes(u, x[active], coeff[active], prior)
+    active = (ends[:n] > 0.0) & (ends[n:] < 0.0) & ~free
+    lo, hi, u, done = np.full(n, low), np.full(n, high), np.zeros(n), ~active
+    while not done.all():
+        g, dg = _reliability_slopes(u, x, coeff, prior)
         lo, hi, newton = np.where(g > 0.0, u, lo), np.where(g < 0.0, u, hi), u - g / dg
         converged = (g == 0.0) | ((dg < 0.0) & (np.abs(g) <= -_NEWTON_STEP * dg))
-        u = np.where(converged | (dg < 0.0) & (newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
-        done = converged | (hi - lo <= _NEWTON_STEP)
-        result[active[done]] = np.exp(u[done])
-        active, lo, hi, u = active[~done], lo[~done], hi[~done], u[~done]
-    return np.clip(result, *_ETA_BOUNDS)
+        step = np.where(converged | (dg < 0.0) & (newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
+        u = np.where(done, u, step)  # a finished problem keeps its u
+        done |= converged | (hi - lo <= _NEWTON_STEP)
+    return np.clip(np.where(active, np.exp(u), result), *_ETA_BOUNDS)
 
 
 def _reliabilities(arrays: FeedbackArrays, position: np.ndarray, prior: ReliabilityPrior):

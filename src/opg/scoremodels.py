@@ -109,14 +109,14 @@ class _BlockBatch:
     with the default mode ``take`` writes through a temporary.
     """
 
-    def __init__(self, arrays: FeedbackArrays, n_items: int, order: np.ndarray | None = None):
+    def __init__(self, arrays: FeedbackArrays, order: np.ndarray | None = None):
         order = arrays.item.astype(np.intp) if order is None else order
         self.blocks, self.work = [], []
         for graders, entries in arrays.blocks():
             block = (graders, order[entries], *self._tables(len(entries), arrays.rank[entries]))
             self.blocks.append(block)
             self.work.append((*np.empty((2, *entries.shape)), *self._work(block)))
-        self.n_items, self.n_graders = n_items, len(arrays.graders)
+        self.n_items, self.n_graders = arrays.n_items, len(arrays.graders)
 
     def _tables(self, m: int, ranks: np.ndarray) -> tuple:
         return ()
@@ -227,11 +227,11 @@ class _ProbitBatch(_PairwiseBatch):
     (s_i - s_j). Only it imports ``scipy.special``, so that no other model
     pays for loading it."""
 
-    def __init__(self, arrays: FeedbackArrays, n_items: int):
+    def __init__(self, arrays: FeedbackArrays):
         from scipy.special import log_ndtr
 
         self._log_ndtr = log_ndtr
-        super().__init__(arrays, n_items)
+        super().__init__(arrays)
 
     def scale(self, etas: np.ndarray) -> np.ndarray:
         return np.sqrt(etas)
@@ -260,11 +260,11 @@ class _ListBatch(_BlockBatch):
     kernel computes in u, its suffix log-sum-exps and gu.
     """
 
-    def __init__(self, arrays: FeedbackArrays, n_items: int, rng: np.random.Generator):
+    def __init__(self, arrays: FeedbackArrays, rng: np.random.Generator):
         # An entry opens a tie group when its rank is its 1-based place in its grader's slice.
         place = np.arange(len(arrays.rank)) - np.repeat(arrays.offsets[:-1], np.diff(arrays.offsets)) + 1
         starts = np.flatnonzero(arrays.rank == place)
-        super().__init__(arrays, n_items, _break_ties(arrays.item.astype(np.intp), starts[1:], rng))
+        super().__init__(arrays, _break_ties(arrays.item.astype(np.intp), starts[1:], rng))
         self.tied = len(starts) < len(place)
 
     def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
@@ -455,11 +455,10 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> tuple[_Bloc
     if not data.feedback:
         raise ValidationError("dataset has no feedback")
     fa = data.feedback_arrays
-    n = len(data.items)
     if model in ("bt", "thur"):
-        return (_ProbitBatch if model == "thur" else _PairwiseBatch)(fa, n), {}
+        return (_ProbitBatch if model == "thur" else _PairwiseBatch)(fa), {}
     if model == "pl":
-        batch = _ListBatch(fa, n, rng)
+        batch = _ListBatch(fa, rng)
         return batch, {"tie_break": "seeded"} if batch.tied else {}
     counts = np.diff(fa.offsets)
     if counts.max() > ENUMERATION_CAP:
@@ -468,7 +467,7 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> tuple[_Bloc
             f"grader {fa.graders[g]!r} graded {counts[g]} items, above the cap {ENUMERATION_CAP} "
             f"of the subset recursion; exclude this model"
         )
-    return _PermBatch(fa, n), {}
+    return _PermBatch(fa), {}
 
 
 def _posterior(

@@ -128,12 +128,17 @@ def _balanced_assignment(n: int, n_graders: int, per_grader: int, rng: np.random
     return assigned
 
 
+def _truth_and_assignment(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``simulate``'s first draws from ``rng``: each item's truth value, then the balanced assignment."""
+    truth_vals = rng.normal(cfg.truth.mean, math.sqrt(cfg.truth.var), cfg.n_items)
+    return truth_vals, _balanced_assignment(cfg.n_items, cfg.n_graders, cfg.items_per_grader, rng)
+
+
 def assign_reviewers(cfg: SynthConfig) -> dict[str, tuple[str, ...]]:
-    """Balanced random reviewer assignment for a synthetic configuration."""
-    rng = np.random.default_rng(cfg.seed)
+    """The balanced random reviewer assignment of ``simulate(cfg)``'s graders, lazy ones excepted."""
     items = _pad_ids("item", cfg.n_items)
     graders = _pad_ids("grader", cfg.n_graders)
-    assigned = _balanced_assignment(cfg.n_items, cfg.n_graders, cfg.items_per_grader, rng)
+    _, assigned = _truth_and_assignment(cfg, np.random.default_rng(cfg.seed))
     return {grader: tuple(items[i] for i in row) for grader, row in zip(graders, assigned.tolist())}
 
 
@@ -221,14 +226,13 @@ def simulate(cfg: SynthConfig) -> tuple[Dataset, Estimate]:
     rng = np.random.default_rng(cfg.seed)
     items = _pad_ids("item", cfg.n_items)
     graders = _pad_ids("grader", cfg.n_graders)
-    truth_vals = rng.normal(cfg.truth.mean, math.sqrt(cfg.truth.var), cfg.n_items)
+    truth_vals, assigned = _truth_and_assignment(cfg, rng)
     truth_scores = {items[i]: float(truth_vals[i]) for i in range(cfg.n_items)}
     truth = Estimate(
         ranking=ranking_from_scores(truth_scores, tie_epsilon=0.0),
         scores=truth_scores,
         metadata={"truth": True, "seed": cfg.seed},
     )
-    assigned = _balanced_assignment(cfg.n_items, cfg.n_graders, cfg.items_per_grader, rng)
 
     feedback: list[GraderFeedback] = []
     if isinstance(cfg.grader_model, MallowsGraders):

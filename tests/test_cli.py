@@ -327,6 +327,22 @@ class TestExperimentCommand:
         assert code == 1
         assert "--target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [("bootstrap", "reps must be >= 1, got 0"), ("self_consistency", "partitions must be >= 1, got 0")],
+    )
+    def test_reps_below_one_are_refused(self, ordinal_path, tmp_path, capsys, name, message):
+        target = str(tmp_path / "target.json")
+        write_estimate(Estimate(ranking=WeakRanking.from_order(["a", "b", "c"])), target)
+        code = main(
+            [
+                "experiment", "--name", name, "--model", "mal",
+                "--input", ordinal_path, "--target", target, "--reps", "0",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_self_consistency_no_target_needed(self, ordinal_path, capsys):
         code = main(
             [

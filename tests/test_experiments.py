@@ -10,7 +10,7 @@ import pytest
 from opg import experiments
 from opg.data import Dataset, GraderFeedback
 from opg.errors import ValidationError
-from opg.estimators import MODEL_NAMES, fit_model
+from opg.estimators import MODEL_NAMES, ModelOptions, fit_model
 from opg.experiments import (
     CurvePoint,
     _resample_graders,
@@ -25,7 +25,7 @@ from opg.experiments import (
 )
 from opg.metrics import TargetSet, ek_error
 from opg.rankings import WeakRanking
-from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
+from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, add_lazy_graders, simulate, strip_lazy
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset, make_tied_csv_dataset
 from oracles import experiment_report_from_dict, resample_graders_oracle
@@ -320,3 +320,64 @@ class TestExperimentReport:
         assert restored == report
         assert restored.curve is None
         assert restored.runtimes is None
+
+
+class TestSeedingRule:
+    """Repetition k of a protocol fits, with seed s_k, the trial dataset built from seed s_k."""
+
+    options = ModelOptions(iterations=3)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+
+        def recording_fit(method, data, options=None):
+            calls.append((data, options))
+            return fit_model(method, data, options)
+
+        monkeypatch.setattr(experiments, "fit_model", recording_fit)
+        return calls
+
+    def check(self, fits, expected):
+        """``expected``: (seed, trial dataset built from that seed) of each fit, in order."""
+        assert [options for _, options in fits] == [dataclasses.replace(self.options, seed=s) for s, _ in expected]
+        for (trial, _), (_, built) in zip(fits, expected):
+            assert trial == built
+
+    def test_bootstrap_fits_rep_k_with_seed_plus_k(self, fits):
+        data, target = synth_ordinal(n_graders=12, seed=2)
+        bootstrap_ek(data, "mal", target, reps=3, seed=5, options=self.options)
+        self.check(fits, [(s, _resample_graders(data, np.random.default_rng(s))) for s in (5, 6, 7)])
+
+    def test_downsample_fits_level_l_rep_k_with_seed_plus_l_reps_plus_k(self, fits):
+        data, target = synth_ordinal(n_graders=12, seed=2)
+        downsample_curve(data, "mal", "reviewers", [6, 9], target, reps=2, seed=4, options=self.options)
+        level_of_seed = {4: 6, 5: 6, 6: 9, 7: 9}
+        expected = [(s, experiments._downsample(data, "reviewers", level, np.random.default_rng(s)))
+                    for s, level in level_of_seed.items()]
+        self.check(fits, expected)
+
+    def test_robustness_fits_count_c_rep_k_with_seed_plus_c_reps_plus_k(self, fits):
+        data, truth = synth_cardinal()
+        robustness_delta(data, "ncs", [0, 2, 3], TargetSet((truth.ranking,)), reps=2, seed=1, options=self.options)
+        base_data, base_options = fits.pop(0)
+        assert (base_data, base_options) == (data, self.options)
+        count_of_seed = {3: 2, 4: 2, 5: 3, 6: 3}
+        self.check(fits, [(s, add_lazy_graders(data, count, seed=s)) for s, count in count_of_seed.items()])
+
+    @pytest.mark.parametrize(
+        "protocol, method",
+        [(lazy_identification, "ncs+g"), (lazy_identification_heuristic, "scavg")],
+    )
+    def test_lazy_identification_fits_rep_k_with_seed_plus_k(self, fits, protocol, method):
+        data, _ = synth_cardinal(n_lazy=3)
+        protocol(data, method, reps=3, seed=5, options=self.options)
+        self.check(fits, [(s, add_lazy_graders(strip_lazy(data), 3, seed=s)) for s in (5, 6, 7)])
+        fits.clear()
+        protocol(data, method, reps=2, seed=8, options=self.options, resample=False)
+        self.check(fits, [(8, data), (9, data)])
+
+    def test_self_consistency_fits_both_halves_of_partition_k_with_seed_plus_k(self, fits):
+        data, _ = synth_ordinal(n_graders=12, seed=2)
+        self_consistency(data, "mal", partitions=2, seed=3, options=self.options)
+        assert [options for _, options in fits] == [dataclasses.replace(self.options, seed=s) for s in (3, 3, 4, 4)]

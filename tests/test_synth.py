@@ -92,6 +92,17 @@ class TestAssignReviewers:
         cfg = SynthConfig(n_items=10, n_graders=6, items_per_grader=3, seed=9)
         assert assign_reviewers(cfg) == assign_reviewers(cfg)
 
+    @pytest.mark.parametrize(
+        "grader_model, n_lazy",
+        [(MallowsGraders(), 0), (CardinalNormalGraders(eta=4.0, bias_std=0.5), 0), (CardinalNormalGraders(), 3)],
+    )
+    def test_is_the_assignment_simulate_draws(self, grader_model, n_lazy):
+        cfg = SynthConfig(12, 10, 4, grader_model=grader_model, n_lazy=n_lazy, seed=3)
+        data, _ = simulate(cfg)
+        simulated = {fb.grader: fb.items for fb in data.feedback if fb.grader not in data.lazy_graders}
+        assert len(simulated) == 10
+        assert assign_reviewers(cfg) == simulated
+
 
 class TestSampleMallowsFeedback:
     truth = WeakRanking.from_order([f"t{i}" for i in range(8)])
