@@ -6,6 +6,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -62,9 +63,11 @@ class GraderFeedback:
     @classmethod
     def _unchecked(cls, grader: str, items: tuple[str, ...], ordinal, cardinal) -> "GraderFeedback":
         """A record of checked fields, set as the dataclass sets them: inline, with no ``__dict__``."""
-        fb = object.__new__(cls)
-        for name, value in zip(cls.__dataclass_fields__, (grader, items, ordinal, cardinal)):
-            object.__setattr__(fb, name, value)
+        fb, set_field = object.__new__(cls), object.__setattr__
+        set_field(fb, "grader", grader)
+        set_field(fb, "items", items)
+        set_field(fb, "ordinal", ordinal)
+        set_field(fb, "cardinal", cardinal)
         return fb
 
     @classmethod
@@ -72,7 +75,7 @@ class GraderFeedback:
         """Ordinal feedback; a ``WeakRanking`` already holds unique items, so only the id is checked."""
         if not isinstance(grader, str) or not grader:
             raise ValidationError(f"grader id must be a non-empty string, got {grader!r}")
-        return cls._unchecked(grader, tuple(sorted(ranking.items)), ranking, None)
+        return cls._unchecked(grader, tuple(sorted(ranking._rank)), ranking, None)
 
     def _renamed(self, grader: str) -> "GraderFeedback":
         """This record under another grader id, copied without repeating the checks it passed."""
@@ -119,8 +122,8 @@ class Dataset:
             if fb.grader in seen:
                 raise ValidationError(f"grader {fb.grader!r} has more than one feedback record")
             seen.add(fb.grader)
-            extra = set(fb.items) - item_set
-            if extra:
+            if not item_set.issuperset(fb.items):
+                extra = set(fb.items) - item_set
                 raise ValidationError(f"grader {fb.grader!r} graded unknown items: {sorted(extra)}")
         unknown_lazy = self.lazy_graders - grader_set
         if unknown_lazy:
@@ -198,6 +201,18 @@ def _csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return taken, np.repeat(offsets[rows] - taken[:-1], counts) + np.arange(taken[-1])
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)``: the distinct rows in signed lexicographic
+    order and each row's index among them, from one ``lexsort`` and a compare of adjacent rows."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def _strict_pairs(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The position pairs i < j of an (m, G) block's ``ranks`` in row-major order, and the (pairs, G)
     mask of those each grader ranks strictly, which i wins: the one enumeration of strict pairs."""
@@ -248,12 +263,13 @@ class FeedbackArrays:
             rankings.append(fb.ordinal)
         n_graders = len(rankings)
         index = {d: i for i, d in enumerate(data.items)}
-        counts = np.fromiter((len(r) for r in rankings), dtype=np.intp, count=n_graders)
+        counts = np.fromiter(map(len, rankings), dtype=np.intp, count=n_graders)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        flat = (index[d] for r in rankings for g in r.groups for d in g)
-        item = np.fromiter(flat, dtype=np.int32, count=int(offsets[-1]))
-        n_groups = np.fromiter((len(r.groups) for r in rankings), dtype=np.intp, count=n_graders)
-        sizes = np.fromiter((len(g) for r in rankings for g in r.groups), dtype=np.intp, count=int(n_groups.sum()))
+        groups_of = [r.groups for r in rankings]
+        groups = list(chain.from_iterable(groups_of))
+        item = np.fromiter(map(index.__getitem__, chain.from_iterable(groups)), dtype=np.int32, count=int(offsets[-1]))
+        n_groups = np.fromiter(map(len, groups_of), dtype=np.intp, count=n_graders)
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
         group_grader = np.repeat(np.arange(n_graders), n_groups)
         group_start = np.cumsum(sizes) - sizes
         rank = np.repeat(group_start - offsets[group_grader] + 1, sizes).astype(np.int32)
@@ -261,8 +277,8 @@ class FeedbackArrays:
         mmax = int(counts.max()) if n_graders else 1
         per_size = np.bincount(group_grader * mmax + sizes - 1, minlength=n_graders * mmax)
         at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
-        coeff, grader_coeff = np.unique(at_least - (np.arange(mmax) < counts[:, None]), axis=0, return_inverse=True)
-        arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32).ravel()
+        coeff, grader_coeff = _distinct_rows(at_least - (np.arange(mmax) < counts[:, None]))
+        arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32)
         return cls(tuple(fb.grader for fb in data.feedback), len(data.items), *_read_only(*arrays))
 
     def take(self, rows: np.ndarray, graders: tuple[str, ...]) -> "FeedbackArrays":

@@ -5,6 +5,17 @@ sorted, floats carry 12 significant digits, and no timestamps are embedded.
 Every JSON file and the CLI's printed JSON come from one writer, which builds
 the text in one pass and lays it out exactly as
 ``json.dumps(..., indent=2, sort_keys=True)`` would.
+
+A float is written as ``json`` writes the float rounded to 12 significant
+digits, ``repr(float("%.12g" % x))``, but from the text of ``"%.12g" % x``
+alone: two decimals of at most 15 significant digits never round to the same
+double, so ``repr`` prints the same digits, and only the notation can differ.
+Integer-looking text gains ``.0`` and ``nan``/``inf`` become ``NaN``/
+``Infinity``. Two cases still take the round trip through ``float``: decimal
+exponents 12 to 15, which ``%.12g`` writes in exponent notation and ``repr``
+does not (999999999999.5 is ``1e+12`` against ``1000000000000.0``), and
+exponents of -308 and below, where subnormal doubles hold fewer digits
+(``5e-324``).
 """
 
 from __future__ import annotations
@@ -54,9 +65,14 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _number(x: float) -> str:
-    """``x`` rounded to 12 significant digits, as ``json`` writes a float."""
-    text = float.__repr__(_round12(x))
-    return _FLOAT_WORDS.get(text, text)
+    """``x`` rounded to 12 significant digits, as ``json`` writes a float (see the module docstring)."""
+    text = "%.12g" % x
+    if "e" in text:
+        exponent = int(text.partition("e")[2])
+        return float.__repr__(float(text)) if 12 <= exponent <= 15 or exponent <= -308 else text
+    if "." in text:
+        return text
+    return _FLOAT_WORDS.get(text) or text + ".0"
 
 
 def _json_text(obj: Any, newline: str = "\n") -> str:
@@ -85,8 +101,16 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
         obj = sorted(obj)
     if not obj:
         return "[]"
-    body = [_quote(v) for v in obj] if all(type(v) is str for v in obj) else [_json_text(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(body) + newline + "]"
+    kinds = set(map(type, obj))
+    if kinds == {str}:
+        body = ("," + inner).join(map(_quote, obj))
+    elif kinds == {list} and set(map(len, obj)) == {1} and set(map(type, members := [v[0] for v in obj])) == {str}:
+        # One-string lists, as every total-order ranking is: each one's text is "[", its quoted member, "]".
+        deeper = inner + "  "
+        body = "[" + deeper + (inner + "]," + inner + "[" + deeper).join(map(_quote, members)) + inner + "]"
+    else:
+        body = ("," + inner).join([_json_text(v, inner) for v in obj])
+    return "[" + inner + body + newline + "]"
 
 
 def _atomic_write_text(path: str, text: str) -> None:

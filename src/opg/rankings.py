@@ -50,11 +50,14 @@ class WeakRanking:
     def from_order(cls, order: Iterable[str]) -> "WeakRanking":
         """Build a total order (all groups singletons), best first."""
         items = tuple(order)
-        if not (set(map(type, items)) == {str} and "" not in items and len(set(items)) == len(items)):
+        # Types before hashing: a list among the items must raise the constructor's error, not TypeError.
+        typed = set(map(type, items)) == {str} and "" not in items
+        rank = dict(zip(items, range(1, len(items) + 1))) if typed else {}
+        if not typed or len(rank) != len(items):
             # The constructor takes str subclasses, and raises the error of anything else.
             return cls([item] for item in items)
         ranking = cls.__new__(cls)
-        ranking._groups, ranking._rank = tuple(zip(items)), dict(zip(items, range(1, len(items) + 1)))
+        ranking._groups, ranking._rank = tuple(zip(items)), rank
         return ranking
 
     @property

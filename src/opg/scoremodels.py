@@ -189,13 +189,14 @@ class _PairwiseBatch(_BlockBatch):
         np.add(log_term, np.log1p(e, out=tmp), out=log_term)
         return log_term, np.divide(np.exp(q, out=q), np.add(1.0, e, out=tmp), out=q)
 
-    def _gradient(self, block: tuple, scale: np.ndarray | float, s_items: np.ndarray, work: tuple) -> np.ndarray:
-        """gu, leaving each pair's log term, unmasked, in ``work``."""
+    def _gradient(self, block: tuple, scale: np.ndarray | None, s_items: np.ndarray, work: tuple) -> np.ndarray:
+        """gu, leaving each pair's log term, unmasked, in ``work``; a ``scale`` of None is a scale of 1."""
         first, second, _, ends, signs = block[2:]
         z, log_term, q, e, tmp, signed, gu = work
         s_items.take(first, axis=0, out=z, mode="clip")
         np.subtract(z, s_items.take(second, axis=0, out=tmp, mode="clip"), out=z)
-        np.multiply(z, scale, out=z)
+        if scale is not None:
+            np.multiply(z, scale, out=z)
         q = self._terms(z, log_term, q, e, tmp)[1]
         np.multiply(q.take(ends, axis=0, out=signed, mode="clip"), signs, out=signed)
         return np.add.reduce(signed, axis=1, out=gu)
@@ -679,7 +680,7 @@ def _svrg_scores(
         snapshot, drift = s.copy(), grad / n_graders
         for g in rng.permutation(n_graders).tolist():
             items, block, work, snapshot_slopes = columns[g]
-            w = batch._gradient(block, 1.0, s, work) - snapshot_slopes
+            w = batch._gradient(block, None, s, work) - snapshot_slopes
             step = (s - snapshot) * share + drift
             step[items] += w
             s -= lr * step

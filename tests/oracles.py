@@ -12,8 +12,10 @@ before they computed in work arrays (and the listwise one in its old row
 layout), and its L-BFGS fits as they were
 before they shared one objective, kept as bit-exact references, its pair
 layout and per-grader SVRG as they were before the pairwise models moved
-onto the blocked likelihood, and its
-two-pass JSON writer, kept as the byte reference for the one-pass one.
+onto the blocked likelihood, its
+two-pass JSON writer and its float writer, kept as the byte references for
+the one-pass ones, and its feedback compiler as it was before it
+deduplicated tie rows by lexsort.
 """
 
 from __future__ import annotations
@@ -1761,3 +1763,46 @@ def jsonable(obj: Any) -> Any:
 def json_text(payload: Any) -> str:
     """The bytes every JSON writer of the package must emit for ``payload``."""
     return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_number(x: float) -> str:
+    """``dataio._number`` as it was before it read the digits off ``"%.12g" % x``: ``x``
+    rounded to 12 significant digits through ``float``, then written by ``repr``."""
+    text = float.__repr__(float("%.12g" % x))
+    return _FLOAT_WORDS.get(text, text)
+
+
+# --- the feedback compiler as it was before it deduplicated rows by lexsort ---
+
+
+def build_feedback_arrays(data: Dataset) -> FeedbackArrays:
+    """``FeedbackArrays.build`` verbatim from before its generators became ``map`` calls and
+    ``np.unique(axis=0)`` a ``lexsort``: the exact reference for the compiled arrays."""
+    rankings = []
+    for fb in data.feedback:
+        if fb.ordinal is None:
+            raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
+        rankings.append(fb.ordinal)
+    n_graders = len(rankings)
+    index = {d: i for i, d in enumerate(data.items)}
+    counts = np.fromiter((len(r) for r in rankings), dtype=np.intp, count=n_graders)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    flat = (index[d] for r in rankings for g in r.groups for d in g)
+    item = np.fromiter(flat, dtype=np.int32, count=int(offsets[-1]))
+    n_groups = np.fromiter((len(r.groups) for r in rankings), dtype=np.intp, count=n_graders)
+    sizes = np.fromiter((len(g) for r in rankings for g in r.groups), dtype=np.intp, count=int(n_groups.sum()))
+    group_grader = np.repeat(np.arange(n_graders), n_groups)
+    group_start = np.cumsum(sizes) - sizes
+    rank = np.repeat(group_start - offsets[group_grader] + 1, sizes).astype(np.int32)
+
+    mmax = int(counts.max()) if n_graders else 1
+    per_size = np.bincount(group_grader * mmax + sizes - 1, minlength=n_graders * mmax)
+    at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    coeff, grader_coeff = np.unique(at_least - (np.arange(mmax) < counts[:, None]), axis=0, return_inverse=True)
+    arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32).ravel()
+    for a in arrays:
+        a.setflags(write=False)
+    return FeedbackArrays(tuple(fb.grader for fb in data.feedback), len(data.items), *arrays)

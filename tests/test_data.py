@@ -19,9 +19,16 @@ from opg.estimators import fit_model
 from opg.experiments import bootstrap_ek, downsample_curve, self_consistency
 from opg.mallows import fit_mallows
 from opg.rankings import WeakRanking
+from opg.synth import SynthConfig, simulate
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset, make_tied_csv_dataset
-from oracles import PreferencePair, dict_cardinal_observations, extract_preferences, flat_strict_pairs
+from oracles import (
+    PreferencePair,
+    build_feedback_arrays,
+    dict_cardinal_observations,
+    extract_preferences,
+    flat_strict_pairs,
+)
 from test_rankings import weak_rankings
 
 
@@ -323,6 +330,29 @@ def assert_same_pairs(got: tuple[np.ndarray, ...], want: tuple[np.ndarray, ...])
     for name, a, b in zip(StrictPairs._fields, got, want):
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
         assert np.array_equal(a, b), name
+
+
+class TestBuildEqualsTheOracle:
+    """``build`` gives the compiler it replaced, array for array, coeff rows in the same signed order."""
+
+    def test_tied_mixed_length_strict_and_empty(self, tmp_path):
+        tied = make_tied_csv_dataset(tmp_path, np.random.default_rng(2))
+        mixed = make_ordinal_dataset(
+            {"g1": [["c"]], "g2": [["b"], ["a", "d"], ["c"]], "g3": [["a", "b"]], "g4": [["d"], ["c"]], "g5": [["b"]]},
+            items=("a", "b", "c", "d", "e"),
+        )
+        strict = simulate(SynthConfig(30, 60, 5, seed=1))[0]
+        empty = Dataset.from_feedback([], items=("a",))
+        for data in (tied, mixed, strict, empty):
+            assert_same_arrays(FeedbackArrays.build(data), build_feedback_arrays(data))
+        # Rows with -1 entries, which an unsigned order would put last, and rows shared by several graders.
+        coeff = FeedbackArrays.build(tied).coeff
+        assert (coeff < 0).any() and len(coeff) < len(tied.feedback)
+
+    @given(st.lists(weak_rankings(max_items=7), min_size=1, max_size=12))
+    def test_any_weak_rankings(self, rankings):
+        data = Dataset.from_feedback(GraderFeedback.from_ordinal(f"g{i}", r) for i, r in enumerate(rankings))
+        assert_same_arrays(FeedbackArrays.build(data), build_feedback_arrays(data))
 
 
 class TestStrictPairs:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import re
 
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opg.cli import main
-from opg.dataio import _json_text, dataset_from_dict, parse_ordinal_json, read_estimate, write_json
+from opg.dataio import _json_text, _number, dataset_from_dict, parse_ordinal_json, read_estimate, write_json
 from opg.errors import DataFormatError
 from opg.rankings import WeakRanking
 
-from oracles import json_text
+from oracles import json_number, json_text
 
 _special_floats = st.sampled_from(
     [0.0, -0.0, 1.0, 3.0, -7.0, 1e16, -1e16, 1e-5, 1e22, 0.1, 1 / 3, 2.5e-308, float("nan"), float("inf"), float("-inf")]
@@ -46,11 +47,31 @@ _payloads = st.recursive(
 )
 
 
+# Lists of one-string lists, as rankings without ties are written, and near misses: ties, empty
+# groups, tuples, and members that are not exactly str.
+_singleton = st.lists(_strings, min_size=1, max_size=1)
+_groups = st.one_of(
+    _singleton,
+    _singleton,
+    st.lists(_strings, max_size=3),
+    st.tuples(_strings),
+    st.lists(st.integers() | st.none() | _special_floats | _strings.map(np.str_), min_size=1, max_size=1),
+    st.lists(st.lists(_strings, max_size=1), min_size=1, max_size=1),
+)
+_rankings = st.lists(_singleton, max_size=8) | st.lists(_groups, max_size=6)
+
+
 class TestWriterMatchesTheOracle:
     @settings(max_examples=300, deadline=None)
     @given(_payloads)
     def test_any_nested_payload(self, payload):
         assert _json_text(payload) + "\n" == json_text(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rankings)
+    def test_lists_of_one_string_lists(self, ranking):
+        for payload in (ranking, {"ranking": ranking, "graders": [{"ranking": ranking}]}):
+            assert _json_text(payload) + "\n" == json_text(payload)
 
     @pytest.mark.parametrize(
         "payload",
@@ -76,6 +97,47 @@ class TestWriterMatchesTheOracle:
         path = tmp_path / "p.json"
         write_json(payload, str(path))
         assert path.read_bytes() == json_text(payload).encode("ascii")
+
+
+# Around the two places where the digits of "%.12g" do not give repr's text: decimal exponents
+# 12 to 15, where the notations differ, and subnormals, which hold fewer digits.
+_NUMBER_EDGES = [
+    999999999999.5,
+    9.9999999999995e11,
+    9.9999999999995e15,
+    *(float(f"{m}e{e}") for m in (1, 9.99999999999, -4.5) for e in range(11, 17)),
+    5e-324,
+    -5e-324,
+    2.5e-308,
+    2.2250738585072014e-308,
+    2.225073858507201e-308,
+    1.7976931348623157e308,
+    1e-5,
+    1e-4,
+    0.0,
+    -0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+]
+_decimals = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-(10**17), 10**17), st.integers(-345, 310))
+
+
+class TestNumberMatchesTheOracle:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats() | st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300) | _decimals)
+    def test_any_float(self, x):
+        assert _number(x) == json_number(x)
+
+    @pytest.mark.parametrize("x", _NUMBER_EDGES, ids=repr)
+    def test_edges_and_their_neighbours(self, x):
+        for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            assert _number(y) == json_number(y)
+
+    def test_every_decimal_exponent(self):
+        for e in range(-330, 309):
+            for x in (float(f"1e{e}"), float(f"-7.77777777777777e{e}"), float(f"9.999999999995e{e}")):
+                assert _number(x) == json_number(x), x
 
 
 class _Str(str):
