@@ -92,8 +92,9 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
         if isinstance(obj, dict):
             if not obj:
                 return "{}"
-            obj = {str(k): v for k, v in obj.items()}
-            flat = all(type(v) is float for v in obj.values())
+            if set(map(type, obj)) != {str}:
+                obj = {str(k): v for k, v in obj.items()}
+            flat = set(map(type, obj.values())) == {float}
             body = [f"{_quote(k)}: {_number(obj[k]) if flat else _json_text(obj[k], inner)}" for k in sorted(obj)]
             return "{" + inner + ("," + inner).join(body) + newline + "}"
         if not isinstance(obj, (set, frozenset)):

@@ -15,10 +15,11 @@ exactly once, which reproduces the normalizer product; cross-group pairs
 are fixed by the tie groups, contributing the constant X.
 
 Every estimator here runs on one set of array cores, ``_Centers``, over the
-dataset's compiled feedback and its strict pairs (``FeedbackArrays.pairs``,
-listed once per dataset): the public helpers build one for their dataset and
-reliabilities, and ``fit_mallows`` builds one per fit, whose first center at
-reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
+dataset's compiled feedback and its end table (``FeedbackArrays.ends``, listed
+once per dataset: each item's strict pairs in pair order, and each ranking
+length's position pairs and strict masks): the public helpers build one for
+their dataset and reliabilities, and ``fit_mallows`` builds one per fit, whose
+first center at reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
 """
 
 from __future__ import annotations
@@ -132,8 +133,11 @@ def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -
 
 def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
     """X_g of each grader, in feedback order: its pairs ordered against the center at ``position``."""
-    against = position[arrays.pairs.winner] > position[arrays.pairs.loser]
-    return np.bincount(arrays.pairs.grader[against], minlength=len(arrays.graders))
+    x_g = np.zeros(len(arrays.graders), dtype=np.intp)
+    for (graders, entries), (first, second, strict) in zip(arrays.blocks(), arrays.ends.blocks):
+        at = position[arrays.item[entries]]
+        x_g[graders] = np.count_nonzero(strict & (at[first] > at[second]), axis=0)
+    return x_g
 
 
 def _cost(etas: np.ndarray, x_g: np.ndarray) -> float:
@@ -145,9 +149,11 @@ class _Centers:
     """One dataset's center rankings under changing reliabilities, on item indices.
 
     Each method takes one reliability per grader, in feedback order, and
-    reads the strict pairs from ``FeedbackArrays.pairs``; local improvement
-    keys them once per fit, on first use. A dataset without feedback has no
-    pairs; the estimators, which rank from feedback, refuse it in ``check_feedback``.
+    reads the strict pairs from ``FeedbackArrays.ends``: the greedy center
+    each item's own, the cost X_g per grader from the block masks, and local
+    improvement the winning ends, keyed once per fit on first use. A dataset
+    without feedback has no pairs; the estimators, which rank from feedback,
+    refuse it in ``check_feedback``.
     """
 
     def __init__(self, data: Dataset):
@@ -176,18 +182,14 @@ class _Centers:
 
     def greedy(self, etas: np.ndarray) -> np.ndarray:
         """The order ``greedy_mle_ranking`` describes, ungraded items last by index."""
-        pairs = self.arrays.pairs
-        pair_eta = etas[pairs.grader]
-        # End 2p of pair p is its winner and end 2p + 1 its loser; picking an
-        # end's item changes x of the pair's other item by ``change``.
-        other = np.stack([pairs.loser, pairs.winner], axis=1).ravel()
-        change = np.stack([-pair_eta, pair_eta], axis=1).ravel()
-        del pair_eta
-        # So x starts as minus every change: each pair adds eta to its loser, then subtracts it from its winner.
-        x = np.bincount(other, weights=-change, minlength=len(self.items)).astype(float, copy=False)
+        ends, n = self.arrays.ends, len(self.items)
+        # Picking an item changes x of the other item of each of its ends by
+        # -eta_g where it wins the pair and by +eta_g where it loses it; x
+        # starts as the sum of those changes over the item's own ends, in order.
+        change = np.stack((-etas, etas), axis=1).ravel()[ends.key]
+        x = np.bincount(np.repeat(np.arange(n), np.diff(ends.offsets)), change, n).astype(float, copy=False)
         x[self.ungraded] = np.inf
-        other, change = other[pairs.incident], change[pairs.incident]
-        offsets = pairs.incident_offsets.tolist()
+        other, offsets = ends.other.astype(np.intp), ends.offsets.tolist()
         order = np.empty(len(self.items), dtype=np.intp)
         for k in range(len(self.graded)):
             # Among equal x, argmin takes the lowest index: the lexicographically first id.
@@ -219,15 +221,24 @@ class _Centers:
         return np.concatenate((candidates[ordered], self.ungraded)), cuts
 
     @cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        key = self.arrays.pairs.winner.astype(np.int64) * len(self.items) + self.arrays.pairs.loser
-        keys, slot = np.unique(key, return_inverse=True)
-        return keys, slot.ravel()
+    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted distinct keys winner * n + loser of the pairs, and the slot among them and the
+        grader of each pair, listed by its winning end: item by item, so each key's pairs in pair order."""
+        ends, n = self.arrays.ends, len(self.items)
+        wins = np.flatnonzero((ends.key & 1) == 0)
+        key = np.repeat(np.arange(n), np.diff(ends.offsets))[wins] * n + ends.other[wins]
+        order = np.argsort(key)
+        ordered = key[order]
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        slot = np.empty(len(key), dtype=np.intp)
+        slot[order] = np.cumsum(new) - 1
+        return ordered[new], slot, ends.key[wins] >> 1
 
     def pair_weights(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
-        keys, slot = self._slots
-        return keys, np.bincount(slot, weights=etas[self.arrays.pairs.grader], minlength=len(keys))
+        keys, slot, grader = self._slots
+        return keys, np.bincount(slot, weights=etas[grader], minlength=len(keys))
 
     def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
         """``order`` after the adjacent swaps ``local_kemenization`` describes."""
@@ -413,7 +424,7 @@ def fit_reliabilities(
     if not center.is_total:
         raise ValidationError("center must be a total order")
     arrays = data.feedback_arrays
-    result = {g: prior.mode for g in data.graders}
+    result = dict.fromkeys(data.graders, prior.mode)
     if not arrays.graders:
         return result
 
@@ -525,7 +536,7 @@ def fit_mallows(
 
     reliabilities = None
     if changes:
-        reliabilities = {g: prior.mode for g in data.graders}
+        reliabilities = dict.fromkeys(data.graders, prior.mode)
         reliabilities.update(zip(centers.arrays.graders, etas.tolist()))
     metadata.update(rounds=len(changes), converged=converged, center_cost=costs, reliability_change=changes)
     return Estimate(ranking=_weak_ranking(data.items, order, cuts), reliabilities=reliabilities, metadata=metadata)

@@ -14,8 +14,10 @@ before they shared one objective, kept as bit-exact references, its pair
 layout and per-grader SVRG as they were before the pairwise models moved
 onto the blocked likelihood, its
 two-pass JSON writer and its float writer, kept as the byte references for
-the one-pass ones, and its feedback compiler as it was before it
-deduplicated tie rows by lexsort.
+the one-pass ones, its feedback compiler as it was before it
+deduplicated tie rows by lexsort, and its greedy Mallows center as it
+was before the strict pairs were listed item by item, kept as the
+bit-exact reference for the end table.
 """
 
 from __future__ import annotations
@@ -1370,6 +1372,36 @@ def flat_strict_pairs(arrays: FeedbackArrays) -> tuple[np.ndarray, ...]:
     return pairs
 
 
+def incident_greedy(arrays: FeedbackArrays, etas: np.ndarray) -> np.ndarray:
+    """``mallows._Centers.greedy`` as it was before the strict pairs were listed item by item,
+    verbatim over ``flat_strict_pairs``: the greedy order of the item indices, ungraded items last."""
+    winner, loser, grader, incident_offsets, incident = flat_strict_pairs(arrays)
+    n_items = arrays.n_items
+    graded = np.bincount(arrays.item, minlength=n_items) > 0
+    graded, ungraded = np.flatnonzero(graded), np.flatnonzero(~graded)
+    pair_eta = etas[grader]
+    # End 2p of pair p is its winner and end 2p + 1 its loser; picking an
+    # end's item changes x of the pair's other item by ``change``.
+    other = np.stack([loser, winner], axis=1).ravel()
+    change = np.stack([-pair_eta, pair_eta], axis=1).ravel()
+    del pair_eta
+    # So x starts as minus every change: each pair adds eta to its loser, then subtracts it from its winner.
+    x = np.bincount(other, weights=-change, minlength=n_items).astype(float, copy=False)
+    x[ungraded] = np.inf
+    other, change = other[incident], change[incident]
+    offsets = incident_offsets.tolist()
+    order = np.empty(n_items, dtype=np.intp)
+    for k in range(len(graded)):
+        # Among equal x, argmin takes the lowest index: the lexicographically first id.
+        best = int(x.argmin())
+        order[k] = best
+        x[best] = np.inf
+        lo, hi = offsets[best], offsets[best + 1]
+        np.add.at(x, other[lo:hi], change[lo:hi])
+    order[len(graded):] = ungraded
+    return order
+
+
 def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
     """(items, graders, item_idx, grader_idx, grades) for all observations."""
     if not data.feedback:
@@ -1401,7 +1433,7 @@ def pair_batch_evaluate(
     """``PairBatch.evaluate`` of either link over ``data.feedback_arrays``'s
     strict pairs, each step a fresh array."""
     fa = data.feedback_arrays
-    winner, loser, grader = (a.astype(np.intp) for a in (fa.pairs.winner, fa.pairs.loser, fa.pairs.grader))
+    winner, loser, grader = (a.astype(np.intp) for a in flat_strict_pairs(fa)[:3])
     n_items, n_graders = len(data.items), len(fa.graders)
     dz = s[winner] - s[loser]
     scale = (np.sqrt(etas) if probit else etas)[grader]
@@ -1608,9 +1640,7 @@ class PairBatch:
     """
 
     def __init__(self, arrays: FeedbackArrays, n_items: int, probit: bool = False):
-        self.winner = arrays.pairs.winner.astype(np.intp)
-        self.loser = arrays.pairs.loser.astype(np.intp)
-        self.grader = arrays.pairs.grader.astype(np.intp)
+        self.winner, self.loser, self.grader = (a.astype(np.intp) for a in flat_strict_pairs(arrays)[:3])
         self.n_items = n_items
         self.n_graders = len(arrays.graders)
         self.pair_offsets = np.searchsorted(self.grader, np.arange(self.n_graders + 1)).tolist()

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from opg import experiments
 from opg.cardinal import _cardinal_observations
 from opg.config import ReliabilityPrior, ScorePrior
-from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, StrictPairs, induced_ordinal
+from opg.data import Dataset, EndTable, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
 from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_cardinal_csv, write_ordinal_json
 from opg.errors import ValidationError
 from opg.estimators import fit_model
@@ -189,17 +191,17 @@ class TestDataset:
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """Counts derivations of ``FeedbackArrays.pairs``, by the arrays they were derived from."""
+    """Counts derivations of ``FeedbackArrays.ends``, by the arrays they were derived from."""
     calls = []
-    original = FeedbackArrays.pairs.func
+    original = FeedbackArrays.ends.func
 
     def counting(arrays):
         calls.append(arrays)
         return original(arrays)
 
     counted = functools.cached_property(counting)
-    counted.__set_name__(FeedbackArrays, "pairs")
-    monkeypatch.setattr(FeedbackArrays, "pairs", counted)
+    counted.__set_name__(FeedbackArrays, "ends")
+    monkeypatch.setattr(FeedbackArrays, "ends", counted)
     return calls
 
 
@@ -227,14 +229,14 @@ class TestFeedbackArrays:
         assert arrays.offsets.tolist() == [0, 3, 6]
         assert arrays.item.tolist() == [2, 0, 3, 1, 0, 2]
         assert arrays.rank.tolist() == [1, 2, 2, 1, 2, 3]
-        pairs = list(zip(arrays.pairs.winner.tolist(), arrays.pairs.loser.tolist(), arrays.pairs.grader.tolist()))
-        assert pairs == [(2, 0, 0), (2, 3, 0), (1, 0, 1), (1, 2, 1), (0, 2, 1)]
         # A_i = (tie groups of size >= i) - 1 for i <= 3 items.
         assert arrays.coeff.tolist() == [[1.0, 0.0, -1.0], [2.0, -1.0, -1.0]]
         assert arrays.grader_coeff.tolist() == [0, 1]
-        # End 2p is pair p's winner, end 2p + 1 its loser.
-        assert arrays.pairs.incident_offsets.tolist() == [0, 3, 5, 9, 10, 10]
-        assert arrays.pairs.incident.tolist() == [1, 5, 8, 4, 6, 0, 2, 7, 9, 3]
+        # The strict pairs (winner, loser, grader), in pair order, are (2, 0, 0), (2, 3, 0), (1, 0, 1),
+        # (1, 2, 1) and (0, 2, 1); each item lists its own in that order, keyed 2 * grader + (1 if it loses).
+        assert arrays.ends.offsets.tolist() == [0, 3, 5, 9, 10, 10]
+        assert arrays.ends.other.tolist() == [2, 1, 2, 0, 2, 0, 3, 1, 0, 2]
+        assert arrays.ends.key.tolist() == [1, 3, 2, 2, 2, 0, 0, 3, 3, 1]
         with pytest.raises(ValueError):
             arrays.item[0] = 1
 
@@ -242,14 +244,17 @@ class TestFeedbackArrays:
     def test_pairs_are_each_graders_strict_preferences(self, rankings):
         data = Dataset.from_feedback(GraderFeedback.from_ordinal(f"g{i}", r) for i, r in enumerate(rankings))
         arrays = data.feedback_arrays
+        ends = arrays.ends
+        item = np.repeat(np.arange(arrays.n_items), np.diff(ends.offsets))
         for g, fb in enumerate(data.feedback):
-            mine = arrays.pairs.grader == g
-            pairs = [
-                PreferencePair(data.items[w], data.items[l])
-                for w, l in zip(arrays.pairs.winner[mine].tolist(), arrays.pairs.loser[mine].tolist())
-            ]
-            assert len(pairs) == len(set(pairs))
-            assert set(pairs) == extract_preferences(fb.ordinal)
+            for loses in (0, 1):
+                mine = ends.key == 2 * g + loses
+                pairs = [
+                    PreferencePair(*(data.items[d] for d in ((o, i) if loses else (i, o))))
+                    for i, o in zip(item[mine].tolist(), ends.other[mine].tolist())
+                ]
+                assert len(pairs) == len(set(pairs))
+                assert set(pairs) == extract_preferences(fb.ordinal)
 
     def test_built_once_per_dataset(self, builds):
         data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a", "c"]]})
@@ -300,7 +305,7 @@ class TestFeedbackArrays:
         assert "feedback_arrays" not in vars(copy)
         assert copy.feedback_arrays is not arrays
         assert len(builds) == 2
-        assert np.array_equal(copy.feedback_arrays.pairs.winner, data.feedback_arrays.pairs.winner)
+        assert_same_ends(copy.feedback_arrays.ends, data.feedback_arrays.ends)
 
     def test_mallows_fit_on_cardinal_only_grades_still_fails(self):
         fb = (GraderFeedback(grader="g1", items=("a", "b"), cardinal={"a": 1.0, "b": 2.0}),)
@@ -313,7 +318,7 @@ class TestFeedbackArrays:
 
 
 def assert_same_arrays(got: FeedbackArrays, want: FeedbackArrays) -> None:
-    """Equal field for field, and in their strict pairs; arrays also in dtype, shape and read-only flag."""
+    """Equal field for field, and in their end tables; arrays also in dtype, shape and read-only flag."""
     for f in dataclasses.fields(FeedbackArrays):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
@@ -321,15 +326,43 @@ def assert_same_arrays(got: FeedbackArrays, want: FeedbackArrays) -> None:
             assert np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
-    assert_same_pairs(got.pairs, want.pairs)
+    assert_same_ends(got.ends, want.ends)
 
 
-def assert_same_pairs(got: tuple[np.ndarray, ...], want: tuple[np.ndarray, ...]) -> None:
-    """Equal array for array, in dtype, shape and values, and all read-only."""
-    assert len(got) == len(want) == len(StrictPairs._fields)
-    for name, a, b in zip(StrictPairs._fields, got, want):
+def assert_same_ends(got: EndTable, want: EndTable) -> None:
+    """Equal array for array, block tables too, in dtype, shape and values, and all read-only."""
+    assert len(got.blocks) == len(want.blocks)
+    named = [("offsets", got.offsets, want.offsets), ("other", got.other, want.other), ("key", got.key, want.key)]
+    for k, (mine, theirs) in enumerate(zip(got.blocks, want.blocks)):
+        named += [(f"blocks[{k}]", a, b) for a, b in zip(mine, theirs, strict=True)]
+    for name, a, b in named:
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
         assert np.array_equal(a, b), name
+
+
+def flat_ends(arrays: FeedbackArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, other, key) of the end table, rearranged from ``flat_strict_pairs``'s pairs and incident
+    lists, where end 2p is pair p's winner and end 2p + 1 its loser."""
+    winner, loser, grader, incident_offsets, incident = flat_strict_pairs(arrays)
+    other = np.stack((loser, winner), axis=1).ravel()[incident]
+    key = np.stack((2 * grader, 2 * grader + 1), axis=1).ravel()[incident]
+    return incident_offsets, other, key
+
+
+def assert_ends_are_the_flat_pairs(arrays: FeedbackArrays) -> None:
+    """The end table holds the flat enumeration's pairs, item by item in pair order, and each block's
+    position pairs i < j in row-major order with the mask of those its graders rank strictly."""
+    ends = arrays.ends
+    for name, a, b in zip(("offsets", "other", "key"), ends[:3], flat_ends(arrays)):
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
+        assert np.array_equal(a, b), name
+    assert len(ends.blocks) == len(list(arrays.blocks()))
+    for (_, entries), (first, second, strict) in zip(arrays.blocks(), ends.blocks):
+        pairs = list(itertools.combinations(range(len(entries)), 2))
+        assert list(zip(first.tolist(), second.tolist())) == pairs
+        ranks = arrays.rank[entries]
+        assert strict.tolist() == [[ranks[i, g] < ranks[j, g] for g in range(ranks.shape[1])] for i, j in pairs]
+        assert not any(a.flags.writeable for a in (first, second, strict))
 
 
 class TestBuildEqualsTheOracle:
@@ -356,7 +389,7 @@ class TestBuildEqualsTheOracle:
 
 
 class TestStrictPairs:
-    """The pairs listed from the blocks equal the flat enumeration they replaced."""
+    """The end table listed from the blocks holds the pairs of the flat enumeration it replaced."""
 
     @given(
         st.lists(weak_rankings(max_items=6), min_size=1, max_size=8),
@@ -366,8 +399,8 @@ class TestStrictPairs:
         feedback = [GraderFeedback.from_ordinal(f"g{i}", r) for i, r in enumerate(rankings)]
         roster = {d for r in rankings for d in r.items} | {f"z{i}" for i in range(extra_items)}
         arrays = Dataset.from_feedback(feedback, items=roster).feedback_arrays
-        assert_same_pairs(arrays.pairs, flat_strict_pairs(arrays))
-        assert arrays.pairs is arrays.pairs
+        assert_ends_are_the_flat_pairs(arrays)
+        assert arrays.ends is arrays.ends
 
     def test_mixed_lengths_ties_and_single_items(self):
         data = make_ordinal_dataset(
@@ -375,15 +408,33 @@ class TestStrictPairs:
             items=("a", "b", "c", "d", "e"),
         )
         arrays = data.feedback_arrays
-        assert_same_pairs(arrays.pairs, flat_strict_pairs(arrays))
-        assert arrays.pairs.grader.tolist() == [1, 1, 1, 1, 1, 3]
+        assert_ends_are_the_flat_pairs(arrays)
+        # Each of the six pairs, five of g2 and one of g4, under both its items.
+        assert sorted((arrays.ends.key // 2).tolist()) == [1] * 10 + [3] * 2
 
     def test_graders_of_one_item_give_no_pairs(self):
         data = make_ordinal_dataset({"g1": [["a"]], "g2": [["b"]], "g3": [["a"]]}, items=("a", "b", "c"))
-        pairs = data.feedback_arrays.pairs
-        assert_same_pairs(pairs, flat_strict_pairs(data.feedback_arrays))
-        assert len(pairs.winner) == len(pairs.incident) == 0
-        assert pairs.incident_offsets.tolist() == [0, 0, 0, 0]
+        ends = data.feedback_arrays.ends
+        assert_ends_are_the_flat_pairs(data.feedback_arrays)
+        assert len(ends.other) == len(ends.key) == 0
+        assert ends.offsets.tolist() == [0, 0, 0, 0]
+
+    def test_holds_16_bytes_a_pair_and_the_block_tables(self):
+        """Of a 600 x 1800 x 7 class, the table keeps its two int32 arrays of ends, its item offsets and
+        the blocks' position pairs and masks, and no other memory."""
+        arrays = simulate(SynthConfig(600, 1800, 7, seed=1))[0].feedback_arrays
+        n_pairs = len(flat_strict_pairs(arrays)[0])
+        tracemalloc.start()
+        try:
+            ends = arrays.ends
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tables = sum(a.nbytes for block in ends.blocks for a in block)
+        assert ends.other.nbytes + ends.key.nbytes == 16 * n_pairs
+        assert ends.offsets.nbytes == 8 * (arrays.n_items + 1)
+        # 4 KB for the Python objects: the table, its tuples and the cached attribute's slot.
+        assert held <= 16 * n_pairs + ends.offsets.nbytes + tables + 4096
 
 
 @pytest.fixture

@@ -61,6 +61,10 @@ _groups = st.one_of(
 _rankings = st.lists(_singleton, max_size=8) | st.lists(_groups, max_size=6)
 
 
+class _Str(str):
+    pass
+
+
 class TestWriterMatchesTheOracle:
     @settings(max_examples=300, deadline=None)
     @given(_payloads)
@@ -84,6 +88,24 @@ class TestWriterMatchesTheOracle:
         payload = {10: 1.0, 9: 2.0, "1": 0.5}
         assert _json_text(payload) + "\n" == json_text(payload)
         assert list(json.loads(_json_text(payload))) == ["1", "10", "9"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {f"d{i:04d}": i / 7 for i in range(1800, 0, -1)},
+            {_Str("b"): 1.0, "a": 2.0},
+            {np.str_("b"): 0.5, "a": 0.25},
+            {"b": 1.0, "a": np.float64(0.1)},
+            {"b": 1.0, "a": 1},
+            {"b": 1.0, "a": True},
+            {"b": 1.0, "a": None},
+        ],
+        ids=["1800 floats", "str subclass key", "np.str_ key", "np.float64", "int", "bool", "None"],
+    )
+    def test_maps_of_floats_and_near_misses(self, payload):
+        """A map of str keys to floats, as an estimate's scores are, and maps whose keys or
+        values are not all exactly ``str`` and ``float``."""
+        assert _json_text(payload) + "\n" == json_text(payload)
 
     @pytest.mark.parametrize("value", [np.bool_(True), object(), np.zeros(2)])
     def test_unserializable_values_raise_as_json_does(self, value):
@@ -138,10 +160,6 @@ class TestNumberMatchesTheOracle:
         for e in range(-330, 309):
             for x in (float(f"1e{e}"), float(f"-7.77777777777777e{e}"), float(f"9.999999999995e{e}")):
                 assert _number(x) == json_number(x), x
-
-
-class _Str(str):
-    pass
 
 
 # Malformed rankings and the message the constructor path gives for each.

@@ -685,8 +685,7 @@ class TestMatchesDictOracles:
             center = WeakRanking.from_order([data.items[i] for i in rng.permutation(len(data.items))])
             arrays = data.feedback_arrays
             position = np.array([center.rank_of(d) for d in data.items])
-            against = position[arrays.pairs.winner] > position[arrays.pairs.loser]
-            counts = np.bincount(arrays.pairs.grader[against], minlength=len(arrays.graders))
+            counts = mallows._against(arrays, position)
             ranks = center.ranks()
             expected = [oracles.dict_cross_group_disagreements(ranks, fb.ordinal) for fb in data.feedback]
             assert counts.tolist() == expected
@@ -733,8 +732,28 @@ class TestMatchesDictOracles:
 
 def _cost(arrays, position, etas):
     """sum_g eta_g * X_g of the center at ``position``, summed pair by pair."""
-    against = position[arrays.pairs.winner] > position[arrays.pairs.loser]
-    return float(etas[arrays.pairs.grader][against].sum())
+    winner, loser, grader = oracles.flat_strict_pairs(arrays)[:3]
+    against = position[winner] > position[loser]
+    return float(etas[grader][against].sum())
+
+
+class TestGreedyMatchesTheIncidentOracle:
+    """The greedy center on the end table is bit for bit the one on the pair layout it replaced."""
+
+    def _classes(self, rng):
+        """Classes where many graders share pairs: few items, mixed ranking lengths, ties and ungraded items."""
+        for trial in range(8):
+            yield _random_dataset(rng, n_items=8 + trial, n_graders=40, min_items=1, max_items=7, extra_items=("z",))
+        yield from _seeded_classes()
+
+    def test_under_random_reliabilities(self, rng):
+        for data in self._classes(rng):
+            centers, n_graders = _Centers(data), len(data.feedback)
+            # Gamma draws, and decimal fractions whose sums round differently in another order.
+            draws = [rng.gamma(2.0, 0.5, n_graders) for _ in range(3)]
+            draws += [rng.choice([0.1, 0.2, 0.3, 0.7], n_graders) for _ in range(3)] + [np.ones(n_graders)]
+            for etas in draws:
+                assert np.array_equal(centers.greedy(etas), oracles.incident_greedy(data.feedback_arrays, etas))
 
 
 def _load_benchmark_workloads():
