@@ -72,8 +72,6 @@ def scavg(data: Dataset, tie_epsilon: float = 1e-9) -> Estimate:
     sums = np.bincount(ii, weights=yy, minlength=n)
     scores = {items[i]: float(sums[i] / counts[i]) for i in range(n) if counts[i] > 0}
     ungraded = [items[i] for i in range(n) if counts[i] == 0]
-    if not scores:
-        raise ValidationError("no graded items")
     ranking = ranking_from_scores(scores, tie_epsilon)
     if ungraded:
         warnings.warn(f"items never graded by anyone form the last tie group: {ungraded}", stacklevel=2)
@@ -148,7 +146,9 @@ def ncs_fit(
     one is at most 1e-5 (``converged``); the rounds run are ``iterations``
     either way.
 
-    Items nobody graded get the prior mean as score, with a warning.
+    Items nobody graded get the prior mean as score, with a warning; a "+g"
+    fit gives roster graders without feedback the reliability prior's mode,
+    kept in [1e-3, 1e3].
     """
     hp = hp or NcsHyperparams()
     prior = reliability_prior or ReliabilityPrior()
@@ -187,7 +187,7 @@ def ncs_fit(
             new_eta = np.clip(new_eta, *_ETA_BOUNDS)
             changes.append(float(np.abs(np.log(new_eta) - np.log(eta)).max()))
             eta = new_eta
-        reliabilities = {g: float(eta[i]) for i, g in enumerate(graders)}
+        reliabilities = prior._by_grader(data.graders, graders, eta)
         metadata = {
             "model": "ncs+g",
             "mu0": mu0,

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -45,6 +48,11 @@ class ReliabilityPrior:
     @property
     def mode(self) -> float:
         return (self.shape - 1.0) * self.scale
+
+    def _by_grader(self, roster: Iterable[str], graders: Iterable[str], etas: np.ndarray) -> dict[str, float]:
+        """Every ``roster`` grader's reliability: ``etas`` for the ``graders`` fitted, and for the rest,
+        who gave no feedback, their MAP: the mode, kept in the bounds every fit keeps a reliability in."""
+        return {**dict.fromkeys(roster, float(np.clip(self.mode, *_ETA_BOUNDS))), **dict(zip(graders, etas.tolist()))}
 
 
 # Every "+g" fit keeps each reliability within these bounds.

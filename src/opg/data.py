@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -228,12 +228,11 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
 class EndTable(NamedTuple):
     """Every strict pair listed under each of its two items, item by item: item d's ends are the
     slice ``offsets[d]:offsets[d + 1]``, in pair order (by grader, then over the grader's entries
-    i < j in row-major order). ``blocks`` holds ``_strict_pairs`` of each of ``FeedbackArrays.blocks()``."""
+    i < j in row-major order), as listed from the strict masks of ``FeedbackArrays.blocks``."""
 
     offsets: np.ndarray  # (n + 1,) CSR offsets of each item's ends
     other: np.ndarray  # (2P,) int32: the other item of the end's pair
     key: np.ndarray  # (2P,) int32: 2 * grader of the pair + (1 if the end's item loses it)
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (first, second, strict) per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +244,12 @@ class FeedbackArrays:
     Items are indices into the ``n_items`` sorted ``Dataset.items``; graders
     are positions in ``Dataset.feedback``. Grader g's entries are the slice
     ``offsets[g]:offsets[g + 1]`` (a CSR layout), best tie group first and
-    lexicographic within a group, as in ``WeakRanking.ranks()``. ``ends``,
-    read only by the permutation-noise estimators, lists the strict pairs
-    item by item from ``blocks`` on first use and keeps them: 16 bytes a
-    pair and the blocks' strict masks, 2.2 MB for 6,000 graders of 7 items.
+    lexicographic within a group, as in ``WeakRanking.ranks()``. ``blocks``,
+    which every ordinal model reads, groups the graders by ranking length,
+    each group with its strict-pair masks, on first use and keeps them: 0.5
+    MB for 6,000 graders of 7 items. ``ends``, read only by the Mallows
+    centres, lists the strict pairs item by item from those masks on first
+    use and keeps them: 16 bytes a pair, 2.0 MB for the same graders.
     """
 
     graders: tuple[str, ...]
@@ -297,26 +298,28 @@ class FeedbackArrays:
         arrays = offsets, self.item[entries], self.rank[entries], coeff, grader_coeff.astype(np.int32).ravel()
         return FeedbackArrays(graders, self.n_items, *_read_only(*arrays))
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per ranking length m, ascending: its graders, ascending, and their entries, (m, G) by grader column."""
-        counts = np.diff(self.offsets)
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per ranking length m, ascending, read-only: its graders, ascending, their entries, (m, G) by
+        grader column, and the ``_strict_pairs`` (first, second, strict) of their ranks."""
+        counts, blocks = np.diff(self.offsets), []
         for m in np.flatnonzero(np.bincount(counts)).tolist():  # np.unique would import numpy.ma, ~15 ms
             graders = np.flatnonzero(counts == m)
-            yield graders, self.offsets[graders] + np.arange(m)[:, None]
+            entries = self.offsets[graders] + np.arange(m)[:, None]
+            blocks.append(_read_only(graders, entries, *_strict_pairs(self.rank[entries])))
+        return tuple(blocks)
 
     @cached_property
     def ends(self) -> EndTable:
         """Every block's strict pairs, put in pair order by a stable sort on grader where the graders
         of several blocks interleave, then listed under each of their items by a stable sort on item."""
-        tables, pairs = [], [np.empty((3, 0), dtype=np.int32)]
-        for graders, entries in self.blocks():
-            first, second, strict = _read_only(*_strict_pairs(self.rank[entries]))
-            tables.append((first, second, strict))
+        pairs = [np.empty((3, 0), dtype=np.int32)]
+        for graders, entries, first, second, strict in self.blocks:
             items, mine = self.item[entries], strict.T
             grader = np.repeat(graders.astype(np.int32), np.count_nonzero(strict, axis=0))
             pairs.append(np.stack((items[first].T[mine], items[second].T[mine], grader)))
         winner, loser, grader = np.concatenate(pairs, axis=1)
-        if len(tables) > 1:
+        if len(self.blocks) > 1:
             in_order = _stable_order(grader, len(self.graders))
             winner, loser, grader = winner[in_order], loser[in_order], grader[in_order]
         # End 2p is pair p's winner and end 2p + 1 its loser.
@@ -325,7 +328,7 @@ class FeedbackArrays:
         other = np.stack((loser, winner), axis=1).ravel()[by_item]
         key = np.stack((2 * grader, 2 * grader + 1), axis=1).ravel()[by_item]
         offsets = np.concatenate(([0], np.cumsum(np.bincount(item, minlength=self.n_items))))
-        return EndTable(*_read_only(offsets, other, key), tuple(tables))
+        return EndTable(*_read_only(offsets, other, key))
 
 
 @dataclass(frozen=True)

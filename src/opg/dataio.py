@@ -320,8 +320,6 @@ def percentile_ranks(ranking: WeakRanking) -> dict[str, float]:
     to 100.
     """
     n = len(ranking)
-    if n == 0:
-        return {}
     if n == 1:
         return {next(iter(ranking.items)): 100.0}
     out: dict[str, float] = {}

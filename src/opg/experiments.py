@@ -276,7 +276,7 @@ def lazy_identification(
     def least_reliable(trial: Dataset, est: Estimate) -> list[str]:
         if est.reliabilities is None:
             raise ValidationError(f"model {method!r} returned no reliabilities")
-        return sorted(trial.graders, key=lambda g: (est.reliabilities.get(g, float("inf")), g))
+        return sorted(trial.graders, key=lambda g: (est.reliabilities[g], g))
 
     return _lazy_identification_rate(data, method, bottom_k, reps, seed, options, resample, least_reliable)
 

@@ -15,11 +15,12 @@ exactly once, which reproduces the normalizer product; cross-group pairs
 are fixed by the tie groups, contributing the constant X.
 
 Every estimator here runs on one set of array cores, ``_Centers``, over the
-dataset's compiled feedback and its end table (``FeedbackArrays.ends``, listed
-once per dataset: each item's strict pairs in pair order, and each ranking
-length's position pairs and strict masks): the public helpers build one for
-their dataset and reliabilities, and ``fit_mallows`` builds one per fit, whose
-first center at reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
+dataset's compiled feedback: its blocks (``FeedbackArrays.blocks``, each ranking
+length's graders with their position pairs and strict masks) and its end table
+(``FeedbackArrays.ends``, each item's strict pairs in pair order), each listed
+once per dataset. The public helpers build one for their dataset and
+reliabilities, and ``fit_mallows`` builds one per fit, whose first center at
+reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
 """
 
 from __future__ import annotations
@@ -132,9 +133,10 @@ def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -
 
 
 def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
-    """X_g of each grader, in feedback order: its pairs ordered against the center at ``position``."""
+    """X_g of each grader, in feedback order: its pairs ordered against the center at ``position``,
+    counted block by block from the strict masks of ``FeedbackArrays.blocks``."""
     x_g = np.zeros(len(arrays.graders), dtype=np.intp)
-    for (graders, entries), (first, second, strict) in zip(arrays.blocks(), arrays.ends.blocks):
+    for graders, entries, first, second, strict in arrays.blocks:
         at = position[arrays.item[entries]]
         x_g[graders] = np.count_nonzero(strict & (at[first] > at[second]), axis=0)
     return x_g
@@ -149,11 +151,11 @@ class _Centers:
     """One dataset's center rankings under changing reliabilities, on item indices.
 
     Each method takes one reliability per grader, in feedback order, and
-    reads the strict pairs from ``FeedbackArrays.ends``: the greedy center
-    each item's own, the cost X_g per grader from the block masks, and local
-    improvement the winning ends, keyed once per fit on first use. A dataset
-    without feedback has no pairs; the estimators, which rank from feedback,
-    refuse it in ``check_feedback``.
+    reads the strict pairs: the greedy center each item's own from
+    ``FeedbackArrays.ends``, the cost X_g per grader from the masks of
+    ``FeedbackArrays.blocks``, and local improvement the winning ends, keyed
+    once per fit on first use. A dataset without feedback has no pairs; the
+    estimators, which rank from feedback, refuse it in ``check_feedback``.
     """
 
     def __init__(self, data: Dataset):
@@ -412,7 +414,8 @@ def fit_reliabilities(
     Maximizes (shape-1)*ln(eta) - eta/scale + log-likelihood of the grader's
     feedback for each grader independently over [1e-3, 1e3], by safeguarded
     Newton on ln(eta) until a step is at most 1e-9; optima at or beyond a
-    bound are clamped to it. Graders without feedback get the prior mode.
+    bound are clamped to it. Graders without feedback get the prior mode,
+    clamped likewise.
 
     The likelihood term reduces to -eta*X_g + sum_i A_i(g) * ln(1 - e^(-i*eta))
     where X_g counts cross-group pairs against the center and A_i(g) =
@@ -424,10 +427,6 @@ def fit_reliabilities(
     if not center.is_total:
         raise ValidationError("center must be a total order")
     arrays = data.feedback_arrays
-    result = dict.fromkeys(data.graders, prior.mode)
-    if not arrays.graders:
-        return result
-
     position = _positions(center, data)
     unranked = position[arrays.item] < 0
     if unranked.any():
@@ -435,8 +434,7 @@ def fit_reliabilities(
         entries = slice(arrays.offsets[g], arrays.offsets[g + 1])
         missing = sorted(data.items[i] for i in arrays.item[entries][unranked[entries]])
         raise ValidationError(f"center does not rank items: {missing}")
-    result.update(zip(arrays.graders, _reliabilities(arrays, position, prior)[0].tolist()))
-    return result
+    return prior._by_grader(data.graders, arrays.graders, _reliabilities(arrays, position, prior)[0])
 
 
 def _break_ties(order: np.ndarray, cuts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -534,9 +532,6 @@ def fit_mallows(
     if converged:
         order, cuts = total, singletons
 
-    reliabilities = None
-    if changes:
-        reliabilities = dict.fromkeys(data.graders, prior.mode)
-        reliabilities.update(zip(centers.arrays.graders, etas.tolist()))
+    reliabilities = prior._by_grader(data.graders, centers.arrays.graders, etas) if changes else None
     metadata.update(rounds=len(changes), converged=converged, center_cost=costs, reliability_change=changes)
     return Estimate(ranking=_weak_ranking(data.items, order, cuts), reliabilities=reliabilities, metadata=metadata)

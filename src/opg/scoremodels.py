@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
-from .data import Dataset, Estimate, FeedbackArrays, _strict_pairs
+from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
 from .mallows import _break_ties, _check_eta
 from .rankings import WeakRanking, ranking_from_scores
@@ -96,7 +96,9 @@ class _BlockBatch:
 
     A block in ``blocks`` is (graders, items, *the subclass's ``_tables``),
     where column c of the (m, G) ``items`` is grader ``graders[c]``'s items,
-    best first in ``order`` (by default the feedback's entry order).
+    best first in ``order`` (by default the feedback's entry order), and
+    ``_tables`` reads the block's ranks and the strict pairs (first, second,
+    strict) that ``FeedbackArrays.blocks`` keeps for it.
     ``_kernel`` gives each grader's negative log-likelihood and its gradient
     gu in u = scale * (its items' scores); the link ``scale`` is eta unless
     a subclass overrides it and ``_eta_gradient``. ``evaluate`` returns each
@@ -112,13 +114,13 @@ class _BlockBatch:
     def __init__(self, arrays: FeedbackArrays, order: np.ndarray | None = None):
         order = arrays.item.astype(np.intp) if order is None else order
         self.blocks, self.work = [], []
-        for graders, entries in arrays.blocks():
-            block = (graders, order[entries], *self._tables(len(entries), arrays.rank[entries]))
+        for graders, entries, *pairs in arrays.blocks:
+            block = (graders, order[entries], *self._tables(arrays.rank[entries], *pairs))
             self.blocks.append(block)
             self.work.append((*np.empty((2, *entries.shape)), *self._work(block)))
         self.n_items, self.n_graders = arrays.n_items, len(arrays.graders)
 
-    def _tables(self, m: int, ranks: np.ndarray) -> tuple:
+    def _tables(self, ranks: np.ndarray, *pairs) -> tuple:
         return ()
 
     def scale(self, etas: np.ndarray) -> np.ndarray:
@@ -149,8 +151,8 @@ class _PairwiseBatch(_BlockBatch):
     """Every grader's strict pairs under the logistic link.
 
     A block is (graders, items, first, second, mask, ends, signs): its
-    m(m-1)/2 position pairs i < j as ``data._strict_pairs`` lists them for
-    the Mallows estimators too, ``first[p]`` and ``second[p]``, and its
+    m(m-1)/2 position pairs i < j as ``FeedbackArrays.blocks`` lists them
+    for the Mallows estimators too, ``first[p]`` and ``second[p]``, and its
     (pairs, G) ``mask``, 1 at each grader's strict pairs, which i wins, and
     0 at its tied ones, which express no preference. A pair's probability
     is sigma(z) at z = scale * (s_i - s_j). Row k of the (m, m - 1) ``ends``
@@ -161,11 +163,10 @@ class _PairwiseBatch(_BlockBatch):
     exp(-|z|), a scratch array, the signed q and gu.
     """
 
-    def _tables(self, m: int, ranks: np.ndarray) -> tuple[np.ndarray, ...]:
-        first, second, strict = _strict_pairs(ranks)
+    def _tables(self, ranks: np.ndarray, first: np.ndarray, second: np.ndarray, strict: np.ndarray) -> tuple:
         # Each position's pairs: as i, then as j, each in order of the other end.
-        ends = np.argsort(np.concatenate((first, second)), kind="stable").reshape(m, m - 1) % len(first)
-        signs = np.where(first[ends] == np.arange(m)[:, None], -1.0, 1.0)[:, :, None] * strict[ends]
+        ends = np.argsort(np.concatenate((first, second)), kind="stable").reshape(len(ranks), -1) % len(first)
+        signs = np.where(first[ends] == np.arange(len(ranks))[:, None], -1.0, 1.0)[:, :, None] * strict[ends]
         return first, second, strict.astype(float), ends, signs
 
     def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
@@ -421,10 +422,10 @@ class _PermBatch(_BlockBatch):
     ``_PermanentWork``.
     """
 
-    def _tables(self, m: int, ranks: np.ndarray) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
-        layers, log_masks = _subset_layers(m), []
+    def _tables(self, ranks: np.ndarray, *pairs) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
+        layers, log_masks = _subset_layers(len(ranks)), []
         for members, _, outside, _, _ in layers:
-            fits = ranks[members].max(axis=0, initial=0) <= ranks[outside].min(axis=0, initial=m)
+            fits = ranks[members].max(axis=0, initial=0) <= ranks[outside].min(axis=0, initial=len(ranks))
             log_masks.append(np.hstack((np.zeros(fits.shape), np.where(fits, 0.0, _DROPPED))))
         return layers, log_masks
 
@@ -740,9 +741,10 @@ def fit(
     """MAP-fit a score model, with per-grader reliabilities if ``with_reliability``.
 
     Every fit starts from the prior mean (and, for ``+g``, from eta = 1).
-    Items nobody graded get the prior mean, with a warning. The plain
-    ``bt``, ``pl`` and ``mals`` fits run L-BFGS on the scores, and
-    ``thur``'s per-grader SVRG epochs; ``metadata`` records the
+    Items nobody graded get the prior mean, with a warning, and roster
+    graders without feedback the reliability prior's mode, kept in [1e-3,
+    1e3]. The plain ``bt``, ``pl`` and ``mals`` fits run L-BFGS on the
+    scores, and ``thur``'s per-grader SVRG epochs; ``metadata`` records the
     ``lbfgs_iterations`` or ``svrg_epochs`` taken. A ``+g`` fit of any of
     the four is one L-BFGS run over the scores and log(eta) together, each
     reliability kept in [1e-3, 1e3], and records its ``lbfgs_iterations``.
@@ -764,8 +766,7 @@ def fit(
         warnings.warn(f"items never graded by anyone get the prior mean: {ungraded}", stacklevel=2)
 
     s, etas, report = _fit_batch(batch, score_prior, rprior, rng)
-    graders = data.feedback_arrays.graders
-    reliabilities = {g: float(etas[i]) for i, g in enumerate(graders)} if with_reliability else None
+    reliabilities = rprior._by_grader(data.graders, data.feedback_arrays.graders, etas) if with_reliability else None
     scores = {item: float(s[i]) for i, item in enumerate(data.items)}
     return Estimate(
         ranking=ranking_from_scores(scores, tie_epsilon),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable
@@ -116,8 +117,6 @@ def _balanced_assignment(n: int, n_graders: int, per_grader: int, rng: np.random
     grader. The key ``count * n + priority`` is unique, so the chosen set is
     exactly the ``per_grader`` smallest keys.
     """
-    if not 1 <= per_grader <= n:
-        raise ValidationError(f"per_grader must be in [1, {n}], got {per_grader}")
     counts = np.zeros(n, dtype=np.int64)
     assigned = np.empty((n_graders, per_grader), dtype=np.intp)
     for g in range(n_graders):
@@ -291,13 +290,8 @@ def add_lazy_graders(data: Dataset, n: int, seed: int = 0) -> Dataset:
     per_grader = min(_prevailing_items_per_grader(data), len(data.items))
 
     taken = set(data.graders)
-    names: list[str] = []
-    k = 0
-    while len(names) < n:
-        candidate = f"lazy{k:03d}"
-        if candidate not in taken:
-            names.append(candidate)
-        k += 1
+    candidates = (f"lazy{k:03d}" for k in itertools.count())
+    names = list(itertools.islice((name for name in candidates if name not in taken), n))
     assigned = _balanced_assignment(len(data.items), n, per_grader, rng)
     draws = rng.normal(mean, std, assigned.shape)
     new_feedback = list(data.feedback)

@@ -6,11 +6,14 @@ import subprocess
 
 import pytest
 
+from opg import experiments
 from opg.cardinal import scavg
 from opg.cli import main
 from opg.dataio import parse_cardinal_csv, parse_ordinal_json, read_estimate, write_estimate, write_ordinal_json
 from opg.data import Estimate
+from opg.estimators import ModelOptions
 from opg.rankings import WeakRanking
+from opg.synth import CardinalNormalGraders, SynthConfig, simulate
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset
 
@@ -353,6 +356,60 @@ class TestExperimentCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert "ek_mean" in report
+
+
+@pytest.fixture
+def lazy_class(tmp_path):
+    """A small simulated class of cardinal graders with four labeled lazy ones, written as ordinal JSON
+    (which keeps grades and lazy labels), and its truth."""
+    data, truth = simulate(SynthConfig(10, 16, 4, grader_model=CardinalNormalGraders(eta=16.0), n_lazy=4, seed=2))
+    path, target = str(tmp_path / "lazy.json"), str(tmp_path / "truth.json")
+    write_ordinal_json(data, path)
+    write_estimate(truth, target)
+    return path, target
+
+
+class TestLazyGraderExperiments:
+    """The lazy-grader protocols through the CLI report what the library call with the same seed and
+    options returns."""
+
+    def run(self, lazy_class, tmp_path, *argv):
+        out = str(tmp_path / "report.json")
+        args = ["experiment", "--input", lazy_class[0], "--reps", "3", "--seed", "4", "--output", out, *argv]
+        assert main(args) == 0
+        return json.loads(open(out, encoding="utf-8").read())
+
+    @pytest.mark.parametrize(
+        "name, model, library",
+        [
+            ("lazy_identification", "mal+g", experiments.lazy_identification),
+            ("lazy_heuristic", "mal", experiments.lazy_identification_heuristic),
+        ],
+    )
+    def test_lazy_identification(self, lazy_class, tmp_path, name, model, library):
+        report = self.run(lazy_class, tmp_path, "--name", name, "--model", model, "--bottom-k", "3")
+        want = library(parse_ordinal_json(lazy_class[0]), model, 3, 3, 4, ModelOptions(seed=4))
+        assert report["identification_rate"] == want
+        assert (report["experiment"], report["method"], report["seed"]) == (name, model, 4)
+        assert report["params"]["bottom_k"] == 3 and report["params"]["reps"] == 3
+
+    def test_lazy_identification_default_bottom_k(self, lazy_class, tmp_path):
+        report = self.run(lazy_class, tmp_path, "--name", "lazy_identification", "--model", "ncs+g")
+        data = parse_ordinal_json(lazy_class[0])
+        assert report["identification_rate"] == experiments.lazy_identification(
+            data, "ncs+g", None, 3, 4, ModelOptions(seed=4)
+        )
+        assert report["params"]["bottom_k"] is None
+
+    def test_robustness(self, lazy_class, tmp_path):
+        path, target = lazy_class
+        report = self.run(
+            lazy_class, tmp_path, "--name", "robustness", "--model", "mal", "--target", target, "--lazy-count", "2"
+        )
+        data, truth = parse_ordinal_json(path), read_estimate(target).ranking
+        want = experiments.robustness_delta(data, "mal", [2], [truth], 3, 4, ModelOptions(seed=4))
+        assert report["deltas"] == list(want)
+        assert report["params"]["lazy_counts"] == [2]
 
 
 @pytest.mark.skipif(shutil.which("opg") is None, reason="console script not installed")

@@ -19,7 +19,7 @@ from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_cardinal_cs
 from opg.errors import ValidationError
 from opg.estimators import fit_model
 from opg.experiments import bootstrap_ek, downsample_curve, self_consistency
-from opg.mallows import fit_mallows
+from opg.mallows import fit_mallows, fit_reliabilities
 from opg.rankings import WeakRanking
 from opg.synth import SynthConfig, simulate
 
@@ -171,6 +171,16 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset.from_feedback(fb)
 
+    def test_feedback_from_an_unknown_grader(self):
+        fb = (GraderFeedback.from_ordinal("ghost", WeakRanking([("a",)])),)
+        with pytest.raises(ValidationError, match="^feedback from unknown grader 'ghost'$"):
+            Dataset(items=("a",), graders=("g",), feedback=fb)
+
+    def test_two_records_of_one_grader_on_the_roster(self):
+        fb = tuple(GraderFeedback.from_ordinal("g", WeakRanking([(d,)])) for d in ("a", "b"))
+        with pytest.raises(ValidationError, match="^grader 'g' has more than one feedback record$"):
+            Dataset(items=("a", "b"), graders=("g",), feedback=fb)
+
     def test_lazy_must_be_graders(self):
         fb = (GraderFeedback.from_ordinal("g", WeakRanking([("a",)])),)
         with pytest.raises(ValidationError):
@@ -189,20 +199,31 @@ class TestDataset:
         assert cardinal.has_full_ordinal()
 
 
-@pytest.fixture
-def derivations(monkeypatch):
-    """Counts derivations of ``FeedbackArrays.ends``, by the arrays they were derived from."""
+def count_derivations(monkeypatch, name: str) -> list:
+    """Counts derivations of the cached ``FeedbackArrays`` attribute ``name``, by the arrays they were derived from."""
     calls = []
-    original = FeedbackArrays.ends.func
+    original = getattr(FeedbackArrays, name).func
 
     def counting(arrays):
         calls.append(arrays)
         return original(arrays)
 
     counted = functools.cached_property(counting)
-    counted.__set_name__(FeedbackArrays, "ends")
-    monkeypatch.setattr(FeedbackArrays, "ends", counted)
+    counted.__set_name__(FeedbackArrays, name)
+    monkeypatch.setattr(FeedbackArrays, name, counted)
     return calls
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts derivations of ``FeedbackArrays.ends``, by the arrays they were derived from."""
+    return count_derivations(monkeypatch, "ends")
+
+
+@pytest.fixture
+def block_derivations(monkeypatch):
+    """Counts derivations of ``FeedbackArrays.blocks``, by the arrays they were derived from."""
+    return count_derivations(monkeypatch, "blocks")
 
 
 @pytest.fixture
@@ -285,6 +306,21 @@ class TestFeedbackArrays:
         fit_model("mal+kg", data)
         assert derivations == [data.feedback_arrays]
 
+    def test_every_ordinal_model_reads_one_block_table(self, block_derivations):
+        data = simulate(SynthConfig(12, 20, 4, seed=3))[0]
+        for model in ("mal", "mal+g", "malbc+g", "mal+kg", "bt", "thur", "pl", "mals"):
+            fit_model(model, data)
+        assert block_derivations == [data.feedback_arrays]
+
+    def test_x_g_counts_leave_the_end_table_underived(self, derivations, block_derivations):
+        data = simulate(SynthConfig(40, 150, 7, seed=0))[0]
+        fit_model("malbc+g", data)
+        fit_reliabilities(data, WeakRanking.from_order(data.items))
+        fresh = simulate(SynthConfig(40, 150, 7, seed=0))[0]
+        fit_reliabilities(fresh, WeakRanking.from_order(fresh.items))
+        assert block_derivations == [data.feedback_arrays, fresh.feedback_arrays]
+        assert derivations == []
+
     def test_parsing_building_and_cardinal_fits_do_not_build(self, builds, tmp_path):
         ordinal = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a"]]})
         cardinal = make_cardinal_dataset({"g1": {"a": 9.0, "b": 7.0}, "g2": {"a": 6.0, "b": 8.0}})
@@ -318,7 +354,7 @@ class TestFeedbackArrays:
 
 
 def assert_same_arrays(got: FeedbackArrays, want: FeedbackArrays) -> None:
-    """Equal field for field, and in their end tables; arrays also in dtype, shape and read-only flag."""
+    """Equal field for field, and in their block and end tables; arrays also in dtype, shape and read-only flag."""
     for f in dataclasses.fields(FeedbackArrays):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
@@ -326,15 +362,19 @@ def assert_same_arrays(got: FeedbackArrays, want: FeedbackArrays) -> None:
             assert np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
+    assert len(got.blocks) == len(want.blocks)
+    for k, (mine, theirs) in enumerate(zip(got.blocks, want.blocks)):
+        assert_all_same((f"blocks[{k}]", a, b) for a, b in zip(mine, theirs, strict=True))
     assert_same_ends(got.ends, want.ends)
 
 
 def assert_same_ends(got: EndTable, want: EndTable) -> None:
-    """Equal array for array, block tables too, in dtype, shape and values, and all read-only."""
-    assert len(got.blocks) == len(want.blocks)
-    named = [("offsets", got.offsets, want.offsets), ("other", got.other, want.other), ("key", got.key, want.key)]
-    for k, (mine, theirs) in enumerate(zip(got.blocks, want.blocks)):
-        named += [(f"blocks[{k}]", a, b) for a, b in zip(mine, theirs, strict=True)]
+    """Equal array for array, in dtype, shape and values, and all read-only."""
+    assert_all_same(zip(EndTable._fields, got, want, strict=True))
+
+
+def assert_all_same(named) -> None:
+    """Each (name, got, want) equal in dtype, shape and values, and both read-only."""
     for name, a, b in named:
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
         assert np.array_equal(a, b), name
@@ -352,17 +392,17 @@ def flat_ends(arrays: FeedbackArrays) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def assert_ends_are_the_flat_pairs(arrays: FeedbackArrays) -> None:
     """The end table holds the flat enumeration's pairs, item by item in pair order, and each block's
     position pairs i < j in row-major order with the mask of those its graders rank strictly."""
-    ends = arrays.ends
-    for name, a, b in zip(("offsets", "other", "key"), ends[:3], flat_ends(arrays)):
-        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
-        assert np.array_equal(a, b), name
-    assert len(ends.blocks) == len(list(arrays.blocks()))
-    for (_, entries), (first, second, strict) in zip(arrays.blocks(), ends.blocks):
+    assert_all_same(zip(EndTable._fields, arrays.ends, flat_ends(arrays), strict=True))
+    lengths = np.diff(arrays.offsets)
+    assert [len(entries) for _, entries, *_ in arrays.blocks] == sorted(set(lengths.tolist()))
+    for graders, entries, first, second, strict in arrays.blocks:
+        assert graders.tolist() == np.flatnonzero(lengths == len(entries)).tolist()
+        assert entries.T.tolist() == [list(range(arrays.offsets[g], arrays.offsets[g + 1])) for g in graders]
         pairs = list(itertools.combinations(range(len(entries)), 2))
         assert list(zip(first.tolist(), second.tolist())) == pairs
         ranks = arrays.rank[entries]
         assert strict.tolist() == [[ranks[i, g] < ranks[j, g] for g in range(ranks.shape[1])] for i, j in pairs]
-        assert not any(a.flags.writeable for a in (first, second, strict))
+        assert not any(a.flags.writeable for a in (graders, entries, first, second, strict))
 
 
 class TestBuildEqualsTheOracle:
@@ -420,21 +460,28 @@ class TestStrictPairs:
         assert ends.offsets.tolist() == [0, 0, 0, 0]
 
     def test_holds_16_bytes_a_pair_and_the_block_tables(self):
-        """Of a 600 x 1800 x 7 class, the table keeps its two int32 arrays of ends, its item offsets and
-        the blocks' position pairs and masks, and no other memory."""
+        """Of a 600 x 1800 x 7 class, the block table keeps each block's graders, entries, position pairs
+        and masks, and the end table, derived after it, its two int32 arrays of ends and its item offsets;
+        neither keeps other memory."""
         arrays = simulate(SynthConfig(600, 1800, 7, seed=1))[0].feedback_arrays
         n_pairs = len(flat_strict_pairs(arrays)[0])
         tracemalloc.start()
         try:
+            blocks = arrays.blocks
+            held_blocks = tracemalloc.get_traced_memory()[0]
             ends = arrays.ends
-            held = tracemalloc.get_traced_memory()[0]
+            held_ends = tracemalloc.get_traced_memory()[0] - held_blocks
         finally:
             tracemalloc.stop()
-        tables = sum(a.nbytes for block in ends.blocks for a in block)
+        # Per block of G graders of m items and m(m - 1) / 2 position pairs: 8 bytes a grader and an
+        # entry, 16 a position pair, and 1 a pair of a grader's mask.
+        tables = sum(a.nbytes for block in blocks for a in block)
+        assert tables == sum(8 * g.size + 8 * e.size + 16 * len(f) + f.size * g.size for g, e, f, *_ in blocks)
         assert ends.other.nbytes + ends.key.nbytes == 16 * n_pairs
         assert ends.offsets.nbytes == 8 * (arrays.n_items + 1)
-        # 4 KB for the Python objects: the table, its tuples and the cached attribute's slot.
-        assert held <= 16 * n_pairs + ends.offsets.nbytes + tables + 4096
+        # 4 KB each for the Python objects: the tables, their tuples and the cached attributes' slots.
+        assert held_blocks <= tables + 4096
+        assert held_ends <= 16 * n_pairs + ends.offsets.nbytes + 4096
 
 
 @pytest.fixture

@@ -142,3 +142,23 @@ class TestNegativeIterations:
         assert main(args) == 1
         assert not out.exists()
         assert "tie_epsilon must be finite and >= 0" in capsys.readouterr().err
+
+
+class TestGradersWithoutFeedback:
+    """Every ``+g`` model reports a reliability for every roster grader: one who gave no feedback gets
+    the reliability prior's mode, kept in [1e-3, 1e3], which is its MAP without data."""
+
+    RELIABILITY_MODELS = ("mal+g", "malbc+g", "mal+kg", "bt+g", "thur+g", "pl+g", "mals+g", "ncs+g")
+
+    @pytest.mark.parametrize("prior", [ReliabilityPrior(shape=3.0, scale=0.7), ReliabilityPrior(shape=1.0)])
+    def test_get_the_prior_mode(self, graded, prior):
+        idle = dataclasses.replace(graded, graders=graded.graders + ("idle",))
+        options = dataclasses.replace(OPTIONS, reliability_prior=prior)
+        assert sorted(n for n in MODEL_NAMES if FAMILIES[n][1]) == sorted(self.RELIABILITY_MODELS)
+        for name in self.RELIABILITY_MODELS:
+            est = fit_model(name, idle, options)
+            assert list(est.reliabilities) == list(idle.graders), name
+            assert est.reliabilities["idle"] == min(max(prior.mode, 1e-3), 1e3), name
+            # The idle grader changes no other reliability.
+            fitted = fit_model(name, graded, options).reliabilities
+            assert {g: r for g, r in est.reliabilities.items() if g != "idle"} == fitted, name

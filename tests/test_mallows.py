@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -269,6 +270,40 @@ class TestLocalKemenization:
         data = make_ordinal_dataset({"g1": [["a"], ["b"]]})
         with pytest.raises(ValidationError):
             local_kemenization(WeakRanking([("a", "b")]), data)
+
+
+class TestRefusals:
+    """The center and ranking checks of the public helpers, each with its message."""
+
+    data = make_ordinal_dataset({"g1": [["a"], ["b", "c"]], "g2": [["c"], ["a"]]})
+    tied = WeakRanking([("a",), ("b", "c")])
+    partial = WeakRanking.from_order(["a", "c"])
+
+    def test_fit_reliabilities(self):
+        with pytest.raises(ValidationError, match="^center must be a total order$"):
+            fit_reliabilities(self.data, self.tied)
+        with pytest.raises(ValidationError, match=re.escape("center does not rank items: ['b', 'c']")):
+            fit_reliabilities(self.data, WeakRanking.from_order(["a"]))
+        with pytest.raises(ValidationError, match=re.escape("center does not rank items: ['b']")):
+            fit_reliabilities(self.data, self.partial)
+
+    def test_mallows_log_likelihood(self):
+        fb = self.data.feedback[0]
+        with pytest.raises(ValidationError, match="^center must be a total order$"):
+            mallows_log_likelihood(self.tied, fb, 1.0)
+        with pytest.raises(ValidationError, match=re.escape("center does not rank items: ['b']")):
+            mallows_log_likelihood(self.partial, fb, 1.0)
+
+    def test_weighted_kendall_cost(self):
+        with pytest.raises(ValidationError, match="^cost is defined for total orders only$"):
+            weighted_kendall_cost(self.tied, self.data)
+
+    def test_local_kemenization(self):
+        with pytest.raises(ValidationError, match="^local improvement requires a total order$"):
+            local_kemenization(self.tied, self.data)
+        for ranking in (self.partial, WeakRanking.from_order(["a", "b", "c", "d"])):
+            with pytest.raises(ValidationError, match="^ranking must cover exactly the dataset's items$"):
+                local_kemenization(ranking, self.data)
 
 
 def _grid_search_eta(x_cross: int, group_sizes: list[int], m: int, prior: ReliabilityPrior):

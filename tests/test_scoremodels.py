@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -813,6 +814,28 @@ class TestUngradedItems:
             warnings.simplefilter("error")
             for model in SCORE_MODELS:
                 fit(model, data)
+
+
+class TestRefusals:
+    """``negative_log_posterior``'s parameter checks, each with its message."""
+
+    data = make_ordinal_dataset({"g1": [["a"], ["b"]], "g2": [["b"], ["a", "c"]]})
+    scores = {"a": 0.5, "b": 0.0, "c": -0.5}
+
+    @pytest.mark.parametrize("model", SCORE_MODELS)
+    def test_missing_scores(self, model):
+        with pytest.raises(ValidationError, match=re.escape("scores missing for items: ['b', 'c']")):
+            negative_log_posterior(model, self.data, {"a": 0.0})
+
+    @pytest.mark.parametrize("model", SCORE_MODELS)
+    def test_missing_reliabilities(self, model):
+        with pytest.raises(ValidationError, match=re.escape("reliabilities missing for graders: ['g2']")):
+            negative_log_posterior(model, self.data, self.scores, {"g1": 1.0})
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_reliabilities(self, eta):
+        with pytest.raises(ValidationError, match=r"^reliabilities must be finite and > 0$"):
+            negative_log_posterior("bt", self.data, self.scores, {"g1": 1.0, "g2": eta})
 
 
 def test_fitting_does_not_import_scipy_optimize():
