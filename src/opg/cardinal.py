@@ -148,7 +148,8 @@ def ncs_fit(
 
     Items nobody graded get the prior mean as score, with a warning; a "+g"
     fit gives roster graders without feedback the reliability prior's mode,
-    kept in [1e-3, 1e3].
+    kept in [1e-3, 1e3], and bias 0, the bias prior's mean, outside the
+    sum-to-zero constraint.
     """
     hp = hp or NcsHyperparams()
     prior = reliability_prior or ReliabilityPrior()
@@ -191,7 +192,7 @@ def ncs_fit(
         metadata = {
             "model": "ncs+g",
             "mu0": mu0,
-            "biases": {g: float(b[i]) for i, g in enumerate(graders)},
+            "biases": {**dict.fromkeys(data.graders, 0.0), **dict(zip(graders, b.tolist()))},
             "reliability_change": changes,
             "converged": bool(changes) and changes[-1] <= _SETTLED_LOG_ETA,
         }

@@ -100,7 +100,7 @@ class Dataset:
     graders: tuple[str, ...]
     feedback: tuple[GraderFeedback, ...]
     lazy_graders: frozenset[str] = frozenset()
-    _source = None  # (parent, rows) of a grader subset marked by ``_gathered_from``; not a field
+    _source = None  # (parent, rows) of a grader subset built by ``_subset``; not a field
 
     def __post_init__(self) -> None:
         items = tuple(sorted(self.items))
@@ -157,10 +157,20 @@ class Dataset:
     def has_full_cardinal(self) -> bool:
         return all(fb.cardinal is not None for fb in self.feedback)
 
-    def _gathered_from(self, parent: "Dataset", rows: np.ndarray) -> "Dataset":
-        """Mark this dataset as ``parent``'s graders at feedback positions ``rows``, in order."""
-        object.__setattr__(self, "_source", (parent, rows))
-        return self
+    @classmethod
+    def _subset(
+        cls, parent: "Dataset", rows: np.ndarray, names: Iterable[str], records: tuple, lazy: frozenset[str]
+    ) -> "Dataset":
+        """``parent``'s feedback at positions ``rows``, in that order, as ``records`` named ``names``, with
+        lazy labels ``lazy``; its compiled arrays are gathered from ``parent``'s. Only the names are checked:
+        the records and their items are ``parent``'s, already checked, and the labels follow the records."""
+        graders = tuple(sorted(names))
+        if len(set(graders)) != len(graders):
+            raise ValidationError("grader roster contains duplicates")
+        data = object.__new__(cls)
+        vars(data).update(items=parent.items, graders=graders, feedback=records, lazy_graders=lazy,
+                          _source=(parent, rows))
+        return data
 
     @cached_property
     def feedback_arrays(self) -> "FeedbackArrays":

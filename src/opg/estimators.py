@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from . import cardinal, mallows, scoremodels
@@ -116,4 +115,6 @@ def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> 
             reliability_prior=options.reliability_prior,
             tie_epsilon=options.tie_epsilon,
         )
-    return dataclasses.replace(est, metadata={**est.metadata, "model": name})
+    # Every family builds a fresh metadata dict per fit, so naming the model in place touches no other estimate.
+    est.metadata["model"] = name
+    return est

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -95,21 +94,19 @@ def _select_graders(data: Dataset, rows: Sequence[int], names: Sequence[str] | N
     originals = [data.feedback[r] for r in rows.tolist()]
     names = names or [fb.grader for fb in originals]
     feedback = tuple(fb if fb.grader == name else fb._renamed(name) for fb, name in zip(originals, names))
-    lazy = frozenset(name for fb, name in zip(originals, names) if fb.grader in data.lazy_graders)
-    return Dataset(data.items, tuple(names), feedback, lazy)._gathered_from(data, rows)
+    lazy = data.lazy_graders and frozenset(n for fb, n in zip(originals, names) if fb.grader in data.lazy_graders)
+    return Dataset._subset(data, rows, names, feedback, lazy)
 
 
 def _resample_graders(data: Dataset, rng: np.random.Generator) -> Dataset:
-    """Bootstrap resample of graders; duplicate draws get '#k' suffixes."""
+    """Bootstrap resample of graders; the c copies of a grader g drawn c times are g, g#2, ..., g#c."""
     n = len(data.feedback)
-    seen: Counter[str] = Counter()
-    drawn = []
-    for i in rng.integers(0, n, n).tolist():
-        grader = data.feedback[i].grader
-        seen[grader] += 1
-        drawn.append((grader if seen[grader] == 1 else f"{grader}#{seen[grader]}", i))
-    drawn.sort()
-    return _select_graders(data, [i for _, i in drawn], [name for name, _ in drawn])
+    counts = np.bincount(rng.integers(0, n, n), minlength=n).tolist()
+    # Copies of one record differ only in name, so the names need not follow the draw order.
+    drawn = sorted([(fb.grader if k == 1 else f"{fb.grader}#{k}", i)
+                    for i, (fb, c) in enumerate(zip(data.feedback, counts)) for k in range(1, c + 1)])
+    names, rows = zip(*drawn)
+    return _select_graders(data, rows, names)
 
 
 def bootstrap_ek(
@@ -173,23 +170,13 @@ def _downsample(data: Dataset, axis: str, level: int, rng: np.random.Generator) 
             raise ValidationError(f"level must be >= 1, got {level}")
         new_feedback = []
         for fb in data.feedback:
-            if len(fb.items) <= level:
-                new_feedback.append(fb)
-                continue
-            keep = set(rng.choice(len(fb.items), size=level, replace=False))
-            subset = frozenset(d for k, d in enumerate(fb.items) if k in keep)
-            ordinal = fb.ordinal.restrict(subset) if fb.ordinal is not None else None
-            grades = (
-                {d: v for d, v in fb.cardinal.items() if d in subset} if fb.cardinal else None
-            )
-            new_feedback.append(
-                GraderFeedback(
-                    grader=fb.grader,
-                    items=tuple(sorted(subset)),
-                    ordinal=ordinal,
-                    cardinal=grades,
-                )
-            )
+            if len(fb.items) > level:
+                keep = set(rng.choice(len(fb.items), size=level, replace=False))
+                subset = frozenset(d for k, d in enumerate(fb.items) if k in keep)
+                ordinal = fb.ordinal.restrict(subset) if fb.ordinal is not None else None
+                grades = {d: v for d, v in fb.cardinal.items() if d in subset} if fb.cardinal else None
+                fb = GraderFeedback(grader=fb.grader, items=tuple(sorted(subset)), ordinal=ordinal, cardinal=grades)
+            new_feedback.append(fb)
         return dataclasses.replace(data, feedback=tuple(new_feedback))
     raise ValidationError(f"unknown axis {axis!r}; use 'reviewers' or 'items_per_reviewer'")
 

@@ -117,6 +117,16 @@ class TestNcsG:
         assert sum(biases.values()) == pytest.approx(0.0, abs=1e-12)
         assert est.scores["y"] > est.scores["x"]
 
+    def test_a_grader_without_feedback_gets_a_reliability_and_bias_zero(self):
+        graded = make_cardinal_dataset({"A": {"x": 6.0, "y": 8.0}, "B": {"x": 7.0, "y": 9.0}})
+        data = Dataset(graded.items, graded.graders + ("idle",), graded.feedback)
+        est = ncs_fit(data, NcsHyperparams(gamma1=1e-6), with_bias_and_reliability=True)
+        biases = est.metadata["biases"]
+        assert list(est.reliabilities) == list(biases) == list(data.graders)
+        assert biases["idle"] == 0.0
+        assert biases["B"] - biases["A"] == pytest.approx(1.0, abs=1e-3)
+        assert biases["A"] + biases["B"] == pytest.approx(0.0, abs=1e-12)
+
     def test_global_shift_leaves_ranking_unchanged(self, rng):
         grades = {
             f"g{i}": {f"x{j}": float(rng.uniform(1.0, 10.0)) for j in rng.choice(8, 4, replace=False)}

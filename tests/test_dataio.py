@@ -1,10 +1,12 @@
 """Tests for file formats: cardinal CSV, ordinal JSON, estimate JSON."""
 
 import json
+import os
 import re
 
 import pytest
 
+from opg import dataio
 from opg.data import Estimate
 from opg.dataio import (
     dataset_from_dict,
@@ -320,3 +322,17 @@ class TestWriteJson:
         write_json({"v": 1}, path)
         write_json({"v": 2}, path)
         assert json.loads(open(path, encoding="utf-8").read()) == {"v": 2}
+
+    def test_failed_replace_removes_the_temp_file_and_reraises(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.json"
+        write_json({"v": 1}, str(path))
+
+        def failing_replace(src, dst):
+            assert os.path.exists(src)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_json({"v": 2}, str(path))
+        assert os.listdir(tmp_path) == ["x.json"]
+        assert json.loads(path.read_text(encoding="utf-8")) == {"v": 1}

@@ -83,6 +83,13 @@ class TestFitModelPassesEveryOption:
         want = _direct_fit(name, graded, OPTIONS)
         assert got == dataclasses.replace(want, metadata={**want.metadata, "model": name})
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_names_the_model_last_or_in_place_in_a_dict_of_its_own(self, name, graded):
+        first, second = fit_model(name, graded, OPTIONS), fit_model(name, graded, OPTIONS)
+        want = {**_direct_fit(name, graded, OPTIONS).metadata, "model": name}
+        assert list(first.metadata.items()) == list(want.items())
+        assert first.metadata is not second.metadata
+
     def test_each_option_moves_the_models_that_use_it(self, graded):
         """Guards the test above: equality with the direct call only catches a
         dropped field where that field moves the estimate."""

@@ -123,6 +123,60 @@ class TestGraderSubsets:
         monkeypatch.setattr(experiments, "_select_graders", lambda *args: dataclasses.replace(select(*args)))
         assert protocols() == gathered
 
+    def test_a_copy_named_like_a_roster_grader_is_refused(self):
+        data = make_ordinal_dataset({g: [["a"], ["b"]] for g in ("a", "a#2", "b")})
+        # A seed that draws grader 'a' twice and 'a#2' once: the second copy of 'a' is named 'a#2' too.
+        seed = next(s for s in range(1000)
+                    if np.bincount(np.random.default_rng(s).integers(0, 3, 3), minlength=3).tolist() == [2, 1, 0])
+        for resample in (_resample_graders, resample_graders_oracle):
+            with pytest.raises(ValidationError, match="grader roster contains duplicates"):
+                resample(data, np.random.default_rng(seed))
+
+    def test_resample_of_feedback_out_of_grader_order_matches_the_oracle(self, tmp_path):
+        tied = make_tied_csv_dataset(tmp_path, np.random.default_rng(4))
+        data = Dataset(tied.items, tied.graders, tied.feedback[::-1], tied.lazy_graders)
+        assert [fb.grader for fb in data.feedback] != sorted(data.graders)
+        data.cardinal_arrays
+        resamples = []
+        for seed in range(30):
+            got = _resample_graders(data, np.random.default_rng(seed))
+            want = resample_graders_oracle(data, np.random.default_rng(seed))
+            for f in dataclasses.fields(Dataset):
+                assert getattr(got, f.name) == getattr(want, f.name)
+            for a, b in zip(got.cardinal_arrays, want.cardinal_arrays):
+                assert np.array_equal(a, b)
+            resamples.append(got)
+        assert any("#" in g for d in resamples for g in d.lazy_graders)
+
+    # Each protocol's (mean, std) or curve on the tied dataset of rng seed 7, recorded when every
+    # subset was still rebuilt through ``Dataset(...)`` and its resample names counted draw by draw.
+    RECORDED = {
+        ("scavg", 0): ((26.8181818182, 2.74238238709), (32.7272727273, 14.2004539562),
+                       ((5, 35.0, 8.35671650493), (13, 28.6363636364, 4.49977042573))),
+        ("scavg", 1): ((29.5454545455, 4.40698168856), (34.5454545455, 16.160353486),
+                       ((5, 35.9090909091, 7.07106781187), (13, 31.3636363636, 0.642824346533))),
+        ("scavg", 2): ((29.3939393939, 4.55151111649), (38.1818181818, 10.1232079324),
+                       ((5, 28.6363636364, 3.21412173267), (13, 29.0909090909, 2.57129738613))),
+        ("malbc", 0): ((23.4848484848, 2.39949489634), (28.4848484848, 5.84463682484),
+                       ((5, 35.4545454545, 12.8564869307), (13, 24.5454545455, 3.8569460792))),
+        ("malbc", 1): ((24.0909090909, 2.61906550743), (32.1212121212, 10.0137646314),
+                       ((5, 37.7272727273, 9.642365198), (13, 27.2727272727, 0.0))),
+        ("malbc", 2): ((25.7575757576, 3.28616768769), (32.1212121212, 10.0137646314),
+                       ((5, 25.4545454545, 7.7138921584), (13, 26.8181818182, 0.642824346533))),
+    }
+
+    @pytest.mark.parametrize("method, seed", sorted(RECORDED))
+    def test_protocols_give_the_recorded_numbers(self, method, seed, tmp_path):
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(7))
+        targets = [WeakRanking.from_order(data.items)]
+        curve = downsample_curve(data, method, "reviewers", (5, 13), targets, reps=2, seed=seed)
+        got = (
+            bootstrap_ek(data, method, targets, reps=6, seed=seed),
+            self_consistency(data, method, partitions=3, seed=seed),
+            tuple((p.level, p.ek_mean, p.ek_std) for p in curve),
+        )
+        assert got == self.RECORDED[method, seed]
+
 
 class TestSelfConsistency:
     def test_identical_strict_orders_give_zero(self):
@@ -173,6 +227,18 @@ class TestDownsampleCurve:
         data, target = synth_ordinal(n_items=40, n_graders=60, items_per_grader=7, seed=1)
         curve = downsample_curve(data, "mal", "reviewers", [15, 60], target, reps=10, seed=0)
         assert curve[0].ek_mean >= curve[1].ek_mean
+
+    def test_items_per_reviewer_keeps_a_grader_at_or_below_the_level(self):
+        data = make_cardinal_dataset({
+            "short": {"a": 1.0, "b": 2.0},
+            "long": {"a": 3.0, "b": 1.0, "c": 2.0, "d": 0.0},
+        })
+        thinned = experiments._downsample(data, "items_per_reviewer", 2, np.random.default_rng(0))
+        before, after = ({fb.grader: fb for fb in d.feedback} for d in (data, thinned))
+        assert after["short"] is before["short"]
+        kept = after["long"]
+        assert len(kept.items) == 2 and kept.ordinal == before["long"].ordinal.restrict(kept.items)
+        assert kept.cardinal == {d: before["long"].cardinal[d] for d in kept.items}
 
     def test_rejects_bad_levels(self):
         data, target = synth_ordinal(n_graders=10)

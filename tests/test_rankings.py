@@ -53,6 +53,10 @@ class TestWeakRanking:
         with pytest.raises(ValidationError):
             WeakRanking([])
 
+    def test_repr_lists_the_groups_best_first(self):
+        assert repr(WeakRanking([("b", "a"), ("c",)])) == "WeakRanking({a,b} > {c})"
+        assert repr(WeakRanking.from_order(["z"])) == "WeakRanking({z})"
+
     def test_restrict(self):
         r = WeakRanking([("a", "b"), ("c",), ("d",)])
         assert r.restrict({"b", "d"}) == WeakRanking([("b",), ("d",)])
