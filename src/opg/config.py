@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +49,14 @@ class ReliabilityPrior:
     def mode(self) -> float:
         return (self.shape - 1.0) * self.scale
 
-    def _by_grader(self, roster: Iterable[str], graders: Iterable[str], etas: np.ndarray) -> dict[str, float]:
-        """Every ``roster`` grader's reliability: ``etas`` for the ``graders`` fitted, and for the rest,
-        who gave no feedback, their MAP: the mode, kept in the bounds every fit keeps a reliability in."""
-        return {**dict.fromkeys(roster, float(np.clip(self.mode, *_ETA_BOUNDS))), **dict(zip(graders, etas.tolist()))}
+    def _by_grader(self, roster: Sequence[str], graders: Sequence[str], etas: np.ndarray) -> dict[str, float]:
+        """Every ``roster`` grader's reliability, in roster order: ``etas`` for the ``graders`` fitted, and
+        for the rest, who gave no feedback, their MAP: the mode, kept in the bounds every fit keeps a
+        reliability in."""
+        fitted = dict(zip(graders, etas.tolist()))
+        if graders == roster:
+            return fitted
+        return {**dict.fromkeys(roster, float(np.clip(self.mode, *_ETA_BOUNDS))), **fitted}
 
 
 # Every "+g" fit keeps each reliability within these bounds.

@@ -152,10 +152,18 @@ class Dataset:
         )
 
     def has_full_ordinal(self) -> bool:
-        return all(fb.ordinal is not None for fb in self.feedback)
+        return self._full[0]
 
     def has_full_cardinal(self) -> bool:
-        return all(fb.cardinal is not None for fb in self.feedback)
+        return self._full[1]
+
+    @cached_property
+    def _full(self) -> tuple[bool, bool]:
+        """Whether every record has ordinal and cardinal feedback, scanned once. A subset has each kind
+        its parent has throughout, so it scans its own records only for the kinds the parent lacks."""
+        ordinal, cardinal = self._source[0]._full if self._source is not None else (False, False)
+        return (ordinal or all(fb.ordinal is not None for fb in self.feedback),
+                cardinal or all(fb.cardinal is not None for fb in self.feedback))
 
     @classmethod
     def _subset(
@@ -272,27 +280,27 @@ class FeedbackArrays:
 
     @classmethod
     def build(cls, data: Dataset) -> "FeedbackArrays":
-        """Compile ``data``'s feedback; every grader must have ordinal feedback."""
-        rankings = []
+        """Compile ``data``'s feedback; every grader must have ordinal feedback. A ranking's rank map
+        lists its items in entry order with their ranks, and a tie group starts at each entry whose
+        rank is its 1-based place in its grader's slice."""
+        rank_maps = []
         for fb in data.feedback:
             if fb.ordinal is None:
                 raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
-            rankings.append(fb.ordinal)
-        n_graders = len(rankings)
+            rank_maps.append(fb.ordinal._rank)
+        n_graders = len(rank_maps)
         index = {d: i for i, d in enumerate(data.items)}
-        counts = np.fromiter(map(len, rankings), dtype=np.intp, count=n_graders)
+        counts = np.fromiter(map(len, rank_maps), dtype=np.intp, count=n_graders)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        groups_of = [r.groups for r in rankings]
-        groups = list(chain.from_iterable(groups_of))
-        item = np.fromiter(map(index.__getitem__, chain.from_iterable(groups)), dtype=np.int32, count=int(offsets[-1]))
-        n_groups = np.fromiter(map(len, groups_of), dtype=np.intp, count=n_graders)
-        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-        group_grader = np.repeat(np.arange(n_graders), n_groups)
-        group_start = np.cumsum(sizes) - sizes
-        rank = np.repeat(group_start - offsets[group_grader] + 1, sizes).astype(np.int32)
+        n_entries = int(offsets[-1])
+        item = np.fromiter(map(index.__getitem__, chain.from_iterable(rank_maps)), dtype=np.int32, count=n_entries)
+        rank = np.fromiter(chain.from_iterable(map(dict.values, rank_maps)), dtype=np.int32, count=n_entries)
+        entry_grader = np.repeat(np.arange(n_graders), counts)
+        starts = np.flatnonzero(rank == np.arange(n_entries) - offsets[entry_grader] + 1)
+        sizes = np.diff(starts, append=n_entries)
 
         mmax = int(counts.max()) if n_graders else 1
-        per_size = np.bincount(group_grader * mmax + sizes - 1, minlength=n_graders * mmax)
+        per_size = np.bincount(entry_grader[starts] * mmax + sizes - 1, minlength=n_graders * mmax)
         at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
         coeff, grader_coeff = _distinct_rows(at_least - (np.arange(mmax) < counts[:, None]))
         arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32)

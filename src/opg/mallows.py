@@ -151,11 +151,12 @@ class _Centers:
     """One dataset's center rankings under changing reliabilities, on item indices.
 
     Each method takes one reliability per grader, in feedback order, and
-    reads the strict pairs: the greedy center each item's own from
-    ``FeedbackArrays.ends``, the cost X_g per grader from the masks of
-    ``FeedbackArrays.blocks``, and local improvement the winning ends, keyed
-    once per fit on first use. A dataset without feedback has no pairs; the
-    estimators, which rank from feedback, refuse it in ``check_feedback``.
+    reads the strict pairs: the greedy center and local improvement each
+    item's own from ``FeedbackArrays.ends``, and the cost X_g per grader from
+    the masks of ``FeedbackArrays.blocks``. A dataset without feedback has no
+    pairs; the estimators, which rank from feedback, refuse it in
+    ``check_feedback``. Nothing here draws: ``fit_mallows`` breaks the ties,
+    from a generator seeded by its ``seed`` at the first tie.
     """
 
     def __init__(self, data: Dataset):
@@ -223,56 +224,57 @@ class _Centers:
         return np.concatenate((candidates[ordered], self.ungraded)), cuts
 
     @cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sorted distinct keys winner * n + loser of the pairs, and the slot among them and the
-        grader of each pair, listed by its winning end: item by item, so each key's pairs in pair order."""
-        ends, n = self.arrays.ends, len(self.items)
+    def _wins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each item's number of won pairs, and the loser and grader of each pair listed by its
+        winning end: item by item, so the pairs of each (winner, loser) in pair order."""
+        ends = self.arrays.ends
         wins = np.flatnonzero((ends.key & 1) == 0)
-        key = np.repeat(np.arange(n), np.diff(ends.offsets))[wins] * n + ends.other[wins]
-        order = np.argsort(key)
-        ordered = key[order]
-        new = np.ones(len(key), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        slot = np.empty(len(key), dtype=np.intp)
-        slot[order] = np.cumsum(new) - 1
-        return ordered[new], slot, ends.key[wins] >> 1
+        return np.diff(np.searchsorted(wins, ends.offsets)), ends.other[wins], ends.key[wins] >> 1
 
     def pair_weights(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
-        keys, slot, grader = self._slots
+        counts, loser, grader = self._wins
+        n = len(self.items)
+        keys, slot = np.unique(np.repeat(np.arange(n) * n, counts) + loser, return_inverse=True)
         return keys, np.bincount(slot, weights=etas[grader], minlength=len(keys))
 
     def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        """``order`` after the adjacent swaps ``local_kemenization`` describes."""
-        n = len(self.items)
-        keys, weights = self.pair_weights(etas)
-        # A sentinel key past the end, which weighs nothing.
-        keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
+        """``order`` after the adjacent swaps ``local_kemenization`` describes, read off the end table.
 
-        def weight(key: np.ndarray) -> np.ndarray:
-            at = np.searchsorted(keys, key)
-            return np.where(keys[at] == key, weights[at], 0.0)
-
-        def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-            return weight(lower * n + upper) > weight(upper * n + lower)
-
-        order = order.copy()
+        The weight of a over b sums eta_g over a's winning ends against b in end order, which is pair
+        order, so left to right it is the float ``pair_weights`` gives: a sweep takes every neighbour
+        pair's two weights from one ``np.bincount`` per direction, a sinking item from its own ends."""
+        n, (offsets, other, key) = len(self.items), self.arrays.ends
+        counts, loser, grader = self._wins
+        won, offsets = etas[grader], offsets.tolist()
+        order, position, places = order.copy(), np.empty(n, dtype=np.int32), np.arange(n, dtype=np.int32)
         changed = True
         while changed:
             changed = False
             # One sweep, with every neighbour pair tested up front: a swap moves
             # the upper item down, and it keeps sinking while it loses to its
             # next neighbour; the pairs below where it stops are as tested.
-            swaps = prefers_lower(order[:-1], order[1:])
+            position[order] = places
+            upper = np.repeat(position, counts)
+            gap = position.take(loser)
+            gap -= upper
+            below, above = gap == 1, gap == -1
+            swaps = np.bincount(upper[above] - 1, won[above], n - 1) > np.bincount(upper[below], won[below], n - 1)
             resume = 0
-            for i in np.flatnonzero(swaps):
+            for i in np.flatnonzero(swaps).tolist():
                 if i < resume:
                     continue
+                sinking = order[i]
+                lo, hi = offsets[sinking], offsets[sinking + 1]
                 while True:
-                    order[i], order[i + 1] = order[i + 1], order[i]
+                    order[i], order[i + 1] = order[i + 1], sinking
                     changed = True
                     i += 1
-                    if i == n - 1 or not prefers_lower(order[i:i + 1], order[i + 1:i + 2])[0]:
+                    if i == n - 1:
+                        break
+                    against = key[lo:hi][other[lo:hi] == order[i + 1]]
+                    beats, beaten = np.bincount(against & 1, etas[against >> 1], 2)
+                    if not beaten > beats:
                         break
                 resume = i + 1
         return order
@@ -464,20 +466,23 @@ def fit_mallows(
 
     The center is the greedy likelihood ranking (or the weighted-average-rank
     ranking when ``use_borda``), optionally polished by local adjacent-swap
-    improvement (``kemenize``, greedy center only), all at reliabilities equal
-    to 1. A plain fit returns it, with the ``family`` and ``kemenized`` it
-    used as ``metadata``. With ``with_reliability`` that center starts rounds
-    that re-estimate the center and per-grader reliabilities alternately. Each
-    round fits the reliabilities exactly against the center, its ties broken
-    by ``seed``. Given them, the center enters the joint posterior only
-    through its cost sum_g eta_g * X_g, so the round then takes the center
-    they give (ties broken by the next draws) only if it costs less, or with
-    ``kemenize`` the old center after local improvement; the first round that
-    finds no cheaper center keeps the old one and ends the fit. ``metadata``
-    records the ``rounds`` run (at most ``iterations``), whether the last
-    found no cheaper center (``converged``), the cost of the center each round
-    kept (``center_cost``) and the largest change of log(eta) in each round,
-    the first against all ones (``reliability_change``).
+    improvement on the end table ``FeedbackArrays.ends`` (``kemenize``, greedy
+    center only), all at reliabilities equal to 1. A plain fit returns it,
+    with the ``family`` and ``kemenized`` it used as ``metadata``. With
+    ``with_reliability`` that center starts rounds that re-estimate the center
+    and per-grader reliabilities alternately. Each round fits the
+    reliabilities exactly against the center, its ties broken by a generator
+    seeded by ``seed`` when the first tie is broken: a fit that breaks none
+    draws nothing and does not import ``numpy.random``. Given them, the center
+    enters the joint posterior only through its cost sum_g eta_g * X_g, so the
+    round then takes the center they give (ties broken by the next draws) only
+    if it costs less, or with ``kemenize`` the old center after local
+    improvement; the first round that finds no cheaper center keeps the old
+    one and ends the fit. ``metadata`` records the ``rounds`` run (at most
+    ``iterations``), whether the last found no cheaper center
+    (``converged``), the cost of the center each round kept (``center_cost``)
+    and the largest change of log(eta) in each round, the first against all
+    ones (``reliability_change``).
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
@@ -503,12 +508,15 @@ def fit_mallows(
         return Estimate(ranking=_weak_ranking(data.items, order, cuts), metadata=metadata)
 
     prior = reliability_prior or ReliabilityPrior()
-    rng = np.random.default_rng(seed)
+    rng = None
 
     def drawn(order: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        nonlocal rng
         if len(cuts) == len(singletons):
             return order
         metadata["tie_break"] = "seeded"
+        if rng is None:
+            rng = np.random.default_rng(seed)
         return _break_ties(order, cuts, rng)
 
     metadata["reliability_iterations"] = iterations

@@ -256,18 +256,20 @@ class _ProbitBatch(_PairwiseBatch):
 class _ListBatch(_BlockBatch):
     """Every grader's total order under the sequential-choice model.
 
-    Each tie group is shuffled by ``rng`` with the draws of
-    ``mallows._break_ties``: one ``rng.permutation`` per group of two or more
-    items, in entry order. ``tied`` is whether any tie had to be broken. The
-    kernel computes in u, its suffix log-sum-exps and gu.
+    ``tied`` is whether any tie had to be broken. Only then is a generator
+    created, ``np.random.default_rng(seed)``, and each tie group shuffled
+    with the draws of ``mallows._break_ties``: one ``rng.permutation`` per
+    group of two or more items, in entry order. The kernel computes in u, its
+    suffix log-sum-exps and gu.
     """
 
-    def __init__(self, arrays: FeedbackArrays, rng: np.random.Generator):
+    def __init__(self, arrays: FeedbackArrays, seed: int | np.random.Generator):
         # An entry opens a tie group when its rank is its 1-based place in its grader's slice.
         place = np.arange(len(arrays.rank)) - np.repeat(arrays.offsets[:-1], np.diff(arrays.offsets)) + 1
         starts = np.flatnonzero(arrays.rank == place)
-        super().__init__(arrays, _break_ties(arrays.item.astype(np.intp), starts[1:], rng))
         self.tied = len(starts) < len(place)
+        order = _break_ties(arrays.item.astype(np.intp), starts[1:], np.random.default_rng(seed)) if self.tied else None
+        super().__init__(arrays, order)
 
     def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
         return tuple(np.empty((3, *block[1].shape)))
@@ -276,14 +278,22 @@ class _ListBatch(_BlockBatch):
         self, block: tuple, eta: np.ndarray, s_items: np.ndarray, u: np.ndarray, lse: np.ndarray, gu: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(eta, s_items, out=u)
-        np.logaddexp.accumulate(u[::-1], axis=0, out=lse[::-1])
+        _logaddexp_rows(u[::-1], lse[::-1])
         nll = np.subtract(lse, u, out=gu).sum(axis=0)
         # d nll / d u_k = sum over choices i <= k of exp(u_k - lse_i), minus 1;
         # the exponent is at most log(k + 1), so nothing overflows.
-        np.logaddexp.accumulate(np.negative(lse, out=lse), axis=0, out=gu)
+        _logaddexp_rows(np.negative(lse, out=lse), gu)
         np.exp(np.add(u, gu, out=gu), out=gu)
         gu -= 1.0
         return nll, gu
+
+
+def _logaddexp_rows(t: np.ndarray, out: np.ndarray) -> None:
+    """``np.logaddexp.accumulate(t, axis=0, out=out)`` one row at a time: the same ufunc on the same
+    operands in the same order, without the accumulate's per-call cost over a (m, G) block."""
+    out[0] = t[0]
+    for i in range(1, len(t)):
+        np.logaddexp(out[i - 1], t[i], out=out[i])
 
 
 def _subset_layers(m: int) -> list[tuple[np.ndarray, ...]]:
@@ -448,10 +458,10 @@ class _PermBatch(_BlockBatch):
 # --- model preparation and objective ----------------------------------------
 
 
-def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> tuple[_BlockBatch, dict[str, Any]]:
+def _prepare(model: str, data: Dataset, seed: int | np.random.Generator) -> tuple[_BlockBatch, dict[str, Any]]:
     """The model's likelihood over ``data``, one batch over every grader built
-    from ``data.feedback_arrays`` (``rng`` breaks ties for the listwise one),
-    and the metadata its fit reports."""
+    from ``data.feedback_arrays`` (the listwise one breaks ties by
+    ``np.random.default_rng(seed)``), and the metadata its fit reports."""
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
     if not data.feedback:
@@ -460,7 +470,7 @@ def _prepare(model: str, data: Dataset, rng: np.random.Generator) -> tuple[_Bloc
     if model in ("bt", "thur"):
         return (_ProbitBatch if model == "thur" else _PairwiseBatch)(fa), {}
     if model == "pl":
-        batch = _ListBatch(fa, rng)
+        batch = _ListBatch(fa, seed)
         return batch, {"tie_break": "seeded"} if batch.tied else {}
     counts = np.diff(fa.offsets)
     if counts.max() > ENUMERATION_CAP:
@@ -523,11 +533,11 @@ def negative_log_posterior(
     With ``reliabilities`` omitted every grader has eta = 1 and the
     reliability prior and gradient are excluded. Additive constants are
     dropped throughout. Its value is the objective that every L-BFGS fit
-    minimises, computed by the same ``_posterior``.
+    minimises, computed by the same ``_posterior``. ``seed`` breaks the ties
+    of ``pl`` feedback, from a generator created only if there are any.
     """
     score_prior = score_prior or ScorePrior()
-    rng = np.random.default_rng(seed)
-    batch, _ = _prepare(model, data, rng)
+    batch, _ = _prepare(model, data, seed)
     items, graders = data.items, data.feedback_arrays.graders
     missing = [x for x in items if x not in scores]
     if missing:
@@ -651,7 +661,7 @@ def _lbfgs(
 
 
 def _svrg_scores(
-    batch: _PairwiseBatch, s0: np.ndarray, score_prior: ScorePrior, rng: np.random.Generator
+    batch: _PairwiseBatch, s0: np.ndarray, score_prior: ScorePrior, seed: int | np.random.Generator
 ) -> tuple[np.ndarray, int, float, bool]:
     """MAP scores with every reliability 1, by per-grader SVRG (Johnson &
     Zhang 2013); returns as ``_lbfgs`` does, counting epochs.
@@ -659,18 +669,18 @@ def _svrg_scores(
     Grader g's share h_g of the objective F is its pairs' negative
     log-likelihood plus 1/G of the prior. An epoch takes the gradient of F
     at a snapshot s~, then steps s -= lr * (grad h_g(s) - grad h_g(s~) +
-    grad F(s~) / G) once per grader, in a seeded random order, taking the
-    likelihood's part on g's block column. The fit stops at the first
-    snapshot whose largest absolute gradient entry is at most
-    ``_GRAD_TOLERANCE``. -log Phi has curvature at most 1 and the pair
-    Laplacian of m items has eigenvalues at most m, so L = max over g of
-    m_g + 1 / (variance * G) bounds the curvature of every h_g, and
-    lr = 1 / (4 L).
+    grad F(s~) / G) once per grader, in a random order drawn from
+    ``np.random.default_rng(seed)``, taking the likelihood's part on g's
+    block column. The fit stops at the first snapshot whose largest absolute
+    gradient entry is at most ``_GRAD_TOLERANCE``. -log Phi has curvature at
+    most 1 and the pair Laplacian of m items has eigenvalues at most m, so
+    L = max over g of m_g + 1 / (variance * G) bounds the curvature of every
+    h_g, and lr = 1 / (4 L).
     """
     mean, variance, n_graders = score_prior.mean, score_prior.variance, batch.n_graders
     share = 1.0 / (variance * n_graders)
     lr = 0.25 / (max(len(items) for _, items, *_ in batch.blocks) + share)
-    etas, columns = np.ones(n_graders), batch.columns()
+    etas, columns, rng = np.ones(n_graders), batch.columns(), np.random.default_rng(seed)
     s, epoch = s0.copy(), 0
     while True:
         # Also leaves each grader's gu at the snapshot in its column of ``columns``.
@@ -689,7 +699,10 @@ def _svrg_scores(
 
 
 def _fit_batch(
-    batch: _BlockBatch, score_prior: ScorePrior, reliability_prior: ReliabilityPrior | None, rng: np.random.Generator
+    batch: _BlockBatch,
+    score_prior: ScorePrior,
+    reliability_prior: ReliabilityPrior | None,
+    seed: int | np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Scores, reliabilities and the solver's report of a fit from the prior mean.
 
@@ -706,7 +719,7 @@ def _fit_batch(
     if reliability_prior is None:
         etas = np.ones(batch.n_graders)
         if isinstance(batch, _ProbitBatch):
-            s, steps, grad_norm, converged = _svrg_scores(batch, s0, score_prior, rng)
+            s, steps, grad_norm, converged = _svrg_scores(batch, s0, score_prior, seed)
             return s, etas, {"svrg_epochs": steps, "grad_norm": grad_norm, "converged": converged}
         s, steps, grad_norm, converged = _lbfgs(lambda x: _posterior(batch, x, etas, None, score_prior, None)[:2], s0)
     else:
@@ -754,18 +767,19 @@ def fit(
     held at a bound by a gradient pointing out of it. A fit has
     ``converged`` when that is at most 1e-6. ``seed`` orders plain
     ``thur``'s SVRG steps and seeds the tie-breaking of ``pl`` and
-    ``pl+g``; it does not affect ``bt``, ``mals`` or ``thur+g``.
+    ``pl+g``; it does not affect ``bt``, ``mals`` or ``thur+g``. Only those
+    draws create a generator, so ``pl`` on untied feedback and every other
+    model but plain ``thur`` do not import ``numpy.random``.
     """
     score_prior = score_prior or ScorePrior()
     rprior = (reliability_prior or ReliabilityPrior()) if with_reliability else None
-    rng = np.random.default_rng(seed)
-    batch, metadata = _prepare(model, data, rng)
+    batch, metadata = _prepare(model, data, seed)
     graded = np.bincount(data.feedback_arrays.item, minlength=len(data.items)) > 0
     if not graded.all():
         ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
         warnings.warn(f"items never graded by anyone get the prior mean: {ungraded}", stacklevel=2)
 
-    s, etas, report = _fit_batch(batch, score_prior, rprior, rng)
+    s, etas, report = _fit_batch(batch, score_prior, rprior, seed)
     reliabilities = rprior._by_grader(data.graders, data.feedback_arrays.graders, etas) if with_reliability else None
     scores = {item: float(s[i]) for i, item in enumerate(data.items)}
     return Estimate(

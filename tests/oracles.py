@@ -36,10 +36,10 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
 from opg.config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
-from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback
+from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, _distinct_rows
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
-from opg.mallows import MallowsParams, _check_eta, _newton_etas, greedy_mle_ranking
+from opg.mallows import MallowsParams, _Centers, _check_eta, _newton_etas, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
 from opg.scoremodels import (
     _GRAD_TOLERANCE,
@@ -1402,6 +1402,43 @@ def incident_greedy(arrays: FeedbackArrays, etas: np.ndarray) -> np.ndarray:
     return order
 
 
+def slots_kemenize(centers: _Centers, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """``mallows._Centers.kemenize`` as it was before it read the end table, verbatim over
+    ``pair_weights``: each neighbour pair's weights looked up in the sorted distinct pair keys."""
+    n = len(centers.items)
+    keys, weights = centers.pair_weights(etas)
+    # A sentinel key past the end, which weighs nothing.
+    keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
+
+    def weight(key: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(keys, key)
+        return np.where(keys[at] == key, weights[at], 0.0)
+
+    def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        return weight(lower * n + upper) > weight(upper * n + lower)
+
+    order = order.copy()
+    changed = True
+    while changed:
+        changed = False
+        # One sweep, with every neighbour pair tested up front: a swap moves
+        # the upper item down, and it keeps sinking while it loses to its
+        # next neighbour; the pairs below where it stops are as tested.
+        swaps = prefers_lower(order[:-1], order[1:])
+        resume = 0
+        for i in np.flatnonzero(swaps):
+            if i < resume:
+                continue
+            while True:
+                order[i], order[i + 1] = order[i + 1], order[i]
+                changed = True
+                i += 1
+                if i == n - 1 or not prefers_lower(order[i:i + 1], order[i + 1:i + 2])[0]:
+                    break
+            resume = i + 1
+    return order
+
+
 def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
     """(items, graders, item_idx, grader_idx, grades) for all observations."""
     if not data.feedback:
@@ -1833,6 +1870,41 @@ def build_feedback_arrays(data: Dataset) -> FeedbackArrays:
     at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
     coeff, grader_coeff = np.unique(at_least - (np.arange(mmax) < counts[:, None]), axis=0, return_inverse=True)
     arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32).ravel()
+    for a in arrays:
+        a.setflags(write=False)
+    return FeedbackArrays(tuple(fb.grader for fb in data.feedback), len(data.items), *arrays)
+
+
+# --- the feedback compiler as it was before it read the rank maps -------------
+
+
+def groups_feedback_arrays(data: Dataset) -> FeedbackArrays:
+    """``FeedbackArrays.build`` verbatim from before it read each ranking's rank map: entries and tie
+    group sizes from a walk over every ranking's ``groups``."""
+    rankings = []
+    for fb in data.feedback:
+        if fb.ordinal is None:
+            raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
+        rankings.append(fb.ordinal)
+    n_graders = len(rankings)
+    index = {d: i for i, d in enumerate(data.items)}
+    counts = np.fromiter(map(len, rankings), dtype=np.intp, count=n_graders)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    groups_of = [r.groups for r in rankings]
+    groups = list(itertools.chain.from_iterable(groups_of))
+    flat = map(index.__getitem__, itertools.chain.from_iterable(groups))
+    item = np.fromiter(flat, dtype=np.int32, count=int(offsets[-1]))
+    n_groups = np.fromiter(map(len, groups_of), dtype=np.intp, count=n_graders)
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    group_grader = np.repeat(np.arange(n_graders), n_groups)
+    group_start = np.cumsum(sizes) - sizes
+    rank = np.repeat(group_start - offsets[group_grader] + 1, sizes).astype(np.int32)
+
+    mmax = int(counts.max()) if n_graders else 1
+    per_size = np.bincount(group_grader * mmax + sizes - 1, minlength=n_graders * mmax)
+    at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    coeff, grader_coeff = _distinct_rows(at_least - (np.arange(mmax) < counts[:, None]))
+    arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32)
     for a in arrays:
         a.setflags(write=False)
     return FeedbackArrays(tuple(fb.grader for fb in data.feedback), len(data.items), *arrays)

@@ -21,7 +21,7 @@ from opg.estimators import fit_model
 from opg.experiments import bootstrap_ek, downsample_curve, self_consistency
 from opg.mallows import fit_mallows, fit_reliabilities
 from opg.rankings import WeakRanking
-from opg.synth import SynthConfig, simulate
+from opg.synth import CardinalNormalGraders, SynthConfig, simulate
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset, make_tied_csv_dataset
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     dict_cardinal_observations,
     extract_preferences,
     flat_strict_pairs,
+    groups_feedback_arrays,
 )
 from test_rankings import weak_rankings
 
@@ -406,18 +407,20 @@ def assert_ends_are_the_flat_pairs(arrays: FeedbackArrays) -> None:
 
 
 class TestBuildEqualsTheOracle:
-    """``build`` gives the compiler it replaced, array for array, coeff rows in the same signed order."""
+    """``build`` gives the compilers it replaced, array for array, coeff rows in the same signed order."""
 
-    def test_tied_mixed_length_strict_and_empty(self, tmp_path):
+    def test_tied_mixed_length_strict_induced_and_empty(self, tmp_path):
         tied = make_tied_csv_dataset(tmp_path, np.random.default_rng(2))
         mixed = make_ordinal_dataset(
             {"g1": [["c"]], "g2": [["b"], ["a", "d"], ["c"]], "g3": [["a", "b"]], "g4": [["d"], ["c"]], "g5": [["b"]]},
             items=("a", "b", "c", "d", "e"),
         )
         strict = simulate(SynthConfig(30, 60, 5, seed=1))[0]
+        induced = simulate(SynthConfig(30, 60, 5, CardinalNormalGraders(1.0, 0.5), seed=1))[0]
         empty = Dataset.from_feedback([], items=("a",))
-        for data in (tied, mixed, strict, empty):
+        for data in (tied, mixed, strict, induced, empty):
             assert_same_arrays(FeedbackArrays.build(data), build_feedback_arrays(data))
+            assert_same_arrays(FeedbackArrays.build(data), groups_feedback_arrays(data))
         # Rows with -1 entries, which an unsigned order would put last, and rows shared by several graders.
         coeff = FeedbackArrays.build(tied).coeff
         assert (coeff < 0).any() and len(coeff) < len(tied.feedback)
@@ -426,6 +429,7 @@ class TestBuildEqualsTheOracle:
     def test_any_weak_rankings(self, rankings):
         data = Dataset.from_feedback(GraderFeedback.from_ordinal(f"g{i}", r) for i, r in enumerate(rankings))
         assert_same_arrays(FeedbackArrays.build(data), build_feedback_arrays(data))
+        assert_same_arrays(FeedbackArrays.build(data), groups_feedback_arrays(data))
 
 
 class TestStrictPairs:
@@ -513,6 +517,7 @@ class TestGatheredSubsets:
         parent = data.feedback_arrays
         for sub in subsets:
             assert_same_arrays(sub.feedback_arrays, FeedbackArrays.build(sub))
+            assert sub.has_full_ordinal() and sub.has_full_cardinal()
         # Duplicate draws, subsets narrower than the widest grader and with fewer coeff rows all occur.
         assert any(any("#" in g for g in sub.graders) for sub in subsets)
         assert any(sub.feedback_arrays.coeff.shape[1] < parent.coeff.shape[1] for sub in subsets)
@@ -533,6 +538,8 @@ class TestGatheredSubsets:
         grades_only = GraderFeedback(grader="g3", items=("a", "b"), cardinal={"a": 1.0, "b": 2.0})
         data = Dataset.from_feedback([*ordinal, grades_only])
         sub = experiments._select_graders(data, [1, 0])
+        assert not data.has_full_ordinal() and sub.has_full_ordinal() and not sub.has_full_cardinal()
+        assert experiments._select_graders(data, [2]).has_full_cardinal()
         assert_same_arrays(sub.feedback_arrays, FeedbackArrays.build(dataclasses.replace(sub)))
         assert "feedback_arrays" not in vars(data)
         with pytest.raises(ValidationError, match="grader 'g2' has no cardinal feedback"):
@@ -590,3 +597,9 @@ class TestConfigs:
             ReliabilityPrior(shape=0.0)
         with pytest.raises(ValidationError):
             ReliabilityPrior(scale=0.0)
+
+    def test_reliabilities_by_grader_follow_the_roster(self):
+        prior, etas = ReliabilityPrior(), np.array([0.5, 2.0])
+        assert list(prior._by_grader(("a", "b"), ("a", "b"), etas).items()) == [("a", 0.5), ("b", 2.0)]
+        by_grader = prior._by_grader(("a", "b", "c"), ("c", "a"), etas)
+        assert list(by_grader.items()) == [("a", 2.0), ("b", prior.mode), ("c", 0.5)]

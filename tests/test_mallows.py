@@ -772,23 +772,38 @@ def _cost(arrays, position, etas):
     return float(etas[grader][against].sum())
 
 
+def _shared_pair_classes(rng):
+    """Classes where many graders share pairs: few items, mixed ranking lengths, ties and ungraded items."""
+    for trial in range(8):
+        yield _random_dataset(rng, n_items=8 + trial, n_graders=40, min_items=1, max_items=7, extra_items=("z",))
+    yield from _seeded_classes()
+
+
 class TestGreedyMatchesTheIncidentOracle:
     """The greedy center on the end table is bit for bit the one on the pair layout it replaced."""
 
-    def _classes(self, rng):
-        """Classes where many graders share pairs: few items, mixed ranking lengths, ties and ungraded items."""
-        for trial in range(8):
-            yield _random_dataset(rng, n_items=8 + trial, n_graders=40, min_items=1, max_items=7, extra_items=("z",))
-        yield from _seeded_classes()
-
     def test_under_random_reliabilities(self, rng):
-        for data in self._classes(rng):
+        for data in _shared_pair_classes(rng):
             centers, n_graders = _Centers(data), len(data.feedback)
             # Gamma draws, and decimal fractions whose sums round differently in another order.
             draws = [rng.gamma(2.0, 0.5, n_graders) for _ in range(3)]
             draws += [rng.choice([0.1, 0.2, 0.3, 0.7], n_graders) for _ in range(3)] + [np.ones(n_graders)]
             for etas in draws:
                 assert np.array_equal(centers.greedy(etas), oracles.incident_greedy(data.feedback_arrays, etas))
+
+
+class TestKemenizeMatchesTheSlotsOracle:
+    """Local improvement on the end table takes the swaps of the sorted pair keys it replaced."""
+
+    def test_from_greedy_reversed_and_random_starts(self, rng):
+        for data in _shared_pair_classes(rng):
+            centers, n_graders = _Centers(data), len(data.feedback)
+            draws = [rng.gamma(2.0, 0.5, n_graders) for _ in range(3)]
+            draws += [rng.choice([0.1, 0.2, 0.3, 0.7], n_graders) for _ in range(3)] + [np.ones(n_graders)]
+            for etas in draws:
+                greedy = centers.greedy(etas)
+                for start in (greedy, greedy[::-1].copy(), rng.permutation(len(data.items))):
+                    assert np.array_equal(centers.kemenize(start, etas), oracles.slots_kemenize(centers, start, etas))
 
 
 def _load_benchmark_workloads():

@@ -1,6 +1,7 @@
 """Tests for the score-based estimators and their solvers: L-BFGS, and per-grader SVRG for ``thur``."""
 
 import itertools
+import json
 import math
 import os
 import re
@@ -18,6 +19,7 @@ from scipy.special import expit
 import opg
 from opg import scoremodels
 from opg.config import ReliabilityPrior, ScorePrior
+from opg.dataio import estimate_to_dict, parse_ordinal_json
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import _resample_graders
 from opg.rankings import WeakRanking
@@ -870,6 +872,37 @@ def test_fitting_without_thurstone_does_not_import_scipy_special():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split() == ["False", "10"]
+
+
+def test_fitting_without_a_tie_to_break_does_not_import_numpy_random(tmp_path):
+    """Only a tie to break and plain ``thur``'s SVRG order draw, so only they need ``numpy.random``,
+    whose import costs start-up time and memory; a tied ``malbc+g`` fit then draws as in-process."""
+    items = [f"x{i}" for i in range(8)]
+    strict = [{"id": f"g{g:02d}", "ranking": [[items[(g + 3 * k) % 8]] for k in range(4)]} for g in range(20)]
+    # a and b swap places between the graders, so their average ranks tie in the Borda center.
+    tied = [{"id": "g1", "ranking": [["a"], ["b"], ["c", "d"]]}, {"id": "g2", "ranking": [["b"], ["a"], ["d"]]}]
+    (tmp_path / "strict.json").write_text(json.dumps({"items": items, "graders": strict}))
+    (tmp_path / "tied.json").write_text(json.dumps({"items": ["a", "b", "c", "d"], "graders": tied}))
+    code = (
+        "import json, sys, opg\n"
+        "from opg.dataio import estimate_to_dict, parse_ordinal_json\n"
+        "data = parse_ordinal_json(sys.argv[1])\n"
+        "for model in ('mal', 'mal+g', 'mal+k', 'mal+kg', 'malbc', 'bt', 'bt+g', 'pl', 'mals', 'mals+g'):\n"
+        "    opg.fit_model(model, data)\n"
+        "print('numpy.random' in sys.modules)\n"
+        "est = opg.fit_model('malbc+g', parse_ordinal_json(sys.argv[2]), opg.ModelOptions(seed=5))\n"
+        "print('numpy.random' in sys.modules)\n"
+        "print(json.dumps(estimate_to_dict(est), sort_keys=True))\n"
+    )
+    src = os.path.dirname(os.path.dirname(opg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    args = [sys.executable, "-c", code, str(tmp_path / "strict.json"), str(tmp_path / "tied.json")]
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, check=True)
+    before, after, estimate = proc.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    here = opg.fit_model("malbc+g", parse_ordinal_json(str(tmp_path / "tied.json")), opg.ModelOptions(seed=5))
+    assert here.metadata["tie_break"] == "seeded"
+    assert json.loads(estimate) == estimate_to_dict(here)
 
 
 def test_fitting_mals_at_the_item_cap_stays_in_bounded_memory():
