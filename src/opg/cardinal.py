@@ -50,14 +50,15 @@ class NcsHyperparams:
                 raise ValidationError(f"{name} must be finite and > 0, got {v}")
 
 
-def _cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+def _cardinal_observations(data: Dataset) -> tuple[list[str], tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     """(items, graders, item_idx, grader_idx, grades) for all observations, read from
-    ``data.cardinal_arrays``: grader by grader in feedback order, each grader's items sorted."""
+    ``data.cardinal_arrays``: grader by grader in feedback order, each grader's items sorted.
+    The graders are a tuple, so they equal a roster of exactly the graders with feedback."""
     if not data.feedback:
         raise ValidationError("dataset has no feedback")
     offsets, ii, yy = data.cardinal_arrays
     gg = np.repeat(np.arange(len(data.feedback)), np.diff(offsets))
-    return list(data.items), [fb.grader for fb in data.feedback], ii, gg, yy
+    return list(data.items), tuple(fb.grader for fb in data.feedback), ii, gg, yy
 
 
 def scavg(data: Dataset, tie_epsilon: float = 1e-9) -> Estimate:

@@ -6,7 +6,8 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -94,7 +95,15 @@ class GraderFeedback:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Item and grader rosters plus at most one feedback record per grader."""
+    """Item and grader rosters plus at most one feedback record per grader.
+
+    A dataset parsed from JSON (``dataio.dataset_from_dict``) starts out with
+    its ``feedback_arrays`` compiled and no ``feedback`` records: those are
+    built from the arrays, with any parsed grades, the first time something
+    reads ``feedback``. Equality, ``repr``, ``dataclasses.replace``,
+    writing the dataset out, ``cardinal_arrays`` and the protocols' grader
+    subsets read it; the ordinal fits do not.
+    """
 
     items: tuple[str, ...]
     graders: tuple[str, ...]
@@ -151,6 +160,28 @@ class Dataset:
             lazy_graders=frozenset(lazy_graders),
         )
 
+    @classmethod
+    def _compiled(
+        cls, items: tuple[str, ...], arrays: "FeedbackArrays", grades: list | None, lazy: frozenset[str]
+    ) -> "Dataset":
+        """The dataset of checked parts whose feedback is ``arrays``, with ``grades`` (a grade map or None
+        per grader, in ``arrays`` order; None for no grades at all); ``feedback`` is left to ``__getattr__``."""
+        data = object.__new__(cls)
+        vars(data).update(items=items, graders=arrays.graders, lazy_graders=lazy, feedback_arrays=arrays,
+                          _grades=grades, _full=(True, grades is not None and None not in grades))
+        return data
+
+    def __getattr__(self, name: str) -> Any:
+        # Only a dataset from ``_compiled`` lacks a field, its ``feedback``: built here once, from the arrays.
+        if name != "feedback" or "_grades" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grades, fa = vars(self).pop("_grades"), self.feedback_arrays
+        rankings = fa._rankings(self.items)
+        items = map(tuple, map(sorted, map(attrgetter("_rank"), rankings)))
+        records = tuple(map(GraderFeedback._unchecked, fa.graders, items, rankings, grades or repeat(None)))
+        vars(self)["feedback"] = records
+        return records
+
     def has_full_ordinal(self) -> bool:
         return self._full[0]
 
@@ -182,7 +213,8 @@ class Dataset:
 
     @cached_property
     def feedback_arrays(self) -> "FeedbackArrays":
-        """The ordinal feedback compiled to integer arrays on first use (gathered for a subset)."""
+        """The ordinal feedback compiled to integer arrays on first use (gathered for a subset; a JSON
+        parse sets them)."""
         if self._source is not None and self._source[0].has_full_ordinal():
             return self._source[0].feedback_arrays.take(self._source[1], tuple(fb.grader for fb in self.feedback))
         return FeedbackArrays.build(self)
@@ -257,8 +289,9 @@ class EndTable(NamedTuple):
 class FeedbackArrays:
     """Every grader's ordinal feedback as read-only integer arrays, one entry per ranked item.
 
-    ``build`` compiles a dataset's feedback; ``take`` gathers a grader
-    subset's arrays from compiled ones, as each protocol resample does.
+    ``build`` compiles a dataset's feedback records and the JSON parse its
+    rankings, both through ``_compile``; ``take`` gathers a grader subset's
+    arrays from compiled ones, as each protocol resample does.
     Items are indices into the ``n_items`` sorted ``Dataset.items``; graders
     are positions in ``Dataset.feedback``. Grader g's entries are the slice
     ``offsets[g]:offsets[g + 1]`` (a CSR layout), best tie group first and
@@ -280,31 +313,65 @@ class FeedbackArrays:
 
     @classmethod
     def build(cls, data: Dataset) -> "FeedbackArrays":
-        """Compile ``data``'s feedback; every grader must have ordinal feedback. A ranking's rank map
-        lists its items in entry order with their ranks, and a tie group starts at each entry whose
-        rank is its 1-based place in its grader's slice."""
-        rank_maps = []
+        """Compile ``data``'s feedback; every grader must have ordinal feedback."""
         for fb in data.feedback:
             if fb.ordinal is None:
                 raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
-            rank_maps.append(fb.ordinal._rank)
-        n_graders = len(rank_maps)
-        index = {d: i for i, d in enumerate(data.items)}
-        counts = np.fromiter(map(len, rank_maps), dtype=np.intp, count=n_graders)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        n_entries = int(offsets[-1])
-        item = np.fromiter(map(index.__getitem__, chain.from_iterable(rank_maps)), dtype=np.int32, count=n_entries)
-        rank = np.fromiter(chain.from_iterable(map(dict.values, rank_maps)), dtype=np.int32, count=n_entries)
-        entry_grader = np.repeat(np.arange(n_graders), counts)
-        starts = np.flatnonzero(rank == np.arange(n_entries) - offsets[entry_grader] + 1)
-        sizes = np.diff(starts, append=n_entries)
+        return cls._compile(tuple(fb.grader for fb in data.feedback), data.items, [fb.ordinal.groups for fb in data.feedback])
+
+    @classmethod
+    def _compile(
+        cls, graders: tuple[str, ...], items: tuple[str, ...], rankings: list, parsed: bool = False
+    ) -> "FeedbackArrays | None":
+        """The arrays of ``graders``' ``rankings``, each its tie groups best first, over the sorted roster
+        ``items``: the one compile, of ``build`` and of the JSON parse. ``build``'s groups are checked and
+        sorted; ``parsed`` ones, read from JSON, are sorted here, and give None unless every ranking is a
+        non-empty list of non-empty lists of ``str`` ids in ``items``, none empty or twice in its ranking."""
+        if parsed and set(map(type, rankings)) != {list}:
+            return None
+        groups = list(chain.from_iterable(rankings))
+        if parsed and set(map(type, groups)) != {list}:
+            return None
+        n_graders = len(rankings)
+        per_grader = np.fromiter(map(len, rankings), dtype=np.intp, count=n_graders)
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+        entries = list(chain.from_iterable(groups))
+        if parsed and (per_grader.min() == 0 or sizes.min() == 0 or set(map(type, entries)) != {str}):
+            return None
+        if parsed and sizes.max() > 1:
+            entries = list(chain.from_iterable(map(sorted, groups)))
+        index = {d: i for i, d in enumerate(items)}
+        index.pop("", None)  # a roster may list the empty id, but no ranking holds it
+        item = np.fromiter(map(index.get, entries, repeat(-1)), dtype=np.int32, count=len(entries))
+        # A tie group's entries share the rank 1 + its first entry's place in its grader's slice.
+        ends = np.cumsum(sizes)
+        offsets = np.concatenate(([0], ends[np.cumsum(per_grader) - 1]))
+        group_grader = np.repeat(np.arange(n_graders), per_grader)
+        rank = np.repeat(ends - sizes - offsets[group_grader] + 1, sizes).astype(np.int32)
+        counts = np.diff(offsets)
+        if parsed:
+            keys = np.sort(np.repeat(np.arange(n_graders) * len(items), counts) + item)
+            if item.min() < 0 or np.any(keys[1:] == keys[:-1]):
+                return None
 
         mmax = int(counts.max()) if n_graders else 1
-        per_size = np.bincount(entry_grader[starts] * mmax + sizes - 1, minlength=n_graders * mmax)
+        per_size = np.bincount(group_grader * mmax + sizes - 1, minlength=n_graders * mmax)
         at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
         coeff, grader_coeff = _distinct_rows(at_least - (np.arange(mmax) < counts[:, None]))
         arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32)
-        return cls(tuple(fb.grader for fb in data.feedback), len(data.items), *_read_only(*arrays))
+        return cls(graders, len(items), *_read_only(*arrays))
+
+    def _rankings(self, items: tuple[str, ...]) -> list[WeakRanking]:
+        """Every grader's ranking over the roster ``items``, as ``_compile`` took it in. A tie group starts
+        at each entry whose rank is its 1-based place in its grader's slice."""
+        ids = [items[i] for i in self.item.tolist()]
+        entry_grader = np.repeat(np.arange(len(self.graders)), np.diff(self.offsets))
+        starts = np.flatnonzero(self.rank == np.arange(len(ids)) - self.offsets[entry_grader] + 1)
+        firsts, starts = np.searchsorted(starts, self.offsets).tolist(), starts.tolist() + [len(ids)]
+        groups = list(zip(ids)) if len(starts) > len(ids) else [tuple(ids[a:b]) for a, b in zip(starts, starts[1:])]
+        slices, ranks = list(map(slice, bounds := self.offsets.tolist(), bounds[1:])), self.rank.tolist()
+        rank_maps = map(dict, map(zip, map(ids.__getitem__, slices), map(ranks.__getitem__, slices)))
+        return list(map(WeakRanking._of, map(tuple, map(groups.__getitem__, map(slice, firsts, firsts[1:]))), rank_maps))
 
     def take(self, rows: np.ndarray, graders: tuple[str, ...]) -> "FeedbackArrays":
         """The arrays of the graders at positions ``rows``, in that order, named ``graders``: equal,

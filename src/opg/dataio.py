@@ -27,12 +27,13 @@ import json
 import math
 import os
 import tempfile
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Estimate, GraderFeedback, induced_ordinal
+from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
 from .errors import DataFormatError, ValidationError
 from .rankings import WeakRanking
 
@@ -238,6 +239,65 @@ def _ranking(groups: Any) -> WeakRanking:
 
 
 def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
+    """The dataset of a parsed JSON payload (see ``parse_ordinal_json``).
+
+    A payload of plain JSON types is checked in bulk and its rankings are
+    compiled straight into the dataset's ``feedback_arrays``; the per-grader
+    ``feedback`` records are built from them, with any grades, only when
+    something reads ``Dataset.feedback``: equality, ``repr``,
+    ``dataclasses.replace``, ``dataset_to_dict``, ``cardinal_arrays`` and
+    the experiments' grader subsets do, the ordinal fits do not. Any other
+    payload, and every malformed one, takes the record-by-record path,
+    which raises each fault's ``DataFormatError``: per-entry faults in file
+    order, then roster-level ones.
+    """
+    data = _compiled(payload)
+    return data if data is not None else _from_records(payload, source)
+
+
+def _grade_map(grades: Any, ranking: list) -> dict[str, float] | None:
+    """A grader's parsed grades, or None unless they are an object of finite numbers over its ranked items."""
+    if type(grades) is not dict:
+        return None
+    try:
+        parsed = {str(d): float(v) for d, v in grades.items()}
+    except (TypeError, ValueError):
+        return None
+    if parsed.keys() != set(chain.from_iterable(ranking)) or not all(map(math.isfinite, parsed.values())):
+        return None
+    return parsed
+
+
+def _compiled(payload: Any) -> Dataset | None:
+    """``payload``'s dataset, checked in bulk and compiled by ``FeedbackArrays._compile``, or None unless
+    every part has exactly the JSON type the format asks for and passes every check of ``_from_records``."""
+    if type(payload) is not dict:
+        return None
+    items, entries, lazy = payload.get("items"), payload.get("graders"), payload.get("lazy_graders", [])
+    if {type(items), type(entries), type(lazy)} != {list} or set(map(type, entries)) != {dict}:
+        return None
+    ids = [entry.get("id") for entry in entries]
+    if set(map(type, ids)) != {str} or not set(map(type, items + lazy)) <= {str} or "" in ids:
+        return None
+    roster, graders = sorted(items), sorted(ids)
+    if len(set(roster)) < len(roster) or len(set(graders)) < len(graders) or not set(lazy) <= set(graders):
+        return None
+    if graders != ids:
+        entries = sorted(entries, key=itemgetter("id"))
+    rankings = [entry.get("ranking") for entry in entries]
+    arrays = FeedbackArrays._compile(tuple(graders), tuple(roster), rankings, parsed=True)
+    if arrays is None:
+        return None
+    grades = [entry.get("grades") for entry in entries]
+    maps = [g if g is None else _grade_map(g, ranking) for g, ranking in zip(grades, rankings)]
+    if maps.count(None) != grades.count(None):
+        return None
+    return Dataset._compiled(tuple(roster), arrays, None if len(maps) == maps.count(None) else maps, frozenset(lazy))
+
+
+def _from_records(payload: Any, source: str) -> Dataset:
+    """``dataset_from_dict`` record by record: the path of every payload ``_compiled`` declines, such as
+    one with ids of a ``str`` subclass, and the one that raises each malformed payload's fault."""
     if not isinstance(payload, dict):
         raise DataFormatError(f"{source}: expected a JSON object at top level")
     items = payload.get("items")

@@ -30,7 +30,12 @@ class WeakRanking:
         canon: list[tuple[str, ...]] = []
         rank: dict[str, int] = {}
         for group in groups:
-            g = tuple(sorted(group))
+            g = list(group)
+            try:
+                g.sort()
+            except TypeError:  # ids that do not compare: the check below names one that is not a string
+                pass
+            g = tuple(g)
             if not g:
                 raise ValidationError("tie groups must be non-empty")
             # 1 + the number of items in better groups, all of them ranked by now.
@@ -56,8 +61,13 @@ class WeakRanking:
         if not typed or len(rank) != len(items):
             # The constructor takes str subclasses, and raises the error of anything else.
             return cls([item] for item in items)
+        return cls._of(tuple(zip(items)), rank)
+
+    @classmethod
+    def _of(cls, groups: tuple[tuple[str, ...], ...], rank: dict[str, int]) -> "WeakRanking":
+        """The ranking of checked ``groups`` (each sorted, best first) and their items' ``rank`` map, in order."""
         ranking = cls.__new__(cls)
-        ranking._groups, ranking._rank = tuple(zip(items)), rank
+        ranking._groups, ranking._rank = groups, rank
         return ranking
 
     @property

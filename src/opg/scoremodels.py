@@ -464,9 +464,9 @@ def _prepare(model: str, data: Dataset, seed: int | np.random.Generator) -> tupl
     ``np.random.default_rng(seed)``), and the metadata its fit reports."""
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
-    if not data.feedback:
-        raise ValidationError("dataset has no feedback")
     fa = data.feedback_arrays
+    if not fa.graders:
+        raise ValidationError("dataset has no feedback")
     if model in ("bt", "thur"):
         return (_ProbitBatch if model == "thur" else _PairwiseBatch)(fa), {}
     if model == "pl":

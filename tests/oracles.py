@@ -17,7 +17,10 @@ two-pass JSON writer and its float writer, kept as the byte references for
 the one-pass ones, its feedback compiler as it was before it
 deduplicated tie rows by lexsort, and its greedy Mallows center as it
 was before the strict pairs were listed item by item, kept as the
-bit-exact reference for the end table.
+bit-exact reference for the end table, and its JSON dataset reader as
+it was before it compiled the rankings in bulk, record by record, kept
+as the reference for the parsed datasets and the messages of their
+refusals.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from scipy.special import expit, log_ndtr, ndtr
 
 from opg.config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, _distinct_rows
-from opg.errors import EnumerationCapError, ValidationError
+from opg.errors import DataFormatError, EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
 from opg.mallows import MallowsParams, _Centers, _check_eta, _newton_etas, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
@@ -1439,8 +1442,8 @@ def slots_kemenize(centers: _Centers, order: np.ndarray, etas: np.ndarray) -> np
     return order
 
 
-def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """(items, graders, item_idx, grader_idx, grades) for all observations."""
+def dict_cardinal_observations(data: Dataset) -> tuple[list[str], tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """(items, graders, item_idx, grader_idx, grades) for all observations; the graders as a tuple."""
     if not data.feedback:
         raise ValidationError("dataset has no feedback")
     items = sorted(data.items)
@@ -1458,7 +1461,7 @@ def dict_cardinal_observations(data: Dataset) -> tuple[list[str], list[str], np.
             ii.append(item_index[d])
             gg.append(gi)
             yy.append(float(fb.cardinal[d]))
-    return items, graders, np.array(ii), np.array(gg), np.array(yy)
+    return items, tuple(graders), np.array(ii), np.array(gg), np.array(yy)
 
 
 # --- full-batch likelihood kernels, allocating every temporary ----------------
@@ -1908,3 +1911,56 @@ def groups_feedback_arrays(data: Dataset) -> FeedbackArrays:
     for a in arrays:
         a.setflags(write=False)
     return FeedbackArrays(tuple(fb.grader for fb in data.feedback), len(data.items), *arrays)
+
+
+# --- the JSON dataset reader as it was before it compiled in bulk ------------
+
+
+def _records_ranking(groups: Any) -> WeakRanking:
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        raise ValidationError("'ranking' must be a list of lists")
+    if set(map(len, groups)) <= {1}:
+        return WeakRanking.from_order([g[0] for g in groups])
+    return WeakRanking(tuple(tuple(g) for g in groups))
+
+
+def records_dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
+    """``dataio.dataset_from_dict`` record by record: a ``GraderFeedback`` per entry, then ``from_feedback``."""
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{source}: expected a JSON object at top level")
+    items = payload.get("items")
+    if not isinstance(items, list) or not all(isinstance(d, str) for d in items):
+        raise DataFormatError(f"{source}: 'items' must be a list of id strings")
+    graders_payload = payload.get("graders")
+    if not isinstance(graders_payload, list):
+        raise DataFormatError(f"{source}: 'graders' must be a list")
+    feedback = []
+    for entry in graders_payload:
+        if not isinstance(entry, dict) or "id" not in entry or "ranking" not in entry:
+            raise DataFormatError(f"{source}: each grader needs 'id' and 'ranking'")
+        gid = entry["id"]
+        if not isinstance(gid, str) or not gid:
+            raise DataFormatError(f"{source}: grader id must be a non-empty string")
+        try:
+            ranking = _records_ranking(entry["ranking"])
+        except ValidationError as exc:
+            raise DataFormatError(f"{source}: grader {gid}: {exc}")
+        grades_payload = entry.get("grades")
+        if grades_payload is not None:
+            if not isinstance(grades_payload, dict):
+                raise DataFormatError(f"{source}: grader {gid}: 'grades' must be an object")
+            try:
+                grades = {str(d): float(v) for d, v in grades_payload.items()}
+                fb = GraderFeedback(grader=gid, items=tuple(sorted(ranking.items)), ordinal=ranking, cardinal=grades)
+            except (TypeError, ValueError, ValidationError) as exc:
+                raise DataFormatError(f"{source}: grader {gid}: {exc}")
+        else:
+            fb = GraderFeedback.from_ordinal(gid, ranking)
+        feedback.append(fb)
+    lazy_payload = payload.get("lazy_graders", [])
+    if not isinstance(lazy_payload, list) or not all(isinstance(g, str) for g in lazy_payload):
+        raise DataFormatError(f"{source}: 'lazy_graders' must be a list of grader ids")
+    try:
+        return Dataset.from_feedback(feedback, items=items, lazy_graders=lazy_payload)
+    except ValidationError as exc:
+        raise DataFormatError(f"{source}: {exc}")

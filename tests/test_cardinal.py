@@ -244,3 +244,20 @@ class TestNcsHyperparams:
         assert hp.mu0 is None
         assert hp.gamma0 == 0.1
         assert hp.gamma1 == 1.0
+
+
+class TestNcsGradersAreTheRoster:
+    def test_a_roster_of_graders_with_feedback_takes_the_direct_return(self, monkeypatch):
+        """``ncs_fit`` hands ``_by_grader`` its graders as a tuple, equal to such a roster, so no merge runs."""
+        calls = []
+        original = ReliabilityPrior._by_grader
+
+        def spy(self, roster, graders, etas):
+            calls.append(graders == roster)
+            return original(self, roster, graders, etas)
+
+        monkeypatch.setattr(ReliabilityPrior, "_by_grader", spy)
+        data = make_cardinal_dataset({"g1": {"a": 9.0, "b": 7.0}, "g2": {"a": 6.0, "b": 8.0, "c": 5.0}})
+        est = ncs_fit(data, with_bias_and_reliability=True)
+        assert calls == [True]
+        assert list(est.reliabilities) == ["g1", "g2"]

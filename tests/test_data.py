@@ -327,11 +327,12 @@ class TestFeedbackArrays:
         cardinal = make_cardinal_dataset({"g1": {"a": 9.0, "b": 7.0}, "g2": {"a": 6.0, "b": 8.0}})
         write_ordinal_json(ordinal, str(tmp_path / "o.json"))
         write_cardinal_csv(cardinal, str(tmp_path / "c.csv"))
-        parsed = [parse_ordinal_json(str(tmp_path / "o.json")), parse_cardinal_csv(str(tmp_path / "c.csv"))]
-        parsed.append(Dataset.from_feedback(cardinal.feedback))
+        from_json = parse_ordinal_json(str(tmp_path / "o.json"))
+        parsed = [parse_cardinal_csv(str(tmp_path / "c.csv")), Dataset.from_feedback(cardinal.feedback)]
         for model in ("scavg", "ncs", "ncs+g"):
             fit_model(model, parsed[-1])
         assert builds == []
+        assert "feedback_arrays" in vars(from_json) and "feedback" not in vars(from_json)
         assert all("feedback_arrays" not in vars(d) for d in parsed)
 
     def test_replace_builds_its_own(self, builds):

@@ -942,3 +942,13 @@ def test_logistic_batch_tail_probability_equals_expit():
         # One pair, a above b, at eta 1: the loser's gradient entry is exactly q.
         q, expected = grad_s[1], expit(-z)
         assert abs(q - expected) <= 1e-15 * abs(expected), z
+
+
+class TestLbfgsLineSearchFailure:
+    def test_gives_up_unconverged(self):
+        """A gradient that points uphill admits no Armijo step: the search halves the step below 1e-12
+        and the fit returns where it started, claiming no convergence."""
+        x, iterations, g_max, converged = scoremodels._lbfgs(lambda x: (float(x.sum()), -np.ones_like(x)), np.zeros(3))
+        assert converged is False
+        assert (iterations, g_max) == (0, 1.0)
+        assert np.array_equal(x, np.zeros(3))

@@ -13,6 +13,7 @@ from opg.dataio import dataset_to_dict
 from opg.errors import ValidationError
 from opg.rankings import WeakRanking
 from opg.synth import (
+    _SCALE_MEAN,
     CardinalNormalGraders,
     MallowsGraders,
     NormalTruth,
@@ -21,6 +22,7 @@ from opg.synth import (
     assign_reviewers,
     sample_mallows_feedback,
     simulate,
+    _to_scale,
     strip_lazy,
 )
 
@@ -376,3 +378,8 @@ class TestAddLazyGraders:
         assert stripped.lazy_graders == frozenset()
         assert feedback_map(stripped).keys() == feedback_map(data).keys()
         assert strip_lazy(data) is data
+
+
+class TestToScale:
+    def test_constant_grades_sit_at_the_scale_mean(self):
+        assert np.array_equal(_to_scale(np.full(5, 3.25)), np.full(5, _SCALE_MEAN))
