@@ -189,11 +189,11 @@ def ncs_fit(
             new_eta = np.clip(new_eta, *_ETA_BOUNDS)
             changes.append(float(np.abs(np.log(new_eta) - np.log(eta)).max()))
             eta = new_eta
-        reliabilities = prior._by_grader(data.graders, graders, eta)
+        reliabilities, biases = prior._by_grader(data.graders, graders, eta), dict(zip(graders, b.tolist()))
         metadata = {
             "model": "ncs+g",
             "mu0": mu0,
-            "biases": {**dict.fromkeys(data.graders, 0.0), **dict(zip(graders, b.tolist()))},
+            "biases": biases if graders == data.graders else {**dict.fromkeys(data.graders, 0.0), **biases},
             "reliability_change": changes,
             "converged": bool(changes) and changes[-1] <= _SETTLED_LOG_ETA,
         }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -97,19 +97,21 @@ class GraderFeedback:
 class Dataset:
     """Item and grader rosters plus at most one feedback record per grader.
 
-    A dataset parsed from JSON (``dataio.dataset_from_dict``) starts out with
-    its ``feedback_arrays`` compiled and no ``feedback`` records: those are
-    built from the arrays, with any parsed grades, the first time something
-    reads ``feedback``. Equality, ``repr``, ``dataclasses.replace``,
-    writing the dataset out, ``cardinal_arrays`` and the protocols' grader
-    subsets read it; the ordinal fits do not.
+    Two kinds of dataset build their ``feedback`` records the first time
+    something reads ``feedback``: one parsed from JSON
+    (``dataio.dataset_from_dict``), which starts out with its
+    ``feedback_arrays`` compiled, and a protocol's grader subset
+    (``experiments._select_graders``), which gathers its arrays from its
+    parent's. Equality, ``repr``, ``dataclasses.replace``, pickling,
+    copying, writing the dataset out and a parse's ``cardinal_arrays``
+    read the records; the ordinal fits do not.
     """
 
     items: tuple[str, ...]
     graders: tuple[str, ...]
     feedback: tuple[GraderFeedback, ...]
     lazy_graders: frozenset[str] = frozenset()
-    _source = None  # (parent, rows) of a grader subset built by ``_subset``; not a field
+    _source = None  # (parent, rows, names) of a grader subset built by ``_derived``; not a field
 
     def __post_init__(self) -> None:
         items = tuple(sorted(self.items))
@@ -161,26 +163,25 @@ class Dataset:
         )
 
     @classmethod
-    def _compiled(
-        cls, items: tuple[str, ...], arrays: "FeedbackArrays", grades: list | None, lazy: frozenset[str]
-    ) -> "Dataset":
-        """The dataset of checked parts whose feedback is ``arrays``, with ``grades`` (a grade map or None
-        per grader, in ``arrays`` order; None for no grades at all); ``feedback`` is left to ``__getattr__``."""
+    def _derived(cls, items: tuple[str, ...], graders: tuple[str, ...], lazy: frozenset[str], records: Callable,
+                 **known: Any) -> "Dataset":
+        """The dataset of checked rosters whose ``feedback`` is ``records()``, called by ``__getattr__`` the
+        first time something reads it; ``known`` presets derived values: ``feedback_arrays`` and ``_full``
+        of a JSON parse, ``_source`` = (parent, rows, names) of a grader subset."""
         data = object.__new__(cls)
-        vars(data).update(items=items, graders=arrays.graders, lazy_graders=lazy, feedback_arrays=arrays,
-                          _grades=grades, _full=(True, grades is not None and None not in grades))
+        vars(data).update(items=items, graders=graders, lazy_graders=lazy, _records=records, **known)
         return data
 
     def __getattr__(self, name: str) -> Any:
-        # Only a dataset from ``_compiled`` lacks a field, its ``feedback``: built here once, from the arrays.
-        if name != "feedback" or "_grades" not in vars(self):
+        # Only a dataset from ``_derived`` lacks a field, its ``feedback``: built here once, by its callable.
+        if name != "feedback" or "_records" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        grades, fa = vars(self).pop("_grades"), self.feedback_arrays
-        rankings = fa._rankings(self.items)
-        items = map(tuple, map(sorted, map(attrgetter("_rank"), rankings)))
-        records = tuple(map(GraderFeedback._unchecked, fa.graders, items, rankings, grades or repeat(None)))
-        vars(self)["feedback"] = records
+        records = vars(self)["feedback"] = vars(self).pop("_records")()
         return records
+
+    def __reduce__(self) -> tuple:
+        # Pickle and copy rebuild the dataset from its fields, so its cached arrays are derived again, read-only.
+        return type(self), (self.items, self.graders, self.feedback, self.lazy_graders)
 
     def has_full_ordinal(self) -> bool:
         return self._full[0]
@@ -196,27 +197,12 @@ class Dataset:
         return (ordinal or all(fb.ordinal is not None for fb in self.feedback),
                 cardinal or all(fb.cardinal is not None for fb in self.feedback))
 
-    @classmethod
-    def _subset(
-        cls, parent: "Dataset", rows: np.ndarray, names: Iterable[str], records: tuple, lazy: frozenset[str]
-    ) -> "Dataset":
-        """``parent``'s feedback at positions ``rows``, in that order, as ``records`` named ``names``, with
-        lazy labels ``lazy``; its compiled arrays are gathered from ``parent``'s. Only the names are checked:
-        the records and their items are ``parent``'s, already checked, and the labels follow the records."""
-        graders = tuple(sorted(names))
-        if len(set(graders)) != len(graders):
-            raise ValidationError("grader roster contains duplicates")
-        data = object.__new__(cls)
-        vars(data).update(items=parent.items, graders=graders, feedback=records, lazy_graders=lazy,
-                          _source=(parent, rows))
-        return data
-
     @cached_property
     def feedback_arrays(self) -> "FeedbackArrays":
-        """The ordinal feedback compiled to integer arrays on first use (gathered for a subset; a JSON
-        parse sets them)."""
+        """The ordinal feedback compiled to integer arrays on first use: a JSON parse sets them, and a grader
+        subset gathers them from its parent's without building its own records."""
         if self._source is not None and self._source[0].has_full_ordinal():
-            return self._source[0].feedback_arrays.take(self._source[1], tuple(fb.grader for fb in self.feedback))
+            return self._source[0].feedback_arrays.take(*self._source[1:])
         return FeedbackArrays.build(self)
 
     @cached_property
@@ -361,9 +347,10 @@ class FeedbackArrays:
         arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32)
         return cls(graders, len(items), *_read_only(*arrays))
 
-    def _rankings(self, items: tuple[str, ...]) -> list[WeakRanking]:
-        """Every grader's ranking over the roster ``items``, as ``_compile`` took it in. A tie group starts
-        at each entry whose rank is its 1-based place in its grader's slice."""
+    def _records(self, items: tuple[str, ...], grades: list) -> tuple[GraderFeedback, ...]:
+        """Every grader's record, built unchecked: its ranking over the roster ``items`` as ``_compile`` took
+        it in, and its entry of ``grades`` (a grade map or None per grader, in ``graders`` order). A tie group
+        starts at each entry whose rank is its 1-based place in its grader's slice."""
         ids = [items[i] for i in self.item.tolist()]
         entry_grader = np.repeat(np.arange(len(self.graders)), np.diff(self.offsets))
         starts = np.flatnonzero(self.rank == np.arange(len(ids)) - self.offsets[entry_grader] + 1)
@@ -371,7 +358,9 @@ class FeedbackArrays:
         groups = list(zip(ids)) if len(starts) > len(ids) else [tuple(ids[a:b]) for a, b in zip(starts, starts[1:])]
         slices, ranks = list(map(slice, bounds := self.offsets.tolist(), bounds[1:])), self.rank.tolist()
         rank_maps = map(dict, map(zip, map(ids.__getitem__, slices), map(ranks.__getitem__, slices)))
-        return list(map(WeakRanking._of, map(tuple, map(groups.__getitem__, map(slice, firsts, firsts[1:]))), rank_maps))
+        rankings = list(map(WeakRanking._of, map(tuple, map(groups.__getitem__, map(slice, firsts, firsts[1:]))), rank_maps))
+        ranked = map(tuple, map(sorted, map(attrgetter("_rank"), rankings)))
+        return tuple(map(GraderFeedback._unchecked, self.graders, ranked, rankings, grades))
 
     def take(self, rows: np.ndarray, graders: tuple[str, ...]) -> "FeedbackArrays":
         """The arrays of the graders at positions ``rows``, in that order, named ``graders``: equal,

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import tempfile
+from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
@@ -244,9 +245,10 @@ def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
     A payload of plain JSON types is checked in bulk and its rankings are
     compiled straight into the dataset's ``feedback_arrays``; the per-grader
     ``feedback`` records are built from them, with any grades, only when
-    something reads ``Dataset.feedback``: equality, ``repr``,
-    ``dataclasses.replace``, ``dataset_to_dict``, ``cardinal_arrays`` and
-    the experiments' grader subsets do, the ordinal fits do not. Any other
+    something reads ``Dataset.feedback``, as a protocol's grader subset
+    builds its own: equality, ``repr``, ``dataclasses.replace``, pickling,
+    copying, ``dataset_to_dict``, ``cardinal_arrays`` and the experiments'
+    grader subsets do, the ordinal fits do not. Any other
     payload, and every malformed one, takes the record-by-record path,
     which raises each fault's ``DataFormatError``: per-entry faults in file
     order, then roster-level ones.
@@ -279,20 +281,21 @@ def _compiled(payload: Any) -> Dataset | None:
     ids = [entry.get("id") for entry in entries]
     if set(map(type, ids)) != {str} or not set(map(type, items + lazy)) <= {str} or "" in ids:
         return None
-    roster, graders = sorted(items), sorted(ids)
+    roster, graders = tuple(sorted(items)), sorted(ids)
     if len(set(roster)) < len(roster) or len(set(graders)) < len(graders) or not set(lazy) <= set(graders):
         return None
     if graders != ids:
         entries = sorted(entries, key=itemgetter("id"))
     rankings = [entry.get("ranking") for entry in entries]
-    arrays = FeedbackArrays._compile(tuple(graders), tuple(roster), rankings, parsed=True)
+    arrays = FeedbackArrays._compile(tuple(graders), roster, rankings, parsed=True)
     if arrays is None:
         return None
     grades = [entry.get("grades") for entry in entries]
     maps = [g if g is None else _grade_map(g, ranking) for g, ranking in zip(grades, rankings)]
     if maps.count(None) != grades.count(None):
         return None
-    return Dataset._compiled(tuple(roster), arrays, None if len(maps) == maps.count(None) else maps, frozenset(lazy))
+    return Dataset._derived(roster, arrays.graders, frozenset(lazy), partial(arrays._records, roster, maps),
+                            feedback_arrays=arrays, _full=(True, None not in maps))
 
 
 def _from_records(payload: Any, source: str) -> Dataset:

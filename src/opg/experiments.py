@@ -89,13 +89,19 @@ class ExperimentReport:
 
 def _select_graders(data: Dataset, rows: Sequence[int], names: Sequence[str] | None = None) -> Dataset:
     """The graders at feedback positions ``rows`` of ``data``, in that order, renamed to ``names``
-    if given. Lazy labels follow their graders; compiled arrays are gathered from ``data``'s."""
+    if given. Lazy labels follow their graders; compiled arrays are gathered from ``data``'s, and the
+    renamed records are built only when read. Only the names are checked: the rest is ``data``'s."""
     rows = np.asarray(rows, dtype=np.intp)
     originals = [data.feedback[r] for r in rows.tolist()]
-    names = names or [fb.grader for fb in originals]
-    feedback = tuple(fb if fb.grader == name else fb._renamed(name) for fb, name in zip(originals, names))
+    names = tuple(names or (fb.grader for fb in originals))
+    if len(set(names)) != len(names):
+        raise ValidationError("grader roster contains duplicates")
     lazy = data.lazy_graders and frozenset(n for fb, n in zip(originals, names) if fb.grader in data.lazy_graders)
-    return Dataset._subset(data, rows, names, feedback, lazy)
+
+    def records() -> tuple[GraderFeedback, ...]:
+        return tuple(fb if fb.grader == name else fb._renamed(name) for fb, name in zip(originals, names))
+
+    return Dataset._derived(data.items, tuple(sorted(names)), lazy, records, _source=(data, rows, names))
 
 
 def _resample_graders(data: Dataset, rng: np.random.Generator) -> Dataset:

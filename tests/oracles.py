@@ -1,8 +1,9 @@
 """Slow, independent reference implementations used as test oracles.
 
 Everything here works on plain lists/tuples/dicts and enumerates by brute
-force, deliberately sharing no code with the package under test. The
-exceptions are the last sections: helpers on the package's data types that
+force, deliberately sharing no code with the package under test; the
+weighted Kemeny optimum, an integer program for ``scipy.optimize.milp``,
+is the one that does not enumerate. The exceptions are the last sections: helpers on the package's data types that
 only the tests need, the package's earlier dict-loop estimators, kept as
 exact references for the compiled-array ones, its earlier per-grader
 synthetic-data loops, kept as exact references for the array ones, its
@@ -135,6 +136,52 @@ def exhaustive_kemeny(
             best_order = list(perm)
     assert best_order is not None
     return best_order, best_cost
+
+
+def pair_weight_matrix(items: list[str], feedbacks: list[tuple[list[list[str]], float]]) -> np.ndarray:
+    """w[a, b]: the reliability summed over the graders who rank a strictly above b, over sorted ``items``."""
+    index = {d: i for i, d in enumerate(sorted(items))}
+    w = np.zeros((len(index), len(index)))
+    for groups, eta in feedbacks:
+        for k, better in enumerate(groups):
+            for worse in groups[k + 1:]:
+                for a, b in itertools.product(better, worse):
+                    w[index[a], index[b]] += eta
+    return w
+
+
+def kemeny_optimum(
+    items: list[str], feedbacks: list[tuple[list[list[str]], float]]
+) -> tuple[list[str], float]:
+    """A best total order and its cost, from the integer program over x_ab = [a above b] for a < b,
+    with 0 <= x_ab + x_bc - x_ac <= 1 on every triple a < b < c (Conitzer, Davenport & Kalagnanam
+    2006), solved exactly by ``scipy.optimize.milp`` on a sparse matrix: one ranged row, three
+    non-zeros, per triple."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    if len(items) < 3:
+        return exhaustive_kemeny(items, feedbacks)
+    items = sorted(items)
+    n, w = len(items), pair_weight_matrix(items, feedbacks)
+    first, second = np.triu_indices(n, 1)
+    var = np.zeros((n, n), dtype=np.intp)
+    var[first, second] = np.arange(len(first))
+    a, b, c = np.array(list(itertools.combinations(range(n), 3))).T
+    rows = np.repeat(np.arange(len(a)), 3)
+    cols = np.stack((var[a, b], var[b, c], var[a, c]), axis=1).ravel()
+    triangles = coo_array((np.tile([1.0, 1.0, -1.0], len(a)), (rows, cols)), shape=(len(a), len(first)))
+    # x_ab = 1 costs w[b, a], the weight against a above b; x_ab = 0 costs w[a, b].
+    result = milp(w[second, first] - w[first, second], integrality=np.ones(len(first)), bounds=Bounds(0, 1),
+                  constraints=LinearConstraint(triangles.tocsr(), 0, 1), options={"mip_rel_gap": 0.0})
+    assert result.success, result.message
+    above = np.zeros((n, n))
+    above[first, second] = np.round(result.x)
+    above[second, first] = 1 - above[first, second]
+    order = [items[i] for i in np.argsort(-above.sum(axis=1), kind="stable")]
+    cost = sum(w[later, earlier] for earlier, later in itertools.combinations(map(items.index, order), 2))
+    assert math.isclose(cost, result.fun + w[first, second].sum(), rel_tol=1e-9, abs_tol=1e-9)
+    return order, cost
 
 
 def pl_probability_brute(order: list[str], scores: dict[str, float], eta: float) -> float:

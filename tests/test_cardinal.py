@@ -127,6 +127,16 @@ class TestNcsG:
         assert biases["B"] - biases["A"] == pytest.approx(1.0, abs=1e-3)
         assert biases["A"] + biases["B"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_biases_list_the_roster_in_order_whatever_the_feedback_order(self, rng):
+        grades = {f"g{i}": {f"x{j}": float(rng.integers(0, 9)) for j in rng.choice(7, 4, replace=False)}
+                  for i in range(6)}
+        data = make_cardinal_dataset(grades)
+        reversed_feedback = Dataset(data.items, data.graders, data.feedback[::-1])
+        got, backwards = (ncs_fit(d, with_bias_and_reliability=True).metadata["biases"]
+                          for d in (data, reversed_feedback))
+        assert list(got) == list(backwards) == list(data.graders)
+        assert got == pytest.approx(backwards, abs=1e-9)
+
     def test_global_shift_leaves_ranking_unchanged(self, rng):
         grades = {
             f"g{i}": {f"x{j}": float(rng.uniform(1.0, 10.0)) for j in rng.choice(8, 4, replace=False)}

@@ -148,6 +148,16 @@ class TestGraderSubsets:
             resamples.append(got)
         assert any("#" in g for d in resamples for g in d.lazy_graders)
 
+    @pytest.mark.parametrize("method", ["mal", "malbc", "mal+g", "bt"])
+    def test_an_ordinal_fit_of_a_resample_builds_none_of_its_records(self, method, tmp_path, monkeypatch):
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(6))
+        resample = _resample_graders(data, np.random.default_rng(0))
+        assert any("#" in g for g in resample.graders)
+        renamed = []
+        monkeypatch.setattr(GraderFeedback, "_renamed", lambda fb, name: renamed.append(name))
+        fit_model(method, resample)
+        assert renamed == [] and "feedback" not in vars(resample)
+
     # Each protocol's (mean, std) or curve on the tied dataset of rng seed 7, recorded when every
     # subset was still rebuilt through ``Dataset(...)`` and its resample names counted draw by draw.
     RECORDED = {

@@ -431,6 +431,36 @@ VARIANTS = [
 ]
 
 
+class TestKemenyCertificate:
+    """How far the Mallows centres are from the weighted Kemeny optimum, by ``oracles.kemeny_optimum``."""
+
+    def test_the_integer_program_matches_exhaustive_search(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            items = [f"x{i}" for i in range(n)]
+            feedbacks = []
+            for _ in range(int(rng.integers(1, 6))):
+                subset = sorted(rng.choice(items, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+                feedbacks.append((random_weak_ranking(rng, subset), float(rng.choice([0.5, 1.0, 2.5]))))
+            order, cost = oracles.kemeny_optimum(items, feedbacks)
+            assert sorted(order) == items and cost == pytest.approx(oracles.kemeny_cost(order, feedbacks))
+            assert cost == pytest.approx(oracles.exhaustive_kemeny(items, feedbacks)[1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_centre_beats_the_optimum_at_paper_scale(self, seed):
+        data, truth = simulate(SynthConfig(40, 150, 7, seed=seed))
+        feedbacks = [([list(g) for g in fb.ordinal.groups], 1.0) for fb in data.feedback]
+        _, optimum = oracles.kemeny_optimum(list(data.items), feedbacks)
+        w = oracles.pair_weight_matrix(list(data.items), feedbacks)
+        assert np.minimum(w, w.T).sum() / 2 <= optimum
+        orders = {model: fit_model(model, data).ranking.order() for model in ("mal", "mal+k")}
+        orders["truth"] = truth.ranking.order()
+        costs = {name: oracles.kemeny_cost(list(order), feedbacks) for name, order in orders.items()}
+        print(f"seed {seed}: Kemeny optimum {optimum:g};", ", ".join(
+            f"{name} {cost:g} (+{cost / optimum - 1:.1%})" for name, cost in costs.items()))
+        assert all(cost >= optimum for cost in costs.values())
+
+
 def _random_dataset(rng, n_items=9, n_graders=8, min_items=2, max_items=6, extra_items=()):
     """Random tied feedback over random subsets of unequal size."""
     items = [f"x{i}" for i in range(n_items)]

@@ -24,9 +24,11 @@ from opg.dataio import (
 )
 from opg.errors import ValidationError
 from opg.estimators import MODEL_NAMES, fit_model
+from opg.experiments import _resample_graders
 from opg.synth import CardinalNormalGraders, SynthConfig, simulate
 
-from oracles import records_dataset_from_dict
+from conftest import make_tied_csv_dataset
+from oracles import records_dataset_from_dict, resample_graders_oracle
 from test_data import assert_same_arrays, builds  # noqa: F401 (a fixture)
 
 _IDS = st.text(alphabet="abcxyzé", min_size=1, max_size=3)  # never "q", the unknown id of the faults
@@ -229,3 +231,44 @@ class TestRecordsOnlyWhenAsked:
         with pytest.raises(AttributeError, match="'Dataset' object has no attribute 'records'"):
             data.records  # noqa: B018
         assert not hasattr(data, "__setstate__") and "feedback" not in vars(data)
+
+
+def _every_array(data: Dataset) -> list[np.ndarray]:
+    """The dataset's cached arrays: its compiled feedback, their block and end tables, and its grades."""
+    fa = data.feedback_arrays
+    arrays = [getattr(fa, f.name) for f in dataclasses.fields(FeedbackArrays)]
+    return [a for a in arrays if isinstance(a, np.ndarray)] + [a for b in fa.blocks for a in b] + [
+        *fa.ends, *data.cardinal_arrays]
+
+
+class TestCopiesAreCheckedDatasets:
+    """A derived dataset pickles and copies to a dataset rebuilt from its fields, whose arrays are derived
+    again and read-only, also when the original still holds its records callable."""
+
+    @pytest.fixture(params=["parsed", "resample"])
+    def derived(self, request, classes, tmp_path) -> tuple[Dataset, Dataset]:
+        """A derived dataset and the same dataset built record by record."""
+        if request.param == "parsed":
+            return dataset_from_dict(classes["graded-tied"]), records_dataset_from_dict(classes["graded-tied"])
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(8))
+        got = _resample_graders(data, np.random.default_rng(1))
+        assert any("#" in g for g in got.graders)
+        return got, resample_graders_oracle(data, np.random.default_rng(1))
+
+    @pytest.mark.parametrize(
+        "act", [copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))], ids=["copy", "deepcopy", "pickle"]
+    )
+    @pytest.mark.parametrize("cached", [False, True], ids=["unread", "arrays-cached"])
+    def test_equal_with_read_only_arrays(self, derived, act, cached):
+        data, eager = derived
+        if cached:
+            assert all(not a.flags.writeable for a in _every_array(data))
+        else:
+            assert "feedback" not in vars(data)
+        got = act(data)
+        assert type(got) is Dataset and got == data and got == eager
+        assert (got.has_full_ordinal(), got.has_full_cardinal()) == (True, True)
+        assert all(not a.flags.writeable for a in _every_array(got))
+        assert_same_arrays(got.feedback_arrays, FeedbackArrays.build(eager))
+        for a, b in zip(got.cardinal_arrays, eager.cardinal_arrays, strict=True):
+            assert np.array_equal(a, b)
