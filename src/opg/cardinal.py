@@ -54,11 +54,12 @@ def _cardinal_observations(data: Dataset) -> tuple[list[str], tuple[str, ...], n
     """(items, graders, item_idx, grader_idx, grades) for all observations, read from
     ``data.cardinal_arrays``: grader by grader in feedback order, each grader's items sorted.
     The graders are a tuple, so they equal a roster of exactly the graders with feedback."""
-    if not data.feedback:
+    graders = data._feedback_graders
+    if not graders:
         raise ValidationError("dataset has no feedback")
     offsets, ii, yy = data.cardinal_arrays
-    gg = np.repeat(np.arange(len(data.feedback)), np.diff(offsets))
-    return list(data.items), tuple(fb.grader for fb in data.feedback), ii, gg, yy
+    gg = np.repeat(np.arange(len(graders)), np.diff(offsets))
+    return list(data.items), graders, ii, gg, yy
 
 
 def scavg(data: Dataset, tie_epsilon: float = 1e-9) -> Estimate:

@@ -104,7 +104,8 @@ class Dataset:
     (``experiments._select_graders``), which gathers its arrays from its
     parent's. Equality, ``repr``, ``dataclasses.replace``, pickling,
     copying, writing the dataset out and a parse's ``cardinal_arrays``
-    read the records; the ordinal fits do not.
+    read the records; the ordinal fits, the cardinal fits of a grader subset
+    and the protocols' resampling do not.
     """
 
     items: tuple[str, ...]
@@ -166,8 +167,8 @@ class Dataset:
     def _derived(cls, items: tuple[str, ...], graders: tuple[str, ...], lazy: frozenset[str], records: Callable,
                  **known: Any) -> "Dataset":
         """The dataset of checked rosters whose ``feedback`` is ``records()``, called by ``__getattr__`` the
-        first time something reads it; ``known`` presets derived values: ``feedback_arrays`` and ``_full``
-        of a JSON parse, ``_source`` = (parent, rows, names) of a grader subset."""
+        first time something reads it; ``known`` presets derived values: ``feedback_arrays``, ``_full_ordinal``
+        and ``_full_cardinal`` of a JSON parse, ``_source`` = (parent, rows, names) of a grader subset."""
         data = object.__new__(cls)
         vars(data).update(items=items, graders=graders, lazy_graders=lazy, _records=records, **known)
         return data
@@ -183,19 +184,31 @@ class Dataset:
         # Pickle and copy rebuild the dataset from its fields, so its cached arrays are derived again, read-only.
         return type(self), (self.items, self.graders, self.feedback, self.lazy_graders)
 
+    @property
+    def _feedback_graders(self) -> tuple[str, ...]:
+        """The graders of ``feedback``, in its order, read without building records where the dataset holds
+        them: a grader subset's names, or the graders of compiled arrays, which a JSON parse sets."""
+        if self._source is not None:
+            return self._source[2]
+        if "feedback_arrays" in vars(self):
+            return self.feedback_arrays.graders
+        return tuple(fb.grader for fb in self.feedback)
+
     def has_full_ordinal(self) -> bool:
-        return self._full[0]
+        return self._full("ordinal")
 
     def has_full_cardinal(self) -> bool:
-        return self._full[1]
+        return self._full("cardinal")
 
-    @cached_property
-    def _full(self) -> tuple[bool, bool]:
-        """Whether every record has ordinal and cardinal feedback, scanned once. A subset has each kind
-        its parent has throughout, so it scans its own records only for the kinds the parent lacks."""
-        ordinal, cardinal = self._source[0]._full if self._source is not None else (False, False)
-        return (ordinal or all(fb.ordinal is not None for fb in self.feedback),
-                cardinal or all(fb.cardinal is not None for fb in self.feedback))
+    def _full(self, kind: str) -> bool:
+        """Whether every record has ``kind`` feedback, scanned once and kept as ``_full_<kind>``. A subset
+        has each kind its parent has throughout, so it scans its own records only for a kind the parent
+        lacks, and only when that kind is asked about."""
+        name = "_full_" + kind
+        if name not in vars(self):
+            vars(self)[name] = (self._source is not None and self._source[0]._full(kind)) or all(
+                getattr(fb, kind) is not None for fb in self.feedback)
+        return vars(self)[name]
 
     @cached_property
     def feedback_arrays(self) -> "FeedbackArrays":
@@ -287,6 +300,13 @@ class FeedbackArrays:
     MB for 6,000 graders of 7 items. ``ends``, read only by the Mallows
     centres, lists the strict pairs item by item from those masks on first
     use and keeps them: 16 bytes a pair, 2.0 MB for the same graders.
+    ``_unit_centers`` keeps the Mallows centres at reliabilities 1 that
+    ``mallows._Centers.unit`` computes for the fits and for the helpers called
+    without reliabilities: at most three read-only orders of the n items (the
+    greedy center, its local Kemenization and the Borda order), 8n bytes each,
+    plus the Borda cuts. So only a second or later Mallows fit of one dataset
+    gains; a grader subset, a copy or a ``dataclasses.replace`` has arrays of
+    its own, which keep nothing yet.
     """
 
     graders: tuple[str, ...]
@@ -403,6 +423,11 @@ class FeedbackArrays:
         key = np.stack((2 * grader, 2 * grader + 1), axis=1).ravel()[by_item]
         offsets = np.concatenate(([0], np.cumsum(np.bincount(item, minlength=self.n_items))))
         return EndTable(*_read_only(offsets, other, key))
+
+    @cached_property
+    def _unit_centers(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """The Mallows centres at reliabilities 1 by kind, each filled in once by ``mallows._Centers.unit``."""
+        return {}
 
 
 @dataclass(frozen=True)

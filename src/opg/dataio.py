@@ -295,7 +295,7 @@ def _compiled(payload: Any) -> Dataset | None:
     if maps.count(None) != grades.count(None):
         return None
     return Dataset._derived(roster, arrays.graders, frozenset(lazy), partial(arrays._records, roster, maps),
-                            feedback_arrays=arrays, _full=(True, None not in maps))
+                            feedback_arrays=arrays, _full_ordinal=True, _full_cardinal=None not in maps)
 
 
 def _from_records(payload: Any, source: str) -> Dataset:

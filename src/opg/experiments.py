@@ -10,6 +10,7 @@ i-th count of ``robustness_delta`` (whose baseline fit keeps the given seed).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -92,25 +93,28 @@ def _select_graders(data: Dataset, rows: Sequence[int], names: Sequence[str] | N
     if given. Lazy labels follow their graders; compiled arrays are gathered from ``data``'s, and the
     renamed records are built only when read. Only the names are checked: the rest is ``data``'s."""
     rows = np.asarray(rows, dtype=np.intp)
-    originals = [data.feedback[r] for r in rows.tolist()]
-    names = tuple(names or (fb.grader for fb in originals))
+    graders = data._feedback_graders
+    originals = [graders[r] for r in rows.tolist()]
+    names = tuple(names or originals)
     if len(set(names)) != len(names):
         raise ValidationError("grader roster contains duplicates")
-    lazy = data.lazy_graders and frozenset(n for fb, n in zip(originals, names) if fb.grader in data.lazy_graders)
+    lazy = data.lazy_graders and frozenset(n for g, n in zip(originals, names) if g in data.lazy_graders)
 
     def records() -> tuple[GraderFeedback, ...]:
-        return tuple(fb if fb.grader == name else fb._renamed(name) for fb, name in zip(originals, names))
+        picked = map(data.feedback.__getitem__, rows.tolist())
+        return tuple(fb if fb.grader == name else fb._renamed(name) for fb, name in zip(picked, names))
 
     return Dataset._derived(data.items, tuple(sorted(names)), lazy, records, _source=(data, rows, names))
 
 
 def _resample_graders(data: Dataset, rng: np.random.Generator) -> Dataset:
     """Bootstrap resample of graders; the c copies of a grader g drawn c times are g, g#2, ..., g#c."""
-    n = len(data.feedback)
+    graders = data._feedback_graders
+    n = len(graders)
     counts = np.bincount(rng.integers(0, n, n), minlength=n).tolist()
     # Copies of one record differ only in name, so the names need not follow the draw order.
-    drawn = sorted([(fb.grader if k == 1 else f"{fb.grader}#{k}", i)
-                    for i, (fb, c) in enumerate(zip(data.feedback, counts)) for k in range(1, c + 1)])
+    drawn = sorted([(g if k == 1 else f"{g}#{k}", i)
+                    for i, (g, c) in enumerate(zip(graders, counts)) for k in range(1, c + 1)])
     names, rows = zip(*drawn)
     return _select_graders(data, rows, names)
 
@@ -145,7 +149,8 @@ def self_consistency(
     Low values mean the method extracts a stable ordering from half the data.
     """
     _check_reps(partitions, "partitions")
-    if len(data.feedback) < 2:
+    n_graders = len(data._feedback_graders)
+    if n_graders < 2:
         raise ValidationError("self-consistency needs at least two graders")
     options = options or ModelOptions()
 
@@ -153,7 +158,7 @@ def self_consistency(
     errors = []
     for rep in range(partitions):
         rng = np.random.default_rng(seed + rep)
-        perm = rng.permutation(len(data.feedback))
+        perm = rng.permutation(n_graders)
         half = len(perm) // 2
         parts = []
         for sel in (perm[:half], perm[half:]):
@@ -166,11 +171,10 @@ def self_consistency(
 
 def _downsample(data: Dataset, axis: str, level: int, rng: np.random.Generator) -> Dataset:
     if axis == "reviewers":
-        if not 1 <= level <= len(data.feedback):
-            raise ValidationError(
-                f"level must be in [1, {len(data.feedback)}] for axis 'reviewers', got {level}"
-            )
-        return _select_graders(data, np.sort(rng.choice(len(data.feedback), size=level, replace=False)))
+        n_graders = len(data._feedback_graders)
+        if not 1 <= level <= n_graders:
+            raise ValidationError(f"level must be in [1, {n_graders}] for axis 'reviewers', got {level}")
+        return _select_graders(data, np.sort(rng.choice(n_graders, size=level, replace=False)))
     if axis == "items_per_reviewer":
         if level < 1:
             raise ValidationError(f"level must be >= 1, got {level}")
@@ -339,14 +343,17 @@ def time_methods(
     reps: int = 3,
     options: ModelOptions | None = None,
 ) -> dict[str, tuple[float, float]]:
-    """Wall-clock fit time per method: name -> (mean seconds, std)."""
+    """Wall-clock fit time per method: name -> (mean seconds, std). Each repetition fits a fresh copy
+    of ``data``, made before its clock starts, so it compiles its own arrays and reads no center an
+    earlier fit kept."""
     _check_reps(reps)
     out: dict[str, tuple[float, float]] = {}
     for method in methods:
         times = []
         for _ in range(reps):
+            fresh = copy.copy(data)
             start = time.perf_counter()
-            fit_model(method, data, options)
+            fit_model(method, fresh, options)
             times.append(time.perf_counter() - start)
         out[method] = _mean_std(times)
     return out

@@ -20,7 +20,9 @@ length's graders with their position pairs and strict masks) and its end table
 (``FeedbackArrays.ends``, each item's strict pairs in pair order), each listed
 once per dataset. The public helpers build one for their dataset and
 reliabilities, and ``fit_mallows`` builds one per fit, whose first center at
-reliabilities 1 is a plain fit's answer and a ``+g`` fit's start.
+reliabilities 1 is a plain fit's answer and a ``+g`` fit's start. Those
+centers are kept with the compiled feedback (``_Centers.unit``), so each is
+computed once per dataset.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import _ETA_BOUNDS, ReliabilityPrior, _check_iterations
-from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback
+from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback, _read_only
 from .errors import ValidationError
 from .rankings import WeakRanking
 
@@ -164,6 +166,8 @@ class _Centers:
         self.arrays = arrays = data.feedback_arrays
         graded = np.bincount(arrays.item, minlength=len(data.items)) > 0
         self.graded, self.ungraded = np.flatnonzero(graded), np.flatnonzero(~graded)
+        # The cuts of a total order: every item is a group of its own.
+        self.singletons = np.arange(1, len(data.items))
 
     def etas(self, params: MallowsParams | None) -> np.ndarray:
         """Each grader's reliability under ``params``, in feedback order; all 1 without them."""
@@ -222,6 +226,21 @@ class _Centers:
         if self.ungraded.size:
             cuts = np.append(cuts, len(candidates))
         return np.concatenate((candidates[ordered], self.ungraded)), cuts
+
+    def unit(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """The "greedy", "kemenized" (the greedy center after ``kemenize``) or "borda" center at
+        reliabilities 1, as ``_weak_ranking``'s order and cuts: computed the first time it is asked
+        for and kept, read-only, in the arrays' ``_unit_centers``, so every later fit reads it."""
+        kept = self.arrays._unit_centers
+        if kind not in kept:
+            ones = np.ones(len(self.arrays.graders))
+            if kind == "borda":
+                kept[kind] = _read_only(*self.borda(ones))
+            else:
+                order = self.greedy(ones) if kind == "greedy" else self.kemenize(self.unit("greedy")[0], ones)
+                kept[kind] = _read_only(order)
+        order, *cuts = kept[kind]
+        return order, cuts[0] if cuts else self.singletons
 
     @cached_property
     def _wins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,11 +313,13 @@ def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> We
     with both counts restricted to remaining candidates in the grader's item
     set; pairs the grader ties contribute to neither count. Ties in x_d are
     broken by lexicographic item id. Items never graded by anyone are
-    appended at the end (lexicographically) with a warning.
+    appended at the end (lexicographically) with a warning. Without
+    ``params`` it returns the greedy center the dataset keeps (see
+    ``fit_mallows``), computing it if no fit has.
     """
     centers = _Centers(data)
     centers.check_feedback(borda=False)
-    order = centers.greedy(centers.etas(params))
+    order = centers.unit("greedy")[0] if params is None else centers.greedy(centers.etas(params))
     return WeakRanking.from_order(data.items[i] for i in order)
 
 
@@ -307,11 +328,13 @@ def borda_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRan
 
     Each grader contributes its within-feedback rank of the item, weighted by
     the grader's reliability; equal averages form tie groups. Items graded by
-    nobody form a final tie group (with a warning).
+    nobody form a final tie group (with a warning). Without ``params`` it
+    returns the Borda center the dataset keeps (see ``fit_mallows``).
     """
     centers = _Centers(data)
     centers.check_feedback(borda=True)
-    return _weak_ranking(data.items, *centers.borda(centers.etas(params)))
+    center = centers.unit("borda") if params is None else centers.borda(centers.etas(params))
+    return _weak_ranking(data.items, *center)
 
 
 def weighted_kendall_cost(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> float:
@@ -483,6 +506,14 @@ def fit_mallows(
     (``converged``), the cost of the center each round kept (``center_cost``)
     and the largest change of log(eta) in each round, the first against all
     ones (``reliability_change``).
+
+    The center at reliabilities 1 is computed once per compiled dataset: the
+    first fit that needs it keeps it, read-only, with ``data.feedback_arrays``
+    (at most three orders of the n items, 8n bytes each, plus the Borda cuts),
+    and every later fit of the six variants reads it from there, as do
+    ``greedy_mle_ranking`` and ``borda_ranking`` called without ``params``.
+    So only repeated Mallows fits of one dataset gain; a single fit, such as
+    one ``opg estimate`` run, does the same work as before.
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
@@ -493,8 +524,7 @@ def fit_mallows(
     }
     centers = _Centers(data)
     centers.check_feedback(use_borda)
-    # The cuts of a total order: every item is a group of its own.
-    singletons = np.arange(1, len(data.items))
+    singletons = centers.singletons
 
     def center_for(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if use_borda:
@@ -503,7 +533,7 @@ def fit_mallows(
         return (centers.kemenize(order, etas) if kemenize else order), singletons
 
     etas = np.ones(len(centers.arrays.graders))
-    order, cuts = center_for(etas)
+    order, cuts = centers.unit("borda" if use_borda else "kemenized" if kemenize else "greedy")
     if not with_reliability:
         return Estimate(ranking=_weak_ranking(data.items, order, cuts), metadata=metadata)
 

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from opg import experiments
+from opg import experiments, mallows
 from opg.data import Dataset, GraderFeedback
+from opg.dataio import _json_text, estimate_to_dict, parse_ordinal_json, write_ordinal_json
 from opg.errors import ValidationError
 from opg.estimators import MODEL_NAMES, ModelOptions, fit_model
 from opg.experiments import (
@@ -157,6 +158,35 @@ class TestGraderSubsets:
         monkeypatch.setattr(GraderFeedback, "_renamed", lambda fb, name: renamed.append(name))
         fit_model(method, resample)
         assert renamed == [] and "feedback" not in vars(resample)
+
+    @pytest.mark.parametrize("method", ["scavg", "ncs", "ncs+g"])
+    def test_a_cardinal_fit_of_a_resample_builds_none_of_its_records(self, method, tmp_path, monkeypatch):
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(6))
+        want = fit_model(method, resample_graders_oracle(data, np.random.default_rng(0)))
+        resample = _resample_graders(data, np.random.default_rng(0))
+        assert any("#" in g for g in resample.graders)
+        renamed = []
+        monkeypatch.setattr(GraderFeedback, "_renamed", lambda fb, name: renamed.append(name))
+        got = fit_model(method, resample)
+        assert renamed == [] and "feedback" not in vars(resample)
+        assert _json_text(estimate_to_dict(got)) == _json_text(estimate_to_dict(want))
+
+    def test_subsets_of_a_parsed_class_build_none_of_its_records(self, tmp_path):
+        data, truth = simulate(SynthConfig(30, 60, 5, seed=2))
+        write_ordinal_json(data, str(tmp_path / "d.json"))
+        parsed = parse_ordinal_json(str(tmp_path / "d.json"))
+        targets = [truth.ranking]
+
+        def protocols(d):
+            return (
+                bootstrap_ek(d, "mal", targets, reps=5, seed=1),
+                self_consistency(d, "mal+k", partitions=2, seed=1),
+                downsample_curve(d, "malbc", "reviewers", (10, 30), targets, reps=2, seed=1),
+            )
+
+        got = protocols(parsed)
+        assert "feedback" not in vars(parsed)
+        assert got == protocols(data)
 
     # Each protocol's (mean, std) or curve on the tied dataset of rng seed 7, recorded when every
     # subset was still rebuilt through ``Dataset(...)`` and its resample names counted draw by draw.
@@ -370,6 +400,13 @@ class TestTimeMethods:
         tiny = make_cardinal_dataset({"g1": {"a": 7.0, "b": 5.0}})
         with pytest.raises(ValidationError):
             time_methods(tiny, ["scavg"], reps=0)
+
+    def test_each_repetition_fits_a_fresh_copy(self, monkeypatch):
+        data = simulate(SynthConfig(n_items=20, n_graders=25, items_per_grader=5, seed=5))[0]
+        calls, greedy = [], mallows._Centers.greedy
+        monkeypatch.setattr(mallows._Centers, "greedy", lambda self, etas: calls.append(etas) or greedy(self, etas))
+        time_methods(data, ["mal", "mal+k"], reps=2)
+        assert len(calls) == 4 and "feedback_arrays" not in vars(data)
 
 
 class TestExperimentReport:

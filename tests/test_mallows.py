@@ -1,13 +1,18 @@
+import copy
+import dataclasses
 import importlib.util
 import itertools
 import math
 import os
+import pickle
 import re
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import oracles
@@ -15,9 +20,17 @@ from conftest import make_ordinal_dataset, random_weak_ranking
 from opg import mallows
 from opg.config import ReliabilityPrior
 from opg.data import Dataset, GraderFeedback
+from opg.dataio import (
+    _json_text,
+    dataset_from_dict,
+    estimate_to_dict,
+    parse_ordinal_json,
+    write_estimate,
+    write_ordinal_json,
+)
 from opg.errors import ValidationError
 from opg.estimators import fit_model
-from opg.experiments import _resample_graders
+from opg.experiments import _resample_graders, _select_graders
 from opg.metrics import TargetSet, ek_error
 from opg.mallows import (
     MallowsParams,
@@ -38,6 +51,7 @@ from opg.mallows import (
 )
 from opg.rankings import WeakRanking, break_ties
 from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
+from test_parse_compiled import payloads
 
 
 class TestNormalizer:
@@ -910,3 +924,91 @@ class TestMonotoneAscent:
             for model in ("mal+g", "mal+kg"):
                 est = fit_model(model, data)
                 assert est.metadata["converged"] is True, (index, model, est.metadata["rounds"])
+
+
+def _fits_match(got, want) -> None:
+    """Equal rankings, reliabilities and metadata, and the same estimate file text."""
+    assert got.ranking == want.ranking and got.reliabilities == want.reliabilities
+    assert got.metadata == want.metadata
+    assert _json_text(estimate_to_dict(got)) == _json_text(estimate_to_dict(want))
+
+
+class TestUnitCentersKeptPerDataset:
+    """The centers at reliabilities 1 are computed once per compiled dataset, and keeping them changes
+    no answer: a fit after other fits and helpers on one dataset equals a fit on a fresh parse."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(payloads(), st.permutations(VARIANTS))
+    def test_fits_after_other_fits_equal_fits_on_a_fresh_parse(self, payload, variants):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = dataset_from_dict(payload)
+            helpers = greedy_mle_ranking(data), borda_ranking(data)
+            for _ in range(2):
+                for variant in variants:
+                    _fits_match(fit_mallows(data, **variant), fit_mallows(dataset_from_dict(payload), **variant))
+            fresh = dataset_from_dict(payload)
+            assert helpers == (greedy_mle_ranking(data), borda_ranking(data))
+            assert helpers == (greedy_mle_ranking(fresh), borda_ranking(fresh))
+            center = helpers[0]
+            assert local_kemenization(center, data) == local_kemenization(center, fresh)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_at_paper_scale_the_unit_greedy_runs_once(self, seed, tmp_path, monkeypatch):
+        write_ordinal_json(simulate(SynthConfig(40, 150, 7, seed=seed))[0], str(tmp_path / "d.json"))
+        want = {}
+        for variant in VARIANTS:
+            name = "-".join(sorted(variant)) or "plain"
+            write_estimate(fit_mallows(parse_ordinal_json(str(tmp_path / "d.json")), **variant), str(tmp_path / name))
+            want[name] = (tmp_path / name).read_bytes()
+        unit_greedy, greedy = [], _Centers.greedy
+
+        def spy(self, etas):
+            unit_greedy.append(bool((etas == 1.0).all()))
+            return greedy(self, etas)
+
+        monkeypatch.setattr(_Centers, "greedy", spy)
+        data = parse_ordinal_json(str(tmp_path / "d.json"))
+        center = greedy_mle_ranking(data)
+        local_kemenization(center, data)
+        borda_ranking(data)
+        for variant in VARIANTS + VARIANTS[::-1]:
+            name = "-".join(sorted(variant)) or "plain"
+            write_estimate(fit_mallows(data, **variant), str(tmp_path / "got"))
+            assert (tmp_path / "got").read_bytes() == want[name], name
+        assert unit_greedy.count(True) == 1
+        assert greedy_mle_ranking(data) == center
+
+    def test_a_kept_center_is_read_only(self):
+        data = simulate(SynthConfig(12, 20, 4, grader_model=CardinalNormalGraders(), seed=3))[0]
+        for variant in PLAIN_VARIANTS:
+            fit_mallows(data, **variant)
+        kept = data.feedback_arrays._unit_centers
+        assert sorted(kept) == ["borda", "greedy", "kemenized"]
+        assert [len(kept[kind]) for kind in ("greedy", "kemenized", "borda")] == [1, 1, 2]
+        for arrays in kept.values():
+            assert all(a.dtype == np.intp for a in arrays) and len(arrays[0]) == len(data.items)
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[-1]
+
+    def test_derived_datasets_start_with_no_kept_center(self, tmp_path):
+        write_ordinal_json(simulate(SynthConfig(30, 60, 5, seed=4))[0], str(tmp_path / "d.json"))
+        data = parse_ordinal_json(str(tmp_path / "d.json"))
+        for variant in PLAIN_VARIANTS:
+            fit_mallows(data, **variant)
+        derived = {
+            "resample": _resample_graders(data, np.random.default_rng(0)),
+            "subset": _select_graders(data, np.arange(0, 60, 2)),
+            "pickle": pickle.loads(pickle.dumps(data)),
+            "copy": copy.copy(data),
+            "deepcopy": copy.deepcopy(data),
+            "replace": dataclasses.replace(data),
+        }
+        for name, other in derived.items():
+            assert other.feedback_arrays is not data.feedback_arrays, name
+            assert other.feedback_arrays._unit_centers == {}, name
+            built = Dataset(other.items, other.graders, other.feedback, other.lazy_graders)
+            for variant in PLAIN_VARIANTS:
+                _fits_match(fit_mallows(other, **variant), fit_mallows(built, **variant))
+        assert sorted(data.feedback_arrays._unit_centers) == ["borda", "greedy", "kemenized"]
