@@ -97,22 +97,26 @@ class GraderFeedback:
 class Dataset:
     """Item and grader rosters plus at most one feedback record per grader.
 
-    Two kinds of dataset build their ``feedback`` records the first time
-    something reads ``feedback``: one parsed from JSON
-    (``dataio.dataset_from_dict``), which starts out with its
-    ``feedback_arrays`` compiled, and a protocol's grader subset
-    (``experiments._select_graders``), which gathers its arrays from its
-    parent's. Equality, ``repr``, ``dataclasses.replace``, pickling,
-    copying, writing the dataset out and a parse's ``cardinal_arrays``
-    read the records; the ordinal fits, the cardinal fits of a grader subset
-    and the protocols' resampling do not.
+    Every value derived from the records (``feedback_arrays``, the compiled
+    ordinal feedback; ``cardinal_arrays``, see ``_scan_grades``;
+    ``has_full_ordinal()``, ``has_full_cardinal()`` and ``_feedback_graders``),
+    and the ``feedback`` of a ``_derived`` dataset, follows one rule, and is
+    kept once made. The code that builds the dataset presets it, or leaves a
+    callable that makes it on first read; where it does neither, or the
+    callable returns None, its default maker in ``_MAKERS`` makes it then from
+    the records, by a compile, a gather or a scan. A JSON parse
+    (``dataio._compiled``) presets its arrays and leaves its records to a
+    callable; a grader subset (``experiments._select_graders``) leaves
+    callables that gather from its parent's. Equality, ``repr``,
+    ``dataclasses.replace``, pickling, copying, writing the dataset out and a
+    parse's ``cardinal_arrays`` read the records; the ordinal fits, a subset's
+    cardinal fits and the protocols' resampling do not.
     """
 
     items: tuple[str, ...]
     graders: tuple[str, ...]
     feedback: tuple[GraderFeedback, ...]
     lazy_graders: frozenset[str] = frozenset()
-    _source = None  # (parent, rows, names) of a grader subset built by ``_derived``; not a field
 
     def __post_init__(self) -> None:
         items = tuple(sorted(self.items))
@@ -164,77 +168,58 @@ class Dataset:
         )
 
     @classmethod
-    def _derived(cls, items: tuple[str, ...], graders: tuple[str, ...], lazy: frozenset[str], records: Callable,
-                 **known: Any) -> "Dataset":
-        """The dataset of checked rosters whose ``feedback`` is ``records()``, called by ``__getattr__`` the
-        first time something reads it; ``known`` presets derived values: ``feedback_arrays``, ``_full_ordinal``
-        and ``_full_cardinal`` of a JSON parse, ``_source`` = (parent, rows, names) of a grader subset."""
+    def _derived(cls, items: tuple[str, ...], graders: tuple[str, ...], lazy: frozenset[str],
+                 later: dict[str, Callable[[], Any]], **preset: Any) -> "Dataset":
+        """The dataset of checked rosters whose derived values, ``feedback`` among them, are ``preset`` or
+        made on first read by the callables of ``later``, under the rule of ``Dataset``."""
         data = object.__new__(cls)
-        vars(data).update(items=items, graders=graders, lazy_graders=lazy, _records=records, **known)
+        vars(data).update(items=items, graders=graders, lazy_graders=lazy, _later=later, **preset)
         return data
 
     def __getattr__(self, name: str) -> Any:
-        # Only a dataset from ``_derived`` lacks a field, its ``feedback``: built here once, by its callable.
-        if name != "feedback" or "_records" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        records = vars(self)["feedback"] = vars(self).pop("_records")()
-        return records
+        # Reached only for a name not in ``vars``: a derived value read for the first time, made and kept here.
+        later = vars(self).get("_later", {}).get(name)
+        value = later() if later else None
+        if value is None:
+            if name not in _MAKERS:
+                raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+            value = _MAKERS[name](self)
+        vars(self)[name] = value
+        return value
 
     def __reduce__(self) -> tuple:
         # Pickle and copy rebuild the dataset from its fields, so its cached arrays are derived again, read-only.
         return type(self), (self.items, self.graders, self.feedback, self.lazy_graders)
 
-    @property
-    def _feedback_graders(self) -> tuple[str, ...]:
-        """The graders of ``feedback``, in its order, read without building records where the dataset holds
-        them: a grader subset's names, or the graders of compiled arrays, which a JSON parse sets."""
-        if self._source is not None:
-            return self._source[2]
-        if "feedback_arrays" in vars(self):
-            return self.feedback_arrays.graders
-        return tuple(fb.grader for fb in self.feedback)
-
     def has_full_ordinal(self) -> bool:
-        return self._full("ordinal")
+        return self._full_ordinal
 
     def has_full_cardinal(self) -> bool:
-        return self._full("cardinal")
+        return self._full_cardinal
 
-    def _full(self, kind: str) -> bool:
-        """Whether every record has ``kind`` feedback, scanned once and kept as ``_full_<kind>``. A subset
-        has each kind its parent has throughout, so it scans its own records only for a kind the parent
-        lacks, and only when that kind is asked about."""
-        name = "_full_" + kind
-        if name not in vars(self):
-            vars(self)[name] = (self._source is not None and self._source[0]._full(kind)) or all(
-                getattr(fb, kind) is not None for fb in self.feedback)
-        return vars(self)[name]
 
-    @cached_property
-    def feedback_arrays(self) -> "FeedbackArrays":
-        """The ordinal feedback compiled to integer arrays on first use: a JSON parse sets them, and a grader
-        subset gathers them from its parent's without building its own records."""
-        if self._source is not None and self._source[0].has_full_ordinal():
-            return self._source[0].feedback_arrays.take(*self._source[1:])
-        return FeedbackArrays.build(self)
+def _scan_grades(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, item, grade): every grader's grades as read-only CSR arrays. Grader g's grades are
+    the slice ``offsets[g]:offsets[g + 1]``, over its sorted ``items``, as indices into ``items``."""
+    for fb in data.feedback:
+        if fb.cardinal is None:
+            raise ValidationError(f"grader {fb.grader!r} has no cardinal feedback")
+    index = {d: i for i, d in enumerate(data.items)}
+    offsets = np.cumsum([0] + [len(fb.items) for fb in data.feedback])
+    item = np.array([index[d] for fb in data.feedback for d in fb.items], dtype=np.intp)
+    grade = np.array([fb.cardinal[d] for fb in data.feedback for d in fb.items], dtype=float)
+    return _read_only(offsets, item, grade)
 
-    @cached_property
-    def cardinal_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(offsets, item, grade): every grader's grades as read-only CSR arrays, on first use
-        and gathered like ``feedback_arrays``. Grader g's grades are the slice
-        ``offsets[g]:offsets[g + 1]``, over its sorted ``items``, as indices into ``items``."""
-        if self._source is not None and self._source[0].has_full_cardinal():
-            offsets, item, grade = self._source[0].cardinal_arrays
-            offsets, entries = _csr_take(offsets, self._source[1])
-            return _read_only(offsets, item[entries], grade[entries])
-        for fb in self.feedback:
-            if fb.cardinal is None:
-                raise ValidationError(f"grader {fb.grader!r} has no cardinal feedback")
-        index = {d: i for i, d in enumerate(self.items)}
-        offsets = np.cumsum([0] + [len(fb.items) for fb in self.feedback])
-        item = np.array([index[d] for fb in self.feedback for d in fb.items], dtype=np.intp)
-        grade = np.array([fb.cardinal[d] for fb in self.feedback for d in fb.items], dtype=float)
-        return _read_only(offsets, item, grade)
+
+# The default maker of each derived value of a ``Dataset``, from its records.
+_MAKERS: dict[str, Callable[[Dataset], Any]] = {
+    "feedback_arrays": lambda data: FeedbackArrays.build(data),
+    "cardinal_arrays": _scan_grades,
+    "_full_ordinal": lambda data: all(fb.ordinal is not None for fb in data.feedback),
+    "_full_cardinal": lambda data: all(fb.cardinal is not None for fb in data.feedback),
+    # The roster itself where it lists the graders in feedback order, as from records: no copy is kept.
+    "_feedback_graders": lambda data: data.graders if (g := tuple(fb.grader for fb in data.feedback)) == data.graders else g,
+}
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -288,9 +273,9 @@ class EndTable(NamedTuple):
 class FeedbackArrays:
     """Every grader's ordinal feedback as read-only integer arrays, one entry per ranked item.
 
-    ``build`` compiles a dataset's feedback records and the JSON parse its
-    rankings, both through ``_compile``; ``take`` gathers a grader subset's
-    arrays from compiled ones, as each protocol resample does.
+    ``build``, a dataset's default maker of them, compiles its records and
+    the JSON parse its rankings, both through ``_compile``; ``take`` gathers
+    a grader subset's from its parent's, for ``experiments._select_graders``.
     Items are indices into the ``n_items`` sorted ``Dataset.items``; graders
     are positions in ``Dataset.feedback``. Grader g's entries are the slice
     ``offsets[g]:offsets[g + 1]`` (a CSR layout), best tie group first and

@@ -243,15 +243,12 @@ def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
     """The dataset of a parsed JSON payload (see ``parse_ordinal_json``).
 
     A payload of plain JSON types is checked in bulk and its rankings are
-    compiled straight into the dataset's ``feedback_arrays``; the per-grader
-    ``feedback`` records are built from them, with any grades, only when
-    something reads ``Dataset.feedback``, as a protocol's grader subset
-    builds its own: equality, ``repr``, ``dataclasses.replace``, pickling,
-    copying, ``dataset_to_dict``, ``cardinal_arrays`` and the experiments'
-    grader subsets do, the ordinal fits do not. Any other
-    payload, and every malformed one, takes the record-by-record path,
-    which raises each fault's ``DataFormatError``: per-entry faults in file
-    order, then roster-level ones.
+    compiled straight into the dataset's preset ``feedback_arrays``; its
+    ``feedback`` records, with any grades, are left to a callable, so, under
+    the rule of ``Dataset``, they are built only when something reads them.
+    Any other payload, and every malformed one, takes the record-by-record
+    path, which raises each fault's ``DataFormatError``: per-entry faults in
+    file order, then roster-level ones.
     """
     data = _compiled(payload)
     return data if data is not None else _from_records(payload, source)
@@ -294,8 +291,9 @@ def _compiled(payload: Any) -> Dataset | None:
     maps = [g if g is None else _grade_map(g, ranking) for g, ranking in zip(grades, rankings)]
     if maps.count(None) != grades.count(None):
         return None
-    return Dataset._derived(roster, arrays.graders, frozenset(lazy), partial(arrays._records, roster, maps),
-                            feedback_arrays=arrays, _full_ordinal=True, _full_cardinal=None not in maps)
+    records = partial(arrays._records, roster, maps)
+    return Dataset._derived(roster, arrays.graders, frozenset(lazy), {"feedback": records}, feedback_arrays=arrays,
+                            _feedback_graders=arrays.graders, _full_ordinal=True, _full_cardinal=None not in maps)
 
 
 def _from_records(payload: Any, source: str) -> Dataset:

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Estimate, GraderFeedback
+from .data import Dataset, Estimate, GraderFeedback, _csr_take, _read_only
 from .dataio import _round12
 from .errors import ValidationError
 from .estimators import ModelOptions, fit_model, model_uses_reliability
@@ -89,9 +89,11 @@ class ExperimentReport:
 
 
 def _select_graders(data: Dataset, rows: Sequence[int], names: Sequence[str] | None = None) -> Dataset:
-    """The graders at feedback positions ``rows`` of ``data``, in that order, renamed to ``names``
-    if given. Lazy labels follow their graders; compiled arrays are gathered from ``data``'s, and the
-    renamed records are built only when read. Only the names are checked: the rest is ``data``'s."""
+    """The graders at feedback positions ``rows`` of ``data``, in that order, renamed to ``names`` if given,
+    with lazy labels following their graders; only the names are checked. The one code that says what a subset
+    takes from its parent, on first read: its records, renamed, and its arrays, grades and ``has_full_*``,
+    gathered from ``data``'s where ``data`` has that kind of feedback throughout; a callable's None leaves
+    the value to its default maker, over the subset's own records."""
     rows = np.asarray(rows, dtype=np.intp)
     graders = data._feedback_graders
     originals = [graders[r] for r in rows.tolist()]
@@ -104,7 +106,21 @@ def _select_graders(data: Dataset, rows: Sequence[int], names: Sequence[str] | N
         picked = map(data.feedback.__getitem__, rows.tolist())
         return tuple(fb if fb.grader == name else fb._renamed(name) for fb, name in zip(picked, names))
 
-    return Dataset._derived(data.items, tuple(sorted(names)), lazy, records, _source=(data, rows, names))
+    def grades() -> tuple[np.ndarray, ...] | None:
+        if not data.has_full_cardinal():
+            return None
+        offsets, item, grade = data.cardinal_arrays
+        offsets, entries = _csr_take(offsets, rows)
+        return _read_only(offsets, item[entries], grade[entries])
+
+    later = {
+        "feedback": records,
+        "feedback_arrays": lambda: data.feedback_arrays.take(rows, names) if data.has_full_ordinal() else None,
+        "cardinal_arrays": grades,
+        "_full_ordinal": lambda: data.has_full_ordinal() or None,
+        "_full_cardinal": lambda: data.has_full_cardinal() or None,
+    }
+    return Dataset._derived(data.items, tuple(sorted(names)), lazy, later, _feedback_graders=names)
 
 
 def _resample_graders(data: Dataset, rng: np.random.Generator) -> Dataset:

@@ -15,7 +15,14 @@ from opg import experiments
 from opg.cardinal import _cardinal_observations
 from opg.config import ReliabilityPrior, ScorePrior
 from opg.data import Dataset, EndTable, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
-from opg.dataio import parse_cardinal_csv, parse_ordinal_json, write_cardinal_csv, write_ordinal_json
+from opg.dataio import (
+    _json_text,
+    estimate_to_dict,
+    parse_cardinal_csv,
+    parse_ordinal_json,
+    write_cardinal_csv,
+    write_ordinal_json,
+)
 from opg.errors import ValidationError
 from opg.estimators import fit_model
 from opg.experiments import bootstrap_ek, downsample_curve, self_consistency
@@ -31,6 +38,7 @@ from oracles import (
     extract_preferences,
     flat_strict_pairs,
     groups_feedback_arrays,
+    resample_graders_oracle,
 )
 from test_rankings import weak_rankings
 
@@ -565,6 +573,41 @@ class TestGatheredSubsets:
             bootstrap_ek(data, "scavg", [WeakRanking.from_order(data.items)], reps=5)
         assert builds == [] and takes == []
         assert "feedback_arrays" not in vars(data) and "cardinal_arrays" in vars(data)
+
+    @pytest.mark.parametrize("nesting", ["half-of-resample", "resample-of-parsed-half"])
+    def test_nested_subsets_equal_the_oracle_and_build_no_records(self, nesting, tmp_path, monkeypatch):
+        data = make_tied_csv_dataset(tmp_path, np.random.default_rng(9))
+        n = len(data.graders)
+        half = np.sort(np.random.default_rng(0).permutation(n)[: n // 2])
+
+        def records_half(d: Dataset) -> Dataset:
+            picked = [d.feedback[r] for r in half.tolist()]
+            return Dataset.from_feedback(picked, d.items, d.lazy_graders & {fb.grader for fb in picked})
+
+        if nesting == "half-of-resample":
+            outer = experiments._resample_graders(data, np.random.default_rng(1))
+            inner = experiments._select_graders(outer, half)
+            want_outer = resample_graders_oracle(data, np.random.default_rng(1))
+            want_inner = records_half(want_outer)
+        else:
+            write_ordinal_json(data, str(tmp_path / "d.json"))
+            outer = experiments._select_graders(parse_ordinal_json(str(tmp_path / "d.json")), half)
+            inner = experiments._resample_graders(outer, np.random.default_rng(1))
+            want_outer = records_half(data)
+            want_inner = resample_graders_oracle(want_outer, np.random.default_rng(1))
+        assert any("#" in g for g in outer.graders + inner.graders)
+        renamed = []
+        monkeypatch.setattr(GraderFeedback, "_renamed", lambda fb, name: renamed.append(name))
+        with pytest.warns(UserWarning, match="never graded"):
+            fits = [fit_model(m, d) for d in (outer, inner) for m in ("malbc", "scavg")]
+        assert renamed == [] and "feedback" not in vars(outer) and "feedback" not in vars(inner)
+        monkeypatch.undo()
+        with pytest.warns(UserWarning, match="never graded"):
+            wants = [fit_model(m, d) for d in (want_outer, want_inner) for m in ("malbc", "scavg")]
+        assert [_json_text(estimate_to_dict(e)) for e in fits] == [_json_text(estimate_to_dict(e)) for e in wants]
+        for got, want in ((outer, want_outer), (inner, want_inner)):
+            assert_same_arrays(got.feedback_arrays, FeedbackArrays.build(want))
+            assert got == want
 
 
 class TestEstimate:

@@ -24,7 +24,7 @@ from opg.dataio import (
 )
 from opg.errors import ValidationError
 from opg.estimators import MODEL_NAMES, fit_model
-from opg.experiments import _resample_graders
+from opg.experiments import _resample_graders, _select_graders
 from opg.synth import CardinalNormalGraders, SynthConfig, simulate
 
 from conftest import make_tied_csv_dataset
@@ -226,8 +226,10 @@ class TestRecordsOnlyWhenAsked:
         for f in dataclasses.fields(FeedbackArrays):
             assert np.array_equal(getattr(got.feedback_arrays, f.name), getattr(eager.feedback_arrays, f.name))
 
-    def test_an_absent_attribute_is_still_absent(self):
+    @pytest.mark.parametrize("subset", [False, True], ids=["parsed", "grader-subset"])
+    def test_an_absent_attribute_is_still_absent(self, subset):
         data = dataset_from_dict({"items": ["a"], "graders": [{"id": "g", "ranking": [["a"]]}]})
+        data = _select_graders(data, [0]) if subset else data
         with pytest.raises(AttributeError, match="'Dataset' object has no attribute 'records'"):
             data.records  # noqa: B018
         assert not hasattr(data, "__setstate__") and "feedback" not in vars(data)
