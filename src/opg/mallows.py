@@ -135,12 +135,13 @@ def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -
 
 
 def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
-    """X_g of each grader, in feedback order: its pairs ordered against the center at ``position``,
-    counted block by block from the strict masks of ``FeedbackArrays.blocks``."""
+    """X_g of each grader, in feedback order: its pairs ordered against the center at ``position``
+    (-1 for an item the center leaves out; a pair counts only where its loser is ranked), counted
+    block by block from the strict masks of ``FeedbackArrays.blocks``."""
     x_g = np.zeros(len(arrays.graders), dtype=np.intp)
     for graders, entries, first, second, strict in arrays.blocks:
         at = position[arrays.item[entries]]
-        x_g[graders] = np.count_nonzero(strict & (at[first] > at[second]), axis=0)
+        x_g[graders] = np.count_nonzero(strict & (at[first] > at[second]) & (at[second] >= 0), axis=0)
     return x_g
 
 
@@ -250,19 +251,12 @@ class _Centers:
         wins = np.flatnonzero((ends.key & 1) == 0)
         return np.diff(np.searchsorted(wins, ends.offsets)), ends.other[wins], ends.key[wins] >> 1
 
-    def pair_weights(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct pair keys winner * n + loser, and each key's reliability summed in pair order."""
-        counts, loser, grader = self._wins
-        n = len(self.items)
-        keys, slot = np.unique(np.repeat(np.arange(n) * n, counts) + loser, return_inverse=True)
-        return keys, np.bincount(slot, weights=etas[grader], minlength=len(keys))
-
     def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
         """``order`` after the adjacent swaps ``local_kemenization`` describes, read off the end table.
 
         The weight of a over b sums eta_g over a's winning ends against b in end order, which is pair
-        order, so left to right it is the float ``pair_weights`` gives: a sweep takes every neighbour
-        pair's two weights from one ``np.bincount`` per direction, a sinking item from its own ends."""
+        order, grader by grader in feedback order: a sweep takes every neighbour pair's two weights
+        from one ``np.bincount`` per direction, a sinking item from its own ends."""
         n, (offsets, other, key) = len(self.items), self.arrays.ends
         counts, loser, grader = self._wins
         won, offsets = etas[grader], offsets.tolist()
@@ -338,18 +332,13 @@ def borda_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRan
 
 
 def weighted_kendall_cost(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> float:
-    """Total reliability-weighted count of feedback pairs ordered against ``ranking``."""
+    """sum_g eta_g * X_g over the feedback pairs ``ranking`` orders the other way, summed exactly by
+    ``_cost``: a ``+g`` fit's ``center_cost`` for its ranking and reliabilities. Pairs with an item
+    ``ranking`` leaves out do not count."""
     if not ranking.is_total:
         raise ValidationError("cost is defined for total orders only")
     centers = _Centers(data)
-    keys, weights = centers.pair_weights(centers.etas(params))
-    winner, loser = np.divmod(keys, len(data.items))
-    position = _positions(ranking, data)
-    above, below = position[loser], position[winner]
-    violated = np.flatnonzero((below > above) & (above >= 0))
-    # Summed one at a time in the ranking's (upper, lower) pair order, which fixes the float rounding.
-    in_order = violated[np.lexsort((below[violated], above[violated]))]
-    return float(np.cumsum(weights[in_order])[-1]) if in_order.size else 0.0
+    return _cost(centers.etas(params), _against(centers.arrays, _positions(ranking, data)))
 
 
 def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> WeakRanking:
@@ -503,9 +492,10 @@ def fit_mallows(
     improvement; the first round that finds no cheaper center keeps the old
     one and ends the fit. ``metadata`` records the ``rounds`` run (at most
     ``iterations``), whether the last found no cheaper center
-    (``converged``), the cost of the center each round kept (``center_cost``)
-    and the largest change of log(eta) in each round, the first against all
-    ones (``reliability_change``).
+    (``converged``), the cost of the center each round kept (``center_cost``,
+    summed exactly: a converged fit's last is ``weighted_kendall_cost`` of its
+    ranking under its reliabilities) and the largest change of log(eta) in
+    each round, the first against all ones (``reliability_change``).
 
     The center at reliabilities 1 is computed once per compiled dataset: the
     first fit that needs it keeps it, read-only, with ``data.feedback_arrays``

@@ -43,7 +43,7 @@ from opg.config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
 from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, _distinct_rows
 from opg.errors import DataFormatError, EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
-from opg.mallows import MallowsParams, _Centers, _check_eta, _newton_etas, greedy_mle_ranking
+from opg.mallows import MallowsParams, _check_eta, _newton_etas, greedy_mle_ranking
 from opg.rankings import WeakRanking, break_ties, ranking_from_scores
 from opg.scoremodels import (
     _GRAD_TOLERANCE,
@@ -544,18 +544,19 @@ def dict_preference_weights(data: Dataset, params: MallowsParams) -> tuple[list[
 
 
 def dict_weighted_kendall_cost(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> float:
-    """Total reliability-weighted count of feedback pairs ordered against ``ranking``."""
+    """sum_g eta_g * X_g, summed exactly by ``math.fsum``, where X_g counts grader g's strict pairs
+    that ``ranking`` orders the other way; a pair with an item ``ranking`` leaves out does not count."""
     params = params or MallowsParams()
     if not ranking.is_total:
         raise ValidationError("cost is defined for total orders only")
-    items, w = dict_preference_weights(data, params)
-    index = {d: i for i, d in enumerate(items)}
-    cost = 0.0
-    order = [index[d] for d in ranking.order() if d in index]
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            cost += w[b, a]
-    return float(cost)
+    position = {d: i for i, d in enumerate(ranking.order())}
+    terms = []
+    for grader, fb in dict_ordinal_feedback(data):
+        ranks = fb.ranks()
+        ranked = [d for d in ranks if d in position]
+        x = sum(ranks[a] < ranks[b] and position[a] > position[b] for a in ranked for b in ranked)
+        terms.append(params.eta_for(grader) * x)
+    return math.fsum(terms)
 
 
 def dict_local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParams | None = None) -> WeakRanking:
@@ -1452,20 +1453,16 @@ def incident_greedy(arrays: FeedbackArrays, etas: np.ndarray) -> np.ndarray:
     return order
 
 
-def slots_kemenize(centers: _Centers, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """``mallows._Centers.kemenize`` as it was before it read the end table, verbatim over
-    ``pair_weights``: each neighbour pair's weights looked up in the sorted distinct pair keys."""
-    n = len(centers.items)
-    keys, weights = centers.pair_weights(etas)
-    # A sentinel key past the end, which weighs nothing.
-    keys, weights = np.append(keys, n * n), np.append(weights, 0.0)
-
-    def weight(key: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(keys, key)
-        return np.where(keys[at] == key, weights[at], 0.0)
+def slots_kemenize(data: Dataset, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """``mallows._Centers.kemenize`` as it was before it read the end table, with each neighbour
+    pair's weights read from ``dict_preference_weights`` under ``etas``, one per grader in feedback order."""
+    n = len(data.items)
+    params = MallowsParams(dict(zip(data.feedback_arrays.graders, etas.tolist())))
+    items, w = dict_preference_weights(data, params)
+    assert tuple(items) == data.items
 
     def prefers_lower(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        return weight(lower * n + upper) > weight(upper * n + lower)
+        return w[lower, upper] > w[upper, lower]
 
     order = order.copy()
     changed = True

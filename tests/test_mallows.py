@@ -739,22 +739,18 @@ class TestMatchesDictOracles:
         for data, params in self._datasets(rng):
             assert borda_ranking(data, params) == oracles.dict_borda_ranking(data, params)
 
-    def test_pair_weights_match_dense_matrix(self, rng):
-        for data, params in self._datasets(rng):
-            items, dense = oracles.dict_preference_weights(data, params)
-            assert tuple(items) == data.items
-            centers = _Centers(data)
-            keys, weights = centers.pair_weights(centers.etas(params))
-            sparse = np.zeros_like(dense)
-            sparse[np.divmod(keys, len(items))] = weights
-            assert np.array_equal(sparse, dense)
-
     def test_kendall_cost_and_kemenization(self, rng):
         for data, params in self._datasets(rng):
             start = WeakRanking.from_order([data.items[i] for i in rng.permutation(len(data.items))])
-            assert weighted_kendall_cost(start, data, params) == oracles.dict_weighted_kendall_cost(
-                start, data, params
-            )
+            # Also a ranking that leaves out a graded item, and one with an item outside the dataset.
+            graded = {d for fb in data.feedback for d in fb.items}
+            left_out = next(d for d in start.order() if d in graded)
+            partial = WeakRanking.from_order([d for d in start.order() if d != left_out])
+            extra = WeakRanking.from_order([*start.order(), "outside"])
+            for ranking in (start, partial, extra):
+                assert weighted_kendall_cost(ranking, data, params) == oracles.dict_weighted_kendall_cost(
+                    ranking, data, params
+                )
             assert local_kemenization(start, data, params) == oracles.dict_local_kemenization(
                 start, data, params
             )
@@ -809,6 +805,43 @@ class TestMatchesDictOracles:
                 _assert_matches_dict_fit(data, 2, variant)
 
 
+def _paper_classes():
+    """Paper-scale classes (40 items, 150 graders, 7 items each), seeds 0-9, Mallows and tied cardinal graders."""
+    for seed in range(10):
+        for graders in (MallowsGraders(1.0), CardinalNormalGraders()):
+            yield simulate(SynthConfig(grader_model=graders, seed=seed))[0]
+
+
+class TestOneCost:
+    """``weighted_kendall_cost`` is the cost a ``+g`` fit reports, and a function of the feedback alone."""
+
+    def test_a_converged_fit_reports_the_cost_of_its_ranking(self):
+        converged = 0
+        for data in _paper_classes():
+            for variant in RELIABILITY_VARIANTS:
+                est = fit_mallows(data, **variant)
+                if est.metadata["converged"]:
+                    converged += 1
+                    cost = weighted_kendall_cost(est.ranking, data, MallowsParams(est.reliabilities))
+                    assert est.metadata["center_cost"][-1] == cost
+        assert converged > 0
+
+    def test_renaming_the_graders_leaves_the_cost_bit_for_bit(self, rng):
+        for data in _paper_classes():
+            # The new names sort in the reverse order, so the records are summed in the reverse order too.
+            renamed = {g: f"r{len(data.graders) - k:04d}" for k, g in enumerate(data.graders)}
+            copy = Dataset.from_feedback(
+                (dataclasses.replace(fb, grader=renamed[fb.grader]) for fb in data.feedback), items=data.items
+            )
+            assert [fb.grader for fb in copy.feedback] == [renamed[fb.grader] for fb in reversed(data.feedback)]
+            etas = dict(zip(data.graders, rng.uniform(0.1, 2.0, len(data.graders)).tolist()))
+            params = MallowsParams({renamed[g]: eta for g, eta in etas.items()})
+            ranking = WeakRanking.from_order(rng.permutation(data.items).tolist())
+            assert weighted_kendall_cost(ranking, copy, params) == weighted_kendall_cost(
+                ranking, data, MallowsParams(etas)
+            )
+
+
 def _cost(arrays, position, etas):
     """sum_g eta_g * X_g of the center at ``position``, summed pair by pair."""
     winner, loser, grader = oracles.flat_strict_pairs(arrays)[:3]
@@ -847,7 +880,7 @@ class TestKemenizeMatchesTheSlotsOracle:
             for etas in draws:
                 greedy = centers.greedy(etas)
                 for start in (greedy, greedy[::-1].copy(), rng.permutation(len(data.items))):
-                    assert np.array_equal(centers.kemenize(start, etas), oracles.slots_kemenize(centers, start, etas))
+                    assert np.array_equal(centers.kemenize(start, etas), oracles.slots_kemenize(data, start, etas))
 
 
 def _load_benchmark_workloads():
