@@ -104,13 +104,16 @@ class Dataset:
     kept once made. The code that builds the dataset presets it, or leaves a
     callable that makes it on first read; where it does neither, or the
     callable returns None, its default maker in ``_MAKERS`` makes it then from
-    the records, by a compile, a gather or a scan. A JSON parse
-    (``dataio._compiled``) presets its arrays and leaves its records to a
-    callable; a grader subset (``experiments._select_graders``) leaves
-    callables that gather from its parent's. Equality, ``repr``,
-    ``dataclasses.replace``, pickling, copying, writing the dataset out and a
-    parse's ``cardinal_arrays`` read the records; the ordinal fits, a subset's
-    cardinal fits and the protocols' resampling do not.
+    the records, by a compile, a gather or a scan. Both parses preset one
+    kind of arrays and leave the other and the records to callables: a JSON
+    parse (``dataio._compiled``) presets ``feedback_arrays`` and makes
+    ``cardinal_arrays`` from its grade maps, a CSV parse
+    (``dataio._parse_cardinal_rows``) presets ``cardinal_arrays`` and
+    compiles the rankings its grades induce. A grader subset
+    (``experiments._select_graders``) leaves callables that gather from its
+    parent's. Equality, ``repr``, ``dataclasses.replace``, pickling, copying
+    and writing the dataset out read the records; the fits and the
+    protocols' grader resampling do not.
     """
 
     items: tuple[str, ...]
@@ -199,16 +202,24 @@ class Dataset:
 
 
 def _scan_grades(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, item, grade): every grader's grades as read-only CSR arrays. Grader g's grades are
-    the slice ``offsets[g]:offsets[g + 1]``, over its sorted ``items``, as indices into ``items``."""
+    """The default maker of ``cardinal_arrays``: every grader's grades, read from the records, as the
+    read-only CSR arrays (offsets, item, grade) of ``_grade_csr``, graders in ``feedback`` order."""
     for fb in data.feedback:
         if fb.cardinal is None:
             raise ValidationError(f"grader {fb.grader!r} has no cardinal feedback")
     index = {d: i for i, d in enumerate(data.items)}
-    offsets = np.cumsum([0] + [len(fb.items) for fb in data.feedback])
+    grader = np.repeat(np.arange(len(data.feedback)), [len(fb.items) for fb in data.feedback])
     item = np.array([index[d] for fb in data.feedback for d in fb.items], dtype=np.intp)
     grade = np.array([fb.cardinal[d] for fb in data.feedback for d in fb.items], dtype=float)
-    return _read_only(offsets, item, grade)
+    return _grade_csr(grader, item, grade, len(data.feedback))
+
+
+def _grade_csr(grader: np.ndarray, item: np.ndarray, grade: np.ndarray, n_graders: int) -> tuple[np.ndarray, ...]:
+    """Grades given entry by entry, as a grader, an item and a grade array, laid out as read-only CSR arrays
+    (offsets, item, grade): grader g's grades are the slice ``offsets[g]:offsets[g + 1]``, by item index."""
+    order = np.lexsort((item, grader))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(grader, minlength=n_graders))))
+    return _read_only(offsets, item[order], grade[order])
 
 
 # The default maker of each derived value of a ``Dataset``, from its records.
@@ -273,8 +284,9 @@ class EndTable(NamedTuple):
 class FeedbackArrays:
     """Every grader's ordinal feedback as read-only integer arrays, one entry per ranked item.
 
-    ``build``, a dataset's default maker of them, compiles its records and
-    the JSON parse its rankings, both through ``_compile``; ``take`` gathers
+    ``build``, a dataset's default maker of them, compiles its records, the
+    JSON parse its rankings and the CSV parse the rankings its grades induce,
+    all through ``_compile``; ``take`` gathers
     a grader subset's from its parent's, for ``experiments._select_graders``.
     Items are indices into the ``n_items`` sorted ``Dataset.items``; graders
     are positions in ``Dataset.feedback``. Grader g's entries are the slice
@@ -315,9 +327,10 @@ class FeedbackArrays:
         cls, graders: tuple[str, ...], items: tuple[str, ...], rankings: list, parsed: bool = False
     ) -> "FeedbackArrays | None":
         """The arrays of ``graders``' ``rankings``, each its tie groups best first, over the sorted roster
-        ``items``: the one compile, of ``build`` and of the JSON parse. ``build``'s groups are checked and
-        sorted; ``parsed`` ones, read from JSON, are sorted here, and give None unless every ranking is a
-        non-empty list of non-empty lists of ``str`` ids in ``items``, none empty or twice in its ranking."""
+        ``items``: the one compile, of ``build`` and of both parses. The groups of ``build`` and of the CSV
+        parse are checked and sorted; ``parsed`` ones, read from JSON, are sorted here, and give None unless
+        every ranking is a non-empty list of non-empty lists of ``str`` ids in ``items``, none empty or twice
+        in its ranking."""
         if parsed and set(map(type, rankings)) != {list}:
             return None
         groups = list(chain.from_iterable(rankings))

@@ -1,7 +1,10 @@
 """File formats: cardinal CSV, ordinal JSON, estimate and report JSON.
 
-All writers are atomic (temp file + rename) and deterministic: keys are
-sorted, floats carry 12 significant digits, and no timestamps are embedded.
+All writers are atomic and deterministic: each writes a new temp file
+beside the target, created under the process umask (so the file gets the
+permissions ``open(path, "w")`` would give it), and renames it over the
+target; keys are sorted, floats carry 12 significant digits, and no
+timestamps are embedded.
 Every JSON file and the CLI's printed JSON come from one writer, which builds
 the text in one pass and lays it out exactly as
 ``json.dumps(..., indent=2, sort_keys=True)`` would.
@@ -26,15 +29,14 @@ import io
 import json
 import math
 import os
-import tempfile
-from functools import partial
+from functools import cache, partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback, induced_ordinal
+from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback, _grade_csr, induced_ordinal
 from .errors import DataFormatError, ValidationError
 from .rankings import WeakRanking
 
@@ -117,11 +119,12 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    # A new name beside the target, created with mode 0o666 so that the umask sets the file's permissions.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.getpid()}-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -136,8 +139,13 @@ def write_json(payload: Any, path: str) -> None:
 def parse_cardinal_csv(path: str) -> Dataset:
     """Read grades from a CSV with header exactly ``grader_id,item_id,score``.
 
-    Each (grader, item) pair may appear once; the induced ordinal ranking is
-    attached per grader so ordinal methods can run on the same data.
+    Each (grader, item) pair may appear once. The rows are checked in bulk
+    and the grades laid out straight into the dataset's preset
+    ``cardinal_arrays``; each grader's induced ordinal ranking, which lets
+    the ordinal methods run on the same data, is compiled into
+    ``feedback_arrays``, and the ``feedback`` records are built, only when
+    read, under the rule of ``Dataset``. A file that fails a bulk check is
+    walked row by row to raise the first faulty row's ``DataFormatError``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         return _parse_cardinal_rows(csv.reader(fh), path)
@@ -152,9 +160,57 @@ def _parse_cardinal_rows(reader: Any, source: str) -> Dataset:
         raise DataFormatError(
             f"{source}: bad header {','.join(header)!r}, expected {','.join(_CSV_HEADER)!r}"
         )
-    grades: dict[str, dict[str, float]] = {}
+    lines: list[list[str]] = []
+    try:
+        lines.extend(reader)
+    except csv.Error:  # a row the reader refuses: a fault on an earlier row is still raised first
+        _raise_first_row_fault(lines, source)
+        raise
+    columns = _grade_columns([row for row in lines if row])
+    if columns is None:
+        _raise_first_row_fault(lines, source)
+    graders, items, gi, ii, grade = columns
+    grades = _grade_csr(gi, ii, grade, len(graders))
+    arrays = cache(partial(_induced_arrays, graders, items, *grades))
+
+    def records() -> tuple[GraderFeedback, ...]:
+        maps: list[dict[str, float]] = [{} for _ in graders]
+        for g, i, y in zip(gi.tolist(), ii.tolist(), grade.tolist()):
+            maps[g][items[i]] = y  # each grader's grades in file order
+        return arrays()._records(items, maps)
+
+    return Dataset._derived(items, graders, frozenset(), {"feedback_arrays": arrays, "feedback": records},
+                            cardinal_arrays=grades, _feedback_graders=graders, _full_ordinal=True, _full_cardinal=True)
+
+
+def _grade_columns(rows: list[list[str]]) -> tuple | None:
+    """(graders, items, gi, ii, grade) of the non-blank ``rows``: the grader and item rosters, sorted, and
+    each row's grader and item, as indices into them, and grade; or None unless every row has three
+    fields, no empty id and a finite score, and no two rows have the same grader and item."""
+    if set(map(len, rows)) - {3}:
+        return None
+    fields = [field.strip() for field in chain.from_iterable(rows)]
+    grader_ids, item_ids = fields[0::3], fields[1::3]
+    if "" in grader_ids or "" in item_ids:
+        return None
+    try:
+        grade = np.array(list(map(float, fields[2::3])), dtype=float)
+    except ValueError:
+        return None
+    graders, items = tuple(sorted(set(grader_ids))), tuple(sorted(set(item_ids)))
+    gi = np.fromiter(map(dict(zip(graders, range(len(graders)))).__getitem__, grader_ids), np.intp, len(rows))
+    ii = np.fromiter(map(dict(zip(items, range(len(items)))).__getitem__, item_ids), np.intp, len(rows))
+    keys = np.sort(gi * len(items) + ii)
+    if not np.isfinite(grade).all() or np.any(keys[1:] == keys[:-1]):
+        return None
+    return graders, items, gi, ii, grade
+
+
+def _raise_first_row_fault(lines: list[list[str]], source: str) -> None:
+    """Raise the ``DataFormatError`` of the first faulty row of ``lines``, the rows after the header, if
+    any: the checks of ``_grade_columns`` row by row, naming the row's line and a duplicate's first line."""
     first_line: dict[tuple[str, str], int] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(lines, start=2):
         if not row:
             continue
         if len(row) != 3:
@@ -175,11 +231,23 @@ def _parse_cardinal_rows(reader: Any, source: str) -> Dataset:
                 f"first seen on line {first_line[key]}"
             )
         first_line[key] = lineno
-        grades.setdefault(grader, {})[item] = score
-    feedback = tuple(
-        GraderFeedback.from_cardinal(grader, grades[grader]) for grader in sorted(grades)
-    )
-    return Dataset.from_feedback(feedback)
+
+
+def _induced_arrays(graders: tuple[str, ...], items: tuple[str, ...], offsets: np.ndarray, item: np.ndarray,
+                    grade: np.ndarray) -> FeedbackArrays:
+    """The compiled rankings that the grades, as ``cardinal_arrays`` lay them out, induce: each grader's tie
+    groups of equal grades, best first and by item within a group, from one lexsort on (grader, -grade,
+    item), compiled by ``_compile``."""
+    grader = np.repeat(np.arange(len(graders)), np.diff(offsets))
+    order = np.lexsort((item, -grade, grader))
+    g, y = grader[order], grade[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (y[1:] != y[:-1])
+    starts = np.flatnonzero(new)
+    ids, bounds = list(map(items.__getitem__, item[order].tolist())), starts.tolist() + [len(order)]
+    groups = list(zip(ids)) if len(starts) == len(ids) else [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+    firsts = np.searchsorted(g[starts], np.arange(len(graders) + 1)).tolist()
+    return FeedbackArrays._compile(graders, items, [groups[a:b] for a, b in zip(firsts, firsts[1:])])
 
 
 def write_cardinal_csv(data: Dataset, path: str) -> None:
@@ -244,8 +312,9 @@ def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
 
     A payload of plain JSON types is checked in bulk and its rankings are
     compiled straight into the dataset's preset ``feedback_arrays``; its
-    ``feedback`` records, with any grades, are left to a callable, so, under
-    the rule of ``Dataset``, they are built only when something reads them.
+    ``feedback`` records, with any grades, and its ``cardinal_arrays``, laid
+    out from the grade maps, are left to callables, so, under the rule of
+    ``Dataset``, they are built only when something reads them.
     Any other payload, and every malformed one, takes the record-by-record
     path, which raises each fault's ``DataFormatError``: per-entry faults in
     file order, then roster-level ones.
@@ -291,9 +360,20 @@ def _compiled(payload: Any) -> Dataset | None:
     maps = [g if g is None else _grade_map(g, ranking) for g, ranking in zip(grades, rankings)]
     if maps.count(None) != grades.count(None):
         return None
-    records = partial(arrays._records, roster, maps)
-    return Dataset._derived(roster, arrays.graders, frozenset(lazy), {"feedback": records}, feedback_arrays=arrays,
+    later = {"feedback": partial(arrays._records, roster, maps), "cardinal_arrays": partial(_grade_arrays, roster, maps)}
+    return Dataset._derived(roster, arrays.graders, frozenset(lazy), later, feedback_arrays=arrays,
                             _feedback_graders=arrays.graders, _full_ordinal=True, _full_cardinal=None not in maps)
+
+
+def _grade_arrays(items: tuple[str, ...], maps: list) -> tuple[np.ndarray, ...] | None:
+    """The ``cardinal_arrays`` of the grade maps of a parse's graders, or None if a grader has none."""
+    if None in maps:
+        return None
+    index = dict(zip(items, range(len(items))))
+    grader = np.repeat(np.arange(len(maps)), list(map(len, maps)))
+    item = np.fromiter(map(index.__getitem__, chain.from_iterable(maps)), np.intp)
+    grade = np.fromiter(chain.from_iterable(map(dict.values, maps)), float)
+    return _grade_csr(grader, item, grade, len(maps))
 
 
 def _from_records(payload: Any, source: str) -> Dataset:

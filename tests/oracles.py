@@ -19,13 +19,15 @@ the one-pass ones, its feedback compiler as it was before it
 deduplicated tie rows by lexsort, and its greedy Mallows center as it
 was before the strict pairs were listed item by item, kept as the
 bit-exact reference for the end table, and its JSON dataset reader as
-it was before it compiled the rankings in bulk, record by record, kept
-as the reference for the parsed datasets and the messages of their
-refusals.
+it was before it compiled the rankings in bulk, record by record, and its
+cardinal CSV reader as it was before it checked the rows in bulk, row by
+row, kept as the references for the parsed datasets and the messages of
+their refusals.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -2008,3 +2010,44 @@ def records_dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
         return Dataset.from_feedback(feedback, items=items, lazy_graders=lazy_payload)
     except ValidationError as exc:
         raise DataFormatError(f"{source}: {exc}")
+
+
+# --- the cardinal CSV reader as it was before it checked the rows in bulk ----
+
+
+def records_dataset_from_csv(path: str) -> Dataset:
+    """``dataio.parse_cardinal_csv`` row by row: one check after another on each row, a grade map per
+    grader, then a ``GraderFeedback.from_cardinal`` record per grader and ``from_feedback``."""
+    header_text = "grader_id,item_id,score"
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file, expected header {header_text}")
+        if header != header_text.split(","):
+            raise DataFormatError(f"{path}: bad header {','.join(header)!r}, expected {header_text!r}")
+        grades: dict[str, dict[str, float]] = {}
+        first_line: dict[tuple[str, str], int] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DataFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+            grader, item, raw = (field.strip() for field in row)
+            if not grader or not item:
+                raise DataFormatError(f"{path}: line {lineno}: empty grader or item id")
+            try:
+                score = float(raw)
+            except ValueError:
+                raise DataFormatError(f"{path}: line {lineno}: score {raw!r} is not a number")
+            if not math.isfinite(score):
+                raise DataFormatError(f"{path}: line {lineno}: score {raw!r} is not finite")
+            key = (grader, item)
+            if key in first_line:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: duplicate grade for ({grader}, {item}), first seen on line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            grades.setdefault(grader, {})[item] = score
+    return Dataset.from_feedback(GraderFeedback.from_cardinal(g, grades[g]) for g in sorted(grades))

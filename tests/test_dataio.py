@@ -4,10 +4,11 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from opg import dataio
-from opg.data import Estimate
+from opg.data import Dataset, Estimate, _scan_grades
 from opg.dataio import (
     dataset_from_dict,
     dataset_to_dict,
@@ -22,7 +23,9 @@ from opg.dataio import (
     write_ordinal_json,
 )
 from opg.errors import DataFormatError, ValidationError
+from opg.estimators import fit_model
 from opg.rankings import WeakRanking
+from opg.synth import CardinalNormalGraders, SynthConfig, simulate
 
 from conftest import make_cardinal_dataset, make_ordinal_dataset
 
@@ -226,6 +229,29 @@ class TestOrdinalJson:
         assert dataset_from_dict(dataset_to_dict(data)) == data
 
 
+class TestGradedJsonParse:
+    def test_cardinal_fits_build_no_records(self, tmp_path):
+        data = simulate(SynthConfig(12, 30, 4, grader_model=CardinalNormalGraders(), n_lazy=2, seed=3))[0]
+        write_ordinal_json(Dataset(data.items + ("zz",), data.graders, data.feedback, data.lazy_graders),
+                           str(tmp_path / "d.json"))
+        parsed = parse_ordinal_json(str(tmp_path / "d.json"))
+        for model in ("scavg", "ncs+g"):
+            fit_model(model, parsed)
+        assert "cardinal_arrays" in vars(parsed) and "feedback" not in vars(parsed)
+        for got, want in zip(parsed.cardinal_arrays, _scan_grades(parsed), strict=True):
+            assert (got.dtype, got.shape, got.flags.writeable) == (want.dtype, want.shape, False)
+            assert np.array_equal(got, want)
+
+    def test_a_grader_without_grades_is_still_refused(self, tmp_path):
+        payload = {"items": ["a", "b"], "graders": [{"id": "g1", "ranking": [["a"], ["b"]], "grades": {"a": 2, "b": 1}},
+                                                    {"id": "g2", "ranking": [["b"], ["a"]]}]}
+        parsed = dataset_from_dict(payload)
+        with pytest.raises(ValidationError, match="needs cardinal grades from every grader"):
+            fit_model("scavg", parsed)
+        with pytest.raises(ValidationError, match="grader 'g2' has no cardinal feedback"):
+            parsed.cardinal_arrays  # noqa: B018
+
+
 class TestPercentileRanks:
     def test_single_item_maps_to_hundred(self):
         ranking = WeakRanking.from_order(["only"])
@@ -336,3 +362,30 @@ class TestWriteJson:
             write_json({"v": 2}, str(path))
         assert os.listdir(tmp_path) == ["x.json"]
         assert json.loads(path.read_text(encoding="utf-8")) == {"v": 1}
+
+
+_WRITERS = {
+    "write_json": lambda path: write_json({"v": 1}, path),
+    "write_estimate": lambda path: write_estimate(Estimate(ranking=WeakRanking.from_order(["a", "b"])), path),
+    "write_ordinal_json": lambda path: write_ordinal_json(make_ordinal_dataset({"g1": [["a"], ["b"]]}), path),
+    "write_cardinal_csv": lambda path: write_cardinal_csv(make_cardinal_dataset({"g1": {"a": 1.0, "b": 2.0}}), path),
+}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_written_files_follow_the_umask(tmp_path, writer, umask, mode):
+    """An atomic write gives the file the mode ``open(path, "w")`` would, new or replacing a file."""
+    path = str(tmp_path / "out")
+    previous = os.umask(umask)
+    try:
+        with open(str(tmp_path / "plain"), "w"):
+            pass
+        _WRITERS[writer](path)
+        first = os.stat(path).st_mode & 0o777
+        _WRITERS[writer](path)
+    finally:
+        os.umask(previous)
+    assert first == os.stat(path).st_mode & 0o777 == os.stat(str(tmp_path / "plain")).st_mode & 0o777 == mode
+    assert sorted(os.listdir(tmp_path)) == ["out", "plain"]
