@@ -301,9 +301,15 @@ class FeedbackArrays:
     ``mallows._Centers.unit`` computes for the fits and for the helpers called
     without reliabilities: at most three read-only orders of the n items (the
     greedy center, its local Kemenization and the Borda order), 8n bytes each,
-    plus the Borda cuts. So only a second or later Mallows fit of one dataset
-    gains; a grader subset, a copy or a ``dataclasses.replace`` has arrays of
-    its own, which keep nothing yet.
+    plus the Borda cuts. ``_solved_reliabilities`` keeps, per
+    ``ReliabilityPrior``, the η of every reliability problem a
+    ``mallows.fit_mallows`` round has solved, by its key X_g·C + r_g (see
+    ``mallows._reliabilities``): at most C·(p + 1) floats per prior, where C
+    is the number of ``coeff`` rows and p the most strict pairs of one
+    grader, 22·C for 7 items. So only a second or later Mallows fit of one
+    dataset gains, and a later ``+g`` round solves only the problems no
+    earlier one did; a grader subset, a copy or a ``dataclasses.replace`` has
+    arrays of its own, which keep nothing yet.
     """
 
     graders: tuple[str, ...]
@@ -425,6 +431,11 @@ class FeedbackArrays:
     @cached_property
     def _unit_centers(self) -> dict[str, tuple[np.ndarray, ...]]:
         """The Mallows centres at reliabilities 1 by kind, each filled in once by ``mallows._Centers.unit``."""
+        return {}
+
+    @cached_property
+    def _solved_reliabilities(self) -> dict[Any, dict[int, float]]:
+        """Per prior, the Mallows reliability problems solved so far, key -> η, kept by ``mallows._reliabilities``."""
         return {}
 
 

@@ -145,27 +145,28 @@ def parse_cardinal_csv(path: str) -> Dataset:
     the ordinal methods run on the same data, is compiled into
     ``feedback_arrays``, and the ``feedback`` records are built, only when
     read, under the rule of ``Dataset``. A file that fails a bulk check is
-    walked row by row to raise the first faulty row's ``DataFormatError``.
+    walked row by row to raise the first faulty row's ``DataFormatError``,
+    as is one with a line the ``csv`` reader refuses, which then raises a
+    ``DataFormatError`` naming that line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         return _parse_cardinal_rows(csv.reader(fh), path)
 
 
 def _parse_cardinal_rows(reader: Any, source: str) -> Dataset:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{source}: empty file, expected header {','.join(_CSV_HEADER)}")
-    if header != _CSV_HEADER:
-        raise DataFormatError(
-            f"{source}: bad header {','.join(header)!r}, expected {','.join(_CSV_HEADER)!r}"
-        )
     lines: list[list[str]] = []
     try:
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{source}: empty file, expected header {','.join(_CSV_HEADER)}")
+        if header != _CSV_HEADER:
+            raise DataFormatError(
+                f"{source}: bad header {','.join(header)!r}, expected {','.join(_CSV_HEADER)!r}"
+            )
         lines.extend(reader)
-    except csv.Error:  # a row the reader refuses: a fault on an earlier row is still raised first
+    except csv.Error as exc:  # a row the reader refuses: a fault on an earlier row is still raised first
         _raise_first_row_fault(lines, source)
-        raise
+        raise DataFormatError(f"{source}: line {reader.line_num}: {exc}") from exc
     columns = _grade_columns([row for row in lines if row])
     if columns is None:
         _raise_first_row_fault(lines, source)

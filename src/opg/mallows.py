@@ -22,7 +22,8 @@ once per dataset. The public helpers build one for their dataset and
 reliabilities, and ``fit_mallows`` builds one per fit, whose first center at
 reliabilities 1 is a plain fit's answer and a ``+g`` fit's start. Those
 centers are kept with the compiled feedback (``_Centers.unit``), so each is
-computed once per dataset.
+computed once per dataset, and so are the reliability problems the ``+g``
+rounds solve (``_reliabilities``).
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
     x_g = np.zeros(len(arrays.graders), dtype=np.intp)
     for graders, entries, first, second, strict in arrays.blocks:
         at = position[arrays.item[entries]]
-        x_g[graders] = np.count_nonzero(strict & (at[first] > at[second]) & (at[second] >= 0), axis=0)
+        lower = at[second]
+        x_g[graders] = np.count_nonzero(strict & (at[first] > lower) & (lower >= 0), axis=0)
     return x_g
 
 
@@ -252,45 +254,69 @@ class _Centers:
         return np.diff(np.searchsorted(wins, ends.offsets)), ends.other[wins], ends.key[wins] >> 1
 
     def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        """``order`` after the adjacent swaps ``local_kemenization`` describes, read off the end table.
+        """``order`` after the adjacent swaps ``local_kemenization`` describes.
 
         The weight of a over b sums eta_g over a's winning ends against b in end order, which is pair
-        order, grader by grader in feedback order: a sweep takes every neighbour pair's two weights
-        from one ``np.bincount`` per direction, a sinking item from its own ends."""
+        order, grader by grader in feedback order. Where the n x n table of those weights has no more
+        cells than there are winning ends, so at most 8 bytes a pair, half the end table, the swaps read
+        it (``_table_tests``): one ``np.bincount`` fills it, and each test is then a lookup. Else they
+        read the end table (``_end_tests``), whose sweeps cost the pairs, not n^2. Both add each weight's
+        terms in the same order, so they take the same swaps.
+        """
+        tests = self._table_tests if len(self.items) ** 2 <= len(self._wins[1]) else self._end_tests
+        return self._swept(order, *tests(etas))
+
+    def _swept(self, order: np.ndarray, swaps, sinks) -> np.ndarray:
+        """``order`` after sweeps until one swaps nothing. A sweep tests every neighbour pair up front
+        (``swaps(order)``: whether the lower item outweighs the upper); a swap moves the upper item down,
+        and it keeps sinking while ``sinks(a, b)``, for its next neighbour b, says b outweighs it; the
+        pairs below where it stops are as tested."""
+        n, order, changed = len(self.items), order.copy(), True
+        while changed:
+            changed, resume = False, 0
+            for i in np.flatnonzero(swaps(order)).tolist():
+                if i < resume:
+                    continue
+                sinking = order[i]
+                while True:
+                    order[i], order[i + 1] = order[i + 1], sinking
+                    changed = True
+                    i += 1
+                    if i == n - 1 or not sinks(sinking, order[i + 1]):
+                        break
+                resume = i + 1
+        return order
+
+    def _table_tests(self, etas: np.ndarray):
+        """``_swept``'s tests on the table of every winner-over-loser weight, one ``np.bincount`` in end order."""
+        n, (counts, loser, grader) = len(self.items), self._wins
+        weight = np.bincount(np.repeat(np.arange(n) * n, counts) + loser, etas[grader], n * n).reshape(n, n)
+        return (lambda order: weight[order[1:], order[:-1]] > weight[order[:-1], order[1:]],
+                lambda a, b: weight[b, a] > weight[a, b])
+
+    def _end_tests(self, etas: np.ndarray):
+        """``_swept``'s tests read off the end table: a sweep takes every neighbour pair's two weights
+        from one ``np.bincount`` per direction, a sinking item its weights from its own ends."""
         n, (offsets, other, key) = len(self.items), self.arrays.ends
         counts, loser, grader = self._wins
         won, offsets = etas[grader], offsets.tolist()
-        order, position, places = order.copy(), np.empty(n, dtype=np.int32), np.arange(n, dtype=np.int32)
-        changed = True
-        while changed:
-            changed = False
-            # One sweep, with every neighbour pair tested up front: a swap moves
-            # the upper item down, and it keeps sinking while it loses to its
-            # next neighbour; the pairs below where it stops are as tested.
+        position, places = np.empty(n, dtype=np.int32), np.arange(n, dtype=np.int32)
+
+        def swaps(order: np.ndarray) -> np.ndarray:
             position[order] = places
             upper = np.repeat(position, counts)
             gap = position.take(loser)
             gap -= upper
             below, above = gap == 1, gap == -1
-            swaps = np.bincount(upper[above] - 1, won[above], n - 1) > np.bincount(upper[below], won[below], n - 1)
-            resume = 0
-            for i in np.flatnonzero(swaps).tolist():
-                if i < resume:
-                    continue
-                sinking = order[i]
-                lo, hi = offsets[sinking], offsets[sinking + 1]
-                while True:
-                    order[i], order[i + 1] = order[i + 1], sinking
-                    changed = True
-                    i += 1
-                    if i == n - 1:
-                        break
-                    against = key[lo:hi][other[lo:hi] == order[i + 1]]
-                    beats, beaten = np.bincount(against & 1, etas[against >> 1], 2)
-                    if not beaten > beats:
-                        break
-                resume = i + 1
-        return order
+            return np.bincount(upper[above] - 1, won[above], n - 1) > np.bincount(upper[below], won[below], n - 1)
+
+        def sinks(a: int, b: int) -> bool:
+            lo, hi = offsets[a], offsets[a + 1]
+            against = key[lo:hi][other[lo:hi] == b]
+            beats, beaten = np.bincount(against & 1, etas[against >> 1], 2)
+            return beaten > beats
+
+        return swaps, sinks
 
     def cost(self, order: np.ndarray, etas: np.ndarray) -> float:
         """``_cost`` of the total order ``order``: its feedback pairs against it, weighted by reliability."""
@@ -404,18 +430,27 @@ def _newton_etas(x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior) -> n
     return np.clip(np.where(active, np.exp(u), result), *_ETA_BOUNDS)
 
 
-def _reliabilities(arrays: FeedbackArrays, position: np.ndarray, prior: ReliabilityPrior):
+def _reliabilities(arrays: FeedbackArrays, position: np.ndarray, prior: ReliabilityPrior,
+                   solved: dict[int, float] | None = None):
     """Each grader's MAP reliability against the center at ``position``, in feedback order, and its X_g.
 
     A grader's problem is fixed by its key X_g * C + r_g, where r_g is its row
-    of ``coeff`` and C the number of rows (see ``fit_reliabilities``); each
-    distinct key is solved once.
+    of ``coeff`` and C the number of rows (see ``fit_reliabilities``). The keys
+    missing from ``solved``, by default the arrays' kept solutions under
+    ``prior``, are solved in one batch and added to it; each problem of
+    ``_newton_etas`` stops on its own, so a kept η is the one a fresh solve
+    gives.
     """
     x_g = _against(arrays, position)
     n_coeff = len(arrays.coeff)
     keys, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
-    etas = _newton_etas((keys // n_coeff).astype(float), arrays.coeff[keys % n_coeff], prior)
-    return etas[inverse.ravel()], x_g
+    solved = arrays._solved_reliabilities.setdefault(prior, {}) if solved is None else solved
+    keys = keys.tolist()
+    new = np.array([k for k in keys if k not in solved], dtype=np.intp)
+    if new.size:
+        etas = _newton_etas((new // n_coeff).astype(float), arrays.coeff[new % n_coeff], prior)
+        solved.update(zip(new.tolist(), etas.tolist()))
+    return np.fromiter(map(solved.__getitem__, keys), dtype=float, count=len(keys))[inverse.ravel()], x_g
 
 
 def fit_reliabilities(
@@ -435,7 +470,8 @@ def fit_reliabilities(
     where X_g counts cross-group pairs against the center and A_i(g) =
     (number of tie groups of size >= i) - 1 for i <= |D_g|; the normalizer
     denominators cancel because group sizes sum to |D_g|. Graders with equal
-    (X_g, A(g)) share one solve.
+    (X_g, A(g)) share one solve. Every call solves afresh, and keeps nothing
+    with the dataset's arrays.
     """
     prior = prior or ReliabilityPrior()
     if not center.is_total:
@@ -448,7 +484,7 @@ def fit_reliabilities(
         entries = slice(arrays.offsets[g], arrays.offsets[g + 1])
         missing = sorted(data.items[i] for i in arrays.item[entries][unranked[entries]])
         raise ValidationError(f"center does not rank items: {missing}")
-    return prior._by_grader(data.graders, arrays.graders, _reliabilities(arrays, position, prior)[0])
+    return prior._by_grader(data.graders, arrays.graders, _reliabilities(arrays, position, prior, {})[0])
 
 
 def _break_ties(order: np.ndarray, cuts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -502,8 +538,11 @@ def fit_mallows(
     (at most three orders of the n items, 8n bytes each, plus the Borda cuts),
     and every later fit of the six variants reads it from there, as do
     ``greedy_mle_ranking`` and ``borda_ranking`` called without ``params``.
-    So only repeated Mallows fits of one dataset gain; a single fit, such as
-    one ``opg estimate`` run, does the same work as before.
+    The reliability problems the rounds solve are kept there too, per
+    ``reliability_prior``, so a round solves only the problems no earlier
+    round or fit of the dataset solved, and gets the η a fresh solve would
+    give; ``fit_reliabilities`` solves every problem afresh and keeps
+    nothing.
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")

@@ -2020,7 +2020,7 @@ def records_dataset_from_csv(path: str) -> Dataset:
     grader, then a ``GraderFeedback.from_cardinal`` record per grader and ``from_feedback``."""
     header_text = "grader_id,item_id,score"
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -2051,3 +2051,11 @@ def records_dataset_from_csv(path: str) -> Dataset:
             first_line[key] = lineno
             grades.setdefault(grader, {})[item] = score
     return Dataset.from_feedback(GraderFeedback.from_cardinal(g, grades[g]) for g in sorted(grades))
+
+
+def _csv_rows(reader, path: str):
+    """The rows of a ``csv.reader``; a row it refuses raises a ``DataFormatError`` naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc

@@ -110,6 +110,13 @@ class TestEstimate:
         assert main(["estimate", "--model", "mal", "--input", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_csv_field_over_the_reader_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("grader_id,item_id,score\ng1,a,1\ng1,b," + "9" * 200_000 + "\n", encoding="utf-8")
+        assert main(["estimate", "--model", "scavg", "--format", "cardinal", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: field larger than field limit (131072)")
+
 
 class TestEvaluate:
     def test_identical_files_score_zero(self, tmp_path, capsys):

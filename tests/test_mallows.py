@@ -1045,3 +1045,145 @@ class TestUnitCentersKeptPerDataset:
             for variant in PLAIN_VARIANTS:
                 _fits_match(fit_mallows(other, **variant), fit_mallows(built, **variant))
         assert sorted(data.feedback_arrays._unit_centers) == ["borda", "greedy", "kemenized"]
+
+
+def _solve_spy(monkeypatch):
+    """Record the key X_g * C + r_g of every problem each ``_newton_etas`` batch is asked to solve."""
+    batches, newton = [], mallows._newton_etas
+
+    def spy(x, coeff, prior):
+        batches.append((x.tolist(), [tuple(row) for row in coeff.tolist()], prior))
+        return newton(x, coeff, prior)
+
+    monkeypatch.setattr(mallows, "_newton_etas", spy)
+
+    def keys(arrays, batch):
+        rows = {tuple(row): r for r, row in enumerate(arrays.coeff.tolist())}
+        return [int(x) * len(rows) + rows[a] for x, a in zip(batch[0], batch[1])]
+
+    return batches, keys
+
+
+class TestReliabilitySolutionsKeptPerDataset:
+    """Every reliability problem a ``+g`` round solves is kept with the compiled arrays, per prior, and
+    keeping it changes no answer: a later round or fit solves only problems no earlier one did."""
+
+    def test_a_later_fit_solves_only_new_problems(self, monkeypatch):
+        batches, keys = _solve_spy(monkeypatch)
+        paper = simulate(SynthConfig(40, 150, 7, seed=0))[0]
+        for data in [paper, *_seeded_classes()]:
+            arrays, prior = data.feedback_arrays, ReliabilityPrior()
+            fit_mallows(data, with_reliability=True)
+            solved = dict(arrays._solved_reliabilities[prior])
+            assert solved and list(arrays._solved_reliabilities) == [prior]
+            batches.clear()
+            est = fit_mallows(data, kemenize=True, with_reliability=True)
+            assert len(batches) <= est.metadata["rounds"]
+            for batch in batches:
+                asked = keys(arrays, batch)
+                assert len(set(asked)) == len(asked) and not solved.keys() & set(asked)
+                solved.update(dict.fromkeys(asked))
+            assert arrays._solved_reliabilities[prior].keys() == solved.keys()
+            fresh = copy.copy(data)
+            assert "_solved_reliabilities" not in vars(fresh.feedback_arrays)
+            _fits_match(est, fit_mallows(fresh, kemenize=True, with_reliability=True))
+
+    def test_two_priors_never_share_solutions(self, monkeypatch):
+        batches, keys = _solve_spy(monkeypatch)
+        priors = ReliabilityPrior(), ReliabilityPrior(shape=3.0, scale=0.7)
+        for data in _seeded_classes():
+            arrays = data.feedback_arrays
+            for variant in RELIABILITY_VARIANTS:
+                for prior in priors:
+                    batches.clear()
+                    est = fit_mallows(data, reliability_prior=prior, **variant)
+                    assert all(batch[2] is prior for batch in batches)
+                    fresh = copy.copy(data)
+                    _fits_match(est, fit_mallows(fresh, reliability_prior=prior, **variant))
+                    assert fresh.feedback_arrays._solved_reliabilities.keys() == {prior}
+            kept = arrays._solved_reliabilities
+            assert kept.keys() == set(priors)
+            for prior in priors:
+                # Every kept solution is the one a fresh batch of its own gives under its prior.
+                solved = sorted(kept[prior])
+                n_coeff = len(arrays.coeff)
+                x, coeff = (np.array(solved) // n_coeff).astype(float), arrays.coeff[np.array(solved) % n_coeff]
+                assert mallows._newton_etas(x, coeff, prior).tolist() == [kept[prior][k] for k in solved]
+
+    def test_fit_reliabilities_solves_afresh_and_keeps_nothing(self, monkeypatch):
+        batches, _ = _solve_spy(monkeypatch)
+        data = next(_seeded_classes())
+        center = greedy_mle_ranking(data)
+        fit_mallows(data, with_reliability=True)
+        kept = {prior: dict(solved) for prior, solved in data.feedback_arrays._solved_reliabilities.items()}
+        batches.clear()
+        first, second = fit_reliabilities(data, center), fit_reliabilities(data, center)
+        assert first == second and len(batches) == 2 and batches[0][:2] == batches[1][:2]
+        assert data.feedback_arrays._solved_reliabilities == kept
+
+    def test_derived_datasets_start_with_no_kept_solutions(self, tmp_path):
+        write_ordinal_json(simulate(SynthConfig(30, 60, 5, seed=4))[0], str(tmp_path / "d.json"))
+        data = parse_ordinal_json(str(tmp_path / "d.json"))
+        for variant in RELIABILITY_VARIANTS:
+            fit_mallows(data, **variant)
+        derived = {
+            "resample": _resample_graders(data, np.random.default_rng(0)),
+            "subset": _select_graders(data, np.arange(0, 60, 2)),
+            "pickle": pickle.loads(pickle.dumps(data)),
+            "copy": copy.copy(data),
+            "deepcopy": copy.deepcopy(data),
+            "replace": dataclasses.replace(data),
+        }
+        for name, other in derived.items():
+            assert other.feedback_arrays is not data.feedback_arrays, name
+            assert other.feedback_arrays._solved_reliabilities == {}, name
+            built = Dataset(other.items, other.graders, other.feedback, other.lazy_graders)
+            for variant in RELIABILITY_VARIANTS:
+                _fits_match(fit_mallows(other, **variant), fit_mallows(built, **variant))
+        assert list(data.feedback_arrays._solved_reliabilities) == [ReliabilityPrior()]
+
+
+def _tied_class(n_items, n_graders, per_grader, seed):
+    """A cardinal class whose grades are rounded to whole numbers, so its induced rankings tie."""
+    data = simulate(SynthConfig(n_items, n_graders, per_grader, grader_model=CardinalNormalGraders(1.0, 0.5), seed=seed))[0]
+    return Dataset.from_feedback(
+        [GraderFeedback.from_cardinal(fb.grader, {d: float(round(v)) for d, v in fb.cardinal.items()}) for fb in data.feedback],
+        items=data.items,
+    )
+
+
+class TestSwapPathsAgree:
+    """``_Centers.kemenize`` reads its weights from a dense table on small classes and from the end table
+    on large ones; both paths take the same swaps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(3, 16), st.integers(2, 40), st.integers(2, 7), st.booleans())
+    def test_table_and_end_tests_give_one_order(self, seed, n_items, n_graders, per_grader, tied):
+        per_grader = min(per_grader, n_items)
+        n_graders = max(n_graders, -(-n_items // per_grader))
+        if tied:
+            data = _tied_class(n_items, n_graders, per_grader, seed)
+        else:
+            data = simulate(SynthConfig(n_items, n_graders, per_grader, grader_model=MallowsGraders(1.0), seed=seed))[0]
+        centers, rng, n = _Centers(data), np.random.default_rng(seed), len(data.feedback)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fitted = fit_mallows(data, with_reliability=True).reliabilities
+        draws = [np.ones(n), centers.etas(MallowsParams(fitted)), rng.gamma(2.0, 0.5, n), rng.choice([0.1, 0.2, 0.3, 0.7], n)]
+        for etas in draws:
+            greedy = centers.greedy(etas)
+            for start in (greedy, greedy[::-1].copy(), rng.permutation(n_items)):
+                table = centers._swept(start, *centers._table_tests(etas))
+                assert np.array_equal(table, centers._swept(start, *centers._end_tests(etas)))
+                assert np.array_equal(table, centers.kemenize(start, etas))
+                assert np.array_equal(table, oracles.slots_kemenize(data, start, etas))
+
+    def test_each_benchmark_scale_takes_its_path(self, monkeypatch):
+        taken = []
+        for name in ("_table_tests", "_end_tests"):
+            tests = getattr(_Centers, name)
+            monkeypatch.setattr(_Centers, name, lambda self, etas, name=name, tests=tests: taken.append(name) or tests(self, etas))
+        for n_items, n_graders in ((40, 150), (600, 1800)):
+            data = simulate(SynthConfig(n_items, n_graders, 7, seed=1))[0]
+            fit_mallows(data, kemenize=True)
+        assert taken == ["_table_tests", "_end_tests"]

@@ -150,7 +150,14 @@ class TestParseEqualsTheRowOracle:
     def test_a_row_the_reader_refuses_comes_after_earlier_faults(self, tmp_path, fault):
         lines = ["g1,a,1", "g1,b,2"] + ([_FAULTS[fault]("g1,a")] if fault else [])
         path = _write(tmp_path, [_HEADER] + lines + ["g2,a," + "9" * (csv.field_size_limit() + 1)])
-        with pytest.raises(DataFormatError if fault else csv.Error):
+        refused = f"^{re.escape(path)}: line 4: field larger than field limit"
+        with pytest.raises(DataFormatError, match=None if fault else refused):
+            parse_cardinal_csv(path)
+        assert_parsed_as_the_oracle(path)
+
+    def test_a_header_the_reader_refuses(self, tmp_path):
+        path = _write(tmp_path, ["grader_id,item_id," + "s" * (csv.field_size_limit() + 1), "g1,a,1"])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(path)}: line 1: field larger than field limit"):
             parse_cardinal_csv(path)
         assert_parsed_as_the_oracle(path)
 
