@@ -22,8 +22,10 @@ once per dataset. The public helpers build one for their dataset and
 reliabilities, and ``fit_mallows`` builds one per fit, whose first center at
 reliabilities 1 is a plain fit's answer and a ``+g`` fit's start. Those
 centers are kept with the compiled feedback (``_Centers.unit``), so each is
-computed once per dataset, and so are the reliability problems the ``+g``
-rounds solve (``_reliabilities``).
+computed once per dataset. The ``+g`` rounds keep the reliability problems
+they solve there too, per tie pattern and X, where the dataset's grader
+subsets read them; the first round solves every X of every pattern at once
+where that takes no more problems than there are graders (``_reliabilities``).
 """
 
 from __future__ import annotations
@@ -431,26 +433,37 @@ def _newton_etas(x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior) -> n
 
 
 def _reliabilities(arrays: FeedbackArrays, position: np.ndarray, prior: ReliabilityPrior,
-                   solved: dict[int, float] | None = None):
+                   solved: dict[bytes, np.ndarray] | None = None):
     """Each grader's MAP reliability against the center at ``position``, in feedback order, and its X_g.
 
-    A grader's problem is fixed by its key X_g * C + r_g, where r_g is its row
-    of ``coeff`` and C the number of rows (see ``fit_reliabilities``). The keys
-    missing from ``solved``, by default the arrays' kept solutions under
-    ``prior``, are solved in one batch and added to it; each problem of
-    ``_newton_etas`` stops on its own, so a kept η is the one a fresh solve
-    gives.
+    A grader's problem is fixed by its X_g and its tie pattern (``FeedbackArrays._tie_patterns``).
+    ``solved``, by default the arrays' kept table under ``prior``, holds per pattern the η of each X from
+    0 to the pattern's strict pairs, NaN until solved. A round gathers its graders' η from it and solves
+    what is missing in one batch: every X of every pattern where they are no more than the graders, so
+    later rounds and grader subsets find them all, else only the X met, so a batch never holds more
+    problems than there are graders. Each problem of ``_newton_etas`` stops on its own, so a kept η is
+    the one a fresh solve gives.
     """
     x_g = _against(arrays, position)
-    n_coeff = len(arrays.coeff)
-    keys, inverse = np.unique(x_g * n_coeff + arrays.grader_coeff, return_inverse=True)
     solved = arrays._solved_reliabilities.setdefault(prior, {}) if solved is None else solved
-    keys = keys.tolist()
-    new = np.array([k for k in keys if k not in solved], dtype=np.intp)
-    if new.size:
-        etas = _newton_etas((new // n_coeff).astype(float), arrays.coeff[new % n_coeff], prior)
-        solved.update(zip(new.tolist(), etas.tolist()))
-    return np.fromiter(map(solved.__getitem__, keys), dtype=float, count=len(keys))[inverse.ravel()], x_g
+    keys, counts, first = arrays._tie_patterns
+    table = list(map(solved.get, keys))
+    for r in [r for r, etas in enumerate(table) if etas is None]:
+        table[r] = solved[keys[r]] = np.full(counts[r], np.nan)
+    flat, slots = np.concatenate(table), first + x_g
+    etas = flat[slots]
+    if np.isnan(etas).any():
+        todo = np.isnan(flat)
+        if len(flat) > len(slots):
+            todo &= np.bincount(slots, minlength=len(flat)) > 0
+        todo = np.flatnonzero(todo)
+        starts = np.cumsum(counts) - counts
+        rows = np.searchsorted(starts, todo, side="right") - 1
+        flat[todo] = _newton_etas((todo - starts[rows]).astype(float), arrays.coeff[rows], prior)
+        for r in set(rows.tolist()):
+            table[r][:] = flat[starts[r]:starts[r] + counts[r]]
+        etas = flat[slots]
+    return etas, x_g
 
 
 def fit_reliabilities(
@@ -470,8 +483,10 @@ def fit_reliabilities(
     where X_g counts cross-group pairs against the center and A_i(g) =
     (number of tie groups of size >= i) - 1 for i <= |D_g|; the normalizer
     denominators cancel because group sizes sum to |D_g|. Graders with equal
-    (X_g, A(g)) share one solve. Every call solves afresh, and keeps nothing
-    with the dataset's arrays.
+    (X_g, A(g)) share one solve, in one batch with every other X their
+    strict pairs allow where those take no more problems than there are
+    graders. Every call solves afresh, into a table of its own, and keeps
+    nothing with the dataset's arrays.
     """
     prior = prior or ReliabilityPrior()
     if not center.is_total:
@@ -538,11 +553,13 @@ def fit_mallows(
     (at most three orders of the n items, 8n bytes each, plus the Borda cuts),
     and every later fit of the six variants reads it from there, as do
     ``greedy_mle_ranking`` and ``borda_ranking`` called without ``params``.
-    The reliability problems the rounds solve are kept there too, per
-    ``reliability_prior``, so a round solves only the problems no earlier
-    round or fit of the dataset solved, and gets the η a fresh solve would
-    give; ``fit_reliabilities`` solves every problem afresh and keeps
-    nothing.
+    The reliabilities are kept there too, per ``reliability_prior``, tie
+    pattern and X, and the grader subsets the protocols gather from the
+    dataset read and add to them: a round solves only what no earlier round
+    or fit solved, and gets the η a fresh solve would give. The first round
+    solves every X of every pattern where that takes no more problems than
+    there are graders, so on such a dataset later rounds, fits and subsets
+    solve nothing. ``fit_reliabilities`` solves afresh and keeps nothing.
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")

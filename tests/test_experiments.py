@@ -203,6 +203,19 @@ class TestGraderSubsets:
                        ((5, 37.7272727273, 9.642365198), (13, 27.2727272727, 0.0))),
         ("malbc", 2): ((25.7575757576, 3.28616768769), (32.1212121212, 10.0137646314),
                        ((5, 25.4545454545, 7.7138921584), (13, 26.8181818182, 0.642824346533))),
+        # Recorded when every resample's ``+g`` fit still solved its reliability problems afresh.
+        ("mal+g", 0): ((21.8181818182, 2.57129738613), (34.5454545455, 5.45454545455),
+                       ((5, 33.6363636364, 6.42824346533), (13, 24.5454545455, 1.28564869307))),
+        ("mal+g", 1): ((23.6363636364, 5.86346018058), (38.7878787879, 12.3761077919),
+                       ((5, 39.0909090909, 1.28564869307), (13, 25.4545454545, 0.0))),
+        ("mal+g", 2): ((24.5454545455, 5.23813101487), (37.5757575758, 13.1530511601),
+                       ((5, 30.0, 14.1421356237), (13, 28.1818181818, 3.8569460792))),
+        ("mal+kg", 0): ((22.1212121212, 2.41665479241), (35.7575757576, 5.55463720601),
+                        ((5, 38.1818181818, 12.8564869307), (13, 25.4545454545, 2.57129738613))),
+        ("mal+kg", 1): ((23.9393939394, 5.68212120404), (38.7878787879, 10.6535732311),
+                        ((5, 43.6363636364, 5.14259477227), (13, 29.0909090909, 2.57129738613))),
+        ("mal+kg", 2): ((24.5454545455, 5.11035248093), (37.5757575758, 11.5470053838),
+                        ((5, 30.0, 14.1421356237), (13, 30.0, 1.28564869307))),
     }
 
     @pytest.mark.parametrize("method, seed", sorted(RECORDED))

@@ -17,9 +17,9 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 from conftest import make_ordinal_dataset, random_weak_ranking
-from opg import mallows
+from opg import experiments, mallows
 from opg.config import ReliabilityPrior
-from opg.data import Dataset, GraderFeedback
+from opg.data import Dataset, FeedbackArrays, GraderFeedback
 from opg.dataio import (
     _json_text,
     dataset_from_dict,
@@ -30,7 +30,7 @@ from opg.dataio import (
 )
 from opg.errors import ValidationError
 from opg.estimators import fit_model
-from opg.experiments import _resample_graders, _select_graders
+from opg.experiments import _resample_graders, _select_graders, bootstrap_ek, downsample_curve, self_consistency
 from opg.metrics import TargetSet, ek_error
 from opg.mallows import (
     MallowsParams,
@@ -1047,49 +1047,75 @@ class TestUnitCentersKeptPerDataset:
         assert sorted(data.feedback_arrays._unit_centers) == ["borda", "greedy", "kemenized"]
 
 
+def _pattern(row) -> tuple[float, ...]:
+    """A ``coeff`` row without its trailing zeros: its tie pattern."""
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return tuple(row)
+
+
 def _solve_spy(monkeypatch):
-    """Record the key X_g * C + r_g of every problem each ``_newton_etas`` batch is asked to solve."""
+    """Record the (X, tie pattern) of every problem each ``_newton_etas`` batch is asked to solve, and its prior."""
     batches, newton = [], mallows._newton_etas
 
     def spy(x, coeff, prior):
-        batches.append((x.tolist(), [tuple(row) for row in coeff.tolist()], prior))
+        batches.append(([(int(k), _pattern(row)) for k, row in zip(x.tolist(), coeff.tolist())], prior))
         return newton(x, coeff, prior)
 
     monkeypatch.setattr(mallows, "_newton_etas", spy)
+    return batches
 
-    def keys(arrays, batch):
-        rows = {tuple(row): r for r, row in enumerate(arrays.coeff.tolist())}
-        return [int(x) * len(rows) + rows[a] for x, a in zip(batch[0], batch[1])]
 
-    return batches, keys
+def _kept(arrays) -> dict:
+    """The arrays' kept reliability table as {prior: {key row: η of each X, None if unsolved}}, in plain tuples
+    and lists: a key row is a tie pattern, or a whole ``coeff`` row where ``coeff`` is 8 or more wide."""
+    return {
+        prior: {
+            tuple(np.frombuffer(key).tolist()): [None if math.isnan(eta) else eta for eta in etas.tolist()]
+            for key, etas in table.items()
+        }
+        for prior, table in arrays._solved_reliabilities.items()
+    }
+
+
+def _assert_fresh(key, etas, prior) -> None:
+    """Each solved η of a kept row is the one a ``_newton_etas`` call of its own gives on the key row (one zero
+    for the empty pattern), and the row has a place for every X from 0 to the key row's strict pairs."""
+    row = np.array([key or (0.0,)])
+    assert len(etas) == 1 - int(sum(i * a for i, a in enumerate(key)))
+    for x, eta in enumerate(etas):
+        assert eta is None or eta == mallows._newton_etas(np.array([float(x)]), row, prior)[0]
 
 
 class TestReliabilitySolutionsKeptPerDataset:
-    """Every reliability problem a ``+g`` round solves is kept with the compiled arrays, per prior, and
-    keeping it changes no answer: a later round or fit solves only problems no earlier one did."""
+    """Per prior, the compiled arrays keep the η of every X of each tie pattern a ``+g`` round meets, solved
+    in one batch the first time where the patterns take no more values of X than there are graders, and
+    keeping them changes no answer: a later round or fit solves nothing."""
 
     def test_a_later_fit_solves_only_new_problems(self, monkeypatch):
-        batches, keys = _solve_spy(monkeypatch)
+        batches = _solve_spy(monkeypatch)
         paper = simulate(SynthConfig(40, 150, 7, seed=0))[0]
         for data in [paper, *_seeded_classes()]:
             arrays, prior = data.feedback_arrays, ReliabilityPrior()
+            batches.clear()
             fit_mallows(data, with_reliability=True)
-            solved = dict(arrays._solved_reliabilities[prior])
-            assert solved and list(arrays._solved_reliabilities) == [prior]
+            kept = _kept(arrays)
+            assert list(kept) == [prior] and len(batches) == 1 and batches[0][1] == prior
+            # The one batch holds every X of each pattern of the dataset, once.
+            asked = batches[0][0]
+            assert len(set(asked)) == len(asked)
+            assert sorted(asked) == sorted((x, p) for p, etas in kept[prior].items() for x in range(len(etas)))
+            assert kept[prior].keys() == {_pattern(row) for row in arrays.coeff.tolist()}
             batches.clear()
             est = fit_mallows(data, kemenize=True, with_reliability=True)
-            assert len(batches) <= est.metadata["rounds"]
-            for batch in batches:
-                asked = keys(arrays, batch)
-                assert len(set(asked)) == len(asked) and not solved.keys() & set(asked)
-                solved.update(dict.fromkeys(asked))
-            assert arrays._solved_reliabilities[prior].keys() == solved.keys()
+            assert batches == [] and _kept(arrays) == kept
             fresh = copy.copy(data)
             assert "_solved_reliabilities" not in vars(fresh.feedback_arrays)
             _fits_match(est, fit_mallows(fresh, kemenize=True, with_reliability=True))
 
     def test_two_priors_never_share_solutions(self, monkeypatch):
-        batches, keys = _solve_spy(monkeypatch)
+        batches = _solve_spy(monkeypatch)
         priors = ReliabilityPrior(), ReliabilityPrior(shape=3.0, scale=0.7)
         for data in _seeded_classes():
             arrays = data.feedback_arrays
@@ -1097,35 +1123,37 @@ class TestReliabilitySolutionsKeptPerDataset:
                 for prior in priors:
                     batches.clear()
                     est = fit_mallows(data, reliability_prior=prior, **variant)
-                    assert all(batch[2] is prior for batch in batches)
+                    assert all(batch[1] is prior for batch in batches)
                     fresh = copy.copy(data)
                     _fits_match(est, fit_mallows(fresh, reliability_prior=prior, **variant))
                     assert fresh.feedback_arrays._solved_reliabilities.keys() == {prior}
             kept = arrays._solved_reliabilities
-            assert kept.keys() == set(priors)
+            assert kept.keys() == set(priors) and kept[priors[0]] is not kept[priors[1]]
             for prior in priors:
-                # Every kept solution is the one a fresh batch of its own gives under its prior.
-                solved = sorted(kept[prior])
-                n_coeff = len(arrays.coeff)
-                x, coeff = (np.array(solved) // n_coeff).astype(float), arrays.coeff[np.array(solved) % n_coeff]
-                assert mallows._newton_etas(x, coeff, prior).tolist() == [kept[prior][k] for k in solved]
+                # Every kept η is the one a fresh solve of its own problem gives under its prior.
+                for key, etas in _kept(arrays)[prior].items():
+                    assert None not in etas
+                    _assert_fresh(key, etas, prior)
 
     def test_fit_reliabilities_solves_afresh_and_keeps_nothing(self, monkeypatch):
-        batches, _ = _solve_spy(monkeypatch)
+        batches = _solve_spy(monkeypatch)
         data = next(_seeded_classes())
         center = greedy_mle_ranking(data)
         fit_mallows(data, with_reliability=True)
-        kept = {prior: dict(solved) for prior, solved in data.feedback_arrays._solved_reliabilities.items()}
+        kept = dict(data.feedback_arrays._solved_reliabilities[ReliabilityPrior()])
         batches.clear()
         first, second = fit_reliabilities(data, center), fit_reliabilities(data, center)
-        assert first == second and len(batches) == 2 and batches[0][:2] == batches[1][:2]
-        assert data.feedback_arrays._solved_reliabilities == kept
+        assert first == second and len(batches) == 2 and batches[0] == batches[1]
+        table = data.feedback_arrays._solved_reliabilities
+        assert list(table) == [ReliabilityPrior()] and table[ReliabilityPrior()].keys() == kept.keys()
+        assert all(table[ReliabilityPrior()][key] is etas for key, etas in kept.items())
 
-    def test_derived_datasets_start_with_no_kept_solutions(self, tmp_path):
+    def test_subsets_read_the_parent_table_and_copies_start_empty(self, tmp_path):
         write_ordinal_json(simulate(SynthConfig(30, 60, 5, seed=4))[0], str(tmp_path / "d.json"))
         data = parse_ordinal_json(str(tmp_path / "d.json"))
         for variant in RELIABILITY_VARIANTS:
             fit_mallows(data, **variant)
+        table, kept = data.feedback_arrays._solved_reliabilities, _kept(data.feedback_arrays)
         derived = {
             "resample": _resample_graders(data, np.random.default_rng(0)),
             "subset": _select_graders(data, np.arange(0, 60, 2)),
@@ -1136,11 +1164,105 @@ class TestReliabilitySolutionsKeptPerDataset:
         }
         for name, other in derived.items():
             assert other.feedback_arrays is not data.feedback_arrays, name
-            assert other.feedback_arrays._solved_reliabilities == {}, name
+            if name in ("resample", "subset"):
+                assert other.feedback_arrays._solved_reliabilities is table, name
+            else:
+                assert other.feedback_arrays._solved_reliabilities == {}, name
             built = Dataset(other.items, other.graders, other.feedback, other.lazy_graders)
             for variant in RELIABILITY_VARIANTS:
                 _fits_match(fit_mallows(other, **variant), fit_mallows(built, **variant))
-        assert list(data.feedback_arrays._solved_reliabilities) == [ReliabilityPrior()]
+        assert _kept(data.feedback_arrays) == kept and list(kept) == [ReliabilityPrior()]
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
+class TestGraderSubsetsReadTheParentTable:
+    """A grader subset gathered by ``FeedbackArrays.take`` reads its parent's kept reliability table, so
+    after the parent's ``+g`` fit the protocols' resample fits solve nothing, and get the answers of
+    subsets that start with a table of their own."""
+
+    @pytest.mark.parametrize("method", ["mal+g", "malbc+g", "mal+kg"])
+    def test_protocols_after_the_parent_fit_run_no_batch(self, method, monkeypatch):
+        rng = np.random.default_rng(5)
+        # 80 graders ranking 2 to 7 items strictly: six patterns of 62 values of X, all solved in the first
+        # round, and many subsets with a narrower ``coeff`` than their parent's.
+        items = [f"x{i}" for i in range(12)]
+        data = make_ordinal_dataset(
+            {f"g{g}": [[d] for d in rng.choice(items, size=int(rng.integers(2, 8)), replace=False)] for g in range(80)}
+        )
+        targets = [WeakRanking.from_order(data.items)]
+
+        def protocols():
+            return (
+                bootstrap_ek(data, method, targets, reps=4, seed=2),
+                self_consistency(data, method, partitions=3, seed=2),
+                downsample_curve(data, method, "reviewers", (2, 4, 12), targets, reps=3, seed=2),
+            )
+
+        fit_model(method, data)
+        widths = []
+        take = FeedbackArrays.take
+        monkeypatch.setattr(FeedbackArrays, "take", lambda *args: widths.append((sub := take(*args)).coeff.shape[1]) or sub)
+        batches = _solve_spy(monkeypatch)
+        shared = protocols()
+        assert batches == [] and min(widths) < data.feedback_arrays.coeff.shape[1] == 7
+        select = experiments._select_graders
+        monkeypatch.setattr(experiments, "_select_graders", lambda *args: dataclasses.replace(select(*args)))
+        assert protocols() == shared and batches
+
+    def test_copies_start_with_an_empty_table(self):
+        data = next(_seeded_classes())
+        fit_mallows(data, with_reliability=True)
+        assert data.feedback_arrays._solved_reliabilities
+        for other in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data)), dataclasses.replace(data)):
+            assert other.feedback_arrays._solved_reliabilities == {}
+        assert dataclasses.replace(data.feedback_arrays)._solved_reliabilities == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.booleans(), st.integers(2, 9), st.integers(4, 40))
+    def test_every_entry_is_its_own_solve_and_a_trimmed_subset_finds_it(self, seed, tied, max_items, n_graders):
+        rng = np.random.default_rng(seed)
+        items = [f"x{i}" for i in range(12)]
+        rankings = {}
+        for g in range(n_graders):
+            chosen = rng.choice(items, size=int(rng.integers(2, max_items + 1)), replace=False).tolist()
+            rankings[f"g{g}"] = random_weak_ranking(rng, chosen) if tied else [[d] for d in chosen]
+        prior, batches, newton = ReliabilityPrior(), [], mallows._newton_etas
+
+        def spy(x, coeff, prior):
+            batches.append([(int(k), _pattern(row)) for k, row in zip(x.tolist(), coeff.tolist())])
+            return newton(x, coeff, prior)
+
+        mallows._newton_etas = spy
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                data = make_ordinal_dataset(rankings, items=tuple(items))
+                fit_mallows(data, with_reliability=True)
+            arrays = data.feedback_arrays
+            kept = _kept(arrays)[prior]
+            # One batch holds every X of every pattern where they are no more than the graders, else the X met.
+            assert max(map(len, batches)) <= n_graders
+            if arrays._tie_patterns[1].sum() <= n_graders:
+                assert len(batches) == 1 and None not in sum(kept.values(), [])
+            for key, etas in kept.items():
+                _assert_fresh(key, etas, prior)
+            # The graders of fewest items: ``take`` trims every ``coeff`` column past the widest of them.
+            sizes = np.diff(arrays.offsets)
+            rows = np.flatnonzero(sizes == sizes.min())
+            sub = arrays.take(rows, tuple(f"s{r}" for r in rows.tolist()))
+            assert sub._solved_reliabilities is arrays._solved_reliabilities and sub.coeff.shape[1] == sizes.min()
+            position = rng.permutation(len(items))
+            batches.clear()
+            got = mallows._reliabilities(sub, position, prior)
+            if arrays.coeff.shape[1] < 8:
+                # Below 8 columns a key is the tie pattern, so the subset solves only what its parent has not.
+                assert all(kept.get(pattern, [None] * (x + 1))[x] is None for x, pattern in sum(batches, []))
+            after = _kept(arrays)[prior]
+            assert all(after[key][x] == eta for key, etas in kept.items() for x, eta in enumerate(etas) if eta is not None)
+            want = mallows._reliabilities(sub, position, prior, {})
+        finally:
+            mallows._newton_etas = newton
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
 
 def _tied_class(n_items, n_graders, per_grader, seed):
