@@ -302,15 +302,15 @@ class FeedbackArrays:
     without reliabilities: at most three read-only orders of the n items (the
     greedy center, its local Kemenization and the Borda order), 8n bytes each,
     plus the Borda cuts. ``_solved_reliabilities`` keeps, per
-    ``ReliabilityPrior`` and per tie pattern (``_tie_patterns``), the η of
-    each X from 0 to the pattern's p strict pairs, NaN until a
-    ``mallows.fit_mallows`` round solves it: p + 1 floats per pattern and
-    prior, 22 for 7 items ranked strictly. The first round solves every X
-    where the patterns take no more values of X than there are graders (see
-    ``mallows._reliabilities``). ``take`` hands the table to the subset it
-    gathers, so a later round, fit or grader subset solves nothing it holds;
-    a copy, a pickle or a ``dataclasses.replace`` has arrays of its own, which
-    keep nothing yet.
+    ``ReliabilityPrior`` and per tie pattern (a ``coeff`` row, see
+    ``_tie_patterns``), the η of each X from 0 to the pattern's p strict
+    pairs, NaN until a ``mallows.fit_mallows`` round solves it: p + 1 floats
+    per pattern and prior, 22 for 7 items ranked strictly. The first round
+    solves every X where the patterns take no more values of X than there
+    are graders (see ``mallows._reliabilities``). ``take`` hands the table to
+    the subset it gathers, so a later round, fit or grader subset of the same
+    ``coeff`` width solves nothing it holds; a copy, a pickle or a
+    ``dataclasses.replace`` has arrays of its own, which keep nothing yet.
     """
 
     graders: tuple[str, ...]
@@ -438,18 +438,12 @@ class FeedbackArrays:
 
     @cached_property
     def _tie_patterns(self) -> tuple[list[bytes], np.ndarray, np.ndarray]:
-        """Per ``coeff`` row, its key in ``_solved_reliabilities`` and the p + 1 values its X can take, where
-        p = -sum_i (i - 1)*A_i is its number of strict pairs; per grader, where its row's values start when
-        they are laid out row after row. The key is the row's tie pattern, the row without its trailing
-        zeros, which alone fixes a Mallows reliability problem. numpy sums a row of fewer than 8 terms in
-        order, so those zeros change no sum in ``mallows._reliability_slopes``; a longer row it sums
-        pairwise, grouped by the row's length, so where ``coeff`` is 8 or more wide the key is the whole row."""
-        width, nonzero = self.coeff.shape[1], self.coeff != 0
-        ends = [width] * len(nonzero)
-        if width < 8:
-            ends = np.where(nonzero.any(axis=1), width - nonzero[:, ::-1].argmax(axis=1), 0).tolist()
-        counts = 1 - (self.coeff @ np.arange(width)).astype(np.intp)
-        keys = [row[:end].tobytes() for row, end in zip(self.coeff, ends)]
+        """Per ``coeff`` row, its key in ``_solved_reliabilities`` (the row's bytes) and the p + 1 values its
+        X can take, where p = -sum_i (i - 1)*A_i is its number of strict pairs; per grader, where its row's
+        values start when they are laid out row after row. The row alone fixes a Mallows reliability
+        problem, and its bytes hold its width, so a narrower subset keys problems of its own."""
+        counts = 1 - (self.coeff @ np.arange(self.coeff.shape[1])).astype(np.intp)
+        keys = [row.tobytes() for row in self.coeff]
         return keys, counts, (np.cumsum(counts) - counts)[self.grader_coeff]
 
     @cached_property

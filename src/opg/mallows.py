@@ -24,7 +24,7 @@ reliabilities 1 is a plain fit's answer and a ``+g`` fit's start. Those
 centers are kept with the compiled feedback (``_Centers.unit``), so each is
 computed once per dataset. The ``+g`` rounds keep the reliability problems
 they solve there too, per tie pattern and X, where the dataset's grader
-subsets read them; the first round solves every X of every pattern at once
+subsets of the same ``coeff`` width read them; the first round solves every X of every pattern at once
 where that takes no more problems than there are graders (``_reliabilities``).
 """
 
@@ -439,22 +439,23 @@ def _reliabilities(arrays: FeedbackArrays, position: np.ndarray, prior: Reliabil
     A grader's problem is fixed by its X_g and its tie pattern (``FeedbackArrays._tie_patterns``).
     ``solved``, by default the arrays' kept table under ``prior``, holds per pattern the η of each X from
     0 to the pattern's strict pairs, NaN until solved. A round gathers its graders' η from it and solves
-    what is missing in one batch: every X of every pattern where they are no more than the graders, so
-    later rounds and grader subsets find them all, else only the X met, so a batch never holds more
-    problems than there are graders. Each problem of ``_newton_etas`` stops on its own, so a kept η is
-    the one a fresh solve gives.
+    what is missing in one batch. Into the kept table it solves every X of every pattern where they are
+    no more than the graders, so later rounds and grader subsets find them all; otherwise, or into a
+    table passed in, only the X met, so a batch never holds more problems than there are graders. Each
+    problem of ``_newton_etas`` stops on its own, so a kept η is the one a fresh solve gives.
     """
     x_g = _against(arrays, position)
-    solved = arrays._solved_reliabilities.setdefault(prior, {}) if solved is None else solved
+    kept = solved is None
+    solved = arrays._solved_reliabilities.setdefault(prior, {}) if kept else solved
     keys, counts, first = arrays._tie_patterns
     table = list(map(solved.get, keys))
     for r in [r for r, etas in enumerate(table) if etas is None]:
         table[r] = solved[keys[r]] = np.full(counts[r], np.nan)
-    flat, slots = np.concatenate(table), first + x_g
+    flat, slots = np.concatenate([*table, np.empty(0)]), first + x_g
     etas = flat[slots]
     if np.isnan(etas).any():
         todo = np.isnan(flat)
-        if len(flat) > len(slots):
+        if not kept or len(flat) > len(slots):
             todo &= np.bincount(slots, minlength=len(flat)) > 0
         todo = np.flatnonzero(todo)
         starts = np.cumsum(counts) - counts
@@ -483,10 +484,8 @@ def fit_reliabilities(
     where X_g counts cross-group pairs against the center and A_i(g) =
     (number of tie groups of size >= i) - 1 for i <= |D_g|; the normalizer
     denominators cancel because group sizes sum to |D_g|. Graders with equal
-    (X_g, A(g)) share one solve, in one batch with every other X their
-    strict pairs allow where those take no more problems than there are
-    graders. Every call solves afresh, into a table of its own, and keeps
-    nothing with the dataset's arrays.
+    (X_g, A(g)) share one solve. Every call solves afresh, and keeps nothing
+    with the dataset's arrays.
     """
     prior = prior or ReliabilityPrior()
     if not center.is_total:
@@ -559,7 +558,8 @@ def fit_mallows(
     or fit solved, and gets the η a fresh solve would give. The first round
     solves every X of every pattern where that takes no more problems than
     there are graders, so on such a dataset later rounds, fits and subsets
-    solve nothing. ``fit_reliabilities`` solves afresh and keeps nothing.
+    whose longest ranking is as long solve nothing. ``fit_reliabilities``
+    solves afresh and keeps nothing.
     """
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")

@@ -361,6 +361,11 @@ class TestFitReliabilities:
         etas = fit_reliabilities(data, center)
         assert etas["g2"] == pytest.approx(ReliabilityPrior().mode)
 
+    def test_a_dataset_without_feedback_gets_prior_modes(self):
+        data = Dataset(items=("a", "b"), graders=("g1", "g2"), feedback=())
+        etas = fit_reliabilities(data, WeakRanking.from_order(["a", "b"]))
+        assert etas == {"g1": pytest.approx(ReliabilityPrior().mode), "g2": pytest.approx(ReliabilityPrior().mode)}
+
     def test_matches_grid_search_oracle(self):
         center = WeakRanking.from_order(["a", "b", "c", "d"])
         # one inversion vs center: b placed above a
@@ -1047,20 +1052,12 @@ class TestUnitCentersKeptPerDataset:
         assert sorted(data.feedback_arrays._unit_centers) == ["borda", "greedy", "kemenized"]
 
 
-def _pattern(row) -> tuple[float, ...]:
-    """A ``coeff`` row without its trailing zeros: its tie pattern."""
-    row = list(row)
-    while row and row[-1] == 0:
-        row.pop()
-    return tuple(row)
-
-
 def _solve_spy(monkeypatch):
-    """Record the (X, tie pattern) of every problem each ``_newton_etas`` batch is asked to solve, and its prior."""
+    """Record the (X, ``coeff`` row) of every problem each ``_newton_etas`` batch is asked to solve, and its prior."""
     batches, newton = [], mallows._newton_etas
 
     def spy(x, coeff, prior):
-        batches.append(([(int(k), _pattern(row)) for k, row in zip(x.tolist(), coeff.tolist())], prior))
+        batches.append(([(int(k), tuple(row)) for k, row in zip(x.tolist(), coeff.tolist())], prior))
         return newton(x, coeff, prior)
 
     monkeypatch.setattr(mallows, "_newton_etas", spy)
@@ -1068,8 +1065,8 @@ def _solve_spy(monkeypatch):
 
 
 def _kept(arrays) -> dict:
-    """The arrays' kept reliability table as {prior: {key row: η of each X, None if unsolved}}, in plain tuples
-    and lists: a key row is a tie pattern, or a whole ``coeff`` row where ``coeff`` is 8 or more wide."""
+    """The arrays' kept reliability table as {prior: {``coeff`` row: η of each X, None if unsolved}}, in plain
+    tuples and lists."""
     return {
         prior: {
             tuple(np.frombuffer(key).tolist()): [None if math.isnan(eta) else eta for eta in etas.tolist()]
@@ -1080,9 +1077,9 @@ def _kept(arrays) -> dict:
 
 
 def _assert_fresh(key, etas, prior) -> None:
-    """Each solved η of a kept row is the one a ``_newton_etas`` call of its own gives on the key row (one zero
-    for the empty pattern), and the row has a place for every X from 0 to the key row's strict pairs."""
-    row = np.array([key or (0.0,)])
+    """Each solved η of a kept row is the one a ``_newton_etas`` call of its own gives on the key row, and the
+    row has a place for every X from 0 to the key row's strict pairs."""
+    row = np.array([key])
     assert len(etas) == 1 - int(sum(i * a for i, a in enumerate(key)))
     for x, eta in enumerate(etas):
         assert eta is None or eta == mallows._newton_etas(np.array([float(x)]), row, prior)[0]
@@ -1106,7 +1103,7 @@ class TestReliabilitySolutionsKeptPerDataset:
             asked = batches[0][0]
             assert len(set(asked)) == len(asked)
             assert sorted(asked) == sorted((x, p) for p, etas in kept[prior].items() for x in range(len(etas)))
-            assert kept[prior].keys() == {_pattern(row) for row in arrays.coeff.tolist()}
+            assert kept[prior].keys() == set(map(tuple, arrays.coeff.tolist()))
             batches.clear()
             est = fit_mallows(data, kemenize=True, with_reliability=True)
             assert batches == [] and _kept(arrays) == kept
@@ -1140,13 +1137,19 @@ class TestReliabilitySolutionsKeptPerDataset:
         data = next(_seeded_classes())
         center = greedy_mle_ranking(data)
         fit_mallows(data, with_reliability=True)
-        kept = dict(data.feedback_arrays._solved_reliabilities[ReliabilityPrior()])
+        kept = {key: etas.copy() for key, etas in data.feedback_arrays._solved_reliabilities[ReliabilityPrior()].items()}
         batches.clear()
         first, second = fit_reliabilities(data, center), fit_reliabilities(data, center)
         assert first == second and len(batches) == 2 and batches[0] == batches[1]
+        # A local table solves only the problems its graders meet, once each.
+        arrays = data.feedback_arrays
+        x_g = mallows._against(arrays, mallows._positions(center, data))
+        met = {(x, tuple(arrays.coeff[r].tolist())) for x, r in zip(x_g.tolist(), arrays.grader_coeff.tolist())}
+        assert sorted(batches[0][0]) == sorted(met)
         table = data.feedback_arrays._solved_reliabilities
         assert list(table) == [ReliabilityPrior()] and table[ReliabilityPrior()].keys() == kept.keys()
-        assert all(table[ReliabilityPrior()][key] is etas for key, etas in kept.items())
+        for key, etas in kept.items():
+            assert np.array_equal(table[ReliabilityPrior()][key], etas, equal_nan=True)
 
     def test_subsets_read_the_parent_table_and_copies_start_empty(self, tmp_path):
         write_ordinal_json(simulate(SynthConfig(30, 60, 5, seed=4))[0], str(tmp_path / "d.json"))
@@ -1183,12 +1186,13 @@ class TestGraderSubsetsReadTheParentTable:
     @pytest.mark.parametrize("method", ["mal+g", "malbc+g", "mal+kg"])
     def test_protocols_after_the_parent_fit_run_no_batch(self, method, monkeypatch):
         rng = np.random.default_rng(5)
-        # 80 graders ranking 2 to 7 items strictly: six patterns of 62 values of X, all solved in the first
-        # round, and many subsets with a narrower ``coeff`` than their parent's.
-        items = [f"x{i}" for i in range(12)]
-        data = make_ordinal_dataset(
-            {f"g{g}": [[d] for d in rng.choice(items, size=int(rng.integers(2, 8)), replace=False)] for g in range(80)}
-        )
+        # 80 graders ranking 7 items, strictly or with their top two tied: two patterns of 43 values of X, all
+        # solved in the first round, and every subset as wide as its parent, as in the benchmark classes.
+        items, rankings = [f"x{i}" for i in range(12)], {}
+        for g in range(80):
+            chosen = rng.choice(items, size=7, replace=False).tolist()
+            rankings[f"g{g}"] = [chosen[:2], *([d] for d in chosen[2:])] if g % 3 else [[d] for d in chosen]
+        data = make_ordinal_dataset(rankings)
         targets = [WeakRanking.from_order(data.items)]
 
         def protocols():
@@ -1204,7 +1208,7 @@ class TestGraderSubsetsReadTheParentTable:
         monkeypatch.setattr(FeedbackArrays, "take", lambda *args: widths.append((sub := take(*args)).coeff.shape[1]) or sub)
         batches = _solve_spy(monkeypatch)
         shared = protocols()
-        assert batches == [] and min(widths) < data.feedback_arrays.coeff.shape[1] == 7
+        assert batches == [] and set(widths) == {data.feedback_arrays.coeff.shape[1]} == {7}
         select = experiments._select_graders
         monkeypatch.setattr(experiments, "_select_graders", lambda *args: dataclasses.replace(select(*args)))
         assert protocols() == shared and batches
@@ -1219,7 +1223,7 @@ class TestGraderSubsetsReadTheParentTable:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**16), st.booleans(), st.integers(2, 9), st.integers(4, 40))
-    def test_every_entry_is_its_own_solve_and_a_trimmed_subset_finds_it(self, seed, tied, max_items, n_graders):
+    def test_every_entry_is_its_own_solve_and_subsets_find_it(self, seed, tied, max_items, n_graders):
         rng = np.random.default_rng(seed)
         items = [f"x{i}" for i in range(12)]
         rankings = {}
@@ -1229,7 +1233,7 @@ class TestGraderSubsetsReadTheParentTable:
         prior, batches, newton = ReliabilityPrior(), [], mallows._newton_etas
 
         def spy(x, coeff, prior):
-            batches.append([(int(k), _pattern(row)) for k, row in zip(x.tolist(), coeff.tolist())])
+            batches.append([(int(k), tuple(row)) for k, row in zip(x.tolist(), coeff.tolist())])
             return newton(x, coeff, prior)
 
         mallows._newton_etas = spy
@@ -1246,23 +1250,23 @@ class TestGraderSubsetsReadTheParentTable:
                 assert len(batches) == 1 and None not in sum(kept.values(), [])
             for key, etas in kept.items():
                 _assert_fresh(key, etas, prior)
-            # The graders of fewest items: ``take`` trims every ``coeff`` column past the widest of them.
-            sizes = np.diff(arrays.offsets)
-            rows = np.flatnonzero(sizes == sizes.min())
-            sub = arrays.take(rows, tuple(f"s{r}" for r in rows.tolist()))
-            assert sub._solved_reliabilities is arrays._solved_reliabilities and sub.coeff.shape[1] == sizes.min()
-            position = rng.permutation(len(items))
-            batches.clear()
-            got = mallows._reliabilities(sub, position, prior)
-            if arrays.coeff.shape[1] < 8:
-                # Below 8 columns a key is the tie pattern, so the subset solves only what its parent has not.
-                assert all(kept.get(pattern, [None] * (x + 1))[x] is None for x, pattern in sum(batches, []))
-            after = _kept(arrays)[prior]
-            assert all(after[key][x] == eta for key, etas in kept.items() for x, eta in enumerate(etas) if eta is not None)
-            want = mallows._reliabilities(sub, position, prior, {})
+            # The graders of most items keep the parent's width and read its rows; those of fewest items,
+            # where fewer, have a narrower ``coeff`` and rows of their own.
+            sizes, position = np.diff(arrays.offsets), rng.permutation(len(items))
+            for rows in (np.flatnonzero(sizes == sizes.max()), np.flatnonzero(sizes == sizes.min())):
+                sub = arrays.take(rows, tuple(f"s{r}" for r in rows.tolist()))
+                assert sub._solved_reliabilities is arrays._solved_reliabilities
+                assert sub.coeff.shape[1] == sizes[rows[0]]
+                batches.clear()
+                got = mallows._reliabilities(sub, position, prior)
+                # The subset solves only what its parent has not.
+                assert all(kept.get(row, [None] * (x + 1))[x] is None for x, row in sum(batches, []))
+                after = _kept(arrays)[prior]
+                assert all(after[key][x] == eta for key, etas in kept.items() for x, eta in enumerate(etas) if eta is not None)
+                want = mallows._reliabilities(sub, position, prior, {})
+                assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
         finally:
             mallows._newton_etas = newton
-        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
 
 def _tied_class(n_items, n_graders, per_grader, seed):
