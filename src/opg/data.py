@@ -6,7 +6,7 @@ import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 from typing import Any, NamedTuple
 
@@ -207,11 +207,19 @@ def _scan_grades(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for fb in data.feedback:
         if fb.cardinal is None:
             raise ValidationError(f"grader {fb.grader!r} has no cardinal feedback")
-    index = {d: i for i, d in enumerate(data.items)}
-    grader = np.repeat(np.arange(len(data.feedback)), [len(fb.items) for fb in data.feedback])
-    item = np.array([index[d] for fb in data.feedback for d in fb.items], dtype=np.intp)
-    grade = np.array([fb.cardinal[d] for fb in data.feedback for d in fb.items], dtype=float)
-    return _grade_csr(grader, item, grade, len(data.feedback))
+    return _grade_arrays(data.items, [fb.cardinal for fb in data.feedback])
+
+
+def _grade_arrays(items: tuple[str, ...], maps: list) -> tuple[np.ndarray, ...] | None:
+    """The ``cardinal_arrays`` of one grade map per grader over the roster ``items``, or None if a grader has
+    none: the one layout of grade maps, of the records and of the JSON parse."""
+    if None in maps:
+        return None
+    index = dict(zip(items, range(len(items))))
+    grader = np.repeat(np.arange(len(maps)), list(map(len, maps)))
+    item = np.fromiter(map(index.__getitem__, chain.from_iterable(maps)), np.intp)
+    grade = np.fromiter(chain.from_iterable(map(dict.values, maps)), float)
+    return _grade_csr(grader, item, grade, len(maps))
 
 
 def _grade_csr(grader: np.ndarray, item: np.ndarray, grade: np.ndarray, n_graders: int) -> tuple[np.ndarray, ...]:
@@ -284,10 +292,11 @@ class EndTable(NamedTuple):
 class FeedbackArrays:
     """Every grader's ordinal feedback as read-only integer arrays, one entry per ranked item.
 
-    ``build``, a dataset's default maker of them, compiles its records, the
-    JSON parse its rankings and the CSV parse the rankings its grades induce,
-    all through ``_compile``; ``take`` gathers
-    a grader subset's from its parent's, for ``experiments._select_graders``.
+    ``_compile`` lays them out from each entry's item index, each tie group's
+    size and each grader's number of groups, which ``build`` (a dataset's
+    default maker of them), the JSON parse and the CSV parse each map from
+    their own input; ``take`` gathers a grader subset's from its parent's,
+    for ``experiments._select_graders``.
     Items are indices into the ``n_items`` sorted ``Dataset.items``; graders
     are positions in ``Dataset.feedback``. Grader g's entries are the slice
     ``offsets[g]:offsets[g + 1]`` (a CSR layout), best tie group first and
@@ -327,50 +336,34 @@ class FeedbackArrays:
         for fb in data.feedback:
             if fb.ordinal is None:
                 raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
-        return cls._compile(tuple(fb.grader for fb in data.feedback), data.items, [fb.ordinal.groups for fb in data.feedback])
+        rankings = [fb.ordinal.groups for fb in data.feedback]
+        groups = list(chain.from_iterable(rankings))
+        index = dict(zip(data.items, range(len(data.items))))
+        item = np.fromiter(map(index.__getitem__, chain.from_iterable(groups)), np.int32)
+        sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+        per_grader = np.fromiter(map(len, rankings), np.intp, len(rankings))
+        return cls._compile(tuple(fb.grader for fb in data.feedback), len(data.items), item, sizes, per_grader)
 
     @classmethod
-    def _compile(
-        cls, graders: tuple[str, ...], items: tuple[str, ...], rankings: list, parsed: bool = False
-    ) -> "FeedbackArrays | None":
-        """The arrays of ``graders``' ``rankings``, each its tie groups best first, over the sorted roster
-        ``items``: the one compile, of ``build`` and of both parses. The groups of ``build`` and of the CSV
-        parse are checked and sorted; ``parsed`` ones, read from JSON, are sorted here, and give None unless
-        every ranking is a non-empty list of non-empty lists of ``str`` ids in ``items``, none empty or twice
-        in its ranking."""
-        if parsed and set(map(type, rankings)) != {list}:
-            return None
-        groups = list(chain.from_iterable(rankings))
-        if parsed and set(map(type, groups)) != {list}:
-            return None
-        n_graders = len(rankings)
-        per_grader = np.fromiter(map(len, rankings), dtype=np.intp, count=n_graders)
-        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-        entries = list(chain.from_iterable(groups))
-        if parsed and (per_grader.min() == 0 or sizes.min() == 0 or set(map(type, entries)) != {str}):
-            return None
-        if parsed and sizes.max() > 1:
-            entries = list(chain.from_iterable(map(sorted, groups)))
-        index = {d: i for i, d in enumerate(items)}
-        index.pop("", None)  # a roster may list the empty id, but no ranking holds it
-        item = np.fromiter(map(index.get, entries, repeat(-1)), dtype=np.int32, count=len(entries))
+    def _compile(cls, graders: tuple[str, ...], n_items: int, item: np.ndarray, sizes: np.ndarray,
+                 per_grader: np.ndarray) -> "FeedbackArrays":
+        """The arrays of ``graders``' rankings, given as each entry's ``item`` index, ranking after ranking,
+        best tie group first and ascending within a group, each tie group's size in ``sizes`` and each
+        grader's number of groups in ``per_grader``: the one layout from item indices, of ``build`` and of
+        both parses, each of which maps and checks its own input."""
+        n_graders = len(per_grader)
         # A tie group's entries share the rank 1 + its first entry's place in its grader's slice.
         ends = np.cumsum(sizes)
         offsets = np.concatenate(([0], ends[np.cumsum(per_grader) - 1]))
         group_grader = np.repeat(np.arange(n_graders), per_grader)
         rank = np.repeat(ends - sizes - offsets[group_grader] + 1, sizes).astype(np.int32)
         counts = np.diff(offsets)
-        if parsed:
-            keys = np.sort(np.repeat(np.arange(n_graders) * len(items), counts) + item)
-            if item.min() < 0 or np.any(keys[1:] == keys[:-1]):
-                return None
-
         mmax = int(counts.max()) if n_graders else 1
         per_size = np.bincount(group_grader * mmax + sizes - 1, minlength=n_graders * mmax)
         at_least = per_size.reshape(n_graders, mmax)[:, ::-1].cumsum(axis=1)[:, ::-1]
         coeff, grader_coeff = _distinct_rows(at_least - (np.arange(mmax) < counts[:, None]))
-        arrays = offsets, item, rank, coeff.astype(float), grader_coeff.astype(np.int32)
-        return cls(graders, len(items), *_read_only(*arrays))
+        arrays = offsets, item.astype(np.int32, copy=False), rank, coeff.astype(float), grader_coeff.astype(np.int32)
+        return cls(graders, n_items, *_read_only(*arrays))
 
     def _records(self, items: tuple[str, ...], grades: list) -> tuple[GraderFeedback, ...]:
         """Every grader's record, built unchecked: its ranking over the roster ``items`` as ``_compile`` took

@@ -29,6 +29,7 @@ import io
 import json
 import math
 import os
+from contextlib import suppress
 from functools import cache, partial
 from itertools import chain, repeat
 from operator import itemgetter
@@ -36,7 +37,8 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Estimate, FeedbackArrays, GraderFeedback, _grade_csr, induced_ordinal
+from .data import (Dataset, Estimate, FeedbackArrays, GraderFeedback, _grade_arrays, _grade_csr, _stable_order,
+                   induced_ordinal)
 from .errors import DataFormatError, ValidationError
 from .rankings import WeakRanking
 
@@ -144,12 +146,13 @@ def parse_cardinal_csv(path: str) -> Dataset:
     ``cardinal_arrays``; each grader's induced ordinal ranking, which lets
     the ordinal methods run on the same data, is compiled into
     ``feedback_arrays``, and the ``feedback`` records are built, only when
-    read, under the rule of ``Dataset``. A file that fails a bulk check is
-    walked row by row to raise the first faulty row's ``DataFormatError``,
-    as is one with a line the ``csv`` reader refuses, which then raises a
-    ``DataFormatError`` naming that line.
+    read, under the rule of ``Dataset``. A file that fails a bulk check
+    raises the first faulty row's ``DataFormatError`` from those checks, as
+    does one with a line the ``csv`` reader refuses after a faulty row;
+    otherwise such a line raises a ``DataFormatError`` naming it. A leading
+    UTF-8 byte-order mark is skipped.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return _parse_cardinal_rows(csv.reader(fh), path)
 
 
@@ -165,14 +168,11 @@ def _parse_cardinal_rows(reader: Any, source: str) -> Dataset:
             )
         lines.extend(reader)
     except csv.Error as exc:  # a row the reader refuses: a fault on an earlier row is still raised first
-        _raise_first_row_fault(lines, source)
+        _grade_columns(lines, source)
         raise DataFormatError(f"{source}: line {reader.line_num}: {exc}") from exc
-    columns = _grade_columns([row for row in lines if row])
-    if columns is None:
-        _raise_first_row_fault(lines, source)
-    graders, items, gi, ii, grade = columns
+    graders, items, gi, ii, grade = _grade_columns(lines, source)
     grades = _grade_csr(gi, ii, grade, len(graders))
-    arrays = cache(partial(_induced_arrays, graders, items, *grades))
+    arrays = cache(partial(_induced_arrays, graders, len(items), *grades))
 
     def records() -> tuple[GraderFeedback, ...]:
         maps: list[dict[str, float]] = [{} for _ in graders]
@@ -184,71 +184,64 @@ def _parse_cardinal_rows(reader: Any, source: str) -> Dataset:
                             cardinal_arrays=grades, _feedback_graders=graders, _full_ordinal=True, _full_cardinal=True)
 
 
-def _grade_columns(rows: list[list[str]]) -> tuple | None:
-    """(graders, items, gi, ii, grade) of the non-blank ``rows``: the grader and item rosters, sorted, and
-    each row's grader and item, as indices into them, and grade; or None unless every row has three
-    fields, no empty id and a finite score, and no two rows have the same grader and item."""
-    if set(map(len, rows)) - {3}:
-        return None
-    fields = [field.strip() for field in chain.from_iterable(rows)]
-    grader_ids, item_ids = fields[0::3], fields[1::3]
-    if "" in grader_ids or "" in item_ids:
-        return None
-    try:
-        grade = np.array(list(map(float, fields[2::3])), dtype=float)
-    except ValueError:
-        return None
+def _grade_columns(lines: list[list[str]], source: str) -> tuple:
+    """(graders, items, gi, ii, grade) of the non-blank ``lines``, the rows after the header: the grader and
+    item rosters, sorted, and each row's grader and item, as indices into them, and grade.
+
+    Each check runs in bulk and gives the first row it fails, in this order: three fields, no empty id after
+    ``strip``, a score ``float`` reads, a finite score, and no (grader, item) pair of an earlier row, whose
+    first line comes from the stable-sorted pairs. A check reads only the rows before the first fault of the
+    checks ahead of it. The lowest such row raises the ``DataFormatError`` of its first fault, naming its
+    line, as a walk row by row would."""
+    rows = list(filter(None, lines))
+    wide = len(rows) if set(map(len, rows)) <= {3} else [len(row) == 3 for row in rows].index(False)
+    fields = [field.strip() for field in chain.from_iterable(rows[:wide])]
+    grader_ids, item_ids, scores = fields[0::3], fields[1::3], fields[2::3]
+    empty = min((ids + [""]).index("") for ids in (grader_ids, item_ids))
+    read: list[float] = []
+    with suppress(ValueError):  # ``extend`` keeps the scores read before the first that is not a number
+        read.extend(map(float, scores))
+    grade = np.array(read, dtype=float)
+    infinite = int(np.argmin(np.append(np.isfinite(grade), False)))  # len(read) if every score read is finite
     graders, items = tuple(sorted(set(grader_ids))), tuple(sorted(set(item_ids)))
-    gi = np.fromiter(map(dict(zip(graders, range(len(graders)))).__getitem__, grader_ids), np.intp, len(rows))
-    ii = np.fromiter(map(dict(zip(items, range(len(items)))).__getitem__, item_ids), np.intp, len(rows))
-    keys = np.sort(gi * len(items) + ii)
-    if not np.isfinite(grade).all() or np.any(keys[1:] == keys[:-1]):
-        return None
-    return graders, items, gi, ii, grade
+    gi = np.fromiter(map(dict(zip(graders, range(len(graders)))).__getitem__, grader_ids), np.intp, wide)
+    ii = np.fromiter(map(dict(zip(items, range(len(items)))).__getitem__, item_ids), np.intp, wide)
+    pairs = gi * len(items) + ii
+    order = _stable_order(pairs, len(graders) * len(items))
+    keys = pairs[order]
+    again = order[1:][keys[1:] == keys[:-1]]  # rows whose pair an earlier row has
+    first = min(wide, empty, len(read), infinite, int(again.min()) if len(again) else wide)
+    if first == len(rows):
+        return graders, items, gi, ii, grade
+    line = np.flatnonzero(list(map(bool, lines))) + 2  # the line of each non-blank row
+    if first == wide:
+        fault = f"expected 3 fields, got {len(rows[first])}"
+    elif first == empty:
+        fault = "empty grader or item id"
+    elif first == len(read):
+        fault = f"score {scores[first]!r} is not a number"
+    elif first == infinite:
+        fault = f"score {scores[first]!r} is not finite"
+    else:
+        seen = line[order[np.searchsorted(keys, pairs[first])]]
+        fault = f"duplicate grade for ({grader_ids[first]}, {item_ids[first]}), first seen on line {seen}"
+    raise DataFormatError(f"{source}: line {line[first]}: {fault}")
 
 
-def _raise_first_row_fault(lines: list[list[str]], source: str) -> None:
-    """Raise the ``DataFormatError`` of the first faulty row of ``lines``, the rows after the header, if
-    any: the checks of ``_grade_columns`` row by row, naming the row's line and a duplicate's first line."""
-    first_line: dict[tuple[str, str], int] = {}
-    for lineno, row in enumerate(lines, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"{source}: line {lineno}: expected 3 fields, got {len(row)}")
-        grader, item, raw = (field.strip() for field in row)
-        if not grader or not item:
-            raise DataFormatError(f"{source}: line {lineno}: empty grader or item id")
-        try:
-            score = float(raw)
-        except ValueError:
-            raise DataFormatError(f"{source}: line {lineno}: score {raw!r} is not a number")
-        if not math.isfinite(score):
-            raise DataFormatError(f"{source}: line {lineno}: score {raw!r} is not finite")
-        key = (grader, item)
-        if key in first_line:
-            raise DataFormatError(
-                f"{source}: line {lineno}: duplicate grade for ({grader}, {item}), "
-                f"first seen on line {first_line[key]}"
-            )
-        first_line[key] = lineno
-
-
-def _induced_arrays(graders: tuple[str, ...], items: tuple[str, ...], offsets: np.ndarray, item: np.ndarray,
+def _induced_arrays(graders: tuple[str, ...], n_items: int, offsets: np.ndarray, item: np.ndarray,
                     grade: np.ndarray) -> FeedbackArrays:
     """The compiled rankings that the grades, as ``cardinal_arrays`` lay them out, induce: each grader's tie
     groups of equal grades, best first and by item within a group, from one lexsort on (grader, -grade,
-    item), compiled by ``_compile``."""
+    item), whose item indices, group sizes and groups per grader go straight to ``_compile``."""
     grader = np.repeat(np.arange(len(graders)), np.diff(offsets))
     order = np.lexsort((item, -grade, grader))
-    g, y = grader[order], grade[order]
+    y = grade[order]  # ``grader`` is ascending already, so the lexsort keeps it in place
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (g[1:] != g[:-1]) | (y[1:] != y[:-1])
+    new[1:] = (grader[1:] != grader[:-1]) | (y[1:] != y[:-1])
     starts = np.flatnonzero(new)
-    ids, bounds = list(map(items.__getitem__, item[order].tolist())), starts.tolist() + [len(order)]
-    groups = list(zip(ids)) if len(starts) == len(ids) else [ids[a:b] for a, b in zip(bounds, bounds[1:])]
-    firsts = np.searchsorted(g[starts], np.arange(len(graders) + 1)).tolist()
-    return FeedbackArrays._compile(graders, items, [groups[a:b] for a, b in zip(firsts, firsts[1:])])
+    sizes = np.diff(np.append(starts, len(order)))
+    per_grader = np.bincount(grader[starts], minlength=len(graders))
+    return FeedbackArrays._compile(graders, n_items, item[order], sizes, per_grader)
 
 
 def write_cardinal_csv(data: Dataset, path: str) -> None:
@@ -311,7 +304,8 @@ def _ranking(groups: Any) -> WeakRanking:
 def dataset_from_dict(payload: Any, source: str = "<json>") -> Dataset:
     """The dataset of a parsed JSON payload (see ``parse_ordinal_json``).
 
-    A payload of plain JSON types is checked in bulk and its rankings are
+    A payload of plain JSON types is checked in bulk, every check of the
+    ranking format in ``_compiled``, and its rankings' item indices are
     compiled straight into the dataset's preset ``feedback_arrays``; its
     ``feedback`` records, with any grades, and its ``cardinal_arrays``, laid
     out from the grade maps, are left to callables, so, under the rule of
@@ -338,8 +332,10 @@ def _grade_map(grades: Any, ranking: list) -> dict[str, float] | None:
 
 
 def _compiled(payload: Any) -> Dataset | None:
-    """``payload``'s dataset, checked in bulk and compiled by ``FeedbackArrays._compile``, or None unless
-    every part has exactly the JSON type the format asks for and passes every check of ``_from_records``."""
+    """``payload``'s dataset, checked in bulk, each ranking's tie groups sorted, and compiled by
+    ``FeedbackArrays._compile`` from its item indices, or None unless every part has exactly the JSON type the
+    format asks for and passes every check of ``_from_records``: each ranking a non-empty list of non-empty
+    lists of ``str`` ids on the roster, none empty or twice in its ranking, among the rest."""
     if type(payload) is not dict:
         return None
     items, entries, lazy = payload.get("items"), payload.get("graders"), payload.get("lazy_graders", [])
@@ -354,9 +350,25 @@ def _compiled(payload: Any) -> Dataset | None:
     if graders != ids:
         entries = sorted(entries, key=itemgetter("id"))
     rankings = [entry.get("ranking") for entry in entries]
-    arrays = FeedbackArrays._compile(tuple(graders), roster, rankings, parsed=True)
-    if arrays is None:
+    if set(map(type, rankings)) != {list}:
         return None
+    groups = list(chain.from_iterable(rankings))
+    if set(map(type, groups)) != {list}:
+        return None
+    per_grader = np.fromiter(map(len, rankings), dtype=np.intp, count=len(rankings))
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    ranked = list(chain.from_iterable(groups))
+    if per_grader.min() == 0 or sizes.min() == 0 or set(map(type, ranked)) != {str}:
+        return None
+    if sizes.max() > 1:
+        ranked = list(chain.from_iterable(map(sorted, groups)))
+    index = dict(zip(roster, range(len(roster))))
+    index.pop("", None)  # a roster may list the empty id, but no ranking holds it
+    item = np.fromiter(map(index.get, ranked, repeat(-1)), dtype=np.int32, count=len(ranked))
+    keys = np.sort(np.repeat(np.repeat(np.arange(len(rankings)) * len(roster), per_grader), sizes) + item)
+    if item.min() < 0 or np.any(keys[1:] == keys[:-1]):
+        return None
+    arrays = FeedbackArrays._compile(tuple(graders), len(roster), item, sizes, per_grader)
     grades = [entry.get("grades") for entry in entries]
     maps = [g if g is None else _grade_map(g, ranking) for g, ranking in zip(grades, rankings)]
     if maps.count(None) != grades.count(None):
@@ -364,17 +376,6 @@ def _compiled(payload: Any) -> Dataset | None:
     later = {"feedback": partial(arrays._records, roster, maps), "cardinal_arrays": partial(_grade_arrays, roster, maps)}
     return Dataset._derived(roster, arrays.graders, frozenset(lazy), later, feedback_arrays=arrays,
                             _feedback_graders=arrays.graders, _full_ordinal=True, _full_cardinal=None not in maps)
-
-
-def _grade_arrays(items: tuple[str, ...], maps: list) -> tuple[np.ndarray, ...] | None:
-    """The ``cardinal_arrays`` of the grade maps of a parse's graders, or None if a grader has none."""
-    if None in maps:
-        return None
-    index = dict(zip(items, range(len(items))))
-    grader = np.repeat(np.arange(len(maps)), list(map(len, maps)))
-    item = np.fromiter(map(index.__getitem__, chain.from_iterable(maps)), np.intp)
-    grade = np.fromiter(chain.from_iterable(map(dict.values, maps)), float)
-    return _grade_csr(grader, item, grade, len(maps))
 
 
 def _from_records(payload: Any, source: str) -> Dataset:
@@ -426,7 +427,7 @@ def _from_records(payload: Any, source: str) -> Dataset:
 
 
 def _load_json(path: str) -> Any:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading UTF-8 byte-order mark is skipped
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -92,6 +92,16 @@ class TestParseCardinalCsv:
         data = parse_cardinal_csv(path)
         assert data.items == ("a",)
 
+    def test_a_file_with_a_byte_order_mark_parses_as_the_file_without_it(self, tmp_path):
+        text = 'grader_id,item_id,score\ng1,a,9\ng1,b,7\n"g1",c,7\n\ng2, b ,1.5\ng2,a,1.5\n'
+        want = parse_cardinal_csv(write_text(tmp_path / "plain.csv", text))
+        data = parse_cardinal_csv(write_text(tmp_path / "marked.csv", "\ufeff" + text))
+        for a, b in zip(data.cardinal_arrays, want.cardinal_arrays, strict=True):
+            assert np.array_equal(a, b)
+        for field in ("offsets", "item", "rank", "coeff", "grader_coeff"):
+            assert np.array_equal(getattr(data.feedback_arrays, field), getattr(want.feedback_arrays, field))
+        assert data == want
+
 
 class TestWriteCardinalCsv:
     def test_round_trip(self, tmp_path):
@@ -227,6 +237,17 @@ class TestOrdinalJson:
     def test_dict_round_trip_without_files(self):
         data = make_ordinal_dataset({"g1": [["b"], ["a"]]})
         assert dataset_from_dict(dataset_to_dict(data)) == data
+
+    @pytest.mark.parametrize("payload, read", [
+        ({"items": ["a", "b", "c"], "graders": [
+            {"id": "g1", "ranking": [["b"], ["a", "c"]], "grades": {"a": 1.0, "b": 2.5, "c": 1.0}},
+            {"id": "g2", "ranking": [["c"], ["a"]]}]}, parse_ordinal_json),
+        ({"ranking": [["b"], ["a", "c"]], "scores": {"a": 0.5, "b": 1.5}, "metadata": {"k": 1}}, read_estimate),
+    ], ids=["dataset", "estimate"])
+    def test_a_file_with_a_byte_order_mark_parses_as_the_file_without_it(self, tmp_path, payload, read):
+        text = json.dumps(payload)
+        want = read(write_text(tmp_path / "plain.json", text))
+        assert read(write_text(tmp_path / "marked.json", "\ufeff" + text)) == want
 
 
 class TestGradedJsonParse:

@@ -94,7 +94,8 @@ def assert_parsed_as_the_oracle(path: str) -> None:
     assert_same_arrays(data.feedback_arrays, FeedbackArrays.build(data))
 
 
-# Each fault is a row that fails one per-row check; a duplicate repeats the grader and item of the first row.
+# Each fault is a row that fails one per-row check, or two on one line, of which the row-by-row oracle
+# names the earlier; a duplicate repeats the grader and item of the first row.
 _FAULTS = {
     "two fields": lambda first: "gq,q",
     "four fields": lambda first: "gq,q,1,2",
@@ -104,6 +105,11 @@ _FAULTS = {
     "not finite": lambda first: "gq,q,-inf",
     "overflows": lambda first: "gq,q,1e999",
     "duplicate": lambda first: first + ",5",
+    "two fields, one empty": lambda first: ",q",
+    "empty grader, not a number": lambda first: " ,q,best",
+    "empty item, not finite": lambda first: "gq,,inf",
+    "duplicate, not a number": lambda first: first + ",x1",
+    "duplicate, not finite": lambda first: first + ",nan",
 }
 
 
