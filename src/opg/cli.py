@@ -34,7 +34,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fitting = argparse.ArgumentParser(add_help=False)
     fitting.add_argument("--input", required=True)
     fitting.add_argument("--format", choices=("ordinal", "cardinal"), default=None)
-    fitting.add_argument("--seed", type=int, default=0)
+    fitting.add_argument("--seed", type=int, default=0, help=(
+        "orders plain thur's SVRG steps, the one fit that draws; an experiment also seeds its "
+        "repetitions from it"
+    ))
     fitting.add_argument("--iterations", type=int, default=10, help=(
         "alternating reliability rounds of mal+g, malbc+g, mal+kg and ncs+g; ncs+g runs "
         "exactly this many; mal+g, malbc+g and mal+kg run at most this many and stop, "

@@ -452,7 +452,7 @@ class Estimate:
 
     ``ranking`` always covers the estimator's item roster. ``scores`` and
     ``reliabilities`` are present only for models that produce them.
-    ``metadata`` records run details such as seeded tie-breaking.
+    ``metadata`` records run details such as the solver's steps and whether it converged.
     """
 
     ranking: WeakRanking

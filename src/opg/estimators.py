@@ -17,11 +17,11 @@ __all__ = ["MODEL_NAMES", "ModelOptions", "fit_model", "model_uses_reliability"]
 class ModelOptions:
     """Shared knobs for fitting; defaults match the documented priors.
 
-    ``seed`` seeds every random draw of a fit (tie breaks, plain ``thur``'s
-    SVRG order). ``iterations`` bounds the alternating rounds of
-    ``mal+g``, ``malbc+g``, ``mal+kg`` and ``ncs+g``; the score models'
-    "+g" fits have no rounds. Both must be >= 0. ``tie_epsilon`` must be
-    finite and >= 0.
+    ``seed`` orders plain ``thur``'s SVRG steps, the one fit that draws;
+    every other estimate is a function of the feedback. ``iterations``
+    bounds the alternating rounds of ``mal+g``, ``malbc+g``, ``mal+kg`` and
+    ``ncs+g``; the score models' "+g" fits have no rounds. Both must be
+    >= 0. ``tie_epsilon`` must be finite and >= 0.
     """
 
     seed: int = 0
@@ -103,7 +103,6 @@ def fit_model(name: str, data: Dataset, options: ModelOptions | None = None) -> 
             with_reliability=with_rel,
             iterations=options.iterations,
             reliability_prior=options.reliability_prior,
-            seed=options.seed,
         )
     else:
         est = scoremodels.fit(

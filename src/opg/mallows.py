@@ -162,8 +162,8 @@ class _Centers:
     item's own from ``FeedbackArrays.ends``, and the cost X_g per grader from
     the masks of ``FeedbackArrays.blocks``. A dataset without feedback has no
     pairs; the estimators, which rank from feedback, refuse it in
-    ``check_feedback``. Nothing here draws: ``fit_mallows`` breaks the ties,
-    from a generator seeded by its ``seed`` at the first tie.
+    ``check_feedback``. Nothing here draws: a tie group lists its items in
+    index order, which is id order, and a total order taken from it keeps that.
     """
 
     def __init__(self, data: Dataset):
@@ -393,13 +393,16 @@ _NEWTON_STEP = 1e-9
 def _reliability_slopes(u: np.ndarray, x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior):
     """G = df/du = shape - 1 - eta*(X + 1/scale) + sum_i A_i*t_i*r_i and G' = dG/du =
     G - (shape - 1) - sum_i A_i*t_i^2*r_i*(1 + r_i) of the problems of ``_newton_etas``
-    at u = ln(eta), where t_i = i*eta and r_i = 1/(e^t_i - 1), 0 where e^-t_i underflows."""
+    at u = ln(eta), where t_i = i*eta and r_i = 1/(e^t_i - 1), 0 where e^-t_i underflows.
+    Both sums run over i in order (``sum`` would add 8 or more terms pairwise), so the zeros that
+    pad ``coeff`` to a wider class change no eta."""
     eta = np.exp(u)
     t = eta[:, None] * np.arange(1, coeff.shape[1] + 1)
     r = np.exp(-t) / -np.expm1(-t)
     tr = coeff * t * r
     linear = eta * (x + 1.0 / prior.scale)
-    return prior.shape - 1.0 - linear + tr.sum(axis=1), (tr * (1.0 - t * (1.0 + r))).sum(axis=1) - linear
+    slope, curvature = np.cumsum(tr, axis=1)[:, -1], np.cumsum(tr * (1.0 - t * (1.0 + r)), axis=1)[:, -1]
+    return prior.shape - 1.0 - linear + slope, curvature - linear
 
 
 def _newton_etas(x: np.ndarray, coeff: np.ndarray, prior: ReliabilityPrior) -> np.ndarray:
@@ -501,19 +504,6 @@ def fit_reliabilities(
     return prior._by_grader(data.graders, arrays.graders, _reliabilities(arrays, position, prior, {})[0])
 
 
-def _break_ties(order: np.ndarray, cuts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``break_ties`` on ``_weak_ranking``'s order and cuts: the same draws in the same order.
-
-    Only groups of two or more items are shuffled, as ``rng.permutation(1)`` draws nothing.
-    """
-    total = order.copy()
-    bounds = np.concatenate(([0], cuts, [len(order)]))
-    tied = np.flatnonzero(np.diff(bounds) > 1)
-    for lo, hi in zip(bounds[tied].tolist(), bounds[tied + 1].tolist()):
-        total[lo:hi] = order[lo:hi][rng.permutation(hi - lo)]
-    return total
-
-
 def fit_mallows(
     data: Dataset,
     *,
@@ -522,7 +512,6 @@ def fit_mallows(
     with_reliability: bool = False,
     iterations: int = 10,
     reliability_prior: ReliabilityPrior | None = None,
-    seed: int = 0,
 ) -> Estimate:
     """Aggregate ordinal feedback with the permutation-noise model family.
 
@@ -533,12 +522,11 @@ def fit_mallows(
     with the ``family`` and ``kemenized`` it used as ``metadata``. With
     ``with_reliability`` that center starts rounds that re-estimate the center
     and per-grader reliabilities alternately. Each round fits the
-    reliabilities exactly against the center, its ties broken by a generator
-    seeded by ``seed`` when the first tie is broken: a fit that breaks none
-    draws nothing and does not import ``numpy.random``. Given them, the center
-    enters the joint posterior only through its cost sum_g eta_g * X_g, so the
-    round then takes the center they give (ties broken by the next draws) only
-    if it costs less, or with ``kemenize`` the old center after local
+    reliabilities exactly against the center, a Borda center's ties broken in
+    id order, the order its tie groups list. Given them, the center enters the
+    joint posterior only through its cost sum_g eta_g * X_g, so the round then
+    takes the center they give (its ties broken the same way) only if it costs
+    less, or with ``kemenize`` the old center after local
     improvement; the first round that finds no cheaper center keeps the old
     one and ends the fit. ``metadata`` records the ``rounds`` run (at most
     ``iterations``), whether the last found no cheaper center
@@ -584,34 +572,22 @@ def fit_mallows(
         return Estimate(ranking=_weak_ranking(data.items, order, cuts), metadata=metadata)
 
     prior = reliability_prior or ReliabilityPrior()
-    rng = None
-
-    def drawn(order: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        nonlocal rng
-        if len(cuts) == len(singletons):
-            return order
-        metadata["tie_break"] = "seeded"
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        return _break_ties(order, cuts, rng)
-
     metadata["reliability_iterations"] = iterations
     changes, costs, converged = [], [], False
-    total = drawn(order, cuts) if iterations else order
+    total = order
     while len(changes) < iterations and not converged:
         last = etas
         etas, x_g = _reliabilities(centers.arrays, np.argsort(total), prior)
         changes.append(float(np.abs(np.log(etas) - np.log(last)).max()))
         cost = _cost(etas, x_g)
         order, cuts = center_for(etas)
-        candidate = drawn(order, cuts)
-        new_cost = centers.cost(candidate, etas)
+        new_cost = centers.cost(order, etas)
         # Every swap local improvement makes lowers the cost, so the old center polished is a fallback.
         if kemenize and not new_cost < cost:
-            order = candidate = centers.kemenize(total, etas)
-            new_cost = centers.cost(candidate, etas)
+            order = centers.kemenize(total, etas)
+            new_cost = centers.cost(order, etas)
         converged = not new_cost < cost
-        total, cost = (total, cost) if converged else (candidate, new_cost)
+        total, cost = (total, cost) if converged else (order, new_cost)
         costs.append(cost)
     if converged:
         order, cuts = total, singletons

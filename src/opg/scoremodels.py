@@ -7,7 +7,8 @@ eta) to a likelihood of the observed rankings:
   tied pairs express no preference and contribute nothing,
 * pairwise probit: P(i above j) = Phi(sqrt(eta) * (s_i - s_j)),
 * listwise choice: sequential choice of each ranked item against the items
-  at or below it, P proportional to exp(eta * s),
+  at or below it, P proportional to exp(eta * s); a tie group by Efron's
+  approximation,
 * score-weighted permutation model: probability proportional to
   exp(-eta * weighted inversion count), where each inverted pair costs the
   score gap between its items; a tie group stands for every total order
@@ -43,7 +44,7 @@ import numpy as np
 from .config import _ETA_BOUNDS, ReliabilityPrior, ScorePrior
 from .data import Dataset, Estimate, FeedbackArrays
 from .errors import EnumerationCapError, ValidationError
-from .mallows import _break_ties, _check_eta
+from .mallows import _check_eta
 from .rankings import WeakRanking, ranking_from_scores
 
 __all__ = [
@@ -96,7 +97,7 @@ class _BlockBatch:
 
     A block in ``blocks`` is (graders, items, *the subclass's ``_tables``),
     where column c of the (m, G) ``items`` is grader ``graders[c]``'s items,
-    best first in ``order`` (by default the feedback's entry order), and
+    best first in the feedback's entry order, and
     ``_tables`` reads the block's ranks and the strict pairs (first, second,
     strict) that ``FeedbackArrays.blocks`` keeps for it.
     ``_kernel`` gives each grader's negative log-likelihood and its gradient
@@ -111,8 +112,8 @@ class _BlockBatch:
     with the default mode ``take`` writes through a temporary.
     """
 
-    def __init__(self, arrays: FeedbackArrays, order: np.ndarray | None = None):
-        order = arrays.item.astype(np.intp) if order is None else order
+    def __init__(self, arrays: FeedbackArrays):
+        order = arrays.item.astype(np.intp)
         self.blocks, self.work = [], []
         for graders, entries, *pairs in arrays.blocks:
             block = (graders, order[entries], *self._tables(arrays.rank[entries], *pairs))
@@ -254,38 +255,62 @@ class _ProbitBatch(_PairwiseBatch):
 
 
 class _ListBatch(_BlockBatch):
-    """Every grader's total order under the sequential-choice model.
+    """Every grader's weak ranking under the sequential-choice model, each tie
+    group by Efron's approximation (Efron 1977).
 
-    ``tied`` is whether any tie had to be broken. Only then is a generator
-    created, ``np.random.default_rng(seed)``, and each tie group shuffled
-    with the draws of ``mallows._break_ties``: one ``rng.permutation`` per
-    group of two or more items, in entry order. The kernel computes in u, its
-    suffix log-sum-exps and gu.
+    Position k of a tie group of t items, from position a to just before b,
+    chooses against D_k = (1 - l/t) * S_a + (l/t) * S_b at l = k - a, where
+    S_j sums exp(u) over positions j and below. That is the exact suffix sum
+    at k had each item of the group the group's mean weight, so the kernel
+    runs the exact likelihood's recursions on those weights
+    (``_log_group_means``). A block whose graders tie nothing is (graders,
+    items); a tied block adds, per position, whether it closes its group,
+    the flat index of its group's first position and log t. The kernel
+    computes in u, its suffix log-sum-exps and gu, and in a tied block also
+    in the log mean weights and one scratch array.
     """
 
-    def __init__(self, arrays: FeedbackArrays, seed: int | np.random.Generator):
-        # An entry opens a tie group when its rank is its 1-based place in its grader's slice.
-        place = np.arange(len(arrays.rank)) - np.repeat(arrays.offsets[:-1], np.diff(arrays.offsets)) + 1
-        starts = np.flatnonzero(arrays.rank == place)
-        self.tied = len(starts) < len(place)
-        order = _break_ties(arrays.item.astype(np.intp), starts[1:], np.random.default_rng(seed)) if self.tied else None
-        super().__init__(arrays, order)
+    def _tables(self, ranks: np.ndarray, *pairs) -> tuple:
+        m, g = ranks.shape
+        closes = np.vstack((ranks[1:] != ranks[:-1], np.ones((1, g), dtype=bool)))
+        if closes.all():
+            return ()
+        place = np.arange(m)[:, None]
+        last = np.minimum.accumulate(np.where(closes, place, m)[::-1], axis=0)[::-1]
+        return closes, (ranks - 1) * g + np.arange(g), np.log(last - ranks + 2.0)
 
     def _work(self, block: tuple) -> tuple[np.ndarray, ...]:
-        return tuple(np.empty((3, *block[1].shape)))
+        return tuple(np.empty((3 if len(block) == 2 else 5, *block[1].shape)))
 
     def _kernel(
-        self, block: tuple, eta: np.ndarray, s_items: np.ndarray, u: np.ndarray, lse: np.ndarray, gu: np.ndarray
+        self, block: tuple, eta: np.ndarray, s_items: np.ndarray, u: np.ndarray, lse: np.ndarray, gu: np.ndarray,
+        *tied: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(eta, s_items, out=u)
-        _logaddexp_rows(u[::-1], lse[::-1])
+        choosers = _log_group_means(u, *block[2:], *tied) if tied else u
+        _logaddexp_rows(choosers[::-1], lse[::-1])
         nll = np.subtract(lse, u, out=gu).sum(axis=0)
-        # d nll / d u_k = sum over choices i <= k of exp(u_k - lse_i), minus 1;
-        # the exponent is at most log(k + 1), so nothing overflows.
+        # d nll / d u_k = sum over choices i <= k of exp(u_k - lse_i), minus 1, a
+        # tied item's sum the mean of its group's; the exponent is at most log m,
+        # so nothing overflows.
         _logaddexp_rows(np.negative(lse, out=lse), gu)
+        if tied:
+            _log_group_means(gu, *block[2:], gu, tied[1])
         np.exp(np.add(u, gu, out=gu), out=gu)
         gu -= 1.0
         return nll, gu
+
+
+def _log_group_means(
+    t: np.ndarray, closes: np.ndarray, first: np.ndarray, log_sizes: np.ndarray, out: np.ndarray, sums: np.ndarray
+) -> np.ndarray:
+    """log of the mean of exp(t) over each position's tie group, into ``out``: the group's log-sum-exp from
+    each position down, in ``sums``, read at the group's ``first`` position; t itself at an untied one."""
+    sums[-1] = t[-1]
+    for k in range(len(t) - 2, -1, -1):
+        np.logaddexp(sums[k + 1], t[k], out=sums[k])
+        np.copyto(sums[k], t[k], where=closes[k])
+    return np.subtract(sums.take(first, out=out, mode="clip"), log_sizes, out=out)
 
 
 def _logaddexp_rows(t: np.ndarray, out: np.ndarray) -> None:
@@ -458,20 +483,18 @@ class _PermBatch(_BlockBatch):
 # --- model preparation and objective ----------------------------------------
 
 
-def _prepare(model: str, data: Dataset, seed: int | np.random.Generator) -> tuple[_BlockBatch, dict[str, Any]]:
+def _prepare(model: str, data: Dataset) -> _BlockBatch:
     """The model's likelihood over ``data``, one batch over every grader built
-    from ``data.feedback_arrays`` (the listwise one breaks ties by
-    ``np.random.default_rng(seed)``), and the metadata its fit reports."""
+    from ``data.feedback_arrays``."""
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
     fa = data.feedback_arrays
     if not fa.graders:
         raise ValidationError("dataset has no feedback")
     if model in ("bt", "thur"):
-        return (_ProbitBatch if model == "thur" else _PairwiseBatch)(fa), {}
+        return (_ProbitBatch if model == "thur" else _PairwiseBatch)(fa)
     if model == "pl":
-        batch = _ListBatch(fa, seed)
-        return batch, {"tie_break": "seeded"} if batch.tied else {}
+        return _ListBatch(fa)
     counts = np.diff(fa.offsets)
     if counts.max() > ENUMERATION_CAP:
         g = int(np.argmax(counts > ENUMERATION_CAP))
@@ -479,7 +502,7 @@ def _prepare(model: str, data: Dataset, seed: int | np.random.Generator) -> tupl
             f"grader {fa.graders[g]!r} graded {counts[g]} items, above the cap {ENUMERATION_CAP} "
             f"of the subset recursion; exclude this model"
         )
-    return _PermBatch(fa), {}
+    return _PermBatch(fa)
 
 
 def _posterior(
@@ -526,18 +549,16 @@ def negative_log_posterior(
     *,
     score_prior: ScorePrior | None = None,
     reliability_prior: ReliabilityPrior | None = None,
-    seed: int = 0,
 ) -> Objective:
     """Negative log-posterior of a score model, with analytic gradients.
 
     With ``reliabilities`` omitted every grader has eta = 1 and the
     reliability prior and gradient are excluded. Additive constants are
     dropped throughout. Its value is the objective that every L-BFGS fit
-    minimises, computed by the same ``_posterior``. ``seed`` breaks the ties
-    of ``pl`` feedback, from a generator created only if there are any.
+    minimises, computed by the same ``_posterior``.
     """
     score_prior = score_prior or ScorePrior()
-    batch, _ = _prepare(model, data, seed)
+    batch = _prepare(model, data)
     items, graders = data.items, data.feedback_arrays.graders
     missing = [x for x in items if x not in scores]
     if missing:
@@ -702,7 +723,7 @@ def _fit_batch(
     batch: _BlockBatch,
     score_prior: ScorePrior,
     reliability_prior: ReliabilityPrior | None,
-    seed: int | np.random.Generator,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Scores, reliabilities and the solver's report of a fit from the prior mean.
 
@@ -766,14 +787,12 @@ def fit(
     respect to the scores and, for ``+g``, log(eta), leaving out a log(eta)
     held at a bound by a gradient pointing out of it. A fit has
     ``converged`` when that is at most 1e-6. ``seed`` orders plain
-    ``thur``'s SVRG steps and seeds the tie-breaking of ``pl`` and
-    ``pl+g``; it does not affect ``bt``, ``mals`` or ``thur+g``. Only those
-    draws create a generator, so ``pl`` on untied feedback and every other
-    model but plain ``thur`` do not import ``numpy.random``.
+    ``thur``'s SVRG steps and nothing else: no other fit draws. A ``pl`` tie
+    group is scored by Efron's approximation.
     """
     score_prior = score_prior or ScorePrior()
     rprior = (reliability_prior or ReliabilityPrior()) if with_reliability else None
-    batch, metadata = _prepare(model, data, seed)
+    batch = _prepare(model, data)
     graded = np.bincount(data.feedback_arrays.item, minlength=len(data.items)) > 0
     if not graded.all():
         ungraded = [data.items[i] for i in np.flatnonzero(~graded)]
@@ -786,5 +805,5 @@ def fit(
         ranking=ranking_from_scores(scores, tie_epsilon),
         scores=scores,
         reliabilities=reliabilities,
-        metadata={**metadata, **report, "model": model + ("+g" if with_reliability else "")},
+        metadata={**report, "model": model + ("+g" if with_reliability else "")},
     )

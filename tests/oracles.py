@@ -35,7 +35,7 @@ import math
 import warnings
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -46,7 +46,7 @@ from opg.data import Dataset, Estimate, FeedbackArrays, GraderFeedback, _distinc
 from opg.errors import DataFormatError, EnumerationCapError, ValidationError
 from opg.experiments import CurvePoint, ExperimentReport
 from opg.mallows import MallowsParams, _check_eta, _newton_etas, greedy_mle_ranking
-from opg.rankings import WeakRanking, break_ties, ranking_from_scores
+from opg.rankings import WeakRanking, ranking_from_scores
 from opg.scoremodels import (
     _GRAD_TOLERANCE,
     _LOG_SQRT_2PI,
@@ -276,7 +276,7 @@ def mals_log_likelihood(
     """
     _check_eta(eta)
     data = Dataset.from_feedback([feedback])
-    batch, _ = _prepare("mals", data, np.random.default_rng(0))
+    batch = _prepare("mals", data)
     missing = [x for x in data.items if x not in scores]
     if missing:
         raise ValidationError(f"scores missing for items: {missing}")
@@ -711,7 +711,6 @@ def dict_fit_mallows(
     with_reliability: bool = False,
     iterations: int = 10,
     reliability_prior: ReliabilityPrior | None = None,
-    seed: int = 0,
 ) -> Estimate:
     """Aggregate ordinal feedback with the permutation-noise model family.
 
@@ -720,7 +719,7 @@ def dict_fit_mallows(
     improvement (``kemenize``, greedy center only). With ``with_reliability``
     the center and per-grader reliabilities are re-estimated alternately for
     ``iterations`` rounds, starting from all reliabilities equal to 1. A
-    round takes its new center (ties broken by the next draws) only if it
+    round takes its new center (a tie group's items in id order) only if it
     costs less than the old one under the round's reliabilities; with
     ``kemenize`` it falls back to the old center after local improvement.
     A round that finds no cheaper center keeps the old one and ends the fit.
@@ -728,7 +727,6 @@ def dict_fit_mallows(
     if use_borda and kemenize:
         raise ValidationError("local improvement applies to the greedy variant only")
     prior = reliability_prior or ReliabilityPrior()
-    rng = np.random.default_rng(seed)
     metadata: dict = {
         "family": "borda" if use_borda else "greedy",
         "kemenized": kemenize,
@@ -743,10 +741,7 @@ def dict_fit_mallows(
         return ranking
 
     def drawn(center: WeakRanking) -> WeakRanking:
-        if center.is_total:
-            return center
-        metadata["tie_break"] = "seeded"
-        return break_ties(center, rng)
+        return WeakRanking.from_order(item for group in center.groups for item in group)
 
     center = center_for(MallowsParams())
     etas: dict[str, float] | None = None
@@ -855,34 +850,43 @@ class _LogisticPairTerm:
 
 
 class _ListTerm:
-    """One grader's total order under the sequential-choice model."""
+    """One grader's weak ranking under the sequential-choice model, each tie
+    group by Efron's approximation, summed choice by choice: the l-th of a
+    group's t choices (l = 0..t-1) is made against everything below the group
+    plus (t - l) / t of the group. A grader without ties gets the exact
+    sequential-choice likelihood."""
 
-    __slots__ = ("global_idx", "order_local")
+    __slots__ = ("global_idx", "groups_local")
 
-    def __init__(self, global_idx: np.ndarray, order_local: np.ndarray):
+    def __init__(self, global_idx: np.ndarray, groups_local: list[np.ndarray]):
         self.global_idx = global_idx
-        self.order_local = order_local
+        self.groups_local = groups_local
 
     def value_and_grads(
         self, s: np.ndarray, eta: float, need_s: bool, need_eta: bool
     ) -> tuple[float, np.ndarray | None, float | None]:
-        m = len(self.global_idx)
-        s_ord = s[self.global_idx][self.order_local]
-        u = eta * s_ord
-        suffix_lse = np.logaddexp.accumulate(u[::-1])[::-1]
-        nll = float((suffix_lse - u).sum())
-        grad_s = None
-        grad_eta = None
-        if need_s or need_eta:
-            gu = np.zeros(m)
-            for i in range(m - 1):
-                gu[i:] += np.exp(u[i:] - suffix_lse[i])
-                gu[i] -= 1.0
-            if need_s:
-                grad_s = np.zeros(m)
-                grad_s[self.order_local] = eta * gu
-            if need_eta:
-                grad_eta = float(gu @ s_ord)
+        s_local = s[self.global_idx]
+        u = (eta * s_local).tolist()
+        nll, gu = 0.0, [0.0] * len(u)
+        for gi, group in enumerate(self.groups_local):
+            members = group.tolist()
+            rest = [j for later in self.groups_local[gi + 1:] for j in later.tolist()]
+            t = len(members)
+            for l in range(t):
+                # (item, its coefficient in this choice's denominator), summed shifted by the largest u.
+                terms = [(j, 1.0) for j in rest] + [(j, (t - l) / t) for j in members]
+                top = max(u[j] for j, _ in terms)
+                weights = [(j, c * math.exp(u[j] - top)) for j, c in terms]
+                denominator = sum(w for _, w in weights)
+                nll += math.log(denominator) + top
+                for j, w in weights:
+                    gu[j] += w / denominator
+            for j in members:
+                nll -= u[j]
+                gu[j] -= 1.0
+        gu_arr = np.array(gu)
+        grad_s = eta * gu_arr if need_s else None
+        grad_eta = float(gu_arr @ s_local) if need_eta else None
         return nll, grad_s, grad_eta
 
 
@@ -1011,7 +1015,6 @@ class _TermsPrepared:
     items: tuple[str, ...]
     graders: tuple[str, ...]
     terms: list[Any]
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 def _total_objective(
@@ -1052,7 +1055,7 @@ def _initial_scores(model: str, data: Dataset, prep: _TermsPrepared) -> np.ndarr
     return s
 
 
-def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeration_cap: int = 9) -> _TermsPrepared:
+def dict_prepare(model: str, data: Dataset, enumeration_cap: int = 9) -> _TermsPrepared:
     if model not in SCORE_MODELS:
         raise ValidationError(f"unknown score model {model!r}; expected one of {SCORE_MODELS}")
     if not data.feedback:
@@ -1061,7 +1064,6 @@ def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeratio
     index = {item: i for i, item in enumerate(items)}
     terms: list[Any] = []
     graders: list[str] = []
-    metadata: dict[str, Any] = {}
     for fb in data.feedback:
         if fb.ordinal is None:
             raise ValidationError(f"grader {fb.grader!r} has no ordinal feedback")
@@ -1084,21 +1086,18 @@ def dict_prepare(model: str, data: Dataset, rng: np.random.Generator, enumeratio
                 terms.append(_PairTerm(global_idx, wl_arr, ll_arr))
             else:
                 terms.append(_LogisticPairTerm(global_idx, wl_arr, ll_arr))
-        elif model == "pl":
-            if not ranking.is_total:
-                ranking = break_ties(ranking, rng)
-                metadata["tie_break"] = "seeded"
-            order_local = np.array([member_index[x] for x in ranking.order()], dtype=np.int64)
-            terms.append(_ListTerm(global_idx, order_local))
         else:
+            groups_local = [np.array([member_index[x] for x in g], dtype=np.int64) for g in ranking.groups]
+            if model == "pl":
+                terms.append(_ListTerm(global_idx, groups_local))
+                continue
             if len(fb.items) > enumeration_cap:
                 raise EnumerationCapError(
                     f"grader {fb.grader!r} graded {len(fb.items)} items, above the exact-enumeration "
                     f"cap {enumeration_cap}; exclude this model or raise the cap"
                 )
-            groups_local = [np.array([member_index[x] for x in g], dtype=np.int64) for g in ranking.groups]
             terms.append(_WeightedPermTerm(global_idx, groups_local))
-    return _TermsPrepared(model=model, items=items, graders=tuple(graders), terms=terms, metadata=metadata)
+    return _TermsPrepared(model=model, items=items, graders=tuple(graders), terms=terms)
 
 
 def dict_negative_log_posterior(
@@ -1109,11 +1108,10 @@ def dict_negative_log_posterior(
     *,
     score_prior: ScorePrior | None = None,
     reliability_prior: ReliabilityPrior | None = None,
-    seed: int = 0,
 ) -> Objective:
     """``opg.scoremodels.negative_log_posterior`` as a sum over per-grader terms."""
     score_prior = score_prior or ScorePrior()
-    prep = dict_prepare(model, data, np.random.default_rng(seed))
+    prep = dict_prepare(model, data)
     s = np.array([float(scores[x]) for x in prep.items])
     with_rel = reliabilities is not None
     etas = np.array([float(reliabilities[g]) for g in prep.graders]) if with_rel else np.ones(len(prep.graders))
@@ -1225,7 +1223,7 @@ def dict_fit(
     score_prior = score_prior or ScorePrior()
     rprior = reliability_prior or ReliabilityPrior()
     rng = np.random.default_rng(seed)
-    prep = dict_prepare(model, data, rng, enumeration_cap)
+    prep = dict_prepare(model, data, enumeration_cap)
 
     s = _initial_scores(model, data, prep)
     etas = np.ones(len(prep.graders))
@@ -1237,13 +1235,11 @@ def dict_fit(
             s = dict_sgd_scores(prep, s, etas, max_epochs, rel_tolerance, rng, score_prior, rprior)
         reliabilities = {g: float(etas[i]) for i, g in enumerate(prep.graders)}
     scores = {item: float(s[i]) for i, item in enumerate(prep.items)}
-    metadata = dict(prep.metadata)
-    metadata["model"] = model + ("+g" if with_reliability else "")
     return Estimate(
         ranking=ranking_from_scores(scores, tie_epsilon),
         scores=scores,
         reliabilities=reliabilities,
-        metadata=metadata,
+        metadata={"model": model + ("+g" if with_reliability else "")},
     )
 
 
@@ -1604,11 +1600,19 @@ def log_permanent(
     return logz, expected
 
 
+def choice_block_kernel(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sequential-choice kernel of a (m, G) block without ties, allocating: each column's
+    negative log-likelihood and its gradient in u."""
+    lse = np.logaddexp.accumulate(u[::-1], axis=0)[::-1]
+    return (lse - u).sum(axis=0), np.exp(u + np.logaddexp.accumulate(-lse, axis=0)) - 1.0
+
+
 def list_batch_evaluate(
     batch: Any, s: np.ndarray, etas: np.ndarray, need_eta: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``_ListBatch.evaluate`` in the row layout it had before it shared the
-    blocked loop: row r of a block is grader ``graders[r]``'s items, best first."""
+    """``_ListBatch.evaluate`` on feedback without ties, in the row layout it had
+    before it shared the blocked loop: row r of a block is grader ``graders[r]``'s
+    items, best first."""
     nll = np.zeros(batch.n_graders)
     grad_s = np.zeros(batch.n_items)
     grad_eta = np.zeros(batch.n_graders) if need_eta else None

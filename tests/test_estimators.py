@@ -50,7 +50,6 @@ def _direct_fit(name, data, options):
             with_reliability=with_rel,
             iterations=options.iterations,
             reliability_prior=options.reliability_prior,
-            seed=options.seed,
         )
     return scoremodels.fit(
         family,
@@ -95,7 +94,7 @@ class TestFitModelPassesEveryOption:
         dropped field where that field moves the estimate."""
         with_rel = [n for n in MODEL_NAMES if FAMILIES[n][1]]
         expected = {
-            "seed": ["thur", "pl", "pl+g"],
+            "seed": ["thur"],
             # The score models' +g fits are one joint L-BFGS run, with no rounds.
             "iterations": [n for n in with_rel if n not in ("bt+g", "thur+g", "pl+g", "mals+g")],
             "reliability_prior": with_rel,

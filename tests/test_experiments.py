@@ -210,10 +210,12 @@ class TestGraderSubsets:
                        ((5, 39.0909090909, 1.28564869307), (13, 25.4545454545, 0.0))),
         ("mal+g", 2): ((24.5454545455, 5.23813101487), (37.5757575758, 13.1530511601),
                        ((5, 30.0, 14.1421356237), (13, 28.1818181818, 3.8569460792))),
+        # The level-5 curves of seeds 0 and 1 re-recorded when the reliability step summed its terms in
+        # order, so that a subset's reliabilities stopped depending on its parent's longest ranking.
         ("mal+kg", 0): ((22.1212121212, 2.41665479241), (35.7575757576, 5.55463720601),
-                        ((5, 38.1818181818, 12.8564869307), (13, 25.4545454545, 2.57129738613))),
+                        ((5, 39.0909090909, 14.1421356237), (13, 25.4545454545, 2.57129738613))),
         ("mal+kg", 1): ((23.9393939394, 5.68212120404), (38.7878787879, 10.6535732311),
-                        ((5, 43.6363636364, 5.14259477227), (13, 29.0909090909, 2.57129738613))),
+                        ((5, 44.5454545455, 6.42824346533), (13, 29.0909090909, 2.57129738613))),
         ("mal+kg", 2): ((24.5454545455, 5.11035248093), (37.5757575758, 11.5470053838),
                         ((5, 30.0, 14.1421356237), (13, 30.0, 1.28564869307))),
     }

@@ -37,3 +37,17 @@ def test_strict_pairs_are_enumerated_in_one_place():
             uses[os.path.basename(path)] = count
     assert uses == {"data.py": 1}
     assert "triu_indices" in inspect.getsource(opg.data._strict_pairs)
+
+
+def test_only_plain_thur_draws():
+    """No Mallows fit draws, and of the score models only plain ``thur``'s SVRG steps do: a seeded
+    generator anywhere else in the two modules fails here."""
+    package = os.path.dirname(opg.__file__)
+    for name in ("mallows.py", "scoremodels.py"):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            source = fh.read()
+        if name == "scoremodels.py":
+            svrg = inspect.getsource(opg.scoremodels._svrg_scores)
+            assert "np.random" in svrg and "default_rng" in svrg
+            source = source.replace(svrg, "")
+        assert "np.random" not in source and "default_rng" not in source, name

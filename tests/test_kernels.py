@@ -1,9 +1,10 @@
 """The full-batch likelihood kernels compute in per-batch work arrays: they give
 bit-identical results to the allocating kernels kept in ``oracles`` (the
-listwise one agrees with its row-layout reference, and the pairwise ones with
-their pair-layout reference, to rounding), what they return does not alias
-their work arrays, and a repeat evaluation allocates less than one
-block-sized array."""
+listwise one agrees with its row-layout reference without ties and with the
+choice-by-choice Efron terms with them, and the pairwise ones with their
+pair-layout reference, to rounding), what they return does not alias their
+work arrays, and a repeat evaluation allocates less than one block-sized
+array."""
 
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ import pytest
 import opg
 from opg import scoremodels
 from opg.config import ScorePrior
+from opg.experiments import _resample_graders
 from opg.scoremodels import _prepare
 from opg.synth import MallowsGraders, SynthConfig, simulate
 
@@ -61,7 +63,7 @@ class TestBitIdentity:
         """nll, grad_s and grad_eta, with and without reliability gradients."""
         reference = oracles.perm_batch_evaluate if model == "mals" else oracles.pair_block_evaluate
         for data in _tied_and_strict(rng) + [_class(60, 150, seed=3)]:
-            batch = _prepare(model, data, rng)[0]
+            batch = _prepare(model, data)
             for s, etas in _points(rng, batch.n_items, batch.n_graders):
                 for need_eta in (False, True):
                     with warnings.catch_warnings():
@@ -72,7 +74,7 @@ class TestBitIdentity:
     def test_pairs_reach_z_of_800(self, rng):
         data = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]]})
         for model in ("bt", "thur"):
-            batch = _prepare(model, data, rng)[0]
+            batch = _prepare(model, data)
             for z in (-800.0, -40.0, 0.0, 40.0, 800.0):
                 s, etas = np.array([z, 0.0, -z]), np.ones(1)
                 with warnings.catch_warnings():
@@ -85,7 +87,7 @@ class TestBitIdentity:
 
     def test_log_permanent_equals_the_allocating_recursion(self, rng):
         """Over each block's own subset layers and masks, for random u."""
-        batch = _prepare("mals", _tied_and_strict(rng)[0], rng)[0]
+        batch = _prepare("mals", _tied_and_strict(rng)[0])
         for (graders, items, layers, log_masks), (*_, work) in zip(batch.blocks, batch.work, strict=True):
             for spread in (1.0, 30.0, 800.0):
                 u = rng.normal(0.0, spread, (len(items), 2 * len(graders)))
@@ -96,7 +98,7 @@ class TestBitIdentity:
     def test_results_survive_the_next_evaluation(self, model, rng):
         """What one evaluation returns is not overwritten by the next."""
         data = _tied_and_strict(rng)[0]
-        batch = _prepare(model, data, rng)[0]
+        batch = _prepare(model, data)
         (s1, e1), (s2, e2) = list(_points(rng, batch.n_items, batch.n_graders))[:2]
         first = batch.evaluate(s1, e1, need_eta=True)
         kept = [a.copy() for a in first]
@@ -105,12 +107,19 @@ class TestBitIdentity:
         assert not _same(second, kept)
 
 
+def _strict(rng):
+    """Strict rankings of 1 to 9 items, three of each length, and an ungraded item."""
+    items = [f"x{i:02d}" for i in range(11)]
+    rankings = {f"s{m}{k}": [[x] for x in rng.permutation(items[:-1])[:m].tolist()] for m in range(1, 10) for k in range(3)}
+    return make_ordinal_dataset(rankings, items=tuple(items))
+
+
 @pytest.mark.filterwarnings("ignore:items never graded")
 def test_listwise_evaluate_matches_the_row_layout_kernel(rng):
-    """The blocked ``pl`` kernel sums in another order than its row-layout
-    reference, so the two agree to rounding, not bit for bit."""
-    for data in _tied_and_strict(rng) + [_class(60, 150, seed=3)]:
-        batch = _prepare("pl", data, rng)[0]
+    """Without ties, the blocked ``pl`` kernel sums in another order than its
+    row-layout reference, so the two agree to rounding, not bit for bit."""
+    for data in [_strict(rng), _class(60, 150, seed=3)]:
+        batch = _prepare("pl", data)
         for s, etas in _points(rng, batch.n_items, batch.n_graders):
             for need_eta in (False, True):
                 with warnings.catch_warnings():
@@ -122,12 +131,75 @@ def test_listwise_evaluate_matches_the_row_layout_kernel(rng):
 
 
 @pytest.mark.filterwarnings("ignore:items never graded")
+class TestEfronTies:
+    """A ``pl`` tie group is scored by Efron's approximation."""
+
+    def _tied(self, rng):
+        data = _tied_and_strict(rng)
+        return data + [_resample_graders(data[0], rng)]
+
+    def test_matches_the_choice_by_choice_oracle(self, rng):
+        """Each grader's value, and the score and reliability gradients, equal the dict-loop terms'
+        to 1e-12 relative."""
+        for data in self._tied(rng):
+            batch, terms = _prepare("pl", data), oracles.dict_prepare("pl", data).terms
+            assert any(len(block) > 2 for block in batch.blocks)
+            for _ in range(3):
+                s = rng.normal(0.0, 1.5, batch.n_items)
+                etas = np.exp(rng.normal(0.0, 1.0, batch.n_graders))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=True)
+                want_nll, want_eta, want_s = [], [], np.zeros(batch.n_items)
+                for term, eta in zip(terms, etas.tolist(), strict=True):
+                    value, gs, ge = term.value_and_grads(s, eta, need_s=True, need_eta=True)
+                    want_nll.append(value)
+                    want_eta.append(ge)
+                    want_s[term.global_idx] += gs
+                for got, want in ((nll, want_nll), (grad_s, want_s), (grad_eta, want_eta)):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    def test_reordering_a_tie_group_changes_nothing(self, rng):
+        """Every grader's tie groups shuffled within the blocks: the same values and gradients to
+        1e-12 relative, at every spread of scores and reliabilities."""
+        for data in self._tied(rng):
+            batch, shuffled = _prepare("pl", data), _prepare("pl", data)
+            for k, (graders, items, *tied) in enumerate(shuffled.blocks):
+                if tied:
+                    items = items.copy()
+                    for c, closes in enumerate(tied[0].T):
+                        for group in np.split(np.arange(len(items)), np.flatnonzero(closes)[:-1] + 1):
+                            items[group, c] = rng.permutation(items[group, c])
+                    shuffled.blocks[k] = (graders, items, *tied)
+            for s, etas in _points(rng, batch.n_items, batch.n_graders):
+                for got, want in zip(shuffled.evaluate(s, etas, True), batch.evaluate(s, etas, True), strict=True):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_a_grader_without_ties_keeps_the_choice_kernel_bit_for_bit(self, rng):
+        """A block without ties runs today's kernel, and a tied block gives its strict graders'
+        columns the same bits: both equal ``oracles.choice_block_kernel``."""
+        strict_in_tied = 0
+        for data in self._tied(rng) + [_strict(rng), _class(60, 150, seed=3)]:
+            batch = _prepare("pl", data)
+            for s, etas in _points(rng, batch.n_items, batch.n_graders):
+                for block, work in zip(batch.blocks, batch.work, strict=True):
+                    graders, items, *tied = block
+                    nll, gu = batch._kernel(block, etas[graders], s[items], *work[2:])
+                    want_nll, want_gu = oracles.choice_block_kernel(etas[graders] * s[items])
+                    strict = tied[0].all(axis=0) if tied else np.ones(len(graders), dtype=bool)
+                    strict_in_tied += int(strict.sum()) if tied else 0
+                    assert np.array_equal(nll[strict], want_nll[strict])
+                    assert np.array_equal(gu[:, strict], want_gu[:, strict])
+        assert strict_in_tied > 0
+
+
+@pytest.mark.filterwarnings("ignore:items never graded")
 @pytest.mark.parametrize("model", ["bt", "thur"])
 def test_pairwise_evaluate_matches_the_pair_layout(model, rng):
     """The blocked pairwise kernels sum each item's pairs in another order
     than the pair layout they replaced, so the two agree to rounding."""
     for data in _tied_and_strict(rng) + [_class(60, 150, seed=3)]:
-        batch = _prepare(model, data, rng)[0]
+        batch = _prepare(model, data)
         for s, etas in _points(rng, batch.n_items, batch.n_graders):
             for need_eta in (False, True):
                 got = batch.evaluate(s, etas, need_eta=need_eta)
@@ -144,7 +216,7 @@ def test_svrg_column_equals_its_column_of_a_full_evaluation(rng):
     pair terms, but numpy sums a column's row of them pairwise and a
     block's across its columns in order."""
     for data in _tied_and_strict(rng)[:1] + [_class(40, 150)]:
-        batch = _prepare("thur", data, rng)[0]
+        batch = _prepare("thur", data)
         columns = batch.columns()
         for s, etas in _points(rng, batch.n_items, batch.n_graders):
             batch.evaluate(s, etas)
@@ -166,7 +238,7 @@ def test_plain_thur_on_block_columns_follows_the_pair_layout_svrg(rng):
     with ties, the same epochs and scores within 1e-12."""
     prior = ScorePrior()
     for data in [_class(40, 150)] + _tied_and_strict(rng):
-        batch = _prepare("thur", data, rng)[0]
+        batch = _prepare("thur", data)
         pairs = oracles.PairBatch(data.feedback_arrays, batch.n_items, probit=True)
         s0, etas = np.full(batch.n_items, prior.mean), np.ones(batch.n_graders)
         s, epochs, _, converged = scoremodels._svrg_scores(batch, s0, prior, np.random.default_rng(7))
@@ -195,7 +267,7 @@ class TestAllocations:
     def test_pair_batch(self, model, rng):
         """Below one float array of a block's pairs for each of its G graders."""
         data = _class(200, 600)
-        batch = _prepare(model, data, rng)[0]
+        batch = _prepare(model, data)
         (graders, _, first, *_), = batch.blocks
         s, etas = rng.normal(0.0, 1.0, batch.n_items), np.exp(rng.normal(0.0, 0.5, batch.n_graders))
         for need_eta in (False, True):
@@ -214,7 +286,7 @@ class TestAllocations:
         s, etas = rng.normal(0.0, 1.0, len(items)), np.exp(rng.normal(0.0, 0.5, 2))
 
         def build_and_evaluate():
-            batch = _prepare(model, data, rng)[0]
+            batch = _prepare(model, data)
             return batch, batch.evaluate(s, etas, need_eta=True)
 
         assert _peak(build_and_evaluate) < 24 * 8 * (300 * 299 // 2) * 2
@@ -233,7 +305,7 @@ class TestAllocations:
         ufuncs still allocate buffers of up to 8192 entries per broadcast
         operand, so the block is large enough that such an array is larger."""
         data = _class(600, 1800)
-        batch = _prepare("mals", data, rng)[0]
+        batch = _prepare("mals", data)
         (graders, items, _, _), = batch.blocks
         s, etas = rng.normal(0.0, 1.0, batch.n_items), np.exp(rng.normal(0.0, 0.5, batch.n_graders))
         for need_eta in (False, True):

@@ -34,7 +34,6 @@ from opg.experiments import _resample_graders, _select_graders, bootstrap_ek, do
 from opg.metrics import TargetSet, ek_error
 from opg.mallows import (
     MallowsParams,
-    _break_ties,
     _Centers,
     _newton_etas,
     _positions,
@@ -49,7 +48,7 @@ from opg.mallows import (
     mallows_normalizer,
     weighted_kendall_cost,
 )
-from opg.rankings import WeakRanking, break_ties
+from opg.rankings import WeakRanking
 from opg.synth import CardinalNormalGraders, MallowsGraders, SynthConfig, simulate
 from test_parse_compiled import payloads
 
@@ -426,7 +425,8 @@ class TestFitMallows:
         assert est.reliabilities["g1"] > est.reliabilities["g3"]
         assert est.metadata["reliability_iterations"] == 3
 
-    def test_deterministic_given_seed(self):
+    def test_a_tied_borda_center_is_broken_in_id_order(self):
+        """The first round fits the reliabilities against the Borda center with its ties in id order."""
         data = make_ordinal_dataset(
             {
                 "g1": [["a"], ["b", "c"]],
@@ -434,10 +434,15 @@ class TestFitMallows:
                 "g3": [["c"], ["a"], ["b"]],
             }
         )
-        a = fit_mallows(data, use_borda=True, with_reliability=True, seed=5)
-        b = fit_mallows(data, use_borda=True, with_reliability=True, seed=5)
-        assert a.ranking == b.ranking
-        assert a.reliabilities == b.reliabilities
+        center = borda_ranking(data)
+        assert not center.is_total
+        est = fit_mallows(data, use_borda=True, with_reliability=True, iterations=1)
+        by_id = WeakRanking.from_order(item for group in center.groups for item in group)
+        assert est.reliabilities == fit_reliabilities(data, by_id)
+        assert "tie_break" not in est.metadata
+        assert fit_mallows(data, use_borda=True, with_reliability=True) == fit_mallows(
+            data, use_borda=True, with_reliability=True
+        )
 
 
 VARIANTS = [
@@ -592,18 +597,16 @@ class TestStoppingAtTheFixedPoint:
                 etas, _ = mallows._reliabilities(arrays, position, ReliabilityPrior())
                 assert dict(zip(arrays.graders, etas.tolist())) == expected
 
-    def test_ties_are_broken_with_the_draws_of_break_ties(self, rng):
+    def test_a_tied_center_read_as_a_total_order_keeps_id_order(self, rng):
         items = tuple(f"x{i}" for i in range(9))
         index = {d: i for i, d in enumerate(items)}
-        for seed in range(20):
+        for _ in range(20):
             ranking = WeakRanking(random_weak_ranking(rng, list(items)))
             order = np.array([index[d] for g in ranking.groups for d in g])
             cuts = np.cumsum([len(g) for g in ranking.groups])[:-1]
             assert _weak_ranking(items, order, cuts) == ranking
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            broken = _weak_ranking(items, _break_ties(order, cuts, ours), np.arange(1, len(items)))
-            assert broken == break_ties(ranking, theirs)
-            assert ours.random() == theirs.random()
+            total = _weak_ranking(items, order, np.arange(1, len(items)))
+            assert total == WeakRanking.from_order(d for g in ranking.groups for d in sorted(g))
 
 
 def _reliability_objective(x, a, eta, prior):
@@ -673,6 +676,16 @@ class TestNewtonReliabilities:
                     ends = np.array([u[j] + h, u[j] - h])
                     g_ends, _ = mallows._reliability_slopes(ends, np.full(2, x), np.tile(a, (2, 1)), prior)
                     assert dg[j] == pytest.approx((g_ends[0] - g_ends[1]) / (2 * h), rel=1e-6, abs=1e-6)
+
+    def test_zero_padding_changes_no_eta(self):
+        """A problem's η is the same at every ``coeff`` width, whatever longest ranking its class has:
+        the zeros that pad a row to 7-17 columns add nothing to sums taken in order."""
+        prior = ReliabilityPrior()
+        # Seven items in tie groups of sizes 3, 2, 1, 1, and seven strict ones.
+        for row in ([3.0, 1.0, 0.0, -1.0, -1.0, -1.0, -1.0], [6.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0]):
+            x = np.arange(22.0)
+            etas = [_newton_etas(x, np.tile(row + [0.0] * (width - 7), (len(x), 1)), prior) for width in range(7, 18)]
+            assert all(np.array_equal(got, etas[0]) for got in etas[1:])
 
     def test_optima_beyond_the_bounds_are_clamped_exactly(self):
         strict = np.array([[6.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0]])

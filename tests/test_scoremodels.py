@@ -19,9 +19,10 @@ from scipy.special import expit
 import opg
 from opg import scoremodels
 from opg.config import ReliabilityPrior, ScorePrior
-from opg.dataio import estimate_to_dict, parse_ordinal_json
+from opg.dataio import estimate_to_dict, parse_cardinal_csv
 from opg.errors import EnumerationCapError, ValidationError
 from opg.experiments import _resample_graders
+from opg.mallows import borda_ranking
 from opg.rankings import WeakRanking
 from opg.scoremodels import (
     SCORE_MODELS,
@@ -300,20 +301,20 @@ class TestGradients:
     def test_matches_finite_differences(self, model, rng):
         for _ in range(20):
             s, r = self._draw(rng)
-            obj = negative_log_posterior(model, self.data, s, r, seed=11)
+            obj = negative_log_posterior(model, self.data, s, r)
             assert math.isfinite(obj.value)
             for x in self.items:
                 def f(v, x=x):
                     s2 = dict(s)
                     s2[x] = v
-                    return negative_log_posterior(model, self.data, s2, r, seed=11).value
+                    return negative_log_posterior(model, self.data, s2, r).value
                 fd = finite_difference(f, s[x], h=1e-5)
                 assert abs(obj.score_gradient[x] - fd) <= 1e-4 * max(1.0, abs(fd))
             for g in self.graders:
                 def f(v, g=g):
                     r2 = dict(r)
                     r2[g] = v
-                    return negative_log_posterior(model, self.data, s, r2, seed=11).value
+                    return negative_log_posterior(model, self.data, s, r2).value
                 fd = finite_difference(f, r[g], h=1e-5)
                 assert abs(obj.reliability_gradient[g] - fd) <= 1e-4 * max(1.0, abs(fd))
 
@@ -321,13 +322,13 @@ class TestGradients:
     def test_without_reliabilities(self, model, rng):
         for _ in range(3):
             s, _ = self._draw(rng)
-            obj = negative_log_posterior(model, self.data, s, seed=11)
+            obj = negative_log_posterior(model, self.data, s)
             assert obj.reliability_gradient is None
             for x in self.items:
                 def f(v, x=x):
                     s2 = dict(s)
                     s2[x] = v
-                    return negative_log_posterior(model, self.data, s2, seed=11).value
+                    return negative_log_posterior(model, self.data, s2).value
                 fd = finite_difference(f, s[x], h=1e-5)
                 assert abs(obj.score_gradient[x] - fd) <= 1e-4 * max(1.0, abs(fd))
 
@@ -366,7 +367,7 @@ class TestFit:
     def test_reversal_closed_symmetry(self, model):
         data = reversal_closed_dataset()
         zeros = {x: 0.0 for x in data.items}
-        obj = negative_log_posterior(model, data, zeros, seed=0)
+        obj = negative_log_posterior(model, data, zeros)
         assert max(abs(v) for v in obj.score_gradient.values()) <= 1e-12
         est = fit(model, data)
         vals = sorted(est.scores.values())
@@ -379,7 +380,7 @@ class TestFit:
         vals = sorted(est.scores.values())
         assert vals[-1] - vals[0] <= 2e-2
         zeros = {x: 0.0 for x in data.items}
-        obj = negative_log_posterior(model, data, zeros, seed=0)
+        obj = negative_log_posterior(model, data, zeros)
         assert max(abs(v) for v in obj.score_gradient.values()) <= 1e-12
 
     @pytest.mark.parametrize("model", ("bt", "thur", "pl"))
@@ -393,7 +394,7 @@ class TestFit:
         items = sorted(data.items)
 
         def fun(x):
-            obj = negative_log_posterior(model, data, dict(zip(items, x)), seed=3)
+            obj = negative_log_posterior(model, data, dict(zip(items, x)))
             return obj.value, np.array([obj.score_gradient[i] for i in items])
 
         solutions = []
@@ -422,12 +423,15 @@ class TestFit:
             assert 1e-3 <= eta <= 1e3
         assert est.reliabilities["g0"] > est.reliabilities["rev"]
 
-    def test_pl_tie_break_metadata(self):
+    def test_pl_ties_need_no_seed(self):
+        """A tie group is scored by Efron's approximation: the fit draws nothing, so every seed gives
+        the same estimate, and its metadata has the keys of a fit without ties."""
         tied = make_ordinal_dataset({"g1": [["a", "b"], ["c"]], "g2": [["c"], ["a"], ["b"]]})
-        est = fit("pl", tied)
-        assert est.metadata.get("tie_break") == "seeded"
         strict = make_ordinal_dataset({"g1": [["a"], ["b"], ["c"]]})
-        assert "tie_break" not in fit("pl", strict).metadata
+        for with_rel in (False, True):
+            est = fit("pl", tied, with_reliability=with_rel)
+            assert fit("pl", tied, seed=9, with_reliability=with_rel) == est
+            assert est.metadata.keys() == fit("pl", strict, with_reliability=with_rel).metadata.keys()
 
     def test_deterministic_for_fixed_seed(self):
         data = make_ordinal_dataset({"g1": [["a", "b"], ["c"]], "g2": [["c"], ["b"], ["a"]]})
@@ -476,8 +480,8 @@ VARIANTS = [model + suffix for model in SCORE_MODELS for suffix in ("", "+g")]
 
 def _batch_feedback(batch):
     """What a full-batch likelihood holds of each grader: its sorted (winner, loser)
-    pairs for ``bt`` and ``thur``, its items best first for ``pl``, its tie
-    groups (sorted items, best group first) for ``mals``."""
+    pairs for ``bt`` and ``thur``, its tie groups (sorted items, best group
+    first) for ``pl`` and ``mals``."""
     rows = [None] * batch.n_graders
     if isinstance(batch, scoremodels._PairwiseBatch):
         for graders, items, first, second, mask, *_ in batch.blocks:
@@ -499,9 +503,11 @@ def _batch_feedback(batch):
                         rank[int(items[x, c])] = r
                 rows[g] = [sorted(x for x in rank if rank[x] == r) for r in sorted(set(rank.values()))]
         return rows
-    for graders, items in batch.blocks:
-        for g, row in zip(graders.tolist(), items.T.tolist()):
-            rows[g] = row
+    for graders, items, *tied in batch.blocks:
+        # A block without ties has no tables; each of its positions closes a group.
+        closes = tied[0] if tied else np.ones(items.shape, dtype=bool)
+        for g, row, ends in zip(graders.tolist(), items.T, closes.T):
+            rows[g] = [sorted(group.tolist()) for group in np.split(row, np.flatnonzero(ends)[:-1] + 1)]
     return rows
 
 
@@ -509,9 +515,7 @@ def _terms_feedback(terms):
     """The same, from the per-grader terms the batch replaced."""
     if isinstance(terms[0], (oracles._LogisticPairTerm, oracles._PairTerm)):
         return [sorted(zip(t.global_idx[t.wl].tolist(), t.global_idx[t.ll].tolist())) for t in terms]
-    if isinstance(terms[0], oracles._WeightedPermTerm):
-        return [[sorted(t.global_idx[g].tolist()) for g in t.groups_local] for t in terms]
-    return [t.global_idx[t.order_local].tolist() for t in terms]
+    return [[sorted(t.global_idx[g].tolist()) for g in t.groups_local] for t in terms]
 
 
 @pytest.mark.filterwarnings("ignore:items never graded")
@@ -522,13 +526,9 @@ class TestMatchesDictOracles:
 
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_terms(self, model, rng):
-        for trial in range(3):
+        for _ in range(3):
             for data in _tied_datasets(rng):
-                rng_new, rng_old = np.random.default_rng(trial), np.random.default_rng(trial)
-                batch, metadata = _prepare(model, data, rng_new)
-                want = oracles.dict_prepare(model, data, rng_old)
-                assert metadata == want.metadata
-                assert rng_new.bit_generator.state == rng_old.bit_generator.state
+                batch, want = _prepare(model, data), oracles.dict_prepare(model, data)
                 assert _batch_feedback(batch) == _terms_feedback(want.terms)
 
     def test_permutation_batch_matches_the_enumeration(self, rng):
@@ -543,8 +543,8 @@ class TestMatchesDictOracles:
         rankings["tied"] = [items[:6]]
         data = make_ordinal_dataset(rankings, items=tuple(items))
         for data in (data, _resample_graders(data, rng)):
-            batch = _prepare("mals", data, rng)[0]
-            terms = oracles.dict_prepare("mals", data, rng).terms
+            batch = _prepare("mals", data)
+            terms = oracles.dict_prepare("mals", data).terms
             s = rng.normal(0.0, 1.5, len(items))
             etas = np.exp(rng.normal(0.0, 1.0, len(terms)))
             nll, grad_s, grad_eta = batch.evaluate(s, etas, need_eta=True)
@@ -567,10 +567,9 @@ class TestMatchesDictOracles:
             want = oracles.dict_fit(
                 model, data, seed=7, iterations=3, max_epochs=60, rel_tolerance=1e-5, with_reliability=with_rel
             )
-            assert (got.metadata.get("tie_break") == "seeded") == (model == "pl")
             assert want.metadata.items() <= got.metadata.items()
-            at_fit = negative_log_posterior(model, data, got.scores, got.reliabilities, seed=7)
-            at_oracle = negative_log_posterior(model, data, want.scores, want.reliabilities, seed=7)
+            at_fit = negative_log_posterior(model, data, got.scores, got.reliabilities)
+            at_oracle = negative_log_posterior(model, data, want.scores, want.reliabilities)
             assert max(abs(v) for v in at_fit.score_gradient.values()) <= 1e-5
             assert at_fit.value <= at_oracle.value
 
@@ -580,8 +579,8 @@ class TestMatchesDictOracles:
         for data in _tied_datasets(rng):
             scores = dict(zip(data.items, rng.normal(0.0, 1.0, len(data.items)).tolist()))
             rel = dict(zip(data.graders, np.exp(rng.normal(0.0, 0.5, len(data.graders))).tolist()))
-            got = [negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
-            want = [oracles.dict_negative_log_posterior(model, data, scores, r, seed=5) for r in (None, rel)]
+            got = [negative_log_posterior(model, data, scores, r) for r in (None, rel)]
+            want = [oracles.dict_negative_log_posterior(model, data, scores, r) for r in (None, rel)]
             for a, b in zip(got, want):
                 assert a.value == pytest.approx(b.value, rel=1e-12)
                 for grads in ("score_gradient", "reliability_gradient"):
@@ -597,11 +596,11 @@ def _reliability_objective(term, s, eta, prior):
     return nll + eta / prior.scale - (prior.shape - 1.0) * math.log(eta)
 
 
-def _projected_gradient(model, data, est, seed, prior=None):
+def _projected_gradient(model, data, est, prior=None):
     """The largest absolute entry of the gradient of the negative log-posterior
     at ``est``, in the scores and, for a "+g" fit, in log(eta), leaving out a
     log(eta) at a bound whose gradient points out of [1e-3, 1e3]."""
-    obj = negative_log_posterior(model, data, est.scores, est.reliabilities, reliability_prior=prior, seed=seed)
+    obj = negative_log_posterior(model, data, est.scores, est.reliabilities, reliability_prior=prior)
     largest = max(abs(v) for v in obj.score_gradient.values())
     for g, eta in (est.reliabilities or {}).items():
         grad_u = eta * obj.reliability_gradient[g]
@@ -620,7 +619,7 @@ class TestFullBatch:
         """Each fitted eta is its grader's bounded scalar optimum at the fit's own scores."""
         for data, prior in itertools.product(_tied_datasets(rng), PRIORS.values()):
             est = fit(model, data, seed=3, with_reliability=True, reliability_prior=prior)
-            prep = oracles.dict_prepare(model, data, np.random.default_rng(3))
+            prep = oracles.dict_prepare(model, data)
             s = np.array([est.scores[x] for x in prep.items])
             for term, g in zip(prep.terms, prep.graders, strict=True):
                 best = minimize_scalar(
@@ -638,7 +637,7 @@ class TestFullBatch:
             meta = est.metadata
             assert meta["converged"] is True and meta[steps] > 0 and other not in meta
             assert "reliability_change" not in meta
-            assert meta["grad_norm"] == pytest.approx(_projected_gradient(model, data, est, 2), abs=1e-9)
+            assert meta["grad_norm"] == pytest.approx(_projected_gradient(model, data, est), abs=1e-9)
             assert meta["grad_norm"] <= 1e-6
             assert fit(model, data, seed=2, with_reliability=with_rel) == est
 
@@ -666,7 +665,7 @@ class TestFullBatch:
     @pytest.mark.parametrize("model", SCORE_MODELS)
     def test_large_reliabilities_stay_finite(self, model, rng):
         data = _tied_datasets(rng)[0]
-        batch = _prepare(model, data, np.random.default_rng(0))[0]
+        batch = _prepare(model, data)
         s = rng.normal(0.0, 10.0, len(data.items))
         nll, grad_s, grad_eta = batch.evaluate(s, np.full(batch.n_graders, 1e3), need_eta=True)
         assert np.isfinite(nll).all() and np.isfinite(grad_s).all() and np.isfinite(grad_eta).all()
@@ -688,10 +687,10 @@ class TestFullBatch:
             assert est.scores["c"] == pytest.approx(2.0, abs=1e-6) and est.metadata["converged"] is True
 
 
-def _joint_objective(model, data, prior, seed):
+def _joint_objective(model, data, prior):
     """The +g negative log-posterior over x = (s, ln eta) with its gradient,
     written out here from the batch likelihood and the two priors."""
-    batch = _prepare(model, data, np.random.default_rng(seed))[0]
+    batch = _prepare(model, data)
     n, score_prior = len(data.items), ScorePrior()
 
     def fun(x):
@@ -724,7 +723,7 @@ class TestJointFit:
         on_bound = 0
         for data in _tied_datasets(rng):
             est = fit(model, data, seed=3, with_reliability=True, reliability_prior=prior)
-            fun = _joint_objective(model, data, prior, 3)
+            fun = _joint_objective(model, data, prior)
             graders = data.feedback_arrays.graders
             n = len(data.items)
             x = np.array([est.scores[i] for i in data.items] + [math.log(est.reliabilities[g]) for g in graders])
@@ -735,7 +734,7 @@ class TestJointFit:
             )
             value = fun(x)[0]
             assert value <= best.fun + 1e-9 * abs(value)
-            assert _projected_gradient(model, data, est, 3, prior) <= 1e-6
+            assert _projected_gradient(model, data, est, prior) <= 1e-6
             assert est.metadata["converged"] is True and est.metadata["grad_norm"] <= 1e-6
             on_bound += sum(eta == 1e-3 for eta in est.reliabilities.values())
         assert (on_bound > 0) == (prior.shape == 1.0)
@@ -755,7 +754,7 @@ class TestJointFit:
             meta = est.metadata
             assert all(math.isfinite(v) for v in est.scores.values())
             assert all(1e-3 <= eta <= 1e3 for eta in est.reliabilities.values())
-            stationary = _projected_gradient(model, data, est, 0, prior)
+            stationary = _projected_gradient(model, data, est, prior)
             assert meta["grad_norm"] == pytest.approx(stationary, rel=1e-6)
             assert meta["converged"] is (meta["grad_norm"] <= 1e-6)
             if not meta["converged"]:
@@ -784,7 +783,7 @@ class TestOneObjective:
         model, with_rel = variant.removesuffix("+g"), variant.endswith("+g")
         score_prior = ScorePrior()
         for data in _tied_datasets(rng) + _strict_classes():
-            batch = _prepare(model, data, np.random.default_rng(0))[0]
+            batch = _prepare(model, data)
             s0 = np.full(batch.n_items, score_prior.mean)
             for prior in PRIORS.values() if with_rel else (None,):
                 if prior is None:
@@ -792,7 +791,7 @@ class TestOneObjective:
                     s, *report = oracles.lbfgs_scores(batch, s0, etas, score_prior)
                 else:
                     s, etas, *report = oracles.lbfgs_joint(batch, s0, score_prior, prior)
-                got_s, got_etas, meta = scoremodels._fit_batch(batch, score_prior, prior, np.random.default_rng(0))
+                got_s, got_etas, meta = scoremodels._fit_batch(batch, score_prior, prior, 0)
                 assert np.array_equal(got_s, s) and np.array_equal(got_etas, etas)
                 assert (meta["lbfgs_iterations"], meta["grad_norm"], meta["converged"]) == tuple(report)
 
@@ -875,34 +874,43 @@ def test_fitting_without_thurstone_does_not_import_scipy_special():
 
 
 def test_fitting_without_a_tie_to_break_does_not_import_numpy_random(tmp_path):
-    """Only a tie to break and plain ``thur``'s SVRG order draw, so only they need ``numpy.random``,
-    whose import costs start-up time and memory; a tied ``malbc+g`` fit then draws as in-process."""
+    """Only plain ``thur``'s SVRG order draws, so only it needs ``numpy.random``, whose import costs
+    start-up time and memory: every other model, fitted on a class of distinct grades and on one of
+    tied grades (whose ``pl`` feedback ties and whose Borda center ties, where ``pl``, ``pl+g`` and
+    ``malbc+g`` once drew), leaves it unimported and gives the estimates it gives in-process. The
+    exception is ``thur+g``, which draws nothing but loads ``scipy.special``, and ``import scipy``
+    loads ``numpy.random``."""
     items = [f"x{i}" for i in range(8)]
-    strict = [{"id": f"g{g:02d}", "ranking": [[items[(g + 3 * k) % 8]] for k in range(4)]} for g in range(20)]
-    # a and b swap places between the graders, so their average ranks tie in the Borda center.
-    tied = [{"id": "g1", "ranking": [["a"], ["b"], ["c", "d"]]}, {"id": "g2", "ranking": [["b"], ["a"], ["d"]]}]
-    (tmp_path / "strict.json").write_text(json.dumps({"items": items, "graders": strict}))
-    (tmp_path / "tied.json").write_text(json.dumps({"items": ["a", "b", "c", "d"], "graders": tied}))
+    grades = {
+        "strict": lambda g, k: k + 0.1 * (g % 3),
+        "tied": lambda g, k: (g + k) % 3,  # four items on three grades: every grader ties
+    }
+    for name, grade in grades.items():
+        rows = [f"g{g:02d},{items[(g + 3 * k) % 8]},{grade(g, k)}" for g in range(20) for k in range(4)]
+        (tmp_path / f"{name}.csv").write_text("grader_id,item_id,score\n" + "\n".join(rows) + "\n")
+    paths = [str(tmp_path / f"{name}.csv") for name in grades]
+    tied = parse_cardinal_csv(paths[1])
+    assert not borda_ranking(tied).is_total
+    assert any(len(group) > 1 for fb in tied.feedback for group in fb.ordinal.groups)
+    models = [m for m in opg.MODEL_NAMES if not m.startswith("thur")]
     code = (
         "import json, sys, opg\n"
-        "from opg.dataio import estimate_to_dict, parse_ordinal_json\n"
-        "data = parse_ordinal_json(sys.argv[1])\n"
-        "for model in ('mal', 'mal+g', 'mal+k', 'mal+kg', 'malbc', 'bt', 'bt+g', 'pl', 'mals', 'mals+g'):\n"
-        "    opg.fit_model(model, data)\n"
+        "from opg.dataio import estimate_to_dict, parse_cardinal_csv\n"
+        "fits = {path: {m: estimate_to_dict(opg.fit_model(m, parse_cardinal_csv(path), opg.ModelOptions(seed=5)))\n"
+        "               for m in json.loads(sys.argv[1])} for path in sys.argv[2:]}\n"
         "print('numpy.random' in sys.modules)\n"
-        "est = opg.fit_model('malbc+g', parse_ordinal_json(sys.argv[2]), opg.ModelOptions(seed=5))\n"
+        "opg.fit_model('thur', parse_cardinal_csv(sys.argv[2]))\n"
         "print('numpy.random' in sys.modules)\n"
-        "print(json.dumps(estimate_to_dict(est), sort_keys=True))\n"
+        "print(json.dumps(fits, sort_keys=True))\n"
     )
     src = os.path.dirname(os.path.dirname(opg.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    args = [sys.executable, "-c", code, str(tmp_path / "strict.json"), str(tmp_path / "tied.json")]
-    proc = subprocess.run(args, capture_output=True, text=True, env=env, check=True)
-    before, after, estimate = proc.stdout.splitlines()
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(models), *paths], capture_output=True, text=True,
+                          env=env, check=True)
+    before, after, fits = proc.stdout.splitlines()
     assert (before, after) == ("False", "True")
-    here = opg.fit_model("malbc+g", parse_ordinal_json(str(tmp_path / "tied.json")), opg.ModelOptions(seed=5))
-    assert here.metadata["tie_break"] == "seeded"
-    assert json.loads(estimate) == estimate_to_dict(here)
+    here = {path: {m: estimate_to_dict(opg.fit_model(m, parse_cardinal_csv(path))) for m in models} for path in paths}
+    assert json.loads(fits) == here
 
 
 def test_fitting_mals_at_the_item_cap_stays_in_bounded_memory():
@@ -934,7 +942,7 @@ def test_fitting_mals_at_the_item_cap_stays_in_bounded_memory():
 def test_logistic_batch_tail_probability_equals_expit():
     """``_PairBatch`` takes expit(-z) from the log term of its nll: equal to 1e-15, and warning-free."""
     data = make_ordinal_dataset({"g1": [["a"], ["b"]]})
-    batch = _prepare("bt", data, np.random.default_rng(0))[0]
+    batch = _prepare("bt", data)
     for z in (-800.0, -40.0, -5.0, 0.0, 5.0, 40.0, 800.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
