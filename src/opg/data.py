@@ -304,8 +304,10 @@ class FeedbackArrays:
     which every ordinal model reads, groups the graders by ranking length,
     each group with its strict-pair masks, on first use and keeps them: 0.5
     MB for 6,000 graders of 7 items. ``ends``, read only by the Mallows
-    centres, lists the strict pairs item by item from those masks on first
-    use and keeps them: 16 bytes a pair, 2.0 MB for the same graders.
+    centres of a class of n items with fewer than n^2 strict pairs (a denser
+    one reads an n x n table), lists the strict pairs item by item from those
+    masks on first use and keeps them: 16 bytes a pair, 2.0 MB for the same
+    graders.
     ``_unit_centers`` keeps the Mallows centres at reliabilities 1 that
     ``mallows._Centers.unit`` computes for the fits and for the helpers called
     without reliabilities: at most three read-only orders of the n items (the
@@ -406,7 +408,8 @@ class FeedbackArrays:
     @cached_property
     def ends(self) -> EndTable:
         """Every block's strict pairs, put in pair order by a stable sort on grader where the graders
-        of several blocks interleave, then listed under each of their items by a stable sort on item."""
+        of several blocks interleave, then listed under each of their items by a stable sort on item.
+        The Mallows centres of a class with fewer strict pairs than n^2 read it (``mallows._Centers.dense``)."""
         pairs = [np.empty((3, 0), dtype=np.int32)]
         for graders, entries, first, second, strict in self.blocks:
             items, mine = self.item[entries], strict.T

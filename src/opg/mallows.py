@@ -16,9 +16,12 @@ are fixed by the tie groups, contributing the constant X.
 
 Every estimator here runs on one set of array cores, ``_Centers``, over the
 dataset's compiled feedback: its blocks (``FeedbackArrays.blocks``, each ranking
-length's graders with their position pairs and strict masks) and its end table
+length's graders with their position pairs and strict masks) and, where a
+class of n items has fewer than n^2 strict pairs, its end table
 (``FeedbackArrays.ends``, each item's strict pairs in pair order), each listed
-once per dataset. The public helpers build one for their dataset and
+once per dataset. A center weighs by reliabilities on a 2^-20 grid
+(``_on_grid``), so its sums are exact and a tie falls to the id whatever the
+graders' order. The public helpers build one for their dataset and
 reliabilities, and ``fit_mallows`` builds one per fit, whose first center at
 reliabilities 1 is a plain fit's answer and a ``+g`` fit's start. Those
 centers are kept with the compiled feedback (``_Centers.unit``), so each is
@@ -132,9 +135,11 @@ def _positions(ranking: WeakRanking, data: Dataset) -> np.ndarray:
 
 def _weak_ranking(items: tuple[str, ...], order: np.ndarray, cuts: np.ndarray) -> WeakRanking:
     """The ranking of item indices ``order``, best first, with a new tie group at each of ``cuts``."""
-    if len(cuts) == len(order) - 1:
-        return WeakRanking.from_order([items[i] for i in order])
-    return WeakRanking([items[i] for i in group] for group in np.split(order, cuts))
+    ids = list(map(items.__getitem__, order.tolist()))
+    if len(cuts) == len(ids) - 1:
+        return WeakRanking.from_order(ids)
+    bounds = [0, *cuts.tolist(), len(ids)]
+    return WeakRanking(map(ids.__getitem__, map(slice, bounds, bounds[1:])))
 
 
 def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
@@ -149,6 +154,13 @@ def _against(arrays: FeedbackArrays, position: np.ndarray) -> np.ndarray:
     return x_g
 
 
+def _on_grid(etas: np.ndarray) -> np.ndarray:
+    """``etas`` at the nearest multiple of 2^-20, and at least 2^-20, the weights every center step adds.
+    Each η up to 1e3 is then an integer times 2^-20 below 2^30, so a sum of fewer than 2^23 of them is
+    exact in float64, in any order: sums that are equal compare equal, and ties fall to the id."""
+    return np.ldexp(np.maximum(np.rint(etas * 2.0**20), 1.0), -20)
+
+
 def _cost(etas: np.ndarray, x_g: np.ndarray) -> float:
     """sum_g eta_g * X_g, summed exactly, so equal counts cost the same in any order of summation."""
     return math.fsum((etas * x_g).tolist())
@@ -157,13 +169,15 @@ def _cost(etas: np.ndarray, x_g: np.ndarray) -> float:
 class _Centers:
     """One dataset's center rankings under changing reliabilities, on item indices.
 
-    Each method takes one reliability per grader, in feedback order, and
-    reads the strict pairs: the greedy center and local improvement each
-    item's own from ``FeedbackArrays.ends``, and the cost X_g per grader from
-    the masks of ``FeedbackArrays.blocks``. A dataset without feedback has no
-    pairs; the estimators, which rank from feedback, refuse it in
-    ``check_feedback``. Nothing here draws: a tie group lists its items in
-    index order, which is id order, and a total order taken from it keeps that.
+    Each method takes one reliability per grader, in feedback order; the
+    greedy, Borda and local improvement weigh by ``_on_grid`` of it, the cost
+    by it as given. On a ``dense`` class the greedy and local improvement
+    read one n x n weight table (``_table``), else each item's own pairs from
+    ``FeedbackArrays.ends``; the cost X_g per grader reads the masks of
+    ``FeedbackArrays.blocks``. A dataset without feedback has no pairs; the
+    estimators, which rank from feedback, refuse it in ``check_feedback``.
+    Nothing here draws: a tie group lists its items in index order, which is
+    id order, and a total order taken from it keeps that.
     """
 
     def __init__(self, data: Dataset):
@@ -173,6 +187,7 @@ class _Centers:
         self.graded, self.ungraded = np.flatnonzero(graded), np.flatnonzero(~graded)
         # The cuts of a total order: every item is a group of its own.
         self.singletons = np.arange(1, len(data.items))
+        self._table_of: tuple[np.ndarray, np.ndarray] | None = None
 
     def etas(self, params: MallowsParams | None) -> np.ndarray:
         """Each grader's reliability under ``params``, in feedback order; all 1 without them."""
@@ -193,25 +208,62 @@ class _Centers:
             warnings.warn(f"items never graded by anyone {where}: {names}", stacklevel=3)
 
     def greedy(self, etas: np.ndarray) -> np.ndarray:
-        """The order ``greedy_mle_ranking`` describes, ungraded items last by index."""
-        ends, n = self.arrays.ends, len(self.items)
-        # Picking an item changes x of the other item of each of its ends by
-        # -eta_g where it wins the pair and by +eta_g where it loses it; x
-        # starts as the sum of those changes over the item's own ends, in order.
-        change = np.stack((-etas, etas), axis=1).ravel()[ends.key]
-        x = np.bincount(np.repeat(np.arange(n), np.diff(ends.offsets)), change, n).astype(float, copy=False)
+        """The order ``greedy_mle_ranking`` describes, ungraded items last by index. Picking an item
+        changes x of each other item d by d's weight over it less its weight over d: one row of Wᵀ - W
+        on a ``dense`` class, else the η of the item's ends. Every x is exact, so both give one order."""
+        n = len(self.items)
+        if self.dense:
+            weight = self._table(etas)
+            x, rows = weight.sum(axis=0) - weight.sum(axis=1), weight.T - weight
+
+            def pick(best: int) -> None:
+                np.add(x, rows[best], out=x)
+        else:
+            ends = self.arrays.ends
+            # The change at the other item of an end is -eta_g where the end's item wins the pair and +eta_g
+            # where it loses it; x starts as the sum of those changes over the item's own ends.
+            etas = _on_grid(etas)
+            change = np.stack((-etas, etas), axis=1).ravel()[ends.key]
+            x = np.bincount(np.repeat(np.arange(n), np.diff(ends.offsets)), change, n).astype(float, copy=False)
+            other, offsets = ends.other.astype(np.intp), ends.offsets.tolist()
+
+            def pick(best: int) -> None:
+                lo, hi = offsets[best], offsets[best + 1]
+                np.add.at(x, other[lo:hi], change[lo:hi])
         x[self.ungraded] = np.inf
-        other, offsets = ends.other.astype(np.intp), ends.offsets.tolist()
-        order = np.empty(len(self.items), dtype=np.intp)
+        order = np.empty(n, dtype=np.intp)
         for k in range(len(self.graded)):
             # Among equal x, argmin takes the lowest index: the lexicographically first id.
             best = int(x.argmin())
             order[k] = best
+            pick(best)
             x[best] = np.inf
-            lo, hi = offsets[best], offsets[best + 1]
-            np.add.at(x, other[lo:hi], change[lo:hi])
         order[len(self.graded):] = self.ungraded
         return order
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each strict pair's cell, winner * n + loser, of the n x n weight table, and its grader."""
+        n, cells, graders = len(self.items), [], []
+        for block_graders, entries, first, second, strict in self.arrays.blocks:
+            items = self.arrays.item[entries]
+            cells.append((items[first] * n + items[second]).T[strict.T])
+            graders.append(np.repeat(block_graders, np.count_nonzero(strict, axis=0)))
+        return np.concatenate(cells), np.concatenate(graders)
+
+    @cached_property
+    def dense(self) -> bool:
+        """Whether the n x n weight table has no more cells than there are strict pairs, so at most 8
+        bytes a pair, half the end table: then the center steps read it and never list the ends."""
+        return len(self.items) ** 2 <= sum(np.count_nonzero(block[4]) for block in self.arrays.blocks)
+
+    def _table(self, etas: np.ndarray) -> np.ndarray:
+        """W, the n x n table of each winner's weight over each loser under ``_on_grid(etas)``, from one
+        ``np.bincount`` over ``_cells``; the table of the last ``etas`` is kept for the next call."""
+        if self._table_of is None or not np.array_equal(self._table_of[0], etas):
+            (cells, graders), n = self._cells, len(self.items)
+            self._table_of = etas.copy(), np.bincount(cells, _on_grid(etas)[graders], n * n).reshape(n, n)
+        return self._table_of[1]
 
     def borda(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ranking ``borda_ranking`` describes, as ``_weak_ranking``'s order and cuts.
@@ -220,7 +272,7 @@ class _Centers:
         the group in a ``WeakRanking``.
         """
         arrays, n = self.arrays, len(self.items)
-        entry_eta = np.repeat(etas, np.diff(arrays.offsets))
+        entry_eta = np.repeat(_on_grid(etas), np.diff(arrays.offsets))
         weighted_sum = np.bincount(arrays.item, weights=entry_eta * arrays.rank, minlength=n)
         weight = np.bincount(arrays.item, weights=entry_eta, minlength=n)
         candidates = self.graded
@@ -258,14 +310,12 @@ class _Centers:
     def kemenize(self, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
         """``order`` after the adjacent swaps ``local_kemenization`` describes.
 
-        The weight of a over b sums eta_g over a's winning ends against b in end order, which is pair
-        order, grader by grader in feedback order. Where the n x n table of those weights has no more
-        cells than there are winning ends, so at most 8 bytes a pair, half the end table, the swaps read
-        it (``_table_tests``): one ``np.bincount`` fills it, and each test is then a lookup. Else they
-        read the end table (``_end_tests``), whose sweeps cost the pairs, not n^2. Both add each weight's
-        terms in the same order, so they take the same swaps.
+        The weight of a over b sums eta_g, on ``_on_grid``, over the pairs a wins against b. On a
+        ``dense`` class the swaps read them from the table ``_table``, the greedy's own, so each test is
+        a lookup (``_table_tests``). Else they read the end table (``_end_tests``), whose sweeps cost the
+        pairs, not n^2. Every weight is exact, so both take the same swaps.
         """
-        tests = self._table_tests if len(self.items) ** 2 <= len(self._wins[1]) else self._end_tests
+        tests = self._table_tests if self.dense else self._end_tests
         return self._swept(order, *tests(etas))
 
     def _swept(self, order: np.ndarray, swaps, sinks) -> np.ndarray:
@@ -290,9 +340,8 @@ class _Centers:
         return order
 
     def _table_tests(self, etas: np.ndarray):
-        """``_swept``'s tests on the table of every winner-over-loser weight, one ``np.bincount`` in end order."""
-        n, (counts, loser, grader) = len(self.items), self._wins
-        weight = np.bincount(np.repeat(np.arange(n) * n, counts) + loser, etas[grader], n * n).reshape(n, n)
+        """``_swept``'s tests on ``_table``, the table of every winner-over-loser weight."""
+        weight = self._table(etas)
         return (lambda order: weight[order[1:], order[:-1]] > weight[order[:-1], order[1:]],
                 lambda a, b: weight[b, a] > weight[a, b])
 
@@ -301,6 +350,7 @@ class _Centers:
         from one ``np.bincount`` per direction, a sinking item its weights from its own ends."""
         n, (offsets, other, key) = len(self.items), self.arrays.ends
         counts, loser, grader = self._wins
+        etas = _on_grid(etas)
         won, offsets = etas[grader], offsets.tolist()
         position, places = np.empty(n, dtype=np.int32), np.arange(n, dtype=np.int32)
 
@@ -333,10 +383,12 @@ def greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) -> We
         x_d = sum_g eta_g * (|{d' above d in g}| - |{d' below d in g}|)
 
     with both counts restricted to remaining candidates in the grader's item
-    set; pairs the grader ties contribute to neither count. Ties in x_d are
-    broken by lexicographic item id. Items never graded by anyone are
-    appended at the end (lexicographically) with a warning. Without
-    ``params`` it returns the greedy center the dataset keeps (see
+    set; pairs the grader ties contribute to neither count. eta_g is the
+    grader's reliability at the nearest multiple of 2^-20 (at least 2^-20),
+    so for reliabilities up to 1e3 every x_d is exact and equal ones tie.
+    Ties in x_d are broken by lexicographic item id. Items never graded by
+    anyone are appended at the end (lexicographically) with a warning.
+    Without ``params`` it returns the greedy center the dataset keeps (see
     ``fit_mallows``), computing it if no fit has.
     """
     centers = _Centers(data)
@@ -349,7 +401,9 @@ def borda_ranking(data: Dataset, params: MallowsParams | None = None) -> WeakRan
     """Items ordered by ascending reliability-weighted average rank.
 
     Each grader contributes its within-feedback rank of the item, weighted by
-    the grader's reliability; equal averages form tie groups. Items graded by
+    the grader's reliability at the nearest multiple of 2^-20 (at least
+    2^-20), so each average is one exact sum over another and equal averages
+    form tie groups. Items graded by
     nobody form a final tie group (with a warning). Without ``params`` it
     returns the Borda center the dataset keeps (see ``fit_mallows``).
     """
@@ -375,6 +429,8 @@ def local_kemenization(ranking: WeakRanking, data: Dataset, params: MallowsParam
     A swap of neighbors (a above b) is taken iff it strictly decreases the
     reliability-weighted count of violated feedback pairs, i.e. iff the
     weight preferring b over a exceeds the weight preferring a over b.
+    Each grader weighs as its reliability at the nearest multiple of 2^-20
+    (at least 2^-20), so equal weights compare equal and take no swap.
     Each pair can flip at most once, so the sweep terminates.
     """
     if not ranking.is_total:
@@ -517,8 +573,10 @@ def fit_mallows(
 
     The center is the greedy likelihood ranking (or the weighted-average-rank
     ranking when ``use_borda``), optionally polished by local adjacent-swap
-    improvement on the end table ``FeedbackArrays.ends`` (``kemenize``, greedy
-    center only), all at reliabilities equal to 1. A plain fit returns it,
+    improvement (``kemenize``, greedy center only), all at reliabilities
+    equal to 1. Where the class has at least n^2 strict pairs for its n
+    items, the greedy and the swaps read one dense n x n weight table, else
+    the end table ``FeedbackArrays.ends``. A plain fit returns the center,
     with the ``family`` and ``kemenized`` it used as ``metadata``. With
     ``with_reliability`` that center starts rounds that re-estimate the center
     and per-grader reliabilities alternately. Each round fits the
@@ -526,10 +584,13 @@ def fit_mallows(
     id order, the order its tie groups list. Given them, the center enters the
     joint posterior only through its cost sum_g eta_g * X_g, so the round then
     takes the center they give (its ties broken the same way) only if it costs
-    less, or with ``kemenize`` the old center after local
-    improvement; the first round that finds no cheaper center keeps the old
-    one and ends the fit. ``metadata`` records the ``rounds`` run (at most
-    ``iterations``), whether the last found no cheaper center
+    less, or with ``kemenize`` the old center after local improvement. The
+    center steps weigh each grader by its reliability at the nearest multiple
+    of 2^-20, so their sums are exact and a tie of equal sums falls to the id
+    whatever the graders' order; the reliabilities reported and the costs
+    compared are not rounded. The first round that finds no cheaper center
+    keeps the old one and ends the fit. ``metadata`` records the ``rounds``
+    run (at most ``iterations``), whether the last found no cheaper center
     (``converged``), the cost of the center each round kept (``center_cost``,
     summed exactly: a converged fit's last is ``weighted_kendall_cost`` of its
     ranking under its reliabilities) and the largest change of log(eta) in

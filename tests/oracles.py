@@ -395,7 +395,15 @@ def experiment_report_from_dict(payload: dict[str, Any]) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # The earlier dict-loop implementation of the Mallows family, kept verbatim
 # (renamed dict_*) so the compiled-array one in opg.mallows can be held to
-# exactly equal answers. These use the package's data types.
+# exactly equal answers. These use the package's data types. Their center
+# steps (greedy, Borda, the swap weights) weigh each grader by ``on_grid`` of
+# its reliability, as the package does; the costs weigh by the reliability.
+
+
+def on_grid(eta: float) -> float:
+    """The weight a center step gives reliability ``eta``: the nearest multiple of 2^-20 (``round``
+    breaks halves to even, as ``np.rint`` does), at least 2^-20. Sums of such weights are exact."""
+    return max(round(eta * 2**20), 1) / 2**20
 
 
 def dict_cross_group_disagreements(center_rank: Mapping[str, int], fb: WeakRanking) -> int:
@@ -428,9 +436,10 @@ def dict_greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) 
         x_d = sum_g eta_g * (|{d' above d in g}| - |{d' below d in g}|)
 
     with both counts restricted to remaining candidates in the grader's item
-    set; pairs the grader ties contribute to neither count. Ties in x_d are
-    broken by lexicographic item id. Items never graded by anyone are
-    appended at the end (lexicographically) with a warning.
+    set; pairs the grader ties contribute to neither count, and eta_g is
+    ``on_grid`` of the grader's reliability. Ties in x_d are broken by
+    lexicographic item id. Items never graded by anyone are appended at the
+    end (lexicographically) with a warning.
     """
     params = params or MallowsParams()
     if not data.items:
@@ -452,7 +461,7 @@ def dict_greedy_mle_ranking(data: Dataset, params: MallowsParams | None = None) 
     for gi, (grader, fb) in enumerate(feedback):
         ranks = fb.ranks()
         grader_ranks.append(ranks)
-        etas.append(params.eta_for(grader))
+        etas.append(on_grid(params.eta_for(grader)))
         for d in ranks:
             by_item[d].append(gi)
 
@@ -493,8 +502,8 @@ def dict_borda_ranking(data: Dataset, params: MallowsParams | None = None) -> We
     """Items ordered by ascending reliability-weighted average rank.
 
     Each grader contributes its within-feedback rank of the item, weighted by
-    the grader's reliability; equal averages form tie groups. Items graded by
-    nobody form a final tie group (with a warning).
+    ``on_grid`` of the grader's reliability; equal averages form tie groups.
+    Items graded by nobody form a final tie group (with a warning).
     """
     params = params or MallowsParams()
     if not data.items:
@@ -506,7 +515,7 @@ def dict_borda_ranking(data: Dataset, params: MallowsParams | None = None) -> We
     weighted_sum: dict[str, float] = {}
     weight: dict[str, float] = {}
     for grader, fb in feedback:
-        eta = params.eta_for(grader)
+        eta = on_grid(params.eta_for(grader))
         for d, r in fb.ranks().items():
             weighted_sum[d] = weighted_sum.get(d, 0.0) + eta * r
             weight[d] = weight.get(d, 0.0) + eta
@@ -528,12 +537,12 @@ def dict_borda_ranking(data: Dataset, params: MallowsParams | None = None) -> We
 
 
 def dict_preference_weights(data: Dataset, params: MallowsParams) -> tuple[list[str], np.ndarray]:
-    """Items and the matrix W[a, b] = total reliability preferring a over b."""
+    """Items and the matrix W[a, b] = total ``on_grid`` reliability preferring a over b."""
     items = sorted(data.items)
     index = {d: i for i, d in enumerate(items)}
     w = np.zeros((len(items), len(items)))
     for grader, fb in dict_ordinal_feedback(data):
-        eta = params.eta_for(grader)
+        eta = on_grid(params.eta_for(grader))
         ranks = fb.ranks()
         members = list(ranks)
         for i, a in enumerate(members):
@@ -1423,12 +1432,13 @@ def flat_strict_pairs(arrays: FeedbackArrays) -> tuple[np.ndarray, ...]:
 
 def incident_greedy(arrays: FeedbackArrays, etas: np.ndarray) -> np.ndarray:
     """``mallows._Centers.greedy`` as it was before the strict pairs were listed item by item,
-    verbatim over ``flat_strict_pairs``: the greedy order of the item indices, ungraded items last."""
+    verbatim over ``flat_strict_pairs`` but for each grader's weight, ``on_grid`` of its reliability:
+    the greedy order of the item indices, ungraded items last."""
     winner, loser, grader, incident_offsets, incident = flat_strict_pairs(arrays)
     n_items = arrays.n_items
     graded = np.bincount(arrays.item, minlength=n_items) > 0
     graded, ungraded = np.flatnonzero(graded), np.flatnonzero(~graded)
-    pair_eta = etas[grader]
+    pair_eta = np.array([on_grid(eta) for eta in etas.tolist()])[grader]
     # End 2p of pair p is its winner and end 2p + 1 its loser; picking an
     # end's item changes x of the pair's other item by ``change``.
     other = np.stack([loser, winner], axis=1).ravel()
@@ -1453,7 +1463,8 @@ def incident_greedy(arrays: FeedbackArrays, etas: np.ndarray) -> np.ndarray:
 
 def slots_kemenize(data: Dataset, order: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """``mallows._Centers.kemenize`` as it was before it read the end table, with each neighbour
-    pair's weights read from ``dict_preference_weights`` under ``etas``, one per grader in feedback order."""
+    pair's weights read from ``dict_preference_weights`` under ``etas``, one per grader in feedback
+    order, so each weighed by ``on_grid`` of its reliability."""
     n = len(data.items)
     params = MallowsParams(dict(zip(data.feedback_arrays.graders, etas.tolist())))
     items, w = dict_preference_weights(data, params)

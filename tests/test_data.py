@@ -315,6 +315,14 @@ class TestFeedbackArrays:
         fit_model("mal+kg", data)
         assert derivations == [data.feedback_arrays]
 
+    def test_small_classes_never_derive_the_end_table(self, derivations):
+        # 40 x 150 x 7 has more strict pairs than 40^2, so its centers read the dense weight table.
+        data = simulate(SynthConfig(40, 150, 7, seed=0))[0]
+        for model in ("mal", "mal+g", "mal+kg", "malbc+g"):
+            fit_model(model, data)
+        bootstrap_ek(data, "mal+g", [WeakRanking.from_order(data.items)], reps=3, seed=0)
+        assert derivations == []
+
     def test_every_ordinal_model_reads_one_block_table(self, block_derivations):
         data = simulate(SynthConfig(12, 20, 4, seed=3))[0]
         for model in ("mal", "mal+g", "malbc+g", "mal+kg", "bt", "thur", "pl", "mals"):

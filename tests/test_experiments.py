@@ -204,20 +204,24 @@ class TestGraderSubsets:
         ("malbc", 2): ((25.7575757576, 3.28616768769), (32.1212121212, 10.0137646314),
                        ((5, 25.4545454545, 7.7138921584), (13, 26.8181818182, 0.642824346533))),
         # Recorded when every resample's ``+g`` fit still solved its reliability problems afresh.
+        # The curves of seeds 1 and 2 re-recorded when the centers weighed by reliabilities on a 2^-20
+        # grid: six subset fits (these and ``mal+kg``'s) had centers whose sums tie exactly, which
+        # rounding had broken against the id; each now equals the fit in exact rational arithmetic.
         ("mal+g", 0): ((21.8181818182, 2.57129738613), (34.5454545455, 5.45454545455),
                        ((5, 33.6363636364, 6.42824346533), (13, 24.5454545455, 1.28564869307))),
         ("mal+g", 1): ((23.6363636364, 5.86346018058), (38.7878787879, 12.3761077919),
-                       ((5, 39.0909090909, 1.28564869307), (13, 25.4545454545, 0.0))),
+                       ((5, 39.0909090909, 1.28564869307), (13, 24.5454545455, 1.28564869307))),
         ("mal+g", 2): ((24.5454545455, 5.23813101487), (37.5757575758, 13.1530511601),
-                       ((5, 30.0, 14.1421356237), (13, 28.1818181818, 3.8569460792))),
+                       ((5, 30.0, 14.1421356237), (13, 27.2727272727, 5.14259477227))),
         # The level-5 curves of seeds 0 and 1 re-recorded when the reliability step summed its terms in
-        # order, so that a subset's reliabilities stopped depending on its parent's longest ranking.
+        # order, so that a subset's reliabilities stopped depending on its parent's longest ranking, and
+        # the curves that moved re-recorded for the grid, as ``mal+g``'s were.
         ("mal+kg", 0): ((22.1212121212, 2.41665479241), (35.7575757576, 5.55463720601),
-                        ((5, 39.0909090909, 14.1421356237), (13, 25.4545454545, 2.57129738613))),
+                        ((5, 37.2727272727, 11.5708382376), (13, 25.4545454545, 2.57129738613))),
         ("mal+kg", 1): ((23.9393939394, 5.68212120404), (38.7878787879, 10.6535732311),
-                        ((5, 44.5454545455, 6.42824346533), (13, 29.0909090909, 2.57129738613))),
+                        ((5, 42.7272727273, 3.8569460792), (13, 28.1818181818, 1.28564869307))),
         ("mal+kg", 2): ((24.5454545455, 5.11035248093), (37.5757575758, 11.5470053838),
-                        ((5, 30.0, 14.1421356237), (13, 30.0, 1.28564869307))),
+                        ((5, 30.0, 14.1421356237), (13, 29.0909090909, 0.0))),
     }
 
     @pytest.mark.parametrize("method, seed", sorted(RECORDED))

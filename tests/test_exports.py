@@ -25,18 +25,30 @@ def test_each_exported_name_is_an_attribute(name):
     assert missing == [], f"{name}.__all__ lists undefined names: {missing}"
 
 
-def test_strict_pairs_are_enumerated_in_one_place():
-    """``data._strict_pairs`` alone lists a weak ranking's strict pairs, for the score models and
-    the permutation-noise estimators alike; a second enumeration fails here."""
+def _uses(name: str) -> dict[str, int]:
+    """How often each module of the package names ``name``, where it does."""
     package = os.path.dirname(opg.__file__)
     uses = {}
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            count = fh.read().count("triu_indices")
+            count = fh.read().count(name)
         if count:
             uses[os.path.basename(path)] = count
-    assert uses == {"data.py": 1}
+    return uses
+
+
+def test_strict_pairs_are_enumerated_in_one_place():
+    """``data._strict_pairs`` alone lists a weak ranking's strict pairs, for the score models and
+    the permutation-noise estimators alike; a second enumeration fails here."""
+    assert _uses("triu_indices") == {"data.py": 1}
     assert "triu_indices" in inspect.getsource(opg.data._strict_pairs)
+
+
+def test_one_helper_puts_reliabilities_on_the_grid():
+    """``mallows._on_grid`` alone rounds the reliabilities the Mallows centers weigh by, so every
+    center step sums the same exact weights; a second rounding fails here."""
+    assert _uses("ldexp") == {"mallows.py": 1}
+    assert "ldexp" in inspect.getsource(opg.mallows._on_grid)
 
 
 def test_only_plain_thur_draws():

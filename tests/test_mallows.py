@@ -875,7 +875,8 @@ def _shared_pair_classes(rng):
 
 
 class TestGreedyMatchesTheIncidentOracle:
-    """The greedy center on the end table is bit for bit the one on the pair layout it replaced."""
+    """The greedy center, on the dense table or the end table, is bit for bit the one on the pair layout
+    they replaced, both weighing by reliabilities on the 2^-20 grid."""
 
     def test_under_random_reliabilities(self, rng):
         for data in _shared_pair_classes(rng):
@@ -888,7 +889,8 @@ class TestGreedyMatchesTheIncidentOracle:
 
 
 class TestKemenizeMatchesTheSlotsOracle:
-    """Local improvement on the end table takes the swaps of the sorted pair keys it replaced."""
+    """Local improvement, on the dense table or the end table, takes the swaps of the sorted pair keys
+    they replaced, both weighing by reliabilities on the 2^-20 grid."""
 
     def test_from_greedy_reversed_and_random_starts(self, rng):
         for data in _shared_pair_classes(rng):
@@ -1292,8 +1294,8 @@ def _tied_class(n_items, n_graders, per_grader, seed):
 
 
 class TestSwapPathsAgree:
-    """``_Centers.kemenize`` reads its weights from a dense table on small classes and from the end table
-    on large ones; both paths take the same swaps."""
+    """``_Centers.greedy`` and ``_Centers.kemenize`` read their weights from a dense table on small classes
+    and from the end table on large ones; both paths give the same order."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**16), st.integers(3, 16), st.integers(2, 40), st.integers(2, 7), st.booleans())
@@ -1309,8 +1311,16 @@ class TestSwapPathsAgree:
             warnings.simplefilter("ignore")
             fitted = fit_mallows(data, with_reliability=True).reliabilities
         draws = [np.ones(n), centers.etas(MallowsParams(fitted)), rng.gamma(2.0, 0.5, n), rng.choice([0.1, 0.2, 0.3, 0.7], n)]
+        on_table, on_ends = _Centers(data), _Centers(data)
+        on_table.dense, on_ends.dense = True, False
         for etas in draws:
-            greedy = centers.greedy(etas)
+            greedy = on_table.greedy(etas)
+            assert np.array_equal(greedy, on_ends.greedy(etas))
+            assert np.array_equal(greedy, centers.greedy(etas))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = oracles.dict_greedy_mle_ranking(data, MallowsParams(dict(zip(centers.arrays.graders, etas.tolist()))))
+            assert [data.items[i] for i in greedy] == list(want.order())
             for start in (greedy, greedy[::-1].copy(), rng.permutation(n_items)):
                 table = centers._swept(start, *centers._table_tests(etas))
                 assert np.array_equal(table, centers._swept(start, *centers._end_tests(etas)))
@@ -1322,7 +1332,11 @@ class TestSwapPathsAgree:
         for name in ("_table_tests", "_end_tests"):
             tests = getattr(_Centers, name)
             monkeypatch.setattr(_Centers, name, lambda self, etas, name=name, tests=tests: taken.append(name) or tests(self, etas))
+        greedy_read_ends = []
         for n_items, n_graders in ((40, 150), (600, 1800)):
             data = simulate(SynthConfig(n_items, n_graders, 7, seed=1))[0]
+            fit_mallows(data)
+            greedy_read_ends.append("ends" in vars(data.feedback_arrays))
             fit_mallows(data, kemenize=True)
         assert taken == ["_table_tests", "_end_tests"]
+        assert greedy_read_ends == [False, True]
